@@ -150,6 +150,22 @@ uint64_t BTreePointLookup(const store::BTree& tree, sim::Rng& rng, int64_t n) {
   return 1000;
 }
 
+// Stock-table shape: [w, i] composite keys, 2 warehouses x 4 000 items.
+constexpr int64_t kCompositeWarehouses = 2;
+constexpr int64_t kCompositeItems = 4000;
+
+uint64_t BTreeCompositeLookup(const store::BTree& tree, sim::Rng& rng) {
+  uint64_t found = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const doc::Value key =
+        doc::Value::List({rng.UniformInt(1, kCompositeWarehouses),
+                          rng.UniformInt(1, kCompositeItems)});
+    if (tree.Find(key) != nullptr) ++found;
+  }
+  if (found != 1000) std::abort();
+  return 1000;
+}
+
 uint64_t FilterMatchNested(const doc::Filter& filter, const doc::Value& d) {
   uint64_t matched = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -375,6 +391,22 @@ int BenchMain(int argc, char** argv) {
       if (docs != 10000) std::abort();
       return docs;
     });
+  }
+
+  {
+    // After the collection rows: the documents this tree frees would
+    // otherwise scatter the collection's documents across the heap and
+    // slow its scans.
+    auto tree = std::make_shared<store::BTree>();
+    int64_t id = 0;
+    for (int64_t w = 1; w <= kCompositeWarehouses; ++w) {
+      for (int64_t i = 1; i <= kCompositeItems; ++i) {
+        tree->Insert(doc::Value::List({w, i}), MakeDoc(id++));
+      }
+    }
+    auto rng = std::make_shared<sim::Rng>(2);
+    run("btree_point_lookup_composite",
+        [tree, rng] { return BTreeCompositeLookup(*tree, *rng); });
   }
 
   {

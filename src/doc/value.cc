@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace dcg::doc {
@@ -96,6 +97,26 @@ void AppendJson(const Value& v, std::string* out) {
       AppendJsonObject(v.as_object(), out);
       break;
   }
+}
+
+// NaN equals only NaN and sorts below every other number, as in MongoDB;
+// -0.0 equals 0.0.
+int CompareDoubles(double a, double b) {
+  const bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+  if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? -1 : 1);
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// Exact: no lossy cast of `i` to double, so 2^53 + 1 > 2^53 as a double.
+int CompareIntDouble(int64_t i, double d) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;  // 2^63
+  if (std::isnan(d)) return 1;
+  if (d >= kTwoTo63) return -1;
+  if (d < -kTwoTo63) return 1;
+  const double floor = std::floor(d);  // in [-2^63, 2^63): exact as int64
+  const auto whole = static_cast<int64_t>(floor);
+  if (i != whole) return i < whole ? -1 : 1;
+  return floor < d ? -1 : 0;
 }
 
 }  // namespace
@@ -243,14 +264,16 @@ int Value::Compare(const Value& other) const {
       return a - b;
     }
     case Type::kInt64:
-    case Type::kDouble: {
-      if (is_int64() && other.is_int64()) {
+      if (other.is_int64()) {
         const int64_t a = as_int64(), b = other.as_int64();
         return a < b ? -1 : (a > b ? 1 : 0);
       }
-      const double a = as_number(), b = other.as_number();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
+      return CompareIntDouble(as_int64(), other.as_double());
+    case Type::kDouble:
+      if (other.is_int64()) {
+        return -CompareIntDouble(other.as_int64(), as_double());
+      }
+      return CompareDoubles(as_double(), other.as_double());
     case Type::kString: {
       const int c = as_string().compare(other.as_string());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);

@@ -27,8 +27,11 @@ using Array = std::vector<Value>;
 /// The scalar/document value model of the store ("mongolite").
 ///
 /// Supported types, in canonical sort order:
-///   Null < Bool < Number (Int64 and Double compare numerically)
+///   Null < Bool < Number (Int64 and Double compare numerically and
+///        exactly; NaN equals only NaN and sorts below every other number)
 ///        < String < Timestamp < Array < Object
+///
+/// The order is total, and doc::KeyString encodes it as bytes.
 ///
 /// Timestamp is distinct from Int64 so replication optimes and S-workload
 /// probe payloads are self-describing; it holds nanoseconds of simulated

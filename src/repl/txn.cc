@@ -19,10 +19,10 @@ void TxnContext::Insert(const std::string& collection, doc::Value document) {
   entry.approx_bytes = document.ApproxSize();
   entry.payload = document;
 
-  undo_.push_back({collection, *id, coll.FindById(*id)});
   const bool inserted = coll.Insert(std::move(document));
   DCG_CHECK_MSG(inserted, "duplicate _id inserted into %s",
                 collection.c_str());
+  undo_.push_back({collection, entry.id, /*pre_image=*/nullptr});
   entries_.push_back(std::move(entry));
 }
 
@@ -30,18 +30,16 @@ bool TxnContext::Update(const std::string& collection, const doc::Value& id,
                         const doc::UpdateSpec& spec) {
   DCG_CHECK(!aborted_);
   store::Collection& coll = db_->GetOrCreate(collection);
-  store::DocPtr pre = coll.FindById(id);
-  if (pre == nullptr) return false;
-  undo_.push_back({collection, id, pre});
-  const bool ok = coll.Update(id, spec);
-  DCG_CHECK(ok);
+  store::DocPtr pre, post;
+  if (!coll.Update(id, spec, &pre, &post)) return false;
+  undo_.push_back({collection, id, std::move(pre)});
 
   OplogEntry entry;
   entry.kind = OpKind::kUpdate;
   entry.collection = collection;
   entry.id = id;
   entry.payload = spec.ToValue();
-  entry.approx_bytes = coll.FindById(id)->ApproxSize();
+  entry.approx_bytes = post->ApproxSize();
   entries_.push_back(std::move(entry));
   return true;
 }
@@ -49,10 +47,9 @@ bool TxnContext::Update(const std::string& collection, const doc::Value& id,
 bool TxnContext::Remove(const std::string& collection, const doc::Value& id) {
   DCG_CHECK(!aborted_);
   store::Collection& coll = db_->GetOrCreate(collection);
-  store::DocPtr pre = coll.FindById(id);
-  if (pre == nullptr) return false;
-  undo_.push_back({collection, id, pre});
-  coll.Remove(id);
+  store::DocPtr pre;
+  if (!coll.Remove(id, &pre)) return false;
+  undo_.push_back({collection, id, std::move(pre)});
 
   OplogEntry entry;
   entry.kind = OpKind::kRemove;

@@ -3,8 +3,10 @@
 
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "doc/key_string.h"
 #include "doc/value.h"
 
 namespace dcg::store {
@@ -14,6 +16,10 @@ namespace dcg::store {
 /// and secondary index in mongolite.
 ///
 /// Design notes:
+///  * The tree searches on doc::KeyString encodings only: every operation
+///    encodes its probe once, then binary-searches nodes by byte compare.
+///    Internal nodes hold encoded separators alone; leaves keep each key's
+///    encoding beside the key as given, which Iterator::key() returns.
 ///  * Payloads are `shared_ptr<const doc::Value>`: reads hand out a stable
 ///    snapshot of the document; updates install a fresh copy (copy-on-write),
 ///    so a reader holding a document is never affected by later writes.
@@ -35,17 +41,24 @@ class BTree {
   BTree& operator=(BTree&&) noexcept;
 
   /// Inserts or replaces. Returns true if the key was newly inserted,
-  /// false if an existing payload was replaced.
-  bool Upsert(const Key& key, Payload payload);
+  /// false if an existing payload was replaced; that payload is moved to
+  /// `replaced` when given. A new key is moved into the leaf.
+  bool Upsert(Key key, Payload payload, Payload* replaced = nullptr);
 
   /// Inserts only if absent. Returns false (no change) when present.
-  bool Insert(const Key& key, Payload payload);
+  bool Insert(Key key, Payload payload);
 
   /// Returns the payload for `key`, or nullptr.
   Payload Find(const Key& key) const;
 
-  /// Removes `key`. Returns true if it was present.
-  bool Erase(const Key& key);
+  /// The stored payload slot for `key`, or nullptr when absent: a caller
+  /// swaps the payload in place with a single descent. Valid until the
+  /// next mutation of the tree.
+  Payload* FindSlot(const Key& key);
+
+  /// Removes `key`. Returns true if it was present; its payload is moved to
+  /// `erased` when given.
+  bool Erase(const Key& key, Payload* erased = nullptr);
 
   bool Contains(const Key& key) const { return Find(key) != nullptr; }
 
@@ -63,6 +76,8 @@ class BTree {
    public:
     bool Valid() const { return leaf_ != nullptr; }
     const Key& key() const;
+    /// The key's KeyString encoding.
+    const doc::KeyString& encoded_key() const;
     const Payload& payload() const;
     void Next();
 
@@ -79,33 +94,20 @@ class BTree {
   /// Cursor positioned at the first key >= `key`.
   Iterator LowerBound(const Key& key) const;
 
-  /// Cursor positioned at the first key >= the composite prefix
-  /// `[prefix, prefix + n)`, compared as if the prefix were an Array key —
-  /// but without materializing one. Since an Array that is a strict prefix
-  /// of another compares less, this is the inclusive lower bound for every
-  /// tuple extending the prefix. Secondary-index probes use this to avoid
-  /// a temporary key allocation per lookup.
-  Iterator LowerBoundPrefix(const doc::Value* const* prefix, size_t n) const;
-
-  /// Three-way comparison of a composite prefix against a stored key, with
-  /// the same semantics as LowerBoundPrefix (<0: prefix sorts before key;
-  /// a strict prefix of a longer tuple sorts before it).
-  static int ComparePrefix(const doc::Value* const* prefix, size_t n,
-                           const Key& key);
-
-  /// Like ComparePrefix but compares only the first `n` components of
-  /// `key` (0 when the key *extends* the prefix). Index range scans use it
-  /// to detect the end of the matching range: iteration is past the range
-  /// upper bound `prefix` once this returns < 0.
-  static int ComparePrefixTruncated(const doc::Value* const* prefix, size_t n,
-                                    const Key& key);
+  /// Cursor positioned at the first key whose encoding is >= the bytes
+  /// `prefix`. For an encoded composite prefix
+  /// (doc::AppendKeyStringArrayStart plus the pinned components) that is
+  /// the first tuple extending the prefix, if any: the matching tuples
+  /// follow while encoded_key() starts with `prefix`.
+  Iterator LowerBoundPrefix(std::string_view prefix) const;
 
   /// Cursor positioned at the first key > `key`.
   Iterator UpperBound(const Key& key) const;
 
   /// Validates structural invariants (ordering, occupancy, uniform depth,
-  /// leaf chain consistency, size). Aborts via assert-style check failure
-  /// on violation; used heavily by the property tests.
+  /// leaf chain consistency, size, and every stored encoding equal to its
+  /// key's encoding). Aborts via assert-style check failure on violation;
+  /// used heavily by the property tests.
   void CheckInvariants() const;
 
   /// Height of the tree (1 for a lone root leaf).
@@ -115,12 +117,17 @@ class BTree {
   // Implementation helpers (definitions in btree.cc).
   struct InsertResult;
   struct CheckState;
-  InsertResult InsertRec(Node* node, const Key& key, Payload payload,
-                         bool allow_replace);
-  bool EraseRec(Node* node, const Key& key);
+  // `replaced` null forbids replacing (Insert); otherwise it receives the
+  // replaced payload. A new entry takes `encoded` and `key` by move.
+  bool InsertImpl(Key key, Payload payload, Payload* replaced);
+  InsertResult InsertRec(Node* node, doc::KeyString& encoded, Key& key,
+                         Payload payload, Payload* replaced);
+  bool EraseRec(Node* node, const doc::KeyString& encoded, Payload* erased);
   void FixUnderflow(Node* parent, size_t child_idx);
-  static void CheckNode(const Node* node, const Key* lo, const Key* hi,
-                        int depth, bool is_root, CheckState* state);
+  Iterator LowerBoundEncoded(const doc::KeyString& encoded) const;
+  static void CheckNode(const Node* node, const doc::KeyString* lo,
+                        const doc::KeyString* hi, int depth, bool is_root,
+                        CheckState* state);
 
   std::unique_ptr<Node> root_;
   size_t size_ = 0;

@@ -1,8 +1,10 @@
 #include "store/collection.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
+#include "doc/key_string.h"
 #include "util/check.h"
 
 namespace dcg::store {
@@ -54,13 +56,13 @@ bool Collection::Insert(doc::Value document) {
 
 void Collection::Upsert(doc::Value document) {
   const doc::Value id = RequireId(document);
-  DocPtr old = primary_.Find(id);
   auto d = std::make_shared<const doc::Value>(std::move(document));
+  DocPtr old;
+  primary_.Upsert(id, d, &old);
   if (old != nullptr) {
     approx_bytes_ -= old->ApproxSize();
     for (auto& index : indexes_) UnindexDocument(index.get(), id, *old);
   }
-  primary_.Upsert(id, d);
   approx_bytes_ += d->ApproxSize();
   for (auto& index : indexes_) IndexDocument(index.get(), id, d);
 }
@@ -69,20 +71,24 @@ DocPtr Collection::FindById(const doc::Value& id) const {
   return primary_.Find(id);
 }
 
-bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec) {
-  DocPtr old = primary_.Find(id);
-  if (old == nullptr) return false;
-  doc::Value updated = *old;  // copy-on-write
+bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
+                        DocPtr* pre_image, DocPtr* post_image) {
+  // One descent: the payload is swapped in place. Index maintenance below
+  // touches other trees, so the slot stays valid.
+  DocPtr* slot = primary_.FindSlot(id);
+  if (slot == nullptr) return false;
+  const doc::Value& old = **slot;
+  doc::Value updated = old;  // copy-on-write
   const bool ok = spec.Apply(&updated);
   DCG_CHECK_MSG(ok, "update spec failed on %s._id=%s", name_.c_str(),
                 id.ToJson().c_str());
   DCG_CHECK_MSG(RequireId(updated) == id, "updates must not change _id");
   auto d = std::make_shared<const doc::Value>(std::move(updated));
-  approx_bytes_ -= old->ApproxSize();
+  approx_bytes_ -= old.ApproxSize();
   approx_bytes_ += d->ApproxSize();
   for (auto& index : indexes_) {
     // Re-index only when the indexed tuple changed.
-    doc::Value old_key = IndexKey(*index, id, *old);
+    doc::Value old_key = IndexKey(*index, id, old);
     doc::Value new_key = IndexKey(*index, id, *d);
     if (old_key != new_key) {
       const bool erased = index->tree.Erase(old_key);
@@ -93,16 +99,18 @@ bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec) {
       index->tree.Upsert(std::move(new_key), d);
     }
   }
-  primary_.Upsert(id, std::move(d));
+  if (post_image != nullptr) *post_image = d;
+  DocPtr previous = std::exchange(*slot, std::move(d));
+  if (pre_image != nullptr) *pre_image = std::move(previous);
   return true;
 }
 
-bool Collection::Remove(const doc::Value& id) {
-  DocPtr old = primary_.Find(id);
-  if (old == nullptr) return false;
+bool Collection::Remove(const doc::Value& id, DocPtr* removed) {
+  DocPtr old;
+  if (!primary_.Erase(id, &old)) return false;
   approx_bytes_ -= old->ApproxSize();
   for (auto& index : indexes_) UnindexDocument(index.get(), id, *old);
-  primary_.Erase(id);
+  if (removed != nullptr) *removed = std::move(old);
   return true;
 }
 
@@ -148,21 +156,22 @@ void Collection::VisitMatches(const doc::Filter& filter, Visit&& visit) const {
     return;
   }
 
-  // Equality over a full secondary-index prefix. The pinned values are
-  // borrowed from the filter itself, so probing allocates nothing.
+  // Equality over a full secondary-index prefix: the matching tuples are
+  // exactly the keys whose encoding starts with the encoded prefix.
   for (const auto& index : indexes_) {
-    std::vector<const doc::Value*> prefix;
-    prefix.reserve(index->paths.size());
+    std::string prefix;
+    doc::AppendKeyStringArrayStart(&prefix);
+    size_t pinned = 0;
     for (const auto& path : index->paths) {
       const doc::Value* v = filter.EqualityValue(path.str());
       if (v == nullptr) break;
-      prefix.push_back(v);
+      doc::AppendKeyString(*v, &prefix);
+      ++pinned;
     }
-    if (prefix.size() == index->paths.size()) {
-      for (auto it = index->tree.LowerBoundPrefix(prefix.data(), prefix.size());
-           it.Valid(); it.Next()) {
-        if (BTree::ComparePrefixTruncated(prefix.data(), prefix.size(),
-                                          it.key()) != 0) {
+    if (pinned == index->paths.size()) {
+      for (auto it = index->tree.LowerBoundPrefix(prefix); it.Valid();
+           it.Next()) {
+        if (!it.encoded_key().view().starts_with(prefix)) {
           break;  // past every tuple extending the prefix
         }
         if (filter.Matches(*it.payload()) && !visit(it.payload())) return;
@@ -268,9 +277,10 @@ std::vector<DocPtr> Collection::RangeById(const doc::Value& low,
                                           const doc::Value& high,
                                           size_t limit) const {
   std::vector<DocPtr> out;
+  const doc::KeyString high_key = doc::KeyString::Encode(high);
   for (auto it = primary_.LowerBound(low); it.Valid() && out.size() < limit;
        it.Next()) {
-    if (it.key() > high) break;
+    if (high_key < it.encoded_key()) break;
     out.push_back(it.payload());
   }
   return out;
@@ -291,20 +301,21 @@ std::vector<DocPtr> Collection::IndexScan(
   DCG_CHECK(low_prefix.size() <= index->paths.size());
   DCG_CHECK(high_prefix.size() <= index->paths.size());
 
+  // The encoded prefixes are byte prefixes of the tuples extending them, so
+  // the low one is an inclusive lower bound and the scan ends at the first
+  // tuple whose leading bytes exceed the high one.
+  auto encode_prefix = [](const std::vector<doc::Value>& components) {
+    std::string prefix;
+    doc::AppendKeyStringArrayStart(&prefix);
+    for (const auto& v : components) doc::AppendKeyString(v, &prefix);
+    return prefix;
+  };
+  const std::string low = encode_prefix(low_prefix);
+  const std::string high = encode_prefix(high_prefix);
   std::vector<DocPtr> out;
-  // An Array that is a strict prefix of another compares less, so the low
-  // prefix itself is a valid inclusive lower bound. The probe borrows the
-  // caller's values — no temporary Array key is materialized.
-  std::vector<const doc::Value*> low;
-  low.reserve(low_prefix.size());
-  for (const auto& v : low_prefix) low.push_back(&v);
-  std::vector<const doc::Value*> high;
-  high.reserve(high_prefix.size());
-  for (const auto& v : high_prefix) high.push_back(&v);
-  for (auto it = index->tree.LowerBoundPrefix(low.data(), low.size());
+  for (auto it = index->tree.LowerBoundPrefix(low);
        it.Valid() && out.size() < limit; it.Next()) {
-    // Stop once the indexed tuple exceeds the high prefix.
-    if (BTree::ComparePrefixTruncated(high.data(), high.size(), it.key()) < 0) {
+    if (doc::KeyString::ComparePrefix(high, it.encoded_key().view()) < 0) {
       break;
     }
     out.push_back(it.payload());

@@ -62,12 +62,16 @@ class Collection {
   /// Point lookup by _id. Returns nullptr when absent.
   DocPtr FindById(const doc::Value& id) const;
 
-  /// Applies an update spec to the document with the given _id.
-  /// Returns false when the document does not exist.
-  bool Update(const doc::Value& id, const doc::UpdateSpec& spec);
+  /// Applies an update spec to the document with the given _id, with one
+  /// descent of the primary tree. Returns false when the document does not
+  /// exist. Otherwise the document as it was before and after the update
+  /// goes to `pre_image` and `post_image` when given.
+  bool Update(const doc::Value& id, const doc::UpdateSpec& spec,
+              DocPtr* pre_image = nullptr, DocPtr* post_image = nullptr);
 
-  /// Removes by _id. Returns true if it existed.
-  bool Remove(const doc::Value& id);
+  /// Removes by _id. Returns true if it existed; the removed document goes
+  /// to `removed` when given.
+  bool Remove(const doc::Value& id, DocPtr* removed = nullptr);
 
   /// Declares a secondary index over the given dotted paths. Existing
   /// documents are indexed immediately. Documents missing an indexed path

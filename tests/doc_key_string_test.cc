@@ -1,0 +1,263 @@
+// Property tests for doc::KeyString: byte order equals Value::Compare order
+// over a seeded corpus of every value type, and an array's encoding without
+// its end byte is a byte prefix of exactly the arrays that extend it.
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "doc/key_string.h"
+#include "doc/value.h"
+#include "sim/random.h"
+
+namespace dcg::doc {
+namespace {
+
+int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
+
+std::string Bytes(const Value& v) {
+  std::string out;
+  AppendKeyString(v, &out);
+  return out;
+}
+
+// Numbers where exact int/double comparison, signed zeros, infinities and
+// NaN matter.
+std::vector<Value> EdgeNumbers() {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> out = {
+      Value(int64_t{0}), Value(0.0), Value(-0.0), Value(inf), Value(-inf),
+      Value(nan), Value(-nan), Value(kMin), Value(kMax), Value(kMin + 1),
+      Value(kMax - 1), Value(9223372036854775808.0),
+      Value(-9223372036854775808.0), Value(1.8446744073709552e19),
+      Value(std::numeric_limits<double>::max()),
+      Value(std::numeric_limits<double>::lowest()),
+      Value(std::numeric_limits<double>::min()),
+      Value(std::numeric_limits<double>::denorm_min()),
+      Value(-std::numeric_limits<double>::denorm_min()), Value(0.5),
+      Value(-0.5), Value(0.9999999999999999), Value(-0.9999999999999999),
+      Value(1.0000000000000002), Value(-1.0000000000000002)};
+  for (const int64_t base : {kTwo53, -kTwo53, int64_t{1}, int64_t{-1},
+                             int64_t{255}, int64_t{256}, int64_t{-256},
+                             int64_t{1} << 32, int64_t{1} << 62}) {
+    for (const int64_t delta : {int64_t{-1}, int64_t{0}, int64_t{1}}) {
+      out.emplace_back(base + delta);
+      out.emplace_back(static_cast<double>(base + delta));
+    }
+    out.emplace_back(static_cast<double>(base) + 0.5);
+    out.emplace_back(static_cast<double>(base) - 0.25);
+  }
+  return out;
+}
+
+// Strings over an alphabet that stresses the escaping: NUL, 0x01, the
+// lowest unescaped byte, letters and 0xff.
+std::string RandomString(sim::Rng* rng) {
+  static constexpr char kAlphabet[] = {'\0', '\1', '\2', 'a', 'b', '\xff'};
+  std::string s;
+  const int64_t len = rng->UniformInt(0, 4);
+  for (int64_t i = 0; i < len; ++i) {
+    s.push_back(kAlphabet[rng->UniformInt(0, sizeof(kAlphabet) - 1)]);
+  }
+  return s;
+}
+
+Value RandomNumber(sim::Rng* rng) {
+  static const std::vector<Value> kEdges = EdgeNumbers();
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return kEdges[rng->UniformInt(0, kEdges.size() - 1)];
+    case 1:
+      return Value(rng->UniformInt(-300, 300));
+    case 2:  // small halves and their integer ties
+      return Value(static_cast<double>(rng->UniformInt(-600, 600)) / 2);
+    default:
+      return Value(static_cast<int64_t>(rng->NextU64()));
+  }
+}
+
+Value RandomValue(sim::Rng* rng, int depth) {
+  const int64_t max_type = depth >= 3 ? 5 : 7;
+  switch (rng->UniformInt(0, max_type)) {
+    case 0:
+      return Value();
+    case 1:
+      return Value(rng->Bernoulli(0.5));
+    case 2:
+    case 3:
+      return RandomNumber(rng);
+    case 4:
+      return Value(RandomString(rng));
+    case 5: {
+      const int64_t ticks = rng->UniformInt(-3, 3);
+      return Value::Timestamp(rng->Bernoulli(0.5) ? ticks : ticks << 60);
+    }
+    case 6: {
+      Array a;
+      const int64_t n = rng->UniformInt(0, 3);
+      for (int64_t i = 0; i < n; ++i) a.push_back(RandomValue(rng, depth + 1));
+      return Value(std::move(a));
+    }
+    default: {
+      Object o;
+      const int64_t n = rng->UniformInt(0, 2);
+      for (int64_t i = 0; i < n; ++i) {
+        o.emplace_back(RandomString(rng), RandomValue(rng, depth + 1));
+      }
+      return Value(std::move(o));
+    }
+  }
+}
+
+std::vector<Value> Corpus(uint64_t seed, int n) {
+  sim::Rng rng(seed);
+  std::vector<Value> corpus = EdgeNumbers();
+  for (const char* s : {"", "a", "ab", "b"}) corpus.emplace_back(s);
+  corpus.emplace_back(std::string("a\0", 2));
+  corpus.emplace_back(std::string("a\0b", 3));
+  corpus.emplace_back(std::string("a\1", 2));
+  corpus.emplace_back(Value::List({}));
+  corpus.emplace_back(Value::List({1}));
+  corpus.emplace_back(Value::List({1.0, 2}));
+  corpus.emplace_back(Value::List({1, Value()}));
+  while (static_cast<int>(corpus.size()) < n) {
+    corpus.push_back(RandomValue(&rng, 0));
+  }
+  return corpus;
+}
+
+TEST(KeyStringTest, ByteOrderEqualsValueOrder) {
+  const std::vector<Value> corpus = Corpus(/*seed=*/11, 700);
+  std::vector<std::string> encoded;
+  encoded.reserve(corpus.size());
+  for (const Value& v : corpus) encoded.push_back(Bytes(v));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    for (size_t j = 0; j < corpus.size(); ++j) {
+      const int want = Sign(corpus[i].Compare(corpus[j]));
+      ASSERT_EQ(KeyString::CompareBytes(encoded[i], encoded[j]), want)
+          << corpus[i].ToJson() << " vs " << corpus[j].ToJson();
+      ASSERT_EQ(encoded[i] == encoded[j], want == 0)
+          << corpus[i].ToJson() << " vs " << corpus[j].ToJson();
+    }
+  }
+}
+
+TEST(KeyStringTest, WordCompareMatchesByteCompare) {
+  const std::vector<Value> corpus = Corpus(/*seed=*/12, 400);
+  std::vector<KeyString> keys;
+  keys.reserve(corpus.size());
+  for (const Value& v : corpus) keys.push_back(KeyString::Encode(v));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(keys[i].view(), Bytes(corpus[i]));
+    EXPECT_EQ(keys[i].is_inline(),
+              keys[i].size() <= KeyString::kInlineCapacity);
+    for (size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(KeyString::Compare(keys[i], keys[j]),
+                KeyString::CompareBytes(keys[i].view(), keys[j].view()))
+          << corpus[i].ToJson() << " vs " << corpus[j].ToJson();
+    }
+  }
+}
+
+TEST(KeyStringTest, IntAndDoubleTiesShareOneEncoding) {
+  EXPECT_EQ(Bytes(Value(int64_t{3})), Bytes(Value(3.0)));
+  EXPECT_EQ(Bytes(Value(int64_t{-3})), Bytes(Value(-3.0)));
+  EXPECT_EQ(Bytes(Value(int64_t{0})), Bytes(Value(-0.0)));
+  EXPECT_EQ(Bytes(Value(std::numeric_limits<int64_t>::min())),
+            Bytes(Value(-9223372036854775808.0)));
+  EXPECT_EQ(Bytes(Value::List({1, 2})), Bytes(Value::List({1.0, 2.0})));
+  EXPECT_NE(Bytes(Value((int64_t{1} << 53) + 1)),
+            Bytes(Value(9007199254740992.0)));
+}
+
+TEST(KeyStringTest, WorkloadKeysStayInline) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const Value& key :
+       {Value(kMax), Value(std::numeric_limits<int64_t>::min()),
+        Value::List({10, 100000}), Value::List({10, 10, 3000}),
+        Value::List({10, 10, 3000, 15})}) {
+    EXPECT_TRUE(KeyString::Encode(key).is_inline()) << key.ToJson();
+  }
+  EXPECT_FALSE(KeyString::Encode(Value("a long string key")).is_inline());
+}
+
+TEST(KeyStringTest, CopyAndMoveKeepTheBytes) {
+  for (const Value& v : {Value(int64_t{42}), Value("a long string key")}) {
+    const KeyString original = KeyString::Encode(v);
+    KeyString copy = original;
+    EXPECT_EQ(copy, original);
+    KeyString moved = std::move(copy);
+    EXPECT_EQ(moved, original);
+    KeyString assigned;
+    assigned = moved;
+    EXPECT_EQ(assigned, original);
+    assigned = KeyString::Encode(Value(int64_t{7}));
+    EXPECT_EQ(assigned, KeyString::Encode(Value(7.0)));
+    EXPECT_LT(KeyString(), original);  // the empty encoding sorts first
+  }
+}
+
+// An array's encoding without its end byte is a byte prefix of exactly the
+// arrays whose leading elements equal the prefix components, and it sorts
+// at or before each of them.
+TEST(KeyStringTest, ArrayPrefixIsBytePrefix) {
+  sim::Rng rng(13);
+  const std::vector<Value> corpus = Corpus(/*seed=*/14, 300);
+  std::vector<Value> arrays;
+  for (int i = 0; i < 300; ++i) {
+    Array a;
+    const int64_t n = rng.UniformInt(0, 4);
+    for (int64_t k = 0; k < n; ++k) {
+      // Few distinct components, so prefixes are often shared.
+      a.push_back(rng.Bernoulli(0.8) ? Value(rng.UniformInt(0, 2))
+                                     : corpus[rng.UniformInt(0, 299)]);
+    }
+    arrays.emplace_back(std::move(a));
+  }
+  for (const Value& source : arrays) {
+    const Array& components = source.as_array();
+    for (size_t k = 0; k <= components.size(); ++k) {
+      std::string prefix;
+      AppendKeyStringArrayStart(&prefix);
+      for (size_t i = 0; i < k; ++i) AppendKeyString(components[i], &prefix);
+      for (const Value& other : arrays) {
+        const Array& elems = other.as_array();
+        bool extends = elems.size() >= k;
+        for (size_t i = 0; extends && i < k; ++i) {
+          extends = elems[i] == components[i];
+        }
+        const std::string bytes = Bytes(other);
+        ASSERT_EQ(bytes.starts_with(prefix), extends)
+            << source.ToJson() << " [:" << k << "] vs " << other.ToJson();
+        if (extends) {
+          EXPECT_EQ(KeyString::ComparePrefix(prefix, bytes), 0);
+        } else {
+          // Outside the prefix range, the prefix orders like the truncated
+          // array does against the other array.
+          Array truncated(components.begin(), components.begin() + k);
+          Array head(elems.begin(),
+                     elems.begin() + std::min(k, elems.size()));
+          EXPECT_EQ(KeyString::ComparePrefix(prefix, bytes),
+                    Sign(Value(truncated).Compare(Value(head))))
+              << source.ToJson() << " [:" << k << "] vs " << other.ToJson();
+        }
+      }
+      for (const Value& v : corpus) {  // no non-array starts with it
+        if (!v.is_array()) {
+          ASSERT_FALSE(Bytes(v).starts_with(prefix)) << v.ToJson();
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dcg::doc

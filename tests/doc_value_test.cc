@@ -1,5 +1,8 @@
 // Tests for the document value model.
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "doc/value.h"
@@ -52,6 +55,75 @@ TEST(ValueTest, NumericComparisonMixesIntAndDouble) {
   EXPECT_EQ(Value(int64_t{2}), Value(2.0));
   EXPECT_LT(Value(int64_t{2}), Value(2.5));
   EXPECT_GT(Value(3.5), Value(int64_t{3}));
+}
+
+TEST(ValueTest, NaNEqualsOnlyNaNAndSortsBelowEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value(nan), Value(nan));
+  EXPECT_EQ(Value(nan), Value(-nan));
+  for (const Value& number :
+       {Value(-inf), Value(-1.5), Value(0.0), Value(inf), Value(int64_t{0}),
+        Value(std::numeric_limits<int64_t>::min())}) {
+    EXPECT_LT(Value(nan), number) << number.ToJson();
+    EXPECT_GT(number, Value(nan)) << number.ToJson();
+  }
+  EXPECT_GT(Value(nan), Value(true));  // still a number, above Bool
+}
+
+TEST(ValueTest, IntDoubleComparisonIsExact) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double two53 = 9007199254740992.0;
+  // 2^53 + 1 is not a double; a lossy cast would make it equal 2^53.
+  EXPECT_GT(Value(kTwo53 + 1), Value(two53));
+  EXPECT_LT(Value(two53), Value(kTwo53 + 1));
+  EXPECT_EQ(Value(kTwo53), Value(two53));
+  EXPECT_LT(Value(kTwo53 - 1), Value(two53));
+  EXPECT_LT(Value(-kTwo53 - 1), Value(-two53));
+  EXPECT_GT(Value(int64_t{3}), Value(2.999999999999999));
+  EXPECT_LT(Value(int64_t{-3}), Value(-2.999999999999999));
+  // The int64 range ends: 2^63 is a double but not an int64.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_LT(Value(kMax), Value(9223372036854775808.0));
+  EXPECT_EQ(Value(kMin), Value(-9223372036854775808.0));
+  EXPECT_GT(Value(kMin), Value(-std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(Value(0.0), Value(-0.0));
+  EXPECT_EQ(Value(int64_t{0}), Value(-0.0));
+}
+
+TEST(ValueTest, NumericOrderIsTransitive) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Ascending, with ties.
+  const std::vector<Value> numbers = {
+      Value(nan), Value(-inf), Value(-9223372036854775808.0),
+      Value(std::numeric_limits<int64_t>::min()), Value(-kTwo53 - 1),
+      Value(-9007199254740992.0), Value(-kTwo53), Value(-2.5),
+      Value(int64_t{-2}), Value(-0.0), Value(int64_t{0}), Value(0.5),
+      Value(int64_t{1}), Value(1.0), Value(kTwo53 - 1),
+      Value(9007199254740992.0), Value(kTwo53), Value(kTwo53 + 1),
+      Value(9007199254740994.0), Value(std::numeric_limits<int64_t>::max()),
+      Value(9223372036854775808.0), Value(inf)};
+  for (size_t i = 0; i + 1 < numbers.size(); ++i) {
+    EXPECT_LE(numbers[i], numbers[i + 1]) << i;
+  }
+  for (const Value& a : numbers) {
+    EXPECT_EQ(a.Compare(a), 0) << a.ToJson();
+    for (const Value& b : numbers) {
+      EXPECT_EQ(a.Compare(b), -b.Compare(a)) << a.ToJson() << " " << b.ToJson();
+      for (const Value& c : numbers) {
+        if (a <= b && b <= c) {
+          EXPECT_LE(a, c) << a.ToJson() << " " << b.ToJson() << " "
+                          << c.ToJson();
+        }
+        if (a == b && b == c) {
+          EXPECT_EQ(a, c);
+        }
+      }
+    }
+  }
 }
 
 TEST(ValueTest, StringComparison) {
