@@ -57,35 +57,24 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
   needs_resync_.assign(nodes_.size(), false);
   // The seed topology is writable from t=0: node 0 leads term 1.
   RecordWritable(term_, primary_index_);
-  if (params_.raft_elections) {
-    // Coordinator RNG streams fork only in raft mode, *after* the
-    // per-node forks above — the disabled path's draw sequence (and
-    // hence every pre-election determinism golden) is untouched.
-    TopologyConfig tc;
-    tc.node_count = node_count();
-    tc.election_timeout = params_.election_timeout;
-    tc.timeout_jitter_fraction = params_.election_jitter_fraction;
-    tc.heartbeat_interval = params_.heartbeat_interval;
-    tc.priority_takeover_delay = params_.priority_takeover_delay;
-    tc.priority_takeover_gap = params_.priority_takeover_gap;
-    tc.priorities = params_.node_priorities;
-    for (int i = 0; i < node_count(); ++i) {
-      coords_.push_back(std::make_unique<TopologyCoordinator>(
-          i, tc, rng_.Fork(), /*initial_leader=*/primary_index_,
-          loop_->Now()));
-    }
+  // Coordinator RNG streams fork after the per-node forks above.
+  TopologyConfig tc;
+  tc.node_count = node_count();
+  tc.election_timeout = params_.election_timeout;
+  tc.timeout_jitter_fraction = params_.election_jitter_fraction;
+  tc.heartbeat_interval = params_.heartbeat_interval;
+  tc.priority_takeover_delay = params_.priority_takeover_delay;
+  tc.priority_takeover_gap = params_.priority_takeover_gap;
+  tc.priorities = params_.node_priorities;
+  for (int i = 0; i < node_count(); ++i) {
+    coords_.push_back(std::make_unique<TopologyCoordinator>(
+        i, tc, rng_.Fork(), /*initial_leader=*/primary_index_, loop_->Now()));
   }
   for (int i = 0; i < node_count(); ++i) SyncNodeView(i);
 }
 
 void ReplicaSet::SyncNodeView(int idx) {
-  if (params_.raft_elections) {
-    node(idx).set_role_view(coords_[idx]->role(), coords_[idx]->term());
-    return;
-  }
-  node(idx).set_role_view(idx == primary_index_ ? MemberRole::kPrimary
-                                                : MemberRole::kSecondary,
-                          term_);
+  node(idx).set_role_view(coords_[idx]->role(), coords_[idx]->term());
 }
 
 void ReplicaSet::RecordWritable(uint64_t term, int node) {
@@ -131,32 +120,23 @@ void ReplicaSet::RetirePull(int idx) {
 void ReplicaSet::Start() {
   for (auto& node : nodes_) node->server().Start();
   for (int i = 0; i < node_count(); ++i) {
-    if (IsActiveSecondary(i)) StartSecondaryLoops(i);
+    if (IsActiveSecondary(i)) StartPull(i);
   }
-  if (params_.raft_elections) {
-    for (int i = 0; i < node_count(); ++i) {
-      if (!alive_[i]) continue;
-      if (!heartbeating_[i]) {
-        heartbeating_[i] = true;
-        RaftHeartbeatLoop(i);
-      }
-      ArmElectionTimer(i);
+  for (int i = 0; i < node_count(); ++i) {
+    if (!alive_[i]) continue;
+    if (!heartbeating_[i]) {
+      heartbeating_[i] = true;
+      RaftHeartbeatLoop(i);
     }
+    ArmElectionTimer(i);
   }
 }
 
-void ReplicaSet::StartSecondaryLoops(int idx) {
+void ReplicaSet::StartPull(int idx) {
   if (!pulling_[idx]) {
     pulling_[idx] = true;
     ArmPullDeadline(idx);
     SendGetMore(idx, pull_epoch_[idx]);
-  }
-  // Raft mode runs one all-member heartbeat loop instead (started in
-  // Start()/RestartNode); it carries the progress reports and the pull
-  // watchdog this legacy loop provides.
-  if (!params_.raft_elections && !heartbeating_[idx]) {
-    heartbeating_[idx] = true;
-    HeartbeatLoop(idx);
   }
 }
 
@@ -165,60 +145,14 @@ void ReplicaSet::KillNode(int idx) {
   if (!alive_[idx]) return;
   alive_[idx] = false;
   RetirePull(idx);
-  if (params_.raft_elections) {
-    // Retire the member's election-check and takeover chains; survivors'
-    // own randomized timeouts notice the silence and campaign.
-    ++election_timer_epoch_[idx];
-    election_timer_armed_[idx] = false;
-    ++takeover_epoch_[idx];
-    if (idx == primary_index_) FailMajorityWaiters();
-    return;
-  }
-  if (idx == primary_index_) {
-    // Acknowledgements in flight are lost with the primary; their outcome
-    // is uncertain to the client.
-    FailMajorityWaiters();
-    loop_->ScheduleAfter(params_.election_timeout, [this] { ElectPrimary(); });
-  }
-}
-
-void ReplicaSet::ElectPrimary() {
-  if (alive_[primary_index_]) return;  // stale timer: already resolved
-  int winner = -1;
-  for (int i = 0; i < node_count(); ++i) {
-    if (!alive_[i]) continue;
-    if (winner < 0 ||
-        node(winner).last_applied() < node(i).last_applied()) {
-      winner = i;
-    }
-  }
-  DCG_CHECK_MSG(winner >= 0, "no surviving member to elect");
-  // Writes the dead primary acknowledged at w:1 but never shipped are
-  // rolled back: the replicated history ends at the winner's optime.
-  const uint64_t survived_seq = node(winner).last_applied().seq;
-  oplog_.TruncateAfter(survived_seq);
-  next_seq_ = survived_seq + 1;
-  // The retryable-write transaction table is replicated with the data it
-  // describes: records for writes rolled back here vanish with them, so a
-  // client retry re-executes the write instead of trusting a stale ack.
-  for (auto it = retry_records_.begin(); it != retry_records_.end();) {
-    if (it->second.committed && it->second.operation_time.seq > survived_seq) {
-      it = retry_records_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // The winner stops pulling; any continuation of its secondary-era chain
-  // still in flight must not run once it is primary.
-  RetirePull(winner);
-  primary_index_ = winner;
-  ++term_;
-  ++elections_;
-  RecordWritable(term_, winner);
-  for (int i = 0; i < node_count(); ++i) {
-    if (IsActiveSecondary(i)) StartSecondaryLoops(i);
-    SyncNodeView(i);
-  }
+  // Retire the member's election-check and takeover chains; survivors'
+  // own randomized timeouts notice the silence and campaign.
+  ++election_timer_epoch_[idx];
+  election_timer_armed_[idx] = false;
+  ++takeover_epoch_[idx];
+  // Acknowledgements in flight are lost with the primary; their outcome
+  // is uncertain to the client.
+  if (idx == primary_index_) FailMajorityWaiters();
 }
 
 void ReplicaSet::RestartNode(int idx) {
@@ -232,38 +166,14 @@ void ReplicaSet::RestartNode(int idx) {
   known_last_applied_[idx] = primary().last_applied();
   alive_[idx] = true;
   needs_resync_[idx] = false;  // the clone is consistent by construction
-  if (params_.raft_elections) {
-    coords_[idx]->Rejoin(loop_->Now());
-    SyncNodeView(idx);
-    if (!heartbeating_[idx]) {
-      heartbeating_[idx] = true;
-      RaftHeartbeatLoop(idx);
-    }
-    ArmElectionTimer(idx);
+  coords_[idx]->Rejoin(loop_->Now());
+  SyncNodeView(idx);
+  if (!heartbeating_[idx]) {
+    heartbeating_[idx] = true;
+    RaftHeartbeatLoop(idx);
   }
-  StartSecondaryLoops(idx);
-}
-
-void ReplicaSet::Read(int idx, server::OpClass c, ReadBody body) {
-  DCG_CHECK(idx >= 0 && idx < node_count());
-  ReplicaNode& n = node(idx);
-  n.server().Execute(c, [&n, body = std::move(body)] { body(n.db()); });
-}
-
-void ReplicaSet::ReadAfter(int idx, const OpTime& after, server::OpClass c,
-                           ReadBody body) {
-  DCG_CHECK(idx >= 0 && idx < node_count());
-  if (node(idx).last_applied().seq >= after.seq) {
-    Read(idx, c, std::move(body));
-    return;
-  }
-  // The node has not yet applied the required optime: re-check shortly
-  // (models the server parking the operation until the timestamp is
-  // reached).
-  loop_->ScheduleAfter(
-      sim::Millis(5), [this, idx, after, c, body = std::move(body)]() mutable {
-        ReadAfter(idx, after, c, std::move(body));
-      });
+  ArmElectionTimer(idx);
+  StartPull(idx);
 }
 
 void ReplicaSet::WriteTransaction(server::OpClass c, TxnBody body,
@@ -661,38 +571,7 @@ void ReplicaSet::FailMajorityWaiters() {
   for (MajorityWaiter& waiter : failed) waiter.ack(false);
 }
 
-void ReplicaSet::HeartbeatLoop(int secondary_idx) {
-  if (!IsActiveSecondary(secondary_idx)) {
-    heartbeating_[secondary_idx] = false;  // loop retires
-    return;
-  }
-  // The heartbeat doubles as the pull watchdog: a chain whose deadline
-  // has passed lost a message on the network — restart it under a new
-  // epoch so stragglers of the old chain retire harmlessly.
-  if (pulling_[secondary_idx] &&
-      loop_->Now() > pull_deadline_[secondary_idx]) {
-    ++pull_restarts_;
-    ++pull_epoch_[secondary_idx];
-    SendGetMore(secondary_idx, pull_epoch_[secondary_idx]);
-  }
-  OpTime progress = node(secondary_idx).last_applied();
-  if (const sim::Duration skew = report_skew_[secondary_idx]; skew != 0) {
-    // A skewed clock distorts the wall component of the *report* only;
-    // sequence numbers (and hence replication correctness) are immune.
-    progress.wall = std::max<sim::Time>(0, progress.wall + skew);
-  }
-  network_->Send(node(secondary_idx).host(), primary().host(),
-                 [this, secondary_idx, progress] {
-                   OpTime& known = known_last_applied_[secondary_idx];
-                   if (known < progress) known = progress;
-                   CheckMajorityWaiters();
-                 });
-  loop_->ScheduleAfter(params_.heartbeat_interval, [this, secondary_idx] {
-    HeartbeatLoop(secondary_idx);
-  });
-}
-
-// --- raft-election machinery -------------------------------------------
+// --- elections -----------------------------------------------------------
 
 void ReplicaSet::ResyncStep(int idx, uint64_t epoch) {
   if (epoch != pull_epoch_[idx]) return;
@@ -771,7 +650,7 @@ void ReplicaSet::ApplyAction(int idx, const TopologyAction& action) {
     // A member that stopped believing itself primary resumes consuming
     // the stream if it is, in data-plane terms, an active secondary
     // whose pull was parked (e.g. a deposed catch-up winner).
-    if (IsActiveSecondary(idx) && !pulling_[idx]) StartSecondaryLoops(idx);
+    if (IsActiveSecondary(idx) && !pulling_[idx]) StartPull(idx);
   }
   if (action.start_dry_run || action.start_election) {
     BroadcastVoteRequests(idx);
@@ -796,7 +675,7 @@ void ReplicaSet::BroadcastVoteRequests(int idx) {
       if (role_before == MemberRole::kPrimary &&
           coords_[j]->role() != role_before && IsActiveSecondary(j) &&
           !pulling_[j]) {
-        StartSecondaryLoops(j);
+        StartPull(j);
       }
       network_->Send(node(j).host(), node(req.candidate).host(),
                      [this, resp] {
@@ -824,8 +703,9 @@ void ReplicaSet::RaftHeartbeatLoop(int idx) {
     heartbeating_[idx] = false;  // loop retires; RestartNode re-arms
     return;
   }
-  // Pull watchdog (same duty the legacy heartbeat loop carries): a pull
-  // chain with no progress past its deadline lost a message — restart it.
+  // Pull watchdog: a pull chain with no progress past its deadline lost a
+  // message on the network — restart it under a new epoch so stragglers
+  // of the old chain retire harmlessly.
   if (IsActiveSecondary(idx) && pulling_[idx] &&
       loop_->Now() > pull_deadline_[idx]) {
     ++pull_restarts_;
@@ -942,7 +822,9 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
   }
   oplog_.TruncateAfter(survived_seq);
   next_seq_ = survived_seq + 1;
-  // Purge transaction records for rolled-back writes (see ElectPrimary).
+  // The retryable-write transaction table is replicated with the data it
+  // describes: records for writes rolled back here vanish with them, so a
+  // client retry re-executes the write instead of trusting a stale ack.
   for (auto it = retry_records_.begin(); it != retry_records_.end();) {
     if (it->second.committed && it->second.operation_time.seq > survived_seq) {
       it = retry_records_.erase(it);
@@ -962,7 +844,7 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
       // truncation would silently diverge) and restart against the new
       // leader under a fresh epoch.
       RetirePull(i);
-      StartSecondaryLoops(i);
+      StartPull(i);
     }
     SyncNodeView(i);
   }

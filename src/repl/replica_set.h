@@ -58,21 +58,12 @@ struct ReplicaSetParams {
 
   size_t oplog_capacity = 2'000'000;
 
-  /// How long after a primary failure the surviving members elect a new
-  /// primary. With raft_elections off this is a single collapsed delay
-  /// (timeout + vote rounds); with it on, it is the per-member base
-  /// election timeout the randomized deadlines build on.
+  /// Base election timeout: a member that hears no leader for this long
+  /// (plus its randomized jitter) campaigns. Every member runs a
+  /// Raft-style TopologyCoordinator — pre-vote freshness checks, real
+  /// vote rounds, stepdown on higher terms, post-win catch-up — so the
+  /// fail-over gap is this timeout plus the vote and catch-up rounds.
   sim::Duration election_timeout = sim::Seconds(5);
-
-  /// Raft-style elections: every member runs a TopologyCoordinator with
-  /// randomized heartbeat-driven election deadlines, pre-vote freshness
-  /// checks, real vote rounds, stepdown on higher terms, and post-win
-  /// catch-up. Off by default — the legacy omniscient election (kill the
-  /// primary, freshest survivor wins after a fixed delay) is kept
-  /// bit-identical so pre-election determinism goldens replay unchanged:
-  /// the disabled path forks no extra RNG streams and schedules no
-  /// extra events.
-  bool raft_elections = false;
 
   /// Uniform jitter added to each election deadline, as a fraction of
   /// election_timeout (de-synchronizes would-be candidates).
@@ -90,7 +81,7 @@ struct ReplicaSetParams {
   sim::Duration priority_takeover_gap = sim::Seconds(2);
 
   /// Election priority per node index (empty = all 1.0; 0 = never
-  /// campaigns). Only meaningful with raft_elections.
+  /// campaigns).
   std::vector<double> node_priorities;
 
   /// Batched oplog application (server-side mirror of driver command
@@ -154,17 +145,14 @@ class ReplicaSet : public server::CommandBackend {
   // --- server::CommandBackend (dispatched into by CommandServices) ---
 
   bool NodeAlive(int idx) const override { return alive_[idx]; }
-  /// Per-node topology belief: under raft elections each member answers
-  /// from its own coordinator (so a deposed primary keeps claiming the
-  /// role until it hears the new term — exactly the stale-view window
-  /// the driver's term adoption exists for); otherwise the global view.
+  /// Per-node topology belief: each member answers from its own
+  /// coordinator (so a deposed primary keeps claiming the role until it
+  /// hears the new term — exactly the stale-view window the driver's term
+  /// adoption exists for).
   int NodeBelievedPrimary(int idx) const override {
-    return params_.raft_elections ? coords_[idx]->leader_for_hello()
-                                  : primary_index_;
+    return coords_[idx]->leader_for_hello();
   }
-  uint64_t NodeTerm(int idx) const override {
-    return params_.raft_elections ? coords_[idx]->term() : term_;
-  }
+  uint64_t NodeTerm(int idx) const override { return coords_[idx]->term(); }
   OpTime NodeLastApplied(int idx) const override {
     return nodes_[idx]->last_applied();
   }
@@ -193,11 +181,13 @@ class ReplicaSet : public server::CommandBackend {
 
   bool IsAlive(int idx) const { return alive_[idx]; }
 
-  /// Crashes a node. Killing the primary schedules an election after
-  /// `election_timeout`; the most up-to-date surviving member wins, the
-  /// oplog is truncated to its last applied optime (w:1 writes beyond it
-  /// are lost — MongoDB rollback semantics), and outstanding w:majority
-  /// acknowledgements fail as "uncertain".
+  /// Crashes a node. Killing the primary fails outstanding w:majority
+  /// acknowledgements as "uncertain"; the survivors' election timers
+  /// notice the silence and, if a majority is still alive, elect a new
+  /// primary. The winner catches up, then the oplog is truncated to its
+  /// last applied optime (w:1 writes beyond it are lost — MongoDB
+  /// rollback semantics). With no majority alive, nobody can win a vote
+  /// and the set stays without a writable primary.
   ///
   /// Crash granularity: operations already *in service* on the node when
   /// it dies still complete (their responses race the failure — clients
@@ -207,28 +197,25 @@ class ReplicaSet : public server::CommandBackend {
   void KillNode(int idx);
 
   /// Restarts a crashed node: it initial-syncs (clones) from the current
-  /// primary and rejoins as a secondary.
+  /// primary and rejoins as a secondary. The primary must be alive.
   void RestartNode(int idx);
 
   /// Election epoch (increments on every successful election).
   uint64_t term() const { return term_; }
   uint64_t elections() const { return elections_; }
 
-  // --- raft-election surface (meaningful when params.raft_elections) ---
+  // --- election surface ---
 
-  bool raft_elections() const { return params_.raft_elections; }
-
-  /// One member's election state machine (raft mode only).
+  /// One member's election state machine.
   const TopologyCoordinator& coordinator(int idx) const {
     return *coords_[idx];
   }
 
   /// True when the member currently leading the data plane is alive and
-  /// (in raft mode) has completed step-up — i.e. a write sent to the
-  /// right node would commit.
+  /// has completed step-up — i.e. a write sent to the right node would
+  /// commit.
   bool HasWritablePrimary() const {
-    if (!alive_[primary_index_]) return false;
-    return !params_.raft_elections || coords_[primary_index_]->writable();
+    return alive_[primary_index_] && coords_[primary_index_]->writable();
   }
 
   /// Times a primary stepped down (higher term seen, or majority
@@ -268,12 +255,6 @@ class ReplicaSet : public server::CommandBackend {
   /// Times the pull watchdog restarted a secondary's oplog pull chain.
   uint64_t pull_restarts() const { return pull_restarts_; }
 
-  /// Runs `body` against node `idx`'s data once that node's CPU finishes a
-  /// service of class `c` (i.e., at the read's server-side completion).
-  /// Internal/test entry point — clients go through the command bus.
-  using ReadBody = proto::ReadBody;
-  void Read(int idx, server::OpClass c, ReadBody body);
-
   /// Executes a read-write transaction on the primary under service class
   /// `c`. The body runs atomically at the commit instant; on commit its
   /// recorded writes enter the oplog. `done(committed)` follows.
@@ -282,13 +263,6 @@ class ReplicaSet : public server::CommandBackend {
   void WriteTransaction(server::OpClass c, TxnBody body,
                         std::function<void(bool committed)> done,
                         WriteConcern concern = WriteConcern::kW1);
-
-  /// Runs `body` against node `idx`'s data like Read(), but only once the
-  /// node has applied at least `after` — MongoDB's afterClusterTime /
-  /// causal-consistency read gate. On an up-to-date node this is
-  /// identical to Read(); on a lagging secondary the operation waits.
-  void ReadAfter(int idx, const OpTime& after, server::OpClass c,
-                 ReadBody body);
 
   /// What the primary's serverStatus reports about replication progress.
   /// The struct itself lives in proto/ now — it is a wire payload.
@@ -342,12 +316,12 @@ class ReplicaSet : public server::CommandBackend {
   /// Fails all outstanding w:majority waiters (primary crash: outcome
   /// uncertain to the client).
   void FailMajorityWaiters();
-  void ElectPrimary();
-  /// True when node `idx` should run replication consumer loops.
+  /// True when node `idx` should pull the oplog from the primary.
   bool IsActiveSecondary(int idx) const {
     return alive_[idx] && idx != primary_index_;
   }
-  void StartSecondaryLoops(int idx);
+  /// Starts node `idx`'s oplog pull chain unless one is already running.
+  void StartPull(int idx);
   // Pull-chain steps carry the epoch they were started under; a step whose
   // epoch no longer matches pull_epoch_[idx] belongs to a superseded chain
   // (watchdog restart, node kill) and retires without acting.
@@ -356,15 +330,13 @@ class ReplicaSet : public server::CommandBackend {
   void ServeGetMore(int secondary_idx, uint64_t epoch);
   void HandleBatchAtSecondary(int secondary_idx, std::vector<OplogEntry> batch,
                               uint64_t epoch);
-  void HeartbeatLoop(int secondary_idx);
   /// Declares the pull chain healthy until now + extra + pull_retry_timeout.
   void ArmPullDeadline(int idx, sim::Duration extra = 0);
   /// Kills node `idx`'s pull chain outright (all in-flight continuations
   /// retire via the epoch bump).
   void RetirePull(int idx);
 
-  // --- raft-election machinery (all no-ops when raft_elections is off:
-  // coords_ stays empty, none of these are scheduled) ---
+  // --- election machinery ---
 
   /// Rollback via refetch: a diverged member re-clones the current
   /// primary (one network round trip) before rejoining the pull stream.
@@ -378,8 +350,8 @@ class ReplicaSet : public server::CommandBackend {
   void BroadcastVoteRequests(int idx);
   void ScheduleTakeoverCheck(int idx, sim::Time at);
   /// All-to-all liveness/term/progress heartbeats, one loop per live
-  /// member (subsumes the legacy secondary→primary progress reports and
-  /// the pull watchdog in raft mode).
+  /// member. They carry the secondaries' progress reports to the primary
+  /// and double as the pull watchdog.
   void RaftHeartbeatLoop(int idx);
   void HandleRaftHeartbeat(int to, const HeartbeatView& hb);
   /// Election won: the winner catches up to the freshest recently-heard
@@ -390,8 +362,8 @@ class ReplicaSet : public server::CommandBackend {
   void CatchUpStep(int winner, uint64_t new_term, uint64_t target,
                    sim::Time deadline, uint64_t epoch);
   void FinishStepUp(int winner, uint64_t new_term);
-  /// Mirrors coordinator (or legacy global) role/term into the node's
-  /// read-only role view.
+  /// Mirrors the coordinator's role/term into the node's read-only role
+  /// view.
   void SyncNodeView(int idx);
   void RecordWritable(uint64_t term, int node);
   void RecordCommit(uint64_t term, int node);
@@ -409,8 +381,9 @@ class ReplicaSet : public server::CommandBackend {
   std::vector<OpTime> known_last_applied_;
   std::vector<bool> alive_;
   // One pull chain / heartbeat chain per node at a time; the flags retire
-  // a chain when its node stops being an active secondary and prevent
-  // elections from spawning duplicates.
+  // a pull chain when its node stops being an active secondary (a
+  // heartbeat chain when its node dies) and prevent elections and
+  // restarts from spawning duplicates.
   std::vector<bool> pulling_;
   std::vector<bool> heartbeating_;
   // Watchdog state: the live chain's epoch, and the deadline by which it
@@ -425,9 +398,9 @@ class ReplicaSet : public server::CommandBackend {
   uint64_t term_ = 1;
   uint64_t elections_ = 0;
 
-  // --- raft-election state (empty / unused when the flag is off) ---
+  // --- election state ---
 
-  /// One election state machine per member (raft mode only).
+  /// One election state machine per member.
   std::vector<std::unique_ptr<TopologyCoordinator>> coords_;
   /// Election-check chains: one per live member, epoch-retired on kill.
   std::vector<uint64_t> election_timer_epoch_;

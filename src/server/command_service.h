@@ -34,10 +34,9 @@ class CommandBackend {
 
   virtual bool NodeAlive(int idx) const = 0;
   /// Node `idx`'s own belief about who holds the primary role — term-
-  /// scoped under raft elections (each member answers from its topology
-  /// coordinator; -1 while no writable leader is known), the global
-  /// primary index otherwise. It may name a dead node between a crash and
-  /// the next election — exactly the window hello exposes.
+  /// scoped (each member answers from its topology coordinator; -1 while
+  /// no writable leader is known). It may name a dead node between a
+  /// crash and the next election — exactly the window hello exposes.
   virtual int NodeBelievedPrimary(int idx) const = 0;
   /// The election term node `idx` currently believes in. Piggybacked on
   /// every reply so drivers can order topology views.

@@ -29,14 +29,12 @@ struct ChaosOptions {
   /// retry/deadline invariants.
   driver::ClientOptions client_options;
 
-  /// Replication knobs for the run. Set `repl.raft_elections` to run the
-  /// schedule against real Raft-style elections; the harness then also
-  /// checks the election-safety invariants (9-10 below).
+  /// Replication knobs for the run (election timeout, priorities, ...).
   repl::ReplicaSetParams repl;
 
   /// When non-empty, the run's Balancer decision log is written here as
-  /// CSV (the CI election-chaos job points this at its artifact dir so a
-  /// failing run ships the decisions that led up to it).
+  /// CSV (CI's test step points this at its artifact dir so a failing
+  /// run ships the decisions that led up to it).
   std::string decisions_csv_path;
 
   /// Slack added to StaleBound for the per-read freshness invariant. The
@@ -92,6 +90,9 @@ struct ChaosReport {
   uint64_t rollback_resyncs = 0;
   uint64_t balancer_primary_swaps = 0;
   uint64_t stepdown_pool_clears = 0;
+  /// Sim time the event loop had reached when the run returned: a run
+  /// that reaches its horizon ends at or past `ChaosOptions::duration`.
+  sim::Time ended_at = 0;
   /// Envelope totals for the run — zero unless the schedule enables
   /// driver-side batching; chaos tests use them to prove invariant 10
   /// ran against a non-vacuous batched workload.
@@ -148,13 +149,14 @@ struct ChaosReport {
 ///      shares its parent's trace id, and hangs off the right kind of
 ///      parent (checkout/wire/server under an attempt or hedge arm,
 ///      attempt/hedge arms under the op span).
-///   9. Election safety (raft mode): at every sample instant no two alive
-///      members are writable primaries of the same term, and over the
-///      whole run each term has at most one member that became writable
-///      and at most one member that committed writes (the ReplicaSet's
-///      per-term ledgers — a deposed primary's queued writes observing
-///      the term change at commit time is what keeps the commit ledger
-///      clean).
+///   9. Election safety: at every sample instant no two alive members are
+///      writable primaries of the same term; no election completes
+///      between two samples that both saw fewer than a majority of
+///      members alive (a minority cannot win a vote); and over the whole
+///      run each term has at most one member that became writable and at
+///      most one member that committed writes (the ReplicaSet's per-term
+///      ledgers — a deposed primary's queued writes observing the term
+///      change at commit time is what keeps the commit ledger clean).
 ///  10. Batch integrity: after quiesce no operation is still sitting in a
 ///      driver-side coalescing buffer and none is pending at all — a
 ///      partition or pool clear that hit a buffered envelope must have
@@ -239,6 +241,9 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   sim::Time fraction_zero_at = -1;
   uint64_t estimate_gate_violations = 0;
   uint64_t writable_primary_violations = 0;
+  uint64_t minority_election_violations = 0;
+  bool prev_sample_minority = false;
+  uint64_t prev_sample_elections = 0;
   std::function<void()> sample = [&] {
     const double fraction = experiment.shared_state().balance_fraction();
     const int64_t estimate =
@@ -260,30 +265,45 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     if (truth_over_bound_at >= 0 && fraction_zero_at < 0 && fraction == 0.0) {
       fraction_zero_at = loop.Now();
     }
-    // Invariant 9 (raft): never two concurrently writable primaries *in
-    // the same term*. (A deposed primary legitimately stays writable in
-    // its old term until it notices the majority moved on — Raft's
-    // guarantee is per-term, enforced by the commit guard.)
-    if (rs.raft_elections()) {
-      for (int i = 0; i < rs.node_count(); ++i) {
-        if (!rs.IsAlive(i) || !rs.coordinator(i).writable()) continue;
-        for (int j = i + 1; j < rs.node_count(); ++j) {
-          if (!rs.IsAlive(j) || !rs.coordinator(j).writable()) continue;
-          if (rs.coordinator(i).term() == rs.coordinator(j).term() &&
-              writable_primary_violations++ == 0) {
-            char buf[140];
-            std::snprintf(buf, sizeof(buf),
-                          "election: nodes %d and %d both writable in "
-                          "term %llu at t=%.3fs",
-                          i, j,
-                          static_cast<unsigned long long>(
-                              rs.coordinator(i).term()),
-                          sim::ToSeconds(loop.Now()));
-            violation(buf);
-          }
+    // Invariant 9: never two concurrently writable primaries *in the
+    // same term*. (A deposed primary legitimately stays writable in its
+    // old term until it notices the majority moved on — Raft's guarantee
+    // is per-term, enforced by the commit guard.)
+    for (int i = 0; i < rs.node_count(); ++i) {
+      if (!rs.IsAlive(i) || !rs.coordinator(i).writable()) continue;
+      for (int j = i + 1; j < rs.node_count(); ++j) {
+        if (!rs.IsAlive(j) || !rs.coordinator(j).writable()) continue;
+        if (rs.coordinator(i).term() == rs.coordinator(j).term() &&
+            writable_primary_violations++ == 0) {
+          char buf[140];
+          std::snprintf(buf, sizeof(buf),
+                        "election: nodes %d and %d both writable in "
+                        "term %llu at t=%.3fs",
+                        i, j,
+                        static_cast<unsigned long long>(
+                            rs.coordinator(i).term()),
+                        sim::ToSeconds(loop.Now()));
+          violation(buf);
         }
       }
     }
+    // Invariant 9: a minority of live members never completes an
+    // election.
+    int alive = 0;
+    for (int i = 0; i < rs.node_count(); ++i) alive += rs.IsAlive(i) ? 1 : 0;
+    const bool minority = 2 * alive <= rs.node_count();
+    if (minority && prev_sample_minority &&
+        rs.elections() > prev_sample_elections &&
+        minority_election_violations++ == 0) {
+      char buf[140];
+      std::snprintf(buf, sizeof(buf),
+                    "election: completed with %d of %d members alive at "
+                    "t=%.3fs",
+                    alive, rs.node_count(), sim::ToSeconds(loop.Now()));
+      violation(buf);
+    }
+    prev_sample_minority = minority;
+    prev_sample_elections = rs.elections();
     loop.ScheduleAfter(sim::Millis(250), sample);
   };
   loop.ScheduleAfter(sim::Millis(250), sample);
@@ -411,19 +431,17 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     }
   }
 
-  // --- Invariant 9: per-term election-safety ledgers (raft mode). ---
-  if (rs.raft_elections()) {
-    for (const auto& [term, members] : rs.writable_by_term()) {
-      if (members.size() > 1) {
-        violation("election: term " + std::to_string(term) + " saw " +
-                  std::to_string(members.size()) + " writable primaries");
-      }
+  // --- Invariant 9: per-term election-safety ledgers. ---
+  for (const auto& [term, members] : rs.writable_by_term()) {
+    if (members.size() > 1) {
+      violation("election: term " + std::to_string(term) + " saw " +
+                std::to_string(members.size()) + " writable primaries");
     }
-    for (const auto& [term, members] : rs.commits_by_term()) {
-      if (members.size() > 1) {
-        violation("election: term " + std::to_string(term) + " saw " +
-                  std::to_string(members.size()) + " committing members");
-      }
+  }
+  for (const auto& [term, members] : rs.commits_by_term()) {
+    if (members.size() > 1) {
+      violation("election: term " + std::to_string(term) + " saw " +
+                std::to_string(members.size()) + " committing members");
     }
   }
 
@@ -553,6 +571,7 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     trace += line;
   }
   report.trace = std::move(trace);
+  report.ended_at = loop.Now();
   report.pull_restarts = rs.pull_restarts();
   report.elections = rs.elections();
   report.stepdowns = rs.stepdowns();

@@ -61,6 +61,41 @@ TEST(ChaosTest, PrimaryCrashElectionAndRejoin) {
   EXPECT_GT(report.secondary_reads, 0u);
 }
 
+// Schedule 2b — whole-cluster outages: every member goes down (all at
+// once, or the secondaries first and the then-lone primary 5 s later),
+// and the scheduled restart has no primary to initial-sync from, so the
+// injector skips it. A cluster with no
+// electable majority is unavailable, not a crash: the run must reach its
+// horizon, no election may complete while a minority is alive (harness
+// invariant 9), and the per-term ledgers must hold. Deadlined ops fail
+// instead of hanging, so the drain invariants still apply.
+class WholeClusterOutageTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(WholeClusterOutageTest, RunFinishesWithoutElecting) {
+  ChaosOptions options;
+  options.seed = 1008;
+  options.duration = sim::Seconds(90);
+  options.clients = 10;
+  options.expect_recovery = false;
+  options.client_options.default_op_deadline = sim::Seconds(5);
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultSpec(GetParam(), &options.schedule, &error))
+      << error;
+  const ChaosReport report = RunChaos(options);
+  EXPECT_TRUE(report.ok()) << report.ViolationText();
+  EXPECT_GE(report.ended_at, options.duration);
+  EXPECT_NE(report.trace.find("skip restart"), std::string::npos)
+      << report.trace;
+  EXPECT_EQ(report.elections, 0u);
+  EXPECT_GT(report.ops_timed_out, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, WholeClusterOutageTest,
+    ::testing::Values("crash@50:nodes=0+1+2;restart@60:nodes=0",
+                      "crash@50:nodes=1+2;crash@55:nodes=0;"
+                      "restart@60:nodes=1"));
+
 // Schedule 3 — replication-apply throttle: the network is perfect but one
 // secondary's apply thread runs 40x slow, so it lags past StaleBound.
 // The estimate (max over secondaries) must gate the fraction to 0, and

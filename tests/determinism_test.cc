@@ -75,17 +75,17 @@ uint64_t TraceHash(const std::string& s) {
   return h;
 }
 
-// Golden fingerprints captured after the wire-protocol command layer
-// landed: drivers now speak typed commands (find/write/hello/ping) over
-// the network, with hello-based topology discovery and command-layer RTT
-// probes, so the message traffic — and therefore the trace — differs
-// from the pre-command-layer goldens by design. Perf-only changes (the
-// slab event loop, compiled doc::Path, top-k sorts) must NOT move these:
+// Golden fingerprints captured when Raft-style elections became the only
+// election model: every member runs a TopologyCoordinator (its own RNG
+// fork, election timer and all-to-all heartbeats) from t=0, so the
+// message traffic — and therefore the trace — differs from the goldens
+// of the retired omniscient model by design. Perf-only changes (the slab
+// event loop, compiled doc::Path, top-k sorts) must NOT move these:
 // (time, seq) firing order and query semantics are part of the contract.
 // If an intentional semantic change moves them, re-capture with the
 // printed values; do NOT update them for a perf-only change.
-constexpr uint64_t kGoldenHealthyTrace = 15816859704616948799ull;
-constexpr uint64_t kGoldenFaultTrace = 2929023567320043130ull;
+constexpr uint64_t kGoldenHealthyTrace = 8556994743531683174ull;
+constexpr uint64_t kGoldenFaultTrace = 4939852485725844544ull;
 
 TEST(DeterminismTest, TraceMatchesGoldenFingerprint) {
   const uint64_t h = TraceHash(RunTrace(SmallConfig(42)));
@@ -170,7 +170,6 @@ TEST(DeterminismTest, SameSeedSameTraceWithConstrainedPool) {
 TEST(DeterminismTest, SameSeedSameTraceWithRaftElections) {
   auto config = SmallConfig(42);
   config.run_s_workload = false;
-  config.repl.raft_elections = true;
   config.repl.election_timeout = sim::Seconds(3);
   std::string error;
   ASSERT_TRUE(fault::ParseFaultSpec("crash@25:node=0;restart@45:node=0",
@@ -187,26 +186,11 @@ TEST(DeterminismTest, SameSeedSameTraceWithRaftElections) {
   EXPECT_GE(probe.replica_set().stepdowns(), 0u);
 }
 
-// The raft code path must be completely inert when disabled: the golden
-// fingerprints above were captured before the TopologyCoordinator
-// existed, so their continued match is the real regression. This spells
-// the contract out against an explicit raft_elections=false config in
-// case the default ever flips.
-TEST(DeterminismTest, ElectionsDisabledReplayMatchesGolden) {
-  auto config = SmallConfig(42);
-  config.repl.raft_elections = false;
-  const uint64_t h = TraceHash(RunTrace(config));
-  if (kGoldenHealthyTrace == 0) {
-    GTEST_SKIP() << "golden hash not yet recorded";
-  }
-  EXPECT_EQ(h, kGoldenHealthyTrace);
-}
-
-// Same contract for command batching: with batching_enabled=false the
-// driver's send path must schedule no extra events and draw no
-// randomness, so traces recorded before the envelope layer existed keep
-// replaying bit-identically. Spelled out against an explicit false in
-// case the default ever flips.
+// Command batching must be inert when disabled: with
+// batching_enabled=false the driver's send path must schedule no extra
+// events and draw no randomness, so the unbatched golden keeps replaying
+// bit-identically. Spelled out against an explicit false in case the
+// default ever flips.
 TEST(DeterminismTest, BatchingDisabledReplayMatchesGolden) {
   auto config = SmallConfig(42);
   config.client_options.batching_enabled = false;
@@ -287,9 +271,10 @@ std::string ShardedRunTrace(const exp::ExperimentConfig& config) {
   return trace.str();
 }
 
-// Captured when the sharded mode landed. Same contract as the unsharded
-// goldens: re-capture only for an intentional semantic change.
-constexpr uint64_t kGoldenShardedTrace = 7522357553552555326ull;
+// Re-captured with the unsharded goldens when Raft-style elections became
+// the only election model. Same contract: re-capture only for an
+// intentional semantic change.
+constexpr uint64_t kGoldenShardedTrace = 11574858861400872710ull;
 
 TEST(DeterminismTest, ShardedTraceMatchesGoldenFingerprint) {
   const uint64_t h = TraceHash(ShardedRunTrace(ShardedSmallConfig(42)));
@@ -329,9 +314,10 @@ exp::ExperimentConfig TpccSmallConfig(uint64_t seed) {
   return config;
 }
 
-// Captured before the store moved to KeyString-encoded B+-tree keys; a
-// store change that keeps query semantics must not move it.
-constexpr uint64_t kGoldenTpccTrace = 7359244051791510864ull;
+// Re-captured when Raft-style elections became the only election model
+// (the store paths it covers are unchanged); a store change that keeps
+// query semantics must not move it.
+constexpr uint64_t kGoldenTpccTrace = 5808227575459026280ull;
 
 TEST(DeterminismTest, TpccTraceMatchesGoldenFingerprint) {
   const uint64_t h = TraceHash(RunTrace(TpccSmallConfig(7)));

@@ -394,7 +394,6 @@ TEST(TopologyCoordinatorTest, RejoinKeepsPersistedTermAndClearsLeader) {
 class RaftSetTest : public ::testing::Test {
  protected:
   void Build(ReplicaSetParams params = {}, uint64_t seed = 2) {
-    params.raft_elections = true;
     params.election_timeout = sim::Seconds(2);
     server::ServerParams server_params;
     server_params.service.sigma = 0.0;
@@ -570,7 +569,6 @@ TEST_P(ElectionPropertyTest, SafetyAndBoundedUnavailability) {
   sim::Rng rng(seed);
   net::Network network(&loop, rng.Fork());
   ReplicaSetParams params;
-  params.raft_elections = true;
   params.election_timeout = sim::Seconds(2);
   server::ServerParams server_params;
   std::vector<net::HostId> hosts;
@@ -678,7 +676,6 @@ TEST(ElectionChaosTest, BalancerResetsAndPoolsClearOnFailover) {
   chaos::ChaosOptions options;
   options.seed = 7;
   options.duration = sim::Seconds(180);
-  options.repl.raft_elections = true;
   options.repl.election_timeout = sim::Seconds(3);
   std::string error;
   // Crash the seed primary mid-run; restart it later as a secondary.
@@ -707,7 +704,6 @@ TEST(ElectionChaosTest, RaftChaosRunsAreDeterministic) {
   chaos::ChaosOptions options;
   options.seed = 11;
   options.duration = sim::Seconds(120);
-  options.repl.raft_elections = true;
   std::string error;
   ASSERT_TRUE(fault::ParseFaultSpec("crash@50:node=0;restart@90:node=0",
                                     &options.schedule, &error))

@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -15,16 +14,13 @@
 namespace dcg::repl {
 namespace {
 
-// The whole battery runs twice: against the legacy omniscient election
-// (raft_elections=false) and against the real Raft-style coordinator.
 // Primary indexes are never assumed constant — every scenario reads the
 // currently reported primary and kills/checks relative to it, so the
 // tests keep passing whichever member an election promotes.
-class FailoverTest : public ::testing::TestWithParam<bool> {
+class FailoverTest : public ::testing::Test {
  protected:
   void Build(ReplicaSetParams params = {}) {
     params.election_timeout = sim::Seconds(3);
-    params.raft_elections = GetParam();
     server::ServerParams server_params;
     server_params.service.sigma = 0.0;
     network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
@@ -68,7 +64,7 @@ class FailoverTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<driver::MongoClient> client_;
 };
 
-TEST_P(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
+TEST_F(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
   Build();
   for (int64_t i = 0; i < 50; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -91,7 +87,7 @@ TEST_P(FailoverTest, ElectionPromotesMostUpToDateSecondary) {
   EXPECT_TRUE(rs_->HasWritablePrimary());
 }
 
-TEST_P(FailoverTest, WritesContinueAfterFailover) {
+TEST_F(FailoverTest, WritesContinueAfterFailover) {
   Build();
   for (int64_t i = 0; i < 20; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -112,7 +108,7 @@ TEST_P(FailoverTest, WritesContinueAfterFailover) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, MajorityAckedWritesSurviveFailover) {
+TEST_F(FailoverTest, MajorityAckedWritesSurviveFailover) {
   // The classic durability contract: anything acknowledged at w:majority
   // before the crash exists on the new primary after the election.
   Build();
@@ -136,7 +132,7 @@ TEST_P(FailoverTest, MajorityAckedWritesSurviveFailover) {
   }
 }
 
-TEST_P(FailoverTest, UnreplicatedW1WritesRollBack) {
+TEST_F(FailoverTest, UnreplicatedW1WritesRollBack) {
   ReplicaSetParams params;
   // Stall replication so the primary commits w:1 writes the secondaries
   // never see.
@@ -175,7 +171,7 @@ TEST_P(FailoverTest, UnreplicatedW1WritesRollBack) {
   EXPECT_EQ(rs_->oplog().last_seq(), 11u);
 }
 
-TEST_P(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
+TEST_F(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
   Build();
   for (int64_t i = 0; i < 30; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -195,7 +191,7 @@ TEST_P(FailoverTest, RestartedNodeInitialSyncsAndConverges) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
+TEST_F(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
   Build();
   for (int64_t i = 0; i < 20; ++i) WriteDoc(i);
   loop_.RunUntil(sim::Seconds(2));
@@ -213,7 +209,7 @@ TEST_P(FailoverTest, KilledPrimaryCanRejoinAsSecondary) {
             rs_->primary().db().Fingerprint());
 }
 
-TEST_P(FailoverTest, DriverRetriesThroughFailover) {
+TEST_F(FailoverTest, DriverRetriesThroughFailover) {
   Build();
   client_->Start();
   loop_.RunUntil(sim::Seconds(1));
@@ -250,7 +246,7 @@ TEST_P(FailoverTest, DriverRetriesThroughFailover) {
   EXPECT_GE(write_completed_at, sim::Seconds(4));  // after the election
 }
 
-TEST_P(FailoverTest, SelectionSkipsDeadSecondaries) {
+TEST_F(FailoverTest, SelectionSkipsDeadSecondaries) {
   Build();
   client_->Start();
   loop_.RunUntil(sim::Seconds(1));
@@ -273,7 +269,7 @@ TEST_P(FailoverTest, SelectionSkipsDeadSecondaries) {
   EXPECT_EQ(client_->SelectNode(driver::ReadPreference::kSecondary), primary);
 }
 
-TEST_P(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
+TEST_F(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
   ReplicaSetParams params;
   params.getmore_block_threshold = sim::Seconds(1);
   Build(params);
@@ -296,28 +292,20 @@ TEST_P(FailoverTest, PendingMajorityWritesFailOnPrimaryCrash) {
   EXPECT_EQ(failures, 5);
 }
 
-INSTANTIATE_TEST_SUITE_P(Elections, FailoverTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Raft" : "Legacy";
-                         });
-
 // Randomized fault-injection property: under arbitrary interleavings of
 // writes, crashes, elections, and restarts, (a) every write acknowledged
 // at w:majority survives on the final primary, and (b) once the cluster
 // quiesces, all live replicas converge to identical data.
-class FaultInjectionTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+class FaultInjectionTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
-  const uint64_t seed = std::get<0>(GetParam());
+  const uint64_t seed = GetParam();
   sim::EventLoop loop;
   sim::Rng rng(seed);
   net::Network network(&loop, rng.Fork());
   const net::HostId client_host = network.AddHost("client");
   ReplicaSetParams params;
   params.election_timeout = sim::Seconds(2);
-  params.raft_elections = std::get<1>(GetParam());
   server::ServerParams server_params;
   std::vector<net::HostId> hosts;
   for (int i = 0; i < 3; ++i) {
@@ -389,15 +377,8 @@ TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Chaos, FaultInjectionTest,
-    ::testing::Combine(::testing::Values(101, 202, 303, 404, 505, 606),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
-      return (std::get<1>(info.param) ? std::string("Raft")
-                                      : std::string("Legacy")) +
-             "Seed" + std::to_string(std::get<0>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Chaos, FaultInjectionTest,
+                         ::testing::Values(101, 202, 303, 404, 505, 606));
 
 }  // namespace
 }  // namespace dcg::repl

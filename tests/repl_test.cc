@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/client.h"
 #include "net/network.h"
 #include "repl/oplog.h"
 #include "repl/replica_set.h"
@@ -120,11 +121,11 @@ class ReplicaSetTest : public ::testing::Test {
              server::ServerParams server_params = {}) {
     server_params.service.sigma = 0.0;  // deterministic timings
     network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
-    const net::HostId c = network_->AddHost("client");
+    client_host_ = network_->AddHost("client");
     std::vector<net::HostId> hosts;
     for (int i = 0; i < params.secondaries + 1; ++i) {
       hosts.push_back(network_->AddHost("node" + std::to_string(i)));
-      network_->SetLink(c, hosts[i], sim::Millis(1), 0);
+      network_->SetLink(client_host_, hosts[i], sim::Millis(1), 0);
     }
     for (size_t i = 0; i < hosts.size(); ++i) {
       for (size_t j = i + 1; j < hosts.size(); ++j) {
@@ -146,6 +147,7 @@ class ReplicaSetTest : public ::testing::Test {
 
   sim::EventLoop loop_;
   std::unique_ptr<net::Network> network_;
+  net::HostId client_host_ = 0;
   std::unique_ptr<ReplicaSet> rs_;
 };
 
@@ -170,33 +172,35 @@ TEST_F(ReplicaSetTest, ReadsSeeNodeLocalState) {
   Build();
   rs_->Start();
   WriteDoc(1, 42);
+  driver::MongoClient client(&loop_, sim::Rng(3), rs_->command_bus(),
+                             client_host_, driver::ClientOptions{});
+  auto saw_doc = [](bool* saw) {
+    return [saw](const store::Database& db) {
+      *saw = db.Get("t") != nullptr &&
+             db.Get("t")->FindById(doc::Value(1)) != nullptr;
+    };
+  };
   // Immediately after the write commits (before replication), a secondary
   // read misses while a primary read hits.
   loop_.RunUntil(sim::Millis(10));
   bool primary_saw = false, secondary_saw = true;
-  rs_->Read(0, server::OpClass::kPointRead,
-            [&](const store::Database& db) {
-              primary_saw =
-                  db.Get("t") != nullptr &&
-                  db.Get("t")->FindById(doc::Value(1)) != nullptr;
-            });
-  rs_->Read(1, server::OpClass::kPointRead,
-            [&](const store::Database& db) {
-              secondary_saw =
-                  db.Get("t") != nullptr &&
-                  db.Get("t")->FindById(doc::Value(1)) != nullptr;
-            });
+  int secondary_node = -1;
+  client.Read(driver::ReadPreference::kPrimary, server::OpClass::kPointRead,
+              saw_doc(&primary_saw), nullptr);
+  client.Read(driver::ReadPreference::kSecondary, server::OpClass::kPointRead,
+              saw_doc(&secondary_saw),
+              [&](const driver::MongoClient::ReadResult& r) {
+                secondary_node = r.node;
+              });
   loop_.RunUntil(sim::Millis(20));
   EXPECT_TRUE(primary_saw);
   EXPECT_FALSE(secondary_saw);
+  EXPECT_GT(secondary_node, 0);
 
   // After replication catches up the secondary sees it too.
   loop_.RunUntil(sim::Seconds(2));
-  rs_->Read(1, server::OpClass::kPointRead,
-            [&](const store::Database& db) {
-              secondary_saw =
-                  db.Get("t")->FindById(doc::Value(1)) != nullptr;
-            });
+  client.Read(driver::ReadPreference::kSecondary, server::OpClass::kPointRead,
+              saw_doc(&secondary_saw), nullptr);
   loop_.RunUntil(sim::Seconds(3));
   EXPECT_TRUE(secondary_saw);
 }

@@ -506,12 +506,13 @@ TEST_F(ShardTest, ClientRouterShardSpansLinkIntoOneTrace) {
 }
 
 TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
-  // The shared-budget chaos scenario: shard 1's secondaries partition
-  // away from their primary, its staleness estimate climbs past the
-  // bound, and its balancer gates to zero — reads there fall back to the
-  // (fresh) primary. Shard 0, congested and healthy, keeps balancing
-  // against a debited-but-positive effective bound. After the partition
-  // heals, shard 1 recovers.
+  // The shared-budget chaos scenario: one of shard 1's secondaries
+  // partitions away from the rest of its set, its staleness estimate
+  // climbs past the bound, and its balancer gates to zero — reads there
+  // fall back to the (fresh) primary. The primary keeps its majority (it
+  // still hears the other secondary), so no election interferes. Shard 0,
+  // congested and healthy, keeps balancing against a debited-but-positive
+  // effective bound. After the partition heals, shard 1 recovers.
   ShardedClusterConfig config;
   config.balancer.stale_bound_seconds = 10;
   Build(config);
@@ -580,14 +581,15 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
   cold_reader();
   writer();
 
-  // Let shard 0's balancer ramp, then stall shard 1's replication.
+  // Let shard 0's balancer ramp, then cut one of shard 1's secondaries
+  // off from both of its peers.
   loop_.RunUntil(sim::Seconds(80));
   const double shard0_before = cluster_->shared_state(0).balance_fraction();
   EXPECT_GE(shard0_before, 0.4);
-  const net::HostId primary1 = cluster_->shard(1).primary().host();
   const auto& hosts1 = cluster_->shard(1).command_bus()->server_hosts();
+  const net::HostId isolated = cluster_->shard(1).node(2).host();
   for (net::HostId host : hosts1) {
-    if (host != primary1) network_->BlockPair(primary1, host);
+    if (host != isolated) network_->BlockPair(isolated, host);
   }
   // ~15 s of stalled replication: estimate ≈ 15 s. Over the 10 s bound,
   // under 2×: shard 1 must gate, shard 0's effective bound shrinks but
@@ -605,11 +607,13 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
   // Heal. Replication catches up, the gate releases, the budget relaxes.
   *gated = false;
   for (net::HostId host : hosts1) {
-    if (host != primary1) network_->UnblockPair(primary1, host);
+    if (host != isolated) network_->UnblockPair(isolated, host);
   }
   loop_.RunUntil(sim::Seconds(140));
   EXPECT_FALSE(shard1_used_secondary_while_gated)
       << "no read may touch a stale secondary while the gate is closed";
+  EXPECT_EQ(cluster_->shard(1).elections(), 0u)
+      << "the primary kept its majority throughout";
   EXPECT_GT(cluster_->shared_state(1).balance_fraction(), 0.0);
   EXPECT_LE(cluster_->budget().WorstEstimate(), 10);
 }
