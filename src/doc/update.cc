@@ -116,27 +116,4 @@ bool UpdateSpec::Apply(Value* target) const {
   return true;
 }
 
-Value UpdateSpec::ToValue() const {
-  Array out;
-  out.reserve(ops_.size());
-  for (const auto& op : ops_) {
-    out.push_back(Value::Doc({{"k", static_cast<int64_t>(op.kind)},
-                              {"p", op.path.str()},
-                              {"v", op.value}}));
-  }
-  return Value(std::move(out));
-}
-
-UpdateSpec UpdateSpec::FromValue(const Value& v) {
-  UpdateSpec spec;
-  for (const auto& item : v.as_array()) {
-    UpdateOp op;
-    op.kind = static_cast<UpdateOp::Kind>(item.Find("k")->as_int64());
-    op.path = item.Find("p")->as_string();
-    op.value = *item.Find("v");
-    spec.ops_.push_back(std::move(op));
-  }
-  return spec;
-}
-
 }  // namespace dcg::doc

@@ -27,11 +27,9 @@ struct UpdateOp {
 
 /// An ordered list of mutations applied atomically to one document.
 ///
-/// UpdateSpec is the payload of update oplog entries: the primary executes
-/// it against its copy and ships the *spec* to the secondaries, which replay
-/// it — like MongoDB's oplog does for operator updates. Applying the same
-/// spec to an identical document yields an identical result, which is what
-/// the replication convergence property tests assert.
+/// The primary applies it once, to a copy of the stored document
+/// (Collection::Update); the oplog then ships the resulting post-image,
+/// so secondaries never replay the spec.
 class UpdateSpec {
  public:
   UpdateSpec() = default;
@@ -52,12 +50,6 @@ class UpdateSpec {
   /// errors such as $inc on a non-numeric field; callers treat that as a
   /// workload bug, not a recoverable condition.
   bool Apply(Value* target) const;
-
-  /// Serializes the spec into a Value (for embedding in oplog entries).
-  Value ToValue() const;
-
-  /// Parses a spec previously produced by ToValue().
-  static UpdateSpec FromValue(const Value& v);
 
  private:
   std::vector<UpdateOp> ops_;

@@ -1,6 +1,7 @@
 #include "exp/experiment.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/check.h"
@@ -148,34 +149,31 @@ Experiment::Experiment(ExperimentConfig config)
     }
   }
 
-  // --- Pre-replicated data: every node loads the identical snapshot; in
-  // sharded mode each shard's nodes load only the records it owns (the
-  // union across shards is the unsharded snapshot). ---
+  // --- Pre-replicated data: each replica set loads the snapshot once and
+  // its other members clone it, sharing the immutable documents; in
+  // sharded mode each shard loads only the records it owns (the union
+  // across shards is the unsharded snapshot). ---
+  auto load_replica_set = [this](repl::ReplicaSet* rs,
+                                 const std::function<bool(int64_t)>& keep) {
+    store::Database* db = &rs->node(0).db();
+    if (config_.kind == WorkloadKind::kYcsb) {
+      workload::YcsbWorkload::Load(config_.ycsb, db, keep);
+    } else {
+      workload::TpccWorkload::Load(config_.tpcc, db);
+    }
+    if (config_.run_s_workload) {
+      workload::SWorkload::Load(config_.s_config, db);
+    }
+    for (int i = 1; i < rs->node_count(); ++i) rs->node(i).db().ResetFrom(*db);
+  };
   if (sharded()) {
     for (int s = 0; s < cluster_->shard_count(); ++s) {
-      for (int i = 0; i <= config_.repl.secondaries; ++i) {
-        store::Database* db = &cluster_->shard(s).node(i).db();
-        workload::YcsbWorkload::Load(
-            config_.ycsb, db, [this, s](int64_t key) {
-              return cluster_->ShardFor(doc::Value(key)) == s;
-            });
-        if (config_.run_s_workload) {
-          workload::SWorkload::Load(config_.s_config, db);
-        }
-      }
+      load_replica_set(&cluster_->shard(s), [this, s](int64_t key) {
+        return cluster_->ShardFor(doc::Value(key)) == s;
+      });
     }
   } else {
-    for (int i = 0; i <= config_.repl.secondaries; ++i) {
-      store::Database* db = &rs_->node(i).db();
-      if (config_.kind == WorkloadKind::kYcsb) {
-        workload::YcsbWorkload::Load(config_.ycsb, db);
-      } else {
-        workload::TpccWorkload::Load(config_.tpcc, db);
-      }
-      if (config_.run_s_workload) {
-        workload::SWorkload::Load(config_.s_config, db);
-      }
-    }
+    load_replica_set(rs_.get(), nullptr);
   }
 
   // --- Workload objects. ---

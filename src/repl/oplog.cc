@@ -1,16 +1,11 @@
 #include "repl/oplog.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
 
 namespace dcg::repl {
-
-size_t OplogEntry::ApproxBytes() const {
-  return approx_bytes != 0
-             ? approx_bytes
-             : 64 + collection.size() + id.ApproxSize() + payload.ApproxSize();
-}
 
 Oplog::Oplog(size_t capacity) : capacity_(capacity) {
   DCG_CHECK(capacity_ > 0);
@@ -43,6 +38,18 @@ void Oplog::TruncateAfter(uint64_t seq) {
   while (!entries_.empty() && entries_.back().optime.seq > seq) {
     entries_.pop_back();
   }
+  // Entries appended after the truncation reuse the discarded sequence
+  // numbers and carry their documents.
+  released_through_ = std::min(released_through_, seq);
+}
+
+void Oplog::ReleaseDocsThrough(uint64_t seq) {
+  seq = std::min(seq, last_seq());
+  for (uint64_t s = std::max(released_through_ + 1, first_seq_); s <= seq;
+       ++s) {
+    entries_[static_cast<size_t>(s - first_seq_)].doc.reset();
+  }
+  released_through_ = std::max(released_through_, seq);
 }
 
 uint64_t Oplog::last_seq() const {

@@ -8,6 +8,7 @@
 
 #include "doc/value.h"
 #include "sim/time.h"
+#include "store/collection.h"
 
 namespace dcg::repl {
 
@@ -26,18 +27,23 @@ struct OpTime {
 
 enum class OpKind { kInsert, kUpdate, kRemove, kNoop };
 
-/// One logical replicated operation. Inserts carry the full document;
-/// updates carry the serialized UpdateSpec (operator replay, like
-/// MongoDB's oplog `u` entries); removes carry only the id.
+/// One logical replicated operation. Inserts and updates carry the
+/// document exactly as the primary committed it (an update's post-image):
+/// documents are immutable, so the oplog and every member that applies the
+/// entry share that one object instead of replaying the update operators.
+/// Removes carry only the id.
 struct OplogEntry {
   OpTime optime;
   OpKind kind = OpKind::kNoop;
   std::string collection;
   doc::Value id;
-  doc::Value payload;
+  /// nullptr for removes and no-ops, and once the oplog has released it
+  /// (Oplog::ReleaseDocsThrough).
+  store::DocPtr doc;
+  /// Bytes the entry dirties on every member that applies it (the disk
+  /// model's input): the document's size for inserts and updates, a small
+  /// constant plus the id's for removes.
   size_t approx_bytes = 0;
-
-  size_t ApproxBytes() const;
 };
 
 /// The primary's capped operation log. Secondaries read batches after
@@ -66,6 +72,16 @@ class Oplog {
   /// un-replicated writes).
   void TruncateAfter(uint64_t seq);
 
+  /// Drops the oplog's references to the documents of entries with
+  /// seq <= `seq`, which every member that will still read them has
+  /// applied; members that restart or roll back clone a live member
+  /// instead. Readers already holding those documents (applied replicas,
+  /// batches in flight) keep them. Ids, kinds and byte counts stay.
+  void ReleaseDocsThrough(uint64_t seq);
+
+  /// Highest seq whose document reference has been released (0: none).
+  uint64_t released_through() const { return released_through_; }
+
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   uint64_t first_seq() const { return first_seq_; }
@@ -73,6 +89,7 @@ class Oplog {
  private:
   size_t capacity_;
   uint64_t first_seq_ = 1;  // seq of entries_.front(), when non-empty
+  uint64_t released_through_ = 0;
   std::deque<OplogEntry> entries_;
 };
 

@@ -1,6 +1,5 @@
 #include "repl/replica_node.h"
 
-#include "doc/update.h"
 #include "util/check.h"
 
 namespace dcg::repl {
@@ -11,13 +10,18 @@ void ReplicaNode::ApplyEntry(const OplogEntry& entry) {
   store::Collection& coll = db().GetOrCreate(entry.collection);
   switch (entry.kind) {
     case OpKind::kInsert:
-      // Idempotent replay semantics: an insert overwrites any stale copy.
-      coll.Upsert(entry.payload);
-      break;
     case OpKind::kUpdate: {
-      const doc::UpdateSpec spec = doc::UpdateSpec::FromValue(entry.payload);
-      const bool ok = coll.Update(entry.id, spec);
-      DCG_CHECK_MSG(ok, "replayed update of missing doc in %s",
+      DCG_CHECK_MSG(entry.doc != nullptr,
+                    "oplog entry %llu reached %s after its document was "
+                    "released",
+                    static_cast<unsigned long long>(entry.optime.seq),
+                    name().c_str());
+      // Both install the primary's committed document. Idempotent replay
+      // semantics: an insert overwrites any stale copy, while an update
+      // must replace a document this member already holds.
+      const bool is_new = coll.Put(entry.id, entry.doc);
+      DCG_CHECK_MSG(entry.kind == OpKind::kInsert || !is_new,
+                    "replayed update of missing doc in %s",
                     entry.collection.c_str());
       break;
     }
@@ -29,7 +33,7 @@ void ReplicaNode::ApplyEntry(const OplogEntry& entry) {
   }
   last_applied_ = entry.optime;
   ++entries_applied_;
-  server_.AddDirtyBytes(entry.ApproxBytes());
+  server_.AddDirtyBytes(entry.approx_bytes);
 }
 
 void ReplicaNode::AdvanceLastApplied(const OpTime& optime) {

@@ -32,8 +32,9 @@ class ReplicaNode {
   const OpTime& last_applied() const { return last_applied_; }
 
   /// Applies one oplog entry's data change to the local database and
-  /// advances last_applied. Replay is deterministic: applying the same
-  /// entries in order yields identical databases on every node.
+  /// advances last_applied. Inserts and updates install the entry's shared
+  /// document, so applying the same entries in order yields identical
+  /// databases, holding the same document objects, on every node.
   void ApplyEntry(const OplogEntry& entry);
 
   /// Advances last_applied without replaying data — used on the primary,

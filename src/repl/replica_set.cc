@@ -2,6 +2,7 @@
 
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -240,7 +241,7 @@ void ReplicaSet::CommitInternal(
         for (OplogEntry& entry : ctx.entries()) {
           entry.optime = OpTime{loop_->Now(), next_seq_++};
           commit_seq = entry.optime.seq;
-          leader.server().AddDirtyBytes(entry.ApproxBytes());
+          leader.server().AddDirtyBytes(entry.approx_bytes);
           leader.AdvanceLastApplied(entry.optime);
           oplog_.Append(std::move(entry));
         }
@@ -546,9 +547,20 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
         }
         ReplicaNode& s = node(secondary_idx);
         for (const OplogEntry& entry : batch) s.ApplyEntry(entry);
+        ReleaseAppliedDocs();
         // More data may already be waiting: pull again immediately.
         SendGetMore(secondary_idx, epoch);
       });
+}
+
+void ReplicaSet::ReleaseAppliedDocs() {
+  uint64_t min_applied = UINT64_MAX;
+  for (int i = 0; i < node_count(); ++i) {
+    if (alive_[i]) {
+      min_applied = std::min(min_applied, node(i).last_applied().seq);
+    }
+  }
+  if (min_applied != UINT64_MAX) oplog_.ReleaseDocsThrough(min_applied);
 }
 
 void ReplicaSet::CheckMajorityWaiters() {
@@ -805,6 +817,7 @@ void ReplicaSet::CatchUpStep(int winner, uint64_t new_term, uint64_t target,
           if (entry.optime.seq != w.last_applied().seq + 1) break;
           w.ApplyEntry(entry);
         }
+        ReleaseAppliedDocs();
         CatchUpStep(winner, new_term, target, deadline, epoch);
       });
 }

@@ -335,6 +335,13 @@ class ReplicaSet : public server::CommandBackend {
   /// Kills node `idx`'s pull chain outright (all in-flight continuations
   /// retire via the epoch bump).
   void RetirePull(int idx);
+  /// After a member applied a batch: releases the oplog's document
+  /// references up to the lowest last-applied optime among live members,
+  /// partitioned ones included. Dead members never read the oplog again:
+  /// RestartNode clones them. Every live member's last-applied optime
+  /// stays at or above the release point, since a member only moves back
+  /// by cloning the primary, which is live.
+  void ReleaseAppliedDocs();
 
   // --- election machinery ---
 

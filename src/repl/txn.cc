@@ -16,12 +16,11 @@ void TxnContext::Insert(const std::string& collection, doc::Value document) {
   entry.kind = OpKind::kInsert;
   entry.collection = collection;
   entry.id = *id;
-  entry.approx_bytes = document.ApproxSize();
-  entry.payload = document;
 
-  const bool inserted = coll.Insert(std::move(document));
+  const bool inserted = coll.Insert(std::move(document), &entry.doc);
   DCG_CHECK_MSG(inserted, "duplicate _id inserted into %s",
                 collection.c_str());
+  entry.approx_bytes = entry.doc->ApproxSize();
   undo_.push_back({collection, entry.id, /*pre_image=*/nullptr});
   entries_.push_back(std::move(entry));
 }
@@ -30,16 +29,15 @@ bool TxnContext::Update(const std::string& collection, const doc::Value& id,
                         const doc::UpdateSpec& spec) {
   DCG_CHECK(!aborted_);
   store::Collection& coll = db_->GetOrCreate(collection);
-  store::DocPtr pre, post;
-  if (!coll.Update(id, spec, &pre, &post)) return false;
+  store::DocPtr pre;
+  OplogEntry entry;
+  if (!coll.Update(id, spec, &pre, &entry.doc)) return false;
   undo_.push_back({collection, id, std::move(pre)});
 
-  OplogEntry entry;
   entry.kind = OpKind::kUpdate;
   entry.collection = collection;
   entry.id = id;
-  entry.payload = spec.ToValue();
-  entry.approx_bytes = post->ApproxSize();
+  entry.approx_bytes = entry.doc->ApproxSize();
   entries_.push_back(std::move(entry));
   return true;
 }
@@ -67,7 +65,7 @@ void TxnContext::Abort() {
     if (it->pre_image == nullptr) {
       coll.Remove(it->id);
     } else {
-      coll.Upsert(*it->pre_image);
+      coll.Put(it->id, it->pre_image);
     }
   }
   undo_.clear();

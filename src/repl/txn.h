@@ -23,9 +23,10 @@ enum class WriteConcern {
 /// Because a transaction body runs inside a single simulation event, it is
 /// trivially atomic and isolated; writes apply to the primary's database
 /// immediately (so the body reads its own writes, as TPC-C Delivery needs)
-/// while being recorded for the oplog. `Abort()` rolls every write back via
-/// captured pre-images and suppresses the oplog entries — used by TPC-C
-/// New Order's 1 % programmed rollback.
+/// while being recorded for the oplog. `Abort()` rolls every write back by
+/// reinstalling the captured pre-images (the very document objects the
+/// writes replaced) and suppresses the oplog entries — used by TPC-C New
+/// Order's 1 % programmed rollback.
 class TxnContext {
  public:
   explicit TxnContext(store::Database* db) : db_(db) {}

@@ -177,7 +177,7 @@ void ShardedCluster::MoveChunk(const std::string& collection,
   // node of both shards — the migration's committed end state. (A real
   // balancer streams then commits; ops racing the critical section behave
   // the same either way: admitted-and-queued donor ops still run there.)
-  std::vector<doc::Value> moving;
+  std::vector<store::DocPtr> moving;
   repl::ReplicaSet& donor = *shards_[from_shard];
   const store::Database& donor_db = donor.node(donor.primary_index()).db();
   const store::Collection* donor_coll = donor_db.Get(collection);
@@ -186,7 +186,7 @@ void ShardedCluster::MoveChunk(const std::string& collection,
       const doc::Value* key = d->FindPath(config_.shard_key.field);
       const doc::Value key_value = key != nullptr ? *key : id;
       if (before->ChunkIdFor(key_value) == chunk_id) {
-        moving.push_back(*d);
+        moving.push_back(d);
       }
       return true;
     });
@@ -194,12 +194,12 @@ void ShardedCluster::MoveChunk(const std::string& collection,
   repl::ReplicaSet& recipient = *shards_[to_shard];
   for (int n = 0; n < recipient.node_count(); ++n) {
     store::Collection& dest = recipient.node(n).db().GetOrCreate(collection);
-    for (const doc::Value& d : moving) dest.Upsert(d);
+    for (const store::DocPtr& d : moving) dest.Put(*d->Find("_id"), d);
   }
   for (int n = 0; n < donor.node_count(); ++n) {
     store::Collection* source = donor.node(n).db().Get(collection);
     if (source == nullptr) continue;
-    for (const doc::Value& d : moving) source->Remove(*d.Find("_id"));
+    for (const store::DocPtr& d : moving) source->Remove(*d->Find("_id"));
   }
 }
 

@@ -45,50 +45,18 @@ void Collection::UnindexDocument(Index* index, const doc::Value& id,
   DCG_CHECK_MSG(erased, "missing index entry in %s", index->name.c_str());
 }
 
-bool Collection::Insert(doc::Value document) {
-  const doc::Value id = RequireId(document);
-  auto d = std::make_shared<const doc::Value>(std::move(document));
-  if (!primary_.Insert(id, d)) return false;
-  approx_bytes_ += d->ApproxSize();
-  for (auto& index : indexes_) IndexDocument(index.get(), id, d);
-  return true;
-}
-
-void Collection::Upsert(doc::Value document) {
-  const doc::Value id = RequireId(document);
-  auto d = std::make_shared<const doc::Value>(std::move(document));
-  DocPtr old;
-  primary_.Upsert(id, d, &old);
-  if (old != nullptr) {
-    approx_bytes_ -= old->ApproxSize();
-    for (auto& index : indexes_) UnindexDocument(index.get(), id, *old);
+void Collection::OnInstalled(const doc::Value& id, const DocPtr& old,
+                             const DocPtr& d) {
+  if (old == nullptr) {
+    approx_bytes_ += d->ApproxSize();
+    for (auto& index : indexes_) IndexDocument(index.get(), id, d);
+    return;
   }
-  approx_bytes_ += d->ApproxSize();
-  for (auto& index : indexes_) IndexDocument(index.get(), id, d);
-}
-
-DocPtr Collection::FindById(const doc::Value& id) const {
-  return primary_.Find(id);
-}
-
-bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
-                        DocPtr* pre_image, DocPtr* post_image) {
-  // One descent: the payload is swapped in place. Index maintenance below
-  // touches other trees, so the slot stays valid.
-  DocPtr* slot = primary_.FindSlot(id);
-  if (slot == nullptr) return false;
-  const doc::Value& old = **slot;
-  doc::Value updated = old;  // copy-on-write
-  const bool ok = spec.Apply(&updated);
-  DCG_CHECK_MSG(ok, "update spec failed on %s._id=%s", name_.c_str(),
-                id.ToJson().c_str());
-  DCG_CHECK_MSG(RequireId(updated) == id, "updates must not change _id");
-  auto d = std::make_shared<const doc::Value>(std::move(updated));
-  approx_bytes_ -= old.ApproxSize();
+  approx_bytes_ -= old->ApproxSize();
   approx_bytes_ += d->ApproxSize();
   for (auto& index : indexes_) {
     // Re-index only when the indexed tuple changed.
-    doc::Value old_key = IndexKey(*index, id, old);
+    doc::Value old_key = IndexKey(*index, id, *old);
     doc::Value new_key = IndexKey(*index, id, *d);
     if (old_key != new_key) {
       const bool erased = index->tree.Erase(old_key);
@@ -99,8 +67,52 @@ bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
       index->tree.Upsert(std::move(new_key), d);
     }
   }
-  if (post_image != nullptr) *post_image = d;
-  DocPtr previous = std::exchange(*slot, std::move(d));
+}
+
+bool Collection::Insert(doc::Value document, DocPtr* inserted) {
+  const doc::Value id = RequireId(document);
+  auto d = std::make_shared<const doc::Value>(std::move(document));
+  if (!primary_.Insert(id, d)) return false;
+  OnInstalled(id, nullptr, d);
+  if (inserted != nullptr) *inserted = std::move(d);
+  return true;
+}
+
+void Collection::Upsert(doc::Value document) {
+  const doc::Value id = RequireId(document);
+  Put(id, std::make_shared<const doc::Value>(std::move(document)));
+}
+
+bool Collection::Put(const doc::Value& id, const DocPtr& document,
+                     DocPtr* replaced) {
+  DCG_CHECK_MSG(document != nullptr && RequireId(*document) == id,
+                "Put needs a document whose _id is the key");
+  DocPtr old;
+  const bool is_new = primary_.Upsert(id, document, &old);
+  OnInstalled(id, old, document);
+  if (replaced != nullptr) *replaced = std::move(old);
+  return is_new;
+}
+
+DocPtr Collection::FindById(const doc::Value& id) const {
+  return primary_.Find(id);
+}
+
+bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
+                        DocPtr* pre_image, DocPtr* post_image) {
+  // One descent: the payload is swapped in place. Index maintenance in
+  // OnInstalled touches other trees, so the slot stays valid.
+  DocPtr* slot = primary_.FindSlot(id);
+  if (slot == nullptr) return false;
+  doc::Value updated = **slot;  // copy-on-write
+  const bool ok = spec.Apply(&updated);
+  DCG_CHECK_MSG(ok, "update spec failed on %s._id=%s", name_.c_str(),
+                id.ToJson().c_str());
+  DCG_CHECK_MSG(RequireId(updated) == id, "updates must not change _id");
+  DocPtr previous = std::exchange(
+      *slot, std::make_shared<const doc::Value>(std::move(updated)));
+  OnInstalled(id, previous, *slot);
+  if (post_image != nullptr) *post_image = *slot;
   if (pre_image != nullptr) *pre_image = std::move(previous);
   return true;
 }

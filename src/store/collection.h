@@ -39,7 +39,8 @@ struct FindOptions {
 ///
 /// Writes are copy-on-write: Update clones the stored document, applies the
 /// UpdateSpec, and swaps the pointer, so concurrent readers (in simulated
-/// time) keep consistent snapshots.
+/// time) keep consistent snapshots. Stored documents are never mutated, so
+/// several collections (the members of a replica set) can share them.
 class Collection {
  public:
   explicit Collection(std::string name);
@@ -53,11 +54,20 @@ class Collection {
   size_t size() const { return primary_.size(); }
 
   /// Inserts a document (must be an Object with an "_id" field).
-  /// Returns false when a document with the same _id already exists.
-  bool Insert(doc::Value document);
+  /// Returns false when a document with the same _id already exists;
+  /// otherwise the stored document goes to `inserted` when given.
+  bool Insert(doc::Value document, DocPtr* inserted = nullptr);
 
   /// Inserts or fully replaces by _id.
   void Upsert(doc::Value document);
+
+  /// Installs an existing immutable document under `id` (its "_id"),
+  /// inserting or replacing, with one descent of the primary tree: the
+  /// object is shared, not copied, so replicas and the oplog can all hold
+  /// the document the primary committed. Returns true when `id` was new;
+  /// otherwise the replaced document goes to `replaced` when given.
+  bool Put(const doc::Value& id, const DocPtr& document,
+           DocPtr* replaced = nullptr);
 
   /// Point lookup by _id. Returns nullptr when absent.
   DocPtr FindById(const doc::Value& id) const;
@@ -139,6 +149,11 @@ class Collection {
   /// Count share this enumerator (Count never materializes results).
   template <typename Visit>
   void VisitMatches(const doc::Filter& filter, Visit&& visit) const;
+
+  /// Size accounting and index maintenance after `d` was installed in the
+  /// primary tree in place of `old` (nullptr: `id` was new). Every write
+  /// path ends here.
+  void OnInstalled(const doc::Value& id, const DocPtr& old, const DocPtr& d);
 
   void IndexDocument(Index* index, const doc::Value& id, const DocPtr& d);
   void UnindexDocument(Index* index, const doc::Value& id,

@@ -61,8 +61,8 @@ void Database::ResetFrom(const Database& source) {
     for (const auto& [index_name, paths] : collection->IndexSpecs()) {
       copy.CreateIndex(index_name, paths);
     }
-    collection->ForEach([&copy](const doc::Value&, const DocPtr& d) {
-      copy.Insert(*d);
+    collection->ForEach([&copy](const doc::Value& id, const DocPtr& d) {
+      copy.Put(id, d);
       return true;
     });
   }
@@ -73,8 +73,9 @@ uint64_t Database::Fingerprint() const {
   for (const auto& [name, collection] : collections_) {
     uint64_t ch = HashString(name, 0);
     collection->ForEach([&ch](const doc::Value& id, const DocPtr& d) {
-      // Documents render deterministically (field order is preserved by
-      // the oplog replay), so JSON text is a stable encoding.
+      // Documents render deterministically (replicas install the very
+      // documents the primary committed), so JSON text is a stable
+      // encoding.
       ch = HashString(id.ToJson(), ch);
       ch = HashString(d->ToJson(), ch);
       return true;

@@ -12,10 +12,10 @@ namespace dcg::store {
 
 /// A node-local set of named collections — the data a single replica holds.
 ///
-/// Each ReplicaNode owns one Database; replication replays the primary's
-/// logical operations against the secondaries' Databases, so after the log
-/// drains all Databases in a replica set are equal (asserted by the
-/// convergence property tests via Fingerprint()).
+/// Each ReplicaNode owns one Database; replication installs the documents
+/// the primary committed into the secondaries' Databases, so after the log
+/// drains all Databases in a replica set are equal and share their
+/// documents (asserted by the convergence property tests via Fingerprint()).
 class Database {
  public:
   Database() = default;
@@ -37,8 +37,9 @@ class Database {
   size_t ApproxBytes() const;
 
   /// Replaces this database's entire contents (collections, documents,
-  /// and secondary indexes) with a deep copy of `source` — the data path
-  /// of a MongoDB initial sync, used when a node rejoins after a crash.
+  /// and secondary indexes) with those of `source` — the data path of a
+  /// MongoDB initial sync, used when a node rejoins after a crash. The
+  /// trees are rebuilt; the immutable documents are shared, not copied.
   void ResetFrom(const Database& source);
 
   /// Order-insensitive structural fingerprint of all data (collection

@@ -1,7 +1,6 @@
 // Cross-cutting property tests: algebraic laws that must hold for any
 // input — the document value total order, index-accelerated queries vs
-// plain predicate evaluation, update-spec serialization, and histogram
-// merge semantics.
+// plain predicate evaluation, and histogram merge semantics.
 
 #include <algorithm>
 #include <tuple>
@@ -142,50 +141,6 @@ TEST_P(IndexEquivalenceTest, IndexedFindEqualsPredicateScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexEquivalenceTest,
                          ::testing::Values(10u, 20u, 30u));
-
-class UpdateRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(UpdateRoundTripTest, SerializedSpecReplaysIdentically) {
-  // For random specs and random documents: Apply(doc) and
-  // FromValue(ToValue(spec)).Apply(copy) end in the same state — the
-  // property oplog shipping of operator updates depends on.
-  sim::Rng rng(GetParam());
-  for (int trial = 0; trial < 300; ++trial) {
-    doc::UpdateSpec spec;
-    const int64_t ops = rng.UniformInt(1, 5);
-    for (int64_t i = 0; i < ops; ++i) {
-      const std::string path(1, static_cast<char>('a' + rng.UniformInt(0, 4)));
-      switch (rng.UniformInt(0, 3)) {
-        case 0:
-          spec.Set(path, doc::Value(rng.UniformInt(-10, 10)));
-          break;
-        case 1:
-          spec.Inc(path, doc::Value(rng.UniformInt(-3, 3)));
-          break;
-        case 2:
-          spec.Unset(path);
-          break;
-        default:
-          spec.Max(path, doc::Value(rng.UniformInt(-10, 10)));
-      }
-    }
-    doc::Value original = doc::Value::Doc({{"_id", 1}});
-    for (int f = 0; f < 3; ++f) {
-      original.Set(std::string(1, static_cast<char>('a' + f)),
-                   doc::Value(rng.UniformInt(-5, 5)));
-    }
-    doc::Value direct = original;
-    doc::Value replayed = original;
-    const bool ok_direct = spec.Apply(&direct);
-    const bool ok_replayed =
-        doc::UpdateSpec::FromValue(spec.ToValue()).Apply(&replayed);
-    EXPECT_EQ(ok_direct, ok_replayed);
-    if (ok_direct) EXPECT_EQ(direct, replayed);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, UpdateRoundTripTest,
-                         ::testing::Values(40u, 50u, 60u));
 
 TEST(HistogramLawsTest, MergeEqualsCombinedAdds) {
   sim::Rng rng(70);

@@ -63,6 +63,44 @@ TEST(OplogTest, CapEvictsOldEntries) {
   EXPECT_EQ(batch.front().optime.seq, 4u);
 }
 
+TEST(OplogTest, ReleaseDropsDocsButKeepsEntries) {
+  Oplog log;
+  for (uint64_t i = 1; i <= 6; ++i) {
+    OplogEntry e = Entry(i);
+    e.kind = OpKind::kInsert;
+    e.id = doc::Value(static_cast<int64_t>(i));
+    e.doc = std::make_shared<const doc::Value>(
+        doc::Value::Doc({{"_id", static_cast<int64_t>(i)}}));
+    log.Append(std::move(e));
+  }
+  const auto in_flight = log.ReadAfter(0, 10);
+  log.ReleaseDocsThrough(4);
+  EXPECT_EQ(log.released_through(), 4u);
+  auto batch = log.ReadAfter(0, 10);
+  ASSERT_EQ(batch.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(batch[i].doc == nullptr, i < 4) << i;
+    EXPECT_EQ(batch[i].id, doc::Value(static_cast<int64_t>(i + 1)));
+  }
+  // A batch read before the release keeps its documents.
+  EXPECT_NE(in_flight[0].doc, nullptr);
+
+  // Releasing is monotonic and bounded by the log's end.
+  log.ReleaseDocsThrough(2);
+  EXPECT_EQ(log.released_through(), 4u);
+  log.ReleaseDocsThrough(99);
+  EXPECT_EQ(log.released_through(), 6u);
+
+  // A rollback clamps the watermark: entries appended at the discarded
+  // sequence numbers keep their documents.
+  log.TruncateAfter(3);
+  EXPECT_EQ(log.released_through(), 3u);
+  OplogEntry e = Entry(4);
+  e.doc = std::make_shared<const doc::Value>(doc::Value::Doc({{"_id", 4}}));
+  log.Append(std::move(e));
+  EXPECT_NE(log.ReadAfter(3, 1)[0].doc, nullptr);
+}
+
 TEST(OplogTest, OpTimeOrdering) {
   EXPECT_LT(OpTime({0, 1}), OpTime({0, 2}));
   EXPECT_LE(OpTime({5, 2}), OpTime({0, 2}));  // ordered by seq only
@@ -96,6 +134,8 @@ TEST(TxnTest, AbortRestoresPreImages) {
   t.Insert(doc::Value::Doc({{"_id", 1}, {"v", 10}}));
   t.Insert(doc::Value::Doc({{"_id", 2}, {"v", 20}}));
   const uint64_t before = db.Fingerprint();
+  const store::DocPtr one = t.FindById(doc::Value(1));
+  const store::DocPtr two = t.FindById(doc::Value(2));
 
   TxnContext ctx(&db);
   doc::UpdateSpec spec;
@@ -109,6 +149,36 @@ TEST(TxnTest, AbortRestoresPreImages) {
   EXPECT_TRUE(ctx.aborted());
   EXPECT_TRUE(ctx.entries().empty());
   EXPECT_EQ(db.Fingerprint(), before);
+  // The captured pre-images themselves are reinstalled, not copies.
+  EXPECT_EQ(t.FindById(doc::Value(1)), one);
+  EXPECT_EQ(t.FindById(doc::Value(2)), two);
+  t.CheckInvariants();
+}
+
+TEST(TxnTest, EntriesCarryTheCommittedDocuments) {
+  store::Database db;
+  store::Collection& t = db.GetOrCreate("t");
+  TxnContext ctx(&db);
+  ctx.Insert("t", doc::Value::Doc({{"_id", 1}, {"v", 10}}));
+  doc::UpdateSpec spec;
+  spec.Inc("v", doc::Value(int64_t{5}));
+  ASSERT_TRUE(ctx.Update("t", doc::Value(1), spec));
+  ASSERT_TRUE(ctx.Remove("t", doc::Value(1)));
+  t.Insert(doc::Value::Doc({{"_id", 2}, {"v", 0}}));
+  ASSERT_TRUE(ctx.Update("t", doc::Value(2), spec));
+
+  const std::vector<OplogEntry>& e = ctx.entries();
+  ASSERT_EQ(e.size(), 4u);
+  // Insert and update entries hold the document as committed (the
+  // update's post-image); removes carry only the id.
+  ASSERT_NE(e[0].doc, nullptr);
+  EXPECT_EQ(e[0].doc->Find("v")->as_int64(), 10);
+  EXPECT_EQ(e[1].doc->Find("v")->as_int64(), 15);
+  EXPECT_EQ(e[2].doc, nullptr);
+  EXPECT_EQ(e[3].doc, t.FindById(doc::Value(2)));
+  EXPECT_EQ(e[0].approx_bytes, e[0].doc->ApproxSize());
+  EXPECT_EQ(e[1].approx_bytes, e[1].doc->ApproxSize());
+  EXPECT_EQ(e[2].approx_bytes, 32 + doc::Value(1).ApproxSize());
 }
 
 // ---------------------------------------------------------------------------
@@ -122,18 +192,45 @@ class ReplicaSetTest : public ::testing::Test {
     server_params.service.sigma = 0.0;  // deterministic timings
     network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
     client_host_ = network_->AddHost("client");
-    std::vector<net::HostId> hosts;
     for (int i = 0; i < params.secondaries + 1; ++i) {
-      hosts.push_back(network_->AddHost("node" + std::to_string(i)));
-      network_->SetLink(client_host_, hosts[i], sim::Millis(1), 0);
+      hosts_.push_back(network_->AddHost("node" + std::to_string(i)));
+      network_->SetLink(client_host_, hosts_[i], sim::Millis(1), 0);
     }
-    for (size_t i = 0; i < hosts.size(); ++i) {
-      for (size_t j = i + 1; j < hosts.size(); ++j) {
-        network_->SetLink(hosts[i], hosts[j], sim::Millis(1), 0);
+    for (size_t i = 0; i < hosts_.size(); ++i) {
+      for (size_t j = i + 1; j < hosts_.size(); ++j) {
+        network_->SetLink(hosts_[i], hosts_[j], sim::Millis(1), 0);
       }
     }
     rs_ = std::make_unique<ReplicaSet>(&loop_, sim::Rng(2), network_.get(),
-                                       params, server_params, hosts);
+                                       params, server_params, hosts_);
+  }
+
+  /// Cuts node `idx` off from every other member (it stays alive).
+  void Isolate(int idx) {
+    for (size_t i = 0; i < hosts_.size(); ++i) {
+      if (static_cast<int>(i) != idx) {
+        network_->BlockPair(hosts_[idx], hosts_[i]);
+      }
+    }
+  }
+
+  void Heal(int idx) {
+    for (size_t i = 0; i < hosts_.size(); ++i) {
+      if (static_cast<int>(i) != idx) {
+        network_->UnblockPair(hosts_[idx], hosts_[i]);
+      }
+    }
+  }
+
+  void UpdateDoc(int64_t id, int64_t inc) {
+    rs_->WriteTransaction(
+        server::OpClass::kUpdate,
+        [id, inc](TxnContext* ctx) {
+          doc::UpdateSpec spec;
+          spec.Inc("v", doc::Value(inc));
+          ctx->Update("t", doc::Value(id), spec);
+        },
+        nullptr);
   }
 
   void WriteDoc(int64_t id, int64_t v) {
@@ -148,6 +245,7 @@ class ReplicaSetTest : public ::testing::Test {
   sim::EventLoop loop_;
   std::unique_ptr<net::Network> network_;
   net::HostId client_host_ = 0;
+  std::vector<net::HostId> hosts_;
   std::unique_ptr<ReplicaSet> rs_;
 };
 
@@ -377,36 +475,175 @@ TEST_F(ReplicaSetTest, AbortedTransactionsLeaveNoTrace) {
   }
 }
 
-// Convergence property: arbitrary randomized write streams (inserts,
-// updates, removes, multi-op transactions, aborts) leave all replicas
-// byte-identical once the log drains.
-class ReplicationConvergenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
-
-TEST_P(ReplicationConvergenceTest, AllNodesConverge) {
-  const auto [seed, writes] = GetParam();
-  sim::EventLoop loop;
-  net::Network network(&loop, sim::Rng(seed));
-  const net::HostId c = network.AddHost("client");
-  std::vector<net::HostId> hosts;
-  ReplicaSetParams params;
-  params.secondaries = 2;
-  server::ServerParams server_params;
-  for (int i = 0; i < 3; ++i) {
-    hosts.push_back(network.AddHost("n" + std::to_string(i)));
-    network.SetLink(c, hosts[i], sim::Millis(1), sim::Micros(50));
+// Every document node `idx` holds is the very object the primary holds.
+::testing::AssertionResult SharesPrimaryDocs(ReplicaSet& rs, int idx) {
+  const store::Database& primary = rs.primary().db();
+  const store::Database& db = rs.node(idx).db();
+  if (db.Fingerprint() != primary.Fingerprint()) {
+    return ::testing::AssertionFailure()
+           << "node " << idx << " fingerprint differs from the primary's";
   }
-  ReplicaSet rs(&loop, sim::Rng(seed + 1), &network, params, server_params,
-                hosts);
-  rs.Start();
+  for (const std::string& name : primary.CollectionNames()) {
+    const store::Collection* mine = db.Get(name);
+    const store::Collection& theirs = *primary.Get(name);
+    if (mine == nullptr || mine->size() != theirs.size()) {
+      return ::testing::AssertionFailure()
+             << "node " << idx << " collection " << name << " differs";
+    }
+    std::string unshared;
+    theirs.ForEach([&](const doc::Value& id, const store::DocPtr& d) {
+      if (mine->FindById(id) != d) unshared = id.ToJson();
+      return unshared.empty();
+    });
+    if (!unshared.empty()) {
+      return ::testing::AssertionFailure()
+             << "node " << idx << " holds a copy of " << name
+             << "._id=" << unshared;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
-  sim::Rng rng(seed + 2);
+TEST_F(ReplicaSetTest, SecondariesShareThePrimarysDocuments) {
+  Build();
+  rs_->Start();
+  for (int64_t i = 0; i < 30; ++i) WriteDoc(i, i);
+  for (int64_t i = 0; i < 30; i += 3) UpdateDoc(i, 7);
+  for (int64_t i = 1; i < 30; i += 5) {
+    rs_->WriteTransaction(
+        server::OpClass::kUpdate,
+        [i](TxnContext* ctx) { ctx->Remove("t", doc::Value(i)); }, nullptr);
+  }
+  loop_.RunUntil(sim::Seconds(5));
+
+  ASSERT_EQ(rs_->oplog().last_seq(), 46u);
+  for (int i = 1; i <= 2; ++i) {
+    EXPECT_EQ(rs_->node(i).last_applied().seq, 46u);
+    EXPECT_TRUE(SharesPrimaryDocs(*rs_, i));
+    rs_->node(i).db().Get("t")->CheckInvariants();
+  }
+  // Every member has every entry, so the oplog holds no document.
+  EXPECT_EQ(rs_->oplog().released_through(), 46u);
+  for (const OplogEntry& e : rs_->oplog().ReadAfter(0, 100)) {
+    EXPECT_EQ(e.doc, nullptr) << e.optime.seq;
+  }
+}
+
+TEST_F(ReplicaSetTest, PartitionedSecondaryPinsOplogDocsUntilCaughtUp) {
+  Build();
+  rs_->Start();
+  for (int64_t i = 0; i < 10; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(1));
+  ASSERT_EQ(rs_->oplog().released_through(), 10u);
+
+  // Node 2 is cut off but alive: the entries it has not applied keep
+  // their documents, however far node 1 gets.
+  Isolate(2);
+  loop_.RunUntil(sim::Seconds(1) + sim::Millis(100));
+  for (int64_t i = 10; i < 30; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(3));
+  const uint64_t pinned = rs_->node(2).last_applied().seq;
+  ASSERT_LT(pinned, 30u);
+  EXPECT_EQ(rs_->node(1).last_applied().seq, 30u);
+  EXPECT_EQ(rs_->oplog().released_through(), pinned);
+  const std::vector<OplogEntry> unapplied = rs_->oplog().ReadAfter(pinned, 100);
+  ASSERT_EQ(unapplied.size(), 30u - pinned);
+  for (const OplogEntry& e : unapplied) {
+    EXPECT_NE(e.doc, nullptr) << e.optime.seq;
+  }
+
+  // After the heal node 2 catches up from the pinned entries, and then
+  // nothing is pinned any more.
+  Heal(2);
+  loop_.RunUntil(sim::Seconds(10));
+  EXPECT_EQ(rs_->node(2).last_applied().seq, 30u);
+  EXPECT_EQ(rs_->oplog().released_through(), 30u);
+  for (const OplogEntry& e : rs_->oplog().ReadAfter(0, 100)) {
+    EXPECT_EQ(e.doc, nullptr) << e.optime.seq;
+  }
+  EXPECT_TRUE(SharesPrimaryDocs(*rs_, 2));
+}
+
+TEST_F(ReplicaSetTest, RestartedMemberSharesDocumentsFromInitialSync) {
+  Build();
+  rs_->Start();
+  for (int64_t i = 0; i < 20; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(1));
+  rs_->KillNode(2);
+  for (int64_t i = 0; i < 20; i += 2) UpdateDoc(i, 1);
+  for (int64_t i = 20; i < 30; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(2));
+  // With node 2 down, releasing follows the live members only.
+  EXPECT_EQ(rs_->oplog().released_through(), rs_->oplog().last_seq());
+
+  // Initial sync clones by sharing the primary's documents...
+  rs_->RestartNode(2);
+  EXPECT_TRUE(SharesPrimaryDocs(*rs_, 2));
+  rs_->node(2).db().Get("t")->CheckInvariants();
+  // ... and later writes keep all three members on the same objects.
+  for (int64_t i = 1; i < 30; i += 2) UpdateDoc(i, 3);
+  loop_.RunUntil(sim::Seconds(5));
+  for (int i = 1; i <= 2; ++i) EXPECT_TRUE(SharesPrimaryDocs(*rs_, i));
+}
+
+TEST_F(ReplicaSetTest, RollbackResyncConvergesAndSharesDocuments) {
+  ReplicaSetParams params;
+  params.election_timeout = sim::Seconds(2);
+  Build(params);
+  rs_->Start();
+  for (int64_t i = 0; i < 10; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(1));
+  const int old_primary = rs_->primary_index();
+
+  // The isolated primary commits w:1 writes that can never replicate.
+  Isolate(old_primary);
+  for (int64_t i = 100; i < 110; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(6));
+  ASSERT_NE(rs_->primary_index(), old_primary);
+  ASSERT_TRUE(rs_->needs_resync(old_primary));
+  for (int64_t i = 0; i < 10; ++i) UpdateDoc(i, 2);
+  loop_.RunUntil(sim::Seconds(8));
+
+  Heal(old_primary);
+  loop_.RunUntil(sim::Seconds(16));
+  EXPECT_GE(rs_->rollback_resyncs(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    if (i == rs_->primary_index()) continue;
+    EXPECT_TRUE(SharesPrimaryDocs(*rs_, i));
+  }
+  EXPECT_EQ(rs_->node(old_primary).db().Get("t")->FindById(doc::Value(105)),
+            nullptr);
+}
+
+TEST_F(ReplicaSetTest, ReaderKeepsItsSnapshotAcrossLaterUpdates) {
+  Build();
+  rs_->Start();
+  WriteDoc(1, 0);
+  loop_.RunUntil(sim::Seconds(1));
+  const store::DocPtr held = rs_->node(1).db().Get("t")->FindById(doc::Value(1));
+  ASSERT_NE(held, nullptr);
+  for (int k = 0; k < 5; ++k) UpdateDoc(1, 1);
+  loop_.RunUntil(sim::Seconds(3));
+
+  // Every member moved on to the newest document; the reader's snapshot
+  // is unchanged, and it is now the snapshot's only owner.
+  const store::DocPtr now = rs_->node(1).db().Get("t")->FindById(doc::Value(1));
+  EXPECT_EQ(now->Find("v")->as_int64(), 5);
+  EXPECT_EQ(held->Find("v")->as_int64(), 0);
+  EXPECT_EQ(now, rs_->primary().db().Get("t")->FindById(doc::Value(1)));
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+// Schedules `writes` random transactions, `gap` apart: inserts, updates,
+// removes, multi-op transactions and aborts over 50 ids.
+void ScheduleRandomWrites(sim::EventLoop* loop, ReplicaSet* rs, sim::Rng* rng,
+                          int writes, sim::Duration gap) {
   for (int i = 0; i < writes; ++i) {
-    const sim::Time at = sim::Millis(5) * i;
-    const int64_t id = rng.UniformInt(0, 49);
-    const double action = rng.NextDouble();
-    loop.ScheduleAt(at, [&rs, id, action, i] {
-      rs.WriteTransaction(
+    const sim::Time at = gap * i;
+    const int64_t id = rng->UniformInt(0, 49);
+    const double action = rng->NextDouble();
+    loop->ScheduleAt(at, [rs, id, action, i] {
+      rs->WriteTransaction(
           server::OpClass::kUpdate,
           [id, action, i](TxnContext* ctx) {
             const store::Collection* t = ctx->db().Get("t");
@@ -442,12 +679,40 @@ TEST_P(ReplicationConvergenceTest, AllNodesConverge) {
           nullptr);
     });
   }
+}
+
+// Convergence property: arbitrary randomized write streams (inserts,
+// updates, removes, multi-op transactions, aborts) leave all replicas
+// byte-identical once the log drains.
+class ReplicationConvergenceTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+
+TEST_P(ReplicationConvergenceTest, AllNodesConverge) {
+  const auto [seed, writes] = GetParam();
+  sim::EventLoop loop;
+  net::Network network(&loop, sim::Rng(seed));
+  const net::HostId c = network.AddHost("client");
+  std::vector<net::HostId> hosts;
+  ReplicaSetParams params;
+  params.secondaries = 2;
+  server::ServerParams server_params;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(network.AddHost("n" + std::to_string(i)));
+    network.SetLink(c, hosts[i], sim::Millis(1), sim::Micros(50));
+  }
+  ReplicaSet rs(&loop, sim::Rng(seed + 1), &network, params, server_params,
+                hosts);
+  rs.Start();
+
+  sim::Rng rng(seed + 2);
+  ScheduleRandomWrites(&loop, &rs, &rng, writes, sim::Millis(5));
   loop.RunUntil(sim::Millis(5) * writes + sim::Seconds(10));
 
   const uint64_t primary_fp = rs.primary().db().Fingerprint();
   for (int i = 1; i <= 2; ++i) {
     EXPECT_EQ(rs.node(i).last_applied().seq, rs.oplog().last_seq());
     EXPECT_EQ(rs.node(i).db().Fingerprint(), primary_fp) << "node " << i;
+    EXPECT_TRUE(SharesPrimaryDocs(rs, i));
   }
   EXPECT_EQ(rs.MaxTrueStaleness(), 0);
 }
@@ -457,6 +722,77 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReplicationConvergenceTest,
                                            std::make_tuple(2, 500),
                                            std::make_tuple(3, 1000),
                                            std::make_tuple(4, 300)));
+
+// The same random streams while members — the primary included — crash
+// and restart. Releasing oplog documents must never reach an entry a live
+// member still has to apply (ApplyEntry would abort), and once the faults
+// stop every member converges onto the primary's very documents.
+class CrashConvergenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CrashConvergenceTest, LiveMembersConvergeAndShareDocuments) {
+  const uint64_t seed = GetParam();
+  sim::EventLoop loop;
+  net::Network network(&loop, sim::Rng(seed));
+  std::vector<net::HostId> hosts;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(network.AddHost("n" + std::to_string(i)));
+    for (int j = 0; j < i; ++j) {
+      network.SetLink(hosts[j], hosts[i], sim::Millis(1), sim::Micros(50));
+    }
+  }
+  ReplicaSetParams params;
+  params.election_timeout = sim::Seconds(2);
+  ReplicaSet rs(&loop, sim::Rng(seed + 1), &network, params,
+                server::ServerParams{}, hosts);
+  rs.Start();
+
+  sim::Rng rng(seed + 2);
+  ScheduleRandomWrites(&loop, &rs, &rng, 3000, sim::Millis(10));
+  // Every 2.5 s: crash a random member while all three run, otherwise
+  // restart the dead one once a writable primary can initial-sync it.
+  sim::Rng faults(seed + 3);
+  auto restart_dead = [&rs] {
+    for (int i = 0; i < rs.node_count(); ++i) {
+      if (!rs.IsAlive(i) && rs.HasWritablePrimary()) rs.RestartNode(i);
+    }
+  };
+  int crashes = 0;
+  for (int k = 0; k < 10; ++k) {
+    loop.ScheduleAt(sim::Seconds(2) + sim::Millis(2500) * k,
+                    [&rs, &faults, &crashes, &restart_dead] {
+                      bool all_alive = true;
+                      for (int i = 0; i < rs.node_count(); ++i) {
+                        all_alive = all_alive && rs.IsAlive(i);
+                      }
+                      if (all_alive) {
+                        rs.KillNode(static_cast<int>(faults.UniformInt(0, 2)));
+                        ++crashes;
+                      } else {
+                        restart_dead();
+                      }
+                    });
+  }
+  loop.RunUntil(sim::Seconds(30));
+  for (int k = 0; k < 20; ++k) {
+    restart_dead();
+    loop.RunUntil(loop.Now() + sim::Seconds(1));
+  }
+  loop.RunUntil(loop.Now() + sim::Seconds(10));
+
+  EXPECT_GE(crashes, 3);
+  EXPECT_GT(rs.committed_writes(), 1000u);
+  ASSERT_TRUE(rs.HasWritablePrimary());
+  for (int i = 0; i < rs.node_count(); ++i) {
+    ASSERT_TRUE(rs.IsAlive(i)) << "node " << i;
+    EXPECT_EQ(rs.node(i).last_applied().seq, rs.oplog().last_seq()) << i;
+    if (i != rs.primary_index()) EXPECT_TRUE(SharesPrimaryDocs(rs, i));
+    rs.node(i).db().Get("t")->CheckInvariants();
+  }
+  EXPECT_EQ(rs.oplog().released_through(), rs.oplog().last_seq());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrashConvergenceTest,
+                         ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
 }  // namespace
 }  // namespace dcg::repl

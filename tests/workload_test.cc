@@ -213,6 +213,47 @@ TEST_F(WorkloadClusterTest, TpccMixMatchesTable1) {
   EXPECT_GT(tpcc.new_order_aborts(), 0u);
 }
 
+TEST_F(WorkloadClusterTest, AbortedNewOrderReinstallsTheSameDocuments) {
+  Build();
+  TpccConfig config = SmallTpcc();
+  config.mix = TpccMix{0.0, 0.0, 0.0, 0.0, 1.0};
+  config.new_order_abort_rate = 1.0;
+  for (int i = 0; i < 3; ++i) TpccWorkload::Load(config, &rs_->node(i).db());
+  TpccWorkload tpcc(client_.get(), policy_.get(), config, sim::Rng(11));
+  rs_->Start();
+
+  // Every document object the primary holds, by collection and _id.
+  auto snapshot = [this] {
+    std::map<std::pair<std::string, std::string>, store::DocPtr> docs;
+    const store::Database& db = rs_->primary().db();
+    for (const std::string& name : db.CollectionNames()) {
+      db.Get(name)->ForEach([&](const doc::Value& id, const store::DocPtr& d) {
+        docs[{name, id.ToJson()}] = d;
+        return true;
+      });
+    }
+    return docs;
+  };
+  const auto before = snapshot();
+  const uint64_t oplog_before = rs_->oplog().last_seq();
+
+  bool finished = false;
+  OpOutcome outcome;
+  tpcc.Issue(0, [&](const OpOutcome& o) {
+    outcome = o;
+    finished = true;
+  });
+  loop_.RunUntil(sim::Seconds(2));
+  ASSERT_TRUE(finished);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_FALSE(outcome.committed);
+  EXPECT_EQ(tpcc.new_order_aborts(), 1u);
+  // The rollback put back the very objects the transaction replaced (the
+  // district and stock documents it updated), not copies of them.
+  EXPECT_EQ(snapshot(), before);
+  EXPECT_EQ(rs_->oplog().last_seq(), oplog_before);
+}
+
 TEST_F(WorkloadClusterTest, TpccPreservesMoneyInvariants) {
   Build();
   const TpccConfig config = SmallTpcc();
