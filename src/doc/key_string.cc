@@ -206,33 +206,24 @@ void PutValue(const Value& v, Out* out) {
 }  // namespace
 
 KeyString::KeyString(std::string_view bytes) {
-  std::memset(rep_, 0, sizeof(rep_));
-  if (bytes.size() <= kInlineCapacity) {
-    std::memcpy(rep_, bytes.data(), bytes.size());
-    rep_[kTagByte] = static_cast<uint8_t>(bytes.size());
+  if (bytes.size() > kInlineCapacity) {
+    InitHeap(bytes);
     return;
   }
+  std::memset(rep_, 0, sizeof(rep_));
+  std::memcpy(rep_, bytes.data(), bytes.size());
+  rep_[kTagByte] = static_cast<uint8_t>(bytes.size());
+}
+
+void KeyString::InitHeap(std::string_view bytes) {
   DCG_CHECK(bytes.size() <= UINT32_MAX);
+  std::memset(rep_, 0, sizeof(rep_));
   char* data = new char[bytes.size()];
   std::memcpy(data, bytes.data(), bytes.size());
   const auto size = static_cast<uint32_t>(bytes.size());
   std::memcpy(rep_, &data, sizeof(data));
   std::memcpy(rep_ + sizeof(data), &size, sizeof(size));
   rep_[kTagByte] = kOnHeap;
-}
-
-KeyString& KeyString::operator=(const KeyString& other) {
-  if (this != &other) *this = KeyString(other);
-  return *this;
-}
-
-KeyString& KeyString::operator=(KeyString&& other) noexcept {
-  if (this != &other) {
-    if (!is_inline()) delete[] heap_data();
-    std::memcpy(rep_, other.rep_, sizeof(rep_));
-    std::memset(other.rep_, 0, sizeof(other.rep_));
-  }
-  return *this;
 }
 
 KeyString KeyString::Encode(const Value& v) {

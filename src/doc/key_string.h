@@ -43,13 +43,31 @@ class KeyString {
   /// The empty encoding (sorts before every value's encoding).
   KeyString() { std::memset(rep_, 0, sizeof(rep_)); }
   explicit KeyString(std::string_view bytes);
-  KeyString(const KeyString& other) : KeyString(other.view()) {}
+  KeyString(const KeyString& other) {
+    if (other.is_inline()) {
+      std::memcpy(rep_, other.rep_, sizeof(rep_));
+    } else {
+      InitHeap(other.view());
+    }
+  }
   KeyString(KeyString&& other) noexcept {
     std::memcpy(rep_, other.rep_, sizeof(rep_));
     std::memset(other.rep_, 0, sizeof(other.rep_));
   }
-  KeyString& operator=(const KeyString& other);
-  KeyString& operator=(KeyString&& other) noexcept;
+  // Both assignments are inline: B+-tree nodes shift keys with them on
+  // every insert, erase and borrow.
+  KeyString& operator=(const KeyString& other) {
+    if (this != &other) *this = KeyString(other);
+    return *this;
+  }
+  KeyString& operator=(KeyString&& other) noexcept {
+    if (this != &other) {
+      if (!is_inline()) delete[] heap_data();
+      std::memcpy(rep_, other.rep_, sizeof(rep_));
+      std::memset(other.rep_, 0, sizeof(other.rep_));
+    }
+    return *this;
+  }
   ~KeyString() {
     if (!is_inline()) delete[] heap_data();
   }
@@ -104,6 +122,9 @@ class KeyString {
  private:
   static constexpr size_t kTagByte = 15;
   static constexpr uint8_t kOnHeap = 0xff;
+
+  // Copies `bytes` (longer than kInlineCapacity) into an owned buffer.
+  void InitHeap(std::string_view bytes);
 
   static uint64_t Word(const KeyString& k, size_t offset) {
     uint64_t w;

@@ -1,7 +1,7 @@
 #include "store/btree.h"
 
 #include <algorithm>
-#include <iterator>
+#include <cstdint>
 #include <utility>
 
 #include "util/check.h"
@@ -16,41 +16,67 @@ constexpr size_t kMaxLeafKeys = 16;
 constexpr size_t kMinLeafKeys = kMaxLeafKeys / 2;
 constexpr size_t kMaxChildren = 16;
 constexpr size_t kMinChildren = kMaxChildren / 2;
+// A node splits after the insert that overfills it, so every array has
+// room for one entry past the maximum.
+constexpr size_t kKeySlots = kMaxLeafKeys + 1;
+static_assert(kMaxChildren <= kKeySlots);
 }  // namespace
 
+// Every array slot past a node's `size` entries (`size + 1` children) is
+// empty: an empty encoding, a null payload or child. The moves below leave
+// their sources empty, so a vacated slot holds no reference.
 struct BTree::Node {
-  // Room for one entry past the maximum (a node splits after the insert
-  // that overfills it), so a node's vectors do not reallocate as it fills.
-  explicit Node(bool is_leaf) : leaf(is_leaf) {
-    if (leaf) {
-      keys.reserve(kMaxLeafKeys + 1);
-      key_values.reserve(kMaxLeafKeys + 1);
-      payloads.reserve(kMaxLeafKeys + 1);
-    } else {
-      keys.reserve(kMaxChildren);
-      children.reserve(kMaxChildren + 1);
-    }
-  }
+  explicit Node(bool is_leaf) : leaf(is_leaf) {}
 
-  bool leaf;
-  // Leaf: the keys' encodings. Internal: separators, keys.size() + 1
-  // children.
-  std::vector<KeyString> keys;
-  std::vector<Key> key_values;  // leaf only, parallel to keys
-  std::vector<Payload> payloads;  // leaf only, parallel to keys
-  std::vector<std::unique_ptr<Node>> children;  // internal only
-  Node* next = nullptr;  // leaf chain
-  Node* prev = nullptr;
+  Leaf* AsLeaf();
+  const Leaf* AsLeaf() const;
+  Inner* AsInner();
+  const Inner* AsInner() const;
+
+  const bool leaf;
+  uint16_t size = 0;  // keys in use
+  // Leaf: the keys' encodings. Internal: separators.
+  KeyString keys[kKeySlots];
 };
+
+struct BTree::Leaf : Node {
+  Leaf() : Node(/*is_leaf=*/true) {}
+  Payload payloads[kKeySlots];  // parallel to keys
+  Leaf* next = nullptr;  // leaf chain
+  Leaf* prev = nullptr;
+};
+
+struct BTree::Inner : Node {
+  Inner() : Node(/*is_leaf=*/false) {}
+  NodePtr children[kMaxChildren + 1];  // size + 1 in use
+};
+
+BTree::Leaf* BTree::Node::AsLeaf() { return static_cast<Leaf*>(this); }
+const BTree::Leaf* BTree::Node::AsLeaf() const {
+  return static_cast<const Leaf*>(this);
+}
+BTree::Inner* BTree::Node::AsInner() { return static_cast<Inner*>(this); }
+const BTree::Inner* BTree::Node::AsInner() const {
+  return static_cast<const Inner*>(this);
+}
+
+void BTree::NodeDeleter::operator()(Node* node) const {
+  if (node->leaf) {
+    delete node->AsLeaf();
+  } else {
+    delete node->AsInner();
+  }
+}
 
 namespace {
 
-// Index of the first key >= `probe`.
-size_t LowerIndex(const std::vector<KeyString>& keys, const KeyString& probe) {
-  size_t lo = 0, hi = keys.size();
+// Index of the first key of `node` >= `probe`.
+template <typename NodeT>
+size_t LowerIndex(const NodeT* node, const KeyString& probe) {
+  size_t lo = 0, hi = node->size;
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (KeyString::Compare(keys[mid], probe) < 0) {
+    if (KeyString::Compare(node->keys[mid], probe) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -61,11 +87,12 @@ size_t LowerIndex(const std::vector<KeyString>& keys, const KeyString& probe) {
 
 // Index of the first key > `probe`: the child of an internal node whose
 // range holds `probe`.
-size_t UpperIndex(const std::vector<KeyString>& keys, const KeyString& probe) {
-  size_t lo = 0, hi = keys.size();
+template <typename NodeT>
+size_t UpperIndex(const NodeT* node, const KeyString& probe) {
+  size_t lo = 0, hi = node->size;
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (KeyString::Compare(probe, keys[mid]) < 0) {
+    if (KeyString::Compare(probe, node->keys[mid]) < 0) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -76,19 +103,26 @@ size_t UpperIndex(const std::vector<KeyString>& keys, const KeyString& probe) {
 
 // The leaf whose range holds `probe`; `NodeT` is Node or const Node.
 template <typename NodeT>
-NodeT* DescendToLeaf(NodeT* node, const KeyString& probe) {
+auto DescendToLeaf(NodeT* node, const KeyString& probe) {
   while (!node->leaf) {
-    node = node->children[UpperIndex(node->keys, probe)].get();
+    node = node->AsInner()->children[UpperIndex(node, probe)].get();
   }
-  return node;
+  return node->AsLeaf();
 }
 
-// Moves the elements [from, end) of `src` to the back of `dst`.
+// Shifts a[pos, n) one slot right and stores `value` at a[pos].
 template <typename T>
-void MoveTail(std::vector<T>* src, size_t from, std::vector<T>* dst) {
-  dst->insert(dst->end(), std::make_move_iterator(src->begin() + from),
-              std::make_move_iterator(src->end()));
-  src->resize(from);
+void InsertAt(T* a, size_t n, size_t pos, T value) {
+  std::move_backward(a + pos, a + n, a + n + 1);
+  a[pos] = std::move(value);
+}
+
+// Removes and returns a[pos], shifting a[pos + 1, n) left.
+template <typename T>
+T EraseAt(T* a, size_t n, size_t pos) {
+  T erased = std::move(a[pos]);
+  std::move(a + pos + 1, a + n, a + pos);
+  return erased;
 }
 
 }  // namespace
@@ -100,79 +134,87 @@ struct BTree::InsertResult {
 
   Outcome outcome;
   bool split = false;
-  KeyString sep;                 // valid when split
-  std::unique_ptr<Node> right;   // valid when split
+  KeyString sep;   // valid when split
+  NodePtr right;   // valid when split
 };
 
-BTree::BTree() : root_(std::make_unique<Node>(/*is_leaf=*/true)) {}
+BTree::BTree() : root_(new Leaf) {}
 BTree::~BTree() = default;
 BTree::BTree(BTree&&) noexcept = default;
 BTree& BTree::operator=(BTree&&) noexcept = default;
 
-BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded, Key& key,
-                                     Payload payload, Payload* replaced) {
+BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
+                                     Payload& payload, Payload* replaced) {
   if (node->leaf) {
-    const size_t pos = LowerIndex(node->keys, encoded);
-    if (pos < node->keys.size() && node->keys[pos] == encoded) {
+    Leaf* leaf = node->AsLeaf();
+    const size_t pos = LowerIndex(leaf, encoded);
+    if (pos < leaf->size && leaf->keys[pos] == encoded) {
       if (replaced == nullptr) {
         return InsertResult(InsertResult::Outcome::kNoop);
       }
-      *replaced = std::exchange(node->payloads[pos], std::move(payload));
+      *replaced = std::exchange(leaf->payloads[pos], std::move(payload));
       return InsertResult(InsertResult::Outcome::kReplaced);
     }
-    node->keys.insert(node->keys.begin() + pos, std::move(encoded));
-    node->key_values.insert(node->key_values.begin() + pos, std::move(key));
-    node->payloads.insert(node->payloads.begin() + pos, std::move(payload));
+    InsertAt(leaf->keys, leaf->size, pos, std::move(encoded));
+    InsertAt(leaf->payloads, leaf->size, pos, std::move(payload));
+    ++leaf->size;
     InsertResult result{InsertResult::Outcome::kNew};
-    if (node->keys.size() > kMaxLeafKeys) {
-      auto right = std::make_unique<Node>(/*is_leaf=*/true);
-      const size_t mid = node->keys.size() / 2;
-      MoveTail(&node->keys, mid, &right->keys);
-      MoveTail(&node->key_values, mid, &right->key_values);
-      MoveTail(&node->payloads, mid, &right->payloads);
-      right->next = node->next;
-      right->prev = node;
-      if (node->next != nullptr) node->next->prev = right.get();
-      node->next = right.get();
+    if (leaf->size > kMaxLeafKeys) {
+      auto* right = new Leaf;
+      result.right.reset(right);
+      const size_t mid = leaf->size / 2;
+      std::move(leaf->keys + mid, leaf->keys + leaf->size, right->keys);
+      std::move(leaf->payloads + mid, leaf->payloads + leaf->size,
+                right->payloads);
+      right->size = static_cast<uint16_t>(leaf->size - mid);
+      leaf->size = static_cast<uint16_t>(mid);
+      right->next = leaf->next;
+      right->prev = leaf;
+      if (leaf->next != nullptr) leaf->next->prev = right;
+      leaf->next = right;
       result.split = true;
-      result.sep = right->keys.front();
-      result.right = std::move(right);
+      result.sep = right->keys[0];
     }
     return result;
   }
 
-  const size_t idx = UpperIndex(node->keys, encoded);
-  InsertResult child_result = InsertRec(node->children[idx].get(), encoded,
-                                        key, std::move(payload), replaced);
+  Inner* inner = node->AsInner();
+  const size_t idx = UpperIndex(inner, encoded);
+  InsertResult child_result =
+      InsertRec(inner->children[idx].get(), encoded, payload, replaced);
   InsertResult result{child_result.outcome};
   if (child_result.split) {
-    node->keys.insert(node->keys.begin() + idx, std::move(child_result.sep));
-    node->children.insert(node->children.begin() + idx + 1,
-                          std::move(child_result.right));
-    if (node->children.size() > kMaxChildren) {
-      const size_t mid = node->keys.size() / 2;  // key promoted upward
-      auto right = std::make_unique<Node>(/*is_leaf=*/false);
-      result.sep = std::move(node->keys[mid]);
-      MoveTail(&node->keys, mid + 1, &right->keys);
-      node->keys.resize(mid);
-      MoveTail(&node->children, mid + 1, &right->children);
+    InsertAt(inner->keys, inner->size, idx, std::move(child_result.sep));
+    InsertAt(inner->children, inner->size + 1, idx + 1,
+             std::move(child_result.right));
+    ++inner->size;
+    if (inner->size + 1u > kMaxChildren) {
+      const size_t mid = inner->size / 2;  // key promoted upward
+      auto* right = new Inner;
+      result.right.reset(right);
+      result.sep = std::move(inner->keys[mid]);
+      std::move(inner->keys + mid + 1, inner->keys + inner->size,
+                right->keys);
+      std::move(inner->children + mid + 1, inner->children + inner->size + 1,
+                right->children);
+      right->size = static_cast<uint16_t>(inner->size - mid - 1);
+      inner->size = static_cast<uint16_t>(mid);
       result.split = true;
-      result.right = std::move(right);
     }
   }
   return result;
 }
 
-bool BTree::InsertImpl(Key key, Payload payload, Payload* replaced) {
+bool BTree::InsertImpl(const Key& key, Payload payload, Payload* replaced) {
   KeyString encoded = KeyString::Encode(key);
-  InsertResult r =
-      InsertRec(root_.get(), encoded, key, std::move(payload), replaced);
+  InsertResult r = InsertRec(root_.get(), encoded, payload, replaced);
   if (r.split) {
-    auto new_root = std::make_unique<Node>(/*is_leaf=*/false);
-    new_root->keys.push_back(std::move(r.sep));
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(r.right));
-    root_ = std::move(new_root);
+    auto* new_root = new Inner;
+    new_root->keys[0] = std::move(r.sep);
+    new_root->children[0] = std::move(root_);
+    new_root->children[1] = std::move(r.right);
+    new_root->size = 1;
+    root_.reset(new_root);
   }
   if (r.outcome == InsertResult::Outcome::kNew) {
     ++size_;
@@ -181,149 +223,212 @@ bool BTree::InsertImpl(Key key, Payload payload, Payload* replaced) {
   return false;
 }
 
-bool BTree::Upsert(Key key, Payload payload, Payload* replaced) {
+bool BTree::Upsert(const Key& key, Payload payload, Payload* replaced) {
   Payload discarded;
-  return InsertImpl(std::move(key), std::move(payload),
+  return InsertImpl(key, std::move(payload),
                     replaced != nullptr ? replaced : &discarded);
 }
 
-bool BTree::Insert(Key key, Payload payload) {
-  return InsertImpl(std::move(key), std::move(payload), /*replaced=*/nullptr);
+bool BTree::Insert(const Key& key, Payload payload) {
+  return InsertImpl(key, std::move(payload), /*replaced=*/nullptr);
 }
 
 BTree::Payload BTree::Find(const Key& key) const {
   const KeyString encoded = KeyString::Encode(key);
-  const Node* leaf = DescendToLeaf(root_.get(), encoded);
-  const size_t pos = LowerIndex(leaf->keys, encoded);
-  if (pos < leaf->keys.size() && leaf->keys[pos] == encoded) {
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
+  const size_t pos = LowerIndex(leaf, encoded);
+  if (pos < leaf->size && leaf->keys[pos] == encoded) {
     return leaf->payloads[pos];
   }
   return nullptr;
 }
 
+void BTree::FindSorted(std::span<const KeyString> probes,
+                       std::vector<Payload>* out) const {
+  out->clear();
+  out->reserve(probes.size());
+  const Leaf* leaf = nullptr;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const KeyString& probe = probes[i];
+    DCG_CHECK_MSG(i == 0 || !(probe < probes[i - 1]),
+                  "FindSorted probes must ascend");
+    if (size_ == 0) {
+      out->push_back(nullptr);
+      continue;
+    }
+    // A probe no greater than the current leaf's last key belongs to that
+    // leaf: the leaf's range already held an earlier, smaller probe.
+    // Likewise for the next leaf when the probe is past this one.
+    if (leaf == nullptr || leaf->keys[leaf->size - 1] < probe) {
+      const Leaf* next = leaf != nullptr ? leaf->next : nullptr;
+      if (next != nullptr && !(next->keys[next->size - 1] < probe)) {
+        leaf = next;
+      } else {
+        leaf = DescendToLeaf<const Node>(root_.get(), probe);
+      }
+    }
+    const size_t pos = LowerIndex(leaf, probe);
+    out->push_back(pos < leaf->size && leaf->keys[pos] == probe
+                       ? leaf->payloads[pos]
+                       : nullptr);
+  }
+}
+
 BTree::Payload* BTree::FindSlot(const Key& key) {
   const KeyString encoded = KeyString::Encode(key);
-  Node* leaf = DescendToLeaf(root_.get(), encoded);
-  const size_t pos = LowerIndex(leaf->keys, encoded);
-  if (pos < leaf->keys.size() && leaf->keys[pos] == encoded) {
+  Leaf* leaf = DescendToLeaf(root_.get(), encoded);
+  const size_t pos = LowerIndex(leaf, encoded);
+  if (pos < leaf->size && leaf->keys[pos] == encoded) {
     return &leaf->payloads[pos];
   }
   return nullptr;
 }
 
-void BTree::FixUnderflow(Node* parent, size_t child_idx) {
+void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
   Node* child = parent->children[child_idx].get();
   auto has_spare = [](const Node* n) {
-    return n->leaf ? n->keys.size() > kMinLeafKeys
-                   : n->children.size() > kMinChildren;
-  };
-  // Moves the last leaf entry of `from` to the front of `to`, or the first
-  // entry of `from` to the back of `to`.
-  auto borrow_back = [](Node* from, Node* to) {
-    to->keys.insert(to->keys.begin(), std::move(from->keys.back()));
-    to->key_values.insert(to->key_values.begin(),
-                          std::move(from->key_values.back()));
-    to->payloads.insert(to->payloads.begin(), std::move(from->payloads.back()));
-    from->keys.pop_back();
-    from->key_values.pop_back();
-    from->payloads.pop_back();
-  };
-  auto borrow_front = [](Node* from, Node* to) {
-    to->keys.push_back(std::move(from->keys.front()));
-    to->key_values.push_back(std::move(from->key_values.front()));
-    to->payloads.push_back(std::move(from->payloads.front()));
-    from->keys.erase(from->keys.begin());
-    from->key_values.erase(from->key_values.begin());
-    from->payloads.erase(from->payloads.begin());
+    return n->leaf ? n->size > kMinLeafKeys : n->size + 1u > kMinChildren;
   };
 
   if (child_idx > 0) {
     Node* left = parent->children[child_idx - 1].get();
     if (has_spare(left)) {
+      // Rotate the left sibling's last entry into the child's front.
       if (child->leaf) {
-        borrow_back(left, child);
-        parent->keys[child_idx - 1] = child->keys.front();
+        Leaf* from = left->AsLeaf();
+        Leaf* to = child->AsLeaf();
+        InsertAt(to->keys, to->size, 0, std::move(from->keys[from->size - 1]));
+        InsertAt(to->payloads, to->size, 0,
+                 std::move(from->payloads[from->size - 1]));
+        parent->keys[child_idx - 1] = to->keys[0];
       } else {
-        child->keys.insert(child->keys.begin(),
-                           std::move(parent->keys[child_idx - 1]));
-        parent->keys[child_idx - 1] = std::move(left->keys.back());
-        left->keys.pop_back();
-        child->children.insert(child->children.begin(),
-                               std::move(left->children.back()));
-        left->children.pop_back();
+        Inner* from = left->AsInner();
+        Inner* to = child->AsInner();
+        InsertAt(to->keys, to->size, 0,
+                 std::move(parent->keys[child_idx - 1]));
+        InsertAt(to->children, to->size + 1u, 0,
+                 std::move(from->children[from->size]));
+        parent->keys[child_idx - 1] = std::move(from->keys[from->size - 1]);
       }
+      --left->size;
+      ++child->size;
       return;
     }
   }
-  if (child_idx + 1 < parent->children.size()) {
+  if (child_idx < parent->size) {
     Node* right = parent->children[child_idx + 1].get();
     if (has_spare(right)) {
+      // Rotate the right sibling's first entry onto the child's back.
       if (child->leaf) {
-        borrow_front(right, child);
-        parent->keys[child_idx] = right->keys.front();
+        Leaf* from = right->AsLeaf();
+        Leaf* to = child->AsLeaf();
+        to->keys[to->size] = EraseAt(from->keys, from->size, 0);
+        to->payloads[to->size] = EraseAt(from->payloads, from->size, 0);
+        parent->keys[child_idx] = from->keys[0];
       } else {
-        child->keys.push_back(std::move(parent->keys[child_idx]));
-        parent->keys[child_idx] = std::move(right->keys.front());
-        right->keys.erase(right->keys.begin());
-        child->children.push_back(std::move(right->children.front()));
-        right->children.erase(right->children.begin());
+        Inner* from = right->AsInner();
+        Inner* to = child->AsInner();
+        to->keys[to->size] = std::move(parent->keys[child_idx]);
+        parent->keys[child_idx] = EraseAt(from->keys, from->size, 0);
+        to->children[to->size + 1] =
+            EraseAt(from->children, from->size + 1u, 0);
       }
+      --right->size;
+      ++child->size;
       return;
     }
   }
 
   // Merge with a sibling. `li` is the left member of the merged pair.
-  const size_t li =
-      (child_idx + 1 < parent->children.size()) ? child_idx : child_idx - 1;
+  const size_t li = child_idx < parent->size ? child_idx : child_idx - 1;
   Node* l = parent->children[li].get();
   Node* r = parent->children[li + 1].get();
   if (l->leaf) {
-    MoveTail(&r->keys, 0, &l->keys);
-    MoveTail(&r->key_values, 0, &l->key_values);
-    MoveTail(&r->payloads, 0, &l->payloads);
-    l->next = r->next;
-    if (r->next != nullptr) r->next->prev = l;
+    Leaf* ll = l->AsLeaf();
+    Leaf* rl = r->AsLeaf();
+    std::move(rl->keys, rl->keys + rl->size, ll->keys + ll->size);
+    std::move(rl->payloads, rl->payloads + rl->size, ll->payloads + ll->size);
+    ll->size = static_cast<uint16_t>(ll->size + rl->size);
+    ll->next = rl->next;
+    if (rl->next != nullptr) rl->next->prev = ll;
   } else {
-    l->keys.push_back(std::move(parent->keys[li]));
-    MoveTail(&r->keys, 0, &l->keys);
-    MoveTail(&r->children, 0, &l->children);
+    Inner* li_node = l->AsInner();
+    Inner* ri_node = r->AsInner();
+    li_node->keys[li_node->size] = std::move(parent->keys[li]);
+    std::move(ri_node->keys, ri_node->keys + ri_node->size,
+              li_node->keys + li_node->size + 1);
+    std::move(ri_node->children, ri_node->children + ri_node->size + 1,
+              li_node->children + li_node->size + 1);
+    li_node->size = static_cast<uint16_t>(li_node->size + ri_node->size + 1);
   }
-  parent->keys.erase(parent->keys.begin() + li);
-  parent->children.erase(parent->children.begin() + li + 1);
+  r->size = 0;
+  EraseAt(parent->keys, parent->size, li);
+  EraseAt(parent->children, parent->size + 1u, li + 1);  // frees `r`
+  --parent->size;
 }
 
 bool BTree::EraseRec(Node* node, const KeyString& encoded, Payload* erased) {
   if (node->leaf) {
-    const size_t pos = LowerIndex(node->keys, encoded);
-    if (pos >= node->keys.size() || !(node->keys[pos] == encoded)) {
+    Leaf* leaf = node->AsLeaf();
+    const size_t pos = LowerIndex(leaf, encoded);
+    if (pos >= leaf->size || !(leaf->keys[pos] == encoded)) {
       return false;
     }
-    if (erased != nullptr) *erased = std::move(node->payloads[pos]);
-    node->keys.erase(node->keys.begin() + pos);
-    node->key_values.erase(node->key_values.begin() + pos);
-    node->payloads.erase(node->payloads.begin() + pos);
+    EraseAt(leaf->keys, leaf->size, pos);
+    Payload payload = EraseAt(leaf->payloads, leaf->size, pos);
+    if (erased != nullptr) *erased = std::move(payload);
+    --leaf->size;
     return true;
   }
-  const size_t idx = UpperIndex(node->keys, encoded);
-  Node* child = node->children[idx].get();
+  Inner* inner = node->AsInner();
+  const size_t idx = UpperIndex(inner, encoded);
+  Node* child = inner->children[idx].get();
   if (!EraseRec(child, encoded, erased)) return false;
-  const bool underfull = child->leaf ? child->keys.size() < kMinLeafKeys
-                                     : child->children.size() < kMinChildren;
-  if (underfull) FixUnderflow(node, idx);
+  const bool underfull = child->leaf ? child->size < kMinLeafKeys
+                                     : child->size + 1u < kMinChildren;
+  if (underfull) FixUnderflow(inner, idx);
   return true;
 }
 
 bool BTree::Erase(const Key& key, Payload* erased) {
   if (!EraseRec(root_.get(), KeyString::Encode(key), erased)) return false;
   --size_;
-  if (!root_->leaf && root_->children.size() == 1) {
-    root_ = std::move(root_->children[0]);
+  if (!root_->leaf && root_->size == 0) {
+    NodePtr only_child = std::move(root_->AsInner()->children[0]);
+    root_ = std::move(only_child);
   }
   return true;
 }
 
-const BTree::Key& BTree::Iterator::key() const {
-  return leaf_->key_values[pos_];
+BTree::NodePtr BTree::CloneNode(const Node* node, Leaf** prev_leaf) {
+  if (node->leaf) {
+    const Leaf* source = node->AsLeaf();
+    auto* copy = new Leaf;
+    NodePtr owner(copy);
+    std::copy(source->keys, source->keys + source->size, copy->keys);
+    std::copy(source->payloads, source->payloads + source->size,
+              copy->payloads);
+    copy->size = source->size;
+    copy->prev = *prev_leaf;
+    if (*prev_leaf != nullptr) (*prev_leaf)->next = copy;
+    *prev_leaf = copy;
+    return owner;
+  }
+  const Inner* source = node->AsInner();
+  auto* copy = new Inner;
+  NodePtr owner(copy);
+  std::copy(source->keys, source->keys + source->size, copy->keys);
+  for (size_t i = 0; i <= source->size; ++i) {
+    copy->children[i] = CloneNode(source->children[i].get(), prev_leaf);
+  }
+  copy->size = source->size;
+  return owner;
+}
+
+void BTree::CopyFrom(const BTree& source) {
+  Leaf* prev_leaf = nullptr;
+  root_ = CloneNode(source.root_.get(), &prev_leaf);
+  size_ = source.size_;
 }
 
 const KeyString& BTree::Iterator::encoded_key() const {
@@ -337,7 +442,7 @@ const BTree::Payload& BTree::Iterator::payload() const {
 void BTree::Iterator::Next() {
   DCG_CHECK(Valid());
   ++pos_;
-  while (leaf_ != nullptr && pos_ >= leaf_->keys.size()) {
+  while (leaf_ != nullptr && pos_ >= leaf_->size) {
     leaf_ = leaf_->next;
     pos_ = 0;
   }
@@ -345,20 +450,20 @@ void BTree::Iterator::Next() {
 
 BTree::Iterator BTree::Begin() const {
   const Node* node = root_.get();
-  while (!node->leaf) node = node->children.front().get();
+  while (!node->leaf) node = node->AsInner()->children[0].get();
   // Leaves other than a root leaf are never empty (min occupancy), but an
   // empty tree has an empty root leaf.
-  if (node->keys.empty()) return Iterator(nullptr, 0);
-  return Iterator(node, 0);
+  if (node->size == 0) return Iterator(nullptr, 0);
+  return Iterator(node->AsLeaf(), 0);
 }
 
 BTree::Iterator BTree::LowerBoundEncoded(const KeyString& encoded) const {
-  const Node* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
-  Iterator it(leaf, LowerIndex(leaf->keys, encoded));
-  if (it.pos_ >= leaf->keys.size()) {
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
+  Iterator it(leaf, LowerIndex(leaf, encoded));
+  if (it.pos_ >= leaf->size) {
     it.leaf_ = leaf->next;
     it.pos_ = 0;
-    while (it.leaf_ != nullptr && it.leaf_->keys.empty()) {
+    while (it.leaf_ != nullptr && it.leaf_->size == 0) {
       it.leaf_ = it.leaf_->next;
     }
   }
@@ -384,7 +489,7 @@ int BTree::Height() const {
   int h = 1;
   const Node* node = root_.get();
   while (!node->leaf) {
-    node = node->children.front().get();
+    node = node->AsInner()->children[0].get();
     ++h;
   }
   return h;
@@ -393,7 +498,7 @@ int BTree::Height() const {
 struct BTree::CheckState {
   size_t count = 0;
   int leaf_depth = -1;
-  const Node* prev_leaf = nullptr;
+  const Leaf* prev_leaf = nullptr;
 };
 
 // Recursive structural check. `lo`/`hi` bound the encodings permitted in
@@ -401,45 +506,48 @@ struct BTree::CheckState {
 void BTree::CheckNode(const Node* node, const KeyString* lo,
                       const KeyString* hi, int depth, bool is_root,
                       CheckState* state) {
-  // Keys sorted strictly ascending and within bounds.
-  for (size_t i = 0; i < node->keys.size(); ++i) {
+  // Keys sorted strictly ascending and within bounds; slots past the last
+  // key empty.
+  for (size_t i = 0; i < node->size; ++i) {
     if (i > 0) DCG_CHECK(node->keys[i - 1] < node->keys[i]);
     if (lo != nullptr) DCG_CHECK(!(node->keys[i] < *lo));
     if (hi != nullptr) DCG_CHECK(node->keys[i] < *hi);
   }
+  for (size_t i = node->size; i < kKeySlots; ++i) {
+    DCG_CHECK(node->keys[i].size() == 0);
+  }
   if (node->leaf) {
-    DCG_CHECK(node->key_values.size() == node->keys.size());
-    DCG_CHECK(node->payloads.size() == node->keys.size());
-    DCG_CHECK(node->children.empty());
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      // The stored encoding is the key's, and byte order is value order.
-      DCG_CHECK(node->keys[i] == KeyString::Encode(node->key_values[i]));
-      if (i > 0) DCG_CHECK(node->key_values[i - 1] < node->key_values[i]);
+    const Leaf* leaf = node->AsLeaf();
+    for (size_t i = leaf->size; i < kKeySlots; ++i) {
+      DCG_CHECK(leaf->payloads[i] == nullptr);
     }
-    if (!is_root) DCG_CHECK(node->keys.size() >= kMinLeafKeys);
-    DCG_CHECK(node->keys.size() <= kMaxLeafKeys);
+    if (!is_root) DCG_CHECK(leaf->size >= kMinLeafKeys);
+    DCG_CHECK(leaf->size <= kMaxLeafKeys);
     if (state->leaf_depth < 0) {
       state->leaf_depth = depth;
     } else {
       DCG_CHECK(state->leaf_depth == depth);
     }
     // Leaf chain stitches leaves left-to-right.
-    DCG_CHECK(node->prev == state->prev_leaf);
+    DCG_CHECK(leaf->prev == state->prev_leaf);
     if (state->prev_leaf != nullptr) {
-      DCG_CHECK(state->prev_leaf->next == node);
+      DCG_CHECK(state->prev_leaf->next == leaf);
     }
-    state->prev_leaf = node;
-    state->count += node->keys.size();
+    state->prev_leaf = leaf;
+    state->count += leaf->size;
     return;
   }
-  DCG_CHECK(node->key_values.empty() && node->payloads.empty());
-  DCG_CHECK(node->children.size() == node->keys.size() + 1);
-  if (!is_root) DCG_CHECK(node->children.size() >= kMinChildren);
-  DCG_CHECK(node->children.size() <= kMaxChildren);
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    const KeyString* child_lo = (i == 0) ? lo : &node->keys[i - 1];
-    const KeyString* child_hi = (i == node->keys.size()) ? hi : &node->keys[i];
-    CheckNode(node->children[i].get(), child_lo, child_hi, depth + 1,
+  const Inner* inner = node->AsInner();
+  const size_t children = inner->size + 1u;
+  if (!is_root) DCG_CHECK(children >= kMinChildren);
+  DCG_CHECK(children <= kMaxChildren);
+  for (size_t i = 0; i <= kMaxChildren; ++i) {
+    DCG_CHECK((inner->children[i] != nullptr) == (i < children));
+  }
+  for (size_t i = 0; i < children; ++i) {
+    const KeyString* child_lo = (i == 0) ? lo : &inner->keys[i - 1];
+    const KeyString* child_hi = (i == inner->size) ? hi : &inner->keys[i];
+    CheckNode(inner->children[i].get(), child_lo, child_hi, depth + 1,
               /*is_root=*/false, state);
   }
 }

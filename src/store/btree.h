@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -11,22 +12,28 @@
 
 namespace dcg::store {
 
-/// In-memory B+-tree mapping document values (keys) to shared immutable
-/// documents. This is the ordered index structure behind every collection
-/// and secondary index in mongolite.
+/// In-memory B+-tree mapping the doc::KeyString encodings of document
+/// values (keys) to shared immutable documents. This is the ordered index
+/// structure behind every collection and secondary index in mongolite.
 ///
 /// Design notes:
-///  * The tree searches on doc::KeyString encodings only: every operation
-///    encodes its probe once, then binary-searches nodes by byte compare.
-///    Internal nodes hold encoded separators alone; leaves keep each key's
-///    encoding beside the key as given, which Iterator::key() returns.
+///  * The tree stores and searches encodings only: every operation encodes
+///    its probe once, then binary-searches nodes by byte compare. The key
+///    values themselves are not kept; a caller that needs one reads it from
+///    the payload document (a collection's "_id").
+///  * Each node is one allocation: fixed-capacity arrays of encodings, then
+///    of payloads (leaves) or children (internal nodes), so a descent
+///    touches one node per level.
 ///  * Payloads are `shared_ptr<const doc::Value>`: reads hand out a stable
 ///    snapshot of the document; updates install a fresh copy (copy-on-write),
 ///    so a reader holding a document is never affected by later writes.
 ///  * Leaves are doubly linked for ordered range scans (TPC-C Stock Level
-///    walks order lines via such scans).
+///    walks order lines via such scans) and for FindSorted, which serves a
+///    run of ascending probes without returning to the root while they stay
+///    on the current leaf or the next.
 ///  * Deletion rebalances via borrow/merge, keeping every non-root node at
 ///    least half full.
+///  * CopyFrom clones the structure node for node and shares the payloads.
 class BTree {
  public:
   using Key = doc::Value;
@@ -42,14 +49,21 @@ class BTree {
 
   /// Inserts or replaces. Returns true if the key was newly inserted,
   /// false if an existing payload was replaced; that payload is moved to
-  /// `replaced` when given. A new key is moved into the leaf.
-  bool Upsert(Key key, Payload payload, Payload* replaced = nullptr);
+  /// `replaced` when given.
+  bool Upsert(const Key& key, Payload payload, Payload* replaced = nullptr);
 
   /// Inserts only if absent. Returns false (no change) when present.
-  bool Insert(Key key, Payload payload);
+  bool Insert(const Key& key, Payload payload);
 
   /// Returns the payload for `key`, or nullptr.
   Payload Find(const Key& key) const;
+
+  /// Looks up ascending encodings (equal neighbours allowed; CHECKed) in one
+  /// pass: `out` receives, per probe in order, its payload or nullptr. A
+  /// probe that lies on the current leaf or the next one is served there;
+  /// only the others descend from the root.
+  void FindSorted(std::span<const doc::KeyString> probes,
+                  std::vector<Payload>* out) const;
 
   /// The stored payload slot for `key`, or nullptr when absent: a caller
   /// swaps the payload in place with a single descent. Valid until the
@@ -62,20 +76,28 @@ class BTree {
 
   bool Contains(const Key& key) const { return Find(key) != nullptr; }
 
+  /// Replaces this tree's contents with a node-for-node copy of `source`:
+  /// the same shape and encodings, sharing its payloads.
+  void CopyFrom(const BTree& source);
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
   struct Node;
+  struct Leaf;
+  struct Inner;
+  struct NodeDeleter {
+    void operator()(Node* node) const;
+  };
+  using NodePtr = std::unique_ptr<Node, NodeDeleter>;
 
  public:
-
-  /// Forward cursor over (key, payload) pairs in key order. Invalidated by
-  /// any mutation of the tree.
+  /// Forward cursor over (encoded key, payload) pairs in key order.
+  /// Invalidated by any mutation of the tree.
   class Iterator {
    public:
     bool Valid() const { return leaf_ != nullptr; }
-    const Key& key() const;
     /// The key's KeyString encoding.
     const doc::KeyString& encoded_key() const;
     const Payload& payload() const;
@@ -83,8 +105,8 @@ class BTree {
 
    private:
     friend class BTree;
-    Iterator(const Node* leaf, size_t pos) : leaf_(leaf), pos_(pos) {}
-    const Node* leaf_;
+    Iterator(const Leaf* leaf, size_t pos) : leaf_(leaf), pos_(pos) {}
+    const Leaf* leaf_;
     size_t pos_;
   };
 
@@ -105,9 +127,9 @@ class BTree {
   Iterator UpperBound(const Key& key) const;
 
   /// Validates structural invariants (ordering, occupancy, uniform depth,
-  /// leaf chain consistency, size, and every stored encoding equal to its
-  /// key's encoding). Aborts via assert-style check failure on violation;
-  /// used heavily by the property tests.
+  /// leaf chain consistency, size, and every slot past a node's last entry
+  /// empty). Aborts via assert-style check failure on violation; used
+  /// heavily by the property tests.
   void CheckInvariants() const;
 
   /// Height of the tree (1 for a lone root leaf).
@@ -118,18 +140,19 @@ class BTree {
   struct InsertResult;
   struct CheckState;
   // `replaced` null forbids replacing (Insert); otherwise it receives the
-  // replaced payload. A new entry takes `encoded` and `key` by move.
-  bool InsertImpl(Key key, Payload payload, Payload* replaced);
-  InsertResult InsertRec(Node* node, doc::KeyString& encoded, Key& key,
-                         Payload payload, Payload* replaced);
+  // replaced payload. A new entry takes `encoded` and `payload` by move.
+  bool InsertImpl(const Key& key, Payload payload, Payload* replaced);
+  InsertResult InsertRec(Node* node, doc::KeyString& encoded,
+                         Payload& payload, Payload* replaced);
   bool EraseRec(Node* node, const doc::KeyString& encoded, Payload* erased);
-  void FixUnderflow(Node* parent, size_t child_idx);
+  void FixUnderflow(Inner* parent, size_t child_idx);
   Iterator LowerBoundEncoded(const doc::KeyString& encoded) const;
+  static NodePtr CloneNode(const Node* node, Leaf** prev_leaf);
   static void CheckNode(const Node* node, const doc::KeyString* lo,
                         const doc::KeyString* hi, int depth, bool is_root,
                         CheckState* state);
 
-  std::unique_ptr<Node> root_;
+  NodePtr root_;
   size_t size_ = 0;
 };
 

@@ -48,12 +48,9 @@ void Collection::UnindexDocument(Index* index, const doc::Value& id,
 void Collection::OnInstalled(const doc::Value& id, const DocPtr& old,
                              const DocPtr& d) {
   if (old == nullptr) {
-    approx_bytes_ += d->ApproxSize();
     for (auto& index : indexes_) IndexDocument(index.get(), id, d);
     return;
   }
-  approx_bytes_ -= old->ApproxSize();
-  approx_bytes_ += d->ApproxSize();
   for (auto& index : indexes_) {
     // Re-index only when the indexed tuple changed.
     doc::Value old_key = IndexKey(*index, id, *old);
@@ -98,6 +95,16 @@ DocPtr Collection::FindById(const doc::Value& id) const {
   return primary_.Find(id);
 }
 
+std::vector<DocPtr> Collection::FindManyById(
+    const std::vector<doc::Value>& ids) const {
+  std::vector<doc::KeyString> probes;
+  probes.reserve(ids.size());
+  for (const doc::Value& id : ids) probes.push_back(doc::KeyString::Encode(id));
+  std::vector<DocPtr> out;
+  primary_.FindSorted(probes, &out);
+  return out;
+}
+
 bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
                         DocPtr* pre_image, DocPtr* post_image) {
   // One descent: the payload is swapped in place. Index maintenance in
@@ -120,7 +127,6 @@ bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
 bool Collection::Remove(const doc::Value& id, DocPtr* removed) {
   DocPtr old;
   if (!primary_.Erase(id, &old)) return false;
-  approx_bytes_ -= old->ApproxSize();
   for (auto& index : indexes_) UnindexDocument(index.get(), id, *old);
   if (removed != nullptr) *removed = std::move(old);
   return true;
@@ -134,22 +140,9 @@ void Collection::CreateIndex(std::string index_name,
   index->name = std::move(index_name);
   index->paths.assign(paths.begin(), paths.end());
   for (auto it = primary_.Begin(); it.Valid(); it.Next()) {
-    IndexDocument(index.get(), it.key(), it.payload());
+    IndexDocument(index.get(), RequireId(*it.payload()), it.payload());
   }
   indexes_.push_back(std::move(index));
-}
-
-std::vector<std::pair<std::string, std::vector<std::string>>>
-Collection::IndexSpecs() const {
-  std::vector<std::pair<std::string, std::vector<std::string>>> specs;
-  specs.reserve(indexes_.size());
-  for (const auto& index : indexes_) {
-    std::vector<std::string> paths;
-    paths.reserve(index->paths.size());
-    for (const auto& path : index->paths) paths.push_back(path.str());
-    specs.emplace_back(index->name, std::move(paths));
-  }
-  return specs;
 }
 
 bool Collection::HasIndex(const std::string& index_name) const {
@@ -338,25 +331,44 @@ std::vector<DocPtr> Collection::IndexScan(
 void Collection::ForEach(
     const std::function<bool(const doc::Value&, const DocPtr&)>& fn) const {
   for (auto it = primary_.Begin(); it.Valid(); it.Next()) {
-    if (!fn(it.key(), it.payload())) return;
+    if (!fn(RequireId(*it.payload()), it.payload())) return;
+  }
+}
+
+void Collection::CopyFrom(const Collection& source) {
+  if (this == &source) return;
+  primary_.CopyFrom(source.primary_);
+  indexes_.clear();
+  indexes_.reserve(source.indexes_.size());
+  for (const auto& index : source.indexes_) {
+    auto copy = std::make_unique<Index>();
+    copy->name = index->name;
+    copy->paths = index->paths;
+    copy->tree.CopyFrom(index->tree);
+    indexes_.push_back(std::move(copy));
   }
 }
 
 void Collection::CheckInvariants() const {
   primary_.CheckInvariants();
+  // Every document sits under the encoding of its own _id.
+  for (auto it = primary_.Begin(); it.Valid(); it.Next()) {
+    DCG_CHECK(doc::KeyString::Encode(RequireId(*it.payload())) ==
+              it.encoded_key());
+  }
   for (const auto& index : indexes_) {
     index->tree.CheckInvariants();
     DCG_CHECK_MSG(index->tree.size() == primary_.size(),
                   "index %s size mismatch", index->name.c_str());
-    // Every index entry points at the live document and its key matches the
+    // Every index entry points at the live document and its key encodes the
     // document's current field values.
     for (auto it = index->tree.Begin(); it.Valid(); it.Next()) {
-      const doc::Array& key = it.key().as_array();
-      const doc::Value& id = key.back();
+      const doc::Value& id = RequireId(*it.payload());
       DocPtr live = primary_.Find(id);
       DCG_CHECK(live != nullptr);
       DCG_CHECK(live.get() == it.payload().get());
-      DCG_CHECK(IndexKey(*index, id, *live) == it.key());
+      DCG_CHECK(doc::KeyString::Encode(IndexKey(*index, id, *live)) ==
+                it.encoded_key());
     }
   }
 }

@@ -72,6 +72,11 @@ class Collection {
   /// Point lookup by _id. Returns nullptr when absent.
   DocPtr FindById(const doc::Value& id) const;
 
+  /// Point lookups of ascending _ids (equal neighbours allowed) in one pass
+  /// over the primary tree, like MongoDB serving an `$in` with one index
+  /// cursor: per id in order, its document or nullptr.
+  std::vector<DocPtr> FindManyById(const std::vector<doc::Value>& ids) const;
+
   /// Applies an update spec to the document with the given _id, with one
   /// descent of the primary tree. Returns false when the document does not
   /// exist. Otherwise the document as it was before and after the update
@@ -89,10 +94,6 @@ class Collection {
   void CreateIndex(std::string index_name, std::vector<std::string> paths);
 
   bool HasIndex(const std::string& index_name) const;
-
-  /// Names and paths of all secondary indexes (for resync/clone).
-  std::vector<std::pair<std::string, std::vector<std::string>>> IndexSpecs()
-      const;
 
   /// Returns matching documents in _id order, up to `limit`.
   /// Uses the primary key or a secondary index when the filter pins them
@@ -126,12 +127,14 @@ class Collection {
   void ForEach(const std::function<bool(const doc::Value& id,
                                         const DocPtr& document)>& fn) const;
 
+  /// Replaces this collection's documents and secondary indexes with
+  /// `source`'s: every tree is cloned node for node and the immutable
+  /// documents are shared, not copied. The name stays.
+  void CopyFrom(const Collection& source);
+
   /// Validates primary and secondary index invariants (every document
   /// reachable through each index exactly once, and vice versa).
   void CheckInvariants() const;
-
-  /// Approximate bytes of live documents (for the disk model).
-  size_t ApproxBytes() const { return approx_bytes_; }
 
  private:
   struct Index {
@@ -150,9 +153,8 @@ class Collection {
   template <typename Visit>
   void VisitMatches(const doc::Filter& filter, Visit&& visit) const;
 
-  /// Size accounting and index maintenance after `d` was installed in the
-  /// primary tree in place of `old` (nullptr: `id` was new). Every write
-  /// path ends here.
+  /// Index maintenance after `d` was installed in the primary tree in place
+  /// of `old` (nullptr: `id` was new). Every write path ends here.
   void OnInstalled(const doc::Value& id, const DocPtr& old, const DocPtr& d);
 
   void IndexDocument(Index* index, const doc::Value& id, const DocPtr& d);
@@ -162,7 +164,6 @@ class Collection {
   std::string name_;
   BTree primary_;
   std::vector<std::unique_ptr<Index>> indexes_;
-  size_t approx_bytes_ = 0;
 };
 
 }  // namespace dcg::store

@@ -46,25 +46,10 @@ std::vector<std::string> Database::CollectionNames() const {
   return names;
 }
 
-size_t Database::ApproxBytes() const {
-  size_t total = 0;
-  for (const auto& [unused, collection] : collections_) {
-    total += collection->ApproxBytes();
-  }
-  return total;
-}
-
 void Database::ResetFrom(const Database& source) {
   collections_.clear();
   for (const auto& [name, collection] : source.collections_) {
-    Collection& copy = GetOrCreate(name);
-    for (const auto& [index_name, paths] : collection->IndexSpecs()) {
-      copy.CreateIndex(index_name, paths);
-    }
-    collection->ForEach([&copy](const doc::Value& id, const DocPtr& d) {
-      copy.Put(id, d);
-      return true;
-    });
+    GetOrCreate(name).CopyFrom(*collection);
   }
 }
 

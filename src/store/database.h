@@ -33,13 +33,11 @@ class Database {
   /// Names of all collections, sorted.
   std::vector<std::string> CollectionNames() const;
 
-  /// Total approximate bytes across collections.
-  size_t ApproxBytes() const;
-
   /// Replaces this database's entire contents (collections, documents,
   /// and secondary indexes) with those of `source` — the data path of a
   /// MongoDB initial sync, used when a node rejoins after a crash. The
-  /// trees are rebuilt; the immutable documents are shared, not copied.
+  /// trees are cloned node for node (Collection::CopyFrom); the immutable
+  /// documents are shared, not copied.
   void ResetFrom(const Database& source);
 
   /// Order-insensitive structural fingerprint of all data (collection

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <algorithm>
-#include <set>
 #include <vector>
 #include <utility>
 
@@ -222,18 +221,24 @@ void TpccWorkload::DoStockLevel(Done done) {
         if (district == nullptr) return;
         const int64_t next_o = GetInt(*district, "d_next_o_id");
         const int64_t lo = std::max<int64_t>(1, next_o - recent);
-        std::set<int64_t> item_ids;
+        std::vector<int64_t> item_ids;
         for (const store::DocPtr& order :
              orders->RangeById(OrderId(w, d, lo), OrderId(w, d, next_o - 1))) {
           const doc::Value* lines = order->Find("o_lines");
           if (lines == nullptr) continue;
           for (const doc::Value& line : lines->as_array()) {
-            item_ids.insert(GetInt(line, "ol_i_id"));
+            item_ids.push_back(GetInt(line, "ol_i_id"));
           }
         }
+        std::sort(item_ids.begin(), item_ids.end());
+        item_ids.erase(std::unique(item_ids.begin(), item_ids.end()),
+                       item_ids.end());
+        // Ascending stock ids: one pass over the stock tree (an $in).
+        std::vector<doc::Value> stock_ids;
+        stock_ids.reserve(item_ids.size());
+        for (int64_t i : item_ids) stock_ids.push_back(StockId(w, i));
         int64_t low_stock = 0;
-        for (int64_t i : item_ids) {
-          store::DocPtr s = stock->FindById(StockId(w, i));
+        for (const store::DocPtr& s : stock->FindManyById(stock_ids)) {
           if (s != nullptr && GetInt(*s, "s_quantity") < threshold) {
             ++low_stock;
           }

@@ -1,6 +1,7 @@
 // Tests for the B+-tree, including randomized property tests against a
 // std::map oracle.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,9 +17,18 @@
 namespace dcg::store {
 namespace {
 
+using doc::KeyString;
+
 BTree::Payload Doc(int64_t v) {
   return std::make_shared<const doc::Value>(
       doc::Value::Doc({{"_id", v}, {"v", v}}));
+}
+
+KeyString Enc(const doc::Value& v) { return KeyString::Encode(v); }
+
+// The "v" field of the payload under the cursor.
+int64_t PayloadV(const BTree::Iterator& it) {
+  return it.payload()->Find("v")->as_int64();
 }
 
 TEST(BTreeTest, EmptyTree) {
@@ -71,7 +81,7 @@ TEST(BTreeTest, IterationIsSorted) {
   }
   int64_t expected = 0;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
-    EXPECT_EQ(it.key().as_int64(), expected++);
+    EXPECT_EQ(it.encoded_key(), Enc(doc::Value(expected++)));
   }
   EXPECT_EQ(expected, 500);
 }
@@ -81,11 +91,11 @@ TEST(BTreeTest, LowerAndUpperBound) {
   for (int64_t i = 0; i < 100; i += 2) {  // even keys 0..98
     tree.Insert(doc::Value(i), Doc(i));
   }
-  EXPECT_EQ(tree.LowerBound(doc::Value(10)).key().as_int64(), 10);
-  EXPECT_EQ(tree.LowerBound(doc::Value(11)).key().as_int64(), 12);
-  EXPECT_EQ(tree.UpperBound(doc::Value(10)).key().as_int64(), 12);
-  EXPECT_EQ(tree.UpperBound(doc::Value(11)).key().as_int64(), 12);
-  EXPECT_EQ(tree.LowerBound(doc::Value(-5)).key().as_int64(), 0);
+  EXPECT_EQ(tree.LowerBound(doc::Value(10)).encoded_key(), Enc(10));
+  EXPECT_EQ(tree.LowerBound(doc::Value(11)).encoded_key(), Enc(12));
+  EXPECT_EQ(tree.UpperBound(doc::Value(10)).encoded_key(), Enc(12));
+  EXPECT_EQ(tree.UpperBound(doc::Value(11)).encoded_key(), Enc(12));
+  EXPECT_EQ(tree.LowerBound(doc::Value(-5)).encoded_key(), Enc(0));
   EXPECT_FALSE(tree.LowerBound(doc::Value(99)).Valid());
   EXPECT_FALSE(tree.UpperBound(doc::Value(98)).Valid());
 }
@@ -119,11 +129,19 @@ TEST(BTreeTest, MixedKeyTypes) {
   tree.CheckInvariants();
   // Canonical order: number < string < array.
   auto it = tree.Begin();
-  EXPECT_TRUE(it.key().is_int64());
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.encoded_key(), Enc(doc::Value(int64_t{5})));
+  EXPECT_EQ(PayloadV(it), 2);
   it.Next();
-  EXPECT_TRUE(it.key().is_string());
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.encoded_key(), Enc(doc::Value("alpha")));
+  EXPECT_EQ(PayloadV(it), 1);
   it.Next();
-  EXPECT_TRUE(it.key().is_array());
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.encoded_key(), Enc(doc::Value::List({1, 2})));
+  EXPECT_EQ(PayloadV(it), 3);
+  it.Next();
+  EXPECT_FALSE(it.Valid());
 }
 
 TEST(BTreeTest, MoveConstructible) {
@@ -132,6 +150,187 @@ TEST(BTreeTest, MoveConstructible) {
   BTree moved = std::move(tree);
   EXPECT_EQ(moved.size(), 50u);
   moved.CheckInvariants();
+}
+
+// ---------------------------------------------------------------------------
+// FindSorted: one pass of ascending probes, checked against a std::map
+// oracle and against per-key Find.
+// ---------------------------------------------------------------------------
+
+// Runs FindSorted over the ascending `keys` and checks each answer against
+// `oracle` (key -> the payload's "v") and against a per-key Find.
+void ExpectFindSortedMatches(const BTree& tree,
+                             const std::map<int64_t, int64_t>& oracle,
+                             const std::vector<int64_t>& keys) {
+  std::vector<KeyString> probes;
+  for (int64_t k : keys) probes.push_back(Enc(doc::Value(k)));
+  std::vector<BTree::Payload> got;
+  tree.FindSorted(probes, &got);
+  ASSERT_EQ(got.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto it = oracle.find(keys[i]);
+    if (it == oracle.end()) {
+      EXPECT_EQ(got[i], nullptr) << "key " << keys[i];
+      continue;
+    }
+    ASSERT_NE(got[i], nullptr) << "key " << keys[i];
+    EXPECT_EQ(got[i]->Find("v")->as_int64(), it->second) << "key " << keys[i];
+    EXPECT_EQ(got[i], tree.Find(doc::Value(keys[i]))) << "key " << keys[i];
+  }
+}
+
+// `n` ascending draws from [lo, hi], a fifth of them repeating their
+// predecessor.
+std::vector<int64_t> RandomAscendingKeys(sim::Rng* rng, int n, int64_t lo,
+                                         int64_t hi) {
+  std::vector<int64_t> keys;
+  for (int i = 0; i < n; ++i) {
+    keys.push_back(!keys.empty() && rng->Bernoulli(0.2)
+                       ? keys.back()
+                       : rng->UniformInt(lo, hi));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(BTreeFindSortedTest, EmptyTreeFindsNothing) {
+  BTree tree;
+  ExpectFindSortedMatches(tree, {}, {-1, 1, 1, 5});
+  std::vector<BTree::Payload> got = {Doc(7)};
+  tree.FindSorted({}, &got);
+  EXPECT_TRUE(got.empty());  // `out` is replaced, not appended to
+}
+
+TEST(BTreeFindSortedTest, SingleLeafTree) {
+  BTree tree;
+  std::map<int64_t, int64_t> oracle;
+  for (int64_t k = 0; k <= 20; k += 2) {
+    tree.Insert(doc::Value(k), Doc(k));
+    oracle.emplace(k, k);
+  }
+  ASSERT_EQ(tree.Height(), 1);
+  ExpectFindSortedMatches(tree, oracle,
+                          {-3, 0, 0, 1, 2, 2, 11, 19, 20, 20, 25, 25});
+}
+
+TEST(BTreeFindSortedTest, ProbesBelowAndAboveEveryKey) {
+  BTree tree;
+  std::map<int64_t, int64_t> oracle;
+  for (int64_t i = 0; i < 1000; ++i) {
+    const int64_t k = (i * 7919) % 1000;
+    tree.Insert(doc::Value(k), Doc(k));
+    oracle.emplace(k, k);
+  }
+  ASSERT_GE(tree.Height(), 3);
+  ExpectFindSortedMatches(tree, oracle, {-20, -10, -1, -1});
+  ExpectFindSortedMatches(tree, oracle, {1000, 1000, 1500, 3000});
+  ExpectFindSortedMatches(tree, oracle, {-5, 0, 15, 16, 17, 999, 1000});
+  // Every key in order: the pass walks the leaf chain end to end.
+  std::vector<int64_t> all;
+  for (int64_t k = -2; k < 1002; ++k) all.push_back(k);
+  ExpectFindSortedMatches(tree, oracle, all);
+}
+
+TEST(BTreeFindSortedTest, MatchesOracleAfterEraseDrivenMerges) {
+  sim::Rng rng(77);
+  BTree tree;
+  std::map<int64_t, int64_t> oracle;
+  for (int64_t k = 0; k < 3000; ++k) {
+    tree.Insert(doc::Value(k), Doc(k * 3));
+    oracle.emplace(k, k * 3);
+  }
+  const int height_before = tree.Height();
+  // Erase four fifths in random order: leaves borrow and merge, inner nodes
+  // merge and the tree shrinks.
+  for (int i = 0; i < 2400; ++i) {
+    const int64_t k = rng.UniformInt(0, 2999);
+    EXPECT_EQ(tree.Erase(doc::Value(k)), oracle.erase(k) > 0);
+  }
+  tree.CheckInvariants();
+  ASSERT_LT(tree.size(), 3000u);
+  EXPECT_LE(tree.Height(), height_before);
+  for (int round = 0; round < 50; ++round) {
+    const int n = static_cast<int>(rng.UniformInt(1, 200));
+    ExpectFindSortedMatches(tree, oracle,
+                            RandomAscendingKeys(&rng, n, -10, 3010));
+  }
+}
+
+TEST(BTreeFindSortedTest, RejectsDescendingProbes) {
+  BTree tree;
+  tree.Insert(doc::Value(1), Doc(1));
+  const std::vector<KeyString> probes = {Enc(2), Enc(1)};
+  std::vector<BTree::Payload> got;
+  EXPECT_DEATH(tree.FindSorted(probes, &got), "ascend");
+}
+
+// ---------------------------------------------------------------------------
+// CopyFrom: a node-for-node clone sharing the payloads.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<KeyString, BTree::Payload>> Entries(const BTree& tree) {
+  std::vector<std::pair<KeyString, BTree::Payload>> entries;
+  for (auto it = tree.Begin(); it.Valid(); it.Next()) {
+    entries.emplace_back(it.encoded_key(), it.payload());
+  }
+  return entries;
+}
+
+TEST(BTreeCopyTest, CopyEqualsSourceAndSharesPayloads) {
+  sim::Rng rng(5);
+  BTree source;
+  for (int64_t i = 0; i < 2000; ++i) {
+    source.Insert(doc::Value((i * 7919) % 2000), Doc(i));
+  }
+  for (int i = 0; i < 700; ++i) {
+    source.Erase(doc::Value(rng.UniformInt(0, 1999)));
+  }
+  source.CheckInvariants();
+
+  BTree copy;
+  copy.Insert(doc::Value(-1), Doc(-1));  // replaced by the copy
+  copy.CopyFrom(source);
+  copy.CheckInvariants();
+  EXPECT_EQ(copy.size(), source.size());
+  EXPECT_EQ(copy.Height(), source.Height());
+  EXPECT_EQ(copy.Find(doc::Value(-1)), nullptr);
+  const auto source_entries = Entries(source);
+  const auto copy_entries = Entries(copy);
+  ASSERT_EQ(copy_entries.size(), source_entries.size());
+  for (size_t i = 0; i < source_entries.size(); ++i) {
+    EXPECT_EQ(copy_entries[i].first, source_entries[i].first);
+    EXPECT_EQ(copy_entries[i].second.get(), source_entries[i].second.get());
+  }
+
+  // Mutating the copy (inserts that split, erases that merge, replaced
+  // payloads) leaves the source as it was.
+  for (int64_t k = 2000; k < 2500; ++k) copy.Insert(doc::Value(k), Doc(k));
+  for (int64_t k = 0; k < 1000; ++k) copy.Erase(doc::Value(k));
+  for (int64_t k = 1000; k < 1100; ++k) copy.Upsert(doc::Value(k), Doc(-k));
+  copy.CheckInvariants();
+  source.CheckInvariants();
+  EXPECT_EQ(Entries(source), source_entries);
+
+  // And the other way round.
+  const auto copy_after = Entries(copy);
+  for (int64_t k = 0; k < 2000; ++k) source.Erase(doc::Value(k));
+  source.Insert(doc::Value(5000), Doc(5000));
+  source.CheckInvariants();
+  copy.CheckInvariants();
+  EXPECT_EQ(Entries(copy), copy_after);
+}
+
+TEST(BTreeCopyTest, CopyOfEmptyTreeIsEmpty) {
+  BTree source;
+  BTree copy;
+  for (int64_t k = 0; k < 100; ++k) copy.Insert(doc::Value(k), Doc(k));
+  copy.CopyFrom(source);
+  copy.CheckInvariants();
+  EXPECT_TRUE(copy.empty());
+  EXPECT_FALSE(copy.Begin().Valid());
+  EXPECT_EQ(copy.Height(), 1);
+  EXPECT_TRUE(copy.Insert(doc::Value(1), Doc(1)));
+  EXPECT_TRUE(source.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -180,8 +379,8 @@ TEST_P(BTreeOracleTest, MatchesMapOracle) {
   auto it = tree.Begin();
   for (const auto& [key, value] : oracle) {
     ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key().as_int64(), key);
-    EXPECT_EQ(it.payload()->Find("v")->as_int64(), value);
+    EXPECT_EQ(it.encoded_key(), Enc(doc::Value(key)));
+    EXPECT_EQ(PayloadV(it), value);
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
@@ -195,8 +394,15 @@ TEST_P(BTreeOracleTest, MatchesMapOracle) {
       EXPECT_FALSE(tree_it.Valid());
     } else {
       ASSERT_TRUE(tree_it.Valid());
-      EXPECT_EQ(tree_it.key().as_int64(), oracle_it->first);
+      EXPECT_EQ(tree_it.encoded_key(), Enc(doc::Value(oracle_it->first)));
     }
+  }
+
+  // FindSorted agrees with the oracle on random ascending probe sets.
+  for (int i = 0; i < 20; ++i) {
+    const int n = static_cast<int>(rng.UniformInt(1, 64));
+    ExpectFindSortedMatches(tree, oracle,
+                            RandomAscendingKeys(&rng, n, -5, key_space + 5));
   }
 }
 
@@ -303,8 +509,8 @@ TEST_P(BTreeOracleTest, CompositeAndMixedKeysMatchMapOracle) {
   auto it = tree.Begin();
   for (const auto& [key, value] : oracle) {
     ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key(), key);
-    EXPECT_EQ(it.payload()->Find("v")->as_int64(), value);
+    EXPECT_EQ(it.encoded_key(), Enc(key));
+    EXPECT_EQ(PayloadV(it), value);
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
@@ -316,13 +522,13 @@ TEST_P(BTreeOracleTest, CompositeAndMixedKeysMatchMapOracle) {
     const auto tree_lower = tree.LowerBound(probe);
     ASSERT_EQ(tree_lower.Valid(), lower != oracle.end()) << probe.ToJson();
     if (lower != oracle.end()) {
-      EXPECT_EQ(tree_lower.key(), lower->first);
+      EXPECT_EQ(tree_lower.encoded_key(), Enc(lower->first));
     }
     const auto upper = oracle.upper_bound(probe);
     const auto tree_upper = tree.UpperBound(probe);
     ASSERT_EQ(tree_upper.Valid(), upper != oracle.end()) << probe.ToJson();
     if (upper != oracle.end()) {
-      EXPECT_EQ(tree_upper.key(), upper->first);
+      EXPECT_EQ(tree_upper.encoded_key(), Enc(upper->first));
     }
 
     // Equality over a [w] or [w, d] prefix: LowerBoundPrefix, then scan
@@ -330,16 +536,16 @@ TEST_P(BTreeOracleTest, CompositeAndMixedKeysMatchMapOracle) {
     doc::Array pinned = {doc::Value(rng.UniformInt(0, 3))};
     if (rng.Bernoulli(0.5)) pinned.emplace_back(rng.UniformInt(0, 4));
     const std::string prefix = EncodedPrefix(pinned);
-    std::vector<doc::Value> want;
+    std::vector<KeyString> want;
     for (auto o = oracle.lower_bound(doc::Value(pinned));
          o != oracle.end() && ComparePrefixComponents(pinned, o->first) == 0;
          ++o) {
-      want.push_back(o->first);
+      want.push_back(Enc(o->first));
     }
-    std::vector<doc::Value> got;
+    std::vector<KeyString> got;
     for (auto t = tree.LowerBoundPrefix(prefix);
          t.Valid() && t.encoded_key().view().starts_with(prefix); t.Next()) {
-      got.push_back(t.key());
+      got.push_back(t.encoded_key());
     }
     EXPECT_EQ(got, want) << doc::Value(pinned).ToJson();
 
@@ -355,7 +561,7 @@ TEST_P(BTreeOracleTest, CompositeAndMixedKeysMatchMapOracle) {
     for (auto o = oracle.lower_bound(doc::Value(low));
          o != oracle.end() && ComparePrefixComponents(high, o->first) >= 0;
          ++o) {
-      want.push_back(o->first);
+      want.push_back(Enc(o->first));
     }
     got.clear();
     const std::string high_bytes = EncodedPrefix(high);
@@ -363,10 +569,33 @@ TEST_P(BTreeOracleTest, CompositeAndMixedKeysMatchMapOracle) {
          t.Next()) {
       const std::string_view key = t.encoded_key().view();
       if (doc::KeyString::ComparePrefix(high_bytes, key) < 0) break;
-      got.push_back(t.key());
+      got.push_back(t.encoded_key());
     }
     EXPECT_EQ(got, want) << doc::Value(low).ToJson() << " .. "
                          << doc::Value(high).ToJson();
+  }
+
+  // FindSorted over ascending mixed keys (int64 3 and double 3.0 are the
+  // same key, so such pairs probe twice).
+  for (int i = 0; i < 20; ++i) {
+    std::vector<doc::Value> keys;
+    const int n = static_cast<int>(rng.UniformInt(1, 48));
+    for (int j = 0; j < n; ++j) keys.push_back(RandomMixedKey(&rng, key_space));
+    std::sort(keys.begin(), keys.end(), ValueLess());
+    std::vector<KeyString> probes;
+    for (const doc::Value& k : keys) probes.push_back(Enc(k));
+    std::vector<BTree::Payload> found;
+    tree.FindSorted(probes, &found);
+    ASSERT_EQ(found.size(), keys.size());
+    for (size_t j = 0; j < keys.size(); ++j) {
+      const auto o = oracle.find(keys[j]);
+      if (o == oracle.end()) {
+        EXPECT_EQ(found[j], nullptr) << keys[j].ToJson();
+      } else {
+        ASSERT_NE(found[j], nullptr) << keys[j].ToJson();
+        EXPECT_EQ(found[j]->Find("v")->as_int64(), o->second);
+      }
+    }
   }
 }
 

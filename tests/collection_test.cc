@@ -1,6 +1,8 @@
 // Tests for Collection (primary + secondary indexes, queries) and Database.
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,14 +185,21 @@ TEST(CollectionTest, RangeByIdWithArrayKeys) {
   EXPECT_EQ(r.back()->Find("o")->as_int64(), 7);
 }
 
-TEST(CollectionTest, ApproxBytesTracksLiveData) {
+TEST(CollectionTest, FindManyByIdMatchesFindById) {
   Collection c("c");
-  EXPECT_EQ(c.ApproxBytes(), 0u);
-  c.Insert(User(1, std::string(500, 'x'), 1));
-  const size_t after_insert = c.ApproxBytes();
-  EXPECT_GT(after_insert, 500u);
-  c.Remove(doc::Value(1));
-  EXPECT_EQ(c.ApproxBytes(), 0u);
+  for (int64_t id = 0; id < 400; id += 3) {
+    c.Insert(User(id, "u", id % 50));
+  }
+  std::vector<doc::Value> ids;
+  for (int64_t id : {-4, 0, 0, 1, 3, 4, 6, 6, 150, 151, 396, 399, 400, 900}) {
+    ids.emplace_back(id);
+  }
+  const std::vector<DocPtr> found = c.FindManyById(ids);
+  ASSERT_EQ(found.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(found[i], c.FindById(ids[i])) << ids[i].ToJson();
+  }
+  EXPECT_TRUE(c.FindManyById({}).empty());
 }
 
 // Randomized churn keeps primary and secondary indexes consistent.
@@ -254,11 +263,55 @@ TEST(DatabaseTest, FingerprintSensitiveToCollectionName) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(DatabaseTest, ApproxBytesSumsCollections) {
-  Database db;
-  db.GetOrCreate("a").Insert(User(1, std::string(100, 'x'), 1));
-  db.GetOrCreate("b").Insert(User(1, std::string(200, 'y'), 1));
-  EXPECT_GT(db.ApproxBytes(), 300u);
+TEST(DatabaseTest, ResetFromClonesIndexesAndIsolatesWrites) {
+  Database source;
+  Collection& users = source.GetOrCreate("users");
+  users.CreateIndex("by_age", {"age"});
+  for (int64_t id = 0; id < 300; ++id) {
+    users.Insert(User(id, "u", id % 7));
+  }
+  source.GetOrCreate("other").Insert(User(1, "x", 1));
+
+  Database clone;
+  clone.GetOrCreate("stale").Insert(User(9, "gone", 9));  // replaced
+  clone.ResetFrom(source);
+  EXPECT_EQ(clone.CollectionNames(), source.CollectionNames());
+  EXPECT_EQ(clone.Fingerprint(), source.Fingerprint());
+  Collection* copy = clone.Get("users");
+  ASSERT_NE(copy, nullptr);
+  copy->CheckInvariants();
+  ASSERT_TRUE(copy->HasIndex("by_age"));
+
+  // Every age bucket lists the same (shared) documents in the same order.
+  auto scan = [](const Collection& c, int64_t age) {
+    return c.IndexScan("by_age", {doc::Value(age)}, {doc::Value(age)});
+  };
+  std::vector<std::vector<DocPtr>> source_scans;
+  for (int64_t age = 0; age < 7; ++age) {
+    source_scans.push_back(scan(users, age));
+    EXPECT_EQ(scan(*copy, age), source_scans.back()) << "age " << age;
+    EXPECT_FALSE(source_scans.back().empty());
+  }
+
+  // Writes to the clone, indexed field included, stay in the clone.
+  const uint64_t source_fp = source.Fingerprint();
+  doc::UpdateSpec older;
+  older.Set("age", doc::Value(int64_t{6}));
+  ASSERT_TRUE(copy->Update(doc::Value(0), older));
+  ASSERT_TRUE(copy->Remove(doc::Value(1)));
+  ASSERT_TRUE(copy->Insert(User(1000, "new", 3)));
+  for (int64_t id = 100; id < 200; ++id) copy->Remove(doc::Value(id));
+  copy->CheckInvariants();
+  users.CheckInvariants();
+  EXPECT_EQ(source.Fingerprint(), source_fp);
+  EXPECT_EQ(users.size(), 300u);
+  EXPECT_EQ(users.FindById(doc::Value(0))->Find("age")->as_int64(), 0);
+  EXPECT_NE(users.FindById(doc::Value(1)), nullptr);
+  EXPECT_EQ(users.FindById(doc::Value(1000)), nullptr);
+  for (int64_t age = 0; age < 7; ++age) {
+    EXPECT_EQ(scan(users, age), source_scans[age]) << "age " << age;
+  }
+  EXPECT_NE(scan(*copy, 6), source_scans[6]);
 }
 
 }  // namespace

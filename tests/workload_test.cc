@@ -1,8 +1,10 @@
 // Tests for the workload generators: key choosers, YCSB, TPC-C, and the
 // S workload — each exercised over a real mini-cluster.
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +186,57 @@ TEST_F(WorkloadClusterTest, TpccLoadBuildsConsistentSchema) {
   EXPECT_TRUE(db.Get("orders")->HasIndex("orders_by_customer"));
   EXPECT_EQ(db.Fingerprint(), rs_->node(1).db().Fingerprint());
   db.Get("orders")->CheckInvariants();
+}
+
+// Stock Level's lookup: for every district, the stock documents of the
+// items in its 20 most recent orders, fetched in one ascending FindManyById
+// pass, are the ones per-id FindById returns. Two absent ids (item 0 and
+// one past the last item) bracket each probe set.
+TEST(TpccStoreTest, FindManyByIdMatchesFindByIdOnRecentOrderItems) {
+  const TpccConfig config;
+  store::Database db;
+  TpccWorkload::Load(config, &db);
+  const store::Collection* districts = db.Get("district");
+  const store::Collection* orders = db.Get("orders");
+  const store::Collection* stock = db.Get("stock");
+  ASSERT_NE(districts, nullptr);
+  ASSERT_NE(orders, nullptr);
+  ASSERT_NE(stock, nullptr);
+  auto id = [](std::initializer_list<int64_t> parts) {
+    doc::Array a;
+    for (int64_t p : parts) a.emplace_back(p);
+    return doc::Value(std::move(a));
+  };
+  size_t probed = 0;
+  for (int64_t w = 1; w <= config.warehouses; ++w) {
+    for (int64_t d = 1; d <= config.districts_per_warehouse; ++d) {
+      const store::DocPtr district = districts->FindById(id({w, d}));
+      ASSERT_NE(district, nullptr);
+      const int64_t next_o = district->Find("d_next_o_id")->as_int64();
+      std::vector<int64_t> items = {0, config.items + 1};
+      for (const store::DocPtr& order : orders->RangeById(
+               id({w, d, next_o - config.stock_level_orders}),
+               id({w, d, next_o - 1}))) {
+        for (const doc::Value& line : order->Find("o_lines")->as_array()) {
+          items.push_back(line.Find("ol_i_id")->as_int64());
+        }
+      }
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
+      std::vector<doc::Value> ids;
+      for (int64_t i : items) ids.push_back(id({w, i}));
+      const std::vector<store::DocPtr> found = stock->FindManyById(ids);
+      ASSERT_EQ(found.size(), ids.size());
+      EXPECT_EQ(found.front(), nullptr);
+      EXPECT_EQ(found.back(), nullptr);
+      for (size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(found[k], stock->FindById(ids[k])) << ids[k].ToJson();
+      }
+      probed += ids.size() - 2;
+    }
+  }
+  // Each district's recent orders name well over a hundred distinct items.
+  EXPECT_GT(probed, 100u * config.warehouses * config.districts_per_warehouse);
 }
 
 TEST_F(WorkloadClusterTest, TpccMixMatchesTable1) {
