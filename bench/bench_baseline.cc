@@ -228,7 +228,7 @@ struct CommandRig {
       ++issued;
       client->Read(pref, server::OpClass::kPointRead,
                    [](const store::Database&) {},
-                   [&](const driver::MongoClient::ReadResult& r) {
+                   [&](const driver::OpResult& r) {
                      if (!r.ok) std::abort();
                      ++completed;
                      issue();
@@ -253,7 +253,7 @@ struct CommandRig {
                     [id](repl::TxnContext* ctx) {
                       ctx->Insert("bench", doc::Value::Doc({{"_id", id}}));
                     },
-                    [&](const driver::MongoClient::WriteResult& r) {
+                    [&](const driver::OpResult& r) {
                       if (!r.ok) std::abort();
                       ++completed;
                       issue();

@@ -67,7 +67,7 @@ RunResult RunOnce(bool decongestant,
     const int s = cluster.ShardFor(doc::Value(key));
     cluster.ReadDoc("t", doc::Value(key), server::OpClass::kPointRead,
                     [](const store::Database&) {},
-                    [&, w, s](const driver::MongoClient::ReadResult& r) {
+                    [&, w, s](const driver::OpResult& r) {
                       ++result->reads;
                       ++result->reads_per_shard[s];
                       if (r.used_secondary) ++result->secondary_reads[s];

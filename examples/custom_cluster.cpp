@@ -89,7 +89,7 @@ int main() {
           [key](const store::Database& db) {
             (void)db.Get("users")->FindById(doc::Value(key));
           },
-          [&, id](const driver::MongoClient::ReadResult& r) {
+          [&, id](const driver::OpResult& r) {
             // Latency feedback reaches the balancer through the driver's
             // unified completion path — no manual OnReadCompleted needed.
             ++stats->reads;
@@ -105,7 +105,7 @@ int main() {
             spec.Inc("clicks", doc::Value(int64_t{1}));
             txn->Update("users", doc::Value(key), spec);
           },
-          [&, id](const driver::MongoClient::WriteResult&) {
+          [&, id](const driver::OpResult&) {
             ++stats->writes;
             run_worker(id);
           });

@@ -31,7 +31,7 @@ ReadBalancer::ReadBalancer(driver::MongoClient* client, SharedState* state,
   // Harvest latencies from the driver's unified completion path: one
   // record per successful application read, regardless of which workload
   // issued it. Probe/control reads opt out via record_latency.
-  client_->AddOpObserver([this](const driver::MongoClient::OpStats& stats) {
+  client_->AddOpObserver([this](const driver::OpResult& stats) {
     if (!stats.is_read || !stats.ok || !stats.record_latency) return;
     state_->RecordLatency(stats.requested, stats.latency);
   });

@@ -234,50 +234,46 @@ int MongoClient::SelectNodeExcluding(ReadPreference pref, int exclude) {
 }
 
 void MongoClient::Read(ReadPreference pref, server::OpClass op_class,
-                       proto::ReadBody body,
-                       std::function<void(const ReadResult&)> done,
-                       OpOptions opts) {
+                       proto::ReadBody body, Done done, OpOptions opts) {
   ReadAfter(pref, repl::OpTime{}, op_class, std::move(body), std::move(done),
             opts);
 }
 
 void MongoClient::ReadAfter(ReadPreference pref, const repl::OpTime& after,
                             server::OpClass op_class, proto::ReadBody body,
-                            std::function<void(const ReadResult&)> done,
-                            OpOptions opts) {
+                            Done done, OpOptions opts) {
   PendingOp op;
   op.is_read = true;
   op.pref = pref;
   op.op_class = op_class;
   op.read_body = std::move(body);
   op.after = after;
-  op.read_done = std::move(done);
+  op.done = std::move(done);
   BeginOp(std::move(op), opts);
 }
 
 void MongoClient::Find(ReadPreference pref, server::OpClass op_class,
-                       std::shared_ptr<const proto::FindSpec> spec,
-                       std::function<void(const ReadResult&)> done,
+                       std::shared_ptr<const proto::FindSpec> spec, Done done,
                        OpOptions opts) {
   PendingOp op;
   op.is_read = true;
   op.pref = pref;
   op.op_class = op_class;
   op.find_spec = std::move(spec);
-  op.read_done = std::move(done);
+  op.done = std::move(done);
   BeginOp(std::move(op), opts);
 }
 
 void MongoClient::Write(server::OpClass op_class, proto::TxnBody body,
-                        std::function<void(const WriteResult&)> done,
-                        repl::WriteConcern concern, OpOptions opts) {
+                        Done done, repl::WriteConcern concern,
+                        OpOptions opts) {
   PendingOp op;
   op.is_read = false;
   op.pref = ReadPreference::kPrimary;
   op.op_class = op_class;
   op.txn_body = std::move(body);
   op.concern = concern;
-  op.write_done = std::move(done);
+  op.done = std::move(done);
   BeginOp(std::move(op), opts);
 }
 
@@ -699,11 +695,11 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
         op.conn_node = kNoNode;
       }
       DetachFromEnvelope(&op, reply.conn_id);
-      FailOp(op_id, /*timed_out=*/false, /*stale_config=*/true);
+      FinishOp(op_id, nullptr, /*timed_out=*/false, /*stale_config=*/true);
     }
     return;
   }
-  CompleteOp(op_id, reply);
+  FinishOp(op_id, &reply);
 }
 
 void MongoClient::OnAttemptTimeout(uint64_t op_id) {
@@ -717,7 +713,7 @@ void MongoClient::OnDeadline(uint64_t op_id) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   it->second.deadline_timer = 0;
-  FailOp(op_id, /*timed_out=*/true);
+  FinishOp(op_id, nullptr, /*timed_out=*/true);
 }
 
 void MongoClient::OnHedgeTimer(uint64_t op_id) {
@@ -866,7 +862,7 @@ void MongoClient::RetryAttempt(uint64_t op_id) {
   op.last_target = op.target;
   op.target = kNoNode;
   if (op.max_retries >= 0 && op.attempts_sent > op.max_retries) {
-    FailOp(op_id, /*timed_out=*/false);
+    FinishOp(op_id, nullptr);
     return;
   }
   // Bounded exponential backoff; no jitter, so same-seed traces stay
@@ -927,121 +923,56 @@ void MongoClient::CloseOpSpans(const PendingOp& op, uint64_t op_id, bool ok,
   tracer_->Record(span);
 }
 
-void MongoClient::CompleteOp(uint64_t op_id, const proto::Reply& reply) {
+void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
+                           bool timed_out, bool stale_config) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   PendingOp op = std::move(it->second);
   pending_.erase(it);
+  const bool ok = reply != nullptr;
+  const uint64_t healthy_conn = ok ? reply->conn_id : 0;
   CancelOpTimers(&op);
-  CloseOpSpans(op, op_id, /*ok=*/true, &reply);
-  ReleaseOpConnections(&op, reply.conn_id);
-  DetachFromEnvelope(&op, reply.conn_id);
-  const sim::Duration latency = loop_->Now() - op.start;
-  const int retries = std::max(0, op.attempts_sent - 1);
-  ++counters_.ok;
-  if (retries > 0) {
-    ++counters_.retried;
-    counters_.retries_total += static_cast<uint64_t>(retries);
-  }
-  if (reply.is_hedge) ++counters_.hedges_won;
-  if (op.is_read) RecordReadLatency(latency);
-
-  OpStats stats;
-  stats.is_read = op.is_read;
-  stats.requested = op.pref;
-  stats.latency = latency;
-  stats.ok = true;
-  stats.retries = retries;
-  stats.hedged = op.hedged;
-  stats.hedge_won = reply.is_hedge;
-  stats.node = reply.node_index;
-  stats.used_secondary = !reply.from_primary;
-  stats.record_latency = op.record_latency;
-  stats.checkout_wait = op.checkout_wait;
-  for (const OpObserver& o : observers_) o(stats);
-
-  if (op.is_read) {
-    ReadResult result;
-    result.latency = latency;
-    result.requested = op.pref;
-    result.node = reply.node_index;
-    result.used_secondary = !reply.from_primary;
-    result.operation_time = reply.operation_time;
-    result.ok = true;
-    result.find = reply.find_result;
-    result.retries = retries;
-    result.hedged = op.hedged;
-    result.hedge_won = reply.is_hedge;
-    result.checkout_wait = op.checkout_wait;
-    if (op.read_done) op.read_done(result);
-  } else {
-    WriteResult result;
-    result.latency = latency;
-    result.committed = reply.committed;
-    result.operation_time = reply.operation_time;
-    result.ok = true;
-    result.retries = retries;
-    result.checkout_wait = op.checkout_wait;
-    if (op.write_done) op.write_done(result);
-  }
-}
-
-void MongoClient::FailOp(uint64_t op_id, bool timed_out, bool stale_config) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp op = std::move(it->second);
-  pending_.erase(it);
-  CancelOpTimers(&op);
-  CloseOpSpans(op, op_id, /*ok=*/false, nullptr);
-  ReleaseOpConnections(&op, /*healthy_conn=*/0);
+  CloseOpSpans(op, op_id, ok, reply);
+  ReleaseOpConnections(&op, healthy_conn);
   if (op.buffered && op.target != kNoNode) RemoveFromBatch(op_id, op.target);
-  DetachFromEnvelope(&op, /*healthy_conn=*/0);
-  const sim::Duration latency = loop_->Now() - op.start;
-  const int retries = std::max(0, op.attempts_sent - 1);
+  DetachFromEnvelope(&op, healthy_conn);
+
+  OpResult r;
+  r.is_read = op.is_read;
+  r.requested = op.pref;
+  r.latency = loop_->Now() - op.start;
+  r.ok = ok;
+  r.timed_out = timed_out;
+  r.stale_config = stale_config;
+  r.retries = std::max(0, op.attempts_sent - 1);
+  r.hedged = op.hedged;
+  r.checkout_wait = op.checkout_wait;
+  r.record_latency = op.record_latency;
+  if (ok) {
+    if (op.is_read) {
+      r.node = reply->node_index;
+      r.used_secondary = !reply->from_primary;
+    }
+    r.operation_time = reply->operation_time;
+    r.committed = reply->committed;
+    r.find = reply->find_result;
+    r.hedge_won = reply->is_hedge;
+  } else if (op.is_read) {
+    r.node = op.target;
+  }
+
+  if (ok) ++counters_.ok;
   if (timed_out) ++counters_.timed_out;
   if (stale_config) ++counters_.stale_config;
-  if (retries > 0) {
+  if (r.retries > 0) {
     ++counters_.retried;
-    counters_.retries_total += static_cast<uint64_t>(retries);
+    counters_.retries_total += static_cast<uint64_t>(r.retries);
   }
+  if (r.hedge_won) ++counters_.hedges_won;
+  if (ok && op.is_read) RecordReadLatency(r.latency);
 
-  OpStats stats;
-  stats.is_read = op.is_read;
-  stats.requested = op.pref;
-  stats.latency = latency;
-  stats.ok = false;
-  stats.timed_out = timed_out;
-  stats.stale_config = stale_config;
-  stats.retries = retries;
-  stats.hedged = op.hedged;
-  stats.node = op.target;
-  stats.record_latency = op.record_latency;
-  stats.checkout_wait = op.checkout_wait;
-  for (const OpObserver& o : observers_) o(stats);
-
-  if (op.is_read) {
-    ReadResult result;
-    result.latency = latency;
-    result.requested = op.pref;
-    result.node = op.target;
-    result.ok = false;
-    result.timed_out = timed_out;
-    result.stale_config = stale_config;
-    result.retries = retries;
-    result.hedged = op.hedged;
-    result.checkout_wait = op.checkout_wait;
-    if (op.read_done) op.read_done(result);
-  } else {
-    WriteResult result;
-    result.latency = latency;
-    result.committed = false;
-    result.ok = false;
-    result.timed_out = timed_out;
-    result.stale_config = stale_config;
-    result.retries = retries;
-    result.checkout_wait = op.checkout_wait;
-    if (op.write_done) op.write_done(result);
-  }
+  for (const OpObserver& o : observers_) o(r);
+  if (op.done) op.done(r);
 }
 
 void MongoClient::CancelOpTimers(PendingOp* op) {

@@ -134,6 +134,54 @@ struct OpOptions {
   uint64_t parent_span = 0;
 };
 
+/// One record per finished op — read or write, success or failure. It is
+/// built once on the unified completion path and handed to every op
+/// observer (the Read Balancer harvests latencies from it) and then to the
+/// op's own `done` callback.
+struct OpResult {
+  bool is_read = true;
+  ReadPreference requested = ReadPreference::kPrimary;
+  /// Client-observed end-to-end latency, pool checkout wait included.
+  sim::Duration latency = 0;
+  /// Node that served a read; for a failed read, the target of the attempt
+  /// outstanding when it failed (-1 if none). Always -1 for writes.
+  int node = -1;
+  /// A read served by a secondary (false for writes).
+  bool used_secondary = false;
+  /// The serving node's lastAppliedOpTime at execution (reads) or the
+  /// commit point (writes) — the operationTime causal sessions advance to.
+  repl::OpTime operation_time;
+  /// False when the op failed (deadline hit, retry budget spent or stale
+  /// config); `node` and `operation_time` are then meaningless.
+  bool ok = true;
+  bool timed_out = false;
+  /// The serving shard rejected the op's chunk version (kStaleConfig).
+  /// Surfaced instead of retried: routing is the caller's (router's) job —
+  /// it must refresh its chunk map and re-issue. A rejected write applied
+  /// nothing (admission runs before the body), so re-routing cannot
+  /// duplicate it.
+  bool stale_config = false;
+  /// Writes only: the transaction committed (false = rolled back, or the
+  /// op failed).
+  bool committed = false;
+  /// Structured-find result (Find() only; null otherwise).
+  std::shared_ptr<const proto::FindResult> find;
+  /// Retry attempts this op needed (0 = first attempt answered).
+  int retries = 0;
+  /// Whether a hedge was sent, and whether it answered first.
+  bool hedged = false;
+  bool hedge_won = false;
+  /// Time spent waiting for pool checkouts (queueing + connection
+  /// establishment) across all attempts; part of `latency`, so a saturated
+  /// primary pool inflates the balancer's latency estimate and sheds load.
+  sim::Duration checkout_wait = 0;
+  /// OpOptions::record_latency: false keeps control traffic out of the
+  /// balancer's feed.
+  bool record_latency = true;
+
+  bool operator==(const OpResult&) const = default;
+};
+
 /// The client-side library every simulated application thread shares. It
 /// speaks only the wire protocol: topology comes from hello/serverStatus
 /// replies, liveness from reply timeouts, data from find/write commands —
@@ -143,72 +191,13 @@ struct OpOptions {
 /// completion path feeding the Read Balancer's latency samples.
 class MongoClient {
  public:
-  struct ReadResult {
-    sim::Duration latency = 0;
-    ReadPreference requested = ReadPreference::kPrimary;
-    int node = 0;  // replica-set node index actually used
-    bool used_secondary = false;
-    /// The serving node's lastAppliedOpTime at execution — the
-    /// operationTime MongoDB returns for causal sessions.
-    repl::OpTime operation_time;
-    /// False when the op failed (deadline hit or retry budget spent).
-    bool ok = true;
-    bool timed_out = false;
-    /// The serving shard rejected the op's chunk version (kStaleConfig).
-    /// Surfaced instead of retried: routing is the caller's (router's)
-    /// job — it must refresh its chunk map and re-issue.
-    bool stale_config = false;
-    /// Structured-find result (Find() only; null for plain reads).
-    std::shared_ptr<const proto::FindResult> find;
-    /// Retry attempts this op needed (0 = first attempt answered).
-    int retries = 0;
-    /// Whether a hedge was sent, and whether it answered first.
-    bool hedged = false;
-    bool hedge_won = false;
-    /// Total time this op spent waiting for pool checkouts (queueing +
-    /// connection establishment), across all attempts. Included in
-    /// `latency` — it is client-observed time.
-    sim::Duration checkout_wait = 0;
-  };
-
-  struct WriteResult {
-    sim::Duration latency = 0;
-    bool committed = false;
-    /// Commit point of the transaction (for causal sessions).
-    repl::OpTime operation_time;
-    /// False when the op failed (deadline hit or retry budget spent).
-    bool ok = true;
-    bool timed_out = false;
-    /// Chunk-version rejection — nothing was applied (the shard checks
-    /// admission before the transaction body runs), so re-routing after a
-    /// refresh cannot duplicate the write.
-    bool stale_config = false;
-    int retries = 0;
-    sim::Duration checkout_wait = 0;
-  };
-
-  /// One record per completed op, delivered on the unified completion
-  /// path (the Read Balancer installs an observer to harvest latencies).
-  struct OpStats {
-    bool is_read = true;
-    ReadPreference requested = ReadPreference::kPrimary;
-    sim::Duration latency = 0;
-    bool ok = false;
-    bool timed_out = false;
-    bool stale_config = false;
-    int retries = 0;
-    bool hedged = false;
-    bool hedge_won = false;
-    int node = -1;
-    bool used_secondary = false;
-    bool record_latency = true;
-    /// Pool checkout wait included in `latency` (see ReadResult). The
-    /// Read Balancer harvests `latency` whole, so a saturated pool on the
-    /// primary inflates its server-side-latency estimate and sheds load —
-    /// checkout wait *is* client-observed latency in the paper's sense.
-    sim::Duration checkout_wait = 0;
-  };
-  using OpObserver = std::function<void(const OpStats&)>;
+  /// Every op's completion callback; op observers take the same shape.
+  using Done = std::function<void(const OpResult&)>;
+  using OpObserver = Done;
+  /// These exist only because perfbench/runner.cc names them; in-tree code
+  /// uses driver::OpResult.
+  using ReadResult = OpResult;
+  using OpStats = OpResult;
 
   /// The client dials the replica set through its command bus: the bus's
   /// registered server hosts double as the seed list (connection string),
@@ -236,31 +225,28 @@ class MongoClient {
   /// chosen node's data at server-side completion; `done` runs back on the
   /// client with the measured end-to-end latency.
   void Read(ReadPreference pref, server::OpClass op_class,
-            proto::ReadBody body, std::function<void(const ReadResult&)> done,
-            OpOptions opts = {});
+            proto::ReadBody body, Done done, OpOptions opts = {});
 
   /// Like Read, but the chosen node defers execution until it has applied
   /// `after` (afterClusterTime) — the causal-consistency read gate.
   void ReadAfter(ReadPreference pref, const repl::OpTime& after,
-                 server::OpClass op_class, proto::ReadBody body,
-                 std::function<void(const ReadResult&)> done,
+                 server::OpClass op_class, proto::ReadBody body, Done done,
                  OpOptions opts = {});
 
   /// Issues a structured find (inspectable, unlike a ReadBody closure —
   /// a router can scatter it across shards and merge partials). The
-  /// matched documents arrive in `ReadResult::find`; every other per-op
+  /// matched documents arrive in `OpResult::find`; every other per-op
   /// mechanism (deadline, retries, hedging, pools) applies unchanged.
   void Find(ReadPreference pref, server::OpClass op_class,
-            std::shared_ptr<const proto::FindSpec> spec,
-            std::function<void(const ReadResult&)> done, OpOptions opts = {});
+            std::shared_ptr<const proto::FindSpec> spec, Done done,
+            OpOptions opts = {});
 
   /// Issues a read-write transaction (always to the primary). With
   /// WriteConcern::kMajority the acknowledgement waits for majority
   /// replication. Writes are retryable: every attempt carries the same op
   /// id, and the server's transaction table ensures a retried write is
   /// acknowledged — not re-applied — when the first attempt did commit.
-  void Write(server::OpClass op_class, proto::TxnBody body,
-             std::function<void(const WriteResult&)> done,
+  void Write(server::OpClass op_class, proto::TxnBody body, Done done,
              repl::WriteConcern concern = repl::WriteConcern::kW1,
              OpOptions opts = {});
 
@@ -399,8 +385,7 @@ class MongoClient {
     /// Trace/parent overrides for router sub-ops (OpOptions::trace_id).
     uint64_t trace_override = 0;
     uint64_t parent_span_override = 0;
-    std::function<void(const ReadResult&)> read_done;
-    std::function<void(const WriteResult&)> write_done;
+    Done done;
   };
 
   void HelloLoop();
@@ -455,8 +440,12 @@ class MongoClient {
   /// Abandons the outstanding attempt and schedules the next one with
   /// bounded exponential backoff (or fails the op: budget spent).
   void RetryAttempt(uint64_t op_id);
-  void CompleteOp(uint64_t op_id, const proto::Reply& reply);
-  void FailOp(uint64_t op_id, bool timed_out, bool stale_config = false);
+  /// Resolves the op — the one place every op ends: tears down its
+  /// timers, spans and connections, bumps the outcome counters, builds its
+  /// OpResult and hands it to the observers and then to `done`. `reply`
+  /// is the winning reply, or null when the op failed.
+  void FinishOp(uint64_t op_id, const proto::Reply* reply,
+                bool timed_out = false, bool stale_config = false);
   /// Trace id the op's spans belong to (its own op id, unless a router
   /// threaded the enclosing client op's trace through OpOptions).
   uint64_t TraceId(uint64_t op_id, const PendingOp& op) const {

@@ -51,7 +51,7 @@ struct PoolOptions {
 /// A per-node client-side connection pool with checkout queueing —
 /// the subsystem between MongoClient and the CommandBus. Every command
 /// attempt checks a connection out, and every reply/timeout returns it
-/// through the driver's unified CompleteOp/FailOp path.
+/// through the driver's unified completion path (MongoClient::FinishOp).
 ///
 /// State machine of one connection:
 ///

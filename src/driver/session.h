@@ -27,14 +27,13 @@ class CausalSession {
   /// it has applied everything this session has seen. Retried attempts
   /// re-send the same token, so the causal floor survives re-selection.
   void Read(ReadPreference pref, server::OpClass op_class,
-            proto::ReadBody body,
-            std::function<void(const MongoClient::ReadResult&)> done,
+            proto::ReadBody body, MongoClient::Done done,
             OpOptions opts = {});
 
   /// Write through the session; advances the causal token to the commit
   /// point on acknowledgement.
   void Write(server::OpClass op_class, proto::TxnBody body,
-             std::function<void(const MongoClient::WriteResult&)> done,
+             MongoClient::Done done,
              repl::WriteConcern concern = repl::WriteConcern::kW1,
              OpOptions opts = {});
 

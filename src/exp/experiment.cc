@@ -264,9 +264,7 @@ Experiment::Experiment(ExperimentConfig config)
   if (!sharded()) {
     node_served_age_.resize(static_cast<size_t>(client_->node_count()));
   }
-  workload_client->AddOpObserver([this](
-                                     const driver::MongoClient::OpStats&
-                                         stats) {
+  workload_client->AddOpObserver([this](const driver::OpResult& stats) {
     if (!stats.is_read || !stats.ok || !stats.record_latency) return;
     pref_read_latency_[static_cast<size_t>(stats.requested)].Add(
         static_cast<double>(stats.latency));

@@ -239,7 +239,7 @@ class MetricsRegistry;
 /// The run's SLO evaluation engine: owns one tracker per (spec, shard),
 /// fans per-op observations out to the trackers that consume them, and
 /// appends every alert transition to one ordered event log. Fed from the
-/// unified CompleteOp/FailOp path; evaluated once per control period from
+/// driver's unified completion path; evaluated once per control period from
 /// the period-close hook — never schedules events of its own, so an
 /// SLO-enabled run replays the exact event sequence of a plain one.
 class SloEngine {

@@ -177,20 +177,9 @@ void ReplicaSet::RestartNode(int idx) {
   StartPull(idx);
 }
 
-void ReplicaSet::WriteTransaction(server::OpClass c, TxnBody body,
-                                  std::function<void(bool)> done,
-                                  WriteConcern concern) {
-  CommitInternal(primary_index_, c, std::move(body), /*op_id=*/0,
-                 /*cost_scale=*/1.0,
-                 [done = std::move(done)](const server::WriteOutcome& outcome) {
-                   if (done) done(outcome.ok && outcome.committed);
-                 },
-                 concern);
-}
-
 void ReplicaSet::CommitInternal(
-    int node_idx, server::OpClass op_class, TxnBody body, uint64_t op_id,
-    double cost_scale,
+    int node_idx, server::OpClass op_class, proto::TxnBody body,
+    uint64_t op_id, double cost_scale,
     std::function<void(const server::WriteOutcome&)> done,
     WriteConcern concern) {
   double throttle = 1.0;
@@ -520,23 +509,12 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
   ReplicaNode& sec = node(secondary_idx);
   // Application cost scales with batch size; one lognormal factor models
   // run-to-run variance without sampling per entry. The apply-throttle
-  // fault stretches it further. With batched_oplog_apply the batch is
-  // charged like a server envelope — one base cost plus a discounted
-  // per-entry increment — which tightens replication lag under write
-  // pressure; the same SampleService draw keeps both paths' RNG streams
-  // identical (the flag only changes arithmetic, not draw order).
+  // fault stretches it further.
   const sim::Duration per_entry =
       sec.server().SampleService(server::OpClass::kOplogApply);
-  const server::ServiceModel& model = sec.server().params().service;
-  const double entry_fraction =
-      params_.batched_oplog_apply ? model.envelope_op_fraction : 1.0;
-  const sim::Duration batch_base =
-      params_.batched_oplog_apply ? model.envelope_base : 0;
   const auto cost = static_cast<sim::Duration>(
-      static_cast<double>(batch_base) +
-      static_cast<double>(per_entry) * entry_fraction *
-          static_cast<double>(batch.size()) *
-          apply_throttle_[secondary_idx]);
+      static_cast<double>(per_entry) * static_cast<double>(batch.size()) *
+      apply_throttle_[secondary_idx]);
   ArmPullDeadline(secondary_idx, cost + kPullQueueGrace);
   sec.server().ExecuteWithCost(
       cost, [this, secondary_idx, epoch, batch = std::move(batch)] {

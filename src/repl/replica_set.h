@@ -84,16 +84,6 @@ struct ReplicaSetParams {
   /// campaigns).
   std::vector<double> node_priorities;
 
-  /// Batched oplog application (server-side mirror of driver command
-  /// batching): a secondary applies a whole getMore batch for one
-  /// envelope_base charge plus envelope_op_fraction × the per-entry cost
-  /// × batch size, instead of full per-entry cost × batch size. The
-  /// amortisation tightens replication lag — and hence the staleness
-  /// signal the Read Balancer consumes — under write pressure. Off by
-  /// default: the disabled path draws the same RNG sequence and runs the
-  /// exact legacy cost formula, so determinism goldens replay unchanged.
-  bool batched_oplog_apply = false;
-
   /// Pull-chain watchdog: when a getMore request or its reply batch is
   /// lost on the network (packet loss, partition), the secondary notices
   /// no pull progress for this long past the expected next step and
@@ -255,15 +245,6 @@ class ReplicaSet : public server::CommandBackend {
   /// Times the pull watchdog restarted a secondary's oplog pull chain.
   uint64_t pull_restarts() const { return pull_restarts_; }
 
-  /// Executes a read-write transaction on the primary under service class
-  /// `c`. The body runs atomically at the commit instant; on commit its
-  /// recorded writes enter the oplog. `done(committed)` follows.
-  /// Internal/test entry point — clients go through the command bus.
-  using TxnBody = proto::TxnBody;
-  void WriteTransaction(server::OpClass c, TxnBody body,
-                        std::function<void(bool committed)> done,
-                        WriteConcern concern = WriteConcern::kW1);
-
   /// What the primary's serverStatus reports about replication progress.
   /// The struct itself lives in proto/ now — it is a wire payload.
   using ServerStatusReply = proto::ServerStatusReply;
@@ -299,15 +280,14 @@ class ReplicaSet : public server::CommandBackend {
   uint64_t majority_writes_acked() const { return majority_writes_acked_; }
 
  private:
-  /// Shared implementation behind WriteTransaction and CommitWrite: runs
-  /// the transaction on node `node`'s CPU (flow control applied) — the
-  /// member that believes itself primary — commits or aborts at
-  /// completion iff that member still leads the data plane at the commit
-  /// instant, and — when `op_id != 0` — records the outcome in the
-  /// retryable-write transaction table at the commit instant (the record
-  /// is logically replicated with the write, so an election that rolls
-  /// the write back also drops the record).
-  void CommitInternal(int node, server::OpClass op_class, TxnBody body,
+  /// Implementation behind CommitWrite: runs the transaction on node
+  /// `node`'s CPU (flow control applied) — the member that believes itself
+  /// primary — commits or aborts at completion iff that member still leads
+  /// the data plane at the commit instant, and — when `op_id != 0` —
+  /// records the outcome in the retryable-write transaction table at the
+  /// commit instant (the record is logically replicated with the write, so
+  /// an election that rolls the write back also drops the record).
+  void CommitInternal(int node, server::OpClass op_class, proto::TxnBody body,
                       uint64_t op_id, double cost_scale,
                       std::function<void(const server::WriteOutcome&)> done,
                       WriteConcern concern);

@@ -161,22 +161,18 @@ void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
   opts.route.chunk_id = chunk;
   opts.route.shard_version = cache_->version();
   ++routed_to_shard_[static_cast<size_t>(shard)];
+  auto done = [this, op](const driver::OpResult& result) {
+    OnPointResult(op, result);
+  };
   if (cmd.kind == proto::CommandKind::kWrite) {
-    clients_[static_cast<size_t>(shard)]->Write(
-        cmd.op_class, cmd.txn_body,
-        [this, op](const driver::MongoClient::WriteResult& result) {
-          OnPointWrite(op, result);
-        },
-        cmd.concern, opts);
+    clients_[static_cast<size_t>(shard)]->Write(cmd.op_class, cmd.txn_body,
+                                                done, cmd.concern, opts);
     return;
   }
   // The Read Preference decision is made *per shard* by that shard's own
   // policy — congestion is detected and relieved shard by shard, under
   // the one shared staleness budget.
   const driver::ReadPreference pref = ChoosePreference(shard);
-  auto done = [this, op](const driver::MongoClient::ReadResult& result) {
-    OnPointRead(op, result);
-  };
   if (cmd.find_spec != nullptr) {
     clients_[static_cast<size_t>(shard)]->Find(pref, cmd.op_class,
                                                cmd.find_spec, done, opts);
@@ -196,9 +192,11 @@ void Router::RefreshAndRetry(const std::shared_ptr<RoutedOp>& op) {
   DispatchPoint(op);
 }
 
-void Router::OnPointRead(const std::shared_ptr<RoutedOp>& op,
-                         const driver::MongoClient::ReadResult& result) {
+void Router::OnPointResult(const std::shared_ptr<RoutedOp>& op,
+                           const driver::OpResult& result) {
   if (result.stale_config) {
+    // Admission refused the version before any body ran — nothing was
+    // applied, so the post-refresh re-route cannot duplicate a write.
     RefreshAndRetry(op);
     return;
   }
@@ -206,25 +204,10 @@ void Router::OnPointRead(const std::shared_ptr<RoutedOp>& op,
   // maxTimeMS timer is already speaking for this op.
   if (!result.ok) return;
   proto::Reply reply;
+  reply.committed = result.committed;
   reply.operation_time = result.operation_time;
   reply.from_primary = !result.used_secondary;
   reply.find_result = result.find;
-  Reply(*op, std::move(reply));
-}
-
-void Router::OnPointWrite(const std::shared_ptr<RoutedOp>& op,
-                          const driver::MongoClient::WriteResult& result) {
-  if (result.stale_config) {
-    // Admission refused the version before any body ran — nothing was
-    // applied, so the post-refresh re-route cannot duplicate the write.
-    RefreshAndRetry(op);
-    return;
-  }
-  if (!result.ok) return;
-  proto::Reply reply;
-  reply.committed = result.committed;
-  reply.operation_time = result.operation_time;
-  reply.from_primary = true;
   Reply(*op, std::move(reply));
 }
 
@@ -257,7 +240,7 @@ void Router::ScatterFind(const std::shared_ptr<RoutedOp>& op) {
     const driver::ReadPreference pref = ChoosePreference(s);
     clients_[static_cast<size_t>(s)]->Find(
         pref, cmd.op_class, cmd.find_spec,
-        [this, gather, s](const driver::MongoClient::ReadResult& result) {
+        [this, gather, s](const driver::OpResult& result) {
           if (gather->replied) return;  // partial reply already went out
           if (!result.ok || result.find == nullptr) return;
           gather->parts[static_cast<size_t>(s)] = result.find;

@@ -135,10 +135,10 @@ class Router {
   /// Single-shard dispatch for keyed ops; re-entered after a stale-config
   /// refresh with the same RoutedOp (same router span, same client op).
   void DispatchPoint(const std::shared_ptr<RoutedOp>& op);
-  void OnPointRead(const std::shared_ptr<RoutedOp>& op,
-                   const driver::MongoClient::ReadResult& result);
-  void OnPointWrite(const std::shared_ptr<RoutedOp>& op,
-                    const driver::MongoClient::WriteResult& result);
+  /// Completion of a point sub-op, read or write: re-routes on a stale
+  /// chunk version, otherwise relays the shard's answer to the client.
+  void OnPointResult(const std::shared_ptr<RoutedOp>& op,
+                     const driver::OpResult& result);
   /// Refreshes the cached routing table from ConfigShards and re-routes.
   void RefreshAndRetry(const std::shared_ptr<RoutedOp>& op);
   void ScatterFind(const std::shared_ptr<RoutedOp>& op);

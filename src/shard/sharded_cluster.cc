@@ -89,26 +89,21 @@ int ShardedCluster::ShardFor(const doc::Value& key) const {
   return config_shards_->Snapshot()->ShardFor(key);
 }
 
-void ShardedCluster::ReadDoc(
-    const std::string& collection, const doc::Value& id,
-    server::OpClass op_class, proto::ReadBody body,
-    std::function<void(const driver::MongoClient::ReadResult&)> done) {
+void ShardedCluster::ReadDoc(const std::string& collection,
+                             const doc::Value& id, server::OpClass op_class,
+                             proto::ReadBody body,
+                             driver::MongoClient::Done done) {
   driver::OpOptions opts;
   opts.route.collection = collection;
   opts.route.has_key = true;
   opts.route.key = id;
   top_client_->Read(driver::ReadPreference::kPrimary, op_class,
-                    std::move(body),
-                    [done = std::move(done)](
-                        const driver::MongoClient::ReadResult& result) {
-                      if (done) done(result);
-                    },
-                    std::move(opts));
+                    std::move(body), std::move(done), std::move(opts));
 }
 
-void ShardedCluster::InsertDoc(
-    const std::string& collection, doc::Value document,
-    std::function<void(const driver::MongoClient::WriteResult&)> done) {
+void ShardedCluster::InsertDoc(const std::string& collection,
+                               doc::Value document,
+                               driver::MongoClient::Done done) {
   const doc::Value* id = document.Find("_id");
   DCG_CHECK(id != nullptr);
   const doc::Value* key = document.FindPath(config_.shard_key.field);
@@ -124,10 +119,10 @@ void ShardedCluster::InsertDoc(
       std::move(done), repl::WriteConcern::kW1, std::move(opts));
 }
 
-void ShardedCluster::UpdateDoc(
-    const std::string& collection, const doc::Value& id,
-    const doc::UpdateSpec& spec,
-    std::function<void(const driver::MongoClient::WriteResult&)> done) {
+void ShardedCluster::UpdateDoc(const std::string& collection,
+                               const doc::Value& id,
+                               const doc::UpdateSpec& spec,
+                               driver::MongoClient::Done done) {
   driver::OpOptions opts;
   opts.route.collection = collection;
   opts.route.has_key = true;
@@ -151,16 +146,16 @@ void ShardedCluster::ScatterCount(
   spec->count_only = true;
   top_client_->Find(
       driver::ReadPreference::kPrimary, op_class, std::move(spec),
-      [done = std::move(done)](const driver::MongoClient::ReadResult& result) {
+      [done = std::move(done)](const driver::OpResult& result) {
         if (!done) return;
         done(result.find != nullptr ? result.find->count : 0, result.latency);
       });
 }
 
-void ShardedCluster::ScatterFind(
-    std::shared_ptr<const proto::FindSpec> spec, server::OpClass op_class,
-    std::function<void(const driver::MongoClient::ReadResult&)> done,
-    driver::OpOptions opts) {
+void ShardedCluster::ScatterFind(std::shared_ptr<const proto::FindSpec> spec,
+                                 server::OpClass op_class,
+                                 driver::MongoClient::Done done,
+                                 driver::OpOptions opts) {
   top_client_->Find(driver::ReadPreference::kPrimary, op_class,
                     std::move(spec), std::move(done), std::move(opts));
 }

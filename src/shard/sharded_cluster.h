@@ -115,19 +115,15 @@ class ShardedCluster {
   /// sub-client's op observer.
   void ReadDoc(const std::string& collection, const doc::Value& id,
                server::OpClass op_class, proto::ReadBody body,
-               std::function<void(const driver::MongoClient::ReadResult&)>
-                   done);
+               driver::MongoClient::Done done);
 
   /// Routed insert (single-shard write transaction).
   void InsertDoc(const std::string& collection, doc::Value document,
-                 std::function<void(const driver::MongoClient::WriteResult&)>
-                     done);
+                 driver::MongoClient::Done done);
 
   /// Routed update by _id.
   void UpdateDoc(const std::string& collection, const doc::Value& id,
-                 const doc::UpdateSpec& spec,
-                 std::function<void(const driver::MongoClient::WriteResult&)>
-                     done);
+                 const doc::UpdateSpec& spec, driver::MongoClient::Done done);
 
   /// Scatter-gather count: the router fans a count-only FindSpec to every
   /// shard (each via its own policy-chosen node) and sums the results.
@@ -139,11 +135,9 @@ class ShardedCluster {
 
   /// Scatter-gather find through the router: per-shard sub-queries merged
   /// by sort key; partial results when the spec allows and the deadline
-  /// looms. Full ReadResult surface (latency, find payload, timed_out).
+  /// looms. Full OpResult surface (latency, find payload, timed_out).
   void ScatterFind(std::shared_ptr<const proto::FindSpec> spec,
-                   server::OpClass op_class,
-                   std::function<void(const driver::MongoClient::ReadResult&)>
-                       done,
+                   server::OpClass op_class, driver::MongoClient::Done done,
                    driver::OpOptions opts = {});
 
   /// Chunk migration, modeled as the balancer's atomic critical section:

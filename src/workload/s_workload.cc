@@ -44,7 +44,7 @@ void SWorkload::WriterLoop() {
             ctx->Update(config_.collection, doc::Value(kProbeId), spec);
         DCG_CHECK(ok);
       },
-      [this](const driver::MongoClient::WriteResult&) {
+      [this](const driver::OpResult&) {
         ++writes_completed_;
         // Closed loop with a floor interval: at least as fast as the
         // reader, but it backs off naturally when the primary is slow.
@@ -107,9 +107,7 @@ void SWorkload::ReaderLoop() {
       [state, read_ts](const store::Database& db) {
         state->primary_ts = read_ts(db);
       },
-      [maybe_finish](const driver::MongoClient::ReadResult&) {
-        maybe_finish();
-      },
+      [maybe_finish](const driver::OpResult&) { maybe_finish(); },
       probe_opts);
   client_->Read(
       probe_secondary ? driver::ReadPreference::kSecondary
@@ -118,9 +116,7 @@ void SWorkload::ReaderLoop() {
       [state, read_ts](const store::Database& db) {
         state->secondary_ts = read_ts(db);
       },
-      [maybe_finish](const driver::MongoClient::ReadResult&) {
-        maybe_finish();
-      },
+      [maybe_finish](const driver::OpResult&) { maybe_finish(); },
       probe_opts);
 }
 

@@ -244,21 +244,8 @@ void TpccWorkload::DoStockLevel(Done done) {
           }
         }
       },
-      [done = std::move(done)](const driver::MongoClient::ReadResult& r) {
-        OpOutcome outcome;
-        outcome.type = "stock_level";
-        outcome.read_only = true;
-        outcome.used_secondary = r.used_secondary;
-        outcome.latency = r.latency;
-        outcome.node = r.node;
-        outcome.operation_time = r.operation_time;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.hedged = r.hedged;
-        outcome.hedge_won = r.hedge_won;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+      [done = std::move(done)](const driver::OpResult& r) {
+        done(OpOutcome("stock_level", r));
       });
 }
 
@@ -333,18 +320,9 @@ void TpccWorkload::DoNewOrder(Done done) {
           ctx->Abort();
         }
       },
-      [this, done = std::move(done)](
-          const driver::MongoClient::WriteResult& r) {
+      [this, done = std::move(done)](const driver::OpResult& r) {
         if (r.ok && !r.committed) ++new_order_aborts_;
-        OpOutcome outcome;
-        outcome.type = "new_order";
-        outcome.committed = r.committed;
-        outcome.latency = r.latency;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+        done(OpOutcome("new_order", r));
       });
 }
 
@@ -380,16 +358,8 @@ void TpccWorkload::DoPayment(Done done) {
                                    {"h_date", doc::Value::Timestamp(
                                                   client_->loop().Now())}}));
       },
-      [done = std::move(done)](const driver::MongoClient::WriteResult& r) {
-        OpOutcome outcome;
-        outcome.type = "payment";
-        outcome.committed = r.committed;
-        outcome.latency = r.latency;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+      [done = std::move(done)](const driver::OpResult& r) {
+        done(OpOutcome("payment", r));
       });
 }
 
@@ -417,21 +387,8 @@ void TpccWorkload::DoOrderStatus(Done done) {
         const store::DocPtr& last = mine.back();  // highest order id
         (void)last->Find("o_lines");
       },
-      [done = std::move(done)](const driver::MongoClient::ReadResult& r) {
-        OpOutcome outcome;
-        outcome.type = "order_status";
-        outcome.read_only = true;
-        outcome.used_secondary = r.used_secondary;
-        outcome.latency = r.latency;
-        outcome.node = r.node;
-        outcome.operation_time = r.operation_time;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.hedged = r.hedged;
-        outcome.hedge_won = r.hedge_won;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+      [done = std::move(done)](const driver::OpResult& r) {
+        done(OpOutcome("order_status", r));
       });
 }
 
@@ -489,16 +446,8 @@ void TpccWorkload::DoDelivery(Done done) {
           ctx->Update(kDistrict, DistrictId(w, d), dist_up);
         }
       },
-      [done = std::move(done)](const driver::MongoClient::WriteResult& r) {
-        OpOutcome outcome;
-        outcome.type = "delivery";
-        outcome.committed = r.committed;
-        outcome.latency = r.latency;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+      [done = std::move(done)](const driver::OpResult& r) {
+        done(OpOutcome("delivery", r));
       });
 }
 

@@ -4,43 +4,21 @@
 #include <functional>
 #include <string_view>
 
-#include "repl/oplog.h"
-#include "sim/time.h"
+#include "driver/client.h"
 
 namespace dcg::workload {
 
 /// The result of one application operation/transaction, as the experiment
-/// recorder sees it.
-struct OpOutcome {
+/// recorder sees it: the driver's per-op record plus the workload's label.
+struct OpOutcome : driver::OpResult {
+  OpOutcome(std::string_view type, const driver::OpResult& result)
+      : driver::OpResult(result), type(type), read_only(result.is_read) {}
+
   /// Stable label: "read", "update", "stock_level", "new_order", ...
   std::string_view type;
-  /// True for read-only transactions — the ones Decongestant routes.
+  /// True for read-only transactions — the ones Decongestant routes. The
+  /// same as `is_read`; perfbench/runner.cc reads it under this name.
   bool read_only = false;
-  /// True when the operation was served by a secondary node.
-  bool used_secondary = false;
-  /// False for programmed rollbacks (TPC-C New Order's 1 %).
-  bool committed = true;
-  /// End-to-end latency observed by the client.
-  sim::Duration latency = 0;
-  /// Replica-set node index that served the operation; -1 when unknown
-  /// (e.g. multi-node transactions).
-  int node = -1;
-  /// lastAppliedOpTime of the serving node when the read executed — the
-  /// data's ground-truth freshness (chaos-harness invariant input).
-  repl::OpTime operation_time;
-  /// False when the driver gave up (deadline hit or retry budget spent);
-  /// `operation_time`/`node` are then meaningless.
-  bool ok = true;
-  /// True when the op failed by exceeding its client-side deadline.
-  bool timed_out = false;
-  /// Retry attempts the driver needed (0 = first attempt answered).
-  int retries = 0;
-  /// Hedged-read bookkeeping: whether a hedge was sent / answered first.
-  bool hedged = false;
-  bool hedge_won = false;
-  /// Pool checkout wait included in `latency` (queueing + connection
-  /// establishment across all attempts of the op).
-  sim::Duration checkout_wait = 0;
 };
 
 /// A closed-loop workload generator: `Issue` starts one operation for a

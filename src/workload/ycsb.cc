@@ -78,25 +78,11 @@ void YcsbWorkload::IssueRead(Done done) {
         *found = table != nullptr &&
                  table->FindById(doc::Value(key)) != nullptr;
       },
-      [this, found, done = std::move(done)](
-          const driver::MongoClient::ReadResult& r) {
+      [this, found, done = std::move(done)](const driver::OpResult& r) {
         // Latency feedback to the balancer flows through the driver's
-        // completion path now — no per-workload reporting.
+        // completion path — no per-workload reporting.
         if (r.ok && !*found) ++missing_reads_;
-        OpOutcome outcome;
-        outcome.type = "read";
-        outcome.read_only = true;
-        outcome.used_secondary = r.used_secondary;
-        outcome.latency = r.latency;
-        outcome.node = r.node;
-        outcome.operation_time = r.operation_time;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.hedged = r.hedged;
-        outcome.hedge_won = r.hedge_won;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+        done(OpOutcome("read", r));
       },
       std::move(opts));
 }
@@ -121,17 +107,8 @@ void YcsbWorkload::IssueUpdate(Done done) {
         const bool ok = ctx->Update(config_.table, doc::Value(key), spec);
         DCG_CHECK_MSG(ok, "YCSB update of missing key");
       },
-      [done = std::move(done)](const driver::MongoClient::WriteResult& r) {
-        OpOutcome outcome;
-        outcome.type = "update";
-        outcome.read_only = false;
-        outcome.committed = r.committed;
-        outcome.latency = r.latency;
-        outcome.ok = r.ok;
-        outcome.timed_out = r.timed_out;
-        outcome.retries = r.retries;
-        outcome.checkout_wait = r.checkout_wait;
-        done(outcome);
+      [done = std::move(done)](const driver::OpResult& r) {
+        done(OpOutcome("update", r));
       },
       repl::WriteConcern::kW1, std::move(opts));
 }

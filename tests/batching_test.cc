@@ -43,7 +43,7 @@ class BatchingTest : public ::testing::Test {
                  OpOptions opts = {}) {
     client_->Read(
         pref, server::OpClass::kPointRead, [](const store::Database&) {},
-        [nodes](const MongoClient::ReadResult& r) {
+        [nodes](const OpResult& r) {
           EXPECT_TRUE(r.ok);
           nodes->push_back(r.node);
         },
@@ -104,7 +104,7 @@ TEST_F(BatchingTest, PartialBatchLatencyIncludesTheFlushDelay) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         EXPECT_TRUE(r.ok);
         latency = r.latency;
       });
@@ -149,7 +149,7 @@ TEST_F(BatchingTest, ImminentDeadlineForcesAnImmediateFlush) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done_at = loop_.Now();
         EXPECT_TRUE(r.ok);
         EXPECT_FALSE(r.timed_out);
@@ -213,7 +213,7 @@ TEST_F(BatchingTest, EnvelopeCheckoutTimeoutRetriesEveryRiderExactlyOnce) {
     client_->Read(
         ReadPreference::kPrimary, server::OpClass::kPointRead,
         [](const store::Database&) {},
-        [&](const MongoClient::ReadResult& r) {
+        [&](const OpResult& r) {
           ++read_done;
           EXPECT_TRUE(r.ok);
           EXPECT_GT(r.retries, 0);
@@ -224,7 +224,7 @@ TEST_F(BatchingTest, EnvelopeCheckoutTimeoutRetriesEveryRiderExactlyOnce) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const MongoClient::WriteResult& r) {
+      [&](const OpResult& r) {
         write_done = true;
         EXPECT_TRUE(r.ok);
         EXPECT_TRUE(r.committed);
@@ -274,7 +274,7 @@ TEST_F(BatchingTest, BatchedRetryableWriteIsNotReappliedAcrossLostAck) {
         spec.Inc("v", doc::Value(int64_t{1}));
         ctx->Update("t", doc::Value(1), spec);
       },
-      [&](const MongoClient::WriteResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_TRUE(r.ok);
         EXPECT_TRUE(r.committed);

@@ -278,7 +278,7 @@ TEST(ChaosTest, RetriesNeverViolateCausalSessionToken) {
         [i](repl::TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
         },
-        [&, i](const driver::MongoClient::WriteResult& w) {
+        [&, i](const driver::OpResult& w) {
           ASSERT_TRUE(w.committed);
           auto hit = std::make_shared<bool>(false);
           session.Read(
@@ -289,7 +289,7 @@ TEST(ChaosTest, RetriesNeverViolateCausalSessionToken) {
                 *hit = t != nullptr &&
                        t->FindById(doc::Value(i)) != nullptr;
               },
-              [&, hit, i](const driver::MongoClient::ReadResult& r) {
+              [&, hit, i](const driver::OpResult& r) {
                 ASSERT_TRUE(r.ok);
                 EXPECT_TRUE(r.used_secondary);
                 ++cycles_done;

@@ -60,7 +60,7 @@ TEST_F(CommandTest, DeadlineFailsSilentlyLostOpExactlyOnTime) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done_at = loop_.Now();
         EXPECT_FALSE(r.ok);
         EXPECT_TRUE(r.timed_out);
@@ -85,7 +85,7 @@ TEST_F(CommandTest, DeadlineCapsRetriesAndStillFiresOnTime) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done_at = loop_.Now();
         retries = r.retries;
         EXPECT_TRUE(r.timed_out);
@@ -109,7 +109,7 @@ TEST_F(CommandTest, RetryBudgetExhaustionFailsWithoutTimeout) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_FALSE(r.ok);
         EXPECT_FALSE(r.timed_out);  // budget spent, not maxTimeMS
@@ -137,7 +137,7 @@ TEST_F(CommandTest, SilentLossRetriesOnAnotherSecondary) {
     client_->Read(
         ReadPreference::kSecondary, server::OpClass::kPointRead,
         [](const store::Database&) {},
-        [&, remaining](const MongoClient::ReadResult& r) {
+        [&, remaining](const OpResult& r) {
           ++completed;
           EXPECT_TRUE(r.ok);
           EXPECT_EQ(r.node, 2);  // node 1 can never answer
@@ -183,7 +183,7 @@ TEST_F(CommandTest, RetryableWriteIsNotReappliedAcrossLostAck) {
         spec.Inc("v", doc::Value(int64_t{1}));
         ctx->Update("t", doc::Value(1), spec);
       },
-      [&](const MongoClient::WriteResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_TRUE(r.ok);
         EXPECT_TRUE(r.committed);
@@ -261,7 +261,7 @@ TEST_F(CommandTest, HedgedReadWinsWhenTargetIsSlow) {
   for (int i = 0; i < 16; ++i) {
     client_->Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&](const MongoClient::ReadResult&) { ++warm; });
+                  [&](const OpResult&) { ++warm; });
   }
   loop_.RunAll();
   ASSERT_EQ(warm, 16);
@@ -279,7 +279,7 @@ TEST_F(CommandTest, HedgedReadWinsWhenTargetIsSlow) {
     if (remaining == 0) return;
     client_->Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&, remaining](const MongoClient::ReadResult& r) {
+                  [&, remaining](const OpResult& r) {
                     ++completed;
                     EXPECT_TRUE(r.ok);
                     if (r.hedge_won) {
@@ -336,7 +336,7 @@ TEST_F(CommandTest, HedgedReadsCutTailLatency) {
       if (remaining == 0) return;
       client.Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&, remaining](const MongoClient::ReadResult& r) {
+                  [&, remaining](const OpResult& r) {
                     latencies.push_back(r.latency);
                     issue(remaining - 1);
                   });
@@ -370,7 +370,7 @@ TEST_F(CommandTest, HedgingOffSchedulesNothingAndDrawsNoRandomness) {
     if (remaining == 0) return;
     client_->Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&, remaining](const MongoClient::ReadResult& r) {
+                  [&, remaining](const OpResult& r) {
                     EXPECT_FALSE(r.hedged);
                     nodes.push_back(r.node);
                     issue(remaining - 1);
@@ -388,7 +388,7 @@ TEST_F(CommandTest, HedgingOffSchedulesNothingAndDrawsNoRandomness) {
     if (remaining == 0) return;
     client_->Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&, remaining](const MongoClient::ReadResult& r) {
+                  [&, remaining](const OpResult& r) {
                     nodes_again.push_back(r.node);
                     issue_again(remaining - 1);
                   });
@@ -403,7 +403,7 @@ TEST_F(CommandTest, PerOpCountersAccumulateOnTheUnifiedPath) {
   options.attempt_timeout = sim::Millis(100);
   Build(options);
   int observed = 0;
-  client_->AddOpObserver([&](const MongoClient::OpStats& stats) {
+  client_->AddOpObserver([&](const OpResult& stats) {
     ++observed;
     EXPECT_TRUE(stats.ok);
     EXPECT_GT(stats.latency, 0);
@@ -412,14 +412,14 @@ TEST_F(CommandTest, PerOpCountersAccumulateOnTheUnifiedPath) {
   for (int i = 0; i < 5; ++i) {
     client_->Read(ReadPreference::kPrimary, server::OpClass::kPointRead,
                   [](const store::Database&) {},
-                  [&](const MongoClient::ReadResult&) { ++completed; });
+                  [&](const OpResult&) { ++completed; });
   }
   client_->Write(
       server::OpClass::kInsert,
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const MongoClient::WriteResult&) { ++completed; });
+      [&](const OpResult&) { ++completed; });
   loop_.RunAll();
   EXPECT_EQ(completed, 6);
   EXPECT_EQ(observed, 6);  // reads AND writes flow through the observer

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_helper.h"
 #include "core/read_balancer.h"
 #include "core/routing_policy.h"
 #include "core/shared_state.h"
@@ -261,12 +262,13 @@ TEST_F(ReadBalancerTest, StalenessAboveBoundZeroesFractionAndRecovers) {
   rs_->primary().server().AddDirtyBytes(2'000'000'000);
   for (int i = 0; i < 2000; ++i) {
     loop_.ScheduleAt(sim::Seconds(56) + sim::Millis(20) * i, [this, i] {
-      rs_->WriteTransaction(
-          server::OpClass::kInsert,
+      rs_->CommitWrite(
+          rs_->primary_index(), server::OpClass::kInsert,
           [i](repl::TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          nullptr);
+          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted());
     });
   }
   // The next checkpoint starts at t=60 and blocks replication for 35 s.

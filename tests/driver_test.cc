@@ -2,9 +2,11 @@
 // latency window, maxStalenessSeconds filtering, and end-to-end reads.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "commit_helper.h"
 #include "driver/client.h"
 #include "repl/replica_set.h"
 
@@ -105,7 +107,7 @@ TEST_F(DriverTest, ReadRoundTripMeasuresEndToEndLatency) {
   client_->Read(
       ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_EQ(r.node, 0);
         EXPECT_FALSE(r.used_secondary);
@@ -122,7 +124,7 @@ TEST_F(DriverTest, SecondaryReadFlagsUsedSecondary) {
   client_->Read(
       ReadPreference::kSecondary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const MongoClient::ReadResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_GE(r.node, 1);
         EXPECT_TRUE(r.used_secondary);
@@ -139,7 +141,7 @@ TEST_F(DriverTest, WriteCommitsOnPrimaryAndReportsLatency) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const MongoClient::WriteResult& r) {
+      [&](const OpResult& r) {
         done = true;
         EXPECT_TRUE(r.committed);
         EXPECT_EQ(r.latency, sim::Millis(2) + sim::Millis(5));
@@ -147,6 +149,115 @@ TEST_F(DriverTest, WriteCommitsOnPrimaryAndReportsLatency) {
   loop_.RunAll();
   EXPECT_TRUE(done);
   EXPECT_EQ(rs_->committed_writes(), 1u);
+}
+
+// The per-op record contract: every op — read or write, success or
+// failure — ends in one OpResult, and the op observers see exactly the
+// record the op's own `done` gets.
+class OpResultTest : public DriverTest {
+ protected:
+  void SetUp() override {
+    Build();
+    client_->AddOpObserver(
+        [this](const OpResult& r) { observed_.push_back(r); });
+  }
+
+  MongoClient::Done Capture() {
+    return [this](const OpResult& r) { done_.push_back(r); };
+  }
+
+  void Insert(int64_t id, OpOptions opts = {}) {
+    client_->Write(
+        server::OpClass::kInsert,
+        [id](repl::TxnContext* ctx) {
+          ctx->Insert("t", doc::Value::Doc({{"_id", id}}));
+        },
+        Capture(), repl::WriteConcern::kW1, opts);
+  }
+
+  /// Runs the loop for `span`; every op finished so far handed equal
+  /// records to the observer and to its `done`.
+  void RunFor(sim::Duration span) {
+    loop_.RunUntil(loop_.Now() + span);
+    EXPECT_TRUE(observed_ == done_);
+  }
+
+  /// Options for an op whose target never answers: the client is not
+  /// started, so it keeps believing the blocked primary reachable and the
+  /// attempt stays outstanding until the 50 ms deadline.
+  OpOptions SilentPrimary() {
+    network_->BlockPair(client_host_, rs_->node(0).host());
+    OpOptions opts;
+    opts.deadline = sim::Millis(50);
+    return opts;
+  }
+
+  std::vector<OpResult> observed_;
+  std::vector<OpResult> done_;
+};
+
+TEST_F(OpResultTest, SuccessfulReadNamesItsServingNode) {
+  rs_->Start();
+  Insert(1);
+  RunFor(sim::Seconds(2));  // committed and replicated
+  client_->Read(ReadPreference::kSecondary, server::OpClass::kPointRead,
+                [](const store::Database&) {}, Capture());
+  RunFor(sim::Seconds(1));
+  ASSERT_EQ(done_.size(), 2u);
+  const OpResult& r = done_[1];
+  EXPECT_TRUE(r.is_read);
+  EXPECT_TRUE(r.ok);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_EQ(r.requested, ReadPreference::kSecondary);
+  ASSERT_GE(r.node, 1);
+  EXPECT_TRUE(r.used_secondary);
+  // The serving secondary had applied the insert when the read ran.
+  EXPECT_EQ(r.operation_time, rs_->node(r.node).last_applied());
+  EXPECT_EQ(r.operation_time, done_[0].operation_time);
+  EXPECT_GT(r.latency, 0);
+  EXPECT_EQ(r.retries, 0);
+}
+
+TEST_F(OpResultTest, DeadlineFailedReadNamesItsLastTarget) {
+  const OpOptions opts = SilentPrimary();
+  client_->Read(ReadPreference::kPrimary, server::OpClass::kPointRead,
+                [](const store::Database&) {}, Capture(), opts);
+  RunFor(sim::Seconds(1));
+  ASSERT_EQ(done_.size(), 1u);
+  const OpResult& r = done_[0];
+  EXPECT_TRUE(r.is_read);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.node, 0);
+  EXPECT_FALSE(r.used_secondary);
+  EXPECT_EQ(r.latency, sim::Millis(50));
+}
+
+TEST_F(OpResultTest, CommittedWriteCarriesItsCommitPoint) {
+  Insert(1);
+  RunFor(sim::Seconds(1));
+  ASSERT_EQ(done_.size(), 1u);
+  const OpResult& r = done_[0];
+  EXPECT_FALSE(r.is_read);
+  EXPECT_TRUE(r.ok);
+  EXPECT_TRUE(r.committed);
+  EXPECT_GT(r.operation_time.seq, 0u);
+  EXPECT_EQ(r.operation_time.seq, rs_->oplog().last_seq());
+  EXPECT_EQ(r.node, -1);
+  EXPECT_FALSE(r.used_secondary);
+}
+
+TEST_F(OpResultTest, FailedWriteIsNotCommitted) {
+  Insert(1, SilentPrimary());
+  RunFor(sim::Seconds(1));
+  ASSERT_EQ(done_.size(), 1u);
+  const OpResult& r = done_[0];
+  EXPECT_FALSE(r.is_read);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_FALSE(r.committed);
+  EXPECT_EQ(r.node, -1);
+  EXPECT_EQ(rs_->committed_writes(), 0u);
 }
 
 TEST_F(DriverTest, ServerStatusRoundTrip) {
@@ -171,12 +282,13 @@ TEST_F(DriverTest, MaxStalenessFiltersStaleSecondaries) {
   rs_->primary().server().AddDirtyBytes(1'000'000'000);
   for (int i = 0; i < 400; ++i) {
     loop_.ScheduleAt(sim::Millis(250) * i, [this, i] {
-      rs_->WriteTransaction(
-          server::OpClass::kInsert,
+      rs_->CommitWrite(
+          rs_->primary_index(), server::OpClass::kInsert,
           [i](repl::TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          nullptr);
+          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted());
     });
   }
   // Force a checkpoint long enough to block replication.

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos_harness.h"
+#include "commit_helper.h"
 #include "fault/fault_injector.h"
 #include "net/network.h"
 #include "repl/replica_set.h"
@@ -408,12 +409,13 @@ class RaftSetTest : public ::testing::Test {
 
   void WriteDoc(int64_t id, WriteConcern concern = WriteConcern::kW1,
                 std::function<void(bool)> done = nullptr) {
-    rs_->WriteTransaction(
-        server::OpClass::kInsert,
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kInsert,
         [id](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", id}}));
         },
-        std::move(done), concern);
+        concern, /*op_id=*/0, /*cost_scale=*/1.0,
+        test::OnCommitted(std::move(done)));
   }
 
   void Isolate(int node) {
@@ -582,12 +584,13 @@ TEST_P(ElectionPropertyTest, SafetyAndBoundedUnavailability) {
   // create the divergence/rollback/resync traffic elections must survive).
   for (int64_t i = 0; i < 400; ++i) {
     loop.ScheduleAt(sim::Millis(50) * i, [&rs, i] {
-      rs.WriteTransaction(
-          server::OpClass::kInsert,
+      rs.CommitWrite(
+          rs.primary_index(), server::OpClass::kInsert,
           [i](TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          nullptr, WriteConcern::kW1);
+          WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted());
     });
   }
 

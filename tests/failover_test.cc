@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_helper.h"
 #include "driver/client.h"
 #include "net/network.h"
 #include "repl/replica_set.h"
@@ -40,12 +41,13 @@ class FailoverTest : public ::testing::Test {
 
   void WriteDoc(int64_t id, WriteConcern concern = WriteConcern::kW1,
                 std::function<void(bool)> done = nullptr) {
-    rs_->WriteTransaction(
-        server::OpClass::kInsert,
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kInsert,
         [id](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", id}}));
         },
-        std::move(done), concern);
+        concern, /*op_id=*/0, /*cost_scale=*/1.0,
+        test::OnCommitted(std::move(done)));
   }
 
   /// A live secondary index, preferring the highest (stays out of the
@@ -223,7 +225,7 @@ TEST_F(FailoverTest, DriverRetriesThroughFailover) {
       [](TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const driver::MongoClient::WriteResult& r) {
+      [&](const driver::OpResult& r) {
         write_done = true;
         write_completed_at = loop_.Now();
         EXPECT_TRUE(r.committed);
@@ -235,7 +237,7 @@ TEST_F(FailoverTest, DriverRetriesThroughFailover) {
   client_->Read(
       driver::ReadPreference::kSecondary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const driver::MongoClient::ReadResult& r) {
+      [&](const driver::OpResult& r) {
         read_done = true;
         EXPECT_TRUE(rs_->IsAlive(r.node));
       });
@@ -321,17 +323,19 @@ TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
   for (int64_t i = 0; i < 600; ++i) {
     const bool majority = write_rng.Bernoulli(0.4);
     loop.ScheduleAt(sim::Millis(40) * i, [&rs, i, majority, acked_majority] {
-      rs.WriteTransaction(
-          server::OpClass::kInsert,
+      rs.CommitWrite(
+          rs.primary_index(), server::OpClass::kInsert,
           [i](TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          majority ? std::function<void(bool)>(
-                         [i, acked_majority](bool ok) {
-                           if (ok) acked_majority->push_back(i);
-                         })
-                   : nullptr,
-          majority ? WriteConcern::kMajority : WriteConcern::kW1);
+          majority ? WriteConcern::kMajority : WriteConcern::kW1,
+          /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted(
+              majority ? std::function<void(bool)>(
+                             [i, acked_majority](bool ok) {
+                               if (ok) acked_majority->push_back(i);
+                             })
+                       : nullptr));
     });
   }
 

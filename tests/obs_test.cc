@@ -384,7 +384,7 @@ TEST_F(ObsE2eTest, ReadDecomposesIntoNestedSpans) {
   client_->Read(
       driver::ReadPreference::kPrimary, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const driver::MongoClient::ReadResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.ok);
         done = true;
       });
@@ -429,7 +429,7 @@ TEST_F(ObsE2eTest, MajorityWriteRecordsCommitWaitSpan) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const driver::MongoClient::WriteResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.committed);
         done = true;
       },
@@ -460,7 +460,7 @@ TEST_F(ObsE2eTest, AttachedButDisabledTracerStaysEmpty) {
   client_->Read(
       driver::ReadPreference::kNearest, server::OpClass::kPointRead,
       [](const store::Database&) {},
-      [&](const driver::MongoClient::ReadResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.ok);
         done = true;
       });

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_helper.h"
 #include "driver/client.h"
 #include "net/network.h"
 #include "repl/oplog.h"
@@ -223,23 +224,25 @@ class ReplicaSetTest : public ::testing::Test {
   }
 
   void UpdateDoc(int64_t id, int64_t inc) {
-    rs_->WriteTransaction(
-        server::OpClass::kUpdate,
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kUpdate,
         [id, inc](TxnContext* ctx) {
           doc::UpdateSpec spec;
           spec.Inc("v", doc::Value(inc));
           ctx->Update("t", doc::Value(id), spec);
         },
-        nullptr);
+        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        test::OnCommitted());
   }
 
   void WriteDoc(int64_t id, int64_t v) {
-    rs_->WriteTransaction(
-        server::OpClass::kInsert,
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kInsert,
         [id, v](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", v}}));
         },
-        nullptr);
+        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        test::OnCommitted());
   }
 
   sim::EventLoop loop_;
@@ -287,9 +290,7 @@ TEST_F(ReplicaSetTest, ReadsSeeNodeLocalState) {
               saw_doc(&primary_saw), nullptr);
   client.Read(driver::ReadPreference::kSecondary, server::OpClass::kPointRead,
               saw_doc(&secondary_saw),
-              [&](const driver::MongoClient::ReadResult& r) {
-                secondary_node = r.node;
-              });
+              [&](const driver::OpResult& r) { secondary_node = r.node; });
   loop_.RunUntil(sim::Millis(20));
   EXPECT_TRUE(primary_saw);
   EXPECT_FALSE(secondary_saw);
@@ -459,13 +460,14 @@ TEST_F(ReplicaSetTest, AbortedTransactionsLeaveNoTrace) {
   const uint64_t seq = rs_->oplog().last_seq();
 
   bool committed = true;
-  rs_->WriteTransaction(
-      server::OpClass::kUpdate,
+  rs_->CommitWrite(
+      rs_->primary_index(), server::OpClass::kUpdate,
       [](TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 99}, {"v", 0}}));
         ctx->Abort();
       },
-      [&](bool c) { committed = c; });
+      WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+      test::OnCommitted([&](bool c) { committed = c; }));
   loop_.RunUntil(sim::Seconds(2));
   EXPECT_FALSE(committed);
   EXPECT_EQ(rs_->primary().db().Fingerprint(), fp);
@@ -510,9 +512,11 @@ TEST_F(ReplicaSetTest, SecondariesShareThePrimarysDocuments) {
   for (int64_t i = 0; i < 30; ++i) WriteDoc(i, i);
   for (int64_t i = 0; i < 30; i += 3) UpdateDoc(i, 7);
   for (int64_t i = 1; i < 30; i += 5) {
-    rs_->WriteTransaction(
-        server::OpClass::kUpdate,
-        [i](TxnContext* ctx) { ctx->Remove("t", doc::Value(i)); }, nullptr);
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kUpdate,
+        [i](TxnContext* ctx) { ctx->Remove("t", doc::Value(i)); },
+        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        test::OnCommitted());
   }
   loop_.RunUntil(sim::Seconds(5));
 
@@ -643,8 +647,8 @@ void ScheduleRandomWrites(sim::EventLoop* loop, ReplicaSet* rs, sim::Rng* rng,
     const int64_t id = rng->UniformInt(0, 49);
     const double action = rng->NextDouble();
     loop->ScheduleAt(at, [rs, id, action, i] {
-      rs->WriteTransaction(
-          server::OpClass::kUpdate,
+      rs->CommitWrite(
+          rs->primary_index(), server::OpClass::kUpdate,
           [id, action, i](TxnContext* ctx) {
             const store::Collection* t = ctx->db().Get("t");
             const bool exists =
@@ -676,7 +680,8 @@ void ScheduleRandomWrites(sim::EventLoop* loop, ReplicaSet* rs, sim::Rng* rng,
               ctx->Abort();
             }
           },
-          nullptr);
+          WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted());
     });
   }
 }

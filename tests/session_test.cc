@@ -47,7 +47,7 @@ TEST_F(SessionTest, MajorityWriteWaitsForReplication) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
       },
-      [&](const driver::MongoClient::WriteResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.committed);
         w1_done = loop_.Now();
       },
@@ -57,7 +57,7 @@ TEST_F(SessionTest, MajorityWriteWaitsForReplication) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 2}}));
       },
-      [&](const driver::MongoClient::WriteResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.committed);
         majority_done = loop_.Now();
       },
@@ -89,7 +89,7 @@ TEST_F(SessionTest, CausalSessionReadsOwnWritesOnSecondary) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 7}, {"v", 42}}));
       },
-      [&](const driver::MongoClient::WriteResult& r) {
+      [&](const driver::OpResult& r) {
         EXPECT_TRUE(r.committed);
         EXPECT_GT(r.operation_time.seq, 0u);
         // Immediately read back from a SECONDARY through the session.
@@ -100,7 +100,7 @@ TEST_F(SessionTest, CausalSessionReadsOwnWritesOnSecondary) {
               saw_own_write =
                   t != nullptr && t->FindById(doc::Value(7)) != nullptr;
             },
-            [&](const driver::MongoClient::ReadResult& rr) {
+            [&](const driver::OpResult& rr) {
               read_done_at = loop_.Now();
               EXPECT_TRUE(rr.used_secondary);
             });
@@ -127,7 +127,7 @@ TEST_F(SessionTest, PlainReadCanMissOwnWriteButSessionCannot) {
       [](repl::TxnContext* ctx) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 9}}));
       },
-      [&](const driver::MongoClient::WriteResult&) {
+      [&](const driver::OpResult&) {
         client_->Read(
             driver::ReadPreference::kSecondary, server::OpClass::kPointRead,
             [&](const store::Database& db) {
@@ -142,9 +142,7 @@ TEST_F(SessionTest, PlainReadCanMissOwnWriteButSessionCannot) {
               session_saw =
                   db.Get("t")->FindById(doc::Value(9)) != nullptr;
             },
-            [&](const driver::MongoClient::ReadResult&) {
-              session_read_done = loop_.Now();
-            });
+            [&](const driver::OpResult&) { session_read_done = loop_.Now(); });
       });
   loop_.RunUntil(sim::Seconds(70));
   EXPECT_TRUE(plain_missed);
@@ -167,7 +165,7 @@ TEST_F(SessionTest, SessionTokenIsMonotonic) {
         [remaining](repl::TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", remaining}}));
         },
-        [&, remaining](const driver::MongoClient::WriteResult&) {
+        [&, remaining](const driver::OpResult&) {
           seqs.push_back(session.operation_time().seq);
           chain(remaining - 1);
         });

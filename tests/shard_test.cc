@@ -84,7 +84,7 @@ TEST_F(ShardTest, RoutedReadFindsDocumentWherever) {
           const store::Collection* t = db.Get("t");
           *hit = t != nullptr && t->FindById(doc::Value(id)) != nullptr;
         },
-        [&, hit](const driver::MongoClient::ReadResult&) {
+        [&, hit](const driver::OpResult&) {
           ++completed;
           if (*hit) ++found;
         });
@@ -103,7 +103,7 @@ TEST_F(ShardTest, UpdatesRouteAndReplicate) {
   spec.Inc("v", doc::Value(int64_t{7}));
   bool committed = false;
   cluster_->UpdateDoc("t", doc::Value(42), spec,
-                      [&](const driver::MongoClient::WriteResult& r) {
+                      [&](const driver::OpResult& r) {
                         committed = r.committed;
                       });
   loop_.RunUntil(sim::Seconds(3));
@@ -187,7 +187,7 @@ TEST_F(ShardTest, PerShardBalancersActIndependently) {
         rng->UniformInt(0, static_cast<int64_t>(shard0_keys.size()) - 1))];
     cluster_->ReadDoc("t", doc::Value(key), server::OpClass::kPointRead,
                       [](const store::Database&) {},
-                      [&, worker](const driver::MongoClient::ReadResult&) {
+                      [&, worker](const driver::OpResult&) {
                         hot_reader(worker);
                       });
   };
@@ -196,7 +196,7 @@ TEST_F(ShardTest, PerShardBalancersActIndependently) {
         rng->UniformInt(0, static_cast<int64_t>(shard1_keys.size()) - 1))];
     cluster_->ReadDoc("t", doc::Value(key), server::OpClass::kPointRead,
                       [](const store::Database&) {},
-                      [&](const driver::MongoClient::ReadResult&) {
+                      [&](const driver::OpResult&) {
                         loop_.ScheduleAfter(sim::Millis(100),
                                             [&] { cold_reader(); });
                       });
@@ -223,7 +223,7 @@ TEST_F(ShardTest, FixedPreferenceModeUsesNoBalancers) {
   bool used_secondary = false;
   cluster_->ReadDoc("t", doc::Value(1), server::OpClass::kPointRead,
                     [](const store::Database&) {},
-                    [&](const driver::MongoClient::ReadResult& r) {
+                    [&](const driver::OpResult& r) {
                       used_secondary = r.used_secondary;
                     });
   loop_.RunUntil(sim::Seconds(3));
@@ -282,7 +282,7 @@ TEST_F(ShardTest, ScatterFindMergesSortOrderAcrossShards) {
   spec->limit = 10;
   std::shared_ptr<const proto::FindResult> merged;
   cluster_->ScatterFind(spec, server::OpClass::kPointRead,
-                        [&](const driver::MongoClient::ReadResult& r) {
+                        [&](const driver::OpResult& r) {
                           ASSERT_TRUE(r.ok);
                           merged = r.find;
                         });
@@ -303,7 +303,7 @@ TEST_F(ShardTest, ScatterFindMergesSortOrderAcrossShards) {
   desc->sort_descending = true;
   std::shared_ptr<const proto::FindResult> merged_desc;
   cluster_->ScatterFind(desc, server::OpClass::kPointRead,
-                        [&](const driver::MongoClient::ReadResult& r) {
+                        [&](const driver::OpResult& r) {
                           ASSERT_TRUE(r.ok);
                           merged_desc = r.find;
                         });
@@ -376,7 +376,7 @@ TEST_F(ShardTest, PartialResultsWhenAShardMissesTheDeadline) {
   bool ok = false, timed_out = false;
   sim::Duration latency = 0;
   cluster_->ScatterFind(spec, server::OpClass::kPointRead,
-                        [&](const driver::MongoClient::ReadResult& r) {
+                        [&](const driver::OpResult& r) {
                           ok = r.ok;
                           timed_out = r.timed_out;
                           result = r.find;
@@ -431,7 +431,7 @@ TEST_F(ShardTest, StaleConfigRetriesAfterMoveChunkWithoutDuplicateWrites) {
   spec.Inc("v", doc::Value(int64_t{7}));
   bool committed = false;
   cluster_->UpdateDoc("t", doc::Value(key), spec,
-                      [&](const driver::MongoClient::WriteResult& r) {
+                      [&](const driver::OpResult& r) {
                         committed = r.committed;
                       });
   loop_.RunUntil(sim::Seconds(4));
@@ -549,9 +549,7 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
         rng->UniformInt(0, static_cast<int64_t>(shard0_keys.size()) - 1))];
     cluster_->ReadDoc("t", doc::Value(key), server::OpClass::kPointRead,
                       [](const store::Database&) {},
-                      [&](const driver::MongoClient::ReadResult&) {
-                        hot_reader();
-                      });
+                      [&](const driver::OpResult&) { hot_reader(); });
   };
   std::function<void()> cold_reader = [&, rng, gated] {
     const int64_t key = shard1_keys[static_cast<size_t>(
@@ -559,7 +557,7 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
     cluster_->ReadDoc(
         "t", doc::Value(key), server::OpClass::kPointRead,
         [](const store::Database&) {},
-        [&, gated](const driver::MongoClient::ReadResult& r) {
+        [&, gated](const driver::OpResult& r) {
           if (*gated && r.used_secondary) {
             shard1_used_secondary_while_gated = true;
           }
@@ -572,7 +570,7 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
     doc::UpdateSpec spec;
     spec.Inc("v", doc::Value(int64_t{1}));
     cluster_->UpdateDoc("t", doc::Value(key), spec,
-                        [&](const driver::MongoClient::WriteResult&) {
+                        [&](const driver::OpResult&) {
                           loop_.ScheduleAfter(sim::Millis(20),
                                               [&] { writer(); });
                         });

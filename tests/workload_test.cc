@@ -4,11 +4,15 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/client_pool.h"
+#include "exp/experiment.h"
 #include "workload/key_chooser.h"
 #include "workload/s_workload.h"
 #include "workload/tpcc.h"
@@ -290,16 +294,12 @@ TEST_F(WorkloadClusterTest, AbortedNewOrderReinstallsTheSameDocuments) {
   const auto before = snapshot();
   const uint64_t oplog_before = rs_->oplog().last_seq();
 
-  bool finished = false;
-  OpOutcome outcome;
-  tpcc.Issue(0, [&](const OpOutcome& o) {
-    outcome = o;
-    finished = true;
-  });
+  std::optional<OpOutcome> outcome;
+  tpcc.Issue(0, [&](const OpOutcome& o) { outcome = o; });
   loop_.RunUntil(sim::Seconds(2));
-  ASSERT_TRUE(finished);
-  EXPECT_TRUE(outcome.ok);
-  EXPECT_FALSE(outcome.committed);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->ok);
+  EXPECT_FALSE(outcome->committed);
   EXPECT_EQ(tpcc.new_order_aborts(), 1u);
   // The rollback put back the very objects the transaction replaced (the
   // district and stock documents it updated), not copies of them.
@@ -398,6 +398,55 @@ TEST_F(WorkloadClusterTest, SWorkloadProbesPrimaryWhenSecondariesUnused) {
   EXPECT_EQ(max_staleness, 0.0);
 }
 
+// Every outcome a workload reports is the driver's record for the same op
+// plus the workload's label: the client's op observer sees each op's
+// OpResult immediately before that op's outcome reaches the experiment.
+void ExpectOutcomesEqualDriverRecords(
+    exp::ExperimentConfig config, const std::set<std::string_view>& reads,
+    const std::set<std::string_view>& writes) {
+  exp::Experiment experiment(config);
+  std::optional<driver::OpResult> record;
+  experiment.client().AddOpObserver(
+      [&](const driver::OpResult& r) { record = r; });
+  std::set<std::string_view> seen;
+  experiment.SetOpObserver([&](const OpOutcome& outcome) {
+    ASSERT_TRUE(record.has_value());
+    EXPECT_TRUE(static_cast<const driver::OpResult&>(outcome) == *record);
+    EXPECT_EQ(outcome.read_only, outcome.is_read);
+    EXPECT_EQ((outcome.is_read ? reads : writes).count(outcome.type), 1u)
+        << outcome.type;
+    seen.insert(outcome.type);
+    record.reset();
+  });
+  experiment.Run();
+  std::set<std::string_view> labels = reads;
+  labels.insert(writes.begin(), writes.end());
+  EXPECT_EQ(seen, labels);
+}
+
+exp::ExperimentConfig ShortRun(exp::WorkloadKind kind) {
+  exp::ExperimentConfig config;
+  config.seed = 5;
+  config.system = exp::SystemType::kDecongestant;
+  config.kind = kind;
+  config.phases = {{0, 10, 0.5}};
+  config.duration = sim::Seconds(20);
+  config.warmup = sim::Seconds(5);
+  config.run_s_workload = false;
+  return config;
+}
+
+TEST(OutcomeRecordTest, YcsbOutcomesEqualDriverRecords) {
+  ExpectOutcomesEqualDriverRecords(ShortRun(exp::WorkloadKind::kYcsb),
+                                   {"read"}, {"update"});
+}
+
+TEST(OutcomeRecordTest, TpccOutcomesEqualDriverRecords) {
+  ExpectOutcomesEqualDriverRecords(ShortRun(exp::WorkloadKind::kTpcc),
+                                   {"stock_level", "order_status"},
+                                   {"new_order", "payment", "delivery"});
+}
+
 TEST(ClientPoolTest, ParksAndResumesClients) {
   // A tiny synthetic workload: completes after 10 ms.
   class FakeWorkload : public Workload {
@@ -406,9 +455,7 @@ TEST(ClientPoolTest, ParksAndResumesClients) {
     void Issue(int, Done done) override {
       ++issued_;
       loop_->ScheduleAfter(sim::Millis(10), [this, done = std::move(done)] {
-        OpOutcome outcome;
-        outcome.type = "noop";
-        done(outcome);
+        done(OpOutcome("noop", driver::OpResult{}));
       });
     }
     std::string_view name() const override { return "fake"; }
