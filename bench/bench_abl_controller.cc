@@ -34,7 +34,7 @@ int main() {
     config.phases = {{0, 45, 0.95}};  // immediately congested primary
     config.duration = sim::Seconds(400);
     config.warmup = sim::Seconds(150);
-    config.controller = std::string(names[v]);
+    config.balancer.controller = std::string(names[v]);
 
     exp::Experiment experiment(config);
     double reached = -1;

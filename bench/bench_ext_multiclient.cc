@@ -76,8 +76,8 @@ int main() {
     std::vector<std::unique_ptr<exp::ClientSystem>> systems;
     for (int c = 0; c < 3; ++c) {
       systems.push_back(std::make_unique<exp::ClientSystem>(
-          &loop, rng.Fork(), &network, rs.get(), hosts[c],
-          driver::ClientOptions{}, core::BalancerConfig{}, ycsb_config));
+          &loop, rng.Fork(), rs.get(), hosts[c], driver::ClientOptions{},
+          core::BalancerConfig{}, ycsb_config));
       systems.back()->Start(kTotalClients / 3);
     }
     loop.RunUntil(kDuration);
@@ -109,7 +109,7 @@ int main() {
       workload::YcsbWorkload::Load(ycsb_config, &rs->node(i).db());
     }
     rs->Start();
-    exp::ClientSystem system(&loop, rng.Fork(), &network, rs.get(), hosts[0],
+    exp::ClientSystem system(&loop, rng.Fork(), rs.get(), hosts[0],
                              driver::ClientOptions{}, core::BalancerConfig{},
                              ycsb_config);
     system.Start(kTotalClients);

@@ -22,9 +22,7 @@ struct RunResult {
   int64_t worst_staleness_estimate = 0;
 };
 
-RunResult RunOnce(bool decongestant,
-                  dcg::driver::ReadPreference fixed_pref =
-                      dcg::driver::ReadPreference::kPrimary) {
+RunResult RunOnce(dcg::core::Routing routing) {
   using namespace dcg;
 
   sim::EventLoop loop;
@@ -33,8 +31,7 @@ RunResult RunOnce(bool decongestant,
   const net::HostId client_host = network.AddHost("client");
 
   shard::ShardedClusterConfig config;
-  config.run_balancers = decongestant;
-  config.fixed_pref = fixed_pref;
+  config.routing = routing;
   shard::ShardedCluster cluster(&loop, rng.Fork(), &network, client_host,
                                 config);
 
@@ -78,7 +75,7 @@ RunResult RunOnce(bool decongestant,
 
   loop.RunUntil(sim::Seconds(200));
   for (int s = 0; s < 2; ++s) {
-    result->fraction[s] = cluster.shared_state(s).balance_fraction();
+    result->fraction[s] = cluster.balance_fraction(s);
   }
   result->routed_reads = cluster.router().routed_reads();
   result->worst_staleness_estimate = cluster.budget().WorstEstimate();
@@ -93,11 +90,11 @@ int main() {
   Banner("Extension: sharded cluster",
          "per-shard Decongestant under skewed load (95% on shard 0)");
 
-  const RunResult dcg_run = RunOnce(/*decongestant=*/true);
+  const RunResult dcg_run = RunOnce(dcg::core::kBalanced);
   const RunResult primary_run =
-      RunOnce(false, dcg::driver::ReadPreference::kPrimary);
+      RunOnce(dcg::driver::ReadPreference::kPrimary);
   const RunResult secondary_run =
-      RunOnce(false, dcg::driver::ReadPreference::kSecondary);
+      RunOnce(dcg::driver::ReadPreference::kSecondary);
 
   std::printf("%-22s %10s %16s %16s\n", "system", "reads", "sec% shard0",
               "sec% shard1");

@@ -1,17 +1,15 @@
 // Low-level API example: wiring the whole stack by hand — event loop,
-// network topology, replica set, driver, shared state, Read Balancer, and
-// an application loop — without the Experiment harness. This is the
-// surface a downstream user integrating Decongestant into their own
-// simulation (or adapting it to a real driver) would touch.
+// network topology, replica set, one client system (driver, shared state,
+// Read Balancer), and an application loop — without the Experiment
+// harness. This is the surface a downstream user integrating Decongestant
+// into their own simulation (or adapting it to a real driver) would touch.
 //
 //   ./build/examples/custom_cluster
 
 #include <cstdio>
 #include <memory>
 
-#include "core/read_balancer.h"
-#include "core/routing_policy.h"
-#include "driver/client.h"
+#include "core/client_stack.h"
 #include "net/network.h"
 #include "repl/replica_set.h"
 
@@ -48,27 +46,28 @@ int main() {
     }
   }
 
-  // --- Driver + Decongestant. ---
+  // --- Client system: driver + Decongestant. ---
   // The driver talks to the replica set purely through its command bus
   // (typed find/insert/hello messages over the network) and learns the
   // topology from hello replies — it never touches ReplicaSet internals.
-  driver::MongoClient client(&loop, rng.Fork(), rs.command_bus(), app,
-                             driver::ClientOptions{});
+  // A balanced stack also owns the shared Balance Fraction, the routing
+  // policy, and the Read Balancer.
   core::BalancerConfig balancer_config;
   balancer_config.stale_bound_seconds = 5;
-  core::SharedState shared(balancer_config.low_bal);
-  core::DecongestantPolicy policy(&shared);
-  core::ReadBalancer balancer(&client, &shared, balancer_config, rng.Fork());
+  core::ClientStack stack(&loop, &rng, rs.command_bus(), app,
+                          driver::ClientOptions{}, balancer_config,
+                          core::kBalanced);
+  driver::MongoClient& client = stack.client();
 
-  balancer.SetPeriodCallback([](const core::ReadBalancer::PeriodStats& s) {
-    std::printf("[balancer] t=%4.0fs ratio=%5.2f -> fraction %.2f%s\n",
-                sim::ToSeconds(s.at), s.ratio, s.published_fraction,
-                s.published_fraction == 0 ? " (stale-blocked)" : "");
-  });
+  stack.balancer()->SetPeriodCallback(
+      [](const core::ReadBalancer::PeriodStats& s) {
+        std::printf("[balancer] t=%4.0fs ratio=%5.2f -> fraction %.2f%s\n",
+                    sim::ToSeconds(s.at), s.ratio, s.published_fraction,
+                    s.published_fraction == 0 ? " (stale-blocked)" : "");
+      });
 
   rs.Start();
-  client.Start();
-  balancer.Start();
+  stack.Start();
 
   // --- The application: 30 closed-loop workers, 90 % reads. ---
   struct Stats {
@@ -82,7 +81,7 @@ int main() {
     if (*stopped) return;
     if (worker_rng->Bernoulli(0.9)) {
       const driver::ReadPreference pref =
-          policy.ChooseReadPreference(worker_rng.get());
+          stack.policy().ChooseReadPreference(worker_rng.get());
       const int64_t key = worker_rng->UniformInt(0, 999);
       client.Read(
           pref, server::OpClass::kPointRead,
@@ -91,7 +90,7 @@ int main() {
           },
           [&, id](const driver::OpResult& r) {
             // Latency feedback reaches the balancer through the driver's
-            // unified completion path — no manual OnReadCompleted needed.
+            // unified completion path — no manual reporting needed.
             ++stats->reads;
             if (r.used_secondary) ++stats->secondary_reads;
             run_worker(id);

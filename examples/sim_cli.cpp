@@ -412,8 +412,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!core::IsDefaultController(controller) &&
-      core::MakeController(controller) == nullptr) {
+  if (core::MakeController(controller) == nullptr) {
     std::string known;
     for (std::string_view name : core::RegisteredControllers()) {
       if (!known.empty()) known += " | ";
@@ -423,7 +422,7 @@ int main(int argc, char** argv) {
                  known.c_str());
     return 2;
   }
-  config.controller = controller;
+  config.balancer.controller = controller;
 
   exp::Experiment experiment(config);
   if (kill_primary_at >= 0) {
@@ -522,7 +521,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(router.routed_to_shard(s)),
           100.0 * static_cast<double>(router.routed_to_shard(s)) /
               static_cast<double>(total_routed),
-          cluster->shared_state(s).balance_fraction(),
+          cluster->balance_fraction(s),
           sim::ToSeconds(cluster->shard(s).MaxTrueStaleness()),
           bound_col);
     }

@@ -2,6 +2,7 @@
 #define DCG_CORE_BALANCER_CONFIG_H_
 
 #include <cstdint>
+#include <string>
 
 #include "sim/time.h"
 
@@ -14,6 +15,11 @@ namespace dcg::core {
 ///   * 4-period history with a downward probe when it is flat;
 ///   * serverStatus polled once per second, StaleBound 10 s.
 struct BalancerConfig {
+  /// Balance Fraction controller strategy, by registry name
+  /// (MakeController): "decongestant" (the paper's Algorithm 1, default),
+  /// "proportional", "cpq", "aoi", or "pid".
+  std::string controller = "decongestant";
+
   /// DELTA: one-period change in Balance Fraction.
   double delta = 0.10;
   /// LOWBAL: lowest non-zero Balance Fraction.

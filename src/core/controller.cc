@@ -192,10 +192,6 @@ double PidController::NextFraction(const ControlInputs& inputs,
   return next;
 }
 
-std::unique_ptr<FractionController> MakeStepController() {
-  return std::make_unique<StepController>();
-}
-
 std::unique_ptr<FractionController> MakeController(std::string_view name) {
   if (IsDefaultController(name)) return std::make_unique<StepController>();
   if (name == "proportional") {

@@ -97,7 +97,7 @@ class ProportionalController : public FractionController {
 };
 
 /// Continuous-Partial-Quorums-style router (McKenzie et al.): the per-op
-/// Bernoulli choice already lives in DecongestantPolicy; this controller
+/// Bernoulli choice already lives in RoutingPolicy; this controller
 /// supplies its probability from SLA feedback on a read-latency target.
 /// When the period's P50 read latency misses the target, the fraction
 /// steps toward whichever side the Lss ratio says is faster, scaled by
@@ -189,11 +189,8 @@ class PidController : public FractionController {
   bool have_last_error_ = false;
 };
 
-/// Factory for the default (paper) controller.
-std::unique_ptr<FractionController> MakeStepController();
-
 /// Registry of controller strategies, keyed by the name users pass as
-/// `--controller=<name>` / ExperimentConfig::controller. The paper's
+/// `--controller=<name>` / BalancerConfig::controller. The paper's
 /// Algorithm 1 registers as "decongestant" (alias "step"); rivals as
 /// "proportional", "cpq", "aoi", "pid". Returns nullptr for unknown
 /// names — callers own the error message.

@@ -13,7 +13,8 @@ ReadBalancer::ReadBalancer(driver::MongoClient* client, SharedState* state,
       state_(state),
       config_(config),
       rng_(std::move(rng)),
-      controller_(MakeStepController()) {
+      controller_(MakeController(config_.controller)) {
+  DCG_CHECK_MSG(controller_ != nullptr, "unknown controller strategy");
   DCG_CHECK(config_.recent_history >= 1);
   DCG_CHECK(config_.low_bal > 0.0 && config_.high_bal <= 1.0);
   DCG_CHECK(config_.low_ratio < config_.high_ratio);

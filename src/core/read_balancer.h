@@ -93,8 +93,8 @@ class ReadBalancer {
   /// Median of a sample set (exposed for tests; returns 0 on empty).
   static sim::Duration Median(std::vector<sim::Duration> samples);
 
-  /// Replaces the feedback controller (default: the paper's
-  /// StepController). Call before Start().
+  /// Replaces the feedback controller the config named. Call before
+  /// Start().
   void SetController(std::unique_ptr<FractionController> controller) {
     controller_ = std::move(controller);
   }

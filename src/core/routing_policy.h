@@ -1,72 +1,45 @@
 #ifndef DCG_CORE_ROUTING_POLICY_H_
 #define DCG_CORE_ROUTING_POLICY_H_
 
-#include <string>
-#include <string_view>
-
 #include "core/shared_state.h"
 #include "driver/read_preference.h"
 #include "sim/random.h"
-#include "sim/time.h"
 
 namespace dcg::core {
 
-/// How an application decides where each read-only transaction goes.
-/// The paper evaluates three systems: the two hard-coded baselines
-/// (state of practice) and Decongestant.
+/// How an application decides where each read-only transaction goes. The
+/// paper evaluates three systems: the two baselines, whose Read Preference
+/// is hard-coded at development time (state of practice), and
+/// Decongestant, whose client-side protocol (§3.2) flips a coin biased by
+/// the current Balance Fraction before each read-only transaction.
+/// Latency feedback needs no call here: the Read Balancer harvests it
+/// from the driver's op observer.
 class RoutingPolicy {
  public:
-  virtual ~RoutingPolicy() = default;
+  /// A baseline: every read uses `fixed`.
+  explicit RoutingPolicy(driver::ReadPreference fixed) : fixed_(fixed) {}
+  /// Decongestant: secondary with probability state->balance_fraction().
+  explicit RoutingPolicy(const SharedState* state) : state_(state) {}
 
-  /// Called before each read-only transaction.
-  virtual driver::ReadPreference ChooseReadPreference(sim::Rng* rng) = 0;
-
-  /// Called with the client-observed end-to-end latency afterwards.
-  virtual void OnReadCompleted(driver::ReadPreference used,
-                               sim::Duration latency) = 0;
-
-  virtual std::string_view name() const = 0;
-};
-
-/// Baseline: the Read Preference is hard-coded at development time.
-class FixedPolicy : public RoutingPolicy {
- public:
-  explicit FixedPolicy(driver::ReadPreference pref) : pref_(pref) {}
-
-  driver::ReadPreference ChooseReadPreference(sim::Rng*) override {
-    return pref_;
-  }
-  void OnReadCompleted(driver::ReadPreference, sim::Duration) override {}
-  std::string_view name() const override {
-    return driver::ToString(pref_);
-  }
-
- private:
-  driver::ReadPreference pref_;
-};
-
-/// Decongestant's client-side protocol (§3.2): before each read-only
-/// transaction, flip a coin biased by the current Balance Fraction; after
-/// it, report the latency to the Read Balancer via the shared lists.
-class DecongestantPolicy : public RoutingPolicy {
- public:
-  explicit DecongestantPolicy(SharedState* state) : state_(state) {}
-
-  driver::ReadPreference ChooseReadPreference(sim::Rng* rng) override {
+  /// Called before each read-only transaction. A fixed policy draws
+  /// nothing from `rng`.
+  driver::ReadPreference ChooseReadPreference(sim::Rng* rng) const {
+    if (state_ == nullptr) return fixed_;
     return rng->Bernoulli(state_->balance_fraction())
                ? driver::ReadPreference::kSecondary
                : driver::ReadPreference::kPrimary;
   }
 
-  void OnReadCompleted(driver::ReadPreference used,
-                       sim::Duration latency) override {
-    state_->RecordLatency(used, latency);
+  /// The share of reads sent to secondaries: the published Balance
+  /// Fraction, or 0 or 1 for a fixed preference.
+  double balance_fraction() const {
+    if (state_ != nullptr) return state_->balance_fraction();
+    return driver::PrefersSecondary(fixed_) ? 1.0 : 0.0;
   }
 
-  std::string_view name() const override { return "decongestant"; }
-
  private:
-  SharedState* state_;
+  const SharedState* state_ = nullptr;
+  driver::ReadPreference fixed_ = driver::ReadPreference::kPrimary;
 };
 
 }  // namespace dcg::core

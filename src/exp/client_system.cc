@@ -5,21 +5,16 @@
 namespace dcg::exp {
 
 ClientSystem::ClientSystem(sim::EventLoop* loop, sim::Rng rng,
-                           net::Network* /*network*/, repl::ReplicaSet* rs,
-                           net::HostId host,
+                           repl::ReplicaSet* rs, net::HostId host,
                            driver::ClientOptions client_options,
                            core::BalancerConfig balancer_config,
-                           workload::YcsbConfig ycsb_config) {
-  // The driver speaks only the command bus; it learns topology from
-  // hello replies rather than touching the replica set.
-  client_ = std::make_unique<driver::MongoClient>(
-      loop, rng.Fork(), rs->command_bus(), host, client_options);
-  state_ = std::make_unique<core::SharedState>(balancer_config.low_bal);
-  policy_ = std::make_unique<core::DecongestantPolicy>(state_.get());
-  balancer_ = std::make_unique<core::ReadBalancer>(
-      client_.get(), state_.get(), balancer_config, rng.Fork());
+                           workload::YcsbConfig ycsb_config)
+    // The driver speaks only the command bus; it learns topology from
+    // hello replies rather than touching the replica set.
+    : stack_(loop, &rng, rs->command_bus(), host, std::move(client_options),
+             std::move(balancer_config), core::kBalanced) {
   ycsb_ = std::make_unique<workload::YcsbWorkload>(
-      client_.get(), policy_.get(), ycsb_config, rng.Fork());
+      &stack_.client(), &stack_.policy(), ycsb_config, rng.Fork());
   pool_ = std::make_unique<ClientPool>(
       loop, ycsb_.get(), [this](const workload::OpOutcome& outcome) {
         if (!outcome.read_only) return;
@@ -29,8 +24,7 @@ ClientSystem::ClientSystem(sim::EventLoop* loop, sim::Rng rng,
 }
 
 void ClientSystem::Start(int clients) {
-  client_->Start();
-  balancer_->Start();
+  stack_.Start();
   pool_->SetTarget(clients);
 }
 

@@ -3,9 +3,7 @@
 
 #include <memory>
 
-#include "core/read_balancer.h"
-#include "core/routing_policy.h"
-#include "core/shared_state.h"
+#include "core/client_stack.h"
 #include "driver/client.h"
 #include "exp/client_pool.h"
 #include "repl/replica_set.h"
@@ -22,9 +20,8 @@ namespace dcg::exp {
 /// balancers still converge to compatible Balance Fractions.
 class ClientSystem {
  public:
-  ClientSystem(sim::EventLoop* loop, sim::Rng rng, net::Network* network,
-               repl::ReplicaSet* rs, net::HostId host,
-               driver::ClientOptions client_options,
+  ClientSystem(sim::EventLoop* loop, sim::Rng rng, repl::ReplicaSet* rs,
+               net::HostId host, driver::ClientOptions client_options,
                core::BalancerConfig balancer_config,
                workload::YcsbConfig ycsb_config);
 
@@ -35,9 +32,9 @@ class ClientSystem {
   /// application workers.
   void Start(int clients);
 
-  driver::MongoClient& client() { return *client_; }
-  core::SharedState& state() { return *state_; }
-  core::ReadBalancer& balancer() { return *balancer_; }
+  driver::MongoClient& client() { return stack_.client(); }
+  core::SharedState& state() { return *stack_.state(); }
+  core::ReadBalancer& balancer() { return *stack_.balancer(); }
   workload::YcsbWorkload& ycsb() { return *ycsb_; }
   ClientPool& pool() { return *pool_; }
 
@@ -50,10 +47,7 @@ class ClientSystem {
   }
 
  private:
-  std::unique_ptr<driver::MongoClient> client_;
-  std::unique_ptr<core::SharedState> state_;
-  std::unique_ptr<core::DecongestantPolicy> policy_;
-  std::unique_ptr<core::ReadBalancer> balancer_;
+  core::ClientStack stack_;
   std::unique_ptr<workload::YcsbWorkload> ycsb_;
   std::unique_ptr<ClientPool> pool_;
   uint64_t reads_ = 0;

@@ -20,6 +20,24 @@ std::string_view ToString(SystemType type) {
   return "unknown";
 }
 
+namespace {
+
+/// The §4.1.3 baselines hard-code their Read Preference; Decongestant
+/// routes by the Balance Fraction.
+core::Routing RoutingFor(SystemType system) {
+  switch (system) {
+    case SystemType::kPrimary:
+      return driver::ReadPreference::kPrimary;
+    case SystemType::kSecondary:
+      return driver::ReadPreference::kSecondary;
+    case SystemType::kDecongestant:
+      break;
+  }
+  return core::kBalanced;
+}
+
+}  // namespace
+
 double PeriodRow::ReadThroughput() const {
   const double seconds = sim::ToSeconds(end - start);
   return seconds <= 0 ? 0 : static_cast<double>(reads) / seconds;
@@ -36,9 +54,7 @@ double PeriodRow::P80ReadLatencyMs() const {
 }
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)),
-      rng_(config_.seed),
-      shared_state_(config_.balancer.low_bal) {
+    : config_(std::move(config)), rng_(config_.seed) {
   DCG_CHECK_MSG(!config_.phases.empty(), "need at least one phase");
   DCG_CHECK_MSG(config_.phases.front().at == 0, "first phase must start at 0");
 
@@ -60,11 +76,7 @@ Experiment::Experiment(ExperimentConfig config)
     cluster_config.server = config_.server;
     cluster_config.client_options = config_.client_options;
     cluster_config.balancer = config_.balancer;
-    cluster_config.run_balancers =
-        config_.system == SystemType::kDecongestant;
-    cluster_config.fixed_pref = config_.system == SystemType::kSecondary
-                                    ? driver::ReadPreference::kSecondary
-                                    : driver::ReadPreference::kPrimary;
+    cluster_config.routing = RoutingFor(config_.system);
     cluster_config.client_node_rtt = config_.client_node_rtt;
     cluster_config.client_router_rtt = config_.client_router_rtt;
     cluster_config.inter_node_rtt = config_.inter_node_rtt;
@@ -73,6 +85,9 @@ Experiment::Experiment(ExperimentConfig config)
         &loop_, rng_.Fork(), network_.get(), client_host, cluster_config);
     cluster_->SetTracer(&tracer_);
     last_shard_reads_.assign(static_cast<size_t>(config_.shards), 0);
+    for (int s = 0; s < cluster_->shard_count(); ++s) {
+      stacks_.push_back(&cluster_->router().stack(s));
+    }
   } else {
     std::vector<net::HostId> node_hosts;
     const int nodes = config_.repl.secondaries + 1;
@@ -89,65 +104,21 @@ Experiment::Experiment(ExperimentConfig config)
       }
     }
 
-    // --- Replica set and driver. ---
+    // --- Replica set and the client system under test. ---
     rs_ = std::make_unique<repl::ReplicaSet>(&loop_, rng_.Fork(),
                                              network_.get(), config_.repl,
                                              config_.server, node_hosts);
-    client_ = std::make_unique<driver::MongoClient>(&loop_, rng_.Fork(),
-                                                    rs_->command_bus(),
-                                                    client_host,
-                                                    config_.client_options);
+    stack_ = std::make_unique<core::ClientStack>(
+        &loop_, &rng_, rs_->command_bus(), client_host,
+        config_.client_options, config_.balancer, RoutingFor(config_.system));
+    stacks_.push_back(stack_.get());
 
     // The tracer is attached unconditionally (so its disabled cost is what
     // production runs pay) and enabled only on request.
     rs_->SetTracer(&tracer_);
-    client_->SetTracer(&tracer_);
+    stack_->client().SetTracer(&tracer_);
   }
   if (config_.trace) tracer_.Enable(config_.trace_max_spans);
-
-  // --- Routing policy / system under test. ---
-  if (sharded()) {
-    // The routing decision lives inside the router (per-shard policies,
-    // balancers, shared budget); the workload's own policy pins the
-    // client→router leg to "primary" — the router always is.
-    policy_ = std::make_unique<core::FixedPolicy>(
-        driver::ReadPreference::kPrimary);
-  } else {
-    switch (config_.system) {
-      case SystemType::kDecongestant:
-        policy_ = std::make_unique<core::DecongestantPolicy>(&shared_state_);
-        balancer_ = std::make_unique<core::ReadBalancer>(
-            client_.get(), &shared_state_, config_.balancer, rng_.Fork());
-        break;
-      case SystemType::kPrimary:
-        policy_ = std::make_unique<core::FixedPolicy>(
-            driver::ReadPreference::kPrimary);
-        break;
-      case SystemType::kSecondary:
-        policy_ = std::make_unique<core::FixedPolicy>(
-            driver::ReadPreference::kSecondary);
-        break;
-    }
-  }
-
-  // --- Controller strategy. The default name leaves the balancers on the
-  // StepController they construct with — the bit-identical golden path —
-  // so only a non-default selection touches them at all. ---
-  if (config_.system == SystemType::kDecongestant &&
-      !core::IsDefaultController(config_.controller)) {
-    if (sharded()) {
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        if (cluster_->balancer(s) == nullptr) continue;
-        auto controller = core::MakeController(config_.controller);
-        DCG_CHECK_MSG(controller != nullptr, "unknown controller strategy");
-        cluster_->balancer(s)->SetController(std::move(controller));
-      }
-    } else {
-      auto controller = core::MakeController(config_.controller);
-      DCG_CHECK_MSG(controller != nullptr, "unknown controller strategy");
-      balancer_->SetController(std::move(controller));
-    }
-  }
 
   // --- Pre-replicated data: each replica set loads the snapshot once and
   // its other members clone it, sharing the immutable documents; in
@@ -176,20 +147,22 @@ Experiment::Experiment(ExperimentConfig config)
     load_replica_set(rs_.get(), nullptr);
   }
 
-  // --- Workload objects. ---
-  driver::MongoClient* workload_client =
-      sharded() ? &cluster_->top_client() : client_.get();
+  // --- Workload objects. In sharded mode the routing decision lives
+  // inside the router (per-shard stacks, shared budget). ---
+  driver::MongoClient* workload_client = &client();
+  core::RoutingPolicy* policy =
+      sharded() ? &router_leg_policy_ : &stack_->policy();
   if (config_.kind == WorkloadKind::kYcsb) {
     auto ycsb_config = config_.ycsb;
     ycsb_config.read_proportion = config_.phases.front().ycsb_read_proportion;
     ycsb_config.stamp_route = sharded();
     auto ycsb = std::make_unique<workload::YcsbWorkload>(
-        workload_client, policy_.get(), ycsb_config, rng_.Fork());
+        workload_client, policy, ycsb_config, rng_.Fork());
     ycsb_ = ycsb.get();
     workload_ = std::move(ycsb);
   } else {
     auto tpcc = std::make_unique<workload::TpccWorkload>(
-        client_.get(), policy_.get(), config_.tpcc, rng_.Fork());
+        workload_client, policy, config_.tpcc, rng_.Fork());
     tpcc_ = tpcc.get();
     workload_ = std::move(tpcc);
   }
@@ -199,7 +172,8 @@ Experiment::Experiment(ExperimentConfig config)
                                                        rs_.get(), client_host);
     // pool_clear faults reach the driver through this hook — the injector
     // itself never sees client internals.
-    injector_->SetPoolClearHook([this](int node) { client_->ClearPool(node); });
+    injector_->SetPoolClearHook(
+        [this](int node) { stack_->client().ClearPool(node); });
   }
 
   pool_ = std::make_unique<ClientPool>(
@@ -215,44 +189,11 @@ Experiment::Experiment(ExperimentConfig config)
       current_.s_staleness.Add(staleness_s * 1000.0);
       s_samples_.emplace_back(loop_.Now(), staleness_s);
     };
-    if (sharded()) {
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        std::function<bool()> secondary_in_use;
-        switch (config_.system) {
-          case SystemType::kDecongestant:
-            secondary_in_use = [this, s] {
-              return cluster_->shared_state(s).balance_fraction() > 0.0;
-            };
-            break;
-          case SystemType::kPrimary:
-            secondary_in_use = [] { return false; };
-            break;
-          case SystemType::kSecondary:
-            secondary_in_use = [] { return true; };
-            break;
-        }
-        shard_s_workloads_.push_back(std::make_unique<workload::SWorkload>(
-            &cluster_->router().shard_client(s), std::move(secondary_in_use),
-            config_.s_config, rng_.Fork(), on_sample));
-      }
-    } else {
-      std::function<bool()> secondary_in_use;
-      switch (config_.system) {
-        case SystemType::kDecongestant:
-          secondary_in_use = [this] {
-            return shared_state_.balance_fraction() > 0.0;
-          };
-          break;
-        case SystemType::kPrimary:
-          secondary_in_use = [] { return false; };
-          break;
-        case SystemType::kSecondary:
-          secondary_in_use = [] { return true; };
-          break;
-      }
-      s_workload_ = std::make_unique<workload::SWorkload>(
-          client_.get(), std::move(secondary_in_use), config_.s_config,
-          rng_.Fork(), on_sample);
+    for (core::ClientStack* stack : stacks_) {
+      s_workloads_.push_back(std::make_unique<workload::SWorkload>(
+          &stack->client(),
+          [stack] { return stack->balance_fraction() > 0.0; },
+          config_.s_config, rng_.Fork(), on_sample));
     }
   }
 
@@ -262,7 +203,7 @@ Experiment::Experiment(ExperimentConfig config)
   // the read completed — 0 for the primary — i.e. the age-of-information
   // the client actually consumed, per preference and per node.
   if (!sharded()) {
-    node_served_age_.resize(static_cast<size_t>(client_->node_count()));
+    node_served_age_.resize(static_cast<size_t>(client().node_count()));
   }
   workload_client->AddOpObserver([this](const driver::OpResult& stats) {
     if (!stats.is_read || !stats.ok || !stats.record_latency) return;
@@ -312,6 +253,23 @@ Experiment::Experiment(ExperimentConfig config)
 
 Experiment::~Experiment() = default;
 
+sim::Duration Experiment::MaxTrueStaleness() const {
+  if (!sharded()) return rs_->MaxTrueStaleness();
+  sim::Duration worst = 0;
+  for (int s = 0; s < cluster_->shard_count(); ++s) {
+    worst = std::max(worst, cluster_->shard(s).MaxTrueStaleness());
+  }
+  return worst;
+}
+
+double Experiment::balance_fraction() const {
+  double max_fraction = 0.0;
+  for (const core::ClientStack* stack : stacks_) {
+    max_fraction = std::max(max_fraction, stack->balance_fraction());
+  }
+  return max_fraction;
+}
+
 void Experiment::RegisterMetrics() {
   // Control-plane gauges.
   if (sharded()) {
@@ -321,7 +279,7 @@ void Experiment::RegisterMetrics() {
       const std::string shard = std::to_string(s);
       registry_.RegisterGauge(
           "balance_fraction", "fraction", {{"shard", shard}},
-          [this, s] { return cluster_->shared_state(s).balance_fraction(); });
+          [this, s] { return cluster_->balance_fraction(s); });
       registry_.RegisterGauge(
           "true_staleness_max", "seconds", {{"shard", shard}}, [this, s] {
             return sim::ToSeconds(cluster_->shard(s).MaxTrueStaleness());
@@ -345,11 +303,7 @@ void Experiment::RegisterMetrics() {
           });
     }
     registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
-      sim::Duration worst = 0;
-      for (int s = 0; s < cluster_->shard_count(); ++s) {
-        worst = std::max(worst, cluster_->shard(s).MaxTrueStaleness());
-      }
-      return sim::ToSeconds(worst);
+      return sim::ToSeconds(MaxTrueStaleness());
     });
     registry_.RegisterCounter("router_stale_refreshes", "ops", {}, [this] {
       return static_cast<double>(cluster_->router().stale_refreshes());
@@ -358,16 +312,15 @@ void Experiment::RegisterMetrics() {
       return static_cast<double>(cluster_->router().scatter_finds());
     });
   } else {
-    registry_.RegisterGauge("balance_fraction", "fraction", {}, [this] {
-      return shared_state_.balance_fraction();
-    });
+    registry_.RegisterGauge("balance_fraction", "fraction", {},
+                            [this] { return balance_fraction(); });
     registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
-      return sim::ToSeconds(rs_->MaxTrueStaleness());
+      return sim::ToSeconds(MaxTrueStaleness());
     });
   }
-  if (balancer_ != nullptr) {
+  if (balancer() != nullptr) {
     registry_.RegisterGauge("staleness_estimate", "seconds", {}, [this] {
-      return static_cast<double>(balancer_->staleness_estimate_seconds());
+      return static_cast<double>(balancer()->staleness_estimate_seconds());
     });
   }
 
@@ -490,35 +443,23 @@ void Experiment::OnOp(const workload::OpOutcome& outcome) {
 }
 
 void Experiment::SampleStaleness() {
+  // Client-wide staleness is the worst replica set — in sharded mode the
+  // quantity the shared StalenessBudget promises stays under the single
+  // StaleBound.
   StalenessPoint point;
   point.at = loop_.Now();
-  if (sharded()) {
-    // Client-wide staleness is the worst shard — the quantity the shared
-    // StalenessBudget promises stays under the single StaleBound.
-    sim::Duration true_worst = 0;
-    int64_t est_worst = -1;
-    for (int s = 0; s < cluster_->shard_count(); ++s) {
-      true_worst = std::max(true_worst, cluster_->shard(s).MaxTrueStaleness());
-      if (cluster_->balancer(s) != nullptr) {
-        est_worst = std::max(
-            est_worst, cluster_->balancer(s)->staleness_estimate_seconds());
-      }
+  point.true_max_s = sim::ToSeconds(MaxTrueStaleness());
+  int64_t est_worst = -1;
+  for (const core::ClientStack* stack : stacks_) {
+    if (stack->balancer() != nullptr) {
+      est_worst =
+          std::max(est_worst, stack->balancer()->staleness_estimate_seconds());
     }
-    point.true_max_s = sim::ToSeconds(true_worst);
-    if (est_worst >= 0) {
-      point.estimate_s = static_cast<double>(est_worst);
-      current_.est_staleness_max_s =
-          std::max(current_.est_staleness_max_s, est_worst);
-    }
-  } else {
-    point.true_max_s = sim::ToSeconds(rs_->MaxTrueStaleness());
-    if (balancer_ != nullptr) {
-      point.estimate_s =
-          static_cast<double>(balancer_->staleness_estimate_seconds());
-      current_.est_staleness_max_s =
-          std::max(current_.est_staleness_max_s,
-                   balancer_->staleness_estimate_seconds());
-    }
+  }
+  if (est_worst >= 0) {
+    point.estimate_s = static_cast<double>(est_worst);
+    current_.est_staleness_max_s =
+        std::max(current_.est_staleness_max_s, est_worst);
   }
   staleness_series_.push_back(point);
   loop_.ScheduleAfter(sim::Seconds(1), [this] { SampleStaleness(); });
@@ -526,21 +467,15 @@ void Experiment::SampleStaleness() {
 
 void Experiment::ClosePeriod() {
   current_.end = loop_.Now();
+  current_.balance_fraction = balance_fraction();
   if (sharded()) {
-    // Per-shard columns plus the max fraction as the scalar rollup.
-    double max_fraction = 0.0;
     for (int s = 0; s < cluster_->shard_count(); ++s) {
-      const double fraction = cluster_->shared_state(s).balance_fraction();
-      max_fraction = std::max(max_fraction, fraction);
-      current_.shard_balance_fraction.push_back(fraction);
+      current_.shard_balance_fraction.push_back(cluster_->balance_fraction(s));
       const uint64_t routed = cluster_->router().routed_to_shard(s);
       current_.shard_reads.push_back(routed -
                                      last_shard_reads_[static_cast<size_t>(s)]);
       last_shard_reads_[static_cast<size_t>(s)] = routed;
     }
-    current_.balance_fraction = max_fraction;
-  } else {
-    current_.balance_fraction = shared_state_.balance_fraction();
   }
   const driver::pool::ConnectionPool::Stats pool_now = client().PoolTotals();
   current_.pool_checkout_timeouts =
@@ -554,10 +489,10 @@ void Experiment::ClosePeriod() {
       ops_now.envelopes_sent - last_op_counters_.envelopes_sent;
   current_.ops_batched = ops_now.ops_batched - last_op_counters_.ops_batched;
   last_op_counters_ = ops_now;
-  if (balancer_ != nullptr) {
+  if (balancer() != nullptr) {
     // Fold this period's balancer decisions into the row: control ticks
     // win over gate transitions (a gate event carries no fraction move).
-    const auto& entries = balancer_->decisions().entries();
+    const auto& entries = balancer()->decisions().entries();
     bool tick_seen = false;
     for (; decision_cursor_ < entries.size(); ++decision_cursor_) {
       const obs::BalanceDecision& d = entries[decision_cursor_];
@@ -593,11 +528,9 @@ void Experiment::Run() {
     cluster_->Start();
   } else {
     rs_->Start();
-    client_->Start();
-    if (balancer_ != nullptr) balancer_->Start();
+    stack_->Start();
   }
-  if (s_workload_ != nullptr) s_workload_->Start();
-  for (auto& s_workload : shard_s_workloads_) s_workload->Start();
+  for (auto& s_workload : s_workloads_) s_workload->Start();
   if (!config_.faults.empty()) injector_->Arm(config_.faults);
 
   // Phase schedule.

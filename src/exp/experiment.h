@@ -6,9 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/read_balancer.h"
-#include "core/routing_policy.h"
-#include "core/shared_state.h"
+#include "core/client_stack.h"
 #include "driver/client.h"
 #include "exp/client_pool.h"
 #include "fault/fault_injector.h"
@@ -52,12 +50,6 @@ struct Phase {
 struct ExperimentConfig {
   uint64_t seed = 42;
   SystemType system = SystemType::kDecongestant;
-  /// Balance Fraction controller strategy, by registry name
-  /// (core::MakeController): "decongestant" (the paper's Algorithm 1,
-  /// default), "proportional", "cpq", "aoi", or "pid". Applied to every
-  /// Read Balancer the run builds (one per shard in sharded mode).
-  /// Ignored for the fixed-preference baselines.
-  std::string controller = "decongestant";
 
   WorkloadKind kind = WorkloadKind::kYcsb;
   workload::YcsbConfig ycsb;
@@ -69,6 +61,9 @@ struct ExperimentConfig {
   sim::Duration warmup = sim::Seconds(100);
   sim::Duration report_period = sim::Seconds(10);
 
+  /// Every Read Balancer the run builds (one per shard in sharded mode)
+  /// uses these parameters, controller included; the fixed-preference
+  /// baselines build none.
   core::BalancerConfig balancer;
   repl::ReplicaSetParams repl;
   server::ServerParams server;
@@ -131,7 +126,9 @@ struct PeriodRow {
   metrics::Histogram stock_level_latency;  // ns
   metrics::Histogram s_staleness;   // seconds, S-workload samples
   int64_t est_staleness_max_s = 0;  // max serverStatus estimate in period
-  double balance_fraction = 0.0;    // published fraction at period end
+  // Published fraction at period end; 0 / 1 for the Primary / Secondary
+  // baselines, which route every read one way.
+  double balance_fraction = 0.0;
   // Per-op outcome counters from the command layer (all op types).
   uint64_t ops_ok = 0;         // ops that completed
   uint64_t ops_timed_out = 0;  // ops that failed their client deadline
@@ -209,9 +206,10 @@ struct Summary {
   uint64_t bound_violations = 0;
 };
 
-/// Builds the full stack — event loop, network, replica set, driver,
-/// routing policy (+ Read Balancer for Decongestant), workload, client
-/// pool, S workload — runs it, and collects the paper's measurements.
+/// Builds the full stack — event loop, network, replica set, client system
+/// (core::ClientStack: driver, routing policy, + Read Balancer for
+/// Decongestant), workload, client pool, S workload — runs it, and
+/// collects the paper's measurements.
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);
@@ -249,7 +247,7 @@ class Experiment {
   /// plain driver in single-replica-set mode, the client→router driver in
   /// sharded mode.
   driver::MongoClient& client() {
-    return cluster_ != nullptr ? cluster_->top_client() : *client_;
+    return cluster_ != nullptr ? cluster_->top_client() : stack_->client();
   }
   /// True when config.shards >= 2 built a sharded cluster.
   bool sharded() const { return cluster_ != nullptr; }
@@ -258,11 +256,19 @@ class Experiment {
   const shard::ShardedCluster* sharded_cluster() const {
     return cluster_.get();
   }
-  core::ReadBalancer* balancer() { return balancer_.get(); }
-  core::SharedState& shared_state() { return shared_state_; }
+  /// The single-replica-set Read Balancer; null for the fixed-preference
+  /// baselines and in sharded mode (see sharded_cluster()->balancer(s)).
+  core::ReadBalancer* balancer() {
+    return stack_ != nullptr ? stack_->balancer() : nullptr;
+  }
+  const core::ReadBalancer* balancer() const {
+    return stack_ != nullptr ? stack_->balancer() : nullptr;
+  }
+  /// The published Balance Fraction: 0 or 1 for the fixed-preference
+  /// baselines, the max across shards in sharded mode.
+  double balance_fraction() const;
   workload::YcsbWorkload* ycsb() { return ycsb_; }
   workload::TpccWorkload* tpcc() { return tpcc_; }
-  workload::SWorkload* s_workload() { return s_workload_.get(); }
   fault::FaultInjector& fault_injector() { return *injector_; }
   ClientPool& pool() { return *pool_; }
   const ExperimentConfig& config() const { return config_; }
@@ -275,7 +281,7 @@ class Experiment {
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   /// Balancer decision log; null for the fixed-preference baselines.
   const obs::DecisionLog* balancer_decisions() const {
-    return balancer_ == nullptr ? nullptr : &balancer_->decisions();
+    return balancer() == nullptr ? nullptr : &balancer()->decisions();
   }
   /// SLO engine; null unless config.slos requested objectives.
   const obs::SloEngine* slo_engine() const { return slo_.get(); }
@@ -284,6 +290,8 @@ class Experiment {
   void OnOp(const workload::OpOutcome& outcome);
   void ClosePeriod();
   void SampleStaleness();
+  /// Ground truth: the worst replica set's true staleness.
+  sim::Duration MaxTrueStaleness() const;
   void RegisterMetrics();
 
   ExperimentConfig config_;
@@ -291,21 +299,24 @@ class Experiment {
   sim::Rng rng_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<repl::ReplicaSet> rs_;
-  std::unique_ptr<driver::MongoClient> client_;
-  /// Sharded mode only; rs_ and client_ stay null when this is set.
+  /// The client system of a single-replica-set run.
+  std::unique_ptr<core::ClientStack> stack_;
+  /// Sharded mode only; rs_ and stack_ stay null when this is set.
   std::unique_ptr<shard::ShardedCluster> cluster_;
-  /// Sharded mode: one S workload per shard, each probing through that
-  /// shard's sub-client (samples merge into the one client-wide series).
-  std::vector<std::unique_ptr<workload::SWorkload>> shard_s_workloads_;
+  /// Every client system the run routes reads through: stack_, or the
+  /// router's per-shard stacks.
+  std::vector<core::ClientStack*> stacks_;
+  /// Sharded mode: the client→router leg always reads the router, which
+  /// hello reports as primary.
+  core::RoutingPolicy router_leg_policy_{driver::ReadPreference::kPrimary};
   /// Router per-shard dispatch counters at the last period boundary.
   std::vector<uint64_t> last_shard_reads_;
-  core::SharedState shared_state_;
-  std::unique_ptr<core::RoutingPolicy> policy_;
-  std::unique_ptr<core::ReadBalancer> balancer_;
   std::unique_ptr<workload::Workload> workload_;
   workload::YcsbWorkload* ycsb_ = nullptr;
   workload::TpccWorkload* tpcc_ = nullptr;
-  std::unique_ptr<workload::SWorkload> s_workload_;
+  /// One S workload per client system, each probing through that stack's
+  /// client (samples merge into the one client-wide series).
+  std::vector<std::unique_ptr<workload::SWorkload>> s_workloads_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<ClientPool> pool_;
   std::function<void(const workload::OpOutcome&)> op_observer_;

@@ -109,7 +109,7 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
                std::string(ToString(config.system)) + " \xc2\xb7 seed " +
                std::to_string(config.seed);
   data.subtitle =
-      "controller " + config.controller + " \xc2\xb7 " +
+      "controller " + config.balancer.controller + " \xc2\xb7 " +
       (config.kind == WorkloadKind::kYcsb ? "YCSB" : "TPC-C") +
       (experiment.sharded()
            ? " \xc2\xb7 " + std::to_string(config.shards) + " shards"

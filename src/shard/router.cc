@@ -31,24 +31,13 @@ Router::Router(sim::EventLoop* loop, sim::Rng rng, net::Network* network,
       config_.balancer.stale_bound_seconds, shards);
   routed_to_shard_.assign(static_cast<size_t>(shards), 0);
   for (int s = 0; s < shards; ++s) {
-    clients_.push_back(std::make_unique<driver::MongoClient>(
-        loop_, rng_.Fork(), shard_buses[s], host_,
-        config_.shard_client_options));
-    states_.push_back(
-        std::make_unique<core::SharedState>(config_.balancer.low_bal));
-    if (config_.run_balancers) {
-      policies_.push_back(
-          std::make_unique<core::DecongestantPolicy>(states_.back().get()));
-      balancers_.push_back(std::make_unique<core::ReadBalancer>(
-          clients_.back().get(), states_.back().get(), config_.balancer,
-          rng_.Fork()));
-      // Every shard balancer gates against the one shared budget: the
-      // client-wide StaleBound is a joint constraint, not N private ones.
-      balancers_.back()->SetStalenessBudget(budget_.get(), s);
-    } else {
-      policies_.push_back(
-          std::make_unique<core::FixedPolicy>(config_.fixed_pref));
-      balancers_.push_back(nullptr);
+    stacks_.push_back(std::make_unique<core::ClientStack>(
+        loop_, &rng_, shard_buses[s], host_, config_.shard_client_options,
+        config_.balancer, config_.routing));
+    // Every shard balancer gates against the one shared budget: the
+    // client-wide StaleBound is a joint constraint, not N private ones.
+    if (core::ReadBalancer* balancer = stacks_.back()->balancer()) {
+      balancer->SetStalenessBudget(budget_.get(), s);
     }
   }
 }
@@ -56,15 +45,17 @@ Router::Router(sim::EventLoop* loop, sim::Rng rng, net::Network* network,
 Router::~Router() = default;
 
 void Router::Start() {
-  for (auto& client : clients_) client->Start();
-  for (auto& balancer : balancers_) {
-    if (balancer != nullptr) balancer->Start();
+  // Every sub-client starts before any balancer: their first probes draw
+  // network jitter in this order.
+  for (auto& stack : stacks_) stack->client().Start();
+  for (auto& stack : stacks_) {
+    if (stack->balancer() != nullptr) stack->balancer()->Start();
   }
 }
 
 void Router::SetTracer(obs::Tracer* tracer) {
   tracer_ = tracer;
-  for (auto& client : clients_) client->SetTracer(tracer);
+  for (auto& stack : stacks_) stack->client().SetTracer(tracer);
 }
 
 void Router::Handle(proto::Command command) {
@@ -145,7 +136,7 @@ bool Router::MakeSubOptions(const RoutedOp& op,
 }
 
 driver::ReadPreference Router::ChoosePreference(int shard) {
-  return policies_[static_cast<size_t>(shard)]->ChooseReadPreference(&rng_);
+  return stack(shard).policy().ChooseReadPreference(&rng_);
 }
 
 void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
@@ -165,8 +156,8 @@ void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
     OnPointResult(op, result);
   };
   if (cmd.kind == proto::CommandKind::kWrite) {
-    clients_[static_cast<size_t>(shard)]->Write(cmd.op_class, cmd.txn_body,
-                                                done, cmd.concern, opts);
+    shard_client(shard).Write(cmd.op_class, cmd.txn_body, done, cmd.concern,
+                              opts);
     return;
   }
   // The Read Preference decision is made *per shard* by that shard's own
@@ -174,15 +165,12 @@ void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
   // the one shared staleness budget.
   const driver::ReadPreference pref = ChoosePreference(shard);
   if (cmd.find_spec != nullptr) {
-    clients_[static_cast<size_t>(shard)]->Find(pref, cmd.op_class,
-                                               cmd.find_spec, done, opts);
+    shard_client(shard).Find(pref, cmd.op_class, cmd.find_spec, done, opts);
   } else if (cmd.ctx.after_cluster_time.seq > 0) {
-    clients_[static_cast<size_t>(shard)]->ReadAfter(
-        pref, cmd.ctx.after_cluster_time, cmd.op_class, cmd.read_body, done,
-        opts);
+    shard_client(shard).ReadAfter(pref, cmd.ctx.after_cluster_time,
+                                  cmd.op_class, cmd.read_body, done, opts);
   } else {
-    clients_[static_cast<size_t>(shard)]->Read(pref, cmd.op_class,
-                                               cmd.read_body, done, opts);
+    shard_client(shard).Read(pref, cmd.op_class, cmd.read_body, done, opts);
   }
 }
 
@@ -215,7 +203,7 @@ void Router::ScatterFind(const std::shared_ptr<RoutedOp>& op) {
   const proto::Command& cmd = op->cmd;
   auto gather = std::make_shared<Gather>();
   gather->op = op;
-  gather->parts.resize(clients_.size());
+  gather->parts.resize(stacks_.size());
   driver::OpOptions base;
   if (!MakeSubOptions(*op, &base)) return;
   base.route.collection = cmd.find_spec->collection;
@@ -238,7 +226,7 @@ void Router::ScatterFind(const std::shared_ptr<RoutedOp>& op) {
   }
   for (int s = 0; s < shard_count(); ++s) {
     const driver::ReadPreference pref = ChoosePreference(s);
-    clients_[static_cast<size_t>(s)]->Find(
+    shard_client(s).Find(
         pref, cmd.op_class, cmd.find_spec,
         [this, gather, s](const driver::OpResult& result) {
           if (gather->replied) return;  // partial reply already went out

@@ -5,9 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/read_balancer.h"
-#include "core/routing_policy.h"
-#include "core/shared_state.h"
+#include "core/client_stack.h"
 #include "core/staleness_budget.h"
 #include "driver/client.h"
 #include "net/network.h"
@@ -26,10 +24,9 @@ struct RouterConfig {
   /// the router→shard leg too).
   driver::ClientOptions shard_client_options;
   core::BalancerConfig balancer;
-  /// When true, every shard gets its own Read Balancer joined to one
-  /// shared StalenessBudget; when false, sub-reads use `fixed_pref`.
-  bool run_balancers = true;
-  driver::ReadPreference fixed_pref = driver::ReadPreference::kPrimary;
+  /// Balanced: every shard gets its own Read Balancer joined to one
+  /// shared StalenessBudget. Fixed: every sub-read uses that preference.
+  core::Routing routing = core::kBalanced;
   /// allowPartialResults: a scatter find with a deadline answers this
   /// far *before* it with whatever shards have replied, so the partial
   /// reply still beats the client's maxTimeMS across the return wire.
@@ -83,12 +80,15 @@ class Router {
   /// legs link into one tree. Forwarded to the sub-clients too.
   void SetTracer(obs::Tracer* tracer);
 
-  int shard_count() const { return static_cast<int>(clients_.size()); }
-  driver::MongoClient& shard_client(int s) { return *clients_[s]; }
-  core::SharedState& shared_state(int s) { return *states_[s]; }
-  core::RoutingPolicy& policy(int s) { return *policies_[s]; }
-  /// Null when run_balancers is false.
-  core::ReadBalancer* balancer(int s) { return balancers_[s].get(); }
+  int shard_count() const { return static_cast<int>(stacks_.size()); }
+  /// Shard `s`'s client system: sub-client, routing policy, balancer.
+  core::ClientStack& stack(int s) { return *stacks_[s]; }
+  driver::MongoClient& shard_client(int s) { return stacks_[s]->client(); }
+  double balance_fraction(int s) const {
+    return stacks_[s]->balance_fraction();
+  }
+  /// Null for a fixed routing.
+  core::ReadBalancer* balancer(int s) { return stacks_[s]->balancer(); }
   /// The shared staleness budget every shard balancer reports into.
   core::StalenessBudget& budget() { return *budget_; }
 
@@ -165,10 +165,7 @@ class Router {
   std::shared_ptr<const ChunkMap> cache_;
   obs::Tracer* tracer_ = nullptr;
 
-  std::vector<std::unique_ptr<driver::MongoClient>> clients_;
-  std::vector<std::unique_ptr<core::SharedState>> states_;
-  std::vector<std::unique_ptr<core::RoutingPolicy>> policies_;
-  std::vector<std::unique_ptr<core::ReadBalancer>> balancers_;
+  std::vector<std::unique_ptr<core::ClientStack>> stacks_;
   std::unique_ptr<core::StalenessBudget> budget_;
 
   uint64_t commands_served_ = 0;

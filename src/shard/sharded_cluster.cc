@@ -58,8 +58,7 @@ ShardedCluster::ShardedCluster(sim::EventLoop* loop, sim::Rng rng,
   RouterConfig router_config;
   router_config.shard_client_options = config_.client_options;
   router_config.balancer = config_.balancer;
-  router_config.run_balancers = config_.run_balancers;
-  router_config.fixed_pref = config_.fixed_pref;
+  router_config.routing = config_.routing;
   router_config.partial_results_margin = config_.partial_results_margin;
   router_ = std::make_unique<Router>(loop_, rng_.Fork(), network, router_host,
                                      config_shards_.get(), std::move(buses),

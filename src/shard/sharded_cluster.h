@@ -5,9 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/read_balancer.h"
-#include "core/routing_policy.h"
-#include "core/shared_state.h"
+#include "core/client_stack.h"
 #include "core/staleness_budget.h"
 #include "driver/client.h"
 #include "net/network.h"
@@ -39,11 +37,10 @@ struct ShardedClusterConfig {
   /// connection and the router's per-shard sub-clients.
   driver::ClientOptions client_options;
   core::BalancerConfig balancer;
-  /// When true, every shard gets its own Read Balancer (joined to the
-  /// shared StalenessBudget) and sub-reads route through its Decongestant
-  /// policy; when false, sub-reads use `fixed_pref`.
-  bool run_balancers = true;
-  driver::ReadPreference fixed_pref = driver::ReadPreference::kPrimary;
+  /// Balanced: every shard gets its own Read Balancer (joined to the
+  /// shared StalenessBudget) and sub-reads flip that shard's biased coin.
+  /// Fixed: every sub-read uses that preference.
+  core::Routing routing = core::kBalanced;
   /// Router-to-node base RTTs within each shard (primary first) — the
   /// mongos sits near the data, like a co-located mongos tier.
   std::vector<sim::Duration> client_node_rtt = {
@@ -91,10 +88,10 @@ class ShardedCluster {
   repl::ReplicaSet& shard(int i) { return *shards_[i]; }
   /// The router's per-shard sub-client (the balancer's latency feed).
   driver::MongoClient& client(int i) { return router_->shard_client(i); }
-  core::SharedState& shared_state(int i) { return router_->shared_state(i); }
-  /// Null when run_balancers is false.
+  /// Shard `i`'s published Balance Fraction (0 or 1 for a fixed routing).
+  double balance_fraction(int i) const { return router_->balance_fraction(i); }
+  /// Null for a fixed routing.
   core::ReadBalancer* balancer(int i) { return router_->balancer(i); }
-  core::RoutingPolicy& policy(int i) { return router_->policy(i); }
 
   /// The mongos. Tests reach routing counters and the budget through it.
   Router& router() { return *router_; }

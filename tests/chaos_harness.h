@@ -245,7 +245,7 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   bool prev_sample_minority = false;
   uint64_t prev_sample_elections = 0;
   std::function<void()> sample = [&] {
-    const double fraction = experiment.shared_state().balance_fraction();
+    const double fraction = experiment.balance_fraction();
     const int64_t estimate =
         experiment.balancer()->staleness_estimate_seconds();
     if (estimate > options.stale_bound_seconds && fraction != 0.0 &&
@@ -331,7 +331,7 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   }
 
   // --- Invariant 4: recovery after heal. ---
-  report.final_fraction = experiment.shared_state().balance_fraction();
+  report.final_fraction = experiment.balance_fraction();
   if (options.expect_recovery && report.final_fraction <= 0.0) {
     violation("recovery: balance fraction still 0 at end of run");
   }

@@ -1,11 +1,13 @@
-// Tests for Decongestant's core: SharedState, routing policies, and the
-// Read Balancer's Algorithm 1 behaviour (driven by injected latencies).
+// Tests for Decongestant's core: SharedState, routing policies, the
+// ClientStack construction contract, and the Read Balancer's Algorithm 1
+// behaviour (driven by injected latencies).
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "commit_helper.h"
+#include "core/client_stack.h"
 #include "core/read_balancer.h"
 #include "core/routing_policy.h"
 #include "core/shared_state.h"
@@ -30,24 +32,28 @@ TEST(SharedStateTest, RecordsAndDrainsByPreference) {
 
 TEST(RoutingPolicyTest, FixedPoliciesNeverVary) {
   sim::Rng rng(1);
-  FixedPolicy primary(driver::ReadPreference::kPrimary);
-  FixedPolicy secondary(driver::ReadPreference::kSecondary);
+  const RoutingPolicy primary(driver::ReadPreference::kPrimary);
+  const RoutingPolicy secondary(driver::ReadPreference::kSecondary);
+  sim::Rng reference(1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(primary.ChooseReadPreference(&rng),
               driver::ReadPreference::kPrimary);
     EXPECT_EQ(secondary.ChooseReadPreference(&rng),
               driver::ReadPreference::kSecondary);
   }
-  EXPECT_EQ(primary.name(), "primary");
-  EXPECT_EQ(secondary.name(), "secondary");
+  // A fixed policy draws nothing: the baselines consume no randomness.
+  EXPECT_EQ(rng.NextU64(), reference.NextU64());
+  EXPECT_EQ(primary.balance_fraction(), 0.0);
+  EXPECT_EQ(secondary.balance_fraction(), 1.0);
 }
 
 TEST(RoutingPolicyTest, DecongestantFlipsBiasedCoin) {
   SharedState state(0.1);
-  DecongestantPolicy policy(&state);
+  const RoutingPolicy policy(&state);
   sim::Rng rng(2);
 
   state.set_balance_fraction(0.7);
+  EXPECT_EQ(policy.balance_fraction(), 0.7);
   int secondary = 0;
   const int n = 20'000;
   for (int i = 0; i < n; ++i) {
@@ -65,13 +71,96 @@ TEST(RoutingPolicyTest, DecongestantFlipsBiasedCoin) {
   }
 }
 
-TEST(RoutingPolicyTest, DecongestantReportsLatenciesToSharedLists) {
-  SharedState state(0.1);
-  DecongestantPolicy policy(&state);
-  policy.OnReadCompleted(driver::ReadPreference::kPrimary, sim::Millis(5));
-  policy.OnReadCompleted(driver::ReadPreference::kSecondary, sim::Millis(7));
-  EXPECT_EQ(state.pending_primary(), 1u);
-  EXPECT_EQ(state.pending_secondary(), 1u);
+// ---------------------------------------------------------------------------
+// ClientStack: the one construction path for a client system.
+// ---------------------------------------------------------------------------
+
+class ClientStackTest : public ::testing::Test {
+ protected:
+  ClientStackTest() {
+    network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
+    client_host_ = network_->AddHost("client");
+    std::vector<net::HostId> hosts;
+    for (int i = 0; i < 3; ++i) {
+      hosts.push_back(network_->AddHost("n" + std::to_string(i)));
+      network_->SetLink(client_host_, hosts[i], sim::Millis(1), 0);
+    }
+    rs_ = std::make_unique<repl::ReplicaSet>(
+        &loop_, sim::Rng(2), network_.get(), repl::ReplicaSetParams{},
+        server::ServerParams{}, hosts);
+  }
+
+  std::unique_ptr<ClientStack> MakeStack(sim::Rng* rng, Routing routing) {
+    return std::make_unique<ClientStack>(&loop_, rng, rs_->command_bus(),
+                                         client_host_, driver::ClientOptions{},
+                                         BalancerConfig{}, routing);
+  }
+
+  sim::EventLoop loop_;
+  std::unique_ptr<net::Network> network_;
+  net::HostId client_host_ = 0;
+  std::unique_ptr<repl::ReplicaSet> rs_;
+};
+
+TEST_F(ClientStackTest, FixedStackForksOnceAndHasNoBalancer) {
+  for (driver::ReadPreference pref :
+       {driver::ReadPreference::kPrimary, driver::ReadPreference::kSecondary}) {
+    sim::Rng rng(7);
+    sim::Rng reference(7);
+    auto stack = MakeStack(&rng, pref);
+    (void)reference.Fork();
+    EXPECT_EQ(rng.NextU64(), reference.NextU64());
+    EXPECT_EQ(stack->balancer(), nullptr);
+    EXPECT_EQ(stack->state(), nullptr);
+    // The fraction a fixed stack reports is the one it routes by.
+    EXPECT_EQ(stack->balance_fraction(),
+              pref == driver::ReadPreference::kSecondary ? 1.0 : 0.0);
+  }
+}
+
+TEST_F(ClientStackTest, BalancedStackForksClientThenBalancer) {
+  sim::Rng rng(7);
+  sim::Rng reference(7);
+  auto stack = MakeStack(&rng, kBalanced);
+  (void)reference.Fork();
+  (void)reference.Fork();
+  EXPECT_EQ(rng.NextU64(), reference.NextU64());
+  ASSERT_NE(stack->balancer(), nullptr);
+  ASSERT_NE(stack->state(), nullptr);
+  EXPECT_EQ(stack->balancer()->controller().name(), "step");
+  EXPECT_DOUBLE_EQ(stack->balance_fraction(), BalancerConfig{}.low_bal);
+  stack->state()->set_balance_fraction(0.4);
+  EXPECT_DOUBLE_EQ(stack->balance_fraction(), 0.4);
+}
+
+TEST_F(ClientStackTest, CompletedReadsLandInTheirPreferenceList) {
+  sim::Rng rng(7);
+  auto stack = MakeStack(&rng, kBalanced);
+  rs_->Start();
+  stack->Start();
+  loop_.RunUntil(sim::Millis(50));  // topology discovered
+  int done = 0;
+  auto read = [&](driver::ReadPreference pref, bool record) {
+    driver::OpOptions opts;
+    opts.record_latency = record;
+    stack->client().Read(
+        pref, server::OpClass::kPointRead, [](const store::Database&) {},
+        [&done](const driver::OpResult& r) {
+          EXPECT_TRUE(r.ok);
+          ++done;
+        },
+        opts);
+  };
+  read(driver::ReadPreference::kPrimary, true);
+  read(driver::ReadPreference::kSecondary, true);
+  read(driver::ReadPreference::kSecondary, true);
+  // Control traffic (record_latency = false) stays out of the lists.
+  read(driver::ReadPreference::kPrimary, false);
+  read(driver::ReadPreference::kSecondary, false);
+  loop_.RunUntil(sim::Millis(200));
+  ASSERT_EQ(done, 5);
+  EXPECT_EQ(stack->state()->pending_primary(), 1u);
+  EXPECT_EQ(stack->state()->pending_secondary(), 2u);
 }
 
 TEST(MedianTest, MedianOfSamples) {

@@ -2,6 +2,8 @@
 // headline claims end-to-end (adaptation, outperforming both baselines,
 // bounded staleness, baseline sanity).
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
@@ -64,19 +66,40 @@ TEST(ExperimentTest, DecongestantBeatsBothBaselinesOnYcsbB) {
 }
 
 TEST(ExperimentTest, BaselinesRouteWhereHardCoded) {
-  {
-    ExperimentConfig config = YcsbBase(SystemType::kPrimary, 40, 0.95);
+  // A hard-coded preference is a fixed Balance Fraction — 0 for Primary,
+  // 1 for Secondary — and every row reports the fraction it routed by.
+  const std::pair<SystemType, double> cases[] = {
+      {SystemType::kPrimary, 0.0}, {SystemType::kSecondary, 1.0}};
+  for (const auto& [system, fraction] : cases) {
+    ExperimentConfig config = YcsbBase(system, 40, 0.95);
     config.duration = sim::Seconds(150);
     Experiment experiment(config);
     experiment.Run();
-    EXPECT_EQ(experiment.Summarize().secondary_percent, 0.0);
+    EXPECT_EQ(experiment.Summarize().secondary_percent, 100.0 * fraction);
+    EXPECT_EQ(experiment.balancer(), nullptr);
+    EXPECT_EQ(experiment.balance_fraction(), fraction);
+    ASSERT_FALSE(experiment.rows().empty());
+    for (const PeriodRow& row : experiment.rows()) {
+      EXPECT_EQ(row.balance_fraction, fraction) << ToString(system);
+    }
   }
+}
+
+TEST(ExperimentTest, ConfiguredControllerReachesEveryBalancer) {
+  ExperimentConfig config = YcsbBase(SystemType::kDecongestant, 15, 0.95);
+  config.balancer.controller = "pid";
   {
-    ExperimentConfig config = YcsbBase(SystemType::kSecondary, 40, 0.95);
-    config.duration = sim::Seconds(150);
     Experiment experiment(config);
-    experiment.Run();
-    EXPECT_EQ(experiment.Summarize().secondary_percent, 100.0);
+    ASSERT_NE(experiment.balancer(), nullptr);
+    EXPECT_EQ(experiment.balancer()->controller().name(), "pid");
+  }
+  config.shards = 2;
+  Experiment sharded(config);
+  ASSERT_EQ(sharded.sharded_cluster()->shard_count(), 2);
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_NE(sharded.sharded_cluster()->balancer(s), nullptr);
+    EXPECT_EQ(sharded.sharded_cluster()->balancer(s)->controller().name(),
+              "pid");
   }
 }
 

@@ -40,7 +40,7 @@ class MultiClientTest : public ::testing::Test {
     rs_->Start();
     for (int c = 0; c < n_systems; ++c) {
       systems_.push_back(std::make_unique<ClientSystem>(
-          &loop_, rng_->Fork(), network_.get(), rs_.get(), client_hosts[c],
+          &loop_, rng_->Fork(), rs_.get(), client_hosts[c],
           driver::ClientOptions{}, balancer_config, ycsb_config));
     }
   }
@@ -51,6 +51,15 @@ class MultiClientTest : public ::testing::Test {
   std::unique_ptr<repl::ReplicaSet> rs_;
   std::vector<std::unique_ptr<ClientSystem>> systems_;
 };
+
+TEST_F(MultiClientTest, ConfiguredControllerReachesEveryClientSystem) {
+  core::BalancerConfig balancer_config;
+  balancer_config.controller = "pid";
+  Build(2, workload::YcsbConfig::WorkloadB(), balancer_config);
+  for (auto& system : systems_) {
+    EXPECT_EQ(system->balancer().controller().name(), "pid");
+  }
+}
 
 TEST_F(MultiClientTest, IndependentBalancersConvergeUnderSharedLoad) {
   Build(3, workload::YcsbConfig::WorkloadB());

@@ -205,16 +205,15 @@ TEST_F(ShardTest, PerShardBalancersActIndependently) {
   cold_reader();
 
   loop_.RunUntil(sim::Seconds(150));
-  EXPECT_GE(cluster_->shared_state(0).balance_fraction(), 0.5)
+  EXPECT_GE(cluster_->balance_fraction(0), 0.5)
       << "congested shard should shift reads to its secondaries";
-  EXPECT_LE(cluster_->shared_state(1).balance_fraction(), 0.2)
+  EXPECT_LE(cluster_->balance_fraction(1), 0.2)
       << "idle shard should stay near the fresh primary";
 }
 
 TEST_F(ShardTest, FixedPreferenceModeUsesNoBalancers) {
   ShardedClusterConfig config;
-  config.run_balancers = false;
-  config.fixed_pref = driver::ReadPreference::kSecondary;
+  config.routing = driver::ReadPreference::kSecondary;
   Build(config);
   cluster_->Start();
   EXPECT_EQ(cluster_->balancer(0), nullptr);
@@ -318,7 +317,8 @@ TEST_F(ShardTest, ScatterFindMergesSortOrderAcrossShards) {
 
 TEST_F(ShardTest, ScatterCountLatencyIsTheSlowestShard) {
   ShardedClusterConfig config;
-  config.run_balancers = false;  // deterministic: every sub-op to primary
+  // Deterministic: every sub-op to primary.
+  config.routing = driver::ReadPreference::kPrimary;
   Build(config);
   cluster_->Start();
   for (int64_t id = 0; id < 100; ++id) {
@@ -354,7 +354,7 @@ TEST_F(ShardTest, ScatterCountLatencyIsTheSlowestShard) {
 
 TEST_F(ShardTest, PartialResultsWhenAShardMissesTheDeadline) {
   ShardedClusterConfig config;
-  config.run_balancers = false;
+  config.routing = driver::ReadPreference::kPrimary;
   Build(config);
   cluster_->Start();
   for (int64_t id = 0; id < 100; ++id) {
@@ -401,7 +401,7 @@ TEST_F(ShardTest, PartialResultsWhenAShardMissesTheDeadline) {
 
 TEST_F(ShardTest, StaleConfigRetriesAfterMoveChunkWithoutDuplicateWrites) {
   ShardedClusterConfig config;
-  config.run_balancers = false;
+  config.routing = driver::ReadPreference::kPrimary;
   Build(config);
   cluster_->Start();
   for (int64_t id = 0; id < 200; ++id) {
@@ -582,7 +582,7 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
   // Let shard 0's balancer ramp, then cut one of shard 1's secondaries
   // off from both of its peers.
   loop_.RunUntil(sim::Seconds(80));
-  const double shard0_before = cluster_->shared_state(0).balance_fraction();
+  const double shard0_before = cluster_->balance_fraction(0);
   EXPECT_GE(shard0_before, 0.4);
   const auto& hosts1 = cluster_->shard(1).command_bus()->server_hosts();
   const net::HostId isolated = cluster_->shard(1).node(2).host();
@@ -594,11 +594,11 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
   // stays positive.
   loop_.RunUntil(sim::Seconds(95));
   *gated = true;
-  EXPECT_EQ(cluster_->shared_state(1).balance_fraction(), 0.0)
+  EXPECT_EQ(cluster_->balance_fraction(1), 0.0)
       << "stale shard must gate to the primary";
   EXPECT_GT(cluster_->budget().EffectiveBound(0), 0);
   EXPECT_LT(cluster_->budget().EffectiveBound(0), 10);
-  EXPECT_GE(cluster_->shared_state(0).balance_fraction(), 0.4)
+  EXPECT_GE(cluster_->balance_fraction(0), 0.4)
       << "healthy shard keeps balancing within its debited budget";
   loop_.RunUntil(sim::Seconds(100));
 
@@ -612,7 +612,7 @@ TEST_F(ShardTest, PartitionedShardGatesWhileHealthyShardKeepsItsBudget) {
       << "no read may touch a stale secondary while the gate is closed";
   EXPECT_EQ(cluster_->shard(1).elections(), 0u)
       << "the primary kept its majority throughout";
-  EXPECT_GT(cluster_->shared_state(1).balance_fraction(), 0.0);
+  EXPECT_GT(cluster_->balance_fraction(1), 0.0);
   EXPECT_LE(cluster_->budget().WorstEstimate(), 10);
 }
 

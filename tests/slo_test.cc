@@ -369,7 +369,7 @@ TEST(SloConformanceTest, NoControllerPagesOnAHealthyRun) {
     config.phases = {{0, 12, 0.95}};
     config.duration = sim::Seconds(120);
     config.warmup = sim::Seconds(20);
-    config.controller = controller;
+    config.balancer.controller = controller;
     std::string error;
     ASSERT_TRUE(ParseSloSpecs("freshness", SloDefaults{}, &config.slos,
                               &error))

@@ -101,7 +101,7 @@ class WorkloadClusterTest : public ::testing::Test {
     client_ = std::make_unique<driver::MongoClient>(
         &loop_, sim::Rng(3), rs_->command_bus(), c, driver::ClientOptions{});
     state_ = std::make_unique<core::SharedState>(0.5);
-    policy_ = std::make_unique<core::DecongestantPolicy>(state_.get());
+    policy_ = std::make_unique<core::RoutingPolicy>(state_.get());
   }
 
   sim::EventLoop loop_;
