@@ -43,13 +43,16 @@ struct Tail {
 Tail TailStats(const dcg::exp::Experiment& experiment, double from_s) {
   Tail tail;
   int n = 0;
-  for (const auto& row : experiment.rows()) {
+  const std::vector<double> checkout_wait_ms =
+      experiment.metrics_registry().PerPeriod("pool_checkout_wait");
+  for (size_t i = 0; i < experiment.rows().size(); ++i) {
+    const auto& row = experiment.rows()[i];
     if (dcg::sim::ToSeconds(row.start) < from_s) continue;
     tail.p80_ms += row.P80ReadLatencyMs();
     tail.reads_per_sec += row.ReadThroughput();
     tail.fraction += row.balance_fraction;
     tail.secondary_percent += row.SecondaryPercent();
-    tail.checkout_wait_ms += row.pool_checkout_wait_ms;
+    tail.checkout_wait_ms += checkout_wait_ms[i];
     ++n;
   }
   if (n > 0) {

@@ -73,8 +73,9 @@
 //     objective=F bound=X name=S page=RATE ticket=RATE window=S short=S
 //     hold=S resolve=S   (page/ticket=0 disables that severity).
 //   Alert transitions print after the summary, land in
-//   <csv-prefix>_slo.csv, appear as instant markers in --trace-out, and
-//   add slo_* columns to <csv-prefix>_periods.csv. With --shards>=2 the
+//   <csv-prefix>_slo.csv and appear as instant markers in --trace-out;
+//   the engine's slo_* metric series become <csv-prefix>_periods.csv
+//   columns like every other registry series. With --shards>=2 the
 //   freshness objective is tracked per shard over the shard's staleness
 //   signal. Without --slo no engine is built and goldens are untouched.
 // --report-out renders a self-contained HTML dashboard (inline SVG, no
@@ -111,6 +112,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/controller.h"
 #include "exp/csv_export.h"
@@ -173,6 +175,26 @@ bool LookupScenario(const std::string& name, ScenarioPreset* out) {
     return true;
   }
   return false;
+}
+
+/// The decision a period's balancer column shows, from the period's
+/// slice [begin, end) of the decision log: its last control tick, or its
+/// last staleness-gate transition when no tick fell inside it (a gate
+/// event carries no fraction move). Null for an empty slice.
+const dcg::obs::BalanceDecision* PeriodDecision(
+    const std::vector<dcg::obs::BalanceDecision>& entries, size_t begin,
+    size_t end) {
+  const dcg::obs::BalanceDecision* shown = nullptr;
+  bool tick_seen = false;
+  for (size_t i = begin; i < end; ++i) {
+    const dcg::obs::BalanceDecision& d = entries[i];
+    const bool gate = d.reason == dcg::obs::BalanceReason::kStaleGateZero ||
+                      d.reason == dcg::obs::BalanceReason::kStaleGateRelease;
+    if (gate && tick_seen) continue;
+    tick_seen = tick_seen || !gate;
+    shown = &d;
+  }
+  return shown;
 }
 
 }  // namespace
@@ -445,18 +467,32 @@ int main(int argc, char** argv) {
     std::printf("\n%8s %12s %10s %8s %10s %7s  %s\n", "time(s)",
                 tpcc ? "SL txn/s" : "reads/s", "p80(ms)", "sec(%)",
                 "fraction", "est(s)", "balancer");
-    for (const auto& row : experiment.rows()) {
+    // Each period's slice of the balancer decision log ends where that
+    // period's cumulative balancer_decisions sample does.
+    const obs::DecisionLog* decisions = experiment.balancer_decisions();
+    std::vector<double> decided;
+    if (decisions != nullptr) {
+      decided = experiment.metrics_registry().PerPeriod("balancer_decisions");
+    }
+    size_t first_decision = 0;
+    for (size_t i = 0; i < experiment.rows().size(); ++i) {
+      const exp::PeriodRow& row = experiment.rows()[i];
       const double throughput =
           tpcc ? static_cast<double>(row.stock_level) /
                      sim::ToSeconds(row.end - row.start)
                : row.ReadThroughput();
       // One-line balancer summary: "0.40→0.50 latency_ratio_up", or "-"
-      // when no control tick fell inside the period.
+      // when no decision fell inside the period.
       char balancer_col[64] = "-";
-      if (row.balance_decided) {
-        std::snprintf(balancer_col, sizeof(balancer_col),
-                      "%.2f→%.2f %s", row.balance_from, row.balance_to,
-                      std::string(obs::ToString(row.balance_reason)).c_str());
+      if (decisions != nullptr) {
+        const size_t end = first_decision + static_cast<size_t>(decided[i]);
+        if (const obs::BalanceDecision* d = PeriodDecision(
+                decisions->entries(), first_decision, end)) {
+          std::snprintf(balancer_col, sizeof(balancer_col), "%.2f→%.2f %s",
+                        d->from_fraction, d->to_fraction,
+                        std::string(obs::ToString(d->reason)).c_str());
+        }
+        first_decision = end;
       }
       std::printf("%8.0f %12.0f %10.2f %8.1f %10.2f %7lld  %s\n",
                   sim::ToSeconds(row.start), throughput,

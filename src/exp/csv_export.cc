@@ -3,6 +3,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <vector>
+
+#include "util/check.h"
 
 namespace dcg::exp {
 namespace {
@@ -11,9 +14,7 @@ class CsvFile {
  public:
   explicit CsvFile(const std::string& path)
       : file_(std::fopen(path.c_str(), "w")) {}
-  ~CsvFile() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
+  ~CsvFile() { Close(); }
   bool ok() const { return file_ != nullptr; }
   void Line(const char* fmt, ...) __attribute__((format(printf, 2, 3))) {
     va_list args;
@@ -21,6 +22,15 @@ class CsvFile {
     std::vfprintf(file_, fmt, args);
     va_end(args);
     std::fputc('\n', file_);
+  }
+  /// Flushes and closes the file; false if any write failed (e.g. a full
+  /// disk) or it was never opened.
+  bool Close() {
+    if (file_ == nullptr) return false;
+    const bool written = std::fflush(file_) == 0 && std::ferror(file_) == 0;
+    const bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    return written && closed;
   }
 
  private:
@@ -30,60 +40,58 @@ class CsvFile {
 }  // namespace
 
 bool WritePeriodsCsv(const Experiment& experiment, const std::string& path) {
+  const obs::MetricsRegistry& registry = experiment.metrics_registry();
+  const std::vector<PeriodRow>& rows = experiment.rows();
+  DCG_CHECK(registry.samples_taken() == rows.size());
   CsvFile csv(path);
   if (!csv.ok()) return false;
-  csv.Line(
+  // The paper's columns from PeriodRow, then one column per registry
+  // scalar series in registration order.
+  std::string units =
       "# units: start_s=seconds reads=count reads_secondary=count "
       "writes=count read_throughput=ops/s p80_latency_ms=ms "
-      "secondary_pct=percent balance_fraction=fraction "
-      "est_staleness_s=seconds stock_level=count stock_level_p80_ms=ms "
-      "ops_ok=count ops_timed_out=count ops_retried=count hedges_won=count "
-      "pool_checkout_timeouts=count pool_checkout_wait_ms=ms "
-      "pool_queue_depth=count envelopes_sent=count ops_batched=count "
-      "served_age_mean_s=seconds served_age_max_s=seconds "
-      "balance_from=fraction balance_to=fraction balance_reason=enum "
-      "slo_firing=count slo_pending=count slo_max_burn=ratio "
-      "slo_events=count");
-  csv.Line(
+      "secondary_pct=percent est_staleness_s=seconds stock_level=count "
+      "stock_level_p80_ms=ms served_age_mean_s=seconds "
+      "served_age_max_s=seconds";
+  std::string header =
       "start_s,reads,reads_secondary,writes,read_throughput,"
-      "p80_latency_ms,secondary_pct,balance_fraction,est_staleness_s,"
-      "stock_level,stock_level_p80_ms,ops_ok,ops_timed_out,ops_retried,"
-      "hedges_won,pool_checkout_timeouts,pool_checkout_wait_ms,"
-      "pool_queue_depth,envelopes_sent,ops_batched,served_age_mean_s,"
-      "served_age_max_s,balance_from,balance_to,balance_reason,"
-      "slo_firing,slo_pending,slo_max_burn,slo_events");
-  for (const PeriodRow& row : experiment.rows()) {
-    csv.Line("%.1f,%llu,%llu,%llu,%.2f,%.3f,%.2f,%.2f,%lld,%llu,%.3f,"
-             "%llu,%llu,%llu,%llu,%llu,%.3f,%d,%llu,%llu,%.4f,%.4f,"
-             "%.2f,%.2f,%s,%d,%d,%.3f,%llu",
+      "p80_latency_ms,secondary_pct,est_staleness_s,stock_level,"
+      "stock_level_p80_ms,served_age_mean_s,served_age_max_s";
+  std::vector<std::vector<double>> columns;
+  for (const obs::MetricsRegistry::ScalarSeries& series : registry.scalars()) {
+    std::string name = series.name;
+    if (!series.labels.empty()) {
+      name += "{" + obs::CsvLabels(series.labels) + "}";
+    }
+    units += " " + name + "=" + series.unit;
+    header += "," + name;
+    columns.push_back(registry.PerPeriod(series.name, series.labels));
+  }
+  csv.Line("%s", units.c_str());
+  csv.Line("%s", header.c_str());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const PeriodRow& row = rows[i];
+    std::string registry_cells;
+    for (const std::vector<double>& column : columns) {
+      char cell[32];
+      std::snprintf(cell, sizeof(cell), ",%.9g", column[i]);
+      registry_cells += cell;
+    }
+    csv.Line("%.1f,%llu,%llu,%llu,%.2f,%.3f,%.2f,%lld,%llu,%.3f,%.4f,%.4f%s",
              sim::ToSeconds(row.start),
              static_cast<unsigned long long>(row.reads),
              static_cast<unsigned long long>(row.reads_secondary),
              static_cast<unsigned long long>(row.writes),
              row.ReadThroughput(), row.P80ReadLatencyMs(),
-             row.SecondaryPercent(), row.balance_fraction,
+             row.SecondaryPercent(),
              static_cast<long long>(row.est_staleness_max_s),
              static_cast<unsigned long long>(row.stock_level),
              row.stock_level_latency.Percentile(80) /
                  static_cast<double>(sim::kMillisecond),
-             static_cast<unsigned long long>(row.ops_ok),
-             static_cast<unsigned long long>(row.ops_timed_out),
-             static_cast<unsigned long long>(row.ops_retried),
-             static_cast<unsigned long long>(row.hedges_won),
-             static_cast<unsigned long long>(row.pool_checkout_timeouts),
-             row.pool_checkout_wait_ms, row.pool_queue_depth,
-             static_cast<unsigned long long>(row.envelopes_sent),
-             static_cast<unsigned long long>(row.ops_batched),
              row.served_age.count() > 0 ? row.served_age.mean() / 1000.0 : 0.0,
-             row.served_age.max() / 1000.0,
-             row.balance_from, row.balance_to,
-             row.balance_decided
-                 ? std::string(obs::ToString(row.balance_reason)).c_str()
-                 : "-",
-             row.slo_firing, row.slo_pending, row.slo_max_burn,
-             static_cast<unsigned long long>(row.slo_events));
+             row.served_age.max() / 1000.0, registry_cells.c_str());
   }
-  return true;
+  return csv.Close();
 }
 
 bool WriteSloCsv(const Experiment& experiment, const std::string& path) {
@@ -96,7 +104,7 @@ bool WriteSloCsv(const Experiment& experiment, const std::string& path) {
   csv.Line("time_s,slo,shard,severity,transition,burn_long,burn_short,sli,"
            "good,bad");
   const obs::SloEngine* engine = experiment.slo_engine();
-  if (engine == nullptr) return true;
+  if (engine == nullptr) return csv.Close();
   for (const obs::SloEvent& e : engine->events()) {
     csv.Line("%.1f,%s,%d,%s,%s,%.4f,%.4f,%.6f,%llu,%llu",
              sim::ToSeconds(e.at), e.slo.c_str(), e.shard,
@@ -105,7 +113,7 @@ bool WriteSloCsv(const Experiment& experiment, const std::string& path) {
              e.burn_short, e.sli, static_cast<unsigned long long>(e.good),
              static_cast<unsigned long long>(e.bad));
   }
-  return true;
+  return csv.Close();
 }
 
 bool WriteStalenessCsv(const Experiment& experiment, const std::string& path) {
@@ -118,7 +126,7 @@ bool WriteStalenessCsv(const Experiment& experiment, const std::string& path) {
     csv.Line("%.1f,%.1f,%.3f", sim::ToSeconds(p.at), p.estimate_s,
              p.true_max_s);
   }
-  return true;
+  return csv.Close();
 }
 
 bool WriteSamplesCsv(const Experiment& experiment, const std::string& path) {
@@ -129,7 +137,7 @@ bool WriteSamplesCsv(const Experiment& experiment, const std::string& path) {
   for (const auto& [at, staleness] : experiment.s_samples()) {
     csv.Line("%.3f,%.3f", sim::ToSeconds(at), staleness);
   }
-  return true;
+  return csv.Close();
 }
 
 bool WriteDecisionsCsv(const Experiment& experiment, const std::string& path) {
@@ -146,7 +154,7 @@ bool WriteDecisionsCsv(const Experiment& experiment, const std::string& path) {
       "time_s,from_fraction,to_fraction,published_fraction,reason,term,ratio,"
       "ratio_valid,lss_primary_ms,lss_secondary_ms,history_flat,"
       "est_staleness_s,stale_bound_s,secondary_staleness_s");
-  if (log == nullptr) return true;
+  if (log == nullptr) return csv.Close();
   for (const obs::BalanceDecision& d : log->entries()) {
     std::string per_node;
     for (size_t i = 0; i < d.secondary_staleness_s.size(); ++i) {
@@ -163,7 +171,7 @@ bool WriteDecisionsCsv(const Experiment& experiment, const std::string& path) {
              static_cast<long long>(d.staleness_estimate_s),
              static_cast<long long>(d.stale_bound_s), per_node.c_str());
   }
-  return true;
+  return csv.Close();
 }
 
 bool WriteShardsCsv(const Experiment& experiment, const std::string& path) {
@@ -173,14 +181,24 @@ bool WriteShardsCsv(const Experiment& experiment, const std::string& path) {
       "# units: start_s=seconds shard=index reads_routed=count "
       "balance_fraction=fraction");
   csv.Line("start_s,shard,reads_routed,balance_fraction");
-  for (const PeriodRow& row : experiment.rows()) {
-    for (size_t s = 0; s < row.shard_balance_fraction.size(); ++s) {
-      csv.Line("%.1f,%zu,%llu,%.2f", sim::ToSeconds(row.start), s,
-               static_cast<unsigned long long>(row.shard_reads[s]),
-               row.shard_balance_fraction[s]);
+  if (!experiment.sharded()) return csv.Close();
+  const obs::MetricsRegistry& registry = experiment.metrics_registry();
+  std::vector<std::vector<double>> routed;
+  std::vector<std::vector<double>> fraction;
+  for (int s = 0; s < experiment.config().shards; ++s) {
+    const std::vector<obs::Label> shard = {{"shard", std::to_string(s)}};
+    routed.push_back(registry.PerPeriod("routed_to_shard", shard));
+    fraction.push_back(registry.PerPeriod("balance_fraction", shard));
+  }
+  const std::vector<PeriodRow>& rows = experiment.rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t s = 0; s < routed.size(); ++s) {
+      csv.Line("%.1f,%zu,%llu,%.2f", sim::ToSeconds(rows[i].start), s,
+               static_cast<unsigned long long>(routed[s][i]),
+               fraction[s][i]);
     }
   }
-  return true;
+  return csv.Close();
 }
 
 }  // namespace dcg::exp

@@ -7,10 +7,13 @@
 
 namespace dcg::exp {
 
-/// Writes the per-period time series (one row per report period:
-/// throughput, P80 latency, secondary share, balance fraction, staleness
-/// estimate, per-op outcome counters) to `path`. Returns false on I/O
-/// failure.
+/// Writes the per-period time series (one row per report period): the
+/// paper's PeriodRow columns (throughput, P80 latency, secondary share,
+/// staleness estimate, Stock Level, served-read age), then one column per
+/// metrics-registry counter or gauge in registration order, named
+/// `name` or `name{k=v|k=v}`, with values from MetricsRegistry::PerPeriod.
+/// Histograms stay in the registry's JSON and long CSV. Every writer here
+/// returns false on any I/O failure, a full disk included.
 bool WritePeriodsCsv(const Experiment& experiment, const std::string& path);
 
 /// Writes the per-second staleness series (estimate + ground truth).
@@ -26,7 +29,9 @@ bool WriteDecisionsCsv(const Experiment& experiment, const std::string& path);
 
 /// Sharded runs: one row per (report period, shard) with the shard's
 /// published balance fraction and the point ops the router dispatched to
-/// it that period. Header-only for single-replica-set runs.
+/// it that period (the registry's balance_fraction{shard} and
+/// routed_to_shard{shard} series). Header-only for single-replica-set
+/// runs.
 bool WriteShardsCsv(const Experiment& experiment, const std::string& path);
 
 /// Writes the SLO alert transition log — one row per state-machine edge

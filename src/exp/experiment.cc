@@ -84,7 +84,6 @@ Experiment::Experiment(ExperimentConfig config)
     cluster_ = std::make_unique<shard::ShardedCluster>(
         &loop_, rng_.Fork(), network_.get(), client_host, cluster_config);
     cluster_->SetTracer(&tracer_);
-    last_shard_reads_.assign(static_cast<size_t>(config_.shards), 0);
     for (int s = 0; s < cluster_->shard_count(); ++s) {
       stacks_.push_back(&cluster_->router().stack(s));
     }
@@ -302,6 +301,8 @@ void Experiment::RegisterMetrics() {
             return static_cast<double>(cluster_->router().routed_to_shard(s));
           });
     }
+    registry_.RegisterGauge("balance_fraction", "fraction", {},
+                            [this] { return balance_fraction(); });
     registry_.RegisterGauge("true_staleness_max", "seconds", {}, [this] {
       return sim::ToSeconds(MaxTrueStaleness());
     });
@@ -322,9 +323,12 @@ void Experiment::RegisterMetrics() {
     registry_.RegisterGauge("staleness_estimate", "seconds", {}, [this] {
       return static_cast<double>(balancer()->staleness_estimate_seconds());
     });
+    registry_.RegisterCounter("balancer_decisions", "decisions", {}, [this] {
+      return static_cast<double>(balancer()->decisions().size());
+    });
   }
 
-  // Per-op outcome counters (cumulative; consumers diff across samples).
+  // Per-op outcome counters (cumulative; PerPeriod diffs them).
   const metrics::OpCounters& counters = client().op_counters();
   registry_.RegisterCounter("ops_ok", "ops", {},
                             [&counters] { return double(counters.ok); });
@@ -350,6 +354,9 @@ void Experiment::RegisterMetrics() {
                             [&counters] {
                               return double(counters.checkout_timeouts);
                             });
+  registry_.RegisterCounter("pool_checkout_wait", "ms", {}, [this] {
+    return sim::ToMillis(client().PoolTotals().wait_total);
+  });
   registry_.RegisterGauge("pool_queue_depth", "checkouts", {},
                           [this] { return double(client().PoolQueueDepth()); });
   registry_.RegisterCounter("envelopes_sent", "envelopes", {}, [&counters] {
@@ -415,13 +422,6 @@ void Experiment::OnOp(const workload::OpOutcome& outcome) {
       }
     }
   }
-  if (outcome.ok) {
-    ++current_.ops_ok;
-  } else if (outcome.timed_out) {
-    ++current_.ops_timed_out;
-  }
-  if (outcome.retries > 0) ++current_.ops_retried;
-  if (outcome.hedge_won) ++current_.hedges_won;
   if (!outcome.ok) {
     // A failed op has no latency or serving node worth recording; the
     // throughput columns count only completed operations.
@@ -468,54 +468,9 @@ void Experiment::SampleStaleness() {
 void Experiment::ClosePeriod() {
   current_.end = loop_.Now();
   current_.balance_fraction = balance_fraction();
-  if (sharded()) {
-    for (int s = 0; s < cluster_->shard_count(); ++s) {
-      current_.shard_balance_fraction.push_back(cluster_->balance_fraction(s));
-      const uint64_t routed = cluster_->router().routed_to_shard(s);
-      current_.shard_reads.push_back(routed -
-                                     last_shard_reads_[static_cast<size_t>(s)]);
-      last_shard_reads_[static_cast<size_t>(s)] = routed;
-    }
-  }
-  const driver::pool::ConnectionPool::Stats pool_now = client().PoolTotals();
-  current_.pool_checkout_timeouts =
-      pool_now.checkout_timeouts - last_pool_totals_.checkout_timeouts;
-  current_.pool_checkout_wait_ms =
-      sim::ToMillis(pool_now.wait_total - last_pool_totals_.wait_total);
-  current_.pool_queue_depth = client().PoolQueueDepth();
-  last_pool_totals_ = pool_now;
-  const metrics::OpCounters& ops_now = client().op_counters();
-  current_.envelopes_sent =
-      ops_now.envelopes_sent - last_op_counters_.envelopes_sent;
-  current_.ops_batched = ops_now.ops_batched - last_op_counters_.ops_batched;
-  last_op_counters_ = ops_now;
-  if (balancer() != nullptr) {
-    // Fold this period's balancer decisions into the row: control ticks
-    // win over gate transitions (a gate event carries no fraction move).
-    const auto& entries = balancer()->decisions().entries();
-    bool tick_seen = false;
-    for (; decision_cursor_ < entries.size(); ++decision_cursor_) {
-      const obs::BalanceDecision& d = entries[decision_cursor_];
-      const bool gate = d.reason == obs::BalanceReason::kStaleGateZero ||
-                        d.reason == obs::BalanceReason::kStaleGateRelease;
-      if (gate && tick_seen) continue;
-      tick_seen = tick_seen || !gate;
-      current_.balance_decided = true;
-      current_.balance_from = d.from_fraction;
-      current_.balance_to = d.to_fraction;
-      current_.balance_reason = d.reason;
-    }
-  }
-  if (slo_ != nullptr) {
-    // Evaluate before the registry samples, so slo_sli/slo_burn gauges
-    // reflect this period.
-    slo_->Evaluate(loop_.Now());
-    current_.slo_firing = slo_->firing_count();
-    current_.slo_pending = slo_->pending_count();
-    current_.slo_max_burn = slo_->max_burn();
-    current_.slo_events = slo_->events().size() - slo_event_cursor_;
-    slo_event_cursor_ = slo_->events().size();
-  }
+  // Evaluate before the registry samples, so the slo_* series reflect
+  // this period.
+  if (slo_ != nullptr) slo_->Evaluate(loop_.Now());
   registry_.Sample(loop_.Now());
   rows_.push_back(std::move(current_));
   current_ = PeriodRow{};

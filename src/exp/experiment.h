@@ -114,7 +114,9 @@ struct ExperimentConfig {
 };
 
 /// Per-report-period measurements — one row per 10 s, matching the time
-/// series the paper's figures plot.
+/// series the paper's figures plot. Every other per-period signal lives
+/// in the metrics registry (MetricsRegistry::PerPeriod), sampled in the
+/// same period-close event.
 struct PeriodRow {
   sim::Time start = 0;
   sim::Time end = 0;
@@ -129,47 +131,12 @@ struct PeriodRow {
   // Published fraction at period end; 0 / 1 for the Primary / Secondary
   // baselines, which route every read one way.
   double balance_fraction = 0.0;
-  // Per-op outcome counters from the command layer (all op types).
-  uint64_t ops_ok = 0;         // ops that completed
-  uint64_t ops_timed_out = 0;  // ops that failed their client deadline
-  uint64_t ops_retried = 0;    // ops needing at least one retry
-  uint64_t hedges_won = 0;     // reads answered by the hedge request
-  // Connection-pool columns: per-period deltas of the client's pool
-  // totals, plus the wait-queue depth at period end (all zero with the
-  // default unconstrained pool).
-  uint64_t pool_checkout_timeouts = 0;
-  double pool_checkout_wait_ms = 0;  // total checkout wait this period
-  int pool_queue_depth = 0;          // queued checkouts at period end
-  // Command-batching columns: per-period deltas of the driver's envelope
-  // counters (both zero with batching off — the default).
-  uint64_t envelopes_sent = 0;  // coalesced batches put on the wire
-  uint64_t ops_batched = 0;     // attempts that rode an envelope
   // Served-read age of information: for every completed read, the true
   // staleness of the serving node when the read finished (0 for the
   // primary). Stored in milliseconds for sub-second resolution;
   // single-replica-set runs only (empty in sharded mode, where the
   // serving node sits behind the router).
   metrics::Histogram served_age;
-  // Balancer decision summary for the period (Decongestant only): the
-  // last control-tick move and its Algorithm 1 reason. balance_decided is
-  // false when no tick fell inside the period.
-  bool balance_decided = false;
-  double balance_from = 0.0;
-  double balance_to = 0.0;
-  obs::BalanceReason balance_reason = obs::BalanceReason::kNone;
-  // Sharded runs only (empty otherwise): per-shard published fraction at
-  // period end and point ops the router dispatched to each shard this
-  // period. The scalar balance_fraction column holds the max across
-  // shards (the most-shedding shard).
-  std::vector<double> shard_balance_fraction;
-  std::vector<uint64_t> shard_reads;
-  // SLO engine state at period close (all zero without --slo): alert
-  // rules firing/pending across every tracker, the worst long-window burn
-  // rate, and how many alert transitions the period produced.
-  int slo_firing = 0;
-  int slo_pending = 0;
-  double slo_max_burn = 0.0;
-  uint64_t slo_events = 0;
 
   double ReadThroughput() const;
   double SecondaryPercent() const;
@@ -309,8 +276,6 @@ class Experiment {
   /// Sharded mode: the client→router leg always reads the router, which
   /// hello reports as primary.
   core::RoutingPolicy router_leg_policy_{driver::ReadPreference::kPrimary};
-  /// Router per-shard dispatch counters at the last period boundary.
-  std::vector<uint64_t> last_shard_reads_;
   std::unique_ptr<workload::Workload> workload_;
   workload::YcsbWorkload* ycsb_ = nullptr;
   workload::TpccWorkload* tpcc_ = nullptr;
@@ -326,8 +291,6 @@ class Experiment {
   /// Built only when config.slos is non-empty; fed from OnOp, advanced in
   /// ClosePeriod.
   std::unique_ptr<obs::SloEngine> slo_;
-  /// First SLO event not yet folded into a PeriodRow.
-  size_t slo_event_cursor_ = 0;
   /// Cumulative read latency per requested Read Preference, fed from the
   /// driver's completion path; registered as histogram series.
   metrics::Histogram pref_read_latency_[5];
@@ -337,15 +300,9 @@ class Experiment {
   /// histogram series hold pointers into the vector.
   metrics::Histogram pref_served_age_[5];
   std::vector<metrics::Histogram> node_served_age_;
-  /// First balancer decision not yet folded into a PeriodRow.
-  size_t decision_cursor_ = 0;
 
   std::vector<PeriodRow> rows_;
   PeriodRow current_;
-  /// Pool totals at the last period boundary (for per-period deltas).
-  driver::pool::ConnectionPool::Stats last_pool_totals_;
-  /// Driver op counters at the last period boundary (same delta scheme).
-  metrics::OpCounters last_op_counters_;
   std::vector<StalenessPoint> staleness_series_;
   std::vector<std::pair<sim::Time, double>> s_samples_;
 };

@@ -23,6 +23,21 @@ double RowMid(const PeriodRow& row) {
   return sim::ToSeconds(row.start + (row.end - row.start) / 2);
 }
 
+/// One registry series as a panel line, one point per period at the
+/// period's midpoint.
+obs::ReportSeries PerPeriodSeries(const Experiment& experiment,
+                                  std::string label, const std::string& name,
+                                  const std::vector<obs::Label>& labels = {}) {
+  obs::ReportSeries series{std::move(label), {}};
+  const std::vector<double> values =
+      experiment.metrics_registry().PerPeriod(name, labels);
+  const std::vector<PeriodRow>& rows = experiment.rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    series.points.push_back({RowMid(rows[i]), values[i]});
+  }
+  return series;
+}
+
 /// Folds the ordered SLO event log into per-(slo, severity, shard) lanes
 /// of [pending-or-firing start, resolved end] bands. A band still open at
 /// the end of the run closes at the last event's lane-visible horizon
@@ -181,16 +196,10 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     panel.title = "Balance fraction";
     panel.unit = "fraction";
     if (experiment.sharded()) {
-      const size_t shards = static_cast<size_t>(config.shards);
-      for (size_t s = 0; s < shards; ++s) {
-        obs::ReportSeries series{"shard " + std::to_string(s), {}};
-        for (const PeriodRow& row : rows) {
-          if (s < row.shard_balance_fraction.size()) {
-            series.points.push_back(
-                {RowMid(row), row.shard_balance_fraction[s]});
-          }
-        }
-        panel.series.push_back(std::move(series));
+      for (int s = 0; s < config.shards; ++s) {
+        panel.series.push_back(PerPeriodSeries(
+            experiment, "shard " + std::to_string(s), "balance_fraction",
+            {{"shard", std::to_string(s)}}));
       }
     } else {
       obs::ReportSeries series{"published", {}};
@@ -246,16 +255,10 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     obs::ReportPanel panel;
     panel.title = "Reads routed per shard";
     panel.unit = "ops/period";
-    const size_t shards = static_cast<size_t>(config.shards);
-    for (size_t s = 0; s < shards; ++s) {
-      obs::ReportSeries series{"shard " + std::to_string(s), {}};
-      for (const PeriodRow& row : rows) {
-        if (s < row.shard_reads.size()) {
-          series.points.push_back(
-              {RowMid(row), static_cast<double>(row.shard_reads[s])});
-        }
-      }
-      panel.series.push_back(std::move(series));
+    for (int s = 0; s < config.shards; ++s) {
+      panel.series.push_back(PerPeriodSeries(
+          experiment, "shard " + std::to_string(s), "routed_to_shard",
+          {{"shard", std::to_string(s)}}));
     }
     data.panels.push_back(std::move(panel));
   }
@@ -265,11 +268,8 @@ obs::ReportData BuildReportData(const Experiment& experiment) {
     obs::ReportPanel panel;
     panel.title = "SLO max burn rate";
     panel.unit = "x budget";
-    obs::ReportSeries burn{"max burn", {}};
-    for (const PeriodRow& row : rows) {
-      burn.points.push_back({RowMid(row), row.slo_max_burn});
-    }
-    panel.series.push_back(std::move(burn));
+    panel.series.push_back(
+        PerPeriodSeries(experiment, "max burn", "slo_max_burn"));
     data.panels.push_back(std::move(panel));
   }
 

@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/check.h"
 
 namespace dcg::obs {
 
@@ -38,6 +41,25 @@ void MetricsRegistry::Sample(sim::Time now) {
     series.samples.push_back(sample);
   }
   ++samples_taken_;
+}
+
+std::vector<double> MetricsRegistry::PerPeriod(
+    const std::string& name, const std::vector<Label>& labels) const {
+  for (const ScalarSeries& series : scalars_) {
+    if (series.name != name || series.labels != labels) continue;
+    const bool counter = std::string_view(series.type) == "counter";
+    std::vector<double> values;
+    values.reserve(series.samples.size());
+    double previous = 0;
+    for (const auto& [at, value] : series.samples) {
+      values.push_back(counter ? value - previous : value);
+      previous = value;
+    }
+    return values;
+  }
+  DCG_CHECK_MSG(false, "no scalar series named %s{%s}", name.c_str(),
+                CsvLabels(labels).c_str());
+  return {};
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
@@ -196,6 +218,8 @@ std::string RenderLabelSet(const std::vector<Label>& labels,
   return out;
 }
 
+}  // namespace
+
 std::string CsvLabels(const std::vector<Label>& labels) {
   std::string out;
   for (const Label& label : labels) {
@@ -204,8 +228,6 @@ std::string CsvLabels(const std::vector<Label>& labels) {
   }
   return out;
 }
-
-}  // namespace
 
 bool MetricsRegistry::WriteOpenMetrics(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");

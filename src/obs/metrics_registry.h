@@ -14,6 +14,10 @@ namespace dcg::obs {
 /// One "key=value" label on a series (e.g. node=2, pref=secondary).
 using Label = std::pair<std::string, std::string>;
 
+/// Renders labels the way the long-format CSV does: pipe-separated
+/// key=value pairs ("" for none).
+std::string CsvLabels(const std::vector<Label>& labels);
+
 /// Unifies the run's counters, gauges, and metrics::Histograms into named,
 /// labeled series. Sources are callbacks over live state — registering a
 /// metric costs nothing per operation; the registry only touches sources
@@ -59,6 +63,24 @@ class MetricsRegistry {
   size_t series_count() const { return scalars_.size() + histograms_.size(); }
   size_t samples_taken() const { return samples_taken_; }
 
+  /// One value per Sample() of the scalar series `name` with exactly
+  /// `labels`: a counter as the difference between consecutive samples
+  /// (the first minus 0), a gauge as sampled. The series must exist.
+  std::vector<double> PerPeriod(const std::string& name,
+                                const std::vector<Label>& labels = {}) const;
+
+  struct ScalarSeries {
+    std::string name;
+    const char* type;  // "counter" | "gauge"
+    std::string unit;
+    std::vector<Label> labels;
+    std::function<double()> source;
+    std::vector<std::pair<sim::Time, double>> samples;
+  };
+
+  /// Every counter and gauge, in registration order.
+  const std::vector<ScalarSeries>& scalars() const { return scalars_; }
+
   /// Writes all series with their samples as JSON. Returns false on I/O
   /// failure.
   bool WriteJson(const std::string& path) const;
@@ -78,15 +100,6 @@ class MetricsRegistry {
   bool WriteCsv(const std::string& path) const;
 
  private:
-  struct ScalarSeries {
-    std::string name;
-    const char* type;  // "counter" | "gauge"
-    std::string unit;
-    std::vector<Label> labels;
-    std::function<double()> source;
-    std::vector<std::pair<sim::Time, double>> samples;
-  };
-
   struct HistogramSample {
     sim::Time at = 0;
     uint64_t count = 0;

@@ -271,6 +271,14 @@ void SloEngine::RegisterMetrics(MetricsRegistry* registry) const {
   }
   registry->RegisterGauge("slo_alerts_firing", "alerts", {},
                           [this] { return static_cast<double>(firing_count()); });
+  registry->RegisterGauge("slo_alerts_pending", "alerts", {}, [this] {
+    return static_cast<double>(pending_count());
+  });
+  registry->RegisterGauge("slo_max_burn", "ratio", {},
+                          [this] { return max_burn(); });
+  registry->RegisterCounter("slo_alert_events", "events", {}, [this] {
+    return static_cast<double>(events_.size());
+  });
 }
 
 int SloEngine::firing_count() const {

@@ -260,8 +260,9 @@ class SloEngine {
   /// Evaluates every tracker at `now` (call once per control period).
   void Evaluate(sim::Time now);
 
-  /// Registers slo_sli / slo_burn gauges (per tracker) and the firing
-  /// count with the run's metrics registry.
+  /// Registers slo_sli / slo_burn gauges (per tracker), the firing and
+  /// pending alert counts, the worst burn rate and the cumulative alert
+  /// transition count with the run's metrics registry.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   const std::vector<SloEvent>& events() const { return events_; }

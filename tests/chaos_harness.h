@@ -77,7 +77,9 @@ struct ChaosReport {
 
   uint64_t secondary_reads = 0;
   uint64_t total_reads = 0;
-  /// Per-op outcome sums over every period row.
+  /// Per-op outcome counts over every workload op, counted in the op
+  /// observer (ok / deadline-failed / needed a retry / answered by the
+  /// hedge).
   uint64_t ops_ok = 0;
   uint64_t ops_timed_out = 0;
   uint64_t ops_retried = 0;
@@ -210,6 +212,13 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   // --- Invariant 1: per-read ground-truth freshness. ---
   uint64_t freshness_violations = 0;
   experiment.SetOpObserver([&](const workload::OpOutcome& outcome) {
+    if (outcome.ok) {
+      ++report.ops_ok;
+    } else if (outcome.timed_out) {
+      ++report.ops_timed_out;
+    }
+    if (outcome.retries > 0) ++report.ops_retried;
+    if (outcome.hedge_won) ++report.hedges_won;
     // Failed ops (deadline exceeded / retries exhausted) carry no
     // meaningful operation_time or node — skip the freshness check.
     if (!outcome.ok) return;
@@ -475,24 +484,23 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   for (const auto& row : experiment.rows()) {
     std::snprintf(line, sizeof(line),
                   "t=%.0f reads=%llu sec=%llu writes=%llu frac=%.4f "
-                  "est=%lld ok=%llu to=%llu retry=%llu hw=%llu\n",
+                  "est=%lld\n",
                   sim::ToSeconds(row.start),
                   static_cast<unsigned long long>(row.reads),
                   static_cast<unsigned long long>(row.reads_secondary),
                   static_cast<unsigned long long>(row.writes),
                   row.balance_fraction,
-                  static_cast<long long>(row.est_staleness_max_s),
-                  static_cast<unsigned long long>(row.ops_ok),
-                  static_cast<unsigned long long>(row.ops_timed_out),
-                  static_cast<unsigned long long>(row.ops_retried),
-                  static_cast<unsigned long long>(row.hedges_won));
+                  static_cast<long long>(row.est_staleness_max_s));
     trace += line;
     report.total_reads += row.reads;
-    report.ops_ok += row.ops_ok;
-    report.ops_timed_out += row.ops_timed_out;
-    report.ops_retried += row.ops_retried;
-    report.hedges_won += row.hedges_won;
   }
+  std::snprintf(line, sizeof(line),
+                "workload ok=%llu to=%llu retry=%llu hw=%llu\n",
+                static_cast<unsigned long long>(report.ops_ok),
+                static_cast<unsigned long long>(report.ops_timed_out),
+                static_cast<unsigned long long>(report.ops_retried),
+                static_cast<unsigned long long>(report.hedges_won));
+  trace += line;
   for (const std::string& entry : experiment.fault_injector().log()) {
     trace += entry + "\n";
   }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.h"
 #include "fault/fault_injector.h"
@@ -221,8 +222,8 @@ TEST(DeterminismTest, SameSeedSameTraceWithBatching) {
 // A sharded run routes everything through the mongos (shard::Router):
 // per-shard replica sets, a versioned chunk map, per-shard balancers
 // joined to one StalenessBudget. None of that may draw hidden
-// randomness. The trace serialises per-period rows (including the
-// per-shard columns), the staleness series, router counters, per-shard
+// randomness. The trace serialises per-period rows (plus the per-shard
+// registry series), the staleness series, router counters, per-shard
 // replication counters, and every node's database fingerprint.
 
 exp::ExperimentConfig ShardedSmallConfig(uint64_t seed) {
@@ -235,15 +236,26 @@ std::string ShardedRunTrace(const exp::ExperimentConfig& config) {
   exp::Experiment experiment(config);
   experiment.Run();
 
+  // Per-shard routed reads and fractions, one vector per shard.
+  const obs::MetricsRegistry& registry = experiment.metrics_registry();
+  std::vector<std::vector<double>> shard_reads;
+  std::vector<std::vector<double>> shard_fraction;
+  for (int s = 0; s < config.shards; ++s) {
+    const std::vector<obs::Label> shard = {{"shard", std::to_string(s)}};
+    shard_reads.push_back(registry.PerPeriod("routed_to_shard", shard));
+    shard_fraction.push_back(registry.PerPeriod("balance_fraction", shard));
+  }
+
   std::ostringstream trace;
-  for (const auto& row : experiment.rows()) {
+  for (size_t i = 0; i < experiment.rows().size(); ++i) {
+    const exp::PeriodRow& row = experiment.rows()[i];
     trace << row.start << ' ' << row.end << ' ' << row.reads << ' '
           << row.reads_secondary << ' ' << row.writes << ' '
           << row.balance_fraction << ' ' << row.est_staleness_max_s << ' '
           << row.read_latency.count() << ' ' << row.read_latency.max();
-    for (size_t s = 0; s < row.shard_balance_fraction.size(); ++s) {
-      trace << ' ' << row.shard_reads[s] << ' '
-            << row.shard_balance_fraction[s];
+    for (size_t s = 0; s < shard_reads.size(); ++s) {
+      trace << ' ' << static_cast<uint64_t>(shard_reads[s][i]) << ' '
+            << shard_fraction[s][i];
     }
     trace << '\n';
   }

@@ -2,10 +2,16 @@
 // headline claims end-to-end (adaptation, outperforming both baselines,
 // bounded staleness, baseline sanity).
 
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/csv_export.h"
 #include "exp/experiment.h"
 
 namespace dcg::exp {
@@ -243,6 +249,87 @@ TEST(ExperimentTest, PeriodRowsCoverTheRun) {
     EXPECT_EQ(experiment.rows()[i].end - experiment.rows()[i].start,
               sim::Seconds(10));
     EXPECT_GT(experiment.rows()[i].reads, 0u);
+  }
+}
+
+/// The periods CSV as column name -> values, after checking that every
+/// registry scalar series is exactly one column and no name repeats.
+std::map<std::string, std::vector<double>> ReadPeriodsCsv(
+    const Experiment& experiment, const std::string& path) {
+  EXPECT_TRUE(WritePeriodsCsv(experiment, path));
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line.rfind("# units:", 0), 0u);
+  std::vector<std::string> names;
+  std::getline(in, line);
+  std::istringstream header(line);
+  for (std::string name; std::getline(header, name, ',');) {
+    names.push_back(name);
+  }
+  std::map<std::string, std::vector<double>> columns;
+  for (const std::string& name : names) {
+    EXPECT_TRUE(columns.emplace(name, std::vector<double>{}).second)
+        << "duplicate column " << name;
+  }
+  const auto& scalars = experiment.metrics_registry().scalars();
+  // 12 paper columns, then one per registry scalar series.
+  EXPECT_EQ(names.size(), 12 + scalars.size());
+  for (size_t i = 0; i < scalars.size() && 12 + i < names.size(); ++i) {
+    std::string name = scalars[i].name;
+    if (!scalars[i].labels.empty()) {
+      name += "{" + obs::CsvLabels(scalars[i].labels) + "}";
+    }
+    EXPECT_EQ(names[12 + i], name);
+  }
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::string cell;
+    for (size_t i = 0; i < names.size() && std::getline(row, cell, ','); ++i) {
+      columns[names[i]].push_back(std::stod(cell));
+    }
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(columns[name].size(), experiment.rows().size()) << name;
+  }
+  return columns;
+}
+
+double Sum(const std::vector<double>& values) {
+  double sum = 0;
+  for (double v : values) sum += v;
+  return sum;
+}
+
+TEST(ExperimentTest, PeriodsCsvCarriesEveryRegistrySeries) {
+  ExperimentConfig config = YcsbBase(SystemType::kDecongestant, 10, 0.95);
+  config.duration = sim::Seconds(60);
+  config.warmup = sim::Seconds(20);
+  Experiment single(config);
+  single.Run();
+  auto columns =
+      ReadPeriodsCsv(single, ::testing::TempDir() + "/dcg_periods_rs.csv");
+  EXPECT_EQ(Sum(columns["ops_ok"]),
+            static_cast<double>(single.client().op_counters().ok));
+  EXPECT_GT(Sum(columns["balancer_decisions"]), 0);
+
+  config.shards = 2;
+  Experiment sharded(config);
+  sharded.Run();
+  columns =
+      ReadPeriodsCsv(sharded, ::testing::TempDir() + "/dcg_periods_sh.csv");
+  EXPECT_EQ(Sum(columns["ops_ok"]),
+            static_cast<double>(sharded.client().op_counters().ok));
+  EXPECT_EQ(columns.count("balance_fraction"), 1u);
+  for (int s = 0; s < 2; ++s) {
+    const std::string shard = "shard=" + std::to_string(s);
+    const double routed = static_cast<double>(
+        sharded.sharded_cluster()->router().routed_to_shard(s));
+    EXPECT_GT(routed, 0);
+    EXPECT_EQ(Sum(columns["routed_to_shard{" + shard + "}"]), routed);
+    EXPECT_EQ(Sum(sharded.metrics_registry().PerPeriod(
+                  "routed_to_shard", {{"shard", std::to_string(s)}})),
+              routed);
   }
 }
 

@@ -177,15 +177,18 @@ TEST(ControllerReasonTest, ProportionalControllerReportsBranch) {
 TEST(MetricsRegistryTest, SamplesScalarsAndHistograms) {
   obs::MetricsRegistry registry;
   double gauge_value = 1.5;
-  uint64_t counter_value = 0;
+  uint64_t counter_value = 4;
+  uint64_t other_node_value = 100;
   metrics::Histogram latency;
   registry.RegisterGauge("fraction", "fraction", {},
                          [&] { return gauge_value; });
   registry.RegisterCounter("ops", "ops", {{"node", "2"}},
                            [&] { return double(counter_value); });
+  registry.RegisterCounter("ops", "ops", {{"node", "3"}},
+                           [&] { return double(other_node_value); });
   registry.RegisterHistogram("latency", "ms", {{"pref", "primary"}},
                              &latency, 1.0);
-  EXPECT_EQ(registry.series_count(), 3u);
+  EXPECT_EQ(registry.series_count(), 4u);
 
   registry.Sample(sim::Seconds(1));
   gauge_value = 2.5;
@@ -193,7 +196,18 @@ TEST(MetricsRegistryTest, SamplesScalarsAndHistograms) {
   latency.Add(4.0);
   latency.Add(8.0);
   registry.Sample(sim::Seconds(2));
-  EXPECT_EQ(registry.samples_taken(), 2u);
+  counter_value = 13;
+  registry.Sample(sim::Seconds(3));
+  EXPECT_EQ(registry.samples_taken(), 3u);
+
+  // Per-period values: a gauge as sampled, a counter diffed against the
+  // previous sample (the first against 0), and labels select the series.
+  EXPECT_EQ(registry.PerPeriod("fraction"),
+            (std::vector<double>{1.5, 2.5, 2.5}));
+  EXPECT_EQ(registry.PerPeriod("ops", {{"node", "2"}}),
+            (std::vector<double>{4, 6, 3}));
+  EXPECT_EQ(registry.PerPeriod("ops", {{"node", "3"}}),
+            (std::vector<double>{100, 0, 0}));
 
   const std::string path = "obs_test_metrics.json";
   ASSERT_TRUE(registry.WriteJson(path));

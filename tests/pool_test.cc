@@ -258,18 +258,23 @@ std::string PooledRunTrace(uint64_t seed) {
   exp::Experiment experiment(config);
   experiment.Run();
 
+  const obs::MetricsRegistry& registry = experiment.metrics_registry();
+  const std::vector<double> timeouts =
+      registry.PerPeriod("pool_checkout_timeouts");
+  const std::vector<double> wait_ms = registry.PerPeriod("pool_checkout_wait");
+  const std::vector<double> queue = registry.PerPeriod("pool_queue_depth");
   std::string trace;
   char line[192];
-  for (const auto& row : experiment.rows()) {
+  for (size_t i = 0; i < experiment.rows().size(); ++i) {
+    const exp::PeriodRow& row = experiment.rows()[i];
     std::snprintf(line, sizeof(line),
-                  "t=%.0f reads=%llu sec=%llu writes=%llu poolto=%llu "
-                  "wait=%.3f q=%d\n",
+                  "t=%.0f reads=%llu sec=%llu writes=%llu poolto=%.0f "
+                  "wait=%.3f q=%.0f\n",
                   sim::ToSeconds(row.start),
                   static_cast<unsigned long long>(row.reads),
                   static_cast<unsigned long long>(row.reads_secondary),
-                  static_cast<unsigned long long>(row.writes),
-                  static_cast<unsigned long long>(row.pool_checkout_timeouts),
-                  row.pool_checkout_wait_ms, row.pool_queue_depth);
+                  static_cast<unsigned long long>(row.writes), timeouts[i],
+                  wait_ms[i], queue[i]);
     trace += line;
   }
   const ConnectionPool::Stats totals = experiment.client().PoolTotals();

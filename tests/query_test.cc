@@ -154,6 +154,24 @@ TEST(CsvExportTest, FailsOnUnwritablePath) {
       exp::WritePeriodsCsv(experiment, "/nonexistent-dir/out.csv"));
 }
 
+TEST(CsvExportTest, FailsOnFullDisk) {
+  // /dev/full opens fine and fails every write with ENOSPC: a writer that
+  // checks only fopen would report success.
+  exp::ExperimentConfig config;
+  config.kind = exp::WorkloadKind::kYcsb;
+  config.phases = {{0, 2, 0.5}};
+  config.duration = sim::Seconds(10);
+  exp::Experiment experiment(config);
+  experiment.Run();
+  const std::string full = "/dev/full";
+  EXPECT_FALSE(exp::WritePeriodsCsv(experiment, full));
+  EXPECT_FALSE(exp::WriteStalenessCsv(experiment, full));
+  EXPECT_FALSE(exp::WriteSamplesCsv(experiment, full));
+  EXPECT_FALSE(exp::WriteDecisionsCsv(experiment, full));
+  EXPECT_FALSE(exp::WriteShardsCsv(experiment, full));
+  EXPECT_FALSE(exp::WriteSloCsv(experiment, full));
+}
+
 // --- FindWith top-k equivalence ---------------------------------------------
 //
 // The top-k fast path (single key extraction + partial_sort over decorated
