@@ -138,17 +138,12 @@ void ReadBalancer::OnServerStatus(const proto::ServerStatusReply& reply) {
   // sibling balancers tighten while we are the laggard (and vice versa).
   if (budget_ != nullptr) budget_->Report(budget_slot_, staleness_estimate_);
   // Per-secondary breakdown for the decision log: which replica is the
-  // one holding the estimate up. Same arithmetic as MaxStalenessSeconds.
+  // one holding the estimate up.
   std::fill(secondary_staleness_s_.begin(), secondary_staleness_s_.end(), -1);
   for (size_t i = 0; i < reply.secondary_nodes.size(); ++i) {
     const auto node = static_cast<size_t>(reply.secondary_nodes[i]);
     if (node >= secondary_staleness_s_.size()) continue;
-    const repl::OpTime& sec = reply.secondary_last_applied[i];
-    const sim::Duration gap =
-        sec.seq >= reply.primary_last_applied.seq
-            ? 0
-            : reply.primary_last_applied.wall - sec.wall;
-    secondary_staleness_s_[node] = gap / sim::kSecond;
+    secondary_staleness_s_[node] = proto::SecondaryStalenessSeconds(reply, i);
   }
   PublishFraction();
 }

@@ -126,14 +126,8 @@ void MongoClient::ProbeLoop() {
 void MongoClient::StalenessLoop() {
   ServerStatus([this](const proto::ServerStatusReply& reply) {
     for (size_t i = 0; i < reply.secondary_last_applied.size(); ++i) {
-      const int node = reply.secondary_nodes[i];
-      const repl::OpTime& sec = reply.secondary_last_applied[i];
-      if (sec.seq >= reply.primary_last_applied.seq) {
-        servers_[node].staleness_s = 0;
-      } else {
-        servers_[node].staleness_s =
-            (reply.primary_last_applied.wall - sec.wall) / sim::kSecond;
-      }
+      servers_[reply.secondary_nodes[i]].staleness_s =
+          proto::SecondaryStalenessSeconds(reply, i);
     }
   });
   loop_->ScheduleAfter(options_.staleness_refresh_interval,
@@ -162,119 +156,86 @@ std::vector<int> MongoClient::EligibleSecondaries() {
   return eligible;
 }
 
-int MongoClient::SelectNode(ReadPreference pref) {
+int MongoClient::SelectNode(ReadPreference pref, int exclude) {
   const int primary = believed_primary_;
   const bool primary_alive = primary >= 0 && servers_[primary].reachable;
-  switch (pref) {
-    case ReadPreference::kPrimary:
-      return primary_alive ? primary : kNoNode;
-    case ReadPreference::kPrimaryPreferred: {
-      if (primary_alive) return primary;
-      std::vector<int> eligible = EligibleSecondaries();
-      if (eligible.empty()) return kNoNode;
-      return eligible[static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
-    }
-    case ReadPreference::kSecondary:
-    case ReadPreference::kSecondaryPreferred: {
-      std::vector<int> eligible = EligibleSecondaries();
-      if (eligible.empty()) {
-        // kSecondary with no eligible node is an error in MongoDB; like
-        // secondaryPreferred we fall back to the primary so workloads keep
-        // running (the maxStaleness ablation relies on this).
-        return primary_alive ? primary : kNoNode;
-      }
-      return eligible[static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
-    }
-    case ReadPreference::kNearest: {
-      int best = kNoNode;
-      for (int i = 0; i < node_count(); ++i) {
-        if (!servers_[i].reachable) continue;
-        if (best < 0 || servers_[i].rtt_ewma < servers_[best].rtt_ewma) {
-          best = i;
-        }
-      }
-      return best;
-    }
-  }
-  return primary_alive ? primary : kNoNode;
-}
-
-int MongoClient::SelectNodeExcluding(ReadPreference pref, int exclude) {
-  if (exclude == kNoNode || pref == ReadPreference::kPrimary) {
-    // kPrimary has no alternative server — re-selection re-resolves who
-    // the primary is, which the topology refresh already moved.
-    return SelectNode(pref);
+  if (pref == ReadPreference::kPrimary) {
+    // No alternative server — re-selection re-resolves who the primary
+    // is, which the topology refresh already moved.
+    return primary_alive ? primary : kNoNode;
   }
   if (pref == ReadPreference::kNearest) {
     int best = kNoNode;
+    int nearest = kNoNode;
     for (int i = 0; i < node_count(); ++i) {
-      if (i == exclude || !servers_[i].reachable) continue;
-      if (best < 0 || servers_[i].rtt_ewma < servers_[best].rtt_ewma) best = i;
+      if (!servers_[i].reachable) continue;
+      const sim::Duration rtt = servers_[i].rtt_ewma;
+      if (nearest < 0 || rtt < servers_[nearest].rtt_ewma) nearest = i;
+      if (i != exclude && (best < 0 || rtt < servers_[best].rtt_ewma)) {
+        best = i;
+      }
     }
-    return best != kNoNode ? best : SelectNode(pref);
+    return best != kNoNode ? best : nearest;
   }
-  const int primary = believed_primary_;
-  const bool primary_alive = primary >= 0 && servers_[primary].reachable;
   if (pref == ReadPreference::kPrimaryPreferred && primary_alive &&
       primary != exclude) {
     return primary;
   }
-  std::vector<int> eligible = EligibleSecondaries();
-  eligible.erase(std::remove(eligible.begin(), eligible.end(), exclude),
-                 eligible.end());
-  if (!eligible.empty()) {
-    return eligible[static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
+  std::vector<int> candidates = EligibleSecondaries();
+  const auto excluded =
+      std::find(candidates.begin(), candidates.end(), exclude);
+  if (excluded != candidates.end()) {
+    // Avoid `exclude` when an alternative exists. When it is the only
+    // eligible node left, primaryPreferred takes the live primary; the
+    // other modes pick it again (better than failing).
+    if (candidates.size() > 1) {
+      candidates.erase(excluded);
+    } else if (pref == ReadPreference::kPrimaryPreferred && primary_alive) {
+      return primary;
+    }
   }
-  // No alternative exists; fall back to the normal rules (possibly the
-  // same node — better than failing when it is the only one left).
-  return SelectNode(pref);
+  // kSecondary with no eligible node is an error in MongoDB; like
+  // secondaryPreferred we fall back to the primary so workloads keep
+  // running (the maxStaleness ablation relies on this).
+  if (candidates.empty()) return primary_alive ? primary : kNoNode;
+  return candidates[static_cast<size_t>(
+      rng_.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
 }
 
 void MongoClient::Read(ReadPreference pref, server::OpClass op_class,
                        proto::ReadBody body, Done done, OpOptions opts) {
-  ReadAfter(pref, repl::OpTime{}, op_class, std::move(body), std::move(done),
-            opts);
-}
-
-void MongoClient::ReadAfter(ReadPreference pref, const repl::OpTime& after,
-                            server::OpClass op_class, proto::ReadBody body,
-                            Done done, OpOptions opts) {
   PendingOp op;
-  op.is_read = true;
   op.pref = pref;
-  op.op_class = op_class;
-  op.read_body = std::move(body);
-  op.after = after;
+  op.request.kind = proto::CommandKind::kFind;
+  op.request.op_class = op_class;
+  op.request.read_body = std::move(body);
   op.done = std::move(done);
-  BeginOp(std::move(op), opts);
+  BeginOp(std::move(op), std::move(opts));
 }
 
 void MongoClient::Find(ReadPreference pref, server::OpClass op_class,
                        std::shared_ptr<const proto::FindSpec> spec, Done done,
                        OpOptions opts) {
   PendingOp op;
-  op.is_read = true;
   op.pref = pref;
-  op.op_class = op_class;
-  op.find_spec = std::move(spec);
+  op.request.kind = proto::CommandKind::kFind;
+  op.request.op_class = op_class;
+  op.request.find_spec = std::move(spec);
   op.done = std::move(done);
-  BeginOp(std::move(op), opts);
+  BeginOp(std::move(op), std::move(opts));
 }
 
 void MongoClient::Write(server::OpClass op_class, proto::TxnBody body,
                         Done done, repl::WriteConcern concern,
                         OpOptions opts) {
   PendingOp op;
-  op.is_read = false;
   op.pref = ReadPreference::kPrimary;
-  op.op_class = op_class;
-  op.txn_body = std::move(body);
-  op.concern = concern;
+  op.request.kind = proto::CommandKind::kWrite;
+  op.request.op_class = op_class;
+  op.request.txn_body = std::move(body);
+  op.request.concern = concern;
   op.done = std::move(done);
-  BeginOp(std::move(op), opts);
+  BeginOp(std::move(op), std::move(opts));
 }
 
 uint64_t MongoClient::BeginOp(PendingOp op, OpOptions opts) {
@@ -285,13 +246,18 @@ uint64_t MongoClient::BeginOp(PendingOp op, OpOptions opts) {
       opts.max_retries == -2 ? options_.max_retries : opts.max_retries;
   op.hedge_eligible = opts.hedge_eligible;
   op.record_latency = opts.record_latency;
-  op.route = std::move(opts.route);
-  op.trace_override = opts.trace_id;
-  op.parent_span_override = opts.parent_span;
+  op.parent_span = opts.parent_span;
+  proto::Command& request = op.request;
+  request.require_primary =
+      !op.is_read() || op.pref == ReadPreference::kPrimary;
+  request.route = std::move(opts.route);
+  request.ctx.after_cluster_time = opts.after_cluster_time;
+  request.ctx.trace_id = opts.trace_id;
+  request.reply_to = client_host_;
   const sim::Duration deadline =
       opts.deadline < 0 ? options_.default_op_deadline : opts.deadline;
   if (deadline > 0) {
-    op.deadline = op.start + deadline;
+    request.ctx.deadline = op.start + deadline;
     op.deadline_timer =
         loop_->ScheduleAfter(deadline, [this, op_id] { OnDeadline(op_id); });
   }
@@ -306,9 +272,8 @@ void MongoClient::StartAttempt(uint64_t op_id) {
   PendingOp& op = it->second;
   op.backoff_timer = 0;
   int node = kNoNode;
-  if (op.is_read) {
-    node = SelectNodeExcluding(op.pref,
-                               op.attempts_sent > 0 ? op.last_target : kNoNode);
+  if (op.is_read()) {
+    node = SelectNode(op.pref, op.attempts_sent > 0 ? op.last_target : kNoNode);
   } else if (believed_primary_ >= 0 &&
              servers_[believed_primary_].reachable) {
     node = believed_primary_;
@@ -322,12 +287,11 @@ void MongoClient::StartAttempt(uint64_t op_id) {
                              [this, op_id] { StartAttempt(op_id); });
     return;
   }
-  op.target = node;
+  op.main.node = node;
   ++op.attempts_sent;
   if (tracing()) {
-    op.attempt_span = tracer_->NewSpanId();
-    op.attempt_start = loop_->Now();
-    op.checkout_start = loop_->Now();
+    op.main.span = tracer_->NewSpanId();
+    op.main.start = loop_->Now();
   }
   if (options_.batching_enabled) {
     // The attempt parks in the node's coalescing buffer instead of
@@ -350,7 +314,7 @@ void MongoClient::StartAttempt(uint64_t op_id) {
 void MongoClient::OnCheckout(uint64_t op_id, int node, int attempt,
                              const pool::ConnectionPool::Checkout& co) {
   auto it = pending_.find(op_id);
-  if (it == pending_.end() || it->second.target != node ||
+  if (it == pending_.end() || it->second.main.node != node ||
       it->second.attempts_sent != attempt) {
     // The op moved on while this checkout sat in the wait queue (completed
     // via a hedge, failed over, hit its deadline): the unused connection
@@ -359,19 +323,7 @@ void MongoClient::OnCheckout(uint64_t op_id, int node, int attempt,
     return;
   }
   PendingOp& op = it->second;
-  if (tracing() && op.attempt_span != 0) {
-    obs::SpanRecord span;
-    span.trace_id = TraceId(op_id, op);
-    span.span_id = tracer_->NewSpanId();
-    span.parent_span_id = op.attempt_span;
-    span.kind = obs::SpanKind::kCheckout;
-    span.start = op.checkout_start;
-    span.end = loop_->Now();
-    span.node = node;
-    span.attempt = attempt - 1;
-    span.ok = co.ok;
-    tracer_->Record(span);
-  }
+  RecordCheckoutSpan(op_id, op, /*is_hedge=*/false, co.ok);
   if (!co.ok) {
     // waitQueueTimeoutMS fired: the pool is saturated. The failed
     // checkout burns one retry, so an exhausted pool cannot spin an op
@@ -380,54 +332,42 @@ void MongoClient::OnCheckout(uint64_t op_id, int node, int attempt,
     RetryAttempt(op_id);
     return;
   }
-  op.conn_id = co.conn_id;
-  op.conn_node = node;
+  op.main.conn_id = co.conn_id;
   op.checkout_wait += co.wait;
   ++counters_.checkouts;
-  counters_.checkout_wait_total += co.wait;
-  counters_.checkout_queue_peak = std::max(
-      counters_.checkout_queue_peak, pools_[node]->stats().max_queue_depth);
-  SendAttempt(op_id);
+  SendAttempt(op_id, &op);
 }
 
-void MongoClient::SendAttempt(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp& op = it->second;
-  const int node = op.target;
+void MongoClient::SendAttempt(uint64_t op_id, PendingOp* op) {
+  bus_->Send(client_host_, servers_[op->main.node].host,
+             MakeCommand(op_id, *op, /*is_hedge=*/false, op->main.conn_id));
+  ArmAttemptTimers(op_id, op);
+}
 
-  proto::Command cmd;
-  cmd.kind = op.is_read ? proto::CommandKind::kFind : proto::CommandKind::kWrite;
+proto::Command MongoClient::MakeCommand(uint64_t op_id, const PendingOp& op,
+                                        bool is_hedge, uint64_t conn_id) {
+  proto::Command cmd = op.request;  // copies: the op outlives any one arm
   cmd.ctx.op_id = op_id;
-  cmd.ctx.deadline = op.deadline;
-  cmd.ctx.after_cluster_time = op.after;
   cmd.ctx.attempt = op.attempts_sent - 1;
-  cmd.ctx.conn_id = op.conn_id;
-  cmd.ctx.checkout_wait = op.checkout_wait;
-  cmd.ctx.trace_id = op.trace_override;
+  cmd.ctx.is_hedge = is_hedge;
+  cmd.ctx.conn_id = conn_id;
   if (tracing()) {
-    cmd.ctx.parent_span = op.attempt_span;
+    cmd.ctx.parent_span = is_hedge ? op.hedge.span : op.main.span;
     cmd.ctx.sent_at = loop_->Now();
   }
-  cmd.op_class = op.op_class;
-  cmd.require_primary = !op.is_read || op.pref == ReadPreference::kPrimary;
-  cmd.read_body = op.read_body;  // copies: the op outlives any one attempt
-  cmd.find_spec = op.find_spec;
-  cmd.route = op.route;
-  cmd.txn_body = op.txn_body;
-  cmd.concern = op.concern;
-  cmd.reply_to = client_host_;
   cmd.on_reply = [this, op_id](const proto::Reply& r) { OnReply(op_id, r); };
-  bus_->Send(client_host_, servers_[node].host, std::move(cmd));
+  return cmd;
+}
 
+void MongoClient::ArmAttemptTimers(uint64_t op_id, PendingOp* op) {
   if (options_.attempt_timeout > 0) {
-    op.attempt_timer = loop_->ScheduleAfter(
+    op->attempt_timer = loop_->ScheduleAfter(
         options_.attempt_timeout, [this, op_id] { OnAttemptTimeout(op_id); });
   }
-  if (op.is_read && options_.hedged_reads && op.hedge_eligible &&
-      op.pref != ReadPreference::kPrimary && op.attempts_sent == 1) {
-    op.hedge_timer = loop_->ScheduleAfter(HedgeDelay(),
-                                          [this, op_id] { OnHedgeTimer(op_id); });
+  if (op->is_read() && options_.hedged_reads && op->hedge_eligible &&
+      op->pref != ReadPreference::kPrimary && op->attempts_sent == 1) {
+    op->hedge_timer = loop_->ScheduleAfter(
+        HedgeDelay(), [this, op_id] { OnHedgeTimer(op_id); });
   }
 }
 
@@ -443,7 +383,8 @@ void MongoClient::EnqueueInBatch(uint64_t op_id, int node) {
   const bool full = static_cast<int>(batcher.buffered.size()) >=
                     options_.batch_max_ops;
   const bool deadline_imminent =
-      op.deadline != 0 && op.deadline - loop_->Now() <= options_.batch_max_delay;
+      op.request.ctx.deadline != 0 &&
+      op.request.ctx.deadline - loop_->Now() <= options_.batch_max_delay;
   if (full || deadline_imminent) {
     FlushBatch(node);
     return;
@@ -509,7 +450,7 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
     auto it = pending_.find(entry.op_id);
     if (it == pending_.end()) continue;
     const PendingOp& op = it->second;
-    if (!op.buffered || op.target != node ||
+    if (!op.buffered || op.main.node != node ||
         op.attempts_sent != entry.attempt) {
       continue;
     }
@@ -534,9 +475,6 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
   env.conn_id = co.conn_id;
   env.outstanding = static_cast<int>(live.size());
   ++counters_.checkouts;
-  counters_.checkout_wait_total += co.wait;
-  counters_.checkout_queue_peak = std::max(
-      counters_.checkout_queue_peak, pools_[node]->stats().max_queue_depth);
   ++counters_.envelopes_sent;
   counters_.ops_batched += live.size();
   batch_occupancy_.Add(static_cast<double>(live.size()));
@@ -548,41 +486,11 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
     op.buffered = false;
     op.envelope_id = envelope_id;
     op.checkout_wait += co.wait;
-    proto::Command cmd;
-    cmd.kind =
-        op.is_read ? proto::CommandKind::kFind : proto::CommandKind::kWrite;
-    cmd.ctx.op_id = id;
-    cmd.ctx.deadline = op.deadline;
-    cmd.ctx.after_cluster_time = op.after;
-    cmd.ctx.attempt = op.attempts_sent - 1;
-    cmd.ctx.conn_id = co.conn_id;
-    cmd.ctx.checkout_wait = op.checkout_wait;
-    cmd.ctx.trace_id = op.trace_override;
-    if (tracing()) {
-      cmd.ctx.parent_span = op.attempt_span;
-      cmd.ctx.sent_at = loop_->Now();
-    }
-    cmd.op_class = op.op_class;
-    cmd.require_primary = !op.is_read || op.pref == ReadPreference::kPrimary;
-    cmd.read_body = op.read_body;
-    cmd.find_spec = op.find_spec;
-    cmd.route = op.route;
-    cmd.txn_body = op.txn_body;
-    cmd.concern = op.concern;
-    cmd.reply_to = client_host_;
-    cmd.on_reply = [this, id](const proto::Reply& r) { OnReply(id, r); };
-    envelope.commands.push_back(std::move(cmd));
+    envelope.commands.push_back(
+        MakeCommand(id, op, /*is_hedge=*/false, co.conn_id));
     // Each rider keeps its own attempt/hedge timers: the envelope shares
     // a connection, not a deadline.
-    if (options_.attempt_timeout > 0) {
-      op.attempt_timer = loop_->ScheduleAfter(
-          options_.attempt_timeout, [this, id] { OnAttemptTimeout(id); });
-    }
-    if (op.is_read && options_.hedged_reads && op.hedge_eligible &&
-        op.pref != ReadPreference::kPrimary && op.attempts_sent == 1) {
-      op.hedge_timer = loop_->ScheduleAfter(HedgeDelay(),
-                                            [this, id] { OnHedgeTimer(id); });
-    }
+    ArmAttemptTimers(id, &op);
   }
   if (tracing()) {
     // One envelope span against the first rider's trace: buffer wait +
@@ -590,13 +498,13 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
     // enqueued after the (since-departed) op that opened the buffer, so
     // clamp the start inside its attempt span.
     const PendingOp& first = pending_.find(live.front())->second;
-    if (first.attempt_span != 0) {
+    if (first.main.span != 0) {
       obs::SpanRecord span;
       span.trace_id = TraceId(live.front(), first);
       span.span_id = tracer_->NewSpanId();
-      span.parent_span_id = first.attempt_span;
+      span.parent_span_id = first.main.span;
       span.kind = obs::SpanKind::kEnvelope;
-      span.start = std::max(flush_start, first.attempt_start);
+      span.start = std::max(flush_start, first.main.start);
       span.end = loop_->Now();
       span.node = node;
       span.attempt = static_cast<int>(live.size());  // batch occupancy
@@ -640,7 +548,7 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
   if (it == pending_.end()) return;  // hedge loser / superseded attempt
   PendingOp& op = it->second;
   if (tracing() && reply.conn_id != 0 &&
-      (reply.conn_id == op.conn_id || reply.conn_id == op.hedge_conn_id ||
+      (reply.conn_id == op.main.conn_id || reply.conn_id == op.hedge.conn_id ||
        reply.conn_id == EnvelopeConn(op))) {
     // Reply wire transit, parented under whichever arm the reply rode.
     // Replies from superseded attempts are skipped — their arm's span is
@@ -648,14 +556,13 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
     // so additionally require the server's send instant to fall inside
     // the current arm (a genuine reply always starts after its arm did).
     const bool rode_hedge =
-        reply.conn_id == op.hedge_conn_id && op.hedge_span != 0;
-    const uint64_t parent = rode_hedge ? op.hedge_span : op.attempt_span;
-    const sim::Time arm_start = rode_hedge ? op.hedge_start : op.attempt_start;
-    if (parent != 0 && reply.sent_at >= arm_start) {
+        reply.conn_id == op.hedge.conn_id && op.hedge.span != 0;
+    const Arm& arm = rode_hedge ? op.hedge : op.main;
+    if (arm.span != 0 && reply.sent_at >= arm.start) {
       obs::SpanRecord span;
       span.trace_id = TraceId(op_id, op);
       span.span_id = tracer_->NewSpanId();
-      span.parent_span_id = parent;
+      span.parent_span_id = arm.span;
       span.kind = obs::SpanKind::kWire;
       span.start = reply.sent_at;
       span.end = loop_->Now();
@@ -665,36 +572,26 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
       tracer_->Record(span);
     }
   }
-  if (reply.status == proto::ReplyStatus::kNotPrimary) {
-    // Only the outstanding attempt's error triggers a retry; errors from
+  if (reply.status == proto::ReplyStatus::kNotPrimary ||
+      reply.status == proto::ReplyStatus::kStaleConfig) {
+    // Only the outstanding attempt's error counts; errors from
     // already-superseded attempts were handled when they were abandoned.
-    if (!reply.is_hedge && reply.node_index == op.target) {
-      // The connection answered — the socket is healthy even though the
-      // command failed, so it is reusable (unlike a timed-out attempt).
-      if (reply.conn_id != 0 && reply.conn_id == op.conn_id) {
-        pools_[op.conn_node]->CheckIn(op.conn_id);
-        op.conn_id = 0;
-        op.conn_node = kNoNode;
-      }
-      // An enveloped rider's reply rode the shared connection; this
-      // rider's verdict on it is healthy.
-      DetachFromEnvelope(&op, reply.conn_id);
-      RetryAttempt(op_id);
+    if (reply.is_hedge || reply.node_index != op.main.node) return;
+    // The connection answered — the socket is healthy even though the
+    // command failed, so it is reusable (unlike a timed-out attempt). An
+    // enveloped rider's reply rode the shared connection; this rider's
+    // verdict on it is healthy.
+    if (reply.conn_id == op.main.conn_id) {
+      ReleaseArmConnection(&op.main, reply.conn_id);
     }
-    return;
-  }
-  if (reply.status == proto::ReplyStatus::kStaleConfig) {
-    // The shard rejected our chunk version before running anything.
-    // Retrying the same route would fail identically — surface the error
-    // so the caller (a router) refreshes its chunk map and re-issues.
-    if (!reply.is_hedge && reply.node_index == op.target) {
-      if (reply.conn_id != 0 && reply.conn_id == op.conn_id) {
-        // The socket answered; it is healthy and reusable.
-        pools_[op.conn_node]->CheckIn(op.conn_id);
-        op.conn_id = 0;
-        op.conn_node = kNoNode;
-      }
-      DetachFromEnvelope(&op, reply.conn_id);
+    DetachFromEnvelope(&op, reply.conn_id);
+    if (reply.status == proto::ReplyStatus::kNotPrimary) {
+      RetryAttempt(op_id);
+    } else {
+      // The shard rejected our chunk version before running anything.
+      // Retrying the same route would fail identically — surface the
+      // error so the caller (a router) refreshes its chunk map and
+      // re-issues.
       FinishOp(op_id, nullptr, /*timed_out=*/false, /*stale_config=*/true);
     }
     return;
@@ -726,15 +623,15 @@ void MongoClient::OnHedgeTimer(uint64_t op_id) {
   // path's random draw sequence.
   int target = kNoNode;
   for (int i : EligibleSecondaries()) {
-    if (i == op.target) continue;
+    if (i == op.main.node) continue;
     if (target == kNoNode || servers_[i].rtt_ewma < servers_[target].rtt_ewma) {
       target = i;
     }
   }
   if (target == kNoNode) return;  // nobody to hedge to
   if (tracing()) {
-    op.hedge_span = tracer_->NewSpanId();
-    op.hedge_start = loop_->Now();
+    op.hedge.span = tracer_->NewSpanId();
+    op.hedge.start = loop_->Now();
   }
   // Hedges check out of the hedge node's pool like any other attempt.
   const int attempt = op.attempts_sent;
@@ -748,76 +645,29 @@ void MongoClient::OnHedgeCheckout(uint64_t op_id, int node, int attempt,
                                   const pool::ConnectionPool::Checkout& co) {
   auto it = pending_.find(op_id);
   if (it == pending_.end() || it->second.attempts_sent != attempt ||
-      it->second.hedge_conn_id != 0) {
+      it->second.hedge.conn_id != 0) {
     // Op finished or retried while the checkout queued: hedge abandoned.
     if (co.ok) pools_[node]->CheckIn(co.conn_id);
     return;
   }
   PendingOp& op = it->second;
-  if (tracing() && op.hedge_span != 0) {
-    obs::SpanRecord span;
-    span.trace_id = TraceId(op_id, op);
-    span.span_id = tracer_->NewSpanId();
-    span.parent_span_id = op.hedge_span;
-    span.kind = obs::SpanKind::kCheckout;
-    span.start = op.hedge_start;
-    span.end = loop_->Now();
-    span.node = node;
-    span.attempt = attempt - 1;
-    span.is_hedge = true;
-    span.ok = co.ok;
-    tracer_->Record(span);
-  }
+  op.hedge.node = node;
+  RecordCheckoutSpan(op_id, op, /*is_hedge=*/true, co.ok);
   if (!co.ok) {
     // Saturated hedge-node pool: skip the hedge rather than burn the
-    // main attempt's retry budget on speculative traffic.
+    // main attempt's retry budget on speculative traffic. The arm dies
+    // here — close its span so the checkout child above still has a
+    // recorded parent.
     ++counters_.checkout_timeouts;
-    if (op.hedge_span != 0) {
-      // The arm dies here — close its span so the checkout child above
-      // still has a recorded parent.
-      obs::SpanRecord span;
-      span.trace_id = TraceId(op_id, op);
-      span.span_id = op.hedge_span;
-      span.parent_span_id = op.op_span;
-      span.kind = obs::SpanKind::kHedge;
-      span.start = op.hedge_start;
-      span.end = loop_->Now();
-      span.node = node;
-      span.attempt = attempt - 1;
-      span.is_hedge = true;
-      span.ok = false;
-      tracer_->Record(span);
-      op.hedge_span = 0;
-    }
+    CloseArmSpan(op_id, &op, /*is_hedge=*/true, /*ok=*/false);
     return;
   }
-  op.hedge_conn_id = co.conn_id;
-  op.hedge_node = node;
+  op.hedge.conn_id = co.conn_id;
   op.hedged = true;
   ++counters_.hedges_sent;
   ++counters_.checkouts;
-  counters_.checkout_wait_total += co.wait;
-  proto::Command cmd;
-  cmd.kind = proto::CommandKind::kFind;
-  cmd.ctx.op_id = op_id;
-  cmd.ctx.deadline = op.deadline;
-  cmd.ctx.after_cluster_time = op.after;
-  cmd.ctx.attempt = op.attempts_sent - 1;
-  cmd.ctx.is_hedge = true;
-  cmd.ctx.conn_id = co.conn_id;
-  cmd.ctx.checkout_wait = co.wait;
-  cmd.ctx.trace_id = op.trace_override;
-  if (tracing()) {
-    cmd.ctx.parent_span = op.hedge_span;
-    cmd.ctx.sent_at = loop_->Now();
-  }
-  cmd.op_class = op.op_class;
-  cmd.read_body = op.read_body;
-  cmd.find_spec = op.find_spec;
-  cmd.route = op.route;
-  cmd.reply_to = client_host_;
-  cmd.on_reply = [this, op_id](const proto::Reply& r) { OnReply(op_id, r); };
-  bus_->Send(client_host_, servers_[node].host, std::move(cmd));
+  bus_->Send(client_host_, servers_[node].host,
+             MakeCommand(op_id, op, /*is_hedge=*/true, co.conn_id));
 }
 
 void MongoClient::RetryAttempt(uint64_t op_id) {
@@ -828,39 +678,22 @@ void MongoClient::RetryAttempt(uint64_t op_id) {
     loop_->Cancel(op.attempt_timer);
     op.attempt_timer = 0;
   }
-  if (op.conn_id != 0) {
-    // The abandoned attempt's reply may still arrive after we stop
-    // listening — the socket is desynchronised, so destroy it (real
-    // drivers close the connection on a command timeout).
-    pools_[op.conn_node]->Discard(op.conn_id);
-    op.conn_id = 0;
-    op.conn_node = kNoNode;
-  }
+  // The abandoned attempt's reply may still arrive after we stop
+  // listening — the socket is desynchronised, so destroy it (real
+  // drivers close the connection on a command timeout).
+  ReleaseArmConnection(&op.main, /*healthy_conn=*/0);
   if (op.buffered) {
     // Never flushed (node died / deadline raced the buffer): leave the
     // batch before retargeting so the envelope cannot ship a stale rider.
-    if (op.target != kNoNode) RemoveFromBatch(op_id, op.target);
+    if (op.main.node != kNoNode) RemoveFromBatch(op_id, op.main.node);
     op.buffered = false;
   }
   // Abandoning an enveloped attempt taints the shared connection.
   DetachFromEnvelope(&op, /*healthy_conn=*/0);
-  if (tracing() && op.attempt_span != 0) {
-    // The attempt is abandoned here; the next one opens its own span.
-    obs::SpanRecord span;
-    span.trace_id = TraceId(op_id, op);
-    span.span_id = op.attempt_span;
-    span.parent_span_id = op.op_span;
-    span.kind = obs::SpanKind::kAttempt;
-    span.start = op.attempt_start;
-    span.end = loop_->Now();
-    span.node = op.target;
-    span.attempt = op.attempts_sent - 1;
-    span.ok = false;
-    tracer_->Record(span);
-    op.attempt_span = 0;
-  }
-  op.last_target = op.target;
-  op.target = kNoNode;
+  // The attempt is abandoned here; the next one opens its own span.
+  CloseArmSpan(op_id, &op, /*is_hedge=*/false, /*ok=*/false);
+  op.last_target = op.main.node;
+  op.main.node = kNoNode;
   if (op.max_retries >= 0 && op.attempts_sent > op.max_retries) {
     FinishOp(op_id, nullptr);
     return;
@@ -877,48 +710,58 @@ void MongoClient::RetryAttempt(uint64_t op_id) {
       loop_->ScheduleAfter(backoff, [this, op_id] { StartAttempt(op_id); });
 }
 
-void MongoClient::CloseOpSpans(const PendingOp& op, uint64_t op_id, bool ok,
-                               const proto::Reply* reply) {
-  if (!tracing() || op.op_span == 0) return;
-  const sim::Time now = loop_->Now();
-  const bool hedge_won = reply != nullptr && reply->is_hedge;
-  const int attempt = std::max(0, op.attempts_sent - 1);
-  if (op.attempt_span != 0) {
-    obs::SpanRecord span;
-    span.trace_id = TraceId(op_id, op);
-    span.span_id = op.attempt_span;
-    span.parent_span_id = op.op_span;
-    span.kind = obs::SpanKind::kAttempt;
-    span.start = op.attempt_start;
-    span.end = now;
-    span.node = op.target;
-    span.attempt = attempt;
-    span.ok = ok && !hedge_won;
-    tracer_->Record(span);
-  }
-  if (op.hedge_span != 0) {
-    obs::SpanRecord span;
-    span.trace_id = TraceId(op_id, op);
-    span.span_id = op.hedge_span;
-    span.parent_span_id = op.op_span;
-    span.kind = obs::SpanKind::kHedge;
-    span.start = op.hedge_start;
-    span.end = now;
-    span.node = op.hedge_node;
-    span.attempt = attempt;
-    span.is_hedge = true;
-    span.ok = ok && hedge_won;
-    tracer_->Record(span);
-  }
+void MongoClient::RecordCheckoutSpan(uint64_t op_id, const PendingOp& op,
+                                     bool is_hedge, bool ok) {
+  const Arm& arm = is_hedge ? op.hedge : op.main;
+  if (!tracing() || arm.span == 0) return;
   obs::SpanRecord span;
   span.trace_id = TraceId(op_id, op);
-  span.span_id = op.op_span;
-  span.parent_span_id = op.parent_span_override;
+  span.span_id = tracer_->NewSpanId();
+  span.parent_span_id = arm.span;
+  span.kind = obs::SpanKind::kCheckout;
+  span.start = arm.start;
+  span.end = loop_->Now();
+  span.node = arm.node;
+  span.attempt = op.attempts_sent - 1;
+  span.is_hedge = is_hedge;
+  span.ok = ok;
+  tracer_->Record(span);
+}
+
+void MongoClient::CloseArmSpan(uint64_t op_id, PendingOp* op, bool is_hedge,
+                               bool ok) {
+  Arm& arm = is_hedge ? op->hedge : op->main;
+  if (!tracing() || arm.span == 0) return;
+  obs::SpanRecord span;
+  span.trace_id = TraceId(op_id, *op);
+  span.span_id = arm.span;
+  span.parent_span_id = op->op_span;
+  span.kind = is_hedge ? obs::SpanKind::kHedge : obs::SpanKind::kAttempt;
+  span.start = arm.start;
+  span.end = loop_->Now();
+  span.node = arm.node;
+  span.attempt = std::max(0, op->attempts_sent - 1);
+  span.is_hedge = is_hedge;
+  span.ok = ok;
+  tracer_->Record(span);
+  arm.span = 0;
+}
+
+void MongoClient::CloseOpSpans(uint64_t op_id, PendingOp* op, bool ok,
+                               const proto::Reply* reply) {
+  if (!tracing() || op->op_span == 0) return;
+  const bool hedge_won = reply != nullptr && reply->is_hedge;
+  CloseArmSpan(op_id, op, /*is_hedge=*/false, ok && !hedge_won);
+  CloseArmSpan(op_id, op, /*is_hedge=*/true, ok && hedge_won);
+  obs::SpanRecord span;
+  span.trace_id = TraceId(op_id, *op);
+  span.span_id = op->op_span;
+  span.parent_span_id = op->parent_span;
   span.kind = obs::SpanKind::kOp;
-  span.start = op.start;
-  span.end = now;
-  span.node = reply != nullptr ? reply->node_index : op.target;
-  span.attempt = attempt;
+  span.start = op->start;
+  span.end = loop_->Now();
+  span.node = reply != nullptr ? reply->node_index : op->main.node;
+  span.attempt = std::max(0, op->attempts_sent - 1);
   span.ok = ok;
   tracer_->Record(span);
 }
@@ -932,13 +775,15 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
   const bool ok = reply != nullptr;
   const uint64_t healthy_conn = ok ? reply->conn_id : 0;
   CancelOpTimers(&op);
-  CloseOpSpans(op, op_id, ok, reply);
+  CloseOpSpans(op_id, &op, ok, reply);
   ReleaseOpConnections(&op, healthy_conn);
-  if (op.buffered && op.target != kNoNode) RemoveFromBatch(op_id, op.target);
+  if (op.buffered && op.main.node != kNoNode) {
+    RemoveFromBatch(op_id, op.main.node);
+  }
   DetachFromEnvelope(&op, healthy_conn);
 
   OpResult r;
-  r.is_read = op.is_read;
+  r.is_read = op.is_read();
   r.requested = op.pref;
   r.latency = loop_->Now() - op.start;
   r.ok = ok;
@@ -949,7 +794,7 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
   r.checkout_wait = op.checkout_wait;
   r.record_latency = op.record_latency;
   if (ok) {
-    if (op.is_read) {
+    if (op.is_read()) {
       r.node = reply->node_index;
       r.used_secondary = !reply->from_primary;
     }
@@ -957,8 +802,8 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
     r.committed = reply->committed;
     r.find = reply->find_result;
     r.hedge_won = reply->is_hedge;
-  } else if (op.is_read) {
-    r.node = op.target;
+  } else if (op.is_read()) {
+    r.node = op.main.node;
   }
 
   if (ok) ++counters_.ok;
@@ -969,7 +814,7 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
     counters_.retries_total += static_cast<uint64_t>(r.retries);
   }
   if (r.hedge_won) ++counters_.hedges_won;
-  if (ok && op.is_read) RecordReadLatency(r.latency);
+  if (ok && op.is_read()) RecordReadLatency(r.latency);
 
   for (const OpObserver& o : observers_) o(r);
   if (op.done) op.done(r);
@@ -994,27 +839,19 @@ void MongoClient::CancelOpTimers(PendingOp* op) {
   }
 }
 
+void MongoClient::ReleaseArmConnection(Arm* arm, uint64_t healthy_conn) {
+  if (arm->conn_id == 0) return;
+  if (arm->conn_id == healthy_conn) {
+    pools_[arm->node]->CheckIn(arm->conn_id);
+  } else {
+    pools_[arm->node]->Discard(arm->conn_id);
+  }
+  arm->conn_id = 0;
+}
+
 void MongoClient::ReleaseOpConnections(PendingOp* op, uint64_t healthy_conn) {
-  if (op->conn_id != 0) {
-    if (op->conn_id == healthy_conn) {
-      pools_[op->conn_node]->CheckIn(op->conn_id);
-    } else {
-      // No reply ever arrived on it (op won via hedge / failed / timed
-      // out): the socket state is unknown, so it cannot be reused.
-      pools_[op->conn_node]->Discard(op->conn_id);
-    }
-    op->conn_id = 0;
-    op->conn_node = kNoNode;
-  }
-  if (op->hedge_conn_id != 0) {
-    if (op->hedge_conn_id == healthy_conn) {
-      pools_[op->hedge_node]->CheckIn(op->hedge_conn_id);
-    } else {
-      pools_[op->hedge_node]->Discard(op->hedge_conn_id);
-    }
-    op->hedge_conn_id = 0;
-    op->hedge_node = kNoNode;
-  }
+  ReleaseArmConnection(&op->main, healthy_conn);
+  ReleaseArmConnection(&op->hedge, healthy_conn);
 }
 
 void MongoClient::AbortAttemptsOn(int node) {
@@ -1023,14 +860,13 @@ void MongoClient::AbortAttemptsOn(int node) {
   pools_[node]->Clear();
   std::vector<uint64_t> affected;
   for (auto& [op_id, op] : pending_) {
-    if (op.hedge_conn_id != 0 && op.hedge_node == node) {
+    if (op.hedge.conn_id != 0 && op.hedge.node == node) {
       // Hedge outstanding against the dead node: drop its connection but
       // leave the op alone — the main attempt may still answer.
-      pools_[node]->Discard(op.hedge_conn_id);
-      op.hedge_conn_id = 0;
-      op.hedge_node = kNoNode;
+      ReleaseArmConnection(&op.hedge, /*healthy_conn=*/0);
+      op.hedge.node = kNoNode;
     }
-    if (op.target == node) affected.push_back(op_id);
+    if (op.main.node == node) affected.push_back(op_id);
   }
   // RetryAttempt may erase ops (budget spent) and their callbacks may
   // start new ones — mutate only after the scan.

@@ -127,6 +127,9 @@ struct OpOptions {
   /// resolved chunk/version on the sub-ops it fans out. Inert (default
   /// empty) against unsharded buses.
   proto::RouteInfo route;
+  /// Causal-session token (afterClusterTime): a read's serving node defers
+  /// execution until it has applied this optime. Default = no gate.
+  repl::OpTime after_cluster_time;
   /// Trace the op's spans should belong to instead of its own op id, and
   /// the span they parent under — set by a router issuing sub-ops so the
   /// client→router→shard legs link into one tree. 0 = own trace / root.
@@ -218,20 +221,28 @@ class MongoClient {
   static constexpr int kNoNode = -1;
 
   /// Picks a node index for a read with the given preference, or kNoNode
-  /// when nothing is selectable (fail-over in progress).
-  int SelectNode(ReadPreference pref);
+  /// when nothing is selectable (fail-over in progress). A retry passes
+  /// the node its last attempt went to as `exclude`; it is avoided when an
+  /// alternative exists and picked again when it is the only one left.
+  /// Let E be the eligible secondaries and E' = E minus `exclude`:
+  ///   kPrimary: the live primary.
+  ///   kSecondary(Preferred): a random node of E', else of E, else the
+  ///     live primary (kSecondary falls back too, so workloads keep
+  ///     running; the maxStaleness ablation relies on it).
+  ///   kPrimaryPreferred: the live primary unless excluded, then E', then
+  ///     the live primary, then E.
+  ///   kNearest: the lowest-RTT reachable node other than `exclude`, else
+  ///     the plain nearest.
+  /// Each pick from E or E' is one uniform draw from the client's RNG.
+  int SelectNode(ReadPreference pref, int exclude = kNoNode);
 
   /// Issues a read-only operation/transaction. `body` runs against the
   /// chosen node's data at server-side completion; `done` runs back on the
-  /// client with the measured end-to-end latency.
+  /// client with the measured end-to-end latency. A nonzero
+  /// `opts.after_cluster_time` makes the node defer execution until it has
+  /// applied that optime — the causal-consistency read gate.
   void Read(ReadPreference pref, server::OpClass op_class,
             proto::ReadBody body, Done done, OpOptions opts = {});
-
-  /// Like Read, but the chosen node defers execution until it has applied
-  /// `after` (afterClusterTime) — the causal-consistency read gate.
-  void ReadAfter(ReadPreference pref, const repl::OpTime& after,
-                 server::OpClass op_class, proto::ReadBody body, Done done,
-                 OpOptions opts = {});
 
   /// Issues a structured find (inspectable, unlike a ReadBody closure —
   /// a router can scatter it across shards and merge partials). The
@@ -333,29 +344,36 @@ class MongoClient {
     int64_t staleness_s = 0;
   };
 
+  /// One arm of an op: the main attempt or the hedge. Span ids are
+  /// allocated when the arm opens (tracing on only); its record is written
+  /// once, when the arm closes.
+  struct Arm {
+    /// Target node. The main arm's is set at selection (kNoNode between
+    /// attempts); the hedge's when its checkout is delivered.
+    int node = kNoNode;
+    /// Pooled connection carrying the arm (0 = none checked out: between
+    /// attempts, still queued in the pool, or riding an envelope).
+    uint64_t conn_id = 0;
+    uint64_t span = 0;
+    sim::Time start = 0;
+  };
+
   /// One logical in-flight operation (may span several attempts).
   struct PendingOp {
-    bool is_read = true;
+    /// The op's request, built once at issue time: kind, op class, body
+    /// or find spec, write concern, route, deadline, causal token and
+    /// trace id. Every attempt, envelope rider and hedge is a copy of it
+    /// stamped by MakeCommand.
+    proto::Command request;
     ReadPreference pref = ReadPreference::kPrimary;
-    server::OpClass op_class = server::OpClass::kPointRead;
-    proto::ReadBody read_body;
-    std::shared_ptr<const proto::FindSpec> find_spec;
-    proto::RouteInfo route;
-    proto::TxnBody txn_body;
-    repl::WriteConcern concern = repl::WriteConcern::kW1;
-    repl::OpTime after;
     sim::Time start = 0;
-    sim::Time deadline = 0;  // absolute; 0 = none
     int max_retries = -1;
     bool hedge_eligible = true;
     bool record_latency = true;
     int attempts_sent = 0;
-    int target = kNoNode;       // node of the outstanding attempt
+    Arm main;
+    Arm hedge;
     int last_target = kNoNode;  // excluded on re-selection
-    /// Connection of the outstanding attempt (0 = none checked out:
-    /// either between attempts or still queued in the pool).
-    uint64_t conn_id = 0;
-    int conn_node = kNoNode;
     /// True while the attempt sits in its target node's coalescing
     /// buffer awaiting an envelope flush (batching only).
     bool buffered = false;
@@ -363,9 +381,6 @@ class MongoClient {
     /// The shared connection is tracked on the envelope, not the op, so
     /// ReleaseOpConnections cannot double-settle it.
     uint64_t envelope_id = 0;
-    /// Connection carrying the hedge request, when one is outstanding.
-    uint64_t hedge_conn_id = 0;
-    int hedge_node = kNoNode;
     /// Accumulated pool checkout wait across every attempt of this op.
     sim::Duration checkout_wait = 0;
     bool hedged = false;
@@ -373,29 +388,23 @@ class MongoClient {
     sim::EventId deadline_timer = 0;
     sim::EventId backoff_timer = 0;
     sim::EventId hedge_timer = 0;
-    /// Tracing bookkeeping (all zero when the tracer is off). Span ids
-    /// are allocated when the interval opens; the record is written once,
-    /// when it closes.
-    uint64_t op_span = 0;
-    uint64_t attempt_span = 0;
-    sim::Time attempt_start = 0;
-    sim::Time checkout_start = 0;
-    uint64_t hedge_span = 0;
-    sim::Time hedge_start = 0;
-    /// Trace/parent overrides for router sub-ops (OpOptions::trace_id).
-    uint64_t trace_override = 0;
-    uint64_t parent_span_override = 0;
+    uint64_t op_span = 0;  // 0 = tracing off
+    /// Parent of the op span (OpOptions::parent_span; 0 = root).
+    uint64_t parent_span = 0;
     Done done;
+
+    bool is_read() const {
+      return request.kind == proto::CommandKind::kFind;
+    }
   };
 
   void HelloLoop();
   void ProbeLoop();
   void StalenessLoop();
   std::vector<int> EligibleSecondaries();
-  /// Re-selection for retries: avoids `exclude` when an alternative
-  /// eligible node exists.
-  int SelectNodeExcluding(ReadPreference pref, int exclude);
 
+  /// Files the op under a fresh id, fills in the per-op parts of its
+  /// request from `opts`, arms its deadline and starts its first attempt.
   uint64_t BeginOp(PendingOp op, OpOptions opts);
   void StartAttempt(uint64_t op_id);
   /// Checkout completion for attempt number `attempt` targeting `node`;
@@ -405,7 +414,15 @@ class MongoClient {
                   const pool::ConnectionPool::Checkout& co);
   /// Ships the attempt's command over its checked-out connection and arms
   /// the attempt/hedge timers.
-  void SendAttempt(uint64_t op_id);
+  void SendAttempt(uint64_t op_id, PendingOp* op);
+  /// The wire command for one arm of the op: a copy of its request stamped
+  /// with the op id, attempt number, arm, connection and (tracing on) the
+  /// arm's span and send instant.
+  proto::Command MakeCommand(uint64_t op_id, const PendingOp& op,
+                             bool is_hedge, uint64_t conn_id);
+  /// Arms a just-sent attempt's timeout and, on the first attempt of a
+  /// hedgeable read, its hedge timer.
+  void ArmAttemptTimers(uint64_t op_id, PendingOp* op);
   /// (op id, attempt ordinal) captured at flush time: the attempt may be
   /// superseded while the envelope's shared checkout sits in the pool's
   /// wait queue, and a stale rider must not ship twice.
@@ -448,13 +465,15 @@ class MongoClient {
                 bool timed_out = false, bool stale_config = false);
   /// Trace id the op's spans belong to (its own op id, unless a router
   /// threaded the enclosing client op's trace through OpOptions).
-  uint64_t TraceId(uint64_t op_id, const PendingOp& op) const {
-    return op.trace_override != 0 ? op.trace_override : op_id;
+  static uint64_t TraceId(uint64_t op_id, const PendingOp& op) {
+    return op.request.ctx.trace_id != 0 ? op.request.ctx.trace_id : op_id;
   }
   void CancelOpTimers(PendingOp* op);
-  /// Returns every connection the op still holds: the winning reply's
-  /// connection is checked in healthy, abandoned ones are discarded.
-  /// `healthy_conn` names the connection that carried a reply (0 = none).
+  /// Returns the arm's connection, if it holds one: checked in when it is
+  /// `healthy_conn` (the connection a reply rode; 0 = none), discarded
+  /// otherwise — a socket no reply came back on is in an unknown state.
+  void ReleaseArmConnection(Arm* arm, uint64_t healthy_conn);
+  /// Returns every connection the op still holds, main arm first.
   void ReleaseOpConnections(PendingOp* op, uint64_t healthy_conn);
   /// Connection-pool clear: fails over every attempt outstanding against
   /// a node that was just declared unreachable.
@@ -463,9 +482,14 @@ class MongoClient {
   void AdoptTopology(const proto::HelloReply& hello);
   /// One branch per probe site: tracing must be free when off.
   bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
+  /// Records the checkout span of one arm, from the arm's start to now.
+  void RecordCheckoutSpan(uint64_t op_id, const PendingOp& op, bool is_hedge,
+                          bool ok);
+  /// Closes one arm's span (a child of the op span) and forgets it.
+  void CloseArmSpan(uint64_t op_id, PendingOp* op, bool is_hedge, bool ok);
   /// Writes the op's attempt / hedge / op spans at completion. `reply` is
   /// null when the op failed (deadline, retry budget).
-  void CloseOpSpans(const PendingOp& op, uint64_t op_id, bool ok,
+  void CloseOpSpans(uint64_t op_id, PendingOp* op, bool ok,
                     const proto::Reply* reply);
   void MarkHeard(int node);
   /// Current hedge delay: the configured quantile of recent read

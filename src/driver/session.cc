@@ -7,13 +7,14 @@ namespace dcg::driver {
 void CausalSession::Read(ReadPreference pref, server::OpClass op_class,
                          proto::ReadBody body, MongoClient::Done done,
                          OpOptions opts) {
-  client_->ReadAfter(
-      pref, operation_time_, op_class, std::move(body),
+  opts.after_cluster_time = operation_time_;
+  client_->Read(
+      pref, op_class, std::move(body),
       [this, done = std::move(done)](const OpResult& r) {
         if (r.ok) Advance(r.operation_time);
         if (done) done(r);
       },
-      opts);
+      std::move(opts));
 }
 
 void CausalSession::Write(server::OpClass op_class, proto::TxnBody body,

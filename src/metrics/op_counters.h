@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "sim/time.h"
-
 namespace dcg::metrics {
 
 /// Per-operation outcome counters maintained by the driver's unified
@@ -32,34 +30,11 @@ struct OpCounters {
   /// Checkouts that sat in a pool's wait queue past waitQueueTimeoutMS
   /// (each burns one retry on the owning op).
   uint64_t checkout_timeouts = 0;
-  /// Total time attempts spent waiting for pool checkouts.
-  sim::Duration checkout_wait_total = 0;
-  /// High-water mark of any single pool's checkout wait queue.
-  uint64_t checkout_queue_peak = 0;
   /// Envelopes (coalesced command batches) the driver put on the wire.
   uint64_t envelopes_sent = 0;
   /// Command attempts that rode an envelope (sum of envelope occupancies;
   /// ops_batched / envelopes_sent = mean batch occupancy).
   uint64_t ops_batched = 0;
-
-  OpCounters& operator+=(const OpCounters& other) {
-    ok += other.ok;
-    timed_out += other.timed_out;
-    stale_config += other.stale_config;
-    retried += other.retried;
-    retries_total += other.retries_total;
-    hedges_sent += other.hedges_sent;
-    hedges_won += other.hedges_won;
-    checkouts += other.checkouts;
-    checkout_timeouts += other.checkout_timeouts;
-    checkout_wait_total += other.checkout_wait_total;
-    envelopes_sent += other.envelopes_sent;
-    ops_batched += other.ops_batched;
-    if (other.checkout_queue_peak > checkout_queue_peak) {
-      checkout_queue_peak = other.checkout_queue_peak;
-    }
-    return *this;
-  }
 };
 
 }  // namespace dcg::metrics

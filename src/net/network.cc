@@ -104,40 +104,4 @@ void Network::Ping(HostId from, HostId to,
   loop_->ScheduleAfter(rtt, [rtt, done = std::move(done)] { done(rtt); });
 }
 
-sim::EventId Network::SendWithTimeout(HostId from, HostId to,
-                                      std::function<void()> fn,
-                                      sim::Duration timeout,
-                                      std::function<void()> on_timeout) {
-  const sim::EventId timer =
-      loop_->ScheduleAfter(timeout, std::move(on_timeout));
-  Send(from, to, std::move(fn));
-  return timer;
-}
-
-bool Network::CancelTimeout(sim::EventId timer) { return loop_->Cancel(timer); }
-
-void Network::PingWithTimeout(
-    HostId from, HostId to, sim::Duration timeout,
-    std::function<void(bool, sim::Duration)> done) {
-  struct Race {
-    bool settled = false;
-    sim::EventId timer = 0;
-  };
-  auto race = std::make_shared<Race>();
-  auto shared_done =
-      std::make_shared<std::function<void(bool, sim::Duration)>>(
-          std::move(done));
-  race->timer = loop_->ScheduleAfter(timeout, [race, shared_done] {
-    if (race->settled) return;
-    race->settled = true;
-    (*shared_done)(false, 0);
-  });
-  Ping(from, to, [this, race, shared_done](sim::Duration rtt) {
-    if (race->settled) return;
-    race->settled = true;
-    loop_->Cancel(race->timer);
-    (*shared_done)(true, rtt);
-  });
-}
-
 }  // namespace dcg::net

@@ -66,26 +66,6 @@ class Network {
   void Ping(HostId from, HostId to,
             std::function<void(sim::Duration rtt)> done);
 
-  /// Send with an armed liveness timer: delivers `fn` like Send, and
-  /// additionally schedules `on_timeout` to fire after `timeout`. The
-  /// caller cancels the returned timer (CancelTimeout) when the expected
-  /// reply arrives; if the message — or its reply — is silently lost, the
-  /// timer fires instead, so the caller always hears *something*.
-  sim::EventId SendWithTimeout(HostId from, HostId to,
-                               std::function<void()> fn,
-                               sim::Duration timeout,
-                               std::function<void()> on_timeout);
-
-  /// Cancels a timer returned by SendWithTimeout. Returns false when the
-  /// timer already fired (the operation had timed out).
-  bool CancelTimeout(sim::EventId timer);
-
-  /// Ping that cannot wedge its caller: `done(true, rtt)` on a completed
-  /// round trip, `done(false, 0)` after `timeout` when either direction
-  /// dropped the probe (partition, packet loss). Exactly one call, always.
-  void PingWithTimeout(HostId from, HostId to, sim::Duration timeout,
-                       std::function<void(bool ok, sim::Duration rtt)> done);
-
   // --- fault hooks ---
 
   /// Degradation of one *directed* link (a → b message path).

@@ -7,12 +7,16 @@
 
 namespace dcg::proto {
 
+int64_t SecondaryStalenessSeconds(const ServerStatusReply& reply, size_t i) {
+  const repl::OpTime& sec = reply.secondary_last_applied[i];
+  if (sec.seq >= reply.primary_last_applied.seq) return 0;
+  return (reply.primary_last_applied.wall - sec.wall) / sim::kSecond;
+}
+
 int64_t MaxStalenessSeconds(const ServerStatusReply& reply) {
   int64_t max_seconds = 0;
-  for (const repl::OpTime& sec : reply.secondary_last_applied) {
-    if (sec.seq >= reply.primary_last_applied.seq) continue;
-    const sim::Duration gap = reply.primary_last_applied.wall - sec.wall;
-    max_seconds = std::max(max_seconds, gap / sim::kSecond);
+  for (size_t i = 0; i < reply.secondary_last_applied.size(); ++i) {
+    max_seconds = std::max(max_seconds, SecondaryStalenessSeconds(reply, i));
   }
   return max_seconds;
 }

@@ -109,9 +109,15 @@ struct ServerStatusReply {
   sim::Time generated_at = 0;
 };
 
-/// The staleness estimate of §2.3, from a serverStatus reply: max over
-/// secondaries of (primary lastApplied wall − secondary lastApplied
-/// wall), floored to whole seconds like MongoDB's reporting granularity.
+/// The staleness of §2.3 for the reply's i-th secondary: primary
+/// lastApplied wall − secondary lastApplied wall in whole seconds (MongoDB's
+/// reporting granularity), or 0 when the secondary has applied the
+/// primary's last entry. Unclamped: a skewed secondary clock can make it
+/// negative.
+int64_t SecondaryStalenessSeconds(const ServerStatusReply& reply, size_t i);
+
+/// The staleness estimate of §2.3: the max of SecondaryStalenessSeconds
+/// over the reply's secondaries, floored at 0.
 int64_t MaxStalenessSeconds(const ServerStatusReply& reply);
 
 /// Topology heartbeat payload (MongoDB's `hello`): who the serving node

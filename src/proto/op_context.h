@@ -41,11 +41,6 @@ struct OpContext {
   /// real drivers).
   uint64_t conn_id = 0;
 
-  /// Pool checkout wait (queueing + establishment) the operation had
-  /// accumulated, across attempts, when this attempt reached the wire.
-  /// Tracing/diagnostics.
-  sim::Duration checkout_wait = 0;
-
   /// Span id of the client-side attempt (or hedge arm) that sent this
   /// command; server-side spans (wire, parking, service) parent under it.
   /// 0 = untraced. The op_id doubles as the trace id unless `trace_id`

@@ -325,7 +325,7 @@ void ReplicaSet::CommitWrite(
 }
 
 proto::ServerStatusReply ReplicaSet::ServerStatusSnapshot() {
-  ServerStatusReply reply;
+  proto::ServerStatusReply reply;
   reply.primary_last_applied = primary().last_applied();
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary_index_ || !alive_[i]) continue;
@@ -334,18 +334,6 @@ proto::ServerStatusReply ReplicaSet::ServerStatusSnapshot() {
   }
   reply.generated_at = loop_->Now();
   return reply;
-}
-
-void ReplicaSet::ServerStatus(
-    std::function<void(const ServerStatusReply&)> done) {
-  primary().server().Execute(server::OpClass::kServerStatus,
-                             [this, done = std::move(done)] {
-                               done(ServerStatusSnapshot());
-                             });
-}
-
-int64_t ReplicaSet::MaxStalenessSeconds(const ServerStatusReply& reply) {
-  return proto::MaxStalenessSeconds(reply);
 }
 
 sim::Duration ReplicaSet::TrueStaleness(int secondary_idx) const {

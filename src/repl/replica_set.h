@@ -245,19 +245,6 @@ class ReplicaSet : public server::CommandBackend {
   /// Times the pull watchdog restarted a secondary's oplog pull chain.
   uint64_t pull_restarts() const { return pull_restarts_; }
 
-  /// What the primary's serverStatus reports about replication progress.
-  /// The struct itself lives in proto/ now — it is a wire payload.
-  using ServerStatusReply = proto::ServerStatusReply;
-
-  /// Executes serverStatus at the primary (it queues on the CPU like any
-  /// other command) and delivers the reply.
-  void ServerStatus(std::function<void(const ServerStatusReply&)> done);
-
-  /// The staleness estimate of §2.3, from a reply: max over secondaries of
-  /// (primary lastApplied wall − secondary lastApplied wall), floored to
-  /// whole seconds like MongoDB's reporting granularity.
-  static int64_t MaxStalenessSeconds(const ServerStatusReply& reply);
-
   /// Ground-truth staleness of one secondary right now (not what a client
   /// could observe — used by tests and experiment plots).
   sim::Duration TrueStaleness(int secondary_idx) const;

@@ -164,11 +164,9 @@ void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
   // policy — congestion is detected and relieved shard by shard, under
   // the one shared staleness budget.
   const driver::ReadPreference pref = ChoosePreference(shard);
+  opts.after_cluster_time = cmd.ctx.after_cluster_time;
   if (cmd.find_spec != nullptr) {
     shard_client(shard).Find(pref, cmd.op_class, cmd.find_spec, done, opts);
-  } else if (cmd.ctx.after_cluster_time.seq > 0) {
-    shard_client(shard).ReadAfter(pref, cmd.ctx.after_cluster_time,
-                                  cmd.op_class, cmd.read_body, done, opts);
   } else {
     shard_client(shard).Read(pref, cmd.op_class, cmd.read_body, done, opts);
   }

@@ -245,6 +245,97 @@ TEST_F(BatchingTest, EnvelopeCheckoutTimeoutRetriesEveryRiderExactlyOnce) {
   EXPECT_EQ(client_->PoolCheckedOut(), 0);
 }
 
+// The causal token rides every envelope rider: a batched read carrying
+// afterClusterTime parks on a secondary that has not yet replicated the
+// token's write, and answers with an operationTime at or past it.
+TEST_F(BatchingTest, BatchedCausalReadParksOnLaggingSecondary) {
+  ClientOptions options;
+  options.batch_max_ops = 4;
+  Build(options);
+  rs_->Start();
+  loop_.RunUntil(sim::Seconds(1));
+  repl::OpTime token;
+  bool lagging = false;
+  bool saw_write = false;
+  bool done = false;
+  client_->Write(
+      server::OpClass::kInsert,
+      [](repl::TxnContext* ctx) {
+        ctx->Insert("t", doc::Value::Doc({{"_id", 7}}));
+      },
+      [&](const OpResult& w) {
+        ASSERT_TRUE(w.committed);
+        token = w.operation_time;
+        lagging = rs_->node(1).last_applied() < token &&
+                  rs_->node(2).last_applied() < token;
+        OpOptions opts;
+        opts.after_cluster_time = token;
+        client_->Read(
+            ReadPreference::kSecondary, server::OpClass::kPointRead,
+            [&](const store::Database& db) {
+              const store::Collection* t = db.Get("t");
+              saw_write = t != nullptr && t->FindById(doc::Value(7)) != nullptr;
+            },
+            [&](const OpResult& r) {
+              done = true;
+              EXPECT_TRUE(r.ok);
+              EXPECT_TRUE(r.used_secondary);
+              EXPECT_LE(token, r.operation_time);
+            },
+            opts);
+      });
+  loop_.RunUntil(sim::Seconds(5));
+  ASSERT_TRUE(lagging) << "both secondaries had the write already";
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(saw_write);
+  EXPECT_GT(client_->op_counters().ops_batched, 1u);
+}
+
+// The write concern rides every envelope rider: a batched w:majority
+// write is acknowledged only once a majority holds it, clearly after a
+// batched w:1 write issued alongside it.
+TEST_F(BatchingTest, BatchedMajorityWriteWaitsForMajority) {
+  Build();
+  rs_->Start();
+  loop_.RunUntil(sim::Seconds(1));
+  sim::Time w1_done = -1;
+  sim::Time majority_done = -1;
+  bool majority_held = false;
+  client_->Write(
+      server::OpClass::kInsert,
+      [](repl::TxnContext* ctx) {
+        ctx->Insert("t", doc::Value::Doc({{"_id", 1}}));
+      },
+      [&](const OpResult& r) {
+        EXPECT_TRUE(r.committed);
+        w1_done = loop_.Now();
+      });
+  client_->Write(
+      server::OpClass::kInsert,
+      [](repl::TxnContext* ctx) {
+        ctx->Insert("t", doc::Value::Doc({{"_id", 2}}));
+      },
+      [&](const OpResult& r) {
+        EXPECT_TRUE(r.committed);
+        majority_done = loop_.Now();
+        for (int i = 1; i <= 2; ++i) {
+          const store::Collection* t = rs_->node(i).db().Get("t");
+          if (t != nullptr && t->FindById(doc::Value(2)) != nullptr) {
+            majority_held = true;
+          }
+        }
+      },
+      repl::WriteConcern::kMajority);
+  loop_.RunUntil(sim::Seconds(5));
+  ASSERT_GE(w1_done, 0);
+  ASSERT_GE(majority_done, 0);
+  // Both rode one envelope; the majority ack still waited for replication.
+  EXPECT_EQ(client_->op_counters().envelopes_sent, 1u);
+  EXPECT_GT(majority_done, w1_done + sim::Millis(50));
+  EXPECT_TRUE(majority_held);
+  EXPECT_EQ(rs_->majority_writes_acked(), 1u);
+}
+
 TEST_F(BatchingTest, BatchedRetryableWriteIsNotReappliedAcrossLostAck) {
   ClientOptions options;
   options.batch_max_ops = 16;

@@ -100,6 +100,14 @@ struct ChaosReport {
   /// ran against a non-vacuous batched workload.
   uint64_t envelopes_sent = 0;
   uint64_t ops_batched = 0;
+  /// Driver totals for the optional attempt paths: hedge arms sent and
+  /// pool checkouts that timed out in the wait queue.
+  uint64_t hedges_sent = 0;
+  uint64_t checkout_timeouts = 0;
+  /// Spans invariant 8 checked (trace on only): envelope spans, and
+  /// checkout spans that queued (ended after they started).
+  uint64_t envelope_spans = 0;
+  uint64_t queued_checkout_spans = 0;
   /// SLO alert-event summary (all zero/-1 unless options.slo_spec set).
   uint64_t slo_event_count = 0;
   uint64_t slo_pages_fired = 0;
@@ -149,8 +157,8 @@ struct ChaosReport {
 ///      its parent (client-closed spans fully; server-side spans may
 ///      outlive an abandoned attempt, so only their starts are ordered),
 ///      shares its parent's trace id, and hangs off the right kind of
-///      parent (checkout/wire/server under an attempt or hedge arm,
-///      attempt/hedge arms under the op span).
+///      parent (checkout/envelope/wire/server under an attempt or hedge
+///      arm, attempt/hedge arms under the op span).
 ///   9. Election safety: at every sample instant no two alive members are
 ///      writable primaries of the same term; no election completes
 ///      between two samples that both saw fewer than a majority of
@@ -395,6 +403,10 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
       }
     };
     for (const obs::SpanRecord& s : tracer.spans()) {
+      if (s.kind == obs::SpanKind::kEnvelope) ++report.envelope_spans;
+      if (s.kind == obs::SpanKind::kCheckout && s.end > s.start) {
+        ++report.queued_checkout_spans;
+      }
       if (s.end < s.start) span_violation(s, "ends before it starts");
       // Roots: the op span and the repl layer's commit_wait slice.
       if (s.parent_span_id == 0) continue;
@@ -416,6 +428,7 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
           }
           break;
         case obs::SpanKind::kCheckout:
+        case obs::SpanKind::kEnvelope:
         case obs::SpanKind::kWire:
         case obs::SpanKind::kServerService:
         case obs::SpanKind::kServerParking:
@@ -432,6 +445,7 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
       // attempt may legitimately end after the client gave up on the arm,
       // so only their starts are ordered against the parent.
       const bool client_closed = s.kind == obs::SpanKind::kCheckout ||
+                                 s.kind == obs::SpanKind::kEnvelope ||
                                  s.kind == obs::SpanKind::kAttempt ||
                                  s.kind == obs::SpanKind::kHedge;
       if (client_closed && s.end > parent.end) {
@@ -558,6 +572,8 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   trace += line;
   report.envelopes_sent = ops.envelopes_sent;
   report.ops_batched = ops.ops_batched;
+  report.hedges_sent = ops.hedges_sent;
+  report.checkout_timeouts = ops.checkout_timeouts;
   const driver::pool::ConnectionPool::Stats pool_totals =
       experiment.client().PoolTotals();
   std::snprintf(line, sizeof(line),

@@ -470,6 +470,44 @@ TEST(ChaosTest, TracedRunKeepsSpanTreeWellFormed) {
   EXPECT_GT(report.total_reads, 0u);
 }
 
+// Span-tree invariant on every optional attempt path at once: batched
+// envelope riders, hedge arms, a constrained pool whose checkouts queue and
+// time out, and pool clears under lossy client traffic. Invariant 8 then
+// covers the envelope spans and the queued checkout spans the unbatched,
+// unconstrained traced run above never records.
+TEST(ChaosTest, TracedBatchedHedgedConstrainedPoolRunKeepsSpanTree) {
+  ChaosOptions options;
+  options.seed = 1014;
+  options.duration = sim::Seconds(60);
+  options.clients = 8;
+  options.trace = true;
+  options.client_options.hedged_reads = true;
+  options.client_options.attempt_timeout = sim::Millis(400);
+  options.client_options.batching_enabled = true;
+  options.client_options.batch_max_ops = 8;
+  options.client_options.pool.max_pool_size = 2;
+  options.client_options.pool.establish_cost = sim::Millis(1);
+  options.client_options.pool.wait_queue_timeout = sim::Millis(20);
+  {
+    FaultEvent loss = Event(FaultType::kPacketLoss, 20, 40, {1});
+    loss.value = 0.3;
+    loss.include_client = true;
+    options.schedule.Add(loss);
+  }
+  for (double at : {30.0, 45.0}) {
+    options.schedule.Add(Event(FaultType::kPoolClear, at, -1, {0, 1, 2}));
+  }
+  const ChaosReport report = RunChaos(options);
+  EXPECT_TRUE(report.ok()) << report.ViolationText();
+  // Non-vacuous: every path the invariant is meant to cover ran.
+  EXPECT_GT(report.envelopes_sent, 0u);
+  EXPECT_GT(report.hedges_sent, 0u);
+  EXPECT_GT(report.checkout_timeouts, 0u);
+  EXPECT_GT(report.ops_retried, 0u);
+  EXPECT_GT(report.envelope_spans, 0u);
+  EXPECT_GT(report.queued_checkout_spans, 0u);
+}
+
 // Alert conformance, firing side: rerun the headline secondary-partition
 // staleness schedule with a freshness SLO attached. Replication freezes
 // at t=80 s while the primary keeps committing, so served ages climb

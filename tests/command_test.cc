@@ -302,6 +302,51 @@ TEST_F(CommandTest, HedgedReadWinsWhenTargetIsSlow) {
             client_->op_counters().hedges_won);
 }
 
+// The find spec rides the hedge arm: with a straggling node 2, hedged
+// Finds are answered by node 1, and each FindResult is the winning arm's
+// own — every node holds a differently tagged copy of the document.
+TEST_F(CommandTest, HedgedFindReturnsTheWinningArmsResult) {
+  ClientOptions options;
+  options.hedged_reads = true;
+  options.hedge_quantile = 0.5;
+  options.hedge_min_delay = sim::Millis(1);
+  Build(options);
+  for (int i = 0; i < 3; ++i) {
+    rs_->node(i).db().GetOrCreate("t").Insert(
+        doc::Value::Doc({{"_id", 1}, {"node", i}}));
+  }
+  auto spec = std::make_shared<proto::FindSpec>();
+  spec->collection = "t";
+
+  net::Network::LinkFault slow;
+  slow.extra_delay = sim::Millis(200);
+  network_->SetLinkFault(client_host_, hosts_[2], slow);
+  network_->SetLinkFault(hosts_[2], client_host_, slow);
+
+  int completed = 0, hedge_wins = 0;
+  std::function<void(int)> issue = [&](int remaining) {
+    if (remaining == 0) return;
+    client_->Find(ReadPreference::kSecondary, server::OpClass::kPointRead,
+                  spec, [&, remaining](const OpResult& r) {
+                    ++completed;
+                    ASSERT_TRUE(r.ok);
+                    ASSERT_NE(r.find, nullptr);
+                    ASSERT_EQ(r.find->docs.size(), 1u);
+                    EXPECT_EQ(r.find->docs[0].Find("node")->as_int64(),
+                              r.node);
+                    if (r.hedge_won) {
+                      ++hedge_wins;
+                      EXPECT_EQ(r.node, 1);
+                    }
+                    issue(remaining - 1);
+                  });
+  };
+  issue(30);
+  loop_.RunAll();
+  EXPECT_EQ(completed, 30);
+  EXPECT_GT(hedge_wins, 0);
+}
+
 TEST_F(CommandTest, HedgedReadsCutTailLatency) {
   // Same topology and seeds, one client hedged and one not, with a
   // straggler secondary: hedging must shrink the latency tail.

@@ -16,6 +16,7 @@
 #include "exp/experiment.h"
 #include "fault/fault_injector.h"
 #include "shard/sharded_cluster.h"
+#include "util/check.h"
 
 namespace dcg {
 namespace {
@@ -33,10 +34,7 @@ exp::ExperimentConfig SmallConfig(uint64_t seed) {
 }
 
 // Everything observable about a finished run, serialised byte-for-byte.
-std::string RunTrace(const exp::ExperimentConfig& config) {
-  exp::Experiment experiment(config);
-  experiment.Run();
-
+std::string TraceOf(exp::Experiment& experiment) {
   std::ostringstream trace;
   for (const auto& row : experiment.rows()) {
     trace << row.start << ' ' << row.end << ' ' << row.reads << ' '
@@ -64,6 +62,12 @@ std::string RunTrace(const exp::ExperimentConfig& config) {
     trace << line << '\n';
   }
   return trace.str();
+}
+
+std::string RunTrace(const exp::ExperimentConfig& config) {
+  exp::Experiment experiment(config);
+  experiment.Run();
+  return TraceOf(experiment);
 }
 
 // FNV-1a over the serialised trace: a stable fingerprint of an entire run.
@@ -215,6 +219,91 @@ TEST(DeterminismTest, SameSeedSameTraceWithBatching) {
   const std::string second = RunTrace(config);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// --- driver paths ---------------------------------------------------------
+//
+// The goldens above run the default driver: an unconstrained pool, no
+// batching, no hedging. These two pin the optional attempt paths — hedge
+// arms, queued and timed-out pool checkouts, attempt timeouts on a lossy
+// client link, a pool clear, and (b) envelope riders — so a driver refactor
+// that changes any of them moves a fingerprint. The trace adds the driver's
+// outcome counters and pool totals to RunTrace.
+
+exp::ExperimentConfig DriverPathsConfig(bool batching) {
+  exp::ExperimentConfig config = SmallConfig(42);
+  driver::ClientOptions& client = config.client_options;
+  client.hedged_reads = true;
+  client.pool.max_pool_size = 3;
+  client.pool.establish_cost = sim::Millis(1);
+  client.pool.wait_queue_timeout = sim::Millis(250);
+  client.attempt_timeout = sim::Millis(400);
+  client.batching_enabled = batching;
+  client.batch_max_ops = 8;
+  std::string error;
+  DCG_CHECK_MSG(fault::ParseFaultSpec(
+                    "loss@25-40:node=1:p=0.3:client=1;"
+                    "pool_clear@30:nodes=0+1+2",
+                    &config.faults, &error),
+                error.c_str());
+  return config;
+}
+
+struct DriverPathsRun {
+  std::string trace;
+  metrics::OpCounters counters;
+};
+
+DriverPathsRun RunDriverPaths(const exp::ExperimentConfig& config) {
+  exp::Experiment experiment(config);
+  experiment.Run();
+  // RunTrace's serialisation, extended by the driver-side counters.
+  std::ostringstream trace;
+  trace << TraceOf(experiment);
+  const metrics::OpCounters& c = experiment.client().op_counters();
+  trace << c.ok << ' ' << c.timed_out << ' ' << c.retried << ' '
+        << c.retries_total << ' ' << c.hedges_sent << ' ' << c.hedges_won
+        << ' ' << c.checkouts << ' ' << c.checkout_timeouts << ' '
+        << c.envelopes_sent << ' ' << c.ops_batched << '\n';
+  const driver::pool::ConnectionPool::Stats pool =
+      experiment.client().PoolTotals();
+  trace << pool.checkouts << ' ' << pool.checkout_timeouts << ' '
+        << pool.established << ' ' << pool.destroyed << ' ' << pool.clears
+        << '\n';
+  return {trace.str(), c};
+}
+
+// Captured on the driver before its attempt path was collapsed into one
+// command builder; a driver refactor must not move them.
+constexpr uint64_t kGoldenDriverPathsTrace = 395704083210032218ull;
+constexpr uint64_t kGoldenDriverPathsBatchedTrace = 10725551962675838870ull;
+
+TEST(DeterminismTest, DriverPathsTraceMatchesGoldenFingerprint) {
+  const DriverPathsRun run = RunDriverPaths(DriverPathsConfig(false));
+  // Not vacuous: every optional path the golden pins actually ran.
+  EXPECT_GT(run.counters.hedges_sent, 0u);
+  EXPECT_GT(run.counters.retried, 0u);
+  EXPECT_GT(run.counters.checkout_timeouts, 0u);
+  const uint64_t h = TraceHash(run.trace);
+  std::cout << "driver paths trace hash: " << h << "ull\n";
+  if (kGoldenDriverPathsTrace == 0) {
+    GTEST_SKIP() << "golden hash not yet recorded";
+  }
+  EXPECT_EQ(h, kGoldenDriverPathsTrace);
+}
+
+TEST(DeterminismTest, BatchedDriverPathsTraceMatchesGoldenFingerprint) {
+  const DriverPathsRun run = RunDriverPaths(DriverPathsConfig(true));
+  EXPECT_GT(run.counters.hedges_sent, 0u);
+  EXPECT_GT(run.counters.retried, 0u);
+  EXPECT_GT(run.counters.checkout_timeouts, 0u);
+  EXPECT_GT(run.counters.envelopes_sent, 0u);
+  const uint64_t h = TraceHash(run.trace);
+  std::cout << "batched driver paths trace hash: " << h << "ull\n";
+  if (kGoldenDriverPathsBatchedTrace == 0) {
+    GTEST_SKIP() << "golden hash not yet recorded";
+  }
+  EXPECT_EQ(h, kGoldenDriverPathsBatchedTrace);
 }
 
 // --- sharded mode ---------------------------------------------------------

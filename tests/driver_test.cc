@@ -89,6 +89,79 @@ TEST_F(DriverTest, NearestPicksLowestRtt) {
   EXPECT_EQ(client_->SelectNode(ReadPreference::kNearest), 1);
 }
 
+// Re-selection for a retry: SelectNode(pref, exclude) avoids the node the
+// last attempt went to when an alternative exists. RTT estimates here are
+// the seeded link base RTTs (no Start): n0 2 ms, n1 1 ms, n2 2 ms.
+TEST_F(DriverTest, ExcludedSecondaryIsAvoidedWhileAnotherIsEligible) {
+  Build();
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(client_->SelectNode(ReadPreference::kSecondary, 1), 2);
+    EXPECT_EQ(client_->SelectNode(ReadPreference::kSecondaryPreferred, 2), 1);
+  }
+}
+
+TEST_F(DriverTest, RetryReturnsToTheOnlyEligibleSecondary) {
+  Build({}, /*secondaries=*/1);
+  // Excluding the one eligible secondary leaves no alternative: the retry
+  // goes back to it rather than to the primary.
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(client_->SelectNode(ReadPreference::kSecondary, 1), 1);
+    EXPECT_EQ(client_->SelectNode(ReadPreference::kSecondaryPreferred, 1), 1);
+  }
+  // primaryPreferred with its primary excluded takes the secondary; with
+  // the secondary excluded too, it falls back to the live primary.
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kPrimaryPreferred, 0), 1);
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kPrimaryPreferred, 1), 0);
+}
+
+TEST_F(DriverTest, PrimaryPreferredWithPrimaryExcludedPicksASecondary) {
+  Build();
+  int counts[3] = {0, 0, 0};
+  for (int i = 0; i < 300; ++i) {
+    const int node = client_->SelectNode(ReadPreference::kPrimaryPreferred, 0);
+    ASSERT_GE(node, 1);
+    ++counts[node];
+  }
+  EXPECT_GT(counts[1], 0);
+  EXPECT_GT(counts[2], 0);
+  // kPrimary has no alternative: excluding the primary changes nothing.
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kPrimary, 0), 0);
+}
+
+TEST_F(DriverTest, NearestWithNearestExcludedPicksTheNextNearest) {
+  Build();
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kNearest), 1);
+  // n0 and n2 tie at 2 ms; the lower index wins, as in plain selection.
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kNearest, 1), 0);
+  EXPECT_EQ(client_->SelectNode(ReadPreference::kNearest, 0), 1);
+}
+
+// PingNode keeps the exactly-one-callback contract over a lossy link:
+// every probe resolves once, as a served round trip or as a timeout.
+TEST_F(DriverTest, PingNodeExactlyOneCallbackUnderLoss) {
+  Build();
+  net::Network::LinkFault fault;
+  fault.drop_probability = 0.5;
+  network_->SetLinkFault(client_host_, rs_->node(1).host(), fault);
+  int calls = 0, ok_calls = 0;
+  const int probes = 500;
+  for (int i = 0; i < probes; ++i) {
+    client_->PingNode(1, [&](bool ok, sim::Duration rtt) {
+      ++calls;
+      if (ok) {
+        ++ok_calls;
+        EXPECT_GE(rtt, sim::Millis(1));
+      } else {
+        EXPECT_EQ(rtt, 0);
+      }
+    });
+  }
+  loop_.RunAll();
+  EXPECT_EQ(calls, probes);
+  EXPECT_GT(ok_calls, 0);
+  EXPECT_LT(ok_calls, probes);
+}
+
 TEST_F(DriverTest, RttEstimatesConvergeToBaseRtt) {
   Build();
   client_->Start();
@@ -263,7 +336,7 @@ TEST_F(OpResultTest, FailedWriteIsNotCommitted) {
 TEST_F(DriverTest, ServerStatusRoundTrip) {
   Build();
   bool got = false;
-  client_->ServerStatus([&](const repl::ReplicaSet::ServerStatusReply& r) {
+  client_->ServerStatus([&](const proto::ServerStatusReply& r) {
     got = true;
     EXPECT_EQ(r.secondary_last_applied.size(), 2u);
   });

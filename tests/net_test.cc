@@ -164,100 +164,6 @@ TEST(NetworkTest, OverlappingBlocksCompose) {
   EXPECT_TRUE(net.network.Reachable(net.a, net.b));
 }
 
-TEST(NetworkTest, SendWithTimeoutDeliversAndTimerIsCancellable) {
-  NetFixture net;
-  bool delivered = false;
-  bool timed_out = false;
-  const sim::EventId timer = net.network.SendWithTimeout(
-      net.a, net.b, [&] { delivered = true; }, sim::Millis(100),
-      [&] { timed_out = true; });
-  net.loop.RunUntil(sim::Millis(10));
-  EXPECT_TRUE(delivered);
-  // Delivery happened: the "reply" arrived, so the caller cancels.
-  EXPECT_TRUE(net.network.CancelTimeout(timer));
-  net.loop.RunAll();
-  EXPECT_FALSE(timed_out);
-}
-
-TEST(NetworkTest, SendWithTimeoutFiresOnSilentLoss) {
-  NetFixture net;
-  net.network.BlockPair(net.a, net.b);
-  bool delivered = false;
-  bool timed_out = false;
-  sim::Time fired_at = -1;
-  net.network.SendWithTimeout(
-      net.a, net.b, [&] { delivered = true; }, sim::Millis(100), [&] {
-        timed_out = true;
-        fired_at = net.loop.Now();
-      });
-  net.loop.RunAll();
-  EXPECT_FALSE(delivered);
-  EXPECT_TRUE(timed_out);  // the caller always hears *something*
-  EXPECT_EQ(fired_at, sim::Millis(100));
-}
-
-TEST(NetworkTest, CancelAfterTimeoutReportsFalse) {
-  NetFixture net;
-  net.network.BlockPair(net.a, net.b);
-  bool timed_out = false;
-  const sim::EventId timer = net.network.SendWithTimeout(
-      net.a, net.b, [] {}, sim::Millis(5), [&] { timed_out = true; });
-  net.loop.RunAll();
-  ASSERT_TRUE(timed_out);
-  EXPECT_FALSE(net.network.CancelTimeout(timer));
-}
-
-TEST(NetworkTest, PingWithTimeoutReportsRttWhenHealthy) {
-  NetFixture net;
-  int calls = 0;
-  net.network.PingWithTimeout(net.a, net.b, sim::Millis(50),
-                              [&](bool ok, sim::Duration rtt) {
-                                ++calls;
-                                EXPECT_TRUE(ok);
-                                EXPECT_GE(rtt, sim::Millis(1.0));
-                              });
-  net.loop.RunAll();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(NetworkTest, PingWithTimeoutNeverWedgesThroughPartition) {
-  // Plain Ping would silently never call back here; the timeout variant
-  // reports failure exactly once instead.
-  NetFixture net;
-  net.network.BlockPair(net.a, net.b);
-  int calls = 0;
-  net.network.PingWithTimeout(net.a, net.b, sim::Millis(50),
-                              [&](bool ok, sim::Duration rtt) {
-                                ++calls;
-                                EXPECT_FALSE(ok);
-                                EXPECT_EQ(rtt, 0);
-                              });
-  net.loop.RunAll();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(NetworkTest, PingWithTimeoutExactlyOneCallbackUnderLoss) {
-  // Across a lossy link, every probe resolves exactly once — as success
-  // or failure, never both and never zero.
-  NetFixture net;
-  net::Network::LinkFault fault;
-  fault.drop_probability = 0.5;
-  net.network.SetLinkFault(net.a, net.b, fault);
-  int calls = 0, ok_calls = 0;
-  const int probes = 2000;
-  for (int i = 0; i < probes; ++i) {
-    net.network.PingWithTimeout(net.a, net.b, sim::Millis(50),
-                                [&](bool ok, sim::Duration) {
-                                  ++calls;
-                                  if (ok) ++ok_calls;
-                                });
-  }
-  net.loop.RunAll();
-  EXPECT_EQ(calls, probes);
-  EXPECT_GT(ok_calls, 0);
-  EXPECT_LT(ok_calls, probes);
-}
-
 TEST(NetworkTest, FaultFreePathConsumesNoExtraRandomness) {
   // Two identically-seeded networks, one of which installs and clears a
   // fault on an *unrelated* pair, must sample identical delays: fault

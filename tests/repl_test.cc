@@ -329,13 +329,12 @@ TEST_F(ReplicaSetTest, ServerStatusReportsConservativeStaleness) {
   loop_.RunUntil(sim::Seconds(1));
   for (int64_t i = 0; i < 20; ++i) WriteDoc(i, i);
 
-  ReplicaSet::ServerStatusReply reply;
+  // ServerStatusSnapshot is what the wire serverStatus command serves.
+  proto::ServerStatusReply reply;
   bool got_reply = false;
   loop_.ScheduleAt(sim::Seconds(1) + sim::Millis(100), [&] {
-    rs_->ServerStatus([&](const ReplicaSet::ServerStatusReply& r) {
-      reply = r;
-      got_reply = true;
-    });
+    reply = rs_->ServerStatusSnapshot();
+    got_reply = true;
   });
   loop_.RunUntil(sim::Seconds(2));
   ASSERT_TRUE(got_reply);
@@ -358,11 +357,10 @@ TEST_F(ReplicaSetTest, StalenessEstimateNeverBelowTruth) {
   bool conservative = true;
   for (int t = 1; t <= 20; ++t) {
     loop_.ScheduleAt(sim::Seconds(1) * t, [&] {
-      rs_->ServerStatus([&](const ReplicaSet::ServerStatusReply& r) {
-        const int64_t est = ReplicaSet::MaxStalenessSeconds(r);
-        const int64_t truth = rs_->MaxTrueStaleness() / sim::kSecond;
-        if (est + 1 < truth) conservative = false;  // 1 s slack: in flight
-      });
+      const int64_t est =
+          proto::MaxStalenessSeconds(rs_->ServerStatusSnapshot());
+      const int64_t truth = rs_->MaxTrueStaleness() / sim::kSecond;
+      if (est + 1 < truth) conservative = false;  // 1 s slack: in flight
     });
   }
   for (int64_t i = 0; i < 500; ++i) {
@@ -373,15 +371,23 @@ TEST_F(ReplicaSetTest, StalenessEstimateNeverBelowTruth) {
 }
 
 TEST_F(ReplicaSetTest, MaxStalenessSecondsComputation) {
-  ReplicaSet::ServerStatusReply reply;
+  proto::ServerStatusReply reply;
   reply.primary_last_applied = {sim::Seconds(100), 50};
   reply.secondary_last_applied = {{sim::Seconds(97), 40},
                                   {sim::Seconds(92), 30}};
-  EXPECT_EQ(ReplicaSet::MaxStalenessSeconds(reply), 8);
+  EXPECT_EQ(proto::SecondaryStalenessSeconds(reply, 0), 3);
+  EXPECT_EQ(proto::SecondaryStalenessSeconds(reply, 1), 8);
+  EXPECT_EQ(proto::MaxStalenessSeconds(reply), 8);
   // A caught-up secondary contributes zero even with an old wall time.
   reply.secondary_last_applied = {{sim::Seconds(1), 50},
                                   {sim::Seconds(100), 50}};
-  EXPECT_EQ(ReplicaSet::MaxStalenessSeconds(reply), 0);
+  EXPECT_EQ(proto::SecondaryStalenessSeconds(reply, 0), 0);
+  EXPECT_EQ(proto::MaxStalenessSeconds(reply), 0);
+  // A secondary clock ahead of the primary's: the per-secondary gap goes
+  // negative, the estimate stays floored at 0.
+  reply.secondary_last_applied = {{sim::Seconds(103), 40}};
+  EXPECT_EQ(proto::SecondaryStalenessSeconds(reply, 0), -3);
+  EXPECT_EQ(proto::MaxStalenessSeconds(reply), 0);
 }
 
 TEST_F(ReplicaSetTest, GetMoreBlockedDuringLongCheckpointCausesSawtooth) {
