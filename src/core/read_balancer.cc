@@ -179,17 +179,20 @@ void ReadBalancer::PublishFraction() {
   }
 }
 
+// Both medians split the nodes by tracked_primary_, the last concrete
+// primary: while the driver has adopted a newer term with no primary yet
+// (an election or the winner's catch-up), the latency histories still
+// describe that node's topology (see CheckPrimarySwap).
 sim::Duration ReadBalancer::MedianRttPrimary() const {
-  const auto& window =
-      rtt_samples_[static_cast<size_t>(client_->primary_index())];
+  if (tracked_primary_ < 0) return 0;
+  const auto& window = rtt_samples_[static_cast<size_t>(tracked_primary_)];
   return Median({window.begin(), window.end()});
 }
 
 sim::Duration ReadBalancer::MedianRttSecondaries() const {
-  const auto primary = static_cast<size_t>(client_->primary_index());
   std::vector<sim::Duration> all;
   for (size_t i = 0; i < rtt_samples_.size(); ++i) {
-    if (i == primary) continue;
+    if (static_cast<int>(i) == tracked_primary_) continue;
     all.insert(all.end(), rtt_samples_[i].begin(), rtt_samples_[i].end());
   }
   return Median(std::move(all));

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "repl/oplog.h"
-#include "repl/topology_coordinator.h"
 #include "server/server_node.h"
 
 namespace dcg::repl {
@@ -49,23 +48,10 @@ class ReplicaNode {
 
   uint64_t entries_applied() const { return entries_applied_; }
 
-  /// The member's current role, scoped to the term it was assumed in.
-  /// Mirrored from the replica set's topology state (the coordinator in
-  /// raft-election mode, the global primary index otherwise) every time a
-  /// transition lands at this node — a read-only view for tests and logs.
-  MemberRole role() const { return role_; }
-  uint64_t role_term() const { return role_term_; }
-  void set_role_view(MemberRole role, uint64_t term) {
-    role_ = role;
-    role_term_ = term;
-  }
-
  private:
   server::ServerNode server_;
   OpTime last_applied_;
   uint64_t entries_applied_ = 0;
-  MemberRole role_ = MemberRole::kSecondary;
-  uint64_t role_term_ = 1;
 };
 
 }  // namespace dcg::repl

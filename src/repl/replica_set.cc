@@ -1,6 +1,5 @@
 #include "repl/replica_set.h"
 
-
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -22,19 +21,20 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
       bus_(network) {
   DCG_CHECK(params_.secondaries >= 1);
   DCG_CHECK(static_cast<int>(hosts.size()) == params_.secondaries + 1);
-  for (int i = 0; i <= params_.secondaries; ++i) {
+  members_.resize(hosts.size());
+  for (int i = 0; i < node_count(); ++i) {
     const std::string name =
         i == 0 ? "primary" : "secondary-" + std::to_string(i);
-    nodes_.push_back(std::make_unique<ReplicaNode>(loop_, rng_.Fork(),
-                                                   node_params, hosts[i],
-                                                   name));
+    members_[i].node = std::make_unique<ReplicaNode>(loop_, rng_.Fork(),
+                                                     node_params, hosts[i],
+                                                     name);
   }
   // Each node fronts its replication state with a wire-protocol command
   // service; registration order defines the driver-visible node indexing.
-  for (int i = 0; i <= params_.secondaries; ++i) {
-    services_.push_back(std::make_unique<server::CommandService>(
-        loop_, network_, this, i, hosts[i]));
-    server::CommandService* service = services_.back().get();
+  for (int i = 0; i < node_count(); ++i) {
+    members_[i].service = std::make_unique<server::CommandService>(
+        loop_, network_, this, i, hosts[i]);
+    server::CommandService* service = members_[i].service.get();
     bus_.RegisterService(hosts[i], [service](proto::Command command) {
       service->Handle(std::move(command));
     });
@@ -44,20 +44,8 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
                                        std::move(envelope));
                                  });
   }
-  known_last_applied_.resize(nodes_.size());
-  alive_.assign(nodes_.size(), true);
-  pulling_.assign(nodes_.size(), false);
-  heartbeating_.assign(nodes_.size(), false);
-  pull_epoch_.assign(nodes_.size(), 0);
-  pull_deadline_.assign(nodes_.size(), 0);
-  apply_throttle_.assign(nodes_.size(), 1.0);
-  report_skew_.assign(nodes_.size(), 0);
-  election_timer_epoch_.assign(nodes_.size(), 0);
-  election_timer_armed_.assign(nodes_.size(), false);
-  takeover_epoch_.assign(nodes_.size(), 0);
-  needs_resync_.assign(nodes_.size(), false);
   // The seed topology is writable from t=0: node 0 leads term 1.
-  RecordWritable(term_, primary_index_);
+  RecordByTerm(&writable_by_term_, term_, primary_index_);
   // Coordinator RNG streams fork after the per-node forks above.
   TopologyConfig tc;
   tc.node_count = node_count();
@@ -68,25 +56,14 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
   tc.priority_takeover_gap = params_.priority_takeover_gap;
   tc.priorities = params_.node_priorities;
   for (int i = 0; i < node_count(); ++i) {
-    coords_.push_back(std::make_unique<TopologyCoordinator>(
-        i, tc, rng_.Fork(), /*initial_leader=*/primary_index_, loop_->Now()));
-  }
-  for (int i = 0; i < node_count(); ++i) SyncNodeView(i);
-}
-
-void ReplicaSet::SyncNodeView(int idx) {
-  node(idx).set_role_view(coords_[idx]->role(), coords_[idx]->term());
-}
-
-void ReplicaSet::RecordWritable(uint64_t term, int node) {
-  std::vector<int>& writers = writable_by_term_[term];
-  if (std::find(writers.begin(), writers.end(), node) == writers.end()) {
-    writers.push_back(node);
+    members_[i].coord = std::make_unique<TopologyCoordinator>(
+        i, tc, rng_.Fork(), /*initial_leader=*/primary_index_, loop_->Now());
   }
 }
 
-void ReplicaSet::RecordCommit(uint64_t term, int node) {
-  std::vector<int>& writers = commits_by_term_[term];
+void ReplicaSet::RecordByTerm(std::map<uint64_t, std::vector<int>>* ledger,
+                              uint64_t term, int node) {
+  std::vector<int>& writers = (*ledger)[term];
   if (std::find(writers.begin(), writers.end(), node) == writers.end()) {
     writers.push_back(node);
   }
@@ -94,63 +71,88 @@ void ReplicaSet::RecordCommit(uint64_t term, int node) {
 
 uint64_t ReplicaSet::stepdowns() const {
   uint64_t total = 0;
-  for (const auto& coord : coords_) total += coord->stepdowns();
+  for (const Member& m : members_) total += m.coord->stepdowns();
   return total;
 }
 
 void ReplicaSet::SetApplyThrottle(int idx, double factor) {
   DCG_CHECK(idx >= 0 && idx < node_count());
   DCG_CHECK(factor > 0.0);
-  apply_throttle_[idx] = factor;
+  members_[idx].apply_throttle = factor;
 }
 
 void ReplicaSet::SetReportSkew(int idx, sim::Duration skew) {
   DCG_CHECK(idx >= 0 && idx < node_count());
-  report_skew_[idx] = skew;
+  members_[idx].report_skew = skew;
 }
 
 void ReplicaSet::ArmPullDeadline(int idx, sim::Duration extra) {
-  pull_deadline_[idx] = loop_->Now() + extra + params_.pull_retry_timeout;
+  members_[idx].pull.deadline =
+      loop_->Now() + extra + params_.pull_retry_timeout;
 }
 
 void ReplicaSet::RetirePull(int idx) {
-  ++pull_epoch_[idx];
-  pulling_[idx] = false;
+  ++members_[idx].pull.epoch;
+  members_[idx].pull.running = false;
+}
+
+bool ReplicaSet::PullRetired(int idx, uint64_t epoch) {
+  Member::Pull& pull = members_[idx].pull;
+  if (epoch != pull.epoch) return true;  // superseded chain
+  if (IsActiveSecondary(idx)) return false;
+  pull.running = false;  // the chain ends here
+  return true;
+}
+
+void ReplicaSet::PollAgainLater(int idx, uint64_t epoch) {
+  ArmPullDeadline(idx, params_.getmore_idle_poll);
+  loop_->ScheduleAfter(params_.getmore_idle_poll,
+                       [this, idx, epoch] { SendGetMore(idx, epoch); });
+}
+
+sim::Duration ReplicaSet::ApplyCost(int idx, size_t entries) {
+  const sim::Duration per_entry =
+      node(idx).server().SampleService(server::OpClass::kOplogApply);
+  return static_cast<sim::Duration>(static_cast<double>(per_entry) *
+                                    static_cast<double>(entries) *
+                                    members_[idx].apply_throttle);
+}
+
+void ReplicaSet::CloneFromPrimary(int idx) {
+  node(idx).db().ResetFrom(primary().db());
+  node(idx).ResetForResync(primary().last_applied());
+  members_[idx].known_last_applied = primary().last_applied();
+  members_[idx].needs_resync = false;
 }
 
 void ReplicaSet::Start() {
-  for (auto& node : nodes_) node->server().Start();
+  for (Member& m : members_) m.node->server().Start();
   for (int i = 0; i < node_count(); ++i) {
     if (IsActiveSecondary(i)) StartPull(i);
   }
   for (int i = 0; i < node_count(); ++i) {
-    if (!alive_[i]) continue;
-    if (!heartbeating_[i]) {
-      heartbeating_[i] = true;
-      RaftHeartbeatLoop(i);
-    }
-    ArmElectionTimer(i);
+    if (IsAlive(i)) StartMemberChains(i);
   }
 }
 
 void ReplicaSet::StartPull(int idx) {
-  if (!pulling_[idx]) {
-    pulling_[idx] = true;
+  Member::Pull& pull = members_[idx].pull;
+  if (!pull.running) {
+    pull.running = true;
     ArmPullDeadline(idx);
-    SendGetMore(idx, pull_epoch_[idx]);
+    SendGetMore(idx, pull.epoch);
   }
 }
 
 void ReplicaSet::KillNode(int idx) {
   DCG_CHECK(idx >= 0 && idx < node_count());
-  if (!alive_[idx]) return;
-  alive_[idx] = false;
+  Member& m = members_[idx];
+  if (!m.alive) return;
+  m.alive = false;
   RetirePull(idx);
   // Retire the member's election-check and takeover chains; survivors'
   // own randomized timeouts notice the silence and campaign.
-  ++election_timer_epoch_[idx];
-  election_timer_armed_[idx] = false;
-  ++takeover_epoch_[idx];
+  ++m.incarnation;
   // Acknowledgements in flight are lost with the primary; their outcome
   // is uncertain to the client.
   if (idx == primary_index_) FailMajorityWaiters();
@@ -158,22 +160,14 @@ void ReplicaSet::KillNode(int idx) {
 
 void ReplicaSet::RestartNode(int idx) {
   DCG_CHECK(idx >= 0 && idx < node_count());
-  DCG_CHECK_MSG(!alive_[idx], "node is already running");
-  DCG_CHECK_MSG(alive_[primary_index_], "no primary to initial-sync from");
+  DCG_CHECK_MSG(!IsAlive(idx), "node is already running");
+  DCG_CHECK_MSG(IsAlive(primary_index_), "no primary to initial-sync from");
   // Initial sync: clone the current primary's data wholesale, then join
   // the oplog stream from the primary's current position.
-  node(idx).db().ResetFrom(primary().db());
-  node(idx).ResetForResync(primary().last_applied());
-  known_last_applied_[idx] = primary().last_applied();
-  alive_[idx] = true;
-  needs_resync_[idx] = false;  // the clone is consistent by construction
-  coords_[idx]->Rejoin(loop_->Now());
-  SyncNodeView(idx);
-  if (!heartbeating_[idx]) {
-    heartbeating_[idx] = true;
-    RaftHeartbeatLoop(idx);
-  }
-  ArmElectionTimer(idx);
+  CloneFromPrimary(idx);
+  members_[idx].alive = true;
+  members_[idx].coord->Rejoin(loop_->Now());
+  StartMemberChains(idx);
   StartPull(idx);
 }
 
@@ -199,18 +193,18 @@ void ReplicaSet::CommitInternal(
   // it no longer owns: at most one member commits per term.
   const int expected_primary = node_idx;
   const uint64_t expected_term = term_;
-  nodes_[node_idx]->server().ExecuteScaled(
+  node(node_idx).server().ExecuteScaled(
       op_class, throttle,
       [this, body = std::move(body), done = std::move(done), concern, op_id,
        expected_primary, expected_term] {
         // The node lost the primary role (or crashed) while the operation
         // was queued: the write never commits (and is safe to retry).
-        if (!alive_[expected_primary] || term_ != expected_term ||
+        if (!IsAlive(expected_primary) || term_ != expected_term ||
             primary_index_ != expected_primary) {
           if (done) done(server::WriteOutcome{});
           return;
         }
-        ReplicaNode& leader = *nodes_[expected_primary];
+        ReplicaNode& leader = node(expected_primary);
         TxnContext ctx(&leader.db());
         body(&ctx);
         if (ctx.aborted()) {
@@ -235,7 +229,7 @@ void ReplicaSet::CommitInternal(
           oplog_.Append(std::move(entry));
         }
         ++committed_writes_;
-        RecordCommit(expected_term, expected_primary);
+        RecordByTerm(&commits_by_term_, expected_term, expected_primary);
         server::WriteOutcome outcome;
         outcome.ok = true;
         outcome.committed = true;
@@ -328,8 +322,8 @@ proto::ServerStatusReply ReplicaSet::ServerStatusSnapshot() {
   proto::ServerStatusReply reply;
   reply.primary_last_applied = primary().last_applied();
   for (int i = 0; i < node_count(); ++i) {
-    if (i == primary_index_ || !alive_[i]) continue;
-    reply.secondary_last_applied.push_back(known_last_applied_[i]);
+    if (!IsActiveSecondary(i)) continue;
+    reply.secondary_last_applied.push_back(members_[i].known_last_applied);
     reply.secondary_nodes.push_back(i);
   }
   reply.generated_at = loop_->Now();
@@ -348,7 +342,7 @@ sim::Duration ReplicaSet::TrueStaleness(int secondary_idx) const {
 sim::Duration ReplicaSet::MaxTrueStaleness() const {
   sim::Duration max_lag = 0;
   for (int i = 0; i < node_count(); ++i) {
-    if (i == primary_index_ || !alive_[i]) continue;
+    if (!IsActiveSecondary(i)) continue;
     max_lag = std::max(max_lag, TrueStaleness(i));
   }
   return max_lag;
@@ -358,8 +352,8 @@ sim::Duration ReplicaSet::KnownMaxLag() const {
   const OpTime& p = primary().last_applied();
   sim::Duration max_lag = 0;
   for (int i = 0; i < node_count(); ++i) {
-    if (i == primary_index_ || !alive_[i]) continue;
-    const OpTime& sec = known_last_applied_[i];
+    if (!IsActiveSecondary(i)) continue;
+    const OpTime& sec = members_[i].known_last_applied;
     if (sec.seq >= p.seq) continue;
     max_lag = std::max(max_lag, p.wall - sec.wall);
   }
@@ -369,8 +363,8 @@ sim::Duration ReplicaSet::KnownMaxLag() const {
 int ReplicaSet::KnownReplicationCount(uint64_t seq) const {
   int count = primary().last_applied().seq >= seq ? 1 : 0;
   for (int i = 0; i < node_count(); ++i) {
-    if (i == primary_index_ || !alive_[i]) continue;
-    if (known_last_applied_[i].seq >= seq) ++count;
+    if (!IsActiveSecondary(i)) continue;
+    if (members_[i].known_last_applied.seq >= seq) ++count;
   }
   return count;
 }
@@ -384,12 +378,8 @@ constexpr sim::Duration kPullQueueGrace = sim::Seconds(30);
 }  // namespace
 
 void ReplicaSet::SendGetMore(int secondary_idx, uint64_t epoch) {
-  if (epoch != pull_epoch_[secondary_idx]) return;  // superseded chain
-  if (!IsActiveSecondary(secondary_idx)) {
-    pulling_[secondary_idx] = false;  // loop retires
-    return;
-  }
-  if (needs_resync_[secondary_idx]) {
+  if (PullRetired(secondary_idx, epoch)) return;
+  if (members_[secondary_idx].needs_resync) {
     // An election rolled back entries this member already applied; it
     // must re-clone before it can pull again (rollback via refetch).
     ResyncStep(secondary_idx, epoch);
@@ -403,19 +393,11 @@ void ReplicaSet::SendGetMore(int secondary_idx, uint64_t epoch) {
 }
 
 void ReplicaSet::HandleGetMoreAtPrimary(int secondary_idx, uint64_t epoch) {
-  if (epoch != pull_epoch_[secondary_idx]) return;
-  if (!IsActiveSecondary(secondary_idx)) {
-    pulling_[secondary_idx] = false;
-    return;
-  }
-  if (!alive_[primary_index_]) {
+  if (PullRetired(secondary_idx, epoch)) return;
+  if (!IsAlive(primary_index_)) {
     // No primary to pull from: retry after the idle interval; the
     // election will install a new sync source.
-    ArmPullDeadline(secondary_idx, params_.getmore_idle_poll);
-    loop_->ScheduleAfter(params_.getmore_idle_poll,
-                         [this, secondary_idx, epoch] {
-                           SendGetMore(secondary_idx, epoch);
-                         });
+    PollAgainLater(secondary_idx, epoch);
     return;
   }
   server::ServerNode& p = primary().server();
@@ -448,23 +430,15 @@ void ReplicaSet::HandleGetMoreAtPrimary(int secondary_idx, uint64_t epoch) {
 }
 
 void ReplicaSet::ServeGetMore(int secondary_idx, uint64_t epoch) {
-  if (epoch != pull_epoch_[secondary_idx]) return;
-  if (!IsActiveSecondary(secondary_idx)) {
-    pulling_[secondary_idx] = false;
-    return;
-  }
-  if (!alive_[primary_index_]) {
-    ArmPullDeadline(secondary_idx, params_.getmore_idle_poll);
-    loop_->ScheduleAfter(params_.getmore_idle_poll,
-                         [this, secondary_idx, epoch] {
-                           SendGetMore(secondary_idx, epoch);
-                         });
+  if (PullRetired(secondary_idx, epoch)) return;
+  if (!IsAlive(primary_index_)) {
+    PollAgainLater(secondary_idx, epoch);
     return;
   }
   ArmPullDeadline(secondary_idx, kPullQueueGrace);
   primary().server().Execute(
       server::OpClass::kGetMore, [this, secondary_idx, epoch] {
-        if (epoch != pull_epoch_[secondary_idx]) return;
+        if (epoch != members_[secondary_idx].pull.epoch) return;
         std::vector<OplogEntry> batch =
             oplog_.ReadAfter(node(secondary_idx).last_applied().seq,
                              params_.getmore_max_batch);
@@ -481,36 +455,16 @@ void ReplicaSet::ServeGetMore(int secondary_idx, uint64_t epoch) {
 void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
                                         std::vector<OplogEntry> batch,
                                         uint64_t epoch) {
-  if (epoch != pull_epoch_[secondary_idx]) return;
-  if (!IsActiveSecondary(secondary_idx)) {
-    pulling_[secondary_idx] = false;
-    return;
-  }
+  if (PullRetired(secondary_idx, epoch)) return;
   if (batch.empty()) {
-    ArmPullDeadline(secondary_idx, params_.getmore_idle_poll);
-    loop_->ScheduleAfter(params_.getmore_idle_poll,
-                         [this, secondary_idx, epoch] {
-                           SendGetMore(secondary_idx, epoch);
-                         });
+    PollAgainLater(secondary_idx, epoch);
     return;
   }
-  ReplicaNode& sec = node(secondary_idx);
-  // Application cost scales with batch size; one lognormal factor models
-  // run-to-run variance without sampling per entry. The apply-throttle
-  // fault stretches it further.
-  const sim::Duration per_entry =
-      sec.server().SampleService(server::OpClass::kOplogApply);
-  const auto cost = static_cast<sim::Duration>(
-      static_cast<double>(per_entry) * static_cast<double>(batch.size()) *
-      apply_throttle_[secondary_idx]);
+  const sim::Duration cost = ApplyCost(secondary_idx, batch.size());
   ArmPullDeadline(secondary_idx, cost + kPullQueueGrace);
-  sec.server().ExecuteWithCost(
+  node(secondary_idx).server().ExecuteWithCost(
       cost, [this, secondary_idx, epoch, batch = std::move(batch)] {
-        if (epoch != pull_epoch_[secondary_idx]) return;
-        if (!IsActiveSecondary(secondary_idx)) {
-          pulling_[secondary_idx] = false;
-          return;
-        }
+        if (PullRetired(secondary_idx, epoch)) return;
         ReplicaNode& s = node(secondary_idx);
         for (const OplogEntry& entry : batch) s.ApplyEntry(entry);
         ReleaseAppliedDocs();
@@ -522,7 +476,7 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
 void ReplicaSet::ReleaseAppliedDocs() {
   uint64_t min_applied = UINT64_MAX;
   for (int i = 0; i < node_count(); ++i) {
-    if (alive_[i]) {
+    if (IsAlive(i)) {
       min_applied = std::min(min_applied, node(i).last_applied().seq);
     }
   }
@@ -552,83 +506,67 @@ void ReplicaSet::FailMajorityWaiters() {
 // --- elections -----------------------------------------------------------
 
 void ReplicaSet::ResyncStep(int idx, uint64_t epoch) {
-  if (epoch != pull_epoch_[idx]) return;
-  if (!IsActiveSecondary(idx)) {
-    pulling_[idx] = false;
-    return;
-  }
-  if (!alive_[primary_index_]) {
+  if (PullRetired(idx, epoch)) return;
+  if (!IsAlive(primary_index_)) {
     // Nothing consistent to clone from yet; poll until an election
     // installs a live leader.
-    ArmPullDeadline(idx, params_.getmore_idle_poll);
-    loop_->ScheduleAfter(params_.getmore_idle_poll, [this, idx, epoch] {
-      SendGetMore(idx, epoch);
-    });
+    PollAgainLater(idx, epoch);
     return;
   }
   ArmPullDeadline(idx);
   network_->Send(node(idx).host(), primary().host(), [this, idx, epoch] {
-    if (epoch != pull_epoch_[idx] || !IsActiveSecondary(idx)) return;
-    if (!alive_[primary_index_]) {
-      ArmPullDeadline(idx, params_.getmore_idle_poll);
-      loop_->ScheduleAfter(params_.getmore_idle_poll, [this, idx, epoch] {
-        SendGetMore(idx, epoch);
-      });
+    if (PullRetired(idx, epoch)) return;
+    if (!IsAlive(primary_index_)) {
+      PollAgainLater(idx, epoch);
       return;
     }
     ArmPullDeadline(idx);
     network_->Send(primary().host(), node(idx).host(), [this, idx, epoch] {
-      if (epoch != pull_epoch_[idx] || !IsActiveSecondary(idx)) return;
-      if (!needs_resync_[idx]) {
-        SendGetMore(idx, epoch);
-        return;
+      if (PullRetired(idx, epoch)) return;
+      if (members_[idx].needs_resync) {
+        // Rollback via refetch: drop the diverged history, clone the
+        // current primary wholesale, rejoin the stream from its position.
+        CloneFromPrimary(idx);
+        ++rollback_resyncs_;
+        ArmPullDeadline(idx);
       }
-      // Rollback via refetch: drop the diverged history, clone the
-      // current primary wholesale, rejoin the stream from its position.
-      node(idx).db().ResetFrom(primary().db());
-      node(idx).ResetForResync(primary().last_applied());
-      known_last_applied_[idx] = primary().last_applied();
-      needs_resync_[idx] = false;
-      ++rollback_resyncs_;
-      ArmPullDeadline(idx);
       SendGetMore(idx, epoch);
     });
   });
 }
 
-void ReplicaSet::ArmElectionTimer(int idx) {
-  if (election_timer_armed_[idx]) return;
-  election_timer_armed_[idx] = true;
-  ScheduleElectionCheck(idx, ++election_timer_epoch_[idx]);
+void ReplicaSet::StartMemberChains(int idx) {
+  Member& m = members_[idx];
+  if (!m.heartbeating) {
+    m.heartbeating = true;
+    RaftHeartbeatLoop(idx);
+  }
+  ScheduleElectionCheck(idx, m.incarnation);
 }
 
-void ReplicaSet::ScheduleElectionCheck(int idx, uint64_t epoch) {
+void ReplicaSet::ScheduleElectionCheck(int idx, uint64_t incarnation) {
   // One chain per live member: fire at the coordinator's deadline (the
   // deadline usually moves forward before the event fires — leader
   // contact re-arms it — in which case the firing is a cheap no-op that
   // reschedules at the new deadline).
   const sim::Time at =
-      std::max(coords_[idx]->election_deadline(), loop_->Now() + 1);
-  loop_->ScheduleAt(at, [this, idx, epoch] {
-    if (epoch != election_timer_epoch_[idx]) return;
-    if (!alive_[idx]) {
-      election_timer_armed_[idx] = false;
-      return;
+      std::max(coordinator(idx).election_deadline(), loop_->Now() + 1);
+  loop_->ScheduleAt(at, [this, idx, incarnation] {
+    if (incarnation != members_[idx].incarnation) return;
+    TopologyCoordinator& coord = *members_[idx].coord;
+    if (loop_->Now() >= coord.election_deadline()) {
+      ApplyAction(idx, coord.OnElectionTimeout(loop_->Now()));
     }
-    if (loop_->Now() >= coords_[idx]->election_deadline()) {
-      ApplyAction(idx, coords_[idx]->OnElectionTimeout(loop_->Now()));
-    }
-    ScheduleElectionCheck(idx, epoch);
+    ScheduleElectionCheck(idx, incarnation);
   });
 }
 
 void ReplicaSet::ApplyAction(int idx, const TopologyAction& action) {
-  SyncNodeView(idx);
   if (action.stepped_down) {
     // A member that stopped believing itself primary resumes consuming
     // the stream if it is, in data-plane terms, an active secondary
     // whose pull was parked (e.g. a deposed catch-up winner).
-    if (IsActiveSecondary(idx) && !pulling_[idx]) StartPull(idx);
+    if (IsActiveSecondary(idx)) StartPull(idx);
   }
   if (action.start_dry_run || action.start_election) {
     BroadcastVoteRequests(idx);
@@ -639,65 +577,64 @@ void ReplicaSet::ApplyAction(int idx, const TopologyAction& action) {
 
 void ReplicaSet::BroadcastVoteRequests(int idx) {
   const VoteRequest req =
-      coords_[idx]->CampaignRequest(node(idx).last_applied());
+      members_[idx].coord->CampaignRequest(node(idx).last_applied());
   for (int j = 0; j < node_count(); ++j) {
     if (j == idx) continue;
     network_->Send(node(idx).host(), node(j).host(), [this, j, req] {
-      if (!alive_[j]) return;  // dead voters are silent
-      const MemberRole role_before = coords_[j]->role();
+      if (!IsAlive(j)) return;  // dead voters are silent
+      TopologyCoordinator& voter = *members_[j].coord;
+      const MemberRole role_before = voter.role();
       const VoteResponse resp =
-          coords_[j]->OnVoteRequest(req, node(j).last_applied(), loop_->Now());
-      SyncNodeView(j);
+          voter.OnVoteRequest(req, node(j).last_applied(), loop_->Now());
       // A real vote carrying a higher term can depose the voter itself
       // (a leader granting a takeover vote steps down right here).
       if (role_before == MemberRole::kPrimary &&
-          coords_[j]->role() != role_before && IsActiveSecondary(j) &&
-          !pulling_[j]) {
+          voter.role() != role_before && IsActiveSecondary(j)) {
         StartPull(j);
       }
       network_->Send(node(j).host(), node(req.candidate).host(),
                      [this, resp] {
                        const int cand = resp.candidate;
-                       if (cand < 0 || !alive_[cand]) return;
-                       ApplyAction(
-                           cand, coords_[cand]->OnVoteResponse(
-                                     resp, loop_->Now()));
+                       if (cand < 0 || !IsAlive(cand)) return;
+                       ApplyAction(cand, members_[cand].coord->OnVoteResponse(
+                                             resp, loop_->Now()));
                      });
     });
   }
 }
 
 void ReplicaSet::ScheduleTakeoverCheck(int idx, sim::Time at) {
-  const uint64_t epoch = takeover_epoch_[idx];
-  loop_->ScheduleAt(std::max(at, loop_->Now() + 1), [this, idx, epoch] {
-    if (epoch != takeover_epoch_[idx] || !alive_[idx]) return;
-    ApplyAction(idx, coords_[idx]->OnPriorityTakeoverCheck(
+  const uint64_t incarnation = members_[idx].incarnation;
+  loop_->ScheduleAt(std::max(at, loop_->Now() + 1), [this, idx, incarnation] {
+    if (incarnation != members_[idx].incarnation) return;
+    ApplyAction(idx, members_[idx].coord->OnPriorityTakeoverCheck(
                          node(idx).last_applied(), loop_->Now()));
   });
 }
 
 void ReplicaSet::RaftHeartbeatLoop(int idx) {
-  if (!alive_[idx]) {
-    heartbeating_[idx] = false;  // loop retires; RestartNode re-arms
+  Member& m = members_[idx];
+  if (!m.alive) {
+    m.heartbeating = false;  // loop retires; RestartNode re-arms
     return;
   }
   // Pull watchdog: a pull chain with no progress past its deadline lost a
   // message on the network — restart it under a new epoch so stragglers
   // of the old chain retire harmlessly.
-  if (IsActiveSecondary(idx) && pulling_[idx] &&
-      loop_->Now() > pull_deadline_[idx]) {
+  if (IsActiveSecondary(idx) && m.pull.running &&
+      loop_->Now() > m.pull.deadline) {
     ++pull_restarts_;
-    ++pull_epoch_[idx];
-    SendGetMore(idx, pull_epoch_[idx]);
+    SendGetMore(idx, ++m.pull.epoch);
   }
   HeartbeatView hb;
   hb.from = idx;
-  hb.term = coords_[idx]->term();
-  hb.leader = coords_[idx]->leader_for_hello();
-  hb.last_applied = node(idx).last_applied();
-  if (const sim::Duration skew = report_skew_[idx]; skew != 0) {
+  hb.term = m.coord->term();
+  hb.leader = m.coord->leader_for_hello();
+  hb.last_applied = m.node->last_applied();
+  if (m.report_skew != 0) {
     // A skewed clock distorts the wall component of the *report* only.
-    hb.last_applied.wall = std::max<sim::Time>(0, hb.last_applied.wall + skew);
+    hb.last_applied.wall =
+        std::max<sim::Time>(0, hb.last_applied.wall + m.report_skew);
   }
   for (int j = 0; j < node_count(); ++j) {
     if (j == idx) continue;
@@ -709,22 +646,20 @@ void ReplicaSet::RaftHeartbeatLoop(int idx) {
 }
 
 void ReplicaSet::HandleRaftHeartbeat(int to, const HeartbeatView& hb) {
-  if (!alive_[to]) return;
+  if (!IsAlive(to)) return;
   // The data-plane leader's progress knowledge (flow control, w:majority
   // acks) rides the same heartbeats the election layer uses.
-  if (to == primary_index_ && hb.from != primary_index_ &&
-      IsActiveSecondary(hb.from)) {
-    OpTime& known = known_last_applied_[hb.from];
+  if (to == primary_index_ && IsActiveSecondary(hb.from)) {
+    OpTime& known = members_[hb.from].known_last_applied;
     if (known < hb.last_applied) known = hb.last_applied;
     CheckMajorityWaiters();
   }
-  ApplyAction(to,
-              coords_[to]->OnHeartbeat(hb, node(to).last_applied(),
-                                       loop_->Now()));
+  ApplyAction(to, members_[to].coord->OnHeartbeat(hb, node(to).last_applied(),
+                                                  loop_->Now()));
 }
 
 void ReplicaSet::BeginStepUp(int winner) {
-  const uint64_t new_term = coords_[winner]->term();
+  const uint64_t new_term = members_[winner].coord->term();
   // A later election already moved the data plane past this win; the
   // stale winner will hear the higher term and step down on its own.
   if (new_term <= term_) return;
@@ -737,47 +672,39 @@ void ReplicaSet::BeginStepUp(int winner) {
   // beyond it (on unreachable members, or committed by the old leader
   // during catch-up) roll back when the new term opens.
   uint64_t target = node(winner).last_applied().seq;
-  target = std::max(target, coords_[winner]->FreshestPeerSeq(
+  target = std::max(target, members_[winner].coord->FreshestPeerSeq(
                                 loop_->Now(), params_.election_timeout));
   target = std::min(target, oplog_.last_seq());
   CatchUpStep(winner, new_term, target,
               loop_->Now() + params_.catchup_timeout, epoch);
 }
 
+bool ReplicaSet::CatchUpCurrent(int winner, uint64_t new_term,
+                                uint64_t epoch) const {
+  const TopologyCoordinator& coord = coordinator(winner);
+  return epoch == catchup_epoch_ && IsAlive(winner) &&
+         coord.role() == MemberRole::kPrimary && coord.term() == new_term;
+}
+
 void ReplicaSet::CatchUpStep(int winner, uint64_t new_term, uint64_t target,
                              sim::Time deadline, uint64_t epoch) {
-  if (epoch != catchup_epoch_) return;  // superseded by a newer win
-  if (!alive_[winner] || coords_[winner]->role() != MemberRole::kPrimary ||
-      coords_[winner]->term() != new_term) {
-    // Deposed (or crashed) mid catch-up: the data plane never swapped,
-    // so there is nothing to undo. ApplyAction restarts its pull when
-    // the stepdown lands; a crash leaves it to RestartNode.
-    return;
-  }
-  if (node(winner).last_applied().seq >= target || loop_->Now() >= deadline) {
+  if (!CatchUpCurrent(winner, new_term, epoch)) return;
+  ReplicaNode& w = node(winner);
+  if (w.last_applied().seq >= target || loop_->Now() >= deadline) {
     FinishStepUp(winner, new_term);
     return;
   }
-  std::vector<OplogEntry> batch = oplog_.ReadAfter(
-      node(winner).last_applied().seq, params_.getmore_max_batch);
+  std::vector<OplogEntry> batch =
+      oplog_.ReadAfter(w.last_applied().seq, params_.getmore_max_batch);
   if (batch.empty()) {
     FinishStepUp(winner, new_term);
     return;
   }
-  const sim::Duration per_entry =
-      node(winner).server().SampleService(server::OpClass::kOplogApply);
-  const auto cost = static_cast<sim::Duration>(
-      static_cast<double>(per_entry) * static_cast<double>(batch.size()) *
-      apply_throttle_[winner]);
-  node(winner).server().ExecuteWithCost(
+  const sim::Duration cost = ApplyCost(winner, batch.size());
+  w.server().ExecuteWithCost(
       cost, [this, winner, new_term, target, deadline, epoch,
-             batch = std::move(batch)] {
-        if (epoch != catchup_epoch_) return;
-        if (!alive_[winner] ||
-            coords_[winner]->role() != MemberRole::kPrimary ||
-            coords_[winner]->term() != new_term) {
-          return;
-        }
+       batch = std::move(batch)] {
+        if (!CatchUpCurrent(winner, new_term, epoch)) return;
         ReplicaNode& w = node(winner);
         for (const OplogEntry& entry : batch) {
           if (entry.optime.seq != w.last_applied().seq + 1) break;
@@ -796,8 +723,9 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
   // Members whose applied history extends past the survivor point hold
   // entries this rollback removes: they must re-clone before pulling.
   for (int i = 0; i < node_count(); ++i) {
-    if (i == winner) continue;
-    if (node(i).last_applied().seq > survived_seq) needs_resync_[i] = true;
+    if (i != winner && node(i).last_applied().seq > survived_seq) {
+      members_[i].needs_resync = true;
+    }
   }
   oplog_.TruncateAfter(survived_seq);
   next_seq_ = survived_seq + 1;
@@ -814,8 +742,8 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
   primary_index_ = winner;
   term_ = new_term;
   ++elections_;
-  coords_[winner]->CompleteStepUp(loop_->Now());
-  RecordWritable(new_term, winner);
+  members_[winner].coord->CompleteStepUp(loop_->Now());
+  RecordByTerm(&writable_by_term_, new_term, winner);
   for (int i = 0; i < node_count(); ++i) {
     if (IsActiveSecondary(i)) {
       // Retire every pre-election pull chain (including batches already
@@ -825,7 +753,6 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
       RetirePull(i);
       StartPull(i);
     }
-    SyncNodeView(i);
   }
 }
 

@@ -123,34 +123,34 @@ class ReplicaSet : public server::CommandBackend {
   /// detaches.
   void SetTracer(obs::Tracer* tracer) {
     tracer_ = tracer;
-    for (auto& service : services_) service->SetTracer(tracer);
+    for (Member& m : members_) m.service->SetTracer(tracer);
   }
 
   /// Installs a sharding admission check on every node's command service
   /// (stale chunk-version rejection — see CommandService::AdmissionCheck).
   void SetAdmissionCheck(server::CommandService::AdmissionCheck check) {
-    for (auto& service : services_) service->SetAdmissionCheck(check);
+    for (Member& m : members_) m.service->SetAdmissionCheck(check);
   }
 
   // --- server::CommandBackend (dispatched into by CommandServices) ---
 
-  bool NodeAlive(int idx) const override { return alive_[idx]; }
+  bool NodeAlive(int idx) const override { return members_[idx].alive; }
   /// Per-node topology belief: each member answers from its own
   /// coordinator (so a deposed primary keeps claiming the role until it
   /// hears the new term — exactly the stale-view window the driver's term
   /// adoption exists for).
   int NodeBelievedPrimary(int idx) const override {
-    return coords_[idx]->leader_for_hello();
+    return coordinator(idx).leader_for_hello();
   }
-  uint64_t NodeTerm(int idx) const override { return coords_[idx]->term(); }
+  uint64_t NodeTerm(int idx) const override { return coordinator(idx).term(); }
   OpTime NodeLastApplied(int idx) const override {
-    return nodes_[idx]->last_applied();
+    return node(idx).last_applied();
   }
   const store::Database& NodeData(int idx) const override {
-    return nodes_[idx]->db();
+    return node(idx).db();
   }
   server::ServerNode& NodeServer(int idx) override {
-    return nodes_[idx]->server();
+    return node(idx).server();
   }
   void CommitWrite(int node, server::OpClass op_class, proto::TxnBody body,
                    WriteConcern concern, uint64_t op_id, double cost_scale,
@@ -158,18 +158,18 @@ class ReplicaSet : public server::CommandBackend {
       override;
   proto::ServerStatusReply ServerStatusSnapshot() override;
 
-  int node_count() const { return static_cast<int>(nodes_.size()); }
+  int node_count() const { return static_cast<int>(members_.size()); }
   int secondary_count() const { return node_count() - 1; }
   /// Node 0 starts as the primary; fail-overs can move the role.
-  ReplicaNode& node(int idx) { return *nodes_[idx]; }
-  const ReplicaNode& node(int idx) const { return *nodes_[idx]; }
-  ReplicaNode& primary() { return *nodes_[primary_index_]; }
-  const ReplicaNode& primary() const { return *nodes_[primary_index_]; }
+  ReplicaNode& node(int idx) { return *members_[idx].node; }
+  const ReplicaNode& node(int idx) const { return *members_[idx].node; }
+  ReplicaNode& primary() { return node(primary_index_); }
+  const ReplicaNode& primary() const { return node(primary_index_); }
   int primary_index() const { return primary_index_; }
 
   // --- fault injection & fail-over ---
 
-  bool IsAlive(int idx) const { return alive_[idx]; }
+  bool IsAlive(int idx) const { return members_[idx].alive; }
 
   /// Crashes a node. Killing the primary fails outstanding w:majority
   /// acknowledgements as "uncertain"; the survivors' election timers
@@ -196,16 +196,16 @@ class ReplicaSet : public server::CommandBackend {
 
   // --- election surface ---
 
-  /// One member's election state machine.
+  /// One member's election state machine — the only source of its role.
   const TopologyCoordinator& coordinator(int idx) const {
-    return *coords_[idx];
+    return *members_[idx].coord;
   }
 
   /// True when the member currently leading the data plane is alive and
   /// has completed step-up — i.e. a write sent to the right node would
   /// commit.
   bool HasWritablePrimary() const {
-    return alive_[primary_index_] && coords_[primary_index_]->writable();
+    return IsAlive(primary_index_) && coordinator(primary_index_).writable();
   }
 
   /// Times a primary stepped down (higher term seen, or majority
@@ -215,7 +215,7 @@ class ReplicaSet : public server::CommandBackend {
   /// Times a diverged member (applied entries an election rolled back)
   /// re-cloned from the current primary before rejoining the stream.
   uint64_t rollback_resyncs() const { return rollback_resyncs_; }
-  bool needs_resync(int idx) const { return needs_resync_[idx]; }
+  bool needs_resync(int idx) const { return members_[idx].needs_resync; }
 
   /// Election-safety ledgers for the test battery: which member(s)
   /// became writable in each term, and which member(s) actually
@@ -232,7 +232,6 @@ class ReplicaSet : public server::CommandBackend {
   /// replication-apply throttle fault (a slow apply thread / IO-starved
   /// secondary). 1.0 restores healthy speed.
   void SetApplyThrottle(int idx, double factor);
-  double apply_throttle(int idx) const { return apply_throttle_[idx]; }
 
   /// Skews the lastAppliedOpTime wall clock node `idx` *reports* in
   /// heartbeats; local replication state is untouched. Negative skew makes
@@ -240,7 +239,6 @@ class ReplicaSet : public server::CommandBackend {
   /// skew makes it look fresher than it is — exactly the distortion a
   /// skewed server clock inflicts on the §2.3 staleness estimate.
   void SetReportSkew(int idx, sim::Duration skew);
-  sim::Duration report_skew(int idx) const { return report_skew_[idx]; }
 
   /// Times the pull watchdog restarted a secondary's oplog pull chain.
   uint64_t pull_restarts() const { return pull_restarts_; }
@@ -267,6 +265,41 @@ class ReplicaSet : public server::CommandBackend {
   uint64_t majority_writes_acked() const { return majority_writes_acked_; }
 
  private:
+  /// Everything the set keeps for one member. The member owns its data
+  /// node, its election state machine and its wire-protocol front end;
+  /// the rest is the set's per-member bookkeeping. Event chains carry the
+  /// counter they were started under and retire when it moved on.
+  struct Member {
+    std::unique_ptr<ReplicaNode> node;
+    std::unique_ptr<TopologyCoordinator> coord;
+    std::unique_ptr<server::CommandService> service;
+    bool alive = true;
+    /// This member's progress as last heard by the primary via heartbeats
+    /// (unused while the member is the primary itself).
+    OpTime known_last_applied;
+    /// The oplog pull chain, at most one per member. `running` keeps
+    /// elections and restarts from spawning a duplicate; `epoch` retires
+    /// a superseded chain (watchdog restart, kill, step-up); `deadline`
+    /// is when the heartbeat watchdog restarts a chain that made no step.
+    struct Pull {
+      bool running = false;
+      uint64_t epoch = 0;
+      sim::Time deadline = 0;
+    } pull;
+    /// One heartbeat loop at a time; it retires itself once the member is
+    /// dead, so a restart inside one interval keeps the old loop.
+    bool heartbeating = false;
+    /// Bumped by KillNode: the election-check and takeover-check chains
+    /// scheduled before a kill retire at their next firing.
+    uint64_t incarnation = 0;
+    /// Fault knobs (see SetApplyThrottle / SetReportSkew).
+    double apply_throttle = 1.0;
+    sim::Duration report_skew = 0;
+    /// This member's applied history extends past an election's rollback
+    /// point; it must re-clone before pulling again.
+    bool needs_resync = false;
+  };
+
   /// Implementation behind CommitWrite: runs the transaction on node
   /// `node`'s CPU (flow control applied) — the member that believes itself
   /// primary — commits or aborts at completion iff that member still leads
@@ -285,23 +318,36 @@ class ReplicaSet : public server::CommandBackend {
   void FailMajorityWaiters();
   /// True when node `idx` should pull the oplog from the primary.
   bool IsActiveSecondary(int idx) const {
-    return alive_[idx] && idx != primary_index_;
+    return IsAlive(idx) && idx != primary_index_;
   }
   /// Starts node `idx`'s oplog pull chain unless one is already running.
   void StartPull(int idx);
-  // Pull-chain steps carry the epoch they were started under; a step whose
-  // epoch no longer matches pull_epoch_[idx] belongs to a superseded chain
-  // (watchdog restart, node kill) and retires without acting.
+  /// True when a pull-chain step started under `epoch` must retire: a
+  /// newer chain superseded it, or the node stopped being an active
+  /// secondary (then the chain ends and may be started again).
+  bool PullRetired(int idx, uint64_t epoch);
+  // Pull-chain steps carry the epoch they were started under and check
+  // PullRetired first.
   void SendGetMore(int secondary_idx, uint64_t epoch);
   void HandleGetMoreAtPrimary(int secondary_idx, uint64_t epoch);
   void ServeGetMore(int secondary_idx, uint64_t epoch);
   void HandleBatchAtSecondary(int secondary_idx, std::vector<OplogEntry> batch,
                               uint64_t epoch);
+  /// Nothing to pull right now (caught up, or no live primary): keeps the
+  /// chain covered and asks again after getmore_idle_poll.
+  void PollAgainLater(int idx, uint64_t epoch);
   /// Declares the pull chain healthy until now + extra + pull_retry_timeout.
   void ArmPullDeadline(int idx, sim::Duration extra = 0);
   /// Kills node `idx`'s pull chain outright (all in-flight continuations
   /// retire via the epoch bump).
   void RetirePull(int idx);
+  /// CPU cost of applying `entries` oplog entries on node `idx`: one
+  /// lognormal per-entry sample scaled by the batch size (run-to-run
+  /// variance without a draw per entry), stretched by the apply throttle.
+  sim::Duration ApplyCost(int idx, size_t entries);
+  /// Initial sync: node `idx` clones the current primary's data and joins
+  /// the stream from the primary's position, consistent by construction.
+  void CloneFromPrimary(int idx);
   /// After a member applied a batch: releases the oplog's document
   /// references up to the lowest last-applied optime among live members,
   /// partitioned ones included. Dead members never read the oplog again:
@@ -315,10 +361,12 @@ class ReplicaSet : public server::CommandBackend {
   /// Rollback via refetch: a diverged member re-clones the current
   /// primary (one network round trip) before rejoining the pull stream.
   void ResyncStep(int idx, uint64_t epoch);
-  /// Keeps one election-check event chain per live member: fires at the
-  /// coordinator's deadline, feeds it OnElectionTimeout, reschedules.
-  void ArmElectionTimer(int idx);
-  void ScheduleElectionCheck(int idx, uint64_t epoch);
+  /// Starts a live member's heartbeat loop (unless its previous one is
+  /// still winding down) and its election-check chain.
+  void StartMemberChains(int idx);
+  /// One election-check chain per live member: fires at the coordinator's
+  /// deadline, feeds it OnElectionTimeout, reschedules.
+  void ScheduleElectionCheck(int idx, uint64_t incarnation);
   /// Executes whatever a coordinator transition asks of the data plane.
   void ApplyAction(int idx, const TopologyAction& action);
   void BroadcastVoteRequests(int idx);
@@ -333,40 +381,28 @@ class ReplicaSet : public server::CommandBackend {
   /// catchup phase), then FinishStepUp truncates rolled-back history,
   /// moves primary_index_/term_, and opens the new term for writes.
   void BeginStepUp(int winner);
+  /// True while the catch-up chain `epoch` is the newest and its winner is
+  /// still alive and leading `new_term`. A deposed (or crashed) winner's
+  /// data plane never swapped, so there is nothing to undo: ApplyAction
+  /// restarts its pull when the stepdown lands; a crash leaves it to
+  /// RestartNode.
+  bool CatchUpCurrent(int winner, uint64_t new_term, uint64_t epoch) const;
   void CatchUpStep(int winner, uint64_t new_term, uint64_t target,
                    sim::Time deadline, uint64_t epoch);
   void FinishStepUp(int winner, uint64_t new_term);
-  /// Mirrors the coordinator's role/term into the node's read-only role
-  /// view.
-  void SyncNodeView(int idx);
-  void RecordWritable(uint64_t term, int node);
-  void RecordCommit(uint64_t term, int node);
+  /// Adds `node` to the term's entry of an election-safety ledger.
+  static void RecordByTerm(std::map<uint64_t, std::vector<int>>* ledger,
+                           uint64_t term, int node);
 
   sim::EventLoop* loop_;
   sim::Rng rng_;
   net::Network* network_;
   obs::Tracer* tracer_ = nullptr;
   ReplicaSetParams params_;
-  std::vector<std::unique_ptr<ReplicaNode>> nodes_;
+  /// One record per member, in node-index order.
+  std::vector<Member> members_;
   Oplog oplog_;
   uint64_t next_seq_ = 1;
-  /// known_last_applied_[idx] = node idx's progress as last heard by the
-  /// primary via heartbeats (the primary's own slot is unused).
-  std::vector<OpTime> known_last_applied_;
-  std::vector<bool> alive_;
-  // One pull chain / heartbeat chain per node at a time; the flags retire
-  // a pull chain when its node stops being an active secondary (a
-  // heartbeat chain when its node dies) and prevent elections and
-  // restarts from spawning duplicates.
-  std::vector<bool> pulling_;
-  std::vector<bool> heartbeating_;
-  // Watchdog state: the live chain's epoch, and the deadline by which it
-  // must have made another step before the heartbeat loop restarts it.
-  std::vector<uint64_t> pull_epoch_;
-  std::vector<sim::Time> pull_deadline_;
-  // Fault-injection knobs (see SetApplyThrottle / SetReportSkew).
-  std::vector<double> apply_throttle_;
-  std::vector<sim::Duration> report_skew_;
   uint64_t pull_restarts_ = 0;
   int primary_index_ = 0;
   uint64_t term_ = 1;
@@ -374,15 +410,6 @@ class ReplicaSet : public server::CommandBackend {
 
   // --- election state ---
 
-  /// One election state machine per member.
-  std::vector<std::unique_ptr<TopologyCoordinator>> coords_;
-  /// Election-check chains: one per live member, epoch-retired on kill.
-  std::vector<uint64_t> election_timer_epoch_;
-  std::vector<bool> election_timer_armed_;
-  std::vector<uint64_t> takeover_epoch_;
-  /// Members whose applied history extends past an election's rollback
-  /// point; they must re-clone before pulling again.
-  std::vector<bool> needs_resync_;
   /// Supersedes stale catch-up chains when a newer election wins.
   uint64_t catchup_epoch_ = 0;
   uint64_t rollback_resyncs_ = 0;
@@ -402,7 +429,6 @@ class ReplicaSet : public server::CommandBackend {
   // --- wire-protocol command layer ---
 
   proto::CommandBus bus_;
-  std::vector<std::unique_ptr<server::CommandService>> services_;
 
   /// Retryable-write transaction table, keyed by op id. Modeled as
   /// perfectly replicated alongside the data it describes: records for

@@ -178,15 +178,15 @@ TEST(MedianTest, MedianOfSamples) {
 
 class ReadBalancerTest : public ::testing::Test {
  protected:
-  void Build(BalancerConfig config = {}) {
+  void Build(BalancerConfig config = {},
+             repl::ReplicaSetParams params = {}) {
     config_ = config;
     network_ = std::make_unique<net::Network>(&loop_, sim::Rng(1));
     const net::HostId c = network_->AddHost("client");
-    repl::ReplicaSetParams params;
     server::ServerParams server_params;
     server_params.service.sigma = 0.0;
     std::vector<net::HostId> hosts;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i <= params.secondaries; ++i) {
       hosts.push_back(network_->AddHost("n" + std::to_string(i)));
       network_->SetLink(c, hosts[i], sim::Millis(1), 0);
     }
@@ -427,6 +427,52 @@ TEST_F(ReadBalancerTest, RttSubtractionIsolatesServerTime) {
   });
   loop_.RunUntil(sim::Seconds(25));
   EXPECT_NEAR(last_ratio, 1.0, 0.15);
+}
+
+TEST_F(ReadBalancerTest, PeriodsKeepRunningWithoutAPrimary) {
+  // A five-member set whose freshest secondary (node 4) may never
+  // campaign: when the primary dies, the winner is one of the throttled,
+  // lagging members and must catch up to node 4 before it opens for
+  // writes. Until then the driver has adopted the new term with no
+  // primary, and the RTT subtraction must keep describing the last
+  // concrete one instead of indexing "no primary".
+  repl::ReplicaSetParams params;
+  params.secondaries = 4;
+  params.node_priorities = {1.0, 1.0, 1.0, 1.0, 0.0};
+  params.catchup_timeout = sim::Seconds(60);
+  params.flow_control_enabled = false;
+  Build({}, params);
+  Start();
+  InjectLatencies(sim::Millis(50), sim::Millis(5));
+  for (int node = 1; node <= 3; ++node) rs_->SetApplyThrottle(node, 400.0);
+  for (int i = 0; i < 1000; ++i) {
+    loop_.ScheduleAt(sim::Millis(20) * i, [this, i] {
+      rs_->CommitWrite(
+          0, server::OpClass::kInsert,
+          [i](repl::TxnContext* ctx) {
+            ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
+          },
+          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          test::OnCommitted());
+    });
+  }
+  loop_.ScheduleAt(sim::Seconds(20) + sim::Millis(1),
+                   [this] { rs_->KillNode(0); });
+  int periods = 0;
+  int periods_without_primary = 0;
+  balancer_->SetPeriodCallback([&](const ReadBalancer::PeriodStats& stats) {
+    ++periods;
+    if (client_->primary_index() < 0) {
+      ++periods_without_primary;
+      EXPECT_TRUE(stats.ratio_valid);
+    }
+  });
+  loop_.RunUntil(sim::Seconds(75));
+  EXPECT_EQ(periods, 7);
+  EXPECT_GE(periods_without_primary, 2);
+  // The winner finished catching up and the driver found it.
+  EXPECT_TRUE(rs_->HasWritablePrimary());
+  EXPECT_EQ(client_->primary_index(), rs_->primary_index());
 }
 
 }  // namespace

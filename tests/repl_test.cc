@@ -390,6 +390,55 @@ TEST_F(ReplicaSetTest, MaxStalenessSecondsComputation) {
   EXPECT_EQ(proto::MaxStalenessSeconds(reply), 0);
 }
 
+TEST_F(ReplicaSetTest, ReportSkewDistortsOnlyTheReportedProgress) {
+  // A skewed clock shifts the wall time a member *reports* in its
+  // heartbeats (§2.3's staleness input), never its replicated state.
+  Build();
+  rs_->SetReportSkew(1, -sim::Millis(800));
+  rs_->SetReportSkew(2, sim::Millis(800));
+  rs_->Start();
+  for (int64_t i = 0; i < 50; ++i) {
+    loop_.ScheduleAt(sim::Seconds(1) + sim::Millis(20) * i,
+                     [this, i] { WriteDoc(i, i); });
+  }
+  loop_.RunUntil(sim::Seconds(5));  // replicated, progress reported
+  const proto::ServerStatusReply reply = rs_->ServerStatusSnapshot();
+  ASSERT_EQ(reply.secondary_nodes, (std::vector<int>{1, 2}));
+  const OpTime& truth = rs_->primary().last_applied();
+  EXPECT_EQ(truth.seq, 50u);
+  for (int i = 1; i <= 2; ++i) {
+    EXPECT_EQ(rs_->node(i).last_applied().seq, truth.seq) << i;
+    EXPECT_EQ(rs_->node(i).last_applied().wall, truth.wall) << i;
+    EXPECT_EQ(reply.secondary_last_applied[i - 1].seq, truth.seq) << i;
+  }
+  // Negative skew: node 1 looks older than it is. Positive: node 2 looks
+  // fresher than the primary itself.
+  EXPECT_EQ(reply.secondary_last_applied[0].wall,
+            truth.wall - sim::Millis(800));
+  EXPECT_EQ(reply.secondary_last_applied[1].wall,
+            truth.wall + sim::Millis(800));
+}
+
+TEST_F(ReplicaSetTest, ApplyThrottleSlowsOneMemberUntilLifted) {
+  // A slow apply thread on node 1 (300x the batch apply cost) cannot keep
+  // up with a write every 20 ms; node 2 is untouched and keeps up.
+  Build();
+  rs_->Start();
+  rs_->SetApplyThrottle(1, 300.0);
+  for (int64_t i = 0; i < 400; ++i) {
+    loop_.ScheduleAt(sim::Millis(20) * i, [this, i] { WriteDoc(i, i); });
+  }
+  loop_.RunUntil(sim::Seconds(6));
+  EXPECT_GT(rs_->TrueStaleness(1), sim::Seconds(1));
+  EXPECT_LT(rs_->TrueStaleness(2), sim::Millis(100));
+  // Healthy speed again: node 1 drains its backlog once the write stream
+  // ends at t = 8 s.
+  rs_->SetApplyThrottle(1, 1.0);
+  loop_.RunUntil(sim::Seconds(20));
+  EXPECT_EQ(rs_->TrueStaleness(1), 0);
+  EXPECT_EQ(rs_->node(1).last_applied().seq, rs_->primary().last_applied().seq);
+}
+
 TEST_F(ReplicaSetTest, GetMoreBlockedDuringLongCheckpointCausesSawtooth) {
   ReplicaSetParams params;
   params.getmore_block_threshold = sim::Seconds(3);
