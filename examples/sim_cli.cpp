@@ -4,7 +4,7 @@
 //
 // Usage:
 //   sim_cli [--workload=ycsb-a|ycsb-b|tpcc] [--system=decongestant|
-//           primary|secondary] [--scenario=fig2|fig3|fig9] [--clients=N]
+//           primary|secondary] [--scenario=NAME] [--clients=N]
 //           [--duration=SECONDS] [--warmup=SECONDS] [--seed=N]
 //           [--stale-bound=SECONDS]
 //           [--controller=decongestant|proportional|cpq|aoi|pid]
@@ -18,14 +18,17 @@
 //           [--report-out=PATH]
 //           [--explain-balancer] [--shards=N] [--shard-key=hashed|ranged]
 //
-// --scenario loads a paper-figure preset (workload, phase schedule, seed,
-//   duration) so the bake-off and CI can invoke figures by name:
+// --scenario loads the base run of a paper scenario (exp/scenario.h, the
+//   table `paper_claims --scenario=NAME` runs) so the bake-off and CI can
+//   invoke figures by name: workload, phase schedule, seed, duration and
+//   knobs. Any entry with one base run works, e.g.
 //     fig2  YCSB-A -> YCSB-B read-ratio jump (45 clients, switch at 69 %
 //           of the run, summary over the post-switch phase)
 //     fig3  load drop: YCSB-B 45 clients -> YCSB-A 5 clients at 33 %
 //     fig9  TPC-C with StaleBound 10 s (checkpoint-stall sawtooth)
-//   Later flags override preset values; phase-switch and warmup times
-//   scale with the final --duration, so short CI runs keep the shape.
+//   Later flags override the scenario's values; phase-switch and warmup
+//   times scale with the final --duration, and later phases' client
+//   counts keep their ratio to --clients, so short CI runs keep the shape.
 // --controller picks the Balance Fraction strategy (the controller
 //   bake-off): "decongestant" is the paper's Algorithm 1 step law
 //   (default, alias "step"), "proportional" its §6 sketch, "cpq" a
@@ -111,6 +114,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,6 +122,7 @@
 #include "exp/csv_export.h"
 #include "exp/experiment.h"
 #include "exp/report_builder.h"
+#include "exp/scenario.h"
 #include "fault/fault_injector.h"
 #include "obs/decision_log.h"
 #include "obs/report.h"
@@ -139,42 +144,10 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   std::exit(2);
 }
 
-/// A paper-figure preset: everything in *fractions* of the run duration,
-/// so `--scenario=fig2 --duration=240` replays the Fig. 2 shape at CI
-/// scale. Client counts use the bench suite's paper/4 scaling.
-struct ScenarioPreset {
-  const char* workload;
-  uint64_t seed;
-  double duration_s;
-  double warmup_frac;       // warmup = warmup_frac * duration
-  int clients;
-  double phase0_read_prop;  // YCSB only
-  // Optional second phase (switch_frac < 0 disables).
-  double switch_frac = -1;
-  int phase1_clients = 0;
-  double phase1_read_prop = 0;
-  int64_t stale_bound_s = -1;  // -1: leave the default
-};
-
-bool LookupScenario(const std::string& name, ScenarioPreset* out) {
-  if (name == "fig2") {
-    // Fig. 2: YCSB-A (50 % reads) -> YCSB-B (95 %) at 620/900 s.
-    *out = {"ycsb-a", 42, 900, 660.0 / 900, 45, 0.5, 620.0 / 900, 45, 0.95};
-    return true;
-  }
-  if (name == "fig3") {
-    // Fig. 3: YCSB-B with 45 clients -> YCSB-A with 5 at 230/700 s.
-    *out = {"ycsb-b", 43, 700, 100.0 / 700, 45, 0.95, 230.0 / 700, 5, 0.5};
-    return true;
-  }
-  if (name == "fig9") {
-    // Fig. 9: read-write TPC-C, StaleBound 10 s, checkpoint sawtooth.
-    ScenarioPreset p = {"tpcc", 49, 400, 60.0 / 400, 15, 0.5};
-    p.stale_bound_s = 10;
-    *out = p;
-    return true;
-  }
-  return false;
+/// The --workload value naming a scenario's base workload.
+const char* WorkloadFlag(const dcg::exp::ExperimentConfig& config) {
+  if (config.kind == dcg::exp::WorkloadKind::kTpcc) return "tpcc";
+  return config.phases[0].ycsb_read_proportion >= 0.95 ? "ycsb-b" : "ycsb-a";
 }
 
 /// The decision a period's balancer column shows, from the period's
@@ -212,24 +185,21 @@ int main(int argc, char** argv) {
   std::string controller = "decongestant";
   std::string shard_key = "hashed";
 
-  // Scenario presets apply first so every later flag can override them.
-  ScenarioPreset scenario{};
-  bool scenario_active = false;
+  // A scenario's base run applies first; every later flag overrides it.
+  std::optional<exp::Scenario> scenario;
   bool warmup_given = false;
   int clients_given = -1;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (!ParseFlag(argv[i], "scenario", &value)) continue;
-    if (!LookupScenario(value, &scenario)) {
-      Usage("unknown --scenario (fig2 | fig3 | fig9)");
+    scenario = exp::FindScenario(value);
+    if (!scenario || !scenario->config) {
+      Usage(
+          "unknown --scenario (a paper_claims scenario with one base run, "
+          "e.g. fig2 | fig3 | fig9)");
     }
-    scenario_active = true;
-    workload = scenario.workload;
-    config.seed = scenario.seed;
-    config.duration = sim::Seconds(scenario.duration_s);
-    if (scenario.stale_bound_s >= 0) {
-      config.balancer.stale_bound_seconds = scenario.stale_bound_s;
-    }
+    config = *scenario->config;
+    workload = WorkloadFlag(config);
   }
   std::string csv_prefix;
   std::string fault_spec;
@@ -253,8 +223,9 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "scenario", &value)) {
       // Applied in the pre-pass above.
     } else if (ParseFlag(argv[i], "clients", &value)) {
-      config.phases[0].clients = std::atoi(value.c_str());
-      clients_given = config.phases[0].clients;
+      clients_given = std::atoi(value.c_str());
+      if (clients_given < 0) Usage("--clients needs a non-negative count");
+      config.phases[0].clients = clients_given;
     } else if (ParseFlag(argv[i], "duration", &value)) {
       config.duration = sim::Seconds(std::atof(value.c_str()));
     } else if (ParseFlag(argv[i], "warmup", &value)) {
@@ -280,6 +251,9 @@ int main(int argc, char** argv) {
           sim::Millis(std::atof(value.c_str()));
     } else if (ParseFlag(argv[i], "max-pool-size", &value)) {
       config.client_options.pool.max_pool_size = std::atoi(value.c_str());
+      if (config.client_options.pool.max_pool_size < 0) {
+        Usage("--max-pool-size needs a non-negative size");
+      }
     } else if (ParseFlag(argv[i], "wait-queue-timeout", &value)) {
       config.client_options.pool.wait_queue_timeout =
           sim::Millis(std::atof(value.c_str()));
@@ -341,32 +315,17 @@ int main(int argc, char** argv) {
     config.phases[0].ycsb_read_proportion = 0.95;
   } else if (workload == "tpcc") {
     config.kind = exp::WorkloadKind::kTpcc;
-    config.server.checkpoint_disk_bw = 2.0e6;
+    config.server.checkpoint_disk_bw = exp::kTpccCheckpointDiskBw;
   } else {
     Usage("unknown --workload");
   }
 
-  if (scenario_active) {
-    // Rebuild the phase schedule from the preset fractions against the
-    // *final* duration, so `--duration` overrides scale the whole shape.
-    const double duration_s = sim::ToSeconds(config.duration);
-    const int clients0 =
-        clients_given > 0 ? clients_given : scenario.clients;
-    config.phases = {{0, clients0, scenario.phase0_read_prop}};
-    if (scenario.switch_frac >= 0) {
-      // Keep a user --clients override proportional across the switch.
-      int clients1 = scenario.phase1_clients;
-      if (clients_given > 0 && scenario.clients > 0) {
-        clients1 = std::max(
-            1, clients_given * scenario.phase1_clients / scenario.clients);
-      }
-      config.phases.push_back({sim::Seconds(duration_s *
-                                            scenario.switch_frac),
-                               clients1, scenario.phase1_read_prop});
-    }
-    if (!warmup_given) {
-      config.warmup = sim::Seconds(duration_s * scenario.warmup_frac);
-    }
+  if (scenario) {
+    // Stretch the scenario's shape to the *final* duration and clients.
+    const exp::ExperimentConfig shaped =
+        exp::Rescale(*scenario->config, config.duration, clients_given);
+    config.phases = shaped.phases;
+    if (!warmup_given) config.warmup = shaped.warmup;
   }
 
   if (system == "decongestant") {

@@ -24,9 +24,9 @@ int main() {
   config.duration = sim::Seconds(360);
   config.warmup = sim::Seconds(60);
   config.balancer.stale_bound_seconds = kBudgetSeconds;
-  // A slow checkpoint disk makes replication stall periodically — the
-  // hostile regime for a tight freshness budget.
-  config.server.checkpoint_disk_bw = 2.0e6;
+  // The TPC-C disk profile: a slow checkpoint disk makes replication
+  // stall periodically — the hostile regime for a tight freshness budget.
+  config.server.checkpoint_disk_bw = exp::kTpccCheckpointDiskBw;
 
   std::printf("read-write TPC-C, 40 clients, staleness budget %lld s...\n",
               static_cast<long long>(kBudgetSeconds));

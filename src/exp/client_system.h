@@ -16,8 +16,8 @@ namespace dcg::exp {
 /// Read Balancer that sees only its own clients' latencies and its own
 /// pings. Nothing is shared between client systems except the database:
 /// this is the paper's decentralisation claim ("it uses only client
-/// observations"), and `bench_ext_multiclient` checks that independent
-/// balancers still converge to compatible Balance Fractions.
+/// observations"), and the ext_multiclient scenario checks that
+/// independent balancers still converge to compatible Balance Fractions.
 class ClientSystem {
  public:
   ClientSystem(sim::EventLoop* loop, sim::Rng rng, repl::ReplicaSet* rs,

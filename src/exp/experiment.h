@@ -113,6 +113,12 @@ struct ExperimentConfig {
   sim::Duration rtt_jitter = sim::Micros(40);
 };
 
+/// The TPC-C disk profile: checkpoint flush bandwidth in bytes/s (a tenth
+/// of ServerParams' default). The paper's TPC-C runs saturate EBS during
+/// checkpoints (§4.5), which is what produces the >15 s flushes that
+/// stall getMore and grow staleness past the bound.
+inline constexpr double kTpccCheckpointDiskBw = 2.0e6;
+
 /// Per-report-period measurements — one row per 10 s, matching the time
 /// series the paper's figures plot. Every other per-period signal lives
 /// in the metrics registry (MetricsRegistry::PerPeriod), sampled in the

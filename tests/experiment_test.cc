@@ -4,6 +4,8 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 
 #include "exp/csv_export.h"
 #include "exp/experiment.h"
+#include "exp/scenario.h"
 
 namespace dcg::exp {
 namespace {
@@ -349,6 +352,57 @@ TEST(ExperimentTest, SWorkloadCausesLittleInterference) {
   const double t_with = a.Summarize().read_throughput;
   const double t_without = b.Summarize().read_throughput;
   EXPECT_NEAR(t_with / t_without, 1.0, 0.05);
+}
+
+TEST(ScenarioTest, NamesAreUniqueAndLookupReturnsThePaperRun) {
+  std::set<std::string> names;
+  for (const Scenario& scenario : Scenarios()) {
+    EXPECT_TRUE(names.insert(scenario.name).second) << scenario.name;
+  }
+  EXPECT_EQ(names.size(), 21u);
+  EXPECT_FALSE(FindScenario("fig12").has_value());
+
+  const std::optional<Scenario> fig2 = FindScenario("fig2");
+  ASSERT_TRUE(fig2.has_value() && fig2->config.has_value());
+  const ExperimentConfig& config = *fig2->config;
+  EXPECT_EQ(config.seed, 42u);
+  EXPECT_EQ(config.duration, sim::Seconds(900));
+  ASSERT_EQ(config.phases.size(), 2u);
+  EXPECT_EQ(config.phases[1].at, sim::Seconds(620));
+  EXPECT_EQ(config.phases[0].clients, 45);
+  EXPECT_EQ(config.phases[1].clients, 45);
+}
+
+TEST(ScenarioTest, RescaleKeepsTheShareOfEachSwitch) {
+  // Each switch and the warmup keep their share of the run, computed in
+  // the order sim_cli's --duration scaling always used, so short runs
+  // keep their exact instants.
+  const ExperimentConfig fig2 =
+      Rescale(*FindScenario("fig2")->config, sim::Seconds(240), -1);
+  EXPECT_EQ(fig2.duration, sim::Seconds(240));
+  EXPECT_EQ(fig2.phases[1].at, sim::Seconds(240 * (620.0 / 900)));
+  EXPECT_EQ(fig2.warmup, sim::Seconds(240 * (660.0 / 900)));
+  EXPECT_EQ(fig2.phases[1].clients, 45);
+
+  const ExperimentConfig fig3 =
+      Rescale(*FindScenario("fig3")->config, sim::Seconds(700), 20);
+  EXPECT_EQ(fig3.phases[0].clients, 20);
+  EXPECT_EQ(fig3.phases[1].clients, 2);  // 20 * 5 / 45
+  EXPECT_EQ(fig3.phases[1].at, sim::Seconds(700 * (230.0 / 700)));
+  EXPECT_EQ(fig3.warmup, sim::Seconds(700 * (100.0 / 700)));
+}
+
+TEST(ScenarioTest, FailedClaimIsReported) {
+  // The path that sets paper_claims' exit status, without a simulation.
+  const auto body = [](const Scenario&, Claims& claims) {
+    claims.Claim("holds", true);
+    claims.Claim("never holds", false);
+  };
+  const Scenario scenario{"failing", "Test", "one claim holds, one does not",
+                          std::nullopt, body};
+  const std::vector<std::string> failed = RunScenario(scenario);
+  ASSERT_GT(failed.size(), 0u);
+  EXPECT_EQ(failed, std::vector<std::string>{"never holds"});
 }
 
 }  // namespace
