@@ -29,6 +29,9 @@
 //   Later flags override the scenario's values; phase-switch and warmup
 //   times scale with the final --duration, and later phases' client
 //   counts keep their ratio to --clients, so short CI runs keep the shape.
+// --duration must cover at least one 10 s report period, checked after
+//   --scenario rescaling; a shorter or non-positive run is a usage error
+//   (exit 2).
 // --controller picks the Balance Fraction strategy (the controller
 //   bake-off): "decongestant" is the paper's Algorithm 1 step law
 //   (default, alias "step"), "proportional" its §6 sketch, "cpq" a
@@ -326,6 +329,11 @@ int main(int argc, char** argv) {
         exp::Rescale(*scenario->config, config.duration, clients_given);
     config.phases = shaped.phases;
     if (!warmup_given) config.warmup = shaped.warmup;
+  }
+  // A run shorter than one report period prints no period and an all-zero
+  // summary.
+  if (config.duration <= 0 || config.duration < config.report_period) {
+    Usage("--duration must cover at least one report period (10 s)");
   }
 
   if (system == "decongestant") {

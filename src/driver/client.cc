@@ -134,9 +134,10 @@ void MongoClient::StalenessLoop() {
                        [this] { StalenessLoop(); });
 }
 
-std::vector<int> MongoClient::EligibleSecondaries() {
+std::vector<int>& MongoClient::EligibleSecondaries() {
   const int primary = believed_primary_;
-  std::vector<int> eligible;
+  std::vector<int>& eligible = eligible_;
+  eligible.clear();
   sim::Duration min_rtt = std::numeric_limits<sim::Duration>::max();
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary || !servers_[i].reachable) continue;
@@ -181,7 +182,7 @@ int MongoClient::SelectNode(ReadPreference pref, int exclude) {
       primary != exclude) {
     return primary;
   }
-  std::vector<int> candidates = EligibleSecondaries();
+  std::vector<int>& candidates = EligibleSecondaries();
   const auto excluded =
       std::find(candidates.begin(), candidates.end(), exclude);
   if (excluded != candidates.end()) {
@@ -238,7 +239,7 @@ void MongoClient::Write(server::OpClass op_class, proto::TxnBody body,
   BeginOp(std::move(op), std::move(opts));
 }
 
-uint64_t MongoClient::BeginOp(PendingOp op, OpOptions opts) {
+uint64_t MongoClient::BeginOp(PendingOp&& op, OpOptions opts) {
   const uint64_t op_id = next_op_id_++;
   op.start = loop_->Now();
   if (tracing()) op.op_span = tracer_->NewSpanId();
@@ -261,15 +262,15 @@ uint64_t MongoClient::BeginOp(PendingOp op, OpOptions opts) {
     op.deadline_timer =
         loop_->ScheduleAfter(deadline, [this, op_id] { OnDeadline(op_id); });
   }
-  pending_[op_id] = std::move(op);
+  ops_.Insert(op_id, std::move(op));
   StartAttempt(op_id);
   return op_id;
 }
 
 void MongoClient::StartAttempt(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr) return;
+  PendingOp& op = *found;
   op.backoff_timer = 0;
   int node = kNoNode;
   if (op.is_read()) {
@@ -313,16 +314,16 @@ void MongoClient::StartAttempt(uint64_t op_id) {
 
 void MongoClient::OnCheckout(uint64_t op_id, int node, int attempt,
                              const pool::ConnectionPool::Checkout& co) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end() || it->second.main.node != node ||
-      it->second.attempts_sent != attempt) {
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr || found->main.node != node ||
+      found->attempts_sent != attempt) {
     // The op moved on while this checkout sat in the wait queue (completed
     // via a hedge, failed over, hit its deadline): the unused connection
     // goes straight back to the pool.
     if (co.ok) pools_[node]->CheckIn(co.conn_id);
     return;
   }
-  PendingOp& op = it->second;
+  PendingOp& op = *found;
   RecordCheckoutSpan(op_id, op, /*is_hedge=*/false, co.ok);
   if (!co.ok) {
     // waitQueueTimeoutMS fired: the pool is saturated. The failed
@@ -361,8 +362,12 @@ proto::Command MongoClient::MakeCommand(uint64_t op_id, const PendingOp& op,
 
 void MongoClient::ArmAttemptTimers(uint64_t op_id, PendingOp* op) {
   if (options_.attempt_timeout > 0) {
-    op->attempt_timer = loop_->ScheduleAfter(
-        options_.attempt_timeout, [this, op_id] { OnAttemptTimeout(op_id); });
+    op->attempt_armed = true;
+    ++armed_attempts_;
+    TrimAttemptDeadlines();
+    attempt_deadlines_.push_back(
+        {loop_->Now() + options_.attempt_timeout, op_id, op->attempts_sent});
+    if (attempt_sweep_ == 0) ScheduleAttemptSweep();
   }
   if (op->is_read() && options_.hedged_reads && op->hedge_eligible &&
       op->pref != ReadPreference::kPrimary && op->attempts_sent == 1) {
@@ -371,8 +376,65 @@ void MongoClient::ArmAttemptTimers(uint64_t op_id, PendingOp* op) {
   }
 }
 
+void MongoClient::DisarmAttempt(PendingOp* op) {
+  if (!op->attempt_armed) return;
+  op->attempt_armed = false;
+  if (--armed_attempts_ > 0) return;
+  // Nothing armed: every queued entry is dead, and so is the sweep.
+  loop_->Cancel(attempt_sweep_);
+  attempt_sweep_ = 0;
+  attempt_deadlines_.clear();
+  deadline_head_ = 0;
+}
+
+MongoClient::PendingOp* MongoClient::ArmedOp(const AttemptDeadline& entry) {
+  PendingOp* op = ops_.Find(entry.op_id);
+  if (op == nullptr || !op->attempt_armed ||
+      op->attempts_sent != entry.attempt) {
+    return nullptr;
+  }
+  return op;
+}
+
+void MongoClient::TrimAttemptDeadlines() {
+  while (deadline_head_ < attempt_deadlines_.size() &&
+         ArmedOp(attempt_deadlines_[deadline_head_]) == nullptr) {
+    ++deadline_head_;
+  }
+  // Reclaim the consumed prefix once it is the larger part of the vector:
+  // amortised O(1) per entry, and the vector's capacity is reused.
+  if (deadline_head_ * 2 >= attempt_deadlines_.size()) {
+    attempt_deadlines_.erase(attempt_deadlines_.begin(),
+                             attempt_deadlines_.begin() +
+                                 static_cast<std::ptrdiff_t>(deadline_head_));
+    deadline_head_ = 0;
+  }
+}
+
+void MongoClient::SweepAttemptDeadlines() {
+  // The fired id stays in attempt_sweep_ while the due entries run, so an
+  // attempt armed from inside a retry (a done callback issuing a new op)
+  // queues behind them instead of scheduling a second sweep.
+  const sim::EventId fired = attempt_sweep_;
+  const sim::Time now = loop_->Now();
+  while (deadline_head_ < attempt_deadlines_.size() &&
+         attempt_deadlines_[deadline_head_].at <= now) {
+    const AttemptDeadline due = attempt_deadlines_[deadline_head_++];
+    if (ArmedOp(due) != nullptr) RetryAttempt(due.op_id);  // disarms first
+  }
+  // A disarm that emptied the queue also cleared attempt_sweep_ (and an
+  // attempt armed after it scheduled a fresh sweep).
+  if (attempt_sweep_ == fired) ScheduleAttemptSweep();
+}
+
+void MongoClient::ScheduleAttemptSweep() {
+  TrimAttemptDeadlines();
+  attempt_sweep_ = loop_->ScheduleAt(attempt_deadlines_[deadline_head_].at,
+                                     [this] { SweepAttemptDeadlines(); });
+}
+
 void MongoClient::EnqueueInBatch(uint64_t op_id, int node) {
-  PendingOp& op = pending_.find(op_id)->second;
+  PendingOp& op = *ops_.Find(op_id);
   op.buffered = true;
   NodeBatcher& batcher = batchers_[node];
   if (batcher.buffered.empty()) batcher.first_enqueue = loop_->Now();
@@ -420,9 +482,9 @@ void MongoClient::FlushBatch(int node) {
   std::vector<BatchEntry> batch;
   batch.reserve(batcher.buffered.size());
   for (uint64_t id : batcher.buffered) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) continue;
-    batch.push_back({id, it->second.attempts_sent});
+    const PendingOp* op = ops_.Find(id);
+    if (op == nullptr) continue;
+    batch.push_back({id, op->attempts_sent});
   }
   batcher.buffered.clear();
   const sim::Time flush_start = batcher.first_enqueue;
@@ -447,11 +509,9 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
   std::vector<uint64_t> live;
   live.reserve(batch.size());
   for (const BatchEntry& entry : batch) {
-    auto it = pending_.find(entry.op_id);
-    if (it == pending_.end()) continue;
-    const PendingOp& op = it->second;
-    if (!op.buffered || op.main.node != node ||
-        op.attempts_sent != entry.attempt) {
+    const PendingOp* op = ops_.Find(entry.op_id);
+    if (op == nullptr || !op->buffered || op->main.node != node ||
+        op->attempts_sent != entry.attempt) {
       continue;
     }
     live.push_back(entry.op_id);
@@ -482,7 +542,7 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
   proto::Envelope envelope;
   envelope.commands.reserve(live.size());
   for (uint64_t id : live) {
-    PendingOp& op = pending_.find(id)->second;
+    PendingOp& op = *ops_.Find(id);
     op.buffered = false;
     op.envelope_id = envelope_id;
     op.checkout_wait += co.wait;
@@ -497,7 +557,7 @@ void MongoClient::OnEnvelopeCheckout(int node, std::vector<BatchEntry> batch,
     // shared checkout, enqueue → wire send. The first survivor may have
     // enqueued after the (since-departed) op that opened the buffer, so
     // clamp the start inside its attempt span.
-    const PendingOp& first = pending_.find(live.front())->second;
+    const PendingOp& first = *ops_.Find(live.front());
     if (first.main.span != 0) {
       obs::SpanRecord span;
       span.trace_id = TraceId(live.front(), first);
@@ -544,9 +604,9 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
   // hello piggyback refreshing the topology view.
   MarkHeard(reply.node_index);
   AdoptTopology(reply.hello);
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;  // hedge loser / superseded attempt
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr) return;  // hedge loser / superseded attempt
+  PendingOp& op = *found;
   if (tracing() && reply.conn_id != 0 &&
       (reply.conn_id == op.main.conn_id || reply.conn_id == op.hedge.conn_id ||
        reply.conn_id == EnvelopeConn(op))) {
@@ -599,24 +659,17 @@ void MongoClient::OnReply(uint64_t op_id, const proto::Reply& reply) {
   FinishOp(op_id, &reply);
 }
 
-void MongoClient::OnAttemptTimeout(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  it->second.attempt_timer = 0;
-  RetryAttempt(op_id);
-}
-
 void MongoClient::OnDeadline(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  it->second.deadline_timer = 0;
+  PendingOp* op = ops_.Find(op_id);
+  if (op == nullptr) return;
+  op->deadline_timer = 0;
   FinishOp(op_id, nullptr, /*timed_out=*/true);
 }
 
 void MongoClient::OnHedgeTimer(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr) return;
+  PendingOp& op = *found;
   op.hedge_timer = 0;
   // Next-best eligible secondary by RTT, avoiding the outstanding
   // attempt's node. Deterministic — hedging must not perturb the main
@@ -643,14 +696,14 @@ void MongoClient::OnHedgeTimer(uint64_t op_id) {
 
 void MongoClient::OnHedgeCheckout(uint64_t op_id, int node, int attempt,
                                   const pool::ConnectionPool::Checkout& co) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end() || it->second.attempts_sent != attempt ||
-      it->second.hedge.conn_id != 0) {
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr || found->attempts_sent != attempt ||
+      found->hedge.conn_id != 0) {
     // Op finished or retried while the checkout queued: hedge abandoned.
     if (co.ok) pools_[node]->CheckIn(co.conn_id);
     return;
   }
-  PendingOp& op = it->second;
+  PendingOp& op = *found;
   op.hedge.node = node;
   RecordCheckoutSpan(op_id, op, /*is_hedge=*/true, co.ok);
   if (!co.ok) {
@@ -671,13 +724,10 @@ void MongoClient::OnHedgeCheckout(uint64_t op_id, int node, int attempt,
 }
 
 void MongoClient::RetryAttempt(uint64_t op_id) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp& op = it->second;
-  if (op.attempt_timer != 0) {
-    loop_->Cancel(op.attempt_timer);
-    op.attempt_timer = 0;
-  }
+  PendingOp* found = ops_.Find(op_id);
+  if (found == nullptr) return;
+  PendingOp& op = *found;
+  DisarmAttempt(&op);
   // The abandoned attempt's reply may still arrive after we stop
   // listening — the socket is desynchronised, so destroy it (real
   // drivers close the connection on a command timeout).
@@ -768,10 +818,8 @@ void MongoClient::CloseOpSpans(uint64_t op_id, PendingOp* op, bool ok,
 
 void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
                            bool timed_out, bool stale_config) {
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  PendingOp op = std::move(it->second);
-  pending_.erase(it);
+  if (ops_.Find(op_id) == nullptr) return;
+  PendingOp op = ops_.Take(op_id);
   const bool ok = reply != nullptr;
   const uint64_t healthy_conn = ok ? reply->conn_id : 0;
   CancelOpTimers(&op);
@@ -821,10 +869,7 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
 }
 
 void MongoClient::CancelOpTimers(PendingOp* op) {
-  if (op->attempt_timer != 0) {
-    loop_->Cancel(op->attempt_timer);
-    op->attempt_timer = 0;
-  }
+  DisarmAttempt(op);
   if (op->deadline_timer != 0) {
     loop_->Cancel(op->deadline_timer);
     op->deadline_timer = 0;
@@ -859,14 +904,16 @@ void MongoClient::AbortAttemptsOn(int node) {
   // no later checkout reuses a socket that was open to the failed server.
   pools_[node]->Clear();
   std::vector<uint64_t> affected;
-  for (auto& [op_id, op] : pending_) {
-    if (op.hedge.conn_id != 0 && op.hedge.node == node) {
+  for (uint64_t op_id : ops_.Ids()) {
+    PendingOp* op = ops_.Find(op_id);
+    if (op == nullptr) continue;
+    if (op->hedge.conn_id != 0 && op->hedge.node == node) {
       // Hedge outstanding against the dead node: drop its connection but
       // leave the op alone — the main attempt may still answer.
-      ReleaseArmConnection(&op.hedge, /*healthy_conn=*/0);
-      op.hedge.node = kNoNode;
+      ReleaseArmConnection(&op->hedge, /*healthy_conn=*/0);
+      op->hedge.node = kNoNode;
     }
-    if (op.main.node == node) affected.push_back(op_id);
+    if (op->main.node == node) affected.push_back(op_id);
   }
   // RetryAttempt may erase ops (budget spent) and their callbacks may
   // start new ones — mutate only after the scan.
@@ -958,25 +1005,28 @@ void MongoClient::PingNode(int node,
   // so only a served kPing counts as the node being up. The client-side
   // timer keeps the exactly-one-callback contract when the command (or
   // its reply) is silently lost.
-  const sim::Time start = loop_->Now();
-  auto settled = std::make_shared<bool>(false);
-  auto cb =
-      std::make_shared<std::function<void(bool, sim::Duration)>>(
-          std::move(done));
-  const sim::EventId timer =
-      loop_->ScheduleAfter(options_.ping_timeout, [settled, cb] {
-        if (*settled) return;
-        *settled = true;
-        (*cb)(false, 0);
-      });
+  struct Probe {
+    std::function<void(bool, sim::Duration)> done;
+    sim::Time start = 0;
+    sim::EventId timer = 0;
+    bool settled = false;
+  };
+  auto probe = std::make_shared<Probe>();
+  probe->done = std::move(done);
+  probe->start = loop_->Now();
+  probe->timer = loop_->ScheduleAfter(options_.ping_timeout, [probe] {
+    if (probe->settled) return;
+    probe->settled = true;
+    probe->done(false, 0);
+  });
   proto::Command cmd;
   cmd.kind = proto::CommandKind::kPing;
   cmd.reply_to = client_host_;
-  cmd.on_reply = [this, start, settled, cb, timer](const proto::Reply&) {
-    if (*settled) return;
-    *settled = true;
-    loop_->Cancel(timer);
-    (*cb)(true, loop_->Now() - start);
+  cmd.on_reply = [this, probe](const proto::Reply&) {
+    if (probe->settled) return;
+    probe->settled = true;
+    loop_->Cancel(probe->timer);
+    probe->done(true, loop_->Now() - probe->start);
   };
   bus_->Send(client_host_, servers_[node].host, std::move(cmd));
 }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "driver/op_table.h"
 #include "driver/pool/connection_pool.h"
 #include "driver/read_preference.h"
 #include "metrics/histogram.h"
@@ -306,7 +307,7 @@ class MongoClient {
   /// Logical ops currently in flight, in any state. Tests and the chaos
   /// harness pair this with buffered_op_count() to assert the coalescing
   /// buffers drain — no op is silently parked forever.
-  size_t pending_op_count() const { return pending_.size(); }
+  size_t pending_op_count() const { return ops_.size(); }
   /// Ops currently sitting in a coalescing buffer awaiting a flush.
   size_t buffered_op_count() const;
 
@@ -384,7 +385,9 @@ class MongoClient {
     /// Accumulated pool checkout wait across every attempt of this op.
     sim::Duration checkout_wait = 0;
     bool hedged = false;
-    sim::EventId attempt_timer = 0;
+    /// The outstanding attempt has a live entry in the attempt-deadline
+    /// queue. Clearing it disarms the entry; the queue drops it lazily.
+    bool attempt_armed = false;
     sim::EventId deadline_timer = 0;
     sim::EventId backoff_timer = 0;
     sim::EventId hedge_timer = 0;
@@ -398,14 +401,25 @@ class MongoClient {
     }
   };
 
+  /// One attempt's timeout: the attempt `attempt` (1-based) of op `op_id`
+  /// gives up at `at` unless disarmed first.
+  struct AttemptDeadline {
+    sim::Time at = 0;
+    uint64_t op_id = 0;
+    int attempt = 0;
+  };
+
   void HelloLoop();
   void ProbeLoop();
   void StalenessLoop();
-  std::vector<int> EligibleSecondaries();
+  /// The reachable non-primary nodes inside the latency window (and under
+  /// maxStaleness), in node order. Refills and returns one scratch vector,
+  /// valid until the next call.
+  std::vector<int>& EligibleSecondaries();
 
   /// Files the op under a fresh id, fills in the per-op parts of its
   /// request from `opts`, arms its deadline and starts its first attempt.
-  uint64_t BeginOp(PendingOp op, OpOptions opts);
+  uint64_t BeginOp(PendingOp&& op, OpOptions opts);
   void StartAttempt(uint64_t op_id);
   /// Checkout completion for attempt number `attempt` targeting `node`;
   /// sends the command, or retries on a wait-queue timeout. Returns the
@@ -413,16 +427,30 @@ class MongoClient {
   void OnCheckout(uint64_t op_id, int node, int attempt,
                   const pool::ConnectionPool::Checkout& co);
   /// Ships the attempt's command over its checked-out connection and arms
-  /// the attempt/hedge timers.
+  /// its attempt deadline and hedge timer.
   void SendAttempt(uint64_t op_id, PendingOp* op);
   /// The wire command for one arm of the op: a copy of its request stamped
   /// with the op id, attempt number, arm, connection and (tracing on) the
   /// arm's span and send instant.
   proto::Command MakeCommand(uint64_t op_id, const PendingOp& op,
                              bool is_hedge, uint64_t conn_id);
-  /// Arms a just-sent attempt's timeout and, on the first attempt of a
+  /// Arms a just-sent attempt's deadline and, on the first attempt of a
   /// hedgeable read, its hedge timer.
   void ArmAttemptTimers(uint64_t op_id, PendingOp* op);
+  /// The op whose attempt `entry` times out, or nullptr when the entry was
+  /// disarmed (the op finished, moved to a later attempt, or got a reply).
+  PendingOp* ArmedOp(const AttemptDeadline& entry);
+  /// Disarms the op's outstanding attempt deadline, if armed. The last
+  /// disarm empties the deadline queue and cancels the sweep event.
+  void DisarmAttempt(PendingOp* op);
+  /// The sweep event: retries every armed attempt whose deadline is now,
+  /// in queue order, then re-arms at the next armed deadline.
+  void SweepAttemptDeadlines();
+  /// Schedules the sweep at the earliest armed deadline (some attempt must
+  /// be armed).
+  void ScheduleAttemptSweep();
+  /// Drops disarmed entries from the head of the deadline queue.
+  void TrimAttemptDeadlines();
   /// (op id, attempt ordinal) captured at flush time: the attempt may be
   /// superseded while the envelope's shared checkout sits in the pool's
   /// wait queue, and a stale rider must not ship twice.
@@ -451,7 +479,6 @@ class MongoClient {
   void OnHedgeCheckout(uint64_t op_id, int node, int attempt,
                        const pool::ConnectionPool::Checkout& co);
   void OnReply(uint64_t op_id, const proto::Reply& reply);
-  void OnAttemptTimeout(uint64_t op_id);
   void OnDeadline(uint64_t op_id);
   void OnHedgeTimer(uint64_t op_id);
   /// Abandons the outstanding attempt and schedules the next one with
@@ -512,9 +539,26 @@ class MongoClient {
   uint64_t stepdown_pool_clears_ = 0;
   bool started_ = false;
 
-  // std::map: deterministic iteration (AbortAttemptsOn scans it).
-  std::map<uint64_t, PendingOp> pending_;
+  /// Every op in flight, by op id. AbortAttemptsOn visits them in id
+  /// order, so a pool clear retries them deterministically.
+  OpTable<PendingOp> ops_;
   uint64_t next_op_id_ = 1;
+
+  /// Attempt deadlines in arming order, live from `deadline_head_` on.
+  /// attempt_timeout is fixed per client, so arming order is deadline
+  /// order and the queue is a FIFO. Entries are never removed on disarm;
+  /// a disarmed one (its op gone, moved to a later attempt, or
+  /// attempt_armed cleared) is skipped when it reaches the head.
+  std::vector<AttemptDeadline> attempt_deadlines_;
+  size_t deadline_head_ = 0;
+  /// Attempts armed right now; the sweep event exists only while this is
+  /// nonzero.
+  size_t armed_attempts_ = 0;
+  /// The one loop event, due at or before the earliest armed deadline.
+  sim::EventId attempt_sweep_ = 0;
+
+  /// Scratch for EligibleSecondaries, reused so selection allocates nothing.
+  std::vector<int> eligible_;
 
   /// Per-node coalescing buffer (batching on; empty and event-free when
   /// batching is off). Indexed like servers_.
@@ -534,7 +578,7 @@ class MongoClient {
   };
 
   std::vector<NodeBatcher> batchers_;
-  // std::map: deterministic iteration, like pending_.
+  // Keyed by envelope id (batching only).
   std::map<uint64_t, InflightEnvelope> envelopes_;
   uint64_t next_envelope_id_ = 1;
   metrics::Histogram batch_occupancy_;

@@ -16,9 +16,24 @@ ConnectionPool::ConnectionPool(sim::EventLoop* loop, PoolOptions options)
                 "minPoolSize exceeds maxPoolSize");
 }
 
-void ConnectionPool::Deliver(CheckoutCallback done, uint64_t conn_id,
-                             sim::Duration wait) {
-  Connection& conn = connections_.at(conn_id);
+ConnectionPool::Connection& ConnectionPool::CheckedOutConnection(
+    uint64_t conn_id, const char* what) {
+  DCG_CHECK_MSG(
+      conn_id < connections_.size() && connections_[conn_id].checked_out,
+      what);
+  return connections_[conn_id];
+}
+
+uint64_t ConnectionPool::NewConnection(uint64_t generation) {
+  const uint64_t conn_id = connections_.size();
+  connections_.push_back(Connection{generation, /*checked_out=*/false});
+  ++stats_.established;
+  return conn_id;
+}
+
+ConnectionPool::Checkout ConnectionPool::Handout(uint64_t conn_id,
+                                                 sim::Duration wait) {
+  Connection& conn = connections_[conn_id];
   // The generation invariant: a connection is never handed out across a
   // clear. Stale connections are destroyed at checkout/check-in/establish
   // completion, so this counter staying 0 is the proof the chaos harness
@@ -33,21 +48,32 @@ void ConnectionPool::Deliver(CheckoutCallback done, uint64_t conn_id,
   result.conn_id = conn_id;
   result.generation = conn.generation;
   result.wait = wait;
-  done(result);
+  return result;
 }
 
-void ConnectionPool::CheckOut(CheckoutCallback done) {
+void ConnectionPool::Deliver(std::unique_ptr<Waiter> waiter,
+                             uint64_t conn_id) {
+  if (waiter->timeout_timer != 0) loop_->Cancel(waiter->timeout_timer);
+  waiter->done(Handout(conn_id, loop_->Now() - waiter->enqueued_at));
+}
+
+std::optional<ConnectionPool::Checkout> ConnectionPool::TryCheckOutNow() {
   // LIFO reuse of idle connections; stale ones (pre-clear) die here.
   while (!idle_.empty()) {
     const uint64_t conn_id = idle_.back().first;
     idle_.pop_back();
-    if (connections_.at(conn_id).generation != generation_) {
-      DestroyConnection(conn_id);
+    if (connections_[conn_id].generation != generation_) {
+      DestroyConnection();
       continue;
     }
-    Deliver(std::move(done), conn_id, 0);
-    return;
+    return Handout(conn_id, 0);
   }
+  if (AtCapacity() || options_.establish_cost != 0) return std::nullopt;
+  ++total_;  // free establishment completes on the spot
+  return Handout(NewConnection(generation_), 0);
+}
+
+void ConnectionPool::Wait(CheckoutCallback done) {
   auto waiter = std::make_unique<Waiter>();
   waiter->done = std::move(done);
   waiter->enqueued_at = loop_->Now();
@@ -98,60 +124,50 @@ void ConnectionPool::FinishEstablish(std::unique_ptr<Waiter> waiter,
     // may lead to a dead server, so the connection is closed on arrival
     // (driver-spec behaviour). A waiting checkout starts over under the
     // new generation, paying the establishment cost again.
-    --total_;
-    ++stats_.destroyed;
+    DestroyConnection();
     if (waiter != nullptr) Establish(std::move(waiter));
     return;
   }
-  const uint64_t conn_id = next_conn_id_++;
-  connections_[conn_id] = Connection{generation, /*checked_out=*/false};
-  ++stats_.established;
+  const uint64_t conn_id = NewConnection(generation);
   if (waiter != nullptr) {
-    if (waiter->timeout_timer != 0) loop_->Cancel(waiter->timeout_timer);
-    Deliver(std::move(waiter->done), conn_id,
-            loop_->Now() - waiter->enqueued_at);
+    Deliver(std::move(waiter), conn_id);
     return;
   }
   // Warm min-pool connection — idle unless someone is already queued.
   if (!wait_queue_.empty()) {
     std::unique_ptr<Waiter> next = std::move(wait_queue_.front());
     wait_queue_.pop_front();
-    if (next->timeout_timer != 0) loop_->Cancel(next->timeout_timer);
-    Deliver(std::move(next->done), conn_id, loop_->Now() - next->enqueued_at);
+    Deliver(std::move(next), conn_id);
     return;
   }
   idle_.emplace_back(conn_id, loop_->Now());
 }
 
 void ConnectionPool::CheckIn(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  DCG_CHECK_MSG(it != connections_.end() && it->second.checked_out,
-                "check-in of a connection not checked out");
-  it->second.checked_out = false;
+  Connection& conn = CheckedOutConnection(
+      conn_id, "check-in of a connection not checked out");
+  conn.checked_out = false;
   --checked_out_;
-  if (it->second.generation != generation_) {
+  if (conn.generation != generation_) {
     // Perished by a clear while in flight: destroy instead of reuse.
-    DestroyConnection(conn_id);
+    DestroyConnection();
     ServeQueue();  // the freed capacity slot can establish a fresh one
     return;
   }
   if (!wait_queue_.empty()) {
     std::unique_ptr<Waiter> next = std::move(wait_queue_.front());
     wait_queue_.pop_front();
-    if (next->timeout_timer != 0) loop_->Cancel(next->timeout_timer);
-    Deliver(std::move(next->done), conn_id, loop_->Now() - next->enqueued_at);
+    Deliver(std::move(next), conn_id);
     return;
   }
   idle_.emplace_back(conn_id, loop_->Now());
 }
 
 void ConnectionPool::Discard(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  DCG_CHECK_MSG(it != connections_.end() && it->second.checked_out,
-                "discard of a connection not checked out");
-  it->second.checked_out = false;
+  CheckedOutConnection(conn_id, "discard of a connection not checked out")
+      .checked_out = false;
   --checked_out_;
-  DestroyConnection(conn_id);
+  DestroyConnection();
   ServeQueue();
 }
 
@@ -159,7 +175,7 @@ void ConnectionPool::Clear() {
   ++generation_;
   ++stats_.clears;
   while (!idle_.empty()) {
-    DestroyConnection(idle_.back().first);
+    DestroyConnection();
     idle_.pop_back();
   }
   // Checked-out connections perish at check-in. Queued checkouts survive
@@ -168,8 +184,7 @@ void ConnectionPool::Clear() {
   ServeQueue();
 }
 
-void ConnectionPool::DestroyConnection(uint64_t conn_id) {
-  connections_.erase(conn_id);
+void ConnectionPool::DestroyConnection() {
   --total_;
   ++stats_.destroyed;
 }
@@ -179,15 +194,13 @@ void ConnectionPool::ServeQueue() {
     if (!idle_.empty()) {
       const uint64_t conn_id = idle_.back().first;
       idle_.pop_back();
-      if (connections_.at(conn_id).generation != generation_) {
-        DestroyConnection(conn_id);
+      if (connections_[conn_id].generation != generation_) {
+        DestroyConnection();
         continue;
       }
       std::unique_ptr<Waiter> next = std::move(wait_queue_.front());
       wait_queue_.pop_front();
-      if (next->timeout_timer != 0) loop_->Cancel(next->timeout_timer);
-      Deliver(std::move(next->done), conn_id,
-              loop_->Now() - next->enqueued_at);
+      Deliver(std::move(next), conn_id);
       continue;
     }
     if (AtCapacity()) return;
@@ -212,7 +225,7 @@ void ConnectionPool::MaintenanceLoop() {
     const sim::Time now = loop_->Now();
     while (!idle_.empty() && total_ > options_.min_pool_size &&
            now - idle_.front().second >= options_.max_idle_time) {
-      DestroyConnection(idle_.front().first);
+      DestroyConnection();
       idle_.pop_front();
     }
   }

@@ -4,9 +4,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/event_loop.h"
 #include "sim/time.h"
@@ -111,7 +112,17 @@ class ConnectionPool {
   /// connection (or free capacity with zero establishment cost) is
   /// available, otherwise later — after establishment, after a checked-out
   /// connection returns, or with ok=false at the wait-queue deadline.
-  void CheckOut(CheckoutCallback done);
+  /// `done` is any callable taking `const Checkout&`; it becomes a stored
+  /// CheckoutCallback only when the checkout has to wait, so a synchronous
+  /// checkout allocates nothing.
+  template <typename F>
+  void CheckOut(F&& done) {
+    if (std::optional<Checkout> co = TryCheckOutNow()) {
+      done(*co);
+      return;
+    }
+    Wait(CheckoutCallback(std::forward<F>(done)));
+  }
 
   /// Returns a healthy connection (the attempt got a reply). Stale-
   /// generation connections are destroyed instead of being reused.
@@ -149,6 +160,8 @@ class ConnectionPool {
   const PoolOptions& options() const { return options_; }
 
  private:
+  /// One slot of `connections_`, indexed by conn id. Ids are never
+  /// reused, so a destroyed connection's slot is never checked out again.
   struct Connection {
     uint64_t generation = 0;
     bool checked_out = false;
@@ -162,14 +175,31 @@ class ConnectionPool {
   bool AtCapacity() const {
     return options_.max_pool_size > 0 && total_ >= options_.max_pool_size;
   }
-  /// Hands `conn_id` to `done`, stamping wait/stats. The handout site —
+  /// The synchronous half of CheckOut: an idle connection, or a fresh one
+  /// when there is spare capacity and establishment is free. Nothing when
+  /// the checkout has to wait.
+  std::optional<Checkout> TryCheckOutNow();
+  /// The waiting half of CheckOut: establishes for `done` when there is
+  /// capacity, otherwise joins the FIFO wait queue.
+  void Wait(CheckoutCallback done);
+  /// Marks `conn_id` checked out and stamps wait/stats. The handout site —
   /// the generation invariant is checked here.
-  void Deliver(CheckoutCallback done, uint64_t conn_id, sim::Duration wait);
+  Checkout Handout(uint64_t conn_id, sim::Duration wait);
+  /// Hands the waiter the connection `conn_id` (timer cancelled, wait
+  /// measured from its enqueue instant).
+  void Deliver(std::unique_ptr<Waiter> waiter, uint64_t conn_id);
+  /// Files a new connection under the next conn id.
+  uint64_t NewConnection(uint64_t generation);
+  /// The checked-out connection `conn_id`; `DCG_CHECK`s (with `what`)
+  /// that the pool issued it and that it is checked out now.
+  Connection& CheckedOutConnection(uint64_t conn_id, const char* what);
   /// Begins establishing one connection for `waiter` (nullptr = a warm
   /// min-pool connection with no one waiting on it).
   void Establish(std::unique_ptr<Waiter> waiter);
   void FinishEstablish(std::unique_ptr<Waiter> waiter, uint64_t generation);
-  void DestroyConnection(uint64_t conn_id);
+  /// Closes one connection that has already left `idle_` and is not
+  /// checked out (its slot stays behind, never handed out again).
+  void DestroyConnection();
   /// A connection or capacity slot just freed: serve the FIFO wait queue.
   void ServeQueue();
   void MaintenanceLoop();
@@ -178,10 +208,11 @@ class ConnectionPool {
   PoolOptions options_;
 
   uint64_t generation_ = 0;
-  uint64_t next_conn_id_ = 1;
   int total_ = 0;        // idle + checked out + establishing
   int checked_out_ = 0;
-  std::map<uint64_t, Connection> connections_;
+  /// Every connection ever established, indexed by conn id (slot 0 unused).
+  /// Its size is the next conn id.
+  std::vector<Connection> connections_{1};
   /// Idle connections, most-recently-used at the back (LIFO reuse keeps
   /// hot connections hot; reaping scans from the front, the coldest end).
   std::deque<std::pair<uint64_t, sim::Time>> idle_;  // (conn, idle since)

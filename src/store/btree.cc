@@ -233,14 +233,19 @@ bool BTree::Insert(const Key& key, Payload payload) {
   return InsertImpl(key, std::move(payload), /*replaced=*/nullptr);
 }
 
-BTree::Payload BTree::Find(const Key& key) const {
+const BTree::Payload* BTree::Lookup(const Key& key) const {
   const KeyString encoded = KeyString::Encode(key);
   const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
   const size_t pos = LowerIndex(leaf, encoded);
   if (pos < leaf->size && leaf->keys[pos] == encoded) {
-    return leaf->payloads[pos];
+    return &leaf->payloads[pos];
   }
   return nullptr;
+}
+
+BTree::Payload BTree::Find(const Key& key) const {
+  const Payload* slot = Lookup(key);
+  return slot != nullptr ? *slot : nullptr;
 }
 
 void BTree::FindSorted(std::span<const KeyString> probes,
@@ -275,13 +280,8 @@ void BTree::FindSorted(std::span<const KeyString> probes,
 }
 
 BTree::Payload* BTree::FindSlot(const Key& key) {
-  const KeyString encoded = KeyString::Encode(key);
-  Leaf* leaf = DescendToLeaf(root_.get(), encoded);
-  const size_t pos = LowerIndex(leaf, encoded);
-  if (pos < leaf->size && leaf->keys[pos] == encoded) {
-    return &leaf->payloads[pos];
-  }
-  return nullptr;
+  // The tree is not const here, so neither is the slot Lookup found.
+  return const_cast<Payload*>(Lookup(key));
 }
 
 void BTree::FixUnderflow(Inner* parent, size_t child_idx) {

@@ -74,7 +74,9 @@ class BTree {
   /// `erased` when given.
   bool Erase(const Key& key, Payload* erased = nullptr);
 
-  bool Contains(const Key& key) const { return Find(key) != nullptr; }
+  /// Whether `key` is present: Find's descent, without copying the
+  /// payload (no reference-count traffic on the document).
+  bool Contains(const Key& key) const { return Lookup(key) != nullptr; }
 
   /// Replaces this tree's contents with a node-for-node copy of `source`:
   /// the same shape and encodings, sharing its payloads.
@@ -138,6 +140,9 @@ class BTree {
  private:
   // Implementation helpers (definitions in btree.cc).
   struct InsertResult;
+  // The one point descent behind Find, Contains and FindSlot: the stored
+  // payload slot for `key`, or nullptr.
+  const Payload* Lookup(const Key& key) const;
   struct CheckState;
   // `replaced` null forbids replacing (Insert); otherwise it receives the
   // replaced payload. A new entry takes `encoded` and `payload` by move.

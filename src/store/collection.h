@@ -72,6 +72,10 @@ class Collection {
   /// Point lookup by _id. Returns nullptr when absent.
   DocPtr FindById(const doc::Value& id) const;
 
+  /// Whether a document with this _id exists; no document reference is
+  /// taken.
+  bool ContainsId(const doc::Value& id) const { return primary_.Contains(id); }
+
   /// Point lookups of ascending _ids (equal neighbours allowed) in one pass
   /// over the primary tree, like MongoDB serving an `$in` with one index
   /// cursor: per id in order, its document or nullptr.

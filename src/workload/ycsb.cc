@@ -1,6 +1,5 @@
 #include "workload/ycsb.h"
 
-#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -70,18 +69,19 @@ void YcsbWorkload::IssueRead(Done done) {
     opts.route.has_key = true;
     opts.route.key = doc::Value(key);
   }
-  auto found = std::make_shared<bool>(false);
   client_->Read(
       pref, server::OpClass::kPointRead,
-      [this, key, found](const store::Database& db) {
+      [this, key](const store::Database& db) {
+        // Counted per served attempt: a hedged or retried read whose
+        // every serving node has the key counts nothing.
         const store::Collection* table = db.Get(config_.table);
-        *found = table != nullptr &&
-                 table->FindById(doc::Value(key)) != nullptr;
+        if (table == nullptr || !table->ContainsId(doc::Value(key))) {
+          ++missing_reads_;
+        }
       },
-      [this, found, done = std::move(done)](const driver::OpResult& r) {
+      [done = std::move(done)](const driver::OpResult& r) {
         // Latency feedback to the balancer flows through the driver's
         // completion path — no per-workload reporting.
-        if (r.ok && !*found) ++missing_reads_;
         done(OpOutcome("read", r));
       },
       std::move(opts));

@@ -63,8 +63,8 @@ class YcsbWorkload : public Workload {
 
   uint64_t reads_issued() const { return reads_issued_; }
   uint64_t updates_issued() const { return updates_issued_; }
-  /// Reads that found no document (should stay 0 — asserts data integrity
-  /// across routing and replication).
+  /// Served read attempts that found no document (should stay 0 —
+  /// asserts data integrity across routing and replication).
   uint64_t missing_reads() const { return missing_reads_; }
 
  private:

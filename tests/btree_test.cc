@@ -404,6 +404,15 @@ TEST_P(BTreeOracleTest, MatchesMapOracle) {
     ExpectFindSortedMatches(tree, oracle,
                             RandomAscendingKeys(&rng, n, -5, key_space + 5));
   }
+
+  // Contains (a descent with no payload copy) agrees with Find and the
+  // oracle after the churn, on present and absent keys alike.
+  for (int i = 0; i < 200; ++i) {
+    const int64_t probe = rng.UniformInt(-5, key_space + 5);
+    const bool found = tree.Find(doc::Value(probe)) != nullptr;
+    EXPECT_EQ(tree.Contains(doc::Value(probe)), found) << "key " << probe;
+    EXPECT_EQ(found, oracle.count(probe) > 0) << "key " << probe;
+  }
 }
 
 // Orders doc::Values the way the tree must: by Value::Compare.

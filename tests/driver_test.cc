@@ -2,6 +2,7 @@
 // latency window, maxStalenessSeconds filtering, and end-to-end reads.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -401,6 +402,134 @@ TEST_F(DriverTest, PrimaryPreferredFallsBackWhenPrimaryDies) {
   // kPrimary, by contrast, has no server to select.
   EXPECT_EQ(client_->SelectNode(ReadPreference::kPrimary),
             MongoClient::kNoNode);
+}
+
+// The op table and the attempt-deadline queue: ops are filed by op id in a
+// table that grows (or wraps) around a lingering op, and every sent attempt
+// gets one entry in a per-client deadline FIFO served by a single sweep
+// event.
+class OpBookkeepingTest : public DriverTest {
+ protected:
+  /// A point read whose completion appends `tag` to `finished_` (and its
+  /// record to `results_`).
+  void Read(ReadPreference pref, char tag, OpOptions opts = {}) {
+    client_->Read(
+        pref, server::OpClass::kPointRead, [](const store::Database&) {},
+        [this, tag](const OpResult& r) {
+          finished_.push_back(tag);
+          results_.push_back(r);
+          finished_at_.push_back(loop_.Now());
+        },
+        opts);
+  }
+
+  /// Secondary reads that all complete before the loop moves 50 ms on.
+  void CompleteSecondaryReads(int n) {
+    const size_t before = finished_.size();
+    for (int i = 0; i < n; ++i) Read(ReadPreference::kSecondary, '.');
+    loop_.RunUntil(loop_.Now() + sim::Millis(50));
+    ASSERT_EQ(finished_.size(), before + static_cast<size_t>(n));
+  }
+
+  /// Options for an op that fails on its first abandoned attempt.
+  static OpOptions NoRetries() {
+    OpOptions opts;
+    opts.max_retries = 0;
+    return opts;
+  }
+
+  std::string finished_;
+  std::vector<OpResult> results_;
+  std::vector<sim::Time> finished_at_;
+};
+
+TEST_F(OpBookkeepingTest, PoolClearRetriesOpsInIdOrderAcrossTableGrowth) {
+  ClientOptions options;
+  options.attempt_timeout = 0;  // only the pool clear may end held ops
+  Build(options);
+  network_->BlockPair(client_host_, rs_->node(0).host());
+  client_->Start();
+  // Op ids 1-40 come and go; op 41 (A) then waits on the silent primary
+  // while hundreds of newer ops complete around it, so the table's slot
+  // for every later id is taken by A once per lap and the table grows.
+  CompleteSecondaryReads(40);
+  Read(ReadPreference::kPrimary, 'A', NoRetries());
+  CompleteSecondaryReads(108);  // ids 42-149
+  Read(ReadPreference::kPrimary, 'B', NoRetries());  // id 150
+  for (int i = 0; i < 7; ++i) CompleteSecondaryReads(54);  // ids 151-528
+  CompleteSecondaryReads(1);                                // id 529
+  Read(ReadPreference::kPrimary, 'C', NoRetries());  // id 530
+  EXPECT_EQ(client_->pending_op_count(), 3u);
+  ASSERT_LT(loop_.Now(), options.hello_timeout);  // primary still believed up
+  // The hello loop declares the primary down and clears its pool: the held
+  // ops' attempts are abandoned in op-id order, and with no retry budget
+  // each fails on the spot.
+  loop_.RunUntil(sim::Seconds(3));
+  ASSERT_FALSE(client_->NodeReachable(0));
+  const std::string held = finished_.substr(finished_.find_first_not_of('.'));
+  EXPECT_EQ(held, "ABC");
+  for (size_t i = finished_.size() - 3; i < finished_.size(); ++i) {
+    EXPECT_FALSE(results_[i].ok);
+    EXPECT_EQ(finished_at_[i], finished_at_.back());
+  }
+  EXPECT_EQ(client_->pending_op_count(), 0u);
+}
+
+TEST_F(OpBookkeepingTest, AttemptTimeoutsFireExactlyAtTheirDeadlines) {
+  ClientOptions options;
+  options.attempt_timeout = sim::Millis(100);
+  Build(options);
+  // The client never starts its hello loop, so it keeps sending to the
+  // silent primary; only attempt timeouts end those ops.
+  network_->BlockPair(client_host_, rs_->node(0).host());
+  OpOptions one_retry;
+  one_retry.max_retries = 1;
+  Read(ReadPreference::kPrimary, 'R', one_retry);  // sent at 0
+  loop_.RunUntil(sim::Millis(30));
+  Read(ReadPreference::kPrimary, 'X', NoRetries());  // two attempts with
+  Read(ReadPreference::kPrimary, 'Y', NoRetries());  // one deadline
+  // Secondary reads armed between the held attempts complete long before
+  // their deadlines; a completed attempt must never fire.
+  for (int i = 0; i < 20; ++i) {
+    Read(ReadPreference::kSecondary, '.');
+    loop_.RunUntil(loop_.Now() + sim::Millis(5));
+  }
+  loop_.RunAll();
+  ASSERT_EQ(finished_.size(), 23u);
+  const std::string held = finished_.substr(finished_.find_first_not_of('.'));
+  EXPECT_EQ(held.substr(0, 2), "XY");  // same deadline: FIFO order
+  // X and Y gave up at exactly send + attempt_timeout.
+  const size_t x = finished_.find('X');
+  EXPECT_EQ(finished_at_[x], sim::Millis(130));
+  EXPECT_EQ(finished_at_[x + 1], sim::Millis(130));
+  // R timed out at 100 ms, retried after the 2 ms backoff, and its second
+  // attempt gave up at its own deadline: 102 + 100 ms.
+  const size_t r = finished_.find('R');
+  EXPECT_EQ(finished_at_[r], sim::Millis(202));
+  EXPECT_EQ(results_[r].retries, 1);
+  for (size_t i = 0; i < results_.size(); ++i) {
+    if (finished_[i] != '.') continue;
+    EXPECT_TRUE(results_[i].ok);
+    EXPECT_EQ(results_[i].retries, 0);
+  }
+  // The sweep is gone with the last armed attempt: nothing ran after R.
+  EXPECT_EQ(loop_.Now(), sim::Millis(202));
+  EXPECT_EQ(loop_.PendingEvents(), 0u);
+}
+
+TEST_F(OpBookkeepingTest, RunAllEndsAtTheLastCompletion) {
+  Build();  // default 10 s attempt timeout, unbatched
+  for (int i = 0; i < 4; ++i) Read(ReadPreference::kPrimary, 'p');
+  Read(ReadPreference::kSecondary, 's');
+  EXPECT_EQ(client_->pending_op_count(), 5u);
+  loop_.RunAll();
+  ASSERT_EQ(finished_.size(), 5u);
+  // Every attempt disarmed on completion, so no sweep event outlives the
+  // ops: the loop stops at the last completion, not at a 10 s deadline.
+  EXPECT_EQ(loop_.Now(), finished_at_.back());
+  EXPECT_LT(loop_.Now(), sim::Millis(50));
+  EXPECT_EQ(loop_.PendingEvents(), 0u);
+  EXPECT_EQ(client_->pending_op_count(), 0u);
 }
 
 TEST_F(DriverTest, ToStringCoversAllPreferences) {

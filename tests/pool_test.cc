@@ -172,6 +172,57 @@ TEST(ConnectionPoolTest, ClearInvalidatesByGeneration) {
   EXPECT_EQ(pool.stats().clears, 1u);
 }
 
+// Connections live in a table indexed by conn id. Ids are never reused, so
+// a destroyed connection's slot stays dead across clears and a late
+// return of it is caught, like a return of an id the pool never issued.
+TEST(ConnectionPoolTest, ConnIdsAreNeverReusedAfterClear) {
+  sim::EventLoop loop;
+  ConnectionPool pool(&loop, PoolOptions{});
+  Collected got;
+  for (int i = 0; i < 3; ++i) pool.CheckOut(got.Cb());
+  pool.CheckIn(got.results[0].conn_id);
+  pool.Discard(got.results[1].conn_id);
+  pool.Clear();  // destroys the idle one; the third perishes at check-in
+  pool.CheckIn(got.results[2].conn_id);
+  EXPECT_EQ(pool.total_connections(), 0);
+  uint64_t highest = 0;
+  for (const ConnectionPool::Checkout& co : got.results) {
+    highest = std::max(highest, co.conn_id);
+  }
+  for (int i = 0; i < 3; ++i) pool.CheckOut(got.Cb());
+  ASSERT_EQ(got.results.size(), 6u);
+  for (size_t i = 3; i < 6; ++i) {
+    EXPECT_GT(got.results[i].conn_id, highest);
+    EXPECT_EQ(got.results[i].generation, 1u);
+  }
+}
+
+TEST(ConnectionPoolDeathTest, ReturningADeadOrUnknownConnectionAborts) {
+  sim::EventLoop loop;
+  ConnectionPool pool(&loop, PoolOptions{});
+  Collected got;
+  pool.CheckOut(got.Cb());
+  pool.CheckOut(got.Cb());
+  const uint64_t discarded = got.results[0].conn_id;
+  const uint64_t cleared = got.results[1].conn_id;
+  pool.Discard(discarded);
+  pool.CheckIn(cleared);
+  pool.Clear();  // destroys the idle connection
+  for (uint64_t conn : {discarded, cleared}) {
+    EXPECT_DEATH(pool.CheckIn(conn), "check-in of a connection not checked");
+    EXPECT_DEATH(pool.Discard(conn), "discard of a connection not checked");
+  }
+  // Never issued: id 0, and ids past the last one handed out.
+  for (uint64_t conn : {uint64_t{0}, cleared + 1, cleared + 1000}) {
+    EXPECT_DEATH(pool.CheckIn(conn), "check-in of a connection not checked");
+    EXPECT_DEATH(pool.Discard(conn), "discard of a connection not checked");
+  }
+  // An idle connection is not checked out either.
+  pool.CheckOut(got.Cb());
+  pool.CheckIn(got.results[2].conn_id);
+  EXPECT_DEATH(pool.CheckIn(got.results[2].conn_id), "not checked out");
+}
+
 TEST(ConnectionPoolTest, ClearDuringEstablishmentRetriesUnderNewGeneration) {
   sim::EventLoop loop;
   PoolOptions options;
