@@ -29,9 +29,9 @@
 //   Later flags override the scenario's values; phase-switch and warmup
 //   times scale with the final --duration, and later phases' client
 //   counts keep their ratio to --clients, so short CI runs keep the shape.
-// --duration must cover at least one 10 s report period, checked after
-//   --scenario rescaling; a shorter or non-positive run is a usage error
-//   (exit 2).
+// --duration must cover at least one 10 s report period and --warmup must
+//   be non-negative and end before --duration, both checked after
+//   --scenario rescaling; anything else is a usage error (exit 2).
 // --controller picks the Balance Fraction strategy (the controller
 //   bake-off): "decongestant" is the paper's Algorithm 1 step law
 //   (default, alias "step"), "proportional" its §6 sketch, "cpq" a
@@ -334,6 +334,10 @@ int main(int argc, char** argv) {
   // summary.
   if (config.duration <= 0 || config.duration < config.report_period) {
     Usage("--duration must cover at least one report period (10 s)");
+  }
+  // A warm-up that reaches the end leaves the summary window empty.
+  if (config.warmup < 0 || config.warmup >= config.duration) {
+    Usage("--warmup must be non-negative and end before --duration");
   }
 
   if (system == "decongestant") {

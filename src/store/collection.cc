@@ -96,12 +96,9 @@ DocPtr Collection::FindById(const doc::Value& id) const {
 }
 
 std::vector<DocPtr> Collection::FindManyById(
-    const std::vector<doc::Value>& ids) const {
-  std::vector<doc::KeyString> probes;
-  probes.reserve(ids.size());
-  for (const doc::Value& id : ids) probes.push_back(doc::KeyString::Encode(id));
+    std::span<const doc::KeyString> ids) const {
   std::vector<DocPtr> out;
-  primary_.FindSorted(probes, &out);
+  primary_.FindSorted(ids, &out);
   return out;
 }
 

@@ -4,10 +4,12 @@
 #include <functional>
 #include <utility>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "doc/filter.h"
+#include "doc/key_string.h"
 #include "doc/path.h"
 #include "doc/update.h"
 #include "doc/value.h"
@@ -76,10 +78,11 @@ class Collection {
   /// taken.
   bool ContainsId(const doc::Value& id) const { return primary_.Contains(id); }
 
-  /// Point lookups of ascending _ids (equal neighbours allowed) in one pass
-  /// over the primary tree, like MongoDB serving an `$in` with one index
-  /// cursor: per id in order, its document or nullptr.
-  std::vector<DocPtr> FindManyById(const std::vector<doc::Value>& ids) const;
+  /// Point lookups of ascending _ids, given as their doc::KeyString
+  /// encodings (equal neighbours allowed), in one pass over the primary
+  /// tree, like MongoDB serving an `$in` with one index cursor: per id in
+  /// order, its document or nullptr.
+  std::vector<DocPtr> FindManyById(std::span<const doc::KeyString> ids) const;
 
   /// Applies an update spec to the document with the given _id, with one
   /// descent of the primary tree. Returns false when the document does not

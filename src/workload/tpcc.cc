@@ -1,9 +1,10 @@
 #include "workload/tpcc.h"
 
-#include <memory>
 #include <algorithm>
-#include <vector>
+#include <bit>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "doc/update.h"
 #include "util/check.h"
@@ -77,12 +78,55 @@ doc::Value MakeLine(int64_t item, int64_t qty, double amount) {
 
 }  // namespace
 
+StockLevelProbes::StockLevelProbes(const TpccConfig& config)
+    : items_(config.items),
+      recent_(config.stock_level_orders),
+      marked_(static_cast<size_t>(config.items) / 64 + 1) {}
+
+std::span<const doc::KeyString> StockLevelProbes::Build(
+    const store::Database& db, int w, int d) {
+  probes_.clear();
+  const store::Collection* districts = db.Get(kDistrict);
+  const store::Collection* orders = db.Get(kOrders);
+  if (districts == nullptr || orders == nullptr) return probes_;
+  store::DocPtr district = districts->FindById(DistrictId(w, d));
+  if (district == nullptr) return probes_;
+  const int64_t next_o = GetInt(*district, "d_next_o_id");
+  const int64_t lo = std::max<int64_t>(1, next_o - recent_);
+  for (const store::DocPtr& order :
+       orders->RangeById(OrderId(w, d, lo), OrderId(w, d, next_o - 1))) {
+    const doc::Value* lines = order->Find("o_lines");
+    if (lines == nullptr) continue;
+    for (const doc::Value& line : lines->as_array()) {
+      const int64_t item = GetInt(line, "ol_i_id");
+      DCG_CHECK_MSG(item >= 1 && item <= items_,
+                    "ol_i_id %lld outside [1, %lld]",
+                    static_cast<long long>(item),
+                    static_cast<long long>(items_));
+      marked_[static_cast<size_t>(item) / 64] |= uint64_t{1} << (item % 64);
+    }
+  }
+  // The set bits, lowest first, are the distinct items in ascending order;
+  // walking them also clears the bitmap for the next call.
+  doc::Value id = StockId(w, 0);
+  doc::Value& item = id.as_array()[1];
+  for (size_t word = 0; word < marked_.size(); ++word) {
+    for (uint64_t bits = std::exchange(marked_[word], 0); bits != 0;
+         bits &= bits - 1) {
+      item = static_cast<int64_t>(word * 64 + std::countr_zero(bits));
+      probes_.push_back(doc::KeyString::Encode(id));
+    }
+  }
+  return probes_;
+}
+
 TpccWorkload::TpccWorkload(driver::MongoClient* client,
                            core::RoutingPolicy* policy, TpccConfig config,
                            sim::Rng rng)
     : client_(client),
       policy_(policy),
       config_(config),
+      stock_probes_(config_),
       rng_(std::move(rng)) {
   const double total = config_.mix.stock_level + config_.mix.delivery +
                        config_.mix.order_status + config_.mix.payment +
@@ -207,38 +251,15 @@ void TpccWorkload::DoStockLevel(Done done) {
   const int64_t threshold = rng_.UniformInt(config_.stock_level_threshold_lo,
                                             config_.stock_level_threshold_hi);
   const driver::ReadPreference pref = policy_->ChooseReadPreference(&rng_);
-  const int recent = config_.stock_level_orders;
   client_->Read(
       pref, server::OpClass::kTpccStockLevel,
-      [this, w, d, threshold, recent](const store::Database& db) {
-        const store::Collection* districts = db.Get(kDistrict);
-        const store::Collection* orders = db.Get(kOrders);
+      [this, w, d, threshold](const store::Database& db) {
         const store::Collection* stock = db.Get(kStock);
-        if (districts == nullptr || orders == nullptr || stock == nullptr) {
-          return;
-        }
-        store::DocPtr district = districts->FindById(DistrictId(w, d));
-        if (district == nullptr) return;
-        const int64_t next_o = GetInt(*district, "d_next_o_id");
-        const int64_t lo = std::max<int64_t>(1, next_o - recent);
-        std::vector<int64_t> item_ids;
-        for (const store::DocPtr& order :
-             orders->RangeById(OrderId(w, d, lo), OrderId(w, d, next_o - 1))) {
-          const doc::Value* lines = order->Find("o_lines");
-          if (lines == nullptr) continue;
-          for (const doc::Value& line : lines->as_array()) {
-            item_ids.push_back(GetInt(line, "ol_i_id"));
-          }
-        }
-        std::sort(item_ids.begin(), item_ids.end());
-        item_ids.erase(std::unique(item_ids.begin(), item_ids.end()),
-                       item_ids.end());
+        if (stock == nullptr) return;
         // Ascending stock ids: one pass over the stock tree (an $in).
-        std::vector<doc::Value> stock_ids;
-        stock_ids.reserve(item_ids.size());
-        for (int64_t i : item_ids) stock_ids.push_back(StockId(w, i));
         int64_t low_stock = 0;
-        for (const store::DocPtr& s : stock->FindManyById(stock_ids)) {
+        for (const store::DocPtr& s :
+             stock->FindManyById(stock_probes_.Build(db, w, d))) {
           if (s != nullptr && GetInt(*s, "s_quantity") < threshold) {
             ++low_stock;
           }
@@ -285,7 +306,8 @@ void TpccWorkload::DoNewOrder(Done done) {
           DCG_CHECK(item != nullptr);
           const double amount =
               GetNumber(*item, "i_price") * static_cast<double>(req.qty);
-          store::DocPtr s = stock->FindById(StockId(w, req.item));
+          const doc::Value stock_id = StockId(w, req.item);
+          store::DocPtr s = stock->FindById(stock_id);
           DCG_CHECK(s != nullptr);
           int64_t new_q = GetInt(*s, "s_quantity") - req.qty;
           if (new_q < 10) new_q += 91;
@@ -293,7 +315,7 @@ void TpccWorkload::DoNewOrder(Done done) {
           stock_update.Set("s_quantity", new_q)
               .Inc("s_ytd", req.qty)
               .Inc("s_order_cnt", int64_t{1});
-          ctx->Update(kStock, StockId(w, req.item), stock_update);
+          ctx->Update(kStock, stock_id, stock_update);
           lines.push_back(MakeLine(req.item, req.qty, amount));
         }
 

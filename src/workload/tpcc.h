@@ -1,9 +1,13 @@
 #ifndef DCG_WORKLOAD_TPCC_H_
 #define DCG_WORKLOAD_TPCC_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/routing_policy.h"
+#include "doc/key_string.h"
 #include "driver/client.h"
 #include "store/database.h"
 #include "workload/workload.h"
@@ -53,6 +57,30 @@ struct TpccConfig {
   }
 };
 
+/// Stock Level's stock lookups for one district, built without a per-item
+/// allocation: the recent lines' item ids are marked in a bitmap over
+/// [1, items], whose set bits walk the distinct ids in ascending order with
+/// no sort, and every stock _id [w, i] is encoded from one [w, 0] array
+/// whose item element is overwritten in place.
+class StockLevelProbes {
+ public:
+  explicit StockLevelProbes(const TpccConfig& config);
+
+  /// Reads district (w, d) and its `stock_level_orders` most recent orders
+  /// from `db` and returns the encoded stock _ids [w, i], ascending, of the
+  /// distinct items i that their lines name: the probes of one
+  /// Collection::FindManyById. Empty when the district is absent. Valid
+  /// until the next call.
+  std::span<const doc::KeyString> Build(const store::Database& db, int w,
+                                        int d);
+
+ private:
+  int64_t items_;
+  int64_t recent_;
+  std::vector<uint64_t> marked_;  // bit i: item i is on a recent line
+  std::vector<doc::KeyString> probes_;
+};
+
 /// The Kamsky-style document adaptation of TPC-C over the replica set:
 /// order lines are embedded in the order document, Stock Level and Order
 /// Status are read-only transactions routed by the RoutingPolicy, and the
@@ -91,6 +119,7 @@ class TpccWorkload : public Workload {
   driver::MongoClient* client_;
   core::RoutingPolicy* policy_;
   TpccConfig config_;
+  StockLevelProbes stock_probes_;  // reused by every Stock Level body
   sim::Rng rng_;
   int64_t next_history_id_ = 1'000'000'000;  // disjoint from loaded ids
   uint64_t stock_level_count_ = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "doc/key_string.h"
 #include "sim/random.h"
 #include "store/collection.h"
 #include "store/database.h"
@@ -194,11 +195,17 @@ TEST(CollectionTest, FindManyByIdMatchesFindById) {
   for (int64_t id : {-4, 0, 0, 1, 3, 4, 6, 6, 150, 151, 396, 399, 400, 900}) {
     ids.emplace_back(id);
   }
-  const std::vector<DocPtr> found = c.FindManyById(ids);
+  std::vector<doc::KeyString> probes;
+  for (const doc::Value& id : ids) {
+    probes.push_back(doc::KeyString::Encode(id));
+  }
+  const std::vector<DocPtr> found = c.FindManyById(probes);
   ASSERT_EQ(found.size(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(found[i], c.FindById(ids[i])) << ids[i].ToJson();
   }
+  EXPECT_EQ(found.front(), nullptr);  // -4
+  EXPECT_EQ(found.back(), nullptr);   // 900
   EXPECT_TRUE(c.FindManyById({}).empty());
 }
 

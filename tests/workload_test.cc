@@ -6,11 +6,13 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "doc/key_string.h"
 #include "exp/client_pool.h"
 #include "exp/experiment.h"
 #include "workload/key_chooser.h"
@@ -192,6 +194,32 @@ TEST_F(WorkloadClusterTest, TpccLoadBuildsConsistentSchema) {
   db.Get("orders")->CheckInvariants();
 }
 
+// The stock ids of the items on the lines of district (w, d)'s `recent`
+// most recent orders, by sort + unique: the reference for Stock Level's
+// bitmap distinct.
+std::vector<doc::Value> SortedDistinctStockIds(const store::Database& db,
+                                               int64_t w, int64_t d,
+                                               int64_t recent) {
+  const store::DocPtr district =
+      db.Get("district")->FindById(doc::Value::List({w, d}));
+  EXPECT_NE(district, nullptr);
+  if (district == nullptr) return {};
+  const int64_t next_o = district->Find("d_next_o_id")->as_int64();
+  std::vector<int64_t> items;
+  for (const store::DocPtr& order : db.Get("orders")->RangeById(
+           doc::Value::List({w, d, std::max<int64_t>(1, next_o - recent)}),
+           doc::Value::List({w, d, next_o - 1}))) {
+    for (const doc::Value& line : order->Find("o_lines")->as_array()) {
+      items.push_back(line.Find("ol_i_id")->as_int64());
+    }
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  std::vector<doc::Value> ids;
+  for (int64_t i : items) ids.push_back(doc::Value::List({w, i}));
+  return ids;
+}
+
 // Stock Level's lookup: for every district, the stock documents of the
 // items in its 20 most recent orders, fetched in one ascending FindManyById
 // pass, are the ones per-id FindById returns. Two absent ids (item 0 and
@@ -200,36 +228,20 @@ TEST(TpccStoreTest, FindManyByIdMatchesFindByIdOnRecentOrderItems) {
   const TpccConfig config;
   store::Database db;
   TpccWorkload::Load(config, &db);
-  const store::Collection* districts = db.Get("district");
-  const store::Collection* orders = db.Get("orders");
   const store::Collection* stock = db.Get("stock");
-  ASSERT_NE(districts, nullptr);
-  ASSERT_NE(orders, nullptr);
   ASSERT_NE(stock, nullptr);
-  auto id = [](std::initializer_list<int64_t> parts) {
-    doc::Array a;
-    for (int64_t p : parts) a.emplace_back(p);
-    return doc::Value(std::move(a));
-  };
   size_t probed = 0;
   for (int64_t w = 1; w <= config.warehouses; ++w) {
     for (int64_t d = 1; d <= config.districts_per_warehouse; ++d) {
-      const store::DocPtr district = districts->FindById(id({w, d}));
-      ASSERT_NE(district, nullptr);
-      const int64_t next_o = district->Find("d_next_o_id")->as_int64();
-      std::vector<int64_t> items = {0, config.items + 1};
-      for (const store::DocPtr& order : orders->RangeById(
-               id({w, d, next_o - config.stock_level_orders}),
-               id({w, d, next_o - 1}))) {
-        for (const doc::Value& line : order->Find("o_lines")->as_array()) {
-          items.push_back(line.Find("ol_i_id")->as_int64());
-        }
+      std::vector<doc::Value> ids =
+          SortedDistinctStockIds(db, w, d, config.stock_level_orders);
+      ids.insert(ids.begin(), doc::Value::List({w, int64_t{0}}));
+      ids.push_back(doc::Value::List({w, int64_t{config.items + 1}}));
+      std::vector<doc::KeyString> probes;
+      for (const doc::Value& id : ids) {
+        probes.push_back(doc::KeyString::Encode(id));
       }
-      std::sort(items.begin(), items.end());
-      items.erase(std::unique(items.begin(), items.end()), items.end());
-      std::vector<doc::Value> ids;
-      for (int64_t i : items) ids.push_back(id({w, i}));
-      const std::vector<store::DocPtr> found = stock->FindManyById(ids);
+      const std::vector<store::DocPtr> found = stock->FindManyById(probes);
       ASSERT_EQ(found.size(), ids.size());
       EXPECT_EQ(found.front(), nullptr);
       EXPECT_EQ(found.back(), nullptr);
@@ -241,6 +253,81 @@ TEST(TpccStoreTest, FindManyByIdMatchesFindByIdOnRecentOrderItems) {
   }
   // Each district's recent orders name well over a hundred distinct items.
   EXPECT_GT(probed, 100u * config.warehouses * config.districts_per_warehouse);
+  EXPECT_TRUE(stock->FindManyById({}).empty());
+}
+
+// Stock Level's probes against an oracle, once New Orders have archived
+// each district's oldest orders: for every district, the bitmap distinct
+// with in-place encoding yields exactly the encodings of the sort + unique
+// stock ids, and FindManyById over them returns, per probe, FindById's
+// document. One StockLevelProbes serves every district, as in the
+// workload, so a bitmap left dirty by one call would show in the next.
+TEST_F(WorkloadClusterTest, StockLevelProbesMatchSortedDistinctItems) {
+  Build();
+  TpccConfig config = SmallTpcc();
+  config.mix = TpccMix{0.0, 0.0, 0.0, 0.0, 1.0};
+  for (int i = 0; i < 3; ++i) TpccWorkload::Load(config, &rs_->node(i).db());
+  TpccWorkload tpcc(client_.get(), policy_.get(), config, sim::Rng(12));
+  rs_->Start();
+  exp::ClientPool pool(&loop_, &tpcc, nullptr);
+  pool.SetTarget(10);
+  loop_.RunUntil(sim::Seconds(60));
+  pool.SetTarget(0);
+  loop_.RunUntil(sim::Seconds(65));
+
+  const store::Database& db = rs_->primary().db();
+  const store::Collection* stock = db.Get("stock");
+  StockLevelProbes stock_probes(config);
+  size_t probed = 0;
+  for (int w = 1; w <= config.warehouses; ++w) {
+    for (int d = 1; d <= config.districts_per_warehouse; ++d) {
+      const store::DocPtr district =
+          db.Get("district")->FindById(doc::Value::List({w, d}));
+      ASSERT_NE(district, nullptr);
+      // Archival removed orders, so the recent window starts well past 1.
+      EXPECT_GT(district->Find("d_oldest_o_id")->as_int64(), 1);
+
+      const std::vector<doc::Value> ids =
+          SortedDistinctStockIds(db, w, d, config.stock_level_orders);
+      const std::span<const doc::KeyString> probes =
+          stock_probes.Build(db, w, d);
+      ASSERT_EQ(probes.size(), ids.size()) << "district " << w << "," << d;
+      for (size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(probes[k], doc::KeyString::Encode(ids[k]))
+            << ids[k].ToJson();
+      }
+      const std::vector<store::DocPtr> found = stock->FindManyById(probes);
+      ASSERT_EQ(found.size(), ids.size());
+      for (size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_NE(found[k], nullptr) << ids[k].ToJson();
+        EXPECT_EQ(found[k], stock->FindById(ids[k])) << ids[k].ToJson();
+      }
+      probed += ids.size();
+    }
+  }
+  EXPECT_GT(probed, 20u * config.warehouses * config.districts_per_warehouse);
+  // An absent district has no probes.
+  EXPECT_TRUE(stock_probes.Build(db, 1, config.districts_per_warehouse + 1)
+                  .empty());
+}
+
+// An order line naming an item outside [1, items] cannot be marked in the
+// bitmap: the probe builder aborts rather than read a wrong stock set.
+TEST(TpccStoreTest, StockLevelProbesRejectAnItemOutsideTheCatalogue) {
+  const TpccConfig config = SmallTpcc();
+  store::Database db;
+  TpccWorkload::Load(config, &db);
+  const int64_t last = db.Get("district")
+                           ->FindById(doc::Value::List({1, 1}))
+                           ->Find("d_next_o_id")
+                           ->as_int64() -
+                       1;
+  db.Get("orders")->Upsert(doc::Value::Doc(
+      {{"_id", doc::Value::List({int64_t{1}, int64_t{1}, last})},
+       {"o_lines", doc::Value::List({doc::Value::Doc(
+                       {{"ol_i_id", int64_t{config.items + 1}}})})}}));
+  StockLevelProbes stock_probes(config);
+  EXPECT_DEATH(stock_probes.Build(db, 1, 1), "outside");
 }
 
 TEST_F(WorkloadClusterTest, TpccMixMatchesTable1) {
