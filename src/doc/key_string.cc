@@ -191,15 +191,17 @@ void PutValue(const Value& v, Out* out) {
       for (const Value& item : v.as_array()) PutValue(item, out);
       PutByte(kEnd, out);
       return;
-    case Value::Type::kObject:
+    case Value::Type::kObject: {
+      const Object& o = v.as_object();
       PutByte(kObject, out);
-      for (const auto& [name, item] : v.as_object()) {
+      for (size_t i = 0; i < o.size(); ++i) {
         PutByte(kField, out);
-        PutEscaped(name, out);
-        PutValue(item, out);
+        PutEscaped(o.name(i), out);
+        PutValue(o.value(i), out);
       }
       PutByte(kEnd, out);
       return;
+    }
   }
 }
 

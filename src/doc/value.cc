@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/check.h"
+
 namespace dcg::doc {
 namespace {
 
@@ -48,13 +50,11 @@ void AppendJson(const Value& v, std::string* out);
 
 void AppendJsonObject(const Object& o, std::string* out) {
   out->push_back('{');
-  bool first = true;
-  for (const auto& [k, val] : o) {
-    if (!first) out->push_back(',');
-    first = false;
-    AppendJsonString(k, out);
+  for (size_t i = 0; i < o.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    AppendJsonString(o.name(i), out);
     out->push_back(':');
-    AppendJson(val, out);
+    AppendJson(o.value(i), out);
   }
   out->push_back('}');
 }
@@ -121,6 +121,40 @@ int CompareIntDouble(int64_t i, double d) {
 
 }  // namespace
 
+Object::Object(ShapeRef shape, std::vector<Value> values)
+    : shape_(std::move(shape)), values_(std::move(values)) {
+  const size_t names = shape_.get() == nullptr ? 0 : shape_->size();
+  DCG_CHECK_MSG(values_.size() == names, "%zu values for a shape of %zu names",
+                values_.size(), names);
+}
+
+void Object::Set(std::string_view field, Value v) {
+  if (Value* existing = Find(field); existing != nullptr) {
+    *existing = std::move(v);
+    return;
+  }
+  std::vector<std::string> names;
+  names.reserve(size() + 1);
+  for (size_t i = 0; i < size(); ++i) names.push_back(name(i));
+  names.emplace_back(field);
+  shape_ = ShapeRef(std::move(names));
+  values_.push_back(std::move(v));
+}
+
+bool Object::Erase(std::string_view field) {
+  if (shape_.get() == nullptr) return false;
+  const size_t slot = shape_->Find(field);
+  if (slot == Shape::npos) return false;
+  std::vector<std::string> names;
+  names.reserve(size() - 1);
+  for (size_t i = 0; i < size(); ++i) {
+    if (i != slot) names.push_back(name(i));
+  }
+  shape_ = ShapeRef(std::move(names));
+  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(slot));
+  return true;
+}
+
 Value Value::Timestamp(int64_t ns) {
   Value v;
   v.v_ = Ts{ns};
@@ -128,18 +162,23 @@ Value Value::Timestamp(int64_t ns) {
 }
 
 Value Value::Doc(std::initializer_list<std::pair<std::string, Value>> f) {
-  Object o;
-  o.reserve(f.size());
-  for (const auto& kv : f) o.push_back(kv);
-  return Value(std::move(o));
+  std::vector<std::string> names;
+  std::vector<Value> values;
+  names.reserve(f.size());
+  values.reserve(f.size());
+  for (const auto& [name, value] : f) {
+    names.push_back(name);
+    values.push_back(value);
+  }
+  return Value(Object(ShapeRef(std::move(names)), std::move(values)));
+}
+
+Value Value::Doc(const ShapeRef& shape, std::initializer_list<Value> values) {
+  return Value(Object(shape, std::vector<Value>(values)));
 }
 
 Value Value::List(std::initializer_list<Value> items) {
   return Value(Array(items));
-}
-
-Value::Type Value::type() const {
-  return static_cast<Type>(v_.index());
 }
 
 double Value::as_number() const {
@@ -147,21 +186,6 @@ double Value::as_number() const {
   return as_double();
 }
 
-const Value* Value::Find(std::string_view field) const {
-  if (!is_object()) return nullptr;
-  for (const auto& [k, v] : as_object()) {
-    if (k == field) return &v;
-  }
-  return nullptr;
-}
-
-Value* Value::Find(std::string_view field) {
-  if (!is_object()) return nullptr;
-  for (auto& [k, v] : as_object()) {
-    if (k == field) return &v;
-  }
-  return nullptr;
-}
 
 const Value* Value::FindPath(std::string_view path) const {
   const Value* cur = this;
@@ -197,12 +221,7 @@ const Value* Value::FindPath(const Path& path) const {
 }
 
 void Value::Set(std::string_view field, Value v) {
-  Value* existing = Find(field);
-  if (existing != nullptr) {
-    *existing = std::move(v);
-    return;
-  }
-  as_object().emplace_back(std::string(field), std::move(v));
+  as_object().Set(field, std::move(v));
 }
 
 void Value::SetPath(std::string_view path, Value v) {
@@ -220,15 +239,7 @@ void Value::SetPath(std::string_view path, Value v) {
 }
 
 bool Value::Erase(std::string_view field) {
-  if (!is_object()) return false;
-  Object& o = as_object();
-  for (auto it = o.begin(); it != o.end(); ++it) {
-    if (it->first == field) {
-      o.erase(it);
-      return true;
-    }
-  }
-  return false;
+  return is_object() && as_object().Erase(field);
 }
 
 int Value::Compare(const Value& other) const {
@@ -297,9 +308,9 @@ int Value::Compare(const Value& other) const {
       const Object& b = other.as_object();
       const size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
-        const int kc = a[i].first.compare(b[i].first);
+        const int kc = a.name(i).compare(b.name(i));
         if (kc != 0) return kc < 0 ? -1 : 1;
-        const int vc = a[i].second.Compare(b[i].second);
+        const int vc = a.value(i).Compare(b.value(i));
         if (vc != 0) return vc;
       }
       return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
@@ -331,8 +342,11 @@ size_t Value::ApproxSize() const {
       return total;
     }
     case Type::kObject: {
+      const Object& o = as_object();
       size_t total = 24;
-      for (const auto& [k, v] : as_object()) total += 24 + k.size() + v.ApproxSize();
+      for (size_t i = 0; i < o.size(); ++i) {
+        total += 24 + o.name(i).size() + o.value(i).ApproxSize();
+      }
       return total;
     }
   }

@@ -1068,11 +1068,12 @@ ShardedRun RunSkewedShards(core::Routing routing) {
   for (int64_t id = 0; id < 4000; ++id) {
     keys[static_cast<size_t>(cluster.ShardFor(doc::Value(id)))].push_back(id);
   }
+  const doc::ShapeRef shape({"_id", "v"});
   for (int s = 0; s < 2; ++s) {
     for (int i = 0; i < 3; ++i) {
       store::Collection& t = cluster.shard(s).node(i).db().GetOrCreate("t");
       for (int64_t id : keys[static_cast<size_t>(s)]) {
-        t.Insert(doc::Value::Doc({{"_id", id}, {"v", id}}));
+        t.Insert(doc::Value::Doc(shape, {id, id}));
       }
     }
   }

@@ -49,31 +49,45 @@ double GetNumber(const doc::Value& d, std::string_view field) {
   return v->as_number();
 }
 
-// Builds one order document. `lines` entries: {ol_i_id, ol_quantity,
-// ol_amount}.
-doc::Value MakeOrderDoc(int w, int d, int64_t o, int c, sim::Time entry,
-                        const doc::Array& lines, bool delivered,
-                        int carrier) {
-  doc::Value order = doc::Value::Doc({
-      {"_id", OrderId(w, d, o)},
-      {"o_w_id", int64_t{w}},
-      {"o_d_id", int64_t{d}},
-      {"o_c_id", int64_t{c}},
-      {"o_entry_d", doc::Value::Timestamp(entry)},
-      {"o_ol_cnt", static_cast<int64_t>(lines.size())},
-      {"o_carrier_id", delivered ? doc::Value(int64_t{carrier})
-                                 : doc::Value()},
-      {"o_delivery_d",
-       delivered ? doc::Value::Timestamp(entry) : doc::Value()},
-      {"o_lines", doc::Value(lines)},
-  });
-  return order;
+// Fresh shapes of the documents the transactions insert; Load builds the
+// first three too.
+doc::ShapeRef OrderShape() {
+  return doc::ShapeRef({"_id", "o_w_id", "o_d_id", "o_c_id", "o_entry_d",
+                        "o_ol_cnt", "o_carrier_id", "o_delivery_d",
+                        "o_lines"});
+}
+doc::ShapeRef LineShape() {
+  return doc::ShapeRef({"ol_i_id", "ol_quantity", "ol_amount"});
+}
+doc::ShapeRef NewOrderShape() { return doc::ShapeRef({"_id"}); }
+doc::ShapeRef HistoryShape() {
+  return doc::ShapeRef(
+      {"_id", "h_w_id", "h_d_id", "h_c_id", "h_amount", "h_date"});
 }
 
-doc::Value MakeLine(int64_t item, int64_t qty, double amount) {
-  return doc::Value::Doc({{"ol_i_id", item},
-                          {"ol_quantity", qty},
-                          {"ol_amount", amount}});
+// Builds one order document. `lines` entries: {ol_i_id, ol_quantity,
+// ol_amount}; they move into the order, where an initializer list would
+// copy every line twice.
+doc::Value MakeOrderDoc(const doc::ShapeRef& shape, int w, int d, int64_t o,
+                        int c, sim::Time entry, doc::Array lines,
+                        bool delivered, int carrier) {
+  std::vector<doc::Value> values;
+  values.reserve(shape->size());
+  values.push_back(OrderId(w, d, o));
+  values.emplace_back(int64_t{w});
+  values.emplace_back(int64_t{d});
+  values.emplace_back(int64_t{c});
+  values.push_back(doc::Value::Timestamp(entry));
+  values.emplace_back(static_cast<int64_t>(lines.size()));
+  values.push_back(delivered ? doc::Value(int64_t{carrier}) : doc::Value());
+  values.push_back(delivered ? doc::Value::Timestamp(entry) : doc::Value());
+  values.emplace_back(std::move(lines));
+  return doc::Value(doc::Object(shape, std::move(values)));
+}
+
+doc::Value MakeLine(const doc::ShapeRef& shape, int64_t item, int64_t qty,
+                    double amount) {
+  return doc::Value::Doc(shape, {item, qty, amount});
 }
 
 }  // namespace
@@ -127,6 +141,10 @@ TpccWorkload::TpccWorkload(driver::MongoClient* client,
       policy_(policy),
       config_(config),
       stock_probes_(config_),
+      order_shape_(OrderShape()),
+      line_shape_(LineShape()),
+      new_order_shape_(NewOrderShape()),
+      history_shape_(HistoryShape()),
       rng_(std::move(rng)) {
   const double total = config_.mix.stock_level + config_.mix.delivery +
                        config_.mix.order_status + config_.mix.payment +
@@ -150,13 +168,25 @@ int64_t TpccWorkload::RandomItem() {
 
 void TpccWorkload::Load(const TpccConfig& config, store::Database* db) {
   sim::Rng rng(0x79cc5eedULL);
+  // One shape per collection, shared by every document loaded into it.
+  const doc::ShapeRef item_shape({"_id", "i_name", "i_price"});
+  const doc::ShapeRef warehouse_shape({"_id", "w_name", "w_tax", "w_ytd"});
+  const doc::ShapeRef stock_shape(
+      {"_id", "s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt"});
+  const doc::ShapeRef district_shape({"_id", "d_tax", "d_ytd", "d_next_o_id",
+                                      "d_next_del_o_id", "d_oldest_o_id"});
+  const doc::ShapeRef customer_shape(
+      {"_id", "c_last", "c_credit", "c_balance", "c_ytd_payment",
+       "c_payment_cnt", "c_delivery_cnt"});
+  const doc::ShapeRef order_shape = OrderShape();
+  const doc::ShapeRef line_shape = LineShape();
+  const doc::ShapeRef new_order_shape = NewOrderShape();
 
   store::Collection& items = db->GetOrCreate(kItem);
   for (int64_t i = 1; i <= config.items; ++i) {
-    items.Upsert(doc::Value::Doc(
-        {{"_id", i},
-         {"i_name", "item-" + std::to_string(i)},
-         {"i_price", 1.0 + rng.NextDouble() * 99.0}}));
+    items.Upsert(doc::Value::Doc(item_shape,
+                                 {i, "item-" + std::to_string(i),
+                                  1.0 + rng.NextDouble() * 99.0}));
   }
 
   store::Collection& warehouses = db->GetOrCreate(kWarehouse);
@@ -169,17 +199,12 @@ void TpccWorkload::Load(const TpccConfig& config, store::Database* db) {
 
   for (int w = 1; w <= config.warehouses; ++w) {
     warehouses.Upsert(doc::Value::Doc(
-        {{"_id", int64_t{w}},
-         {"w_name", "wh-" + std::to_string(w)},
-         {"w_tax", rng.NextDouble() * 0.2},
-         {"w_ytd", 300000.0}}));
+        warehouse_shape, {int64_t{w}, "wh-" + std::to_string(w),
+                          rng.NextDouble() * 0.2, 300000.0}));
     for (int64_t i = 1; i <= config.items; ++i) {
       stock.Upsert(doc::Value::Doc(
-          {{"_id", StockId(w, i)},
-           {"s_quantity", rng.UniformInt(10, 100)},
-           {"s_ytd", int64_t{0}},
-           {"s_order_cnt", int64_t{0}},
-           {"s_remote_cnt", int64_t{0}}}));
+          stock_shape, {StockId(w, i), rng.UniformInt(10, 100), int64_t{0},
+                        int64_t{0}, int64_t{0}}));
     }
     for (int d = 1; d <= config.districts_per_warehouse; ++d) {
       const int64_t initial = config.initial_orders_per_district;
@@ -187,21 +212,14 @@ void TpccWorkload::Load(const TpccConfig& config, store::Database* db) {
       // still pending in new_order, as TPC-C's load spec prescribes.
       const int64_t first_undelivered = initial * 7 / 10 + 1;
       districts.Upsert(doc::Value::Doc(
-          {{"_id", DistrictId(w, d)},
-           {"d_tax", rng.NextDouble() * 0.2},
-           {"d_ytd", 30000.0},
-           {"d_next_o_id", initial + 1},
-           {"d_next_del_o_id", first_undelivered},
-           {"d_oldest_o_id", int64_t{1}}}));
+          district_shape, {DistrictId(w, d), rng.NextDouble() * 0.2, 30000.0,
+                           initial + 1, first_undelivered, int64_t{1}}));
       for (int c = 1; c <= config.customers_per_district; ++c) {
         customers.Upsert(doc::Value::Doc(
-            {{"_id", CustomerId(w, d, c)},
-             {"c_last", "customer-" + std::to_string(c)},
-             {"c_credit", (rng.NextDouble() < 0.1) ? "BC" : "GC"},
-             {"c_balance", -10.0},
-             {"c_ytd_payment", 10.0},
-             {"c_payment_cnt", int64_t{1}},
-             {"c_delivery_cnt", int64_t{0}}}));
+            customer_shape,
+            {CustomerId(w, d, c), "customer-" + std::to_string(c),
+             (rng.NextDouble() < 0.1) ? "BC" : "GC", -10.0, 10.0,
+             int64_t{1}, int64_t{0}}));
       }
       for (int64_t o = 1; o <= initial; ++o) {
         const int c = static_cast<int>(
@@ -209,15 +227,17 @@ void TpccWorkload::Load(const TpccConfig& config, store::Database* db) {
         const int64_t ol_cnt = rng.UniformInt(5, 15);
         doc::Array lines;
         for (int64_t l = 0; l < ol_cnt; ++l) {
-          lines.push_back(MakeLine(rng.UniformInt(1, config.items),
+          lines.push_back(MakeLine(line_shape, rng.UniformInt(1, config.items),
                                    rng.UniformInt(1, 10),
                                    1.0 + rng.NextDouble() * 999.0));
         }
         const bool delivered = o < first_undelivered;
-        orders.Upsert(MakeOrderDoc(w, d, o, c, /*entry=*/0, lines, delivered,
+        orders.Upsert(MakeOrderDoc(order_shape, w, d, o, c, /*entry=*/0,
+                                   std::move(lines), delivered,
                                    static_cast<int>(rng.UniformInt(1, 10))));
         if (!delivered) {
-          new_orders.Upsert(doc::Value::Doc({{"_id", OrderId(w, d, o)}}));
+          new_orders.Upsert(
+              doc::Value::Doc(new_order_shape, {OrderId(w, d, o)}));
         }
       }
     }
@@ -316,13 +336,15 @@ void TpccWorkload::DoNewOrder(Done done) {
               .Inc("s_ytd", req.qty)
               .Inc("s_order_cnt", int64_t{1});
           ctx->Update(kStock, stock_id, stock_update);
-          lines.push_back(MakeLine(req.item, req.qty, amount));
+          lines.push_back(MakeLine(line_shape_, req.item, req.qty, amount));
         }
 
-        ctx->Insert(kOrders,
-                    MakeOrderDoc(w, d, o, c, client_->loop().Now(), lines,
-                                 /*delivered=*/false, /*carrier=*/0));
-        ctx->Insert(kNewOrder, doc::Value::Doc({{"_id", OrderId(w, d, o)}}));
+        ctx->Insert(kOrders, MakeOrderDoc(order_shape_, w, d, o, c,
+                                          client_->loop().Now(),
+                                          std::move(lines),
+                                          /*delivered=*/false, /*carrier=*/0));
+        ctx->Insert(kNewOrder,
+                    doc::Value::Doc(new_order_shape_, {OrderId(w, d, o)}));
 
         // Archival cap: drop the district's oldest order in the same
         // transaction once it holds too many (memory-bounding measure,
@@ -371,14 +393,12 @@ void TpccWorkload::DoPayment(Done done) {
             .Inc("c_payment_cnt", int64_t{1});
         const bool ok = ctx->Update(kCustomer, CustomerId(w, d, c), c_up);
         DCG_CHECK(ok);
-        ctx->Insert(kHistory, doc::Value::Doc(
-                                  {{"_id", history_id},
-                                   {"h_w_id", int64_t{w}},
-                                   {"h_d_id", int64_t{d}},
-                                   {"h_c_id", int64_t{c}},
-                                   {"h_amount", amount},
-                                   {"h_date", doc::Value::Timestamp(
-                                                  client_->loop().Now())}}));
+        ctx->Insert(kHistory,
+                    doc::Value::Doc(history_shape_,
+                                    {history_id, int64_t{w}, int64_t{d},
+                                     int64_t{c}, amount,
+                                     doc::Value::Timestamp(
+                                         client_->loop().Now())}));
       },
       [done = std::move(done)](const driver::OpResult& r) {
         done(OpOutcome("payment", r));

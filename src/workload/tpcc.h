@@ -8,6 +8,7 @@
 
 #include "core/routing_policy.h"
 #include "doc/key_string.h"
+#include "doc/value.h"
 #include "driver/client.h"
 #include "store/database.h"
 #include "workload/workload.h"
@@ -120,6 +121,11 @@ class TpccWorkload : public Workload {
   core::RoutingPolicy* policy_;
   TpccConfig config_;
   StockLevelProbes stock_probes_;  // reused by every Stock Level body
+  // Shared by the documents New Order and Payment insert.
+  doc::ShapeRef order_shape_;
+  doc::ShapeRef line_shape_;
+  doc::ShapeRef new_order_shape_;
+  doc::ShapeRef history_shape_;
   sim::Rng rng_;
   int64_t next_history_id_ = 1'000'000'000;  // disjoint from loaded ids
   uint64_t stock_level_count_ = 0;

@@ -1,13 +1,12 @@
 #include "workload/ycsb.h"
 
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace dcg::workload {
 namespace {
-
-std::string FieldName(int i) { return "field" + std::to_string(i); }
 
 // Deterministic filler text: content doesn't matter, size does.
 std::string FieldValue(sim::Rng* rng, int length) {
@@ -27,7 +26,18 @@ YcsbWorkload::YcsbWorkload(driver::MongoClient* client,
       policy_(policy),
       config_(config),
       rng_(std::move(rng)),
-      key_chooser_(config.record_count, config.zipfian_theta) {}
+      key_chooser_(config.record_count, config.zipfian_theta),
+      record_shape_(RecordShape(config)) {}
+
+doc::ShapeRef YcsbWorkload::RecordShape(const YcsbConfig& config) {
+  std::vector<std::string> names;
+  names.reserve(static_cast<size_t>(config.field_count) + 1);
+  names.emplace_back("_id");
+  for (int f = 0; f < config.field_count; ++f) {
+    names.push_back("field" + std::to_string(f));
+  }
+  return doc::ShapeRef(std::move(names));
+}
 
 void YcsbWorkload::Load(const YcsbConfig& config, store::Database* db,
                         const std::function<bool(int64_t)>& keep) {
@@ -37,16 +47,17 @@ void YcsbWorkload::Load(const YcsbConfig& config, store::Database* db,
   // field bytes they would in the unsharded snapshot.
   sim::Rng rng(0x5eed5eedULL);
   store::Collection& table = db->GetOrCreate(config.table);
+  const doc::ShapeRef shape = RecordShape(config);  // shared by every record
   for (int64_t key = 0; key < config.record_count; ++key) {
-    doc::Object fields;
-    fields.reserve(static_cast<size_t>(config.field_count) + 1);
-    fields.emplace_back("_id", doc::Value(key));
+    std::vector<doc::Value> values;
+    values.reserve(shape->size());
+    values.emplace_back(key);
     for (int f = 0; f < config.field_count; ++f) {
-      fields.emplace_back(FieldName(f),
-                          doc::Value(FieldValue(&rng, config.field_length)));
+      values.emplace_back(FieldValue(&rng, config.field_length));
     }
     if (keep != nullptr && !keep(key)) continue;
-    const bool inserted = table.Insert(doc::Value(std::move(fields)));
+    const bool inserted =
+        table.Insert(doc::Value(doc::Object(shape, std::move(values))));
     DCG_CHECK(inserted);
   }
 }
@@ -93,7 +104,8 @@ void YcsbWorkload::IssueUpdate(Done done) {
   const int field = static_cast<int>(
       rng_.UniformInt(0, config_.field_count - 1));
   doc::UpdateSpec spec;
-  spec.Set(FieldName(field),
+  // Slot 0 is "_id"; field f is slot f + 1.
+  spec.Set(record_shape_->name(static_cast<size_t>(field) + 1),
            doc::Value(FieldValue(&rng_, config_.field_length)));
   driver::OpOptions opts;
   if (config_.stamp_route) {

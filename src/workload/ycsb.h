@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/routing_policy.h"
+#include "doc/value.h"
 #include "driver/client.h"
 #include "store/database.h"
 #include "workload/key_chooser.h"
@@ -68,6 +69,11 @@ class YcsbWorkload : public Workload {
   uint64_t missing_reads() const { return missing_reads_; }
 
  private:
+  /// A fresh record shape: "_id", then "field0" .. "field<field_count-1>".
+  /// Load's records share one; the workload keeps its own for the field
+  /// names its updates set.
+  static doc::ShapeRef RecordShape(const YcsbConfig& config);
+
   void IssueRead(Done done);
   void IssueUpdate(Done done);
 
@@ -76,6 +82,7 @@ class YcsbWorkload : public Workload {
   YcsbConfig config_;
   sim::Rng rng_;
   ScrambledZipfianGenerator key_chooser_;
+  doc::ShapeRef record_shape_;  // the names IssueUpdate sets
   uint64_t reads_issued_ = 0;
   uint64_t updates_issued_ = 0;
   uint64_t missing_reads_ = 0;

@@ -107,12 +107,15 @@ Value RandomValue(sim::Rng* rng, int depth) {
       return Value(std::move(a));
     }
     default: {
-      Object o;
+      // Names may repeat; an Object keeps both fields, as BSON does.
+      std::vector<std::string> names;
+      std::vector<Value> values;
       const int64_t n = rng->UniformInt(0, 2);
       for (int64_t i = 0; i < n; ++i) {
-        o.emplace_back(RandomString(rng), RandomValue(rng, depth + 1));
+        names.push_back(RandomString(rng));
+        values.push_back(RandomValue(rng, depth + 1));
       }
-      return Value(std::move(o));
+      return Value(Object(ShapeRef(std::move(names)), std::move(values)));
     }
   }
 }

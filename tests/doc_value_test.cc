@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "doc/key_string.h"
 #include "doc/value.h"
 
 namespace dcg::doc {
@@ -155,7 +156,8 @@ TEST(ValueTest, FindAndSet) {
   EXPECT_EQ(d.Find("a")->as_int64(), 9);
   d.Set("c", Value(true));
   EXPECT_EQ(d.Find("c")->as_bool(), true);
-  EXPECT_EQ(d.as_object().size(), 3u);  // a, b, c
+  ASSERT_EQ(d.as_object().size(), 3u);
+  EXPECT_EQ(d.as_object().name(2), "c");
 }
 
 TEST(ValueTest, FindOnNonObjectReturnsNull) {
@@ -219,8 +221,82 @@ TEST(ValueTest, FieldOrderIsPreservedAndSignificant) {
   const Value ab = Value::Doc({{"a", 1}, {"b", 2}});
   const Value ba = Value::Doc({{"b", 2}, {"a", 1}});
   EXPECT_NE(ab, ba);  // BSON-like: field order matters
-  EXPECT_EQ(ab.as_object()[0].first, "a");
-  EXPECT_EQ(ba.as_object()[0].first, "b");
+  EXPECT_EQ(ab.as_object().name(0), "a");
+  EXPECT_EQ(ba.as_object().name(0), "b");
+}
+
+// A document built from a held shape is indistinguishable from the same
+// fields built one by one: every output the store and the goldens read.
+TEST(ShapeTest, ShapedDocumentEqualsFieldByFieldDocument) {
+  const ShapeRef shape({"_id", "s", "n", "arr", "sub", "ts"});
+  const Value shaped = Value::Doc(
+      shape, {7, "x", Value(), Value::List({1, 2.5}),
+              Value::Doc({{"q", 3}}), Value::Timestamp(9)});
+  const Value plain = Value::Doc({{"_id", 7},
+                                  {"s", "x"},
+                                  {"n", Value()},
+                                  {"arr", Value::List({1, 2.5})},
+                                  {"sub", Value::Doc({{"q", 3}})},
+                                  {"ts", Value::Timestamp(9)}});
+  EXPECT_NE(shaped.as_object().shape(), plain.as_object().shape());
+  EXPECT_EQ(shaped.Compare(plain), 0);
+  EXPECT_EQ(plain.Compare(shaped), 0);
+  EXPECT_EQ(shaped.ToJson(), plain.ToJson());
+  EXPECT_EQ(KeyString::Encode(shaped), KeyString::Encode(plain));
+  EXPECT_EQ(shaped.ApproxSize(), plain.ApproxSize());
+  // Same shape, different values: the value decides.
+  EXPECT_LT(shaped, Value::Doc(shape, {8, "a", 0, 0, 0, 0}));
+}
+
+TEST(ShapeTest, CopiesShareTheShape) {
+  const ShapeRef shape({"a", "b"});
+  const Value d = Value::Doc(shape, {1, 2});
+  const Value copy = d;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(d.as_object().shape(), shape.get());
+  EXPECT_EQ(copy.as_object().shape(), shape.get());
+  EXPECT_EQ(Value::Doc(shape, {3, 4}).as_object().shape(), shape.get());
+}
+
+TEST(ShapeTest, SetInPlaceKeepsTheShape) {
+  const ShapeRef shape({"a", "b"});
+  Value d = Value::Doc(shape, {1, 2});
+  d.Set("b", 5);
+  EXPECT_EQ(d.as_object().shape(), shape.get());
+  EXPECT_EQ(d.Find("b")->as_int64(), 5);
+}
+
+TEST(ShapeTest, SetOfANewFieldOnACopyLeavesTheOriginal) {
+  const Value original = Value::Doc({{"a", 1}, {"b", 2}});
+  const Shape* shape = original.as_object().shape();
+  Value copy = original;
+  copy.Set("c", 3);
+  copy.Set("a", 9);
+  EXPECT_NE(copy.as_object().shape(), shape);
+  EXPECT_EQ(copy.ToJson(), R"({"a":9,"b":2,"c":3})");
+  EXPECT_EQ(original.as_object().shape(), shape);
+  ASSERT_EQ(original.as_object().size(), 2u);
+  EXPECT_EQ(original.as_object().name(0), "a");
+  EXPECT_EQ(original.as_object().name(1), "b");
+  EXPECT_EQ(original.ToJson(), R"({"a":1,"b":2})");
+}
+
+TEST(ShapeTest, EraseOnACopyLeavesTheOriginal) {
+  const Value original = Value::Doc({{"a", 1}, {"b", 2}, {"c", 3}});
+  const Shape* shape = original.as_object().shape();
+  Value copy = original;
+  EXPECT_TRUE(copy.Erase("b"));
+  EXPECT_EQ(copy.ToJson(), R"({"a":1,"c":3})");
+  EXPECT_EQ(original.as_object().shape(), shape);
+  ASSERT_EQ(original.as_object().size(), 3u);
+  EXPECT_EQ(original.as_object().name(1), "b");
+  EXPECT_EQ(original.ToJson(), R"({"a":1,"b":2,"c":3})");
+}
+
+TEST(ShapeTest, DocWithTheWrongValueCountAborts) {
+  const ShapeRef shape({"a", "b"});
+  EXPECT_DEATH(Value::Doc(shape, {1}), "1 values for a shape of 2 names");
+  EXPECT_DEATH(Value::Doc(shape, {1, 2, 3}), "3 values for a shape of 2");
+  EXPECT_DEATH(Value::Doc(ShapeRef(), {1}), "1 values for a shape of 0");
 }
 
 TEST(ValueTest, TypeNames) {

@@ -51,8 +51,8 @@ doc::Value RandomValue(sim::Rng* rng, int depth = 0) {
       doc::Object o;
       const int64_t len = rng->UniformInt(0, 3);
       for (int64_t i = 0; i < len; ++i) {
-        o.emplace_back(std::string(1, static_cast<char>('a' + i)),
-                       RandomValue(rng, depth + 1));
+        o.Set(std::string(1, static_cast<char>('a' + i)),
+              RandomValue(rng, depth + 1));
       }
       return doc::Value(std::move(o));
     }

@@ -126,6 +126,25 @@ TEST_F(WorkloadClusterTest, YcsbLoadIsIdenticalAcrossNodes) {
   EXPECT_EQ(rs_->node(0).db().Fingerprint(), rs_->node(2).db().Fingerprint());
 }
 
+// Load's records share one shape, so a field name is stored once per
+// collection, not once per record.
+TEST(YcsbStoreTest, LoadedRecordsShareOneShape) {
+  YcsbConfig config;
+  config.record_count = 50;
+  store::Database db;
+  YcsbWorkload::Load(config, &db);
+  const store::Collection* table = db.Get(config.table);
+  ASSERT_NE(table, nullptr);
+  const store::DocPtr first = table->FindById(doc::Value(int64_t{0}));
+  const store::DocPtr last = table->FindById(doc::Value(int64_t{49}));
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(last, nullptr);
+  ASSERT_NE(first->as_object().shape(), nullptr);
+  EXPECT_EQ(first->as_object().shape(), last->as_object().shape());
+  EXPECT_EQ(first->as_object().size(), 1u + config.field_count);
+  EXPECT_EQ(first->as_object().name(config.field_count), "field4");
+}
+
 TEST_F(WorkloadClusterTest, YcsbMixMatchesReadProportion) {
   Build();
   YcsbConfig config = YcsbConfig::WorkloadB();
@@ -192,6 +211,30 @@ TEST_F(WorkloadClusterTest, TpccLoadBuildsConsistentSchema) {
   EXPECT_TRUE(db.Get("orders")->HasIndex("orders_by_customer"));
   EXPECT_EQ(db.Fingerprint(), rs_->node(1).db().Fingerprint());
   db.Get("orders")->CheckInvariants();
+}
+
+// Load's documents share one shape per collection: two stock documents of
+// different warehouses, and two orders' lines.
+TEST(TpccStoreTest, LoadedDocumentsShareOneShapePerCollection) {
+  const TpccConfig config = SmallTpcc();
+  store::Database db;
+  TpccWorkload::Load(config, &db);
+  const store::Collection* stock = db.Get("stock");
+  ASSERT_NE(stock, nullptr);
+  const store::DocPtr a = stock->FindById(doc::Value::List({1, 1}));
+  const store::DocPtr b = stock->FindById(doc::Value::List({2, 100}));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(a->as_object().shape(), nullptr);
+  EXPECT_EQ(a->as_object().shape(), b->as_object().shape());
+  const store::Collection* orders = db.Get("orders");
+  const store::DocPtr o1 = orders->FindById(doc::Value::List({1, 1, 1}));
+  const store::DocPtr o2 = orders->FindById(doc::Value::List({2, 3, 30}));
+  ASSERT_NE(o1, nullptr);
+  ASSERT_NE(o2, nullptr);
+  EXPECT_EQ(o1->as_object().shape(), o2->as_object().shape());
+  EXPECT_EQ(o1->Find("o_lines")->as_array()[0].as_object().shape(),
+            o2->Find("o_lines")->as_array().back().as_object().shape());
 }
 
 // The stock ids of the items on the lines of district (w, d)'s `recent`
