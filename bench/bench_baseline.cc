@@ -307,14 +307,17 @@ int BenchMain(int argc, char** argv) {
     }
   }
 
-#ifndef NDEBUG
-  if (!allow_debug) {
+#ifdef NDEBUG
+  constexpr bool kOptimized = true;
+#else
+  constexpr bool kOptimized = false;
+#endif
+  if (!kOptimized && !allow_debug) {
     std::fprintf(stderr,
                  "bench_baseline: refusing to record/compare numbers from a "
                  "non-optimized build (pass --allow-debug to override)\n");
     return 2;
   }
-#endif
 
   // --- Run every benchmark --------------------------------------------------
   std::vector<BenchResult> results;

@@ -84,6 +84,16 @@ class KeyString {
   size_t size() const { return is_inline() ? rep_[kTagByte] : heap_size(); }
   bool is_inline() const { return rep_[kTagByte] != kOnHeap; }
 
+  /// The first 8 bytes of the encoding, zero-padded, read big-endian. If
+  /// head(a) < head(b) then a < b; equal heads decide nothing. No encoding
+  /// starts with 0xff, so every head is below ~0 (B+-tree nodes fill their
+  /// unused head slots with ~0).
+  uint64_t head() const {
+    if (is_inline()) return Word(*this, 0);
+    // A heap encoding is longer than kInlineCapacity, so 8 bytes exist.
+    return BigEndian(heap_data());
+  }
+
   /// Three-way byte-wise comparison (<0, 0, >0). Two inline encodings
   /// compare as two big-endian words: the zero padding and the trailing
   /// length byte make that exact, including when one is a prefix of the
@@ -126,13 +136,16 @@ class KeyString {
   // Copies `bytes` (longer than kInlineCapacity) into an owned buffer.
   void InitHeap(std::string_view bytes);
 
-  static uint64_t Word(const KeyString& k, size_t offset) {
+  static uint64_t BigEndian(const void* bytes) {
     uint64_t w;
-    std::memcpy(&w, k.rep_ + offset, sizeof(w));
+    std::memcpy(&w, bytes, sizeof(w));
     if constexpr (std::endian::native == std::endian::little) {
       w = __builtin_bswap64(w);
     }
     return w;
+  }
+  static uint64_t Word(const KeyString& k, size_t offset) {
+    return BigEndian(k.rep_ + offset);
   }
   const char* heap_data() const {
     const char* p;

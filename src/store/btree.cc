@@ -11,22 +11,30 @@ namespace dcg::store {
 using doc::KeyString;
 
 namespace {
-// Fanout: a node's 16 encoded keys span four cache lines.
-constexpr size_t kMaxLeafKeys = 16;
+// Fanout: 32 keys per leaf, 32 children per internal node. A search counts
+// all 32 head words of a node whatever its size, so a full node costs no
+// more to search than a sparse one; 64 slots measured slower than 32.
+constexpr size_t kMaxLeafKeys = 32;
 constexpr size_t kMinLeafKeys = kMaxLeafKeys / 2;
-constexpr size_t kMaxChildren = 16;
+constexpr size_t kMaxChildren = 32;
 constexpr size_t kMinChildren = kMaxChildren / 2;
 // A node splits after the insert that overfills it, so every array has
 // room for one entry past the maximum.
 constexpr size_t kKeySlots = kMaxLeafKeys + 1;
 static_assert(kMaxChildren <= kKeySlots);
+// The head word of every slot past a node's last key: above every
+// encoding's head, so a search counts no empty slot below its probe.
+constexpr uint64_t kNoHead = ~uint64_t{0};
 }  // namespace
 
 // Every array slot past a node's `size` entries (`size + 1` children) is
-// empty: an empty encoding, a null payload or child. The moves below leave
-// their sources empty, so a vacated slot holds no reference.
+// empty: an empty encoding, a kNoHead head, a null payload or child. The
+// moves below leave their sources empty, so a vacated slot holds no
+// reference.
 struct BTree::Node {
-  explicit Node(bool is_leaf) : leaf(is_leaf) {}
+  explicit Node(bool is_leaf) : leaf(is_leaf) {
+    std::fill(std::begin(heads), std::end(heads), kNoHead);
+  }
 
   Leaf* AsLeaf();
   const Leaf* AsLeaf() const;
@@ -35,6 +43,9 @@ struct BTree::Node {
 
   const bool leaf;
   uint16_t size = 0;  // keys in use
+  // heads[i] == keys[i].head(): searches count these words and compare
+  // whole encodings only where a head ties the probe's.
+  uint64_t heads[kKeySlots];
   // Leaf: the keys' encodings. Internal: separators.
   KeyString keys[kKeySlots];
 };
@@ -70,10 +81,27 @@ void BTree::NodeDeleter::operator()(Node* node) const {
 
 namespace {
 
-// Index of the first key of `node` >= `probe`.
+// The keys of `node` whose head ties `head`, the probe's: [first, last).
+// Keys before them sort below the probe and keys after them above it. The
+// count runs over all kMaxLeafKeys slots without a branch; a node being
+// searched holds at most that many keys.
 template <typename NodeT>
-size_t LowerIndex(const NodeT* node, const KeyString& probe) {
-  size_t lo = 0, hi = node->size;
+std::pair<size_t, size_t> HeadTies(const NodeT* node, uint64_t head) {
+  size_t below = 0;
+  // Unrolled, each slot costs a load and a compare-and-carry add.
+#pragma GCC unroll 32
+  for (size_t i = 0; i < kMaxLeafKeys; ++i) below += node->heads[i] < head;
+  // The keys tying the probe's head follow; one load each. Numbers and
+  // small composite keys tie only on equal keys, so the run is short.
+  size_t last = below;
+  while (last < node->size && node->heads[last] == head) ++last;
+  return {below, last};
+}
+
+// Index of the first key of `node` >= `probe`, whose head is `head`.
+template <typename NodeT>
+size_t LowerIndex(const NodeT* node, const KeyString& probe, uint64_t head) {
+  auto [lo, hi] = HeadTies(node, head);
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
     if (KeyString::Compare(node->keys[mid], probe) < 0) {
@@ -88,8 +116,8 @@ size_t LowerIndex(const NodeT* node, const KeyString& probe) {
 // Index of the first key > `probe`: the child of an internal node whose
 // range holds `probe`.
 template <typename NodeT>
-size_t UpperIndex(const NodeT* node, const KeyString& probe) {
-  size_t lo = 0, hi = node->size;
+size_t UpperIndex(const NodeT* node, const KeyString& probe, uint64_t head) {
+  auto [lo, hi] = HeadTies(node, head);
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
     if (KeyString::Compare(probe, node->keys[mid]) < 0) {
@@ -101,11 +129,20 @@ size_t UpperIndex(const NodeT* node, const KeyString& probe) {
   return lo;
 }
 
+// Whether key `i` of `node` sorts below `probe`, whose head is `head`: the
+// heads decide unless they tie, sparing a load of the key.
+template <typename NodeT>
+bool KeyBelow(const NodeT* node, size_t i, const KeyString& probe,
+              uint64_t head) {
+  return node->heads[i] != head ? node->heads[i] < head
+                                : node->keys[i] < probe;
+}
+
 // The leaf whose range holds `probe`; `NodeT` is Node or const Node.
 template <typename NodeT>
-auto DescendToLeaf(NodeT* node, const KeyString& probe) {
+auto DescendToLeaf(NodeT* node, const KeyString& probe, uint64_t head) {
   while (!node->leaf) {
-    node = node->AsInner()->children[UpperIndex(node, probe)].get();
+    node = node->AsInner()->children[UpperIndex(node, probe, head)].get();
   }
   return node->AsLeaf();
 }
@@ -123,6 +160,40 @@ T EraseAt(T* a, size_t n, size_t pos) {
   T erased = std::move(a[pos]);
   std::move(a + pos + 1, a + n, a + pos);
   return erased;
+}
+
+// The helpers below move a node's keys and heads in lockstep; `n` is the
+// node's key count before the change.
+
+// Stores `key` at slot `pos`, shifting keys [pos, n) one slot right.
+template <typename NodeT>
+void InsertKey(NodeT* node, size_t n, size_t pos, KeyString key) {
+  InsertAt(node->heads, n, pos, key.head());
+  InsertAt(node->keys, n, pos, std::move(key));
+}
+
+// Removes and returns key `pos`, shifting keys (pos, n) one slot left.
+template <typename NodeT>
+KeyString EraseKey(NodeT* node, size_t n, size_t pos) {
+  EraseAt(node->heads, n, pos);
+  node->heads[n - 1] = kNoHead;
+  return EraseAt(node->keys, n, pos);
+}
+
+// Replaces key `pos`, or fills the empty slot `pos`.
+template <typename NodeT>
+void SetKey(NodeT* node, size_t pos, KeyString key) {
+  node->heads[pos] = key.head();
+  node->keys[pos] = std::move(key);
+}
+
+// Moves keys [from, to) of `src` into `dst` from slot `at` on, emptying
+// their source slots.
+template <typename NodeT>
+void MoveKeys(NodeT* src, size_t from, size_t to, NodeT* dst, size_t at) {
+  std::copy(src->heads + from, src->heads + to, dst->heads + at);
+  std::fill(src->heads + from, src->heads + to, kNoHead);
+  std::move(src->keys + from, src->keys + to, dst->keys + at);
 }
 
 }  // namespace
@@ -143,11 +214,18 @@ BTree::~BTree() = default;
 BTree::BTree(BTree&&) noexcept = default;
 BTree& BTree::operator=(BTree&&) noexcept = default;
 
+// A node that overflows splits in half, except on an append: when the new
+// entry lands past the last one of a node on the right spine, the node
+// stays full and the new right node starts with as little as it can hold.
+// A leaf starts with the new key alone; an internal node with its last two
+// children, so that the new node's children have a sibling to borrow from
+// or merge with. Ascending loads thus fill every node but the spine's.
 BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
-                                     Payload& payload, Payload* replaced) {
+                                     uint64_t head, Payload& payload,
+                                     Payload* replaced, bool on_spine) {
   if (node->leaf) {
     Leaf* leaf = node->AsLeaf();
-    const size_t pos = LowerIndex(leaf, encoded);
+    const size_t pos = LowerIndex(leaf, encoded, head);
     if (pos < leaf->size && leaf->keys[pos] == encoded) {
       if (replaced == nullptr) {
         return InsertResult(InsertResult::Outcome::kNoop);
@@ -155,15 +233,16 @@ BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
       *replaced = std::exchange(leaf->payloads[pos], std::move(payload));
       return InsertResult(InsertResult::Outcome::kReplaced);
     }
-    InsertAt(leaf->keys, leaf->size, pos, std::move(encoded));
+    InsertKey(leaf, leaf->size, pos, std::move(encoded));
     InsertAt(leaf->payloads, leaf->size, pos, std::move(payload));
     ++leaf->size;
     InsertResult result{InsertResult::Outcome::kNew};
     if (leaf->size > kMaxLeafKeys) {
+      const size_t mid =
+          on_spine && pos == kMaxLeafKeys ? kMaxLeafKeys : leaf->size / 2;
       auto* right = new Leaf;
       result.right.reset(right);
-      const size_t mid = leaf->size / 2;
-      std::move(leaf->keys + mid, leaf->keys + leaf->size, right->keys);
+      MoveKeys(leaf, mid, leaf->size, right, 0);
       std::move(leaf->payloads + mid, leaf->payloads + leaf->size,
                 right->payloads);
       right->size = static_cast<uint16_t>(leaf->size - mid);
@@ -179,22 +258,25 @@ BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
   }
 
   Inner* inner = node->AsInner();
-  const size_t idx = UpperIndex(inner, encoded);
+  const size_t idx = UpperIndex(inner, encoded, head);
   InsertResult child_result =
-      InsertRec(inner->children[idx].get(), encoded, payload, replaced);
+      InsertRec(inner->children[idx].get(), encoded, head, payload, replaced,
+                on_spine && idx == inner->size);
   InsertResult result{child_result.outcome};
   if (child_result.split) {
-    InsertAt(inner->keys, inner->size, idx, std::move(child_result.sep));
+    InsertKey(inner, inner->size, idx, std::move(child_result.sep));
     InsertAt(inner->children, inner->size + 1, idx + 1,
              std::move(child_result.right));
     ++inner->size;
     if (inner->size + 1u > kMaxChildren) {
-      const size_t mid = inner->size / 2;  // key promoted upward
+      // Key `mid` moves up; an append leaves the new node two children.
+      const size_t mid = on_spine && idx + 1u == inner->size
+                             ? inner->size - 2u
+                             : inner->size / 2u;
       auto* right = new Inner;
       result.right.reset(right);
-      result.sep = std::move(inner->keys[mid]);
-      std::move(inner->keys + mid + 1, inner->keys + inner->size,
-                right->keys);
+      MoveKeys(inner, mid + 1, inner->size, right, 0);
+      result.sep = EraseKey(inner, mid + 1, mid);
       std::move(inner->children + mid + 1, inner->children + inner->size + 1,
                 right->children);
       right->size = static_cast<uint16_t>(inner->size - mid - 1);
@@ -207,10 +289,12 @@ BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
 
 bool BTree::InsertImpl(const Key& key, Payload payload, Payload* replaced) {
   KeyString encoded = KeyString::Encode(key);
-  InsertResult r = InsertRec(root_.get(), encoded, payload, replaced);
+  const uint64_t head = encoded.head();
+  InsertResult r = InsertRec(root_.get(), encoded, head, payload, replaced,
+                             /*on_spine=*/true);
   if (r.split) {
     auto* new_root = new Inner;
-    new_root->keys[0] = std::move(r.sep);
+    SetKey(new_root, 0, std::move(r.sep));
     new_root->children[0] = std::move(root_);
     new_root->children[1] = std::move(r.right);
     new_root->size = 1;
@@ -235,8 +319,9 @@ bool BTree::Insert(const Key& key, Payload payload) {
 
 const BTree::Payload* BTree::Lookup(const Key& key) const {
   const KeyString encoded = KeyString::Encode(key);
-  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
-  const size_t pos = LowerIndex(leaf, encoded);
+  const uint64_t head = encoded.head();
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded, head);
+  const size_t pos = LowerIndex(leaf, encoded, head);
   if (pos < leaf->size && leaf->keys[pos] == encoded) {
     return &leaf->payloads[pos];
   }
@@ -261,18 +346,19 @@ void BTree::FindSorted(std::span<const KeyString> probes,
       out->push_back(nullptr);
       continue;
     }
+    const uint64_t head = probe.head();
     // A probe no greater than the current leaf's last key belongs to that
     // leaf: the leaf's range already held an earlier, smaller probe.
     // Likewise for the next leaf when the probe is past this one.
-    if (leaf == nullptr || leaf->keys[leaf->size - 1] < probe) {
+    if (leaf == nullptr || KeyBelow(leaf, leaf->size - 1u, probe, head)) {
       const Leaf* next = leaf != nullptr ? leaf->next : nullptr;
-      if (next != nullptr && !(next->keys[next->size - 1] < probe)) {
+      if (next != nullptr && !KeyBelow(next, next->size - 1u, probe, head)) {
         leaf = next;
       } else {
-        leaf = DescendToLeaf<const Node>(root_.get(), probe);
+        leaf = DescendToLeaf<const Node>(root_.get(), probe, head);
       }
     }
-    const size_t pos = LowerIndex(leaf, probe);
+    const size_t pos = LowerIndex(leaf, probe, head);
     out->push_back(pos < leaf->size && leaf->keys[pos] == probe
                        ? leaf->payloads[pos]
                        : nullptr);
@@ -285,6 +371,8 @@ BTree::Payload* BTree::FindSlot(const Key& key) {
 }
 
 void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
+  // Every internal node keeps two children, so the child has a sibling.
+  DCG_CHECK(parent->size >= 1);
   Node* child = parent->children[child_idx].get();
   auto has_spare = [](const Node* n) {
     return n->leaf ? n->size > kMinLeafKeys : n->size + 1u > kMinChildren;
@@ -297,18 +385,18 @@ void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
       if (child->leaf) {
         Leaf* from = left->AsLeaf();
         Leaf* to = child->AsLeaf();
-        InsertAt(to->keys, to->size, 0, std::move(from->keys[from->size - 1]));
+        InsertKey(to, to->size, 0, EraseKey(from, from->size, from->size - 1));
         InsertAt(to->payloads, to->size, 0,
                  std::move(from->payloads[from->size - 1]));
-        parent->keys[child_idx - 1] = to->keys[0];
+        SetKey(parent, child_idx - 1, to->keys[0]);
       } else {
         Inner* from = left->AsInner();
         Inner* to = child->AsInner();
-        InsertAt(to->keys, to->size, 0,
-                 std::move(parent->keys[child_idx - 1]));
+        InsertKey(to, to->size, 0, std::move(parent->keys[child_idx - 1]));
         InsertAt(to->children, to->size + 1u, 0,
                  std::move(from->children[from->size]));
-        parent->keys[child_idx - 1] = std::move(from->keys[from->size - 1]);
+        SetKey(parent, child_idx - 1,
+               EraseKey(from, from->size, from->size - 1));
       }
       --left->size;
       ++child->size;
@@ -322,14 +410,14 @@ void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
       if (child->leaf) {
         Leaf* from = right->AsLeaf();
         Leaf* to = child->AsLeaf();
-        to->keys[to->size] = EraseAt(from->keys, from->size, 0);
+        SetKey(to, to->size, EraseKey(from, from->size, 0));
         to->payloads[to->size] = EraseAt(from->payloads, from->size, 0);
-        parent->keys[child_idx] = from->keys[0];
+        SetKey(parent, child_idx, from->keys[0]);
       } else {
         Inner* from = right->AsInner();
         Inner* to = child->AsInner();
-        to->keys[to->size] = std::move(parent->keys[child_idx]);
-        parent->keys[child_idx] = EraseAt(from->keys, from->size, 0);
+        SetKey(to, to->size, std::move(parent->keys[child_idx]));
+        SetKey(parent, child_idx, EraseKey(from, from->size, 0));
         to->children[to->size + 1] =
             EraseAt(from->children, from->size + 1u, 0);
       }
@@ -346,7 +434,7 @@ void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
   if (l->leaf) {
     Leaf* ll = l->AsLeaf();
     Leaf* rl = r->AsLeaf();
-    std::move(rl->keys, rl->keys + rl->size, ll->keys + ll->size);
+    MoveKeys(rl, 0, rl->size, ll, ll->size);
     std::move(rl->payloads, rl->payloads + rl->size, ll->payloads + ll->size);
     ll->size = static_cast<uint16_t>(ll->size + rl->size);
     ll->next = rl->next;
@@ -354,36 +442,40 @@ void BTree::FixUnderflow(Inner* parent, size_t child_idx) {
   } else {
     Inner* li_node = l->AsInner();
     Inner* ri_node = r->AsInner();
-    li_node->keys[li_node->size] = std::move(parent->keys[li]);
-    std::move(ri_node->keys, ri_node->keys + ri_node->size,
-              li_node->keys + li_node->size + 1);
+    SetKey(li_node, li_node->size, std::move(parent->keys[li]));
+    MoveKeys(ri_node, 0, ri_node->size, li_node, li_node->size + 1u);
     std::move(ri_node->children, ri_node->children + ri_node->size + 1,
               li_node->children + li_node->size + 1);
     li_node->size = static_cast<uint16_t>(li_node->size + ri_node->size + 1);
   }
   r->size = 0;
-  EraseAt(parent->keys, parent->size, li);
+  EraseKey(parent, parent->size, li);
   EraseAt(parent->children, parent->size + 1u, li + 1);  // frees `r`
   --parent->size;
 }
 
-bool BTree::EraseRec(Node* node, const KeyString& encoded, Payload* erased) {
+// A node below its minimum occupancy is fixed after every erase, the right
+// spine's included: a spine node left with few entries by an append split
+// borrows from its left sibling or merges into it. So no leaf but an
+// empty tree's root is ever empty.
+bool BTree::EraseRec(Node* node, const KeyString& encoded, uint64_t head,
+                     Payload* erased) {
   if (node->leaf) {
     Leaf* leaf = node->AsLeaf();
-    const size_t pos = LowerIndex(leaf, encoded);
+    const size_t pos = LowerIndex(leaf, encoded, head);
     if (pos >= leaf->size || !(leaf->keys[pos] == encoded)) {
       return false;
     }
-    EraseAt(leaf->keys, leaf->size, pos);
+    EraseKey(leaf, leaf->size, pos);
     Payload payload = EraseAt(leaf->payloads, leaf->size, pos);
     if (erased != nullptr) *erased = std::move(payload);
     --leaf->size;
     return true;
   }
   Inner* inner = node->AsInner();
-  const size_t idx = UpperIndex(inner, encoded);
+  const size_t idx = UpperIndex(inner, encoded, head);
   Node* child = inner->children[idx].get();
-  if (!EraseRec(child, encoded, erased)) return false;
+  if (!EraseRec(child, encoded, head, erased)) return false;
   const bool underfull = child->leaf ? child->size < kMinLeafKeys
                                      : child->size + 1u < kMinChildren;
   if (underfull) FixUnderflow(inner, idx);
@@ -391,7 +483,8 @@ bool BTree::EraseRec(Node* node, const KeyString& encoded, Payload* erased) {
 }
 
 bool BTree::Erase(const Key& key, Payload* erased) {
-  if (!EraseRec(root_.get(), KeyString::Encode(key), erased)) return false;
+  const KeyString encoded = KeyString::Encode(key);
+  if (!EraseRec(root_.get(), encoded, encoded.head(), erased)) return false;
   --size_;
   if (!root_->leaf && root_->size == 0) {
     NodePtr only_child = std::move(root_->AsInner()->children[0]);
@@ -401,27 +494,27 @@ bool BTree::Erase(const Key& key, Payload* erased) {
 }
 
 BTree::NodePtr BTree::CloneNode(const Node* node, Leaf** prev_leaf) {
+  NodePtr owner;
   if (node->leaf) {
     const Leaf* source = node->AsLeaf();
     auto* copy = new Leaf;
-    NodePtr owner(copy);
-    std::copy(source->keys, source->keys + source->size, copy->keys);
+    owner.reset(copy);
     std::copy(source->payloads, source->payloads + source->size,
               copy->payloads);
-    copy->size = source->size;
     copy->prev = *prev_leaf;
     if (*prev_leaf != nullptr) (*prev_leaf)->next = copy;
     *prev_leaf = copy;
-    return owner;
+  } else {
+    const Inner* source = node->AsInner();
+    auto* copy = new Inner;
+    owner.reset(copy);
+    for (size_t i = 0; i <= source->size; ++i) {
+      copy->children[i] = CloneNode(source->children[i].get(), prev_leaf);
+    }
   }
-  const Inner* source = node->AsInner();
-  auto* copy = new Inner;
-  NodePtr owner(copy);
-  std::copy(source->keys, source->keys + source->size, copy->keys);
-  for (size_t i = 0; i <= source->size; ++i) {
-    copy->children[i] = CloneNode(source->children[i].get(), prev_leaf);
-  }
-  copy->size = source->size;
+  std::copy(std::begin(node->heads), std::end(node->heads), owner->heads);
+  std::copy(node->keys, node->keys + node->size, owner->keys);
+  owner->size = node->size;
   return owner;
 }
 
@@ -441,8 +534,8 @@ const BTree::Payload& BTree::Iterator::payload() const {
 
 void BTree::Iterator::Next() {
   DCG_CHECK(Valid());
-  ++pos_;
-  while (leaf_ != nullptr && pos_ >= leaf_->size) {
+  // No leaf in a nonempty tree is empty.
+  if (++pos_ == leaf_->size) {
     leaf_ = leaf_->next;
     pos_ = 0;
   }
@@ -451,21 +544,19 @@ void BTree::Iterator::Next() {
 BTree::Iterator BTree::Begin() const {
   const Node* node = root_.get();
   while (!node->leaf) node = node->AsInner()->children[0].get();
-  // Leaves other than a root leaf are never empty (min occupancy), but an
-  // empty tree has an empty root leaf.
+  // Only an empty tree's root leaf is empty.
   if (node->size == 0) return Iterator(nullptr, 0);
   return Iterator(node->AsLeaf(), 0);
 }
 
 BTree::Iterator BTree::LowerBoundEncoded(const KeyString& encoded) const {
-  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded);
-  Iterator it(leaf, LowerIndex(leaf, encoded));
-  if (it.pos_ >= leaf->size) {
+  const uint64_t head = encoded.head();
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded, head);
+  Iterator it(leaf, LowerIndex(leaf, encoded, head));
+  if (it.pos_ == leaf->size) {
+    // Past this leaf's last key: the next leaf's first, if any.
     it.leaf_ = leaf->next;
     it.pos_ = 0;
-    while (it.leaf_ != nullptr && it.leaf_->size == 0) {
-      it.leaf_ = it.leaf_->next;
-    }
   }
   return it;
 }
@@ -502,26 +593,35 @@ struct BTree::CheckState {
 };
 
 // Recursive structural check. `lo`/`hi` bound the encodings permitted in
-// this subtree; nullptr means unbounded.
+// this subtree; nullptr means unbounded. `on_spine` marks the root and its
+// last child, that child's last child and so on down to the last leaf.
 void BTree::CheckNode(const Node* node, const KeyString* lo,
-                      const KeyString* hi, int depth, bool is_root,
+                      const KeyString* hi, int depth, bool on_spine,
                       CheckState* state) {
-  // Keys sorted strictly ascending and within bounds; slots past the last
-  // key empty.
+  const bool is_root = depth == 0;
+  // Keys sorted strictly ascending and within bounds, each beside its
+  // head; slots past the last key empty, with the empty slots' head.
   for (size_t i = 0; i < node->size; ++i) {
     if (i > 0) DCG_CHECK(node->keys[i - 1] < node->keys[i]);
     if (lo != nullptr) DCG_CHECK(!(node->keys[i] < *lo));
     if (hi != nullptr) DCG_CHECK(node->keys[i] < *hi);
+    DCG_CHECK(node->heads[i] == node->keys[i].head());
   }
   for (size_t i = node->size; i < kKeySlots; ++i) {
     DCG_CHECK(node->keys[i].size() == 0);
+    DCG_CHECK(node->heads[i] == kNoHead);
   }
+  // Occupancy: every node off the right spine is at least half full. A
+  // spine node may hold less (an append split leaves it so), but a leaf
+  // holds a key unless it is an empty tree's root and an internal node
+  // has two children.
   if (node->leaf) {
     const Leaf* leaf = node->AsLeaf();
     for (size_t i = leaf->size; i < kKeySlots; ++i) {
       DCG_CHECK(leaf->payloads[i] == nullptr);
     }
-    if (!is_root) DCG_CHECK(leaf->size >= kMinLeafKeys);
+    const size_t min_keys = is_root ? 0 : on_spine ? 1 : kMinLeafKeys;
+    DCG_CHECK(leaf->size >= min_keys);
     DCG_CHECK(leaf->size <= kMaxLeafKeys);
     if (state->leaf_depth < 0) {
       state->leaf_depth = depth;
@@ -539,7 +639,7 @@ void BTree::CheckNode(const Node* node, const KeyString* lo,
   }
   const Inner* inner = node->AsInner();
   const size_t children = inner->size + 1u;
-  if (!is_root) DCG_CHECK(children >= kMinChildren);
+  DCG_CHECK(children >= (on_spine ? 2 : kMinChildren));
   DCG_CHECK(children <= kMaxChildren);
   for (size_t i = 0; i <= kMaxChildren; ++i) {
     DCG_CHECK((inner->children[i] != nullptr) == (i < children));
@@ -548,13 +648,13 @@ void BTree::CheckNode(const Node* node, const KeyString* lo,
     const KeyString* child_lo = (i == 0) ? lo : &inner->keys[i - 1];
     const KeyString* child_hi = (i == inner->size) ? hi : &inner->keys[i];
     CheckNode(inner->children[i].get(), child_lo, child_hi, depth + 1,
-              /*is_root=*/false, state);
+              on_spine && i == inner->size, state);
   }
 }
 
 void BTree::CheckInvariants() const {
   CheckState state;
-  CheckNode(root_.get(), nullptr, nullptr, 0, /*is_root=*/true, &state);
+  CheckNode(root_.get(), nullptr, nullptr, 0, /*on_spine=*/true, &state);
   DCG_CHECK(state.count == size_);
   if (state.prev_leaf != nullptr) DCG_CHECK(state.prev_leaf->next == nullptr);
 }

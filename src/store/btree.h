@@ -2,6 +2,7 @@
 #define DCG_STORE_BTREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -18,12 +19,22 @@ namespace dcg::store {
 ///
 /// Design notes:
 ///  * The tree stores and searches encodings only: every operation encodes
-///    its probe once, then binary-searches nodes by byte compare. The key
-///    values themselves are not kept; a caller that needs one reads it from
-///    the payload document (a collection's "_id").
-///  * Each node is one allocation: fixed-capacity arrays of encodings, then
-///    of payloads (leaves) or children (internal nodes), so a descent
+///    its probe once. The key values themselves are not kept; a caller that
+///    needs one reads it from the payload document (a collection's "_id").
+///  * Nodes hold up to 32 keys (leaves) or 32 children (internal nodes).
+///    Each node is one allocation: fixed-capacity arrays of head words, of
+///    encodings, then of payloads (leaves) or children, so a descent
 ///    touches one node per level.
+///  * Beside each encoding a node keeps its head (KeyString::head(), the
+///    first 8 bytes as a word; ~0 past the last key). A node search counts
+///    the heads below the probe's over all 32 slots without a branch and
+///    compares whole encodings only among keys whose head ties the probe's.
+///  * An overflowing node splits in half, except on an append past the last
+///    key of the right spine (the root, its last child, and so on down to
+///    the last leaf): then the node stays full and the new right node takes
+///    the new key alone (a leaf) or the last two children (an internal
+///    node), as SQLite's balance_quick does. Ascending loads fill every
+///    node; only spine nodes may be less than half full.
 ///  * Payloads are `shared_ptr<const doc::Value>`: reads hand out a stable
 ///    snapshot of the document; updates install a fresh copy (copy-on-write),
 ///    so a reader holding a document is never affected by later writes.
@@ -31,8 +42,9 @@ namespace dcg::store {
 ///    walks order lines via such scans) and for FindSorted, which serves a
 ///    run of ascending probes without returning to the root while they stay
 ///    on the current leaf or the next.
-///  * Deletion rebalances via borrow/merge, keeping every non-root node at
-///    least half full.
+///  * Deletion rebalances via borrow/merge: every node off the right spine
+///    stays at least half full, no leaf but an empty tree's root is empty
+///    and every internal node keeps at least two children.
 ///  * CopyFrom clones the structure node for node and shares the payloads.
 class BTree {
  public:
@@ -128,10 +140,11 @@ class BTree {
   /// Cursor positioned at the first key > `key`.
   Iterator UpperBound(const Key& key) const;
 
-  /// Validates structural invariants (ordering, occupancy, uniform depth,
-  /// leaf chain consistency, size, and every slot past a node's last entry
-  /// empty). Aborts via assert-style check failure on violation; used
-  /// heavily by the property tests.
+  /// Validates structural invariants (ordering, each key's head, occupancy
+  /// with the right spine's exemption, uniform depth, leaf chain
+  /// consistency, size, and every slot past a node's last entry empty).
+  /// Aborts via assert-style check failure on violation; used heavily by
+  /// the property tests.
   void CheckInvariants() const;
 
   /// Height of the tree (1 for a lone root leaf).
@@ -147,14 +160,17 @@ class BTree {
   // `replaced` null forbids replacing (Insert); otherwise it receives the
   // replaced payload. A new entry takes `encoded` and `payload` by move.
   bool InsertImpl(const Key& key, Payload payload, Payload* replaced);
-  InsertResult InsertRec(Node* node, doc::KeyString& encoded,
-                         Payload& payload, Payload* replaced);
-  bool EraseRec(Node* node, const doc::KeyString& encoded, Payload* erased);
+  // `head` is encoded.head(); `on_spine` whether `node` is on the right
+  // spine, where an append splits off a nearly empty right node.
+  InsertResult InsertRec(Node* node, doc::KeyString& encoded, uint64_t head,
+                         Payload& payload, Payload* replaced, bool on_spine);
+  bool EraseRec(Node* node, const doc::KeyString& encoded, uint64_t head,
+                Payload* erased);
   void FixUnderflow(Inner* parent, size_t child_idx);
   Iterator LowerBoundEncoded(const doc::KeyString& encoded) const;
   static NodePtr CloneNode(const Node* node, Leaf** prev_leaf);
   static void CheckNode(const Node* node, const doc::KeyString* lo,
-                        const doc::KeyString* hi, int depth, bool is_root,
+                        const doc::KeyString* hi, int depth, bool on_spine,
                         CheckState* state);
 
   NodePtr root_;

@@ -62,15 +62,30 @@ TEST(BTreeTest, UpsertReplaces) {
 
 TEST(BTreeTest, SplitsGrowHeight) {
   BTree tree;
-  for (int64_t i = 0; i < 1000; ++i) {
+  for (int64_t i = 0; i < 2000; ++i) {
     tree.Insert(doc::Value(i), Doc(i));
   }
-  EXPECT_EQ(tree.size(), 1000u);
+  EXPECT_EQ(tree.size(), 2000u);
   EXPECT_GE(tree.Height(), 3);
   tree.CheckInvariants();
-  for (int64_t i = 0; i < 1000; ++i) {
+  for (int64_t i = 0; i < 2000; ++i) {
     ASSERT_NE(tree.Find(doc::Value(i)), nullptr) << i;
   }
+}
+
+// Ascending loads fill every node: a node that overflows on an append
+// stays full. 31 full leaves fit under one root; 20 000 keys (625 leaves)
+// need one more level, not two.
+TEST(BTreeTest, AscendingLoadsFillNodes) {
+  BTree tree;
+  int64_t k = 0;
+  for (; k < 31 * 32; ++k) tree.Insert(doc::Value(k), Doc(k));
+  tree.CheckInvariants();
+  EXPECT_EQ(tree.Height(), 2);
+  for (; k < 20'000; ++k) tree.Insert(doc::Value(k), Doc(k));
+  tree.CheckInvariants();
+  EXPECT_EQ(tree.Height(), 3);
+  EXPECT_EQ(tree.size(), 20'000u);
 }
 
 TEST(BTreeTest, IterationIsSorted) {
@@ -225,6 +240,7 @@ TEST(BTreeFindSortedTest, ProbesBelowAndAboveEveryKey) {
   ExpectFindSortedMatches(tree, oracle, {-20, -10, -1, -1});
   ExpectFindSortedMatches(tree, oracle, {1000, 1000, 1500, 3000});
   ExpectFindSortedMatches(tree, oracle, {-5, 0, 15, 16, 17, 999, 1000});
+  ExpectFindSortedMatches(tree, oracle, {-5, 0, 31, 32, 33, 999, 1000});
   // Every key in order: the pass walks the leaf chain end to end.
   std::vector<int64_t> all;
   for (int64_t k = -2; k < 1002; ++k) all.push_back(k);
@@ -263,6 +279,133 @@ TEST(BTreeFindSortedTest, RejectsDescendingProbes) {
   std::vector<BTree::Payload> got;
   EXPECT_DEATH(tree.FindSorted(probes, &got), "ascend");
 }
+
+// ---------------------------------------------------------------------------
+// Append splits: the right spine may hold nodes below half occupancy, which
+// erases must rebalance like any other. Every op is checked against a
+// std::map oracle and the structural invariants.
+// ---------------------------------------------------------------------------
+
+// Checks the tree's invariants and that its entries equal `oracle`'s.
+void ExpectEntries(const BTree& tree,
+                   const std::map<int64_t, int64_t>& oracle) {
+  tree.CheckInvariants();
+  ASSERT_EQ(tree.size(), oracle.size());
+  auto it = tree.Begin();
+  for (const auto& [key, value] : oracle) {
+    ASSERT_TRUE(it.Valid());
+    ASSERT_EQ(it.encoded_key(), Enc(doc::Value(key)));
+    ASSERT_EQ(PayloadV(it), value);
+    it.Next();
+  }
+  ASSERT_FALSE(it.Valid());
+}
+
+// A tree and its oracle, changed together.
+struct OracleTree {
+  void Insert(int64_t k) {
+    EXPECT_EQ(tree.Insert(doc::Value(k), Doc(k)), oracle.emplace(k, k).second)
+        << k;
+  }
+  void Erase(int64_t k) {
+    EXPECT_EQ(tree.Erase(doc::Value(k)), oracle.erase(k) > 0) << k;
+  }
+
+  BTree tree;
+  std::map<int64_t, int64_t> oracle;
+};
+
+TEST(BTreeAppendSplitTest, ErasingTheLoneKeyOfAFreshLeaf) {
+  // 33 keys: a full leaf, then a leaf holding the 33rd key alone. 1025 keys
+  // put that lone key under a fresh internal node with two children.
+  for (const int64_t n : {33, 1025}) {
+    OracleTree t;
+    for (int64_t k = 0; k < n; ++k) t.Insert(k);
+    ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle));
+    const int height = t.tree.Height();
+    t.Erase(n - 1);
+    ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle));
+    EXPECT_EQ(t.tree.Height(), height);
+    t.Insert(n - 1);  // an append again
+    ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle));
+    // Drain the whole tree from its right end.
+    for (int64_t k = n - 1; k >= 0; --k) {
+      t.Erase(k);
+      ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << k;
+    }
+    EXPECT_TRUE(t.tree.empty());
+    EXPECT_EQ(t.tree.Height(), 1);
+  }
+}
+
+enum class EraseOrder { kAscending, kDescending, kRandom };
+
+class BTreeAppendStressTest : public ::testing::TestWithParam<EraseOrder> {};
+
+// From an ascending load (height 3, a short right spine), erases every
+// loaded key in the given order, mixed with appends past the largest key,
+// inserts of random keys between the loaded ones and erases of those, then
+// drains the tree. The oracle and the invariants are checked after every
+// op.
+TEST_P(BTreeAppendStressTest, MatchesOracleAfterEveryOp) {
+  sim::Rng rng(static_cast<uint64_t>(GetParam()) + 31);
+  OracleTree t;
+  // Loaded and appended keys are even; random inserts are odd.
+  std::vector<int64_t> loaded;
+  for (int64_t k = 0; k < 2 * 1100; k += 2) {
+    t.Insert(k);
+    loaded.push_back(k);
+  }
+  ASSERT_EQ(t.tree.Height(), 3);
+  ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle));
+  switch (GetParam()) {
+    case EraseOrder::kAscending:
+      break;
+    case EraseOrder::kDescending:
+      std::reverse(loaded.begin(), loaded.end());
+      break;
+    case EraseOrder::kRandom:
+      for (size_t i = loaded.size(); i > 1; --i) {
+        std::swap(loaded[i - 1], loaded[rng.UniformInt(0, i - 1)]);
+      }
+      break;
+  }
+  int64_t next_append = 2 * 1100;
+  for (const int64_t k : loaded) {
+    t.Erase(k);
+    ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << "erase " << k;
+    if (rng.Bernoulli(0.6)) {
+      t.Insert(next_append);
+      next_append += 2;
+      ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << "append";
+    }
+    const int64_t odd = 2 * rng.UniformInt(0, next_append / 2) + 1;
+    if (rng.Bernoulli(0.25)) {
+      t.Insert(odd);
+      ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << "insert";
+    } else if (rng.Bernoulli(0.15)) {
+      t.Erase(odd);
+      ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << "erase";
+    }
+  }
+  std::vector<int64_t> rest;
+  for (const auto& [key, value] : t.oracle) rest.push_back(key);
+  ASSERT_FALSE(rest.empty());
+  for (size_t i = rest.size(); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng.UniformInt(0, i - 1)]);
+  }
+  for (const int64_t k : rest) {
+    t.Erase(k);
+    ASSERT_NO_FATAL_FAILURE(ExpectEntries(t.tree, t.oracle)) << "drain " << k;
+  }
+  EXPECT_TRUE(t.tree.empty());
+  EXPECT_EQ(t.tree.Height(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, BTreeAppendStressTest,
+                         ::testing::Values(EraseOrder::kAscending,
+                                           EraseOrder::kDescending,
+                                           EraseOrder::kRandom));
 
 // ---------------------------------------------------------------------------
 // CopyFrom: a node-for-node clone sharing the payloads.

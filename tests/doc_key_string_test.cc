@@ -208,6 +208,57 @@ TEST(KeyStringTest, CopyAndMoveKeepTheBytes) {
   }
 }
 
+// A key's head, its first 8 bytes as a word, orders keys wherever it
+// differs: head(a) < head(b) implies a < b, and a < b implies
+// head(a) <= head(b). The seeded corpus gets keys that stress the head:
+// heap-length encodings, embedded 0x00/0x01 bytes (escaped to two bytes)
+// and keys that share their first 8 bytes.
+TEST(KeyStringTest, HeadOrdersKeysWhereItDiffers) {
+  std::vector<Value> corpus = Corpus(/*seed=*/15, 500);
+  for (const std::string& s :
+       {std::string("abcdefg"), std::string("abcdefgh"),
+        std::string("abcdefgh\0", 9), std::string("abcdefgh\1", 9),
+        std::string("abcdefghi"), std::string("abcdefghijklmnopq"),
+        std::string("abcdefghijklmnopr"), std::string("abc\0\0\0\0\0\0", 9),
+        std::string("abc\0\0\0\0\0\0\0zzzzzzzzz", 19),
+        std::string("abc\1\0\1\0\1\0\1", 10), std::string("ab\0", 3)}) {
+    corpus.emplace_back(s);
+  }
+  corpus.push_back(Value::List({1, 2, 3, 4, 5, 6, 7, 8}));
+  corpus.push_back(Value::List({1, 2, 3, 4, 5, 6, 7, 9}));
+  corpus.push_back(Value::List({1, 2, 3, 4}));
+  corpus.push_back(Value::List({10, 10, 3000}));
+  corpus.push_back(Value::List({10, 10, 3001}));
+  corpus.push_back(Value::List({10, 10, 3000, 15}));
+
+  std::vector<KeyString> keys;
+  keys.reserve(corpus.size());
+  for (const Value& v : corpus) keys.push_back(KeyString::Encode(v));
+  size_t heap = 0, low_bytes = 0, shared_head = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t head = keys[i].head();
+    EXPECT_NE(head, ~uint64_t{0}) << corpus[i].ToJson();
+    heap += !keys[i].is_inline();
+    low_bytes += keys[i].view().find_first_of(std::string_view("\0\1", 2)) !=
+                 std::string_view::npos;
+    for (size_t j = 0; j < keys.size(); ++j) {
+      const int c = KeyString::Compare(keys[i], keys[j]);
+      const uint64_t other = keys[j].head();
+      shared_head += c != 0 && head == other;
+      if (head < other) {
+        ASSERT_LT(c, 0) << corpus[i].ToJson() << " vs " << corpus[j].ToJson();
+      }
+      if (c < 0) {
+        ASSERT_LE(head, other)
+            << corpus[i].ToJson() << " vs " << corpus[j].ToJson();
+      }
+    }
+  }
+  EXPECT_GT(heap, 10u);
+  EXPECT_GT(low_bytes, 10u);
+  EXPECT_GT(shared_head, 10u);
+}
+
 // An array's encoding without its end byte is a byte prefix of exactly the
 // arrays whose leading elements equal the prefix components, and it sorts
 // at or before each of them.

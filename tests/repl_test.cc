@@ -845,7 +845,9 @@ TEST_P(CrashConvergenceTest, LiveMembersConvergeAndShareDocuments) {
   for (int i = 0; i < rs.node_count(); ++i) {
     ASSERT_TRUE(rs.IsAlive(i)) << "node " << i;
     EXPECT_EQ(rs.node(i).last_applied().seq, rs.oplog().last_seq()) << i;
-    if (i != rs.primary_index()) EXPECT_TRUE(SharesPrimaryDocs(rs, i));
+    if (i != rs.primary_index()) {
+      EXPECT_TRUE(SharesPrimaryDocs(rs, i));
+    }
     rs.node(i).db().Get("t")->CheckInvariants();
   }
   EXPECT_EQ(rs.oplog().released_through(), rs.oplog().last_seq());
