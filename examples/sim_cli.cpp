@@ -18,14 +18,17 @@
 //           [--report-out=PATH]
 //           [--explain-balancer] [--shards=N] [--shard-key=hashed|ranged]
 //
-// --scenario loads the base run of a paper scenario (exp/scenario.h, the
-//   table `paper_claims --scenario=NAME` runs) so the bake-off and CI can
-//   invoke figures by name: workload, phase schedule, seed, duration and
-//   knobs. Any entry with one base run works, e.g.
+// --scenario loads the base run of a scenario (exp/scenario.h, the table
+//   `paper_claims --scenario=NAME` runs) so a figure or a CI check can be
+//   replayed and varied by name: workload, system, controller, phase
+//   schedule, seed, duration and knobs. Any entry with a base run works,
+//   e.g.
 //     fig2  YCSB-A -> YCSB-B read-ratio jump (45 clients, switch at 69 %
 //           of the run, summary over the post-switch phase)
 //     fig3  load drop: YCSB-B 45 clients -> YCSB-A 5 clients at 33 %
 //     fig9  TPC-C with StaleBound 10 s (checkpoint-stall sawtooth)
+//     ci_driver_paths  hedging, a starved pool, batching and a lossy
+//           link on the secondary system (the CI check's run)
 //   Later flags override the scenario's values; phase-switch and warmup
 //   times scale with the final --duration, and later phases' client
 //   counts keep their ratio to --clients, so short CI runs keep the shape.
@@ -203,6 +206,8 @@ int main(int argc, char** argv) {
     }
     config = *scenario->config;
     workload = WorkloadFlag(config);
+    system = exp::ToString(config.system);
+    controller = config.balancer.controller;
   }
   std::string csv_prefix;
   std::string fault_spec;

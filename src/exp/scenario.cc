@@ -56,6 +56,15 @@ ExperimentConfig With(ExperimentConfig config,
   return config;
 }
 
+/// The fault timeline `spec`, in sim_cli's --faults grammar.
+fault::FaultSchedule Faults(const char* spec) {
+  fault::FaultSchedule schedule;
+  std::string error;
+  const bool parsed = fault::ParseFaultSpec(spec, &schedule, &error);
+  DCG_CHECK(parsed);
+  return schedule;
+}
+
 void PrintSeries(const Experiment& experiment, bool tpcc) {
   std::printf("%8s %12s %10s %8s %10s %7s\n", "time(s)",
               tpcc ? "SL txn/s" : "reads/s", "p80(ms)", "sec(%)", "fraction",
@@ -1237,6 +1246,237 @@ void RunExtPoolExhaustion(const Scenario& self, Claims& claims) {
       primary_tail.checkout_wait_ms > 0);
 }
 
+// --- CI checks ---------------------------------------------------------------
+
+/// The Fig. 5 ceiling at a saturating client count: the same seed with
+/// driver-side batching off, then on.
+void RunCiBatching(const Scenario& self, Claims& claims) {
+  double throughput[2];
+  uint64_t envelopes = 0;
+  for (int on = 0; on < 2; ++on) {
+    ExperimentConfig config = *self.config;
+    if (on == 1) {
+      config.client_options.batching_enabled = true;
+      config.client_options.batch_max_ops = 16;
+      config.client_options.batch_max_delay = sim::Micros(200);
+    }
+    Experiment experiment(config);
+    experiment.Run();
+    throughput[on] = experiment.Summarize().read_throughput;
+    if (on == 1) envelopes = experiment.client().op_counters().envelopes_sent;
+  }
+  std::printf(
+      "read txn/s: batching off %.0f, on %.0f (%.2fx); %llu envelopes sent\n",
+      throughput[0], throughput[1], throughput[1] / throughput[0],
+      static_cast<unsigned long long>(envelopes));
+  claims.Claim("batching raises the read ceiling at 150 clients",
+               throughput[1] > throughput[0]);
+  claims.Claim("the batched run sent envelopes", envelopes > 0);
+}
+
+/// Every optional attempt path of the driver at once: hedge arms,
+/// envelope riders, a two-connection pool whose checkouts queue and time
+/// out, and attempt timeouts on a lossy client link, with the span tracer
+/// on.
+void RunCiDriverPaths(const Scenario& self, Claims& claims) {
+  Experiment experiment(*self.config);
+  experiment.Run();
+  const metrics::OpCounters& ops = experiment.client().op_counters();
+  const uint64_t pool_timeouts =
+      experiment.client().PoolTotals().checkout_timeouts;
+  const obs::Tracer& tracer = experiment.tracer();
+  const obs::SpanTreeCheck tree = obs::CheckSpanTree(tracer.spans());
+  std::printf(
+      "ops: %llu ok, %llu retried, %llu hedges sent, %llu envelopes, %llu "
+      "pool checkout timeouts\n",
+      static_cast<unsigned long long>(ops.ok),
+      static_cast<unsigned long long>(ops.retried),
+      static_cast<unsigned long long>(ops.hedges_sent),
+      static_cast<unsigned long long>(ops.envelopes_sent),
+      static_cast<unsigned long long>(pool_timeouts));
+  std::printf("trace: %zu spans, %llu dropped, %llu finished ops, %llu "
+              "spans of ops in flight, %llu span-tree violations %s\n",
+              tracer.spans().size(),
+              static_cast<unsigned long long>(tracer.dropped()),
+              static_cast<unsigned long long>(tree.finished_ops),
+              static_cast<unsigned long long>(tree.unchecked),
+              static_cast<unsigned long long>(tree.violations),
+              tree.first_violation.c_str());
+  claims.Claim("the tracer dropped no span", tracer.dropped() == 0);
+  claims.Claim("hedge arms were sent", ops.hedges_sent > 0);
+  claims.Claim("ops were retried", ops.retried > 0);
+  claims.Claim("pool checkouts timed out in the wait queue",
+               pool_timeouts > 0);
+  claims.Claim("envelopes were sent", ops.envelopes_sent > 0);
+  claims.Claim("the trace holds finished ops", tree.finished_ops > 0);
+  claims.Claim("every span of a finished op nests under its parent",
+               tree.violations == 0);
+}
+
+/// Crashes, restarts and elections under client load: a crash of the
+/// primary whose election leaves the driver in a newer term with no
+/// primary across a balancer period end, then eight random chaos
+/// timelines of 120 s.
+void RunCiElection(const Scenario& self, Claims& claims) {
+  std::vector<ExperimentConfig> runs = {*self.config};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ExperimentConfig config = *self.config;
+    config.seed = seed;
+    config.duration = sim::Seconds(120);
+    config.faults = fault::MakeRandomSchedule(seed, config.duration,
+                                              config.repl.secondaries + 1);
+    runs.push_back(std::move(config));
+  }
+  std::printf("%6s %10s %10s %10s\n", "seed", "end(s)", "reads", "elections");
+  bool all_reach_horizon = true;
+  bool all_read = true;
+  uint64_t scripted_elections = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const ExperimentConfig& config = runs[i];
+    Experiment experiment(config);
+    experiment.Run();
+    const sim::Time end =
+        experiment.rows().empty() ? 0 : experiment.rows().back().end;
+    const uint64_t reads = experiment.Summarize().total_reads;
+    std::printf("%6llu %10.0f %10llu %10llu\n",
+                static_cast<unsigned long long>(config.seed),
+                sim::ToSeconds(end), static_cast<unsigned long long>(reads),
+                static_cast<unsigned long long>(
+                    experiment.replica_set().elections()));
+    all_reach_horizon = all_reach_horizon && end == config.duration;
+    all_read = all_read && reads > 0;
+    if (i == 0) scripted_elections = experiment.replica_set().elections();
+  }
+  claims.Claim("every run reaches its horizon", all_reach_horizon);
+  claims.Claim("every run completes reads after the warm-up", all_read);
+  // Reads keep flowing from the secondaries without a primary, so only
+  // the election count shows that the crash was recovered from.
+  claims.Claim("the scripted crash of the primary elects a new one",
+               scripted_elections >= 1);
+}
+
+/// Two hashed shards behind the mongos router: the driver-facing
+/// workload routes through shard::Router, splits roughly evenly across
+/// the shards, and keeps every shard's effective staleness bound at the
+/// full client-wide budget.
+void RunCiSharded(const Scenario& self, Claims& claims) {
+  Experiment experiment(*self.config);
+  experiment.Run();
+  shard::ShardedCluster& cluster = *experiment.sharded_cluster();
+  const shard::Router& router = cluster.router();
+  const uint64_t routed = router.routed_reads() + router.routed_writes();
+  bool even = true;
+  bool full_budget = true;
+  for (int s = 0; s < cluster.shard_count(); ++s) {
+    const double share = 100.0 *
+                         static_cast<double>(router.routed_to_shard(s)) /
+                         static_cast<double>(std::max<uint64_t>(1, routed));
+    const int64_t bound = cluster.budget().EffectiveBound(s);
+    std::printf("shard %d: %llu ops (%.1f%%), effective bound %llds\n", s,
+                static_cast<unsigned long long>(router.routed_to_shard(s)),
+                share, static_cast<long long>(bound));
+    even = even && share > 30.0 && share < 70.0;
+    full_budget = full_budget && cluster.balancer(s) != nullptr &&
+                  bound == self.config->balancer.stale_bound_seconds;
+  }
+  // The per-shard series behind <csv-prefix>_shards.csv: one sample per
+  // report period for each shard.
+  std::vector<std::string> covered;
+  for (const auto& series : experiment.metrics_registry().scalars()) {
+    if (series.name == "routed_to_shard" &&
+        series.samples.size() == experiment.rows().size()) {
+      covered.push_back(series.labels.at(0).second);
+    }
+  }
+  std::printf("%llu ops routed; per-shard series for %zu shards\n",
+              static_cast<unsigned long long>(routed), covered.size());
+  claims.Claim("the router routed ops", routed > 0);
+  claims.Claim("each shard takes 30-70 % of the routed ops",
+               cluster.shard_count() == 2 && even);
+  claims.Claim("every shard keeps the full 10 s staleness budget",
+               full_budget);
+  claims.Claim("the per-shard series covers shards 0 and 1",
+               !experiment.rows().empty() &&
+                   covered == std::vector<std::string>{"0", "1"});
+}
+
+/// Every registered Balance Fraction law on the paper's three dynamic
+/// scenarios at full duration, with the default SLO bundle on: prints
+/// one markdown table per scenario, then fig9's freshness alerts.
+void RunBakeoff(const Scenario&, Claims& claims) {
+  const std::vector<std::string_view>& names = core::RegisteredControllers();
+  bool all_decided = true;
+  bool fractions_in_range = true;
+  std::string alert_rows;
+  const auto seconds = [](double t) {
+    char col[16] = "—";
+    if (t >= 0) std::snprintf(col, sizeof(col), "%.0f", t);
+    return std::string(col);
+  };
+  for (const char* figure : {"fig2", "fig3", "fig9"}) {
+    const ExperimentConfig base = *FindScenario(figure)->config;
+    std::printf(
+        "\n### %s\n\n| controller | read txn/s | P80 latency (ms) | "
+        "secondary %% | mean served age (s) | max served age (s) | bound "
+        "violations |\n|---|---|---|---|---|---|---|\n",
+        figure);
+    for (std::string_view name : names) {
+      ExperimentConfig config = base;
+      config.balancer.controller = std::string(name);
+      obs::SloDefaults defaults;
+      defaults.stale_bound_seconds = config.balancer.stale_bound_seconds;
+      std::string error;
+      const bool parsed =
+          obs::ParseSloSpecs("default", defaults, &config.slos, &error);
+      DCG_CHECK(parsed);
+      Experiment experiment(config);
+      experiment.Run();
+
+      const Summary summary = experiment.Summarize();
+      std::printf("| %s | %.0f | %.2f | %.1f | %.3f | %.3f | %llu |\n",
+                  std::string(name).c_str(), summary.read_throughput,
+                  summary.p80_read_latency_ms, summary.secondary_percent,
+                  summary.mean_served_age_s, summary.max_served_age_s,
+                  static_cast<unsigned long long>(summary.bound_violations));
+      const auto& decisions = experiment.balancer_decisions()->entries();
+      all_decided = all_decided && !decisions.empty();
+      const double final_fraction =
+          decisions.empty() ? 0 : decisions.back().published_fraction;
+      fractions_in_range = fractions_in_range && final_fraction >= 0 &&
+                           final_fraction <= config.balancer.high_bal + 1e-9;
+
+      if (figure != std::string_view("fig9")) continue;
+      // Only the freshness objective: the default latency ticket fires on
+      // every TPC-C run (its P80 is ~30x the YCSB-derived SLA target).
+      int pages = 0, tickets = 0;
+      double first_fire = -1, last_resolve = -1;
+      for (const obs::SloEvent& e : experiment.slo_engine()->events()) {
+        if (e.slo != "freshness") continue;
+        if (e.transition == obs::SloTransition::kFiring) {
+          ++(e.severity == obs::SloSeverity::kPage ? pages : tickets);
+          if (first_fire < 0) first_fire = sim::ToSeconds(e.at);
+        } else if (e.transition == obs::SloTransition::kResolved) {
+          last_resolve = sim::ToSeconds(e.at);
+        }
+      }
+      char row[160];
+      std::snprintf(row, sizeof(row), "| %s | %d | %d | %s | %s |\n",
+                    std::string(name).c_str(), pages, tickets,
+                    seconds(first_fire).c_str(), seconds(last_resolve).c_str());
+      alert_rows += row;
+    }
+  }
+  std::printf(
+      "\n### fig9 freshness alerts (--slo=default)\n\n| controller | pages | "
+      "tickets | first fire (s) | last resolve (s) |\n|---|---|---|---|---|\n"
+      "%s",
+      alert_rows.c_str());
+  claims.Claim("every law emitted balancer decisions in every scenario",
+               all_decided);
+  claims.Claim("every law's final published fraction lies in [0, HIGHBAL]",
+               fractions_in_range);
+}
+
 }  // namespace
 
 void Claims::Claim(std::string_view text, bool ok) {
@@ -1338,10 +1578,7 @@ std::vector<Scenario> Scenarios() {
             [](ExperimentConfig& c) {
               // The S probe pair is not failover-aware.
               c.run_s_workload = false;
-              std::string error;
-              const bool parsed = fault::ParseFaultSpec(
-                  "crash@200:node=0;restart@400:node=0", &c.faults, &error);
-              DCG_CHECK(parsed);
+              c.faults = Faults("crash@200:node=0;restart@400:node=0");
             }),
        RunExtFailoverDrill},
       {"ext_multiclient", "Extension: decentralisation",
@@ -1363,6 +1600,45 @@ std::vector<Scenario> Scenarios() {
               c.client_options.pool.wait_queue_timeout = 0;
             }),
        RunExtPoolExhaustion},
+      // The behavioural checks CI runs, each at the configuration and
+      // seed of the sim_cli command it replays.
+      {"ci_batching", "CI check: batching",
+       "YCSB-B, 150 clients: driver-side batching off, then on (16 ops / "
+       "200 us)",
+       Ycsb(7, {{0, 150, 0.95}}, 60, 20), RunCiBatching},
+      {"ci_driver_paths", "CI check: driver paths",
+       "hedged secondary reads, a 2-connection pool with a 20 ms wait "
+       "queue, 8-op batching and a lossy client link, traced",
+       With(Ycsb(7, {{0, 30, 0.95}}, 30, 10),
+            [](ExperimentConfig& c) {
+              c.system = SystemType::kSecondary;
+              c.client_options.hedged_reads = true;
+              c.client_options.pool.max_pool_size = 2;
+              c.client_options.pool.wait_queue_timeout = sim::Millis(20);
+              c.client_options.batching_enabled = true;
+              c.client_options.batch_max_ops = 8;
+              c.client_options.batch_max_delay = sim::Micros(200);
+              c.faults = Faults("loss@10-20:node=1:p=0.3:client=1");
+              c.trace = true;
+            }),
+       RunCiDriverPaths},
+      {"ci_election", "CI check: elections",
+       "YCSB-B, 30 clients: crash and restart the primary, then 8 random "
+       "chaos timelines",
+       With(Ycsb(23, {{0, 30, 0.95}}, 80, 10),
+            [](ExperimentConfig& c) {
+              c.faults = Faults("crash@30:node=0;restart@50:node=0");
+            }),
+       RunCiElection},
+      {"ci_sharded", "CI check: sharded cluster",
+       "YCSB-B, 40 clients, 2 hashed shards behind the mongos router",
+       With(Ycsb(7, {{0, 40, 0.95}}, 60, 20),
+            [](ExperimentConfig& c) { c.shards = 2; }),
+       RunCiSharded},
+      {"bakeoff", "Extension: controller bake-off",
+       "fig2, fig3 and fig9 at full duration for every registered law, "
+       "default SLO bundle",
+       std::nullopt, RunBakeoff},
   };
 }
 

@@ -1,9 +1,11 @@
 // The paper-scenario table: one entry per table, figure, ablation and
 // extension of the evaluation (§4), each with the base configuration it
 // runs at the paper seed and a run body that prints the series the paper
-// plots and checks the paper's qualitative claims. `paper_claims` runs
-// the entries by name; `sim_cli --scenario` loads an entry's base
-// configuration.
+// plots and checks the paper's qualitative claims. The behavioural checks
+// CI runs (ci_batching, ci_driver_paths, ci_election, ci_sharded) and the
+// controller bake-off are entries too, so their asserts are claims over
+// structured results. `paper_claims` runs the entries by name;
+// `sim_cli --scenario` loads an entry's base configuration.
 //
 // Client counts are the paper's divided by 4: the simulated nodes are
 // deliberately slower than the paper's r4.2xlarge, so saturation comes at
@@ -39,7 +41,8 @@ struct Scenario {
   std::string title;
   /// The base run at the paper seed; the body varies it (system, client
   /// count, knob under test). Empty for scenarios that build their own
-  /// clusters (ext_multiclient, ext_sharded).
+  /// clusters (ext_multiclient, ext_sharded) or run other entries'
+  /// configurations (bakeoff).
   std::optional<ExperimentConfig> config;
   /// Runs the scenario, printing its series and recording its claims.
   void (*run)(const Scenario& self, Claims& claims) = nullptr;

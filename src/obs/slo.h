@@ -106,7 +106,8 @@ struct SloDefaults {
 };
 
 /// Parses the compact `--slo=` spec string shared by sim_cli, the chaos
-/// harness, bakeoff.sh and CI. Grammar (semicolon-separated objectives):
+/// harness and the bakeoff scenario. Grammar (semicolon-separated
+/// objectives):
 ///   spec    := "default" | objective (";" objective)*
 ///   objective := kind (":" key "=" value)*
 ///   kind    := "freshness" | "latency" | "success"

@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <cstdio>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "obs/decision_log.h"
 #include "obs/slo.h"
@@ -53,6 +55,74 @@ std::string_view Category(SpanKind kind) {
 }
 
 }  // namespace
+
+SpanTreeCheck CheckSpanTree(const std::vector<SpanRecord>& spans) {
+  std::unordered_map<uint64_t, const SpanRecord*> by_id;
+  std::unordered_set<uint64_t> finished;
+  by_id.reserve(spans.size());
+  for (const SpanRecord& s : spans) {
+    by_id[s.span_id] = &s;
+    if (s.kind == SpanKind::kOp) finished.insert(s.trace_id);
+  }
+  SpanTreeCheck check;
+  check.finished_ops = finished.size();
+  const auto violation = [&](const SpanRecord& s, const char* what) {
+    if (check.violations++ > 0) return;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "span %llu (%s, trace %llu) %s",
+                  static_cast<unsigned long long>(s.span_id),
+                  std::string(ToString(s.kind)).c_str(),
+                  static_cast<unsigned long long>(s.trace_id), what);
+    check.first_violation = buf;
+  };
+  for (const SpanRecord& s : spans) {
+    if (!finished.contains(s.trace_id)) {
+      ++check.unchecked;
+      continue;
+    }
+    if (s.end < s.start) violation(s, "ends before it starts");
+    // Roots: the op span and the repl layer's commit_wait slice.
+    if (s.parent_span_id == 0) continue;
+    const auto it = by_id.find(s.parent_span_id);
+    if (it == by_id.end()) {
+      violation(s, "references a parent span that was never recorded");
+      continue;
+    }
+    const SpanRecord& parent = *it->second;
+    if (parent.trace_id != s.trace_id) {
+      violation(s, "parent belongs to another trace");
+      continue;
+    }
+    switch (s.kind) {
+      case SpanKind::kAttempt:
+      case SpanKind::kHedge:
+        if (parent.kind != SpanKind::kOp) {
+          violation(s, "arm does not parent under the op span");
+        }
+        break;
+      case SpanKind::kCheckout:
+      case SpanKind::kEnvelope:
+      case SpanKind::kWire:
+      case SpanKind::kServerService:
+      case SpanKind::kServerParking:
+        if (parent.kind != SpanKind::kAttempt &&
+            parent.kind != SpanKind::kHedge) {
+          violation(s, "does not parent under an attempt/hedge arm");
+        }
+        break;
+      default:
+        break;
+    }
+    if (s.start < parent.start) violation(s, "starts before its parent");
+    const bool client_closed =
+        s.kind == SpanKind::kCheckout || s.kind == SpanKind::kEnvelope ||
+        s.kind == SpanKind::kAttempt || s.kind == SpanKind::kHedge;
+    if (client_closed && s.end > parent.end) {
+      violation(s, "ends after its parent");
+    }
+  }
+  return check;
+}
 
 bool WriteChromeTrace(const Tracer& tracer, const DecisionLog* decisions,
                       const std::string& path) {

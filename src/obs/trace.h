@@ -128,6 +128,32 @@ class Tracer {
   std::vector<SpanRecord> spans_;
 };
 
+/// What CheckSpanTree found.
+struct SpanTreeCheck {
+  /// Traces that recorded their op span: ops that finished.
+  uint64_t finished_ops = 0;
+  /// Spans of finished ops that break the tree.
+  uint64_t violations = 0;
+  /// Spans whose trace holds no op span, left unchecked: the spans of
+  /// ops still in flight, or of an op that finished without recording
+  /// its op span.
+  uint64_t unchecked = 0;
+  /// The first violation, e.g. "span 7 (wire, trace 3) references a
+  /// parent span that was never recorded"; empty when there is none.
+  std::string first_violation;
+};
+
+/// Checks the span tree of every finished op: each non-root span ends
+/// no earlier than it starts, its parent was recorded in the same trace,
+/// it hangs off the right kind of parent (attempt/hedge arms under the
+/// op span; checkout, envelope, wire and server spans under an arm) and
+/// starts no earlier than that parent. Client-closed spans (checkout,
+/// envelope, attempt, hedge) also end within it; server-side spans of an
+/// abandoned arm may outlive the arm. Spans of ops still in flight are
+/// skipped and counted in `unchecked`: their open arms have not been
+/// recorded yet. Once every op has finished, `unchecked` must be 0.
+SpanTreeCheck CheckSpanTree(const std::vector<SpanRecord>& spans);
+
 class DecisionLog;
 struct SloEvent;
 

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exp/csv_export.h"
@@ -153,9 +152,10 @@ struct ChaosReport {
 ///   7. Pool drain: after quiesce, every pool's wait queue is empty and
 ///      every connection is returned — a cleared/saturated pool recovers
 ///      in bounded time instead of leaking checkouts.
-///   8. Span tree (opt-in via `trace`): every recorded span nests inside
-///      its parent (client-closed spans fully; server-side spans may
-///      outlive an abandoned attempt, so only their starts are ordered),
+///   8. Span tree (opt-in via `trace`): every recorded span belongs to
+///      an op that recorded its op span and nests inside its parent
+///      (client-closed spans fully; server-side spans may outlive an
+///      abandoned attempt, so only their starts are ordered),
 ///      shares its parent's trace id, and hangs off the right kind of
 ///      parent (checkout/envelope/wire/server under an attempt or hedge
 ///      arm, attempt/hedge arms under the op span).
@@ -388,69 +388,19 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
       violation("trace: " + std::to_string(tracer.dropped()) +
                 " spans dropped (raise trace_max_spans)");
     }
-    std::unordered_map<uint64_t, const obs::SpanRecord*> by_id;
-    by_id.reserve(tracer.spans().size());
-    for (const obs::SpanRecord& s : tracer.spans()) by_id[s.span_id] = &s;
-    uint64_t span_violations = 0;
-    auto span_violation = [&](const obs::SpanRecord& s, const char* what) {
-      if (span_violations++ == 0) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "trace: span %llu (%s, trace %llu) %s",
-                      static_cast<unsigned long long>(s.span_id),
-                      std::string(obs::ToString(s.kind)).c_str(),
-                      static_cast<unsigned long long>(s.trace_id), what);
-        violation(buf);
-      }
-    };
     for (const obs::SpanRecord& s : tracer.spans()) {
       if (s.kind == obs::SpanKind::kEnvelope) ++report.envelope_spans;
       if (s.kind == obs::SpanKind::kCheckout && s.end > s.start) {
         ++report.queued_checkout_spans;
       }
-      if (s.end < s.start) span_violation(s, "ends before it starts");
-      // Roots: the op span and the repl layer's commit_wait slice.
-      if (s.parent_span_id == 0) continue;
-      const auto it = by_id.find(s.parent_span_id);
-      if (it == by_id.end()) {
-        span_violation(s, "references a parent span that was never recorded");
-        continue;
-      }
-      const obs::SpanRecord& parent = *it->second;
-      if (parent.trace_id != s.trace_id) {
-        span_violation(s, "parent belongs to another trace");
-        continue;
-      }
-      switch (s.kind) {
-        case obs::SpanKind::kAttempt:
-        case obs::SpanKind::kHedge:
-          if (parent.kind != obs::SpanKind::kOp) {
-            span_violation(s, "arm does not parent under the op span");
-          }
-          break;
-        case obs::SpanKind::kCheckout:
-        case obs::SpanKind::kEnvelope:
-        case obs::SpanKind::kWire:
-        case obs::SpanKind::kServerService:
-        case obs::SpanKind::kServerParking:
-          if (parent.kind != obs::SpanKind::kAttempt &&
-              parent.kind != obs::SpanKind::kHedge) {
-            span_violation(s, "does not parent under an attempt/hedge arm");
-          }
-          break;
-        default:
-          break;
-      }
-      if (s.start < parent.start) span_violation(s, "starts before its parent");
-      // Client-closed spans nest fully. Server-side spans of an abandoned
-      // attempt may legitimately end after the client gave up on the arm,
-      // so only their starts are ordered against the parent.
-      const bool client_closed = s.kind == obs::SpanKind::kCheckout ||
-                                 s.kind == obs::SpanKind::kEnvelope ||
-                                 s.kind == obs::SpanKind::kAttempt ||
-                                 s.kind == obs::SpanKind::kHedge;
-      if (client_closed && s.end > parent.end) {
-        span_violation(s, "ends after its parent");
-      }
+    }
+    const obs::SpanTreeCheck tree = obs::CheckSpanTree(tracer.spans());
+    if (tree.violations != 0) violation("trace: " + tree.first_violation);
+    // Every op has finished after the quiesce, so a span outside a
+    // finished op belongs to an op that never recorded its op span.
+    if (tree.unchecked != 0) {
+      violation("trace: " + std::to_string(tree.unchecked) +
+                " spans belong to no finished op");
     }
   }
 

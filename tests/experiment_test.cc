@@ -359,8 +359,15 @@ TEST(ScenarioTest, NamesAreUniqueAndLookupReturnsThePaperRun) {
   for (const Scenario& scenario : Scenarios()) {
     EXPECT_TRUE(names.insert(scenario.name).second) << scenario.name;
   }
-  EXPECT_EQ(names.size(), 21u);
+  EXPECT_EQ(names.size(), 26u);
   EXPECT_FALSE(FindScenario("fig12").has_value());
+  // The CI checks replay through sim_cli --scenario; the bake-off runs
+  // other entries' configurations.
+  for (const char* name :
+       {"ci_batching", "ci_driver_paths", "ci_election", "ci_sharded"}) {
+    EXPECT_TRUE(FindScenario(name)->config.has_value()) << name;
+  }
+  EXPECT_FALSE(FindScenario("bakeoff")->config.has_value());
 
   const std::optional<Scenario> fig2 = FindScenario("fig2");
   ASSERT_TRUE(fig2.has_value() && fig2->config.has_value());

@@ -94,7 +94,35 @@ TEST(TracerTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(json.find("\"name\":\"attempt\""), std::string::npos);
   // Timestamps are microseconds: 1 ms → 1000 µs.
   EXPECT_NE(json.find("\"ts\":1000.000"), std::string::npos);
+  // One row per trace id, and each span names itself and its parent.
+  EXPECT_NE(json.find("\"tid\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"span\":2,\"parent\":1"), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+}
+
+TEST(TracerTest, SpanTreeCheckFindsBrokenParentsAndCountsOpenOps) {
+  std::vector<obs::SpanRecord> spans = {
+      MakeSpan(7, 1, 0, obs::SpanKind::kOp, sim::Millis(1), sim::Millis(5)),
+      MakeSpan(7, 2, 1, obs::SpanKind::kAttempt, sim::Millis(1),
+               sim::Millis(5)),
+      MakeSpan(7, 3, 2, obs::SpanKind::kWire, sim::Millis(2), sim::Millis(3)),
+      // Trace 8 recorded no op span: its wire span is left unchecked.
+      MakeSpan(8, 4, 99, obs::SpanKind::kWire, sim::Millis(2),
+               sim::Millis(3)),
+  };
+  obs::SpanTreeCheck check = obs::CheckSpanTree(spans);
+  EXPECT_EQ(check.finished_ops, 1u);
+  EXPECT_EQ(check.violations, 0u);
+  EXPECT_EQ(check.unchecked, 1u);
+  EXPECT_TRUE(check.first_violation.empty());
+
+  // A wire span of the finished op whose parent was never recorded.
+  spans.push_back(MakeSpan(7, 5, 42, obs::SpanKind::kWire, sim::Millis(2),
+                           sim::Millis(3)));
+  check = obs::CheckSpanTree(spans);
+  EXPECT_EQ(check.violations, 1u);
+  EXPECT_NE(check.first_violation.find("span 5 (wire, trace 7)"),
+            std::string::npos);
 }
 
 TEST(DecisionLogTest, ReasonNamesAreDistinctAndStable) {
