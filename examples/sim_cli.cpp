@@ -9,7 +9,7 @@
 //           [--stale-bound=SECONDS]
 //           [--controller=decongestant|proportional|cpq|aoi|pid]
 //           [--no-s-workload]
-//           [--kill-primary-at=SECONDS] [--faults=SPEC] [--chaos-seed=N]
+//           [--faults=SPEC] [--chaos-seed=N]
 //           [--hedged-reads] [--op-deadline=MS] [--max-pool-size=N]
 //           [--wait-queue-timeout=MS] [--batch-max-ops=N]
 //           [--batch-max-delay-us=US] [--csv-prefix=PATH] [--quiet]
@@ -107,7 +107,7 @@
 // Examples:
 //   sim_cli --workload=ycsb-b --clients=45 --duration=300
 //   sim_cli --workload=tpcc --system=secondary --stale-bound=3
-//   sim_cli --workload=ycsb-b --kill-primary-at=150 --csv-prefix=/tmp/run
+//   sim_cli --workload=ycsb-b --faults=crash@150:node=0 --csv-prefix=/tmp/run
 //   sim_cli --faults="partition@120-180:nodes=1+2;throttle@220-260:node=2:x=25"
 //   sim_cli --workload=ycsb-b --chaos-seed=7
 //   sim_cli --workload=ycsb-b --system=secondary --hedged-reads
@@ -216,7 +216,6 @@ int main(int argc, char** argv) {
   std::string metrics_format = "json";
   std::string slo_spec;
   std::string report_out;
-  double kill_primary_at = -1;
   uint64_t chaos_seed = 0;
   bool chaos = false;
   bool quiet = false;
@@ -247,8 +246,6 @@ int main(int argc, char** argv) {
       controller = value;
     } else if (ParseFlag(argv[i], "csv-prefix", &value)) {
       csv_prefix = value;
-    } else if (ParseFlag(argv[i], "kill-primary-at", &value)) {
-      kill_primary_at = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "faults", &value)) {
       fault_spec = value;
     } else if (ParseFlag(argv[i], "chaos-seed", &value)) {
@@ -337,7 +334,7 @@ int main(int argc, char** argv) {
   }
   // A run shorter than one report period prints no period and an all-zero
   // summary.
-  if (config.duration <= 0 || config.duration < config.report_period) {
+  if (config.duration <= 0 || config.duration < exp::kReportPeriod) {
     Usage("--duration must cover at least one report period (10 s)");
   }
   // A warm-up that reaches the end leaves the summary window empty.
@@ -378,7 +375,7 @@ int main(int argc, char** argv) {
     if (config.kind != exp::WorkloadKind::kYcsb) {
       Usage("--shards supports the YCSB workloads only");
     }
-    if (!config.faults.empty() || kill_primary_at >= 0) {
+    if (!config.faults.empty()) {
       Usage("--shards is incompatible with fault injection");
     }
     if (shard_key == "hashed") {
@@ -423,12 +420,6 @@ int main(int argc, char** argv) {
   config.balancer.controller = controller;
 
   exp::Experiment experiment(config);
-  if (kill_primary_at >= 0) {
-    experiment.loop().ScheduleAt(sim::Seconds(kill_primary_at), [&] {
-      experiment.replica_set().KillNode(
-          experiment.replica_set().primary_index());
-    });
-  }
 
   std::printf(
       "workload=%s system=%s controller=%s clients=%d duration=%.0fs "

@@ -12,7 +12,7 @@ ClientStack::ClientStack(sim::EventLoop* loop, sim::Rng* parent,
           loop, parent->Fork(), bus, host, std::move(client_options))),
       state_(routing.has_value()
                  ? nullptr
-                 : std::make_unique<SharedState>(balancer_config.low_bal)),
+                 : std::make_unique<SharedState>(kLowBal)),
       policy_(routing.has_value() ? RoutingPolicy(*routing)
                                   : RoutingPolicy(state_.get())) {
   if (state_ != nullptr) {

@@ -23,18 +23,18 @@ double StepController::NextFraction(const ControlInputs& inputs,
   if (inputs.ratio > config.high_ratio) {
     // Primary congested: shift reads toward the secondaries.
     SetReason(reason, obs::BalanceReason::kLatencyRatioUp);
-    return std::min(latest + config.delta, config.high_bal);
+    return std::min(latest + kDelta, kHighBal);
   }
   if (inputs.ratio < config.low_ratio) {
     // Secondaries congested: shift reads back to the primary.
     SetReason(reason, obs::BalanceReason::kLatencyRatioDown);
-    return std::max(latest - config.delta, config.low_bal);
+    return std::max(latest - kDelta, kLowBal);
   }
   if (config.downward_probe && inputs.history_flat) {
     // Stable for the whole history: probe downward to favour fresh
     // primary reads when they are free (§3.3).
     SetReason(reason, obs::BalanceReason::kDownwardProbe);
-    return std::max(latest - config.delta, config.low_bal);
+    return std::max(latest - kDelta, kLowBal);
   }
   SetReason(reason, obs::BalanceReason::kHold);
   return latest;
@@ -59,11 +59,11 @@ double ProportionalController::NextFraction(const ControlInputs& inputs,
     SetReason(reason, step > 0.0 ? obs::BalanceReason::kLatencyRatioUp
                                  : obs::BalanceReason::kLatencyRatioDown);
   }
-  return std::clamp(latest + step, config.low_bal, config.high_bal);
+  return std::clamp(latest + step, kLowBal, kHighBal);
 }
 
 double CpqController::NextFraction(const ControlInputs& inputs,
-                                   const BalancerConfig& config,
+                                   const BalancerConfig& /*config*/,
                                    obs::BalanceReason* reason) {
   const double latest = inputs.latest_fraction;
   // SLA feedback needs both the latency sample and the ratio (which side
@@ -81,25 +81,23 @@ double CpqController::NextFraction(const ControlInputs& inputs,
     const double step = std::min(max_step_, gain_ * violation);
     if (inputs.ratio >= 1.0) {
       SetReason(reason, obs::BalanceReason::kSlaShedToSecondary);
-      return std::min(latest + step, config.high_bal);
+      return std::min(latest + step, kHighBal);
     }
     SetReason(reason, obs::BalanceReason::kSlaShedToPrimary);
-    return std::max(latest - step, config.low_bal);
+    return std::max(latest - step, kLowBal);
   }
   // SLA met: spend the headroom on freshness by drifting toward the
   // primary (CPQ's consistency-maximising direction).
   SetReason(reason, obs::BalanceReason::kSlaHeadroomProbe);
-  return std::max(latest - drift_, config.low_bal);
+  return std::max(latest - drift_, kLowBal);
 }
 
-double AoiController::AgeCap(const ControlInputs& inputs,
-                             const BalancerConfig& config,
-                             double budget_share) {
+double AoiController::AgeCap(const ControlInputs& inputs, double budget_share) {
   // Age budget: a share of the staleness bound (whole bound when the
   // client runs unbounded — stale_bound_s == 0 only happens when the
   // gate already forces the published fraction to zero).
   const double bound = static_cast<double>(inputs.stale_bound_s);
-  if (bound <= 0) return config.high_bal;
+  if (bound <= 0) return kHighBal;
   const double budget = budget_share * bound;
   double age_sum = 0;
   int age_count = 0;
@@ -108,10 +106,10 @@ double AoiController::AgeCap(const ControlInputs& inputs,
     age_sum += static_cast<double>(age);
     ++age_count;
   }
-  if (age_count == 0) return config.high_bal;  // no estimates yet
+  if (age_count == 0) return kHighBal;  // no estimates yet
   const double mean_age = age_sum / age_count;
-  if (mean_age <= budget / config.high_bal) return config.high_bal;
-  return std::max(budget / mean_age, config.low_bal);
+  if (mean_age <= budget / kHighBal) return kHighBal;
+  return std::max(budget / mean_age, kLowBal);
 }
 
 double AoiController::NextFraction(const ControlInputs& inputs,
@@ -127,18 +125,18 @@ double AoiController::NextFraction(const ControlInputs& inputs,
     base = latest;
   } else if (inputs.ratio > config.high_ratio) {
     base_reason = obs::BalanceReason::kLatencyRatioUp;
-    base = std::min(latest + config.delta, config.high_bal);
+    base = std::min(latest + kDelta, kHighBal);
   } else if (inputs.ratio < config.low_ratio) {
     base_reason = obs::BalanceReason::kLatencyRatioDown;
-    base = std::max(latest - config.delta, config.low_bal);
+    base = std::max(latest - kDelta, kLowBal);
   } else if (config.downward_probe && inputs.history_flat) {
     base_reason = obs::BalanceReason::kDownwardProbe;
-    base = std::max(latest - config.delta, config.low_bal);
+    base = std::max(latest - kDelta, kLowBal);
   } else {
     base_reason = obs::BalanceReason::kHold;
     base = latest;
   }
-  const double cap = AgeCap(inputs, config, budget_share_);
+  const double cap = AgeCap(inputs, budget_share_);
   if (base <= cap) {
     SetReason(reason, base_reason);
     return base;
@@ -148,8 +146,7 @@ double AoiController::NextFraction(const ControlInputs& inputs,
   // at most max_step_ per period to avoid thrashing on a single slow
   // serverStatus sample.
   SetReason(reason, obs::BalanceReason::kAoiCapped);
-  return std::clamp(std::max(latest - max_step_, cap), config.low_bal,
-                    config.high_bal);
+  return std::clamp(std::max(latest - max_step_, cap), kLowBal, kHighBal);
 }
 
 double PidController::NextFraction(const ControlInputs& inputs,
@@ -168,12 +165,11 @@ double PidController::NextFraction(const ControlInputs& inputs,
   const double derivative = have_last_error_ ? error - last_error_ : 0.0;
   const double step = std::clamp(
       kp_ * error + ki_ * integral_ + kd_ * derivative, -max_step_, max_step_);
-  const double next = std::clamp(latest + step, config.low_bal,
-                                 config.high_bal);
+  const double next = std::clamp(latest + step, kLowBal, kHighBal);
   // Anti-windup: integrate only while the output is not pinned at a bound
   // in the direction of the error.
-  const bool saturated = (next >= config.high_bal && error > 0) ||
-                         (next <= config.low_bal && error < 0);
+  const bool saturated = (next >= kHighBal && error > 0) ||
+                         (next <= kLowBal && error < 0);
   if (!saturated) {
     integral_ =
         std::clamp(integral_ + error, -integral_limit_, integral_limit_);

@@ -55,7 +55,7 @@ class FractionController {
  public:
   virtual ~FractionController() = default;
 
-  /// Returns the next fraction, within [config.low_bal, config.high_bal].
+  /// Returns the next fraction, within [kLowBal, kHighBal].
   /// When `reason` is non-null the controller writes which of its branches
   /// fired — the Read Balancer's decision log records it so every fraction
   /// move is explainable after the fact, whichever policy produced it.
@@ -147,9 +147,8 @@ class AoiController : public FractionController {
 
   /// The fraction cap implied by the current age estimates (exposed for
   /// tests): age_budget / mean(secondary age), clamped to
-  /// [low_bal, high_bal]; high_bal when no secondary reports an age.
-  static double AgeCap(const ControlInputs& inputs,
-                       const BalancerConfig& config, double budget_share);
+  /// [kLowBal, kHighBal]; kHighBal when no secondary reports an age.
+  static double AgeCap(const ControlInputs& inputs, double budget_share);
 
  private:
   double budget_share_;

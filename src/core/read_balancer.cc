@@ -7,6 +7,19 @@
 
 namespace dcg::core {
 
+namespace {
+/// How often the Read Balancer calls serverStatus on the primary.
+constexpr sim::Duration kServerStatusInterval = sim::Seconds(1);
+/// How often it pings every node for RTT samples.
+constexpr sim::Duration kPingInterval = sim::Seconds(1);
+/// RTT samples retained per node for the P50(RTT) estimate.
+constexpr size_t kRttWindow = 16;
+/// Floor for Server-Side Latency estimates: protects the ratio against
+/// division by ~zero when a node is so idle that client latency is
+/// almost all network time.
+constexpr sim::Duration kMinServerSideLatency = sim::Micros(20);
+}  // namespace
+
 ReadBalancer::ReadBalancer(driver::MongoClient* client, SharedState* state,
                            BalancerConfig config, sim::Rng rng)
     : client_(client),
@@ -15,18 +28,15 @@ ReadBalancer::ReadBalancer(driver::MongoClient* client, SharedState* state,
       rng_(std::move(rng)),
       controller_(MakeController(config_.controller)) {
   DCG_CHECK_MSG(controller_ != nullptr, "unknown controller strategy");
-  DCG_CHECK(config_.recent_history >= 1);
-  DCG_CHECK(config_.low_bal > 0.0 && config_.high_bal <= 1.0);
   DCG_CHECK(config_.low_ratio < config_.high_ratio);
   // RecentBal starts as LOWBAL everywhere; the published fraction starts
   // at LOWBAL too (§3.3: initial Balance Fraction is 10 %).
-  recent_bal_.assign(config_.recent_history, config_.low_bal);
+  recent_bal_.assign(kRecentHistory, kLowBal);
   rtt_samples_.resize(client_->node_count());
   secondary_staleness_s_.assign(static_cast<size_t>(client_->node_count()),
                                 -1);
-  state_->set_balance_fraction(config_.stale_bound_seconds == 0
-                                   ? 0.0
-                                   : config_.low_bal);
+  state_->set_balance_fraction(config_.stale_bound_seconds == 0 ? 0.0
+                                                                : kLowBal);
   tracked_primary_ = client_->primary_index();
   tracked_term_ = client_->believed_term();
   // Harvest latencies from the driver's unified completion path: one
@@ -54,7 +64,7 @@ sim::Duration ReadBalancer::Median(std::vector<sim::Duration> samples) {
 void ReadBalancer::RecordRtt(int node, sim::Duration rtt) {
   auto& window = rtt_samples_[node];
   window.push_back(rtt);
-  while (window.size() > static_cast<size_t>(config_.rtt_window)) {
+  while (window.size() > kRttWindow) {
     window.pop_front();
   }
 }
@@ -86,8 +96,7 @@ void ReadBalancer::OnPrimarySwap() {
   state_->DrainPrimaryLatencies();
   state_->DrainSecondaryLatencies();
   const double before = recent_bal_.back();
-  recent_bal_.assign(static_cast<size_t>(config_.recent_history),
-                     config_.low_bal);
+  recent_bal_.assign(kRecentHistory, kLowBal);
   staleness_estimate_ = 0;
   if (budget_ != nullptr) budget_->Report(budget_slot_, 0);
   std::fill(secondary_staleness_s_.begin(), secondary_staleness_s_.end(), -1);
@@ -96,7 +105,7 @@ void ReadBalancer::OnPrimarySwap() {
   // stays blocked) without emitting a spurious gate-transition entry; the
   // swap reset below is the record.
   stale_blocked_ = effective_stale_bound_seconds() == 0;
-  state_->set_balance_fraction(stale_blocked_ ? 0.0 : config_.low_bal);
+  state_->set_balance_fraction(stale_blocked_ ? 0.0 : kLowBal);
 
   obs::BalanceDecision decision;
   decision.at = client_->loop().Now();
@@ -114,19 +123,19 @@ void ReadBalancer::PingLoop() {
   CheckPrimarySwap();
   const int nodes = client_->node_count();
   for (int i = 0; i < nodes; ++i) {
-    // Timed-out probes contribute no sample: a partitioned node's RTT
-    // window empties instead of freezing at its last healthy value.
+    // A lost or timed-out probe adds no sample: a partitioned node's RTT
+    // window keeps its last kRttWindow samples until probes answer again.
     client_->PingNode(i, [this, i](bool ok, sim::Duration rtt) {
       if (ok) RecordRtt(i, rtt);
     });
   }
-  client_->loop().ScheduleAfter(config_.ping_interval, [this] { PingLoop(); });
+  client_->loop().ScheduleAfter(kPingInterval, [this] { PingLoop(); });
 }
 
 void ReadBalancer::ServerStatusLoop() {
   client_->ServerStatus(
       [this](const proto::ServerStatusReply& r) { OnServerStatus(r); });
-  client_->loop().ScheduleAfter(config_.server_status_interval,
+  client_->loop().ScheduleAfter(kServerStatusInterval,
                                 [this] { ServerStatusLoop(); });
 }
 
@@ -234,8 +243,8 @@ void ReadBalancer::OnPeriodEnd() {
       lss_primary -= MedianRttPrimary();
       lss_secondary -= MedianRttSecondaries();
     }
-    lss_primary = std::max(lss_primary, config_.min_server_side_latency);
-    lss_secondary = std::max(lss_secondary, config_.min_server_side_latency);
+    lss_primary = std::max(lss_primary, kMinServerSideLatency);
+    lss_secondary = std::max(lss_secondary, kMinServerSideLatency);
     inputs.ratio = static_cast<double>(lss_primary) /
                    static_cast<double>(lss_secondary);
     inputs.ratio_valid = true;

@@ -11,6 +11,25 @@ namespace dcg::driver {
 namespace {
 /// Recent-read-latency window sizing the hedge-delay quantile estimate.
 constexpr size_t kLatencyRingCapacity = 64;
+/// Secondaries within this much of the fastest secondary's RTT are
+/// eligible for selection (MongoDB's 15 ms localThresholdMS, §2.2).
+constexpr sim::Duration kSelectionLatencyWindow = sim::Millis(15);
+/// How often the driver pings each node to maintain RTT estimates
+/// (topology monitoring).
+constexpr sim::Duration kRttProbeInterval = sim::Seconds(1);
+/// EWMA weight for new RTT samples (driver spec uses 0.2).
+constexpr double kRttEwmaAlpha = 0.2;
+/// RTT probes that outlive this are abandoned (the node or link is
+/// down; reachability is tracked by the hello loop, not by pings).
+constexpr sim::Duration kPingTimeout = sim::Seconds(2);
+/// How often the driver sends `hello` to every node to maintain its
+/// topology view (who is primary, who is reachable).
+constexpr sim::Duration kHelloInterval = sim::Millis(500);
+/// Poll interval for the staleness cache backing maxStalenessSeconds.
+constexpr sim::Duration kStalenessRefreshInterval = sim::Seconds(1);
+/// Backoff between server-selection retries when no node is currently
+/// selectable (e.g. during a fail-over).
+constexpr sim::Duration kSelectionRetryInterval = sim::Millis(200);
 }  // namespace
 
 MongoClient::MongoClient(sim::EventLoop* loop, sim::Rng rng,
@@ -22,11 +41,6 @@ MongoClient::MongoClient(sim::EventLoop* loop, sim::Rng rng,
       network_(bus->network()),
       client_host_(client_host),
       options_(options) {
-  if (options_.enforce_mongodb_min_staleness &&
-      options_.max_staleness_seconds >= 0) {
-    DCG_CHECK_MSG(options_.max_staleness_seconds >= 90,
-                  "MongoDB requires maxStalenessSeconds >= 90");
-  }
   const std::vector<net::HostId>& hosts = bus_->server_hosts();
   DCG_CHECK_MSG(!hosts.empty(), "command bus has no registered servers");
   servers_.resize(hosts.size());
@@ -91,7 +105,7 @@ void MongoClient::HelloLoop() {
   const sim::Time now = loop_->Now();
   for (int i = 0; i < node_count(); ++i) {
     ServerDescription& sd = servers_[i];
-    if (sd.reachable && now - sd.last_heard >= options_.hello_timeout) {
+    if (sd.reachable && now - sd.last_heard >= kHelloTimeout) {
       // Nothing heard for a full timeout: declare the server down and
       // fail its outstanding attempts over (connection-pool clear).
       sd.reachable = false;
@@ -106,7 +120,7 @@ void MongoClient::HelloLoop() {
     };
     bus_->Send(client_host_, sd.host, std::move(cmd));
   }
-  loop_->ScheduleAfter(options_.hello_interval, [this] { HelloLoop(); });
+  loop_->ScheduleAfter(kHelloInterval, [this] { HelloLoop(); });
 }
 
 void MongoClient::ProbeLoop() {
@@ -114,13 +128,12 @@ void MongoClient::ProbeLoop() {
     PingNode(i, [this, i](bool ok, sim::Duration rtt) {
       if (!ok) return;  // probe lost; reachability is the hello loop's job
       MarkHeard(i);
-      const double alpha = options_.rtt_ewma_alpha;
       servers_[i].rtt_ewma = static_cast<sim::Duration>(
-          alpha * static_cast<double>(rtt) +
-          (1.0 - alpha) * static_cast<double>(servers_[i].rtt_ewma));
+          kRttEwmaAlpha * static_cast<double>(rtt) +
+          (1.0 - kRttEwmaAlpha) * static_cast<double>(servers_[i].rtt_ewma));
     });
   }
-  loop_->ScheduleAfter(options_.rtt_probe_interval, [this] { ProbeLoop(); });
+  loop_->ScheduleAfter(kRttProbeInterval, [this] { ProbeLoop(); });
 }
 
 void MongoClient::StalenessLoop() {
@@ -130,8 +143,7 @@ void MongoClient::StalenessLoop() {
           proto::SecondaryStalenessSeconds(reply, i);
     }
   });
-  loop_->ScheduleAfter(options_.staleness_refresh_interval,
-                       [this] { StalenessLoop(); });
+  loop_->ScheduleAfter(kStalenessRefreshInterval, [this] { StalenessLoop(); });
 }
 
 std::vector<int>& MongoClient::EligibleSecondaries() {
@@ -145,9 +157,7 @@ std::vector<int>& MongoClient::EligibleSecondaries() {
   }
   for (int i = 0; i < node_count(); ++i) {
     if (i == primary || !servers_[i].reachable) continue;
-    if (servers_[i].rtt_ewma > min_rtt + options_.selection_latency_window) {
-      continue;
-    }
+    if (servers_[i].rtt_ewma > min_rtt + kSelectionLatencyWindow) continue;
     if (options_.max_staleness_seconds >= 0 &&
         servers_[i].staleness_s > options_.max_staleness_seconds) {
       continue;
@@ -284,7 +294,7 @@ void MongoClient::StartAttempt(uint64_t op_id) {
     // server selection, as real drivers do. Selection waits do not burn
     // the retry budget — nothing was sent.
     op.backoff_timer =
-        loop_->ScheduleAfter(options_.selection_retry_interval,
+        loop_->ScheduleAfter(kSelectionRetryInterval,
                              [this, op_id] { StartAttempt(op_id); });
     return;
   }
@@ -973,7 +983,7 @@ void MongoClient::ServerStatus(
     std::function<void(const proto::ServerStatusReply&)> done) {
   const int primary = believed_primary_;
   if (primary < 0 || !servers_[primary].reachable) {
-    loop_->ScheduleAfter(options_.selection_retry_interval,
+    loop_->ScheduleAfter(kSelectionRetryInterval,
                          [this, done = std::move(done)]() mutable {
                            ServerStatus(std::move(done));
                          });
@@ -989,7 +999,7 @@ void MongoClient::ServerStatus(
     AdoptTopology(reply.hello);
     if (reply.status == proto::ReplyStatus::kNotPrimary) {
       // Stale primary view; the piggybacked hello just corrected it.
-      loop_->ScheduleAfter(options_.selection_retry_interval,
+      loop_->ScheduleAfter(kSelectionRetryInterval,
                            [this, done] { ServerStatus(done); });
       return;
     }
@@ -1014,7 +1024,7 @@ void MongoClient::PingNode(int node,
   auto probe = std::make_shared<Probe>();
   probe->done = std::move(done);
   probe->start = loop_->Now();
-  probe->timer = loop_->ScheduleAfter(options_.ping_timeout, [probe] {
+  probe->timer = loop_->ScheduleAfter(kPingTimeout, [probe] {
     if (probe->settled) return;
     probe->settled = true;
     probe->done(false, 0);

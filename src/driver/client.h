@@ -20,46 +20,18 @@
 
 namespace dcg::driver {
 
+/// A node that has not answered any traffic for this long is marked
+/// unreachable; its in-flight attempts are failed over immediately
+/// (connection-pool clear on server-down, per the driver spec).
+inline constexpr sim::Duration kHelloTimeout = sim::Millis(1500);
+
 /// Driver configuration (mirrors mongocxx/driver-spec behaviour).
 struct ClientOptions {
-  /// Secondaries within this much of the fastest secondary's RTT are
-  /// eligible for selection (MongoDB's 15 ms localThresholdMS, §2.2).
-  sim::Duration selection_latency_window = sim::Millis(15);
-
-  /// How often the driver pings each node to maintain RTT estimates
-  /// (topology monitoring).
-  sim::Duration rtt_probe_interval = sim::Seconds(1);
-
-  /// EWMA weight for new RTT samples (driver spec uses 0.2).
-  double rtt_ewma_alpha = 0.2;
-
-  /// RTT probes that outlive this are abandoned (the node or link is
-  /// down; reachability is tracked by the hello loop, not by pings).
-  sim::Duration ping_timeout = sim::Seconds(2);
-
-  /// How often the driver sends `hello` to every node to maintain its
-  /// topology view (who is primary, who is reachable).
-  sim::Duration hello_interval = sim::Millis(500);
-
-  /// A node that has not answered any traffic for this long is marked
-  /// unreachable; its in-flight attempts are failed over immediately
-  /// (connection-pool clear on server-down, per the driver spec).
-  sim::Duration hello_timeout = sim::Millis(1500);
-
   /// Optional maxStalenessSeconds: secondaries whose estimated staleness
   /// exceeds this are excluded from selection. -1 disables the filter.
   /// Real MongoDB requires >= 90 s (§2.2); we accept any value so the
-  /// ablation can compare it against Decongestant's finer-grained bound,
-  /// and `enforce_mongodb_min_staleness` restores the real constraint.
+  /// ablation can compare it against Decongestant's finer-grained bound.
   int64_t max_staleness_seconds = -1;
-  bool enforce_mongodb_min_staleness = false;
-
-  /// Poll interval for the staleness cache backing maxStalenessSeconds.
-  sim::Duration staleness_refresh_interval = sim::Seconds(1);
-
-  /// Backoff between server-selection retries when no node is currently
-  /// selectable (e.g. during a fail-over).
-  sim::Duration selection_retry_interval = sim::Millis(200);
 
   /// Per-attempt timeout: when a sent command has produced no reply for
   /// this long (silent network loss — the server never errors, it just

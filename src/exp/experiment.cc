@@ -132,7 +132,7 @@ Experiment::Experiment(ExperimentConfig config)
       workload::TpccWorkload::Load(config_.tpcc, db);
     }
     if (config_.run_s_workload) {
-      workload::SWorkload::Load(config_.s_config, db);
+      workload::SWorkload::Load(db);
     }
     for (int i = 1; i < rs->node_count(); ++i) rs->node(i).db().ResetFrom(*db);
   };
@@ -191,41 +191,21 @@ Experiment::Experiment(ExperimentConfig config)
     for (core::ClientStack* stack : stacks_) {
       s_workloads_.push_back(std::make_unique<workload::SWorkload>(
           &stack->client(),
-          [stack] { return stack->balance_fraction() > 0.0; },
-          config_.s_config, rng_.Fork(), on_sample));
+          [stack] { return stack->balance_fraction() > 0.0; }, rng_.Fork(),
+          on_sample));
     }
   }
 
-  // Per-Read-Preference latency and served-age histograms, off the same
-  // completion path the Read Balancer harvests (observers are multicast).
-  // The age of a served read is the serving node's true staleness when
-  // the read completed — 0 for the primary — i.e. the age-of-information
-  // the client actually consumed, per preference and per node.
   if (!sharded()) {
     node_served_age_.resize(static_cast<size_t>(client().node_count()));
   }
-  workload_client->AddOpObserver([this](const driver::OpResult& stats) {
-    if (!stats.is_read || !stats.ok || !stats.record_latency) return;
-    pref_read_latency_[static_cast<size_t>(stats.requested)].Add(
-        static_cast<double>(stats.latency));
-    if (sharded()) return;  // serving node is behind the router
-    const int primary = rs_->primary_index();
-    if (stats.node < 0 || primary < 0) return;  // election in flight
-    const double age_ms =
-        stats.node == primary
-            ? 0.0
-            : sim::ToMillis(rs_->TrueStaleness(stats.node));
-    current_.served_age.Add(age_ms);
-    pref_served_age_[static_cast<size_t>(stats.requested)].Add(age_ms);
-    node_served_age_[static_cast<size_t>(stats.node)].Add(age_ms);
-  });
 
   // --- SLO engine (only when objectives were requested — the golden path
   // never builds one). Cluster-wide objectives consume the per-op stream
   // in OnOp; sharded freshness instead watches each shard's staleness
   // signal, because the serving node hides behind the router. ---
   if (!config_.slos.empty()) {
-    slo_ = std::make_unique<obs::SloEngine>(config_.report_period);
+    slo_ = std::make_unique<obs::SloEngine>(kReportPeriod);
     for (const obs::SloSpec& spec : config_.slos) {
       if (spec.kind == obs::SloKind::kFreshness && sharded()) {
         for (int s = 0; s < cluster_->shard_count(); ++s) {
@@ -406,22 +386,7 @@ void Experiment::RegisterMetrics() {
 }
 
 void Experiment::OnOp(const workload::OpOutcome& outcome) {
-  if (slo_ != nullptr) {
-    slo_->ObserveOutcome(outcome.ok);
-    if (outcome.ok && outcome.read_only) {
-      slo_->ObserveReadLatencyMs(sim::ToMillis(outcome.latency));
-      if (!sharded() && outcome.node >= 0) {
-        const int primary = rs_->primary_index();
-        if (primary >= 0) {
-          const double age_s =
-              outcome.node == primary
-                  ? 0.0
-                  : sim::ToSeconds(rs_->TrueStaleness(outcome.node));
-          slo_->ObserveServedAge(age_s, outcome.used_secondary);
-        }
-      }
-    }
-  }
+  if (slo_ != nullptr) slo_->ObserveOutcome(outcome.ok);
   if (!outcome.ok) {
     // A failed op has no latency or serving node worth recording; the
     // throughput columns count only completed operations.
@@ -432,9 +397,32 @@ void Experiment::OnOp(const workload::OpOutcome& outcome) {
     ++current_.reads;
     if (outcome.used_secondary) ++current_.reads_secondary;
     current_.read_latency.Add(static_cast<double>(outcome.latency));
+    if (slo_ != nullptr) {
+      slo_->ObserveReadLatencyMs(sim::ToMillis(outcome.latency));
+    }
     if (outcome.type == "stock_level") {
       ++current_.stock_level;
       current_.stock_level_latency.Add(static_cast<double>(outcome.latency));
+    }
+    if (outcome.record_latency) {
+      pref_read_latency_[static_cast<size_t>(outcome.requested)].Add(
+          static_cast<double>(outcome.latency));
+      // Served-read age: the serving node's true staleness when the read
+      // completed — 0 for the primary — i.e. the age of information the
+      // client consumed. Unknown behind a router (the serving node is
+      // hidden) and while an election leaves no primary.
+      const int primary = sharded() ? -1 : rs_->primary_index();
+      if (outcome.node >= 0 && primary >= 0) {
+        const sim::Duration age =
+            outcome.node == primary ? 0 : rs_->TrueStaleness(outcome.node);
+        const double age_ms = sim::ToMillis(age);
+        current_.served_age.Add(age_ms);
+        pref_served_age_[static_cast<size_t>(outcome.requested)].Add(age_ms);
+        node_served_age_[static_cast<size_t>(outcome.node)].Add(age_ms);
+        if (slo_ != nullptr) {
+          slo_->ObserveServedAge(sim::ToSeconds(age), outcome.used_secondary);
+        }
+      }
     }
   } else {
     ++current_.writes;
@@ -475,7 +463,7 @@ void Experiment::ClosePeriod() {
   rows_.push_back(std::move(current_));
   current_ = PeriodRow{};
   current_.start = loop_.Now();
-  loop_.ScheduleAfter(config_.report_period, [this] { ClosePeriod(); });
+  loop_.ScheduleAfter(kReportPeriod, [this] { ClosePeriod(); });
 }
 
 void Experiment::Run() {
@@ -501,7 +489,7 @@ void Experiment::Run() {
   }
 
   current_.start = loop_.Now();
-  loop_.ScheduleAfter(config_.report_period, [this] { ClosePeriod(); });
+  loop_.ScheduleAfter(kReportPeriod, [this] { ClosePeriod(); });
   loop_.ScheduleAfter(sim::Seconds(1), [this] { SampleStaleness(); });
 
   loop_.RunUntil(config_.duration);

@@ -45,6 +45,10 @@ struct Phase {
   double ycsb_read_proportion = 0.5;  // ignored for TPC-C
 };
 
+/// Length of one report period: rows, registry samples and SLO
+/// evaluations all close on this cadence.
+inline constexpr sim::Duration kReportPeriod = sim::Seconds(10);
+
 /// Full experiment description: cluster, system under test, workload
 /// schedule, and measurement settings.
 struct ExperimentConfig {
@@ -59,7 +63,6 @@ struct ExperimentConfig {
   sim::Duration duration = sim::Seconds(300);
   /// Excluded from Summarize() (the paper excludes the first 100 s).
   sim::Duration warmup = sim::Seconds(100);
-  sim::Duration report_period = sim::Seconds(10);
 
   /// Every Read Balancer the run builds (one per shard in sharded mode)
   /// uses these parameters, controller included; the fixed-preference
@@ -83,7 +86,6 @@ struct ExperimentConfig {
   sim::Duration client_router_rtt = sim::Millis(0.3);
 
   bool run_s_workload = true;
-  workload::SWorkloadConfig s_config;
 
   /// Fault timeline injected into the run (empty = healthy run). Events
   /// target replica-set node indexes; see fault::ParseFaultSpec for the
@@ -297,13 +299,13 @@ class Experiment {
   /// Built only when config.slos is non-empty; fed from OnOp, advanced in
   /// ClosePeriod.
   std::unique_ptr<obs::SloEngine> slo_;
-  /// Cumulative read latency per requested Read Preference, fed from the
-  /// driver's completion path; registered as histogram series.
+  /// Cumulative read latency per requested Read Preference, fed from
+  /// OnOp; registered as histogram series.
   metrics::Histogram pref_read_latency_[5];
   /// Cumulative served-read age (ms) per requested Read Preference and
-  /// per serving node, fed from the same completion path (single
-  /// replica-set mode only). Sized once in the constructor — registered
-  /// histogram series hold pointers into the vector.
+  /// per serving node, fed from OnOp (single replica-set mode only).
+  /// Sized once in the constructor — registered histogram series hold
+  /// pointers into the vector.
   metrics::Histogram pref_served_age_[5];
   std::vector<metrics::Histogram> node_served_age_;
 

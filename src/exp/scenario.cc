@@ -1443,7 +1443,7 @@ void RunBakeoff(const Scenario&, Claims& claims) {
       const double final_fraction =
           decisions.empty() ? 0 : decisions.back().published_fraction;
       fractions_in_range = fractions_in_range && final_fraction >= 0 &&
-                           final_fraction <= config.balancer.high_bal + 1e-9;
+                           final_fraction <= core::kHighBal + 1e-9;
 
       if (figure != std::string_view("fig9")) continue;
       // Only the freshness objective: the default latency ticket fires on

@@ -9,6 +9,29 @@
 
 namespace dcg::repl {
 
+namespace {
+/// Max oplog entries returned per getMore.
+constexpr size_t kGetMoreMaxBatch = 5000;
+/// How long a fully caught-up secondary waits before polling again
+/// (models the awaitData tailable-cursor timeout).
+constexpr sim::Duration kGetMoreIdlePoll = sim::Millis(50);
+/// Flow control (§4.5): while engaged, write service times are stretched
+/// by this factor.
+constexpr double kFlowControlThrottle = 3.0;
+/// During checkpoints shorter than getmore_block_threshold, getMore
+/// responses are merely deferred by this much (the disk is busy but not
+/// saturated) — producing the mild, bounded staleness YCSB-A exhibits
+/// rather than a full stall.
+constexpr sim::Duration kGetMoreSoftDelay = sim::Millis(1500);
+constexpr size_t kOplogCapacity = 2'000'000;
+/// Pull-chain watchdog: when a getMore request or its reply batch is
+/// lost on the network (packet loss, partition), the secondary notices
+/// no pull progress for this long past the expected next step and
+/// restarts the chain — the sync-source retry real MongoDB drives off
+/// its heartbeats. Without faults the deadline never expires.
+constexpr sim::Duration kPullRetryTimeout = sim::Seconds(2);
+}  // namespace
+
 ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
                        net::Network* network, ReplicaSetParams params,
                        server::ServerParams node_params,
@@ -17,7 +40,7 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
       rng_(std::move(rng)),
       network_(network),
       params_(params),
-      oplog_(params.oplog_capacity),
+      oplog_(kOplogCapacity),
       bus_(network) {
   DCG_CHECK(params_.secondaries >= 1);
   DCG_CHECK(static_cast<int>(hosts.size()) == params_.secondaries + 1);
@@ -50,7 +73,6 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
   TopologyConfig tc;
   tc.node_count = node_count();
   tc.election_timeout = params_.election_timeout;
-  tc.timeout_jitter_fraction = params_.election_jitter_fraction;
   tc.heartbeat_interval = params_.heartbeat_interval;
   tc.priority_takeover_delay = params_.priority_takeover_delay;
   tc.priority_takeover_gap = params_.priority_takeover_gap;
@@ -87,8 +109,7 @@ void ReplicaSet::SetReportSkew(int idx, sim::Duration skew) {
 }
 
 void ReplicaSet::ArmPullDeadline(int idx, sim::Duration extra) {
-  members_[idx].pull.deadline =
-      loop_->Now() + extra + params_.pull_retry_timeout;
+  members_[idx].pull.deadline = loop_->Now() + extra + kPullRetryTimeout;
 }
 
 void ReplicaSet::RetirePull(int idx) {
@@ -105,8 +126,8 @@ bool ReplicaSet::PullRetired(int idx, uint64_t epoch) {
 }
 
 void ReplicaSet::PollAgainLater(int idx, uint64_t epoch) {
-  ArmPullDeadline(idx, params_.getmore_idle_poll);
-  loop_->ScheduleAfter(params_.getmore_idle_poll,
+  ArmPullDeadline(idx, kGetMoreIdlePoll);
+  loop_->ScheduleAfter(kGetMoreIdlePoll,
                        [this, idx, epoch] { SendGetMore(idx, epoch); });
 }
 
@@ -179,7 +200,7 @@ void ReplicaSet::CommitInternal(
   double throttle = 1.0;
   if (params_.flow_control_enabled &&
       KnownMaxLag() > params_.flow_control_target_lag) {
-    throttle = params_.flow_control_throttle;
+    throttle = kFlowControlThrottle;
     ++flow_control_engaged_writes_;
   }
   // Envelope amortisation composes with flow control: the throttle
@@ -414,17 +435,15 @@ void ReplicaSet::HandleGetMoreAtPrimary(int secondary_idx, uint64_t epoch) {
                         });
       return;
     }
-    if (params_.getmore_soft_delay > 0) {
-      // Short checkpoint: the flush is competing for the disk, so oplog
-      // reads are slow but not stopped. Defer once, then serve.
-      const sim::Duration defer = std::min(
-          params_.getmore_soft_delay, p.checkpoint_end() - loop_->Now());
-      ArmPullDeadline(secondary_idx, defer);
-      loop_->ScheduleAfter(defer, [this, secondary_idx, epoch] {
-        ServeGetMore(secondary_idx, epoch);
-      });
-      return;
-    }
+    // Short checkpoint: the flush is competing for the disk, so oplog
+    // reads are slow but not stopped. Defer once, then serve.
+    const sim::Duration defer = std::min(
+        kGetMoreSoftDelay, p.checkpoint_end() - loop_->Now());
+    ArmPullDeadline(secondary_idx, defer);
+    loop_->ScheduleAfter(defer, [this, secondary_idx, epoch] {
+      ServeGetMore(secondary_idx, epoch);
+    });
+    return;
   }
   ServeGetMore(secondary_idx, epoch);
 }
@@ -441,7 +460,7 @@ void ReplicaSet::ServeGetMore(int secondary_idx, uint64_t epoch) {
         if (epoch != members_[secondary_idx].pull.epoch) return;
         std::vector<OplogEntry> batch =
             oplog_.ReadAfter(node(secondary_idx).last_applied().seq,
-                             params_.getmore_max_batch);
+                             kGetMoreMaxBatch);
         // The request survived; only the reply hop remains at risk.
         ArmPullDeadline(secondary_idx);
         network_->Send(
@@ -695,7 +714,7 @@ void ReplicaSet::CatchUpStep(int winner, uint64_t new_term, uint64_t target,
     return;
   }
   std::vector<OplogEntry> batch =
-      oplog_.ReadAfter(w.last_applied().seq, params_.getmore_max_batch);
+      oplog_.ReadAfter(w.last_applied().seq, kGetMoreMaxBatch);
   if (batch.empty()) {
     FinishStepUp(winner, new_term);
     return;

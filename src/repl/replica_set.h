@@ -27,36 +27,23 @@ namespace dcg::repl {
 struct ReplicaSetParams {
   int secondaries = 2;
 
-  /// Max oplog entries returned per getMore.
-  size_t getmore_max_batch = 5000;
-
-  /// How long a fully caught-up secondary waits before polling again
-  /// (models the awaitData tailable-cursor timeout).
-  sim::Duration getmore_idle_poll = sim::Millis(50);
-
   /// How often secondaries report their lastAppliedOpTime to the primary.
   /// This lag is why the primary's view of secondary progress — and hence
   /// Decongestant's staleness estimate — is conservative (§2.3).
   sim::Duration heartbeat_interval = sim::Millis(500);
 
   /// Flow control (§4.5): when the max lag known to the primary exceeds
-  /// the target, write service times are stretched by the throttle factor.
+  /// the target, write service times are stretched by a fixed throttle
+  /// factor.
   bool flow_control_enabled = true;
   sim::Duration flow_control_target_lag = sim::Seconds(5);
-  double flow_control_throttle = 3.0;
 
   /// A checkpoint whose flush is expected to take longer than this stalls
   /// getMore service entirely until it finishes — the mechanism behind the
   /// sawtooth staleness of Figure 9 ("the primary gets around to servicing
-  /// the getMore and sends a large batch").
+  /// the getMore and sends a large batch"). Shorter checkpoints only
+  /// defer getMore responses.
   sim::Duration getmore_block_threshold = sim::Seconds(15);
-
-  /// During shorter checkpoints, getMore responses are merely deferred by
-  /// this much (the disk is busy but not saturated) — producing the mild,
-  /// bounded staleness YCSB-A exhibits rather than a full stall.
-  sim::Duration getmore_soft_delay = sim::Millis(1500);
-
-  size_t oplog_capacity = 2'000'000;
 
   /// Base election timeout: a member that hears no leader for this long
   /// (plus its randomized jitter) campaigns. Every member runs a
@@ -64,10 +51,6 @@ struct ReplicaSetParams {
   /// vote rounds, stepdown on higher terms, post-win catch-up — so the
   /// fail-over gap is this timeout plus the vote and catch-up rounds.
   sim::Duration election_timeout = sim::Seconds(5);
-
-  /// Uniform jitter added to each election deadline, as a fraction of
-  /// election_timeout (de-synchronizes would-be candidates).
-  double election_jitter_fraction = 0.15;
 
   /// Hard bound on the post-win catch-up phase: a new leader opens for
   /// writes once it reaches the freshest recently-heard peer optime or
@@ -83,13 +66,6 @@ struct ReplicaSetParams {
   /// Election priority per node index (empty = all 1.0; 0 = never
   /// campaigns).
   std::vector<double> node_priorities;
-
-  /// Pull-chain watchdog: when a getMore request or its reply batch is
-  /// lost on the network (packet loss, partition), the secondary notices
-  /// no pull progress for this long past the expected next step and
-  /// restarts the chain — the sync-source retry real MongoDB drives off
-  /// its heartbeats. Without faults the deadline never expires.
-  sim::Duration pull_retry_timeout = sim::Seconds(2);
 };
 
 /// A primary plus N secondaries wired through the simulated network —
@@ -334,9 +310,9 @@ class ReplicaSet : public server::CommandBackend {
   void HandleBatchAtSecondary(int secondary_idx, std::vector<OplogEntry> batch,
                               uint64_t epoch);
   /// Nothing to pull right now (caught up, or no live primary): keeps the
-  /// chain covered and asks again after getmore_idle_poll.
+  /// chain covered and asks again after kGetMoreIdlePoll.
   void PollAgainLater(int idx, uint64_t epoch);
-  /// Declares the pull chain healthy until now + extra + pull_retry_timeout.
+  /// Declares the pull chain healthy until now + extra + kPullRetryTimeout.
   void ArmPullDeadline(int idx, sim::Duration extra = 0);
   /// Kills node `idx`'s pull chain outright (all in-flight continuations
   /// retire via the epoch bump).

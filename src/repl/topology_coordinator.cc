@@ -65,8 +65,7 @@ double TopologyCoordinator::PriorityOf(int node) const {
 
 void TopologyCoordinator::ResetElectionDeadline(sim::Time now) {
   const auto jitter_max = static_cast<sim::Duration>(
-      config_.timeout_jitter_fraction *
-      static_cast<double>(config_.election_timeout));
+      kElectionJitterFraction * static_cast<double>(config_.election_timeout));
   const sim::Duration jitter =
       jitter_max > 0 ? rng_.UniformInt(0, jitter_max) : 0;
   election_deadline_ = now + config_.election_timeout + jitter;

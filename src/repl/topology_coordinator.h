@@ -40,14 +40,17 @@ enum class TopologyEvent : uint8_t {
 
 std::string_view ToString(TopologyEvent event);
 
+/// Uniform jitter added to each election deadline, as a fraction of
+/// election_timeout (de-synchronizes would-be candidates).
+inline constexpr double kElectionJitterFraction = 0.15;
+
 /// Per-member election configuration.
 struct TopologyConfig {
   int node_count = 3;
   /// Base election timeout; the effective deadline adds a uniform random
-  /// jitter in [0, timeout_jitter_fraction * election_timeout] per reset,
+  /// jitter in [0, kElectionJitterFraction * election_timeout] per reset,
   /// de-synchronizing candidates (MongoDB's electionTimeoutOffset).
   sim::Duration election_timeout = sim::Seconds(5);
-  double timeout_jitter_fraction = 0.15;
   sim::Duration heartbeat_interval = sim::Millis(500);
   /// A secondary that spots a lower-priority leader waits this long
   /// (re-checking that the situation persists) before taking over.

@@ -7,6 +7,10 @@
 
 namespace dcg::server {
 
+namespace {
+constexpr int kCores = 8;  // mirrors the r4.2xlarge's 8 vCPUs
+}  // namespace
+
 ServerNode::ServerNode(sim::EventLoop* loop, sim::Rng rng, ServerParams params,
                        net::HostId host, std::string name)
     : loop_(loop),
@@ -14,7 +18,7 @@ ServerNode::ServerNode(sim::EventLoop* loop, sim::Rng rng, ServerParams params,
       params_(params),
       host_(host),
       name_(std::move(name)),
-      cpu_(loop, params.cores) {}
+      cpu_(loop, kCores) {}
 
 void ServerNode::Start() {
   loop_->ScheduleAfter(params_.checkpoint_interval,

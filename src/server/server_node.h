@@ -16,7 +16,6 @@ namespace dcg::server {
 
 /// Knobs of a single database node (one replica-set member).
 struct ServerParams {
-  int cores = 8;  // mirrors the r4.2xlarge's 8 vCPUs
   ServiceModel service;
 
   // Checkpoint / disk model (§4.5): dirty data accumulates with writes;

@@ -9,21 +9,24 @@
 
 namespace dcg::workload {
 namespace {
+constexpr char kCollection[] = "s_probe";
 constexpr int64_t kProbeId = 0;
+/// How often the writer stamps the probe document.
+constexpr sim::Duration kWriteInterval = sim::Millis(50);
+/// How often the reader probes.
+constexpr sim::Duration kProbeInterval = sim::Millis(200);
 }  // namespace
 
 SWorkload::SWorkload(driver::MongoClient* client,
-                     std::function<bool()> secondary_in_use,
-                     SWorkloadConfig config, sim::Rng rng,
+                     std::function<bool()> secondary_in_use, sim::Rng rng,
                      std::function<void(double)> on_sample)
     : client_(client),
       secondary_in_use_(std::move(secondary_in_use)),
-      config_(std::move(config)),
       rng_(std::move(rng)),
       on_sample_(std::move(on_sample)) {}
 
-void SWorkload::Load(const SWorkloadConfig& config, store::Database* db) {
-  store::Collection& coll = db->GetOrCreate(config.collection);
+void SWorkload::Load(store::Database* db) {
+  store::Collection& coll = db->GetOrCreate(kCollection);
   coll.Upsert(doc::Value::Doc(
       {{"_id", kProbeId}, {"ts", doc::Value::Timestamp(0)}}));
 }
@@ -40,16 +43,14 @@ void SWorkload::WriterLoop() {
   client_->Write(
       server::OpClass::kUpdate,
       [this, spec = std::move(spec)](repl::TxnContext* ctx) {
-        const bool ok =
-            ctx->Update(config_.collection, doc::Value(kProbeId), spec);
+        const bool ok = ctx->Update(kCollection, doc::Value(kProbeId), spec);
         DCG_CHECK(ok);
       },
       [this](const driver::OpResult&) {
         ++writes_completed_;
         // Closed loop with a floor interval: at least as fast as the
         // reader, but it backs off naturally when the primary is slow.
-        client_->loop().ScheduleAfter(config_.write_interval,
-                                      [this] { WriterLoop(); });
+        client_->loop().ScheduleAfter(kWriteInterval, [this] { WriterLoop(); });
       });
 }
 
@@ -64,8 +65,8 @@ void SWorkload::ReaderLoop() {
   };
   auto state = std::make_shared<ProbeState>();
 
-  auto read_ts = [this](const store::Database& db) -> sim::Time {
-    const store::Collection* coll = db.Get(config_.collection);
+  auto read_ts = [](const store::Database& db) -> sim::Time {
+    const store::Collection* coll = db.Get(kCollection);
     if (coll == nullptr) return 0;
     store::DocPtr d = coll->FindById(doc::Value(kProbeId));
     if (d == nullptr) return 0;
@@ -92,8 +93,7 @@ void SWorkload::ReaderLoop() {
     ++probes_completed_;
     max_staleness_seen_ = std::max(max_staleness_seen_, staleness);
     if (on_sample_) on_sample_(staleness);
-    client_->loop().ScheduleAfter(config_.probe_interval,
-                                  [this] { ReaderLoop(); });
+    client_->loop().ScheduleAfter(kProbeInterval, [this] { ReaderLoop(); });
   };
 
   // Control-plane probes: keep them out of the balancer's latency lists

@@ -2,27 +2,18 @@
 #define DCG_WORKLOAD_S_WORKLOAD_H_
 
 #include <functional>
-#include <string>
 
 #include "driver/client.h"
 #include "store/database.h"
 
 namespace dcg::workload {
 
-/// Configuration for the staleness-monitoring S workload (§4.1.5).
-struct SWorkloadConfig {
-  /// How often the writer stamps the probe document.
-  sim::Duration write_interval = sim::Millis(50);
-  /// How often the reader probes.
-  sim::Duration probe_interval = sim::Millis(200);
-  std::string collection = "s_probe";
-};
-
-/// The S workload: a writer that keeps writing the current (simulated)
-/// timestamp into a dedicated document, and a reader that periodically
-/// issues a *pair* of reads — one with Read Preference Primary, one with
-/// Secondary — and reports the staleness of the secondary's value as the
-/// difference between the two returned timestamps.
+/// The staleness-monitoring S workload (§4.1.5): a writer that keeps
+/// writing the current (simulated) timestamp into a dedicated document,
+/// and a reader that periodically issues a *pair* of reads — one with
+/// Read Preference Primary, one with Secondary — and reports the
+/// staleness of the secondary's value as the difference between the two
+/// returned timestamps.
 ///
 /// When the application is not using secondaries at all (the supplied
 /// `secondary_in_use` callback returns false), the second probe read also
@@ -32,12 +23,12 @@ class SWorkload {
  public:
   /// `on_sample(staleness_seconds)` fires once per completed probe pair.
   SWorkload(driver::MongoClient* client,
-            std::function<bool()> secondary_in_use, SWorkloadConfig config,
-            sim::Rng rng, std::function<void(double)> on_sample);
+            std::function<bool()> secondary_in_use, sim::Rng rng,
+            std::function<void(double)> on_sample);
 
   /// Seeds the probe document; call on every node's database before the
   /// run (same pre-replicated-snapshot convention as the main workloads).
-  static void Load(const SWorkloadConfig& config, store::Database* db);
+  static void Load(store::Database* db);
 
   /// Starts the writer and reader loops.
   void Start();
@@ -52,7 +43,6 @@ class SWorkload {
 
   driver::MongoClient* client_;
   std::function<bool()> secondary_in_use_;
-  SWorkloadConfig config_;
   sim::Rng rng_;
   std::function<void(double)> on_sample_;
   uint64_t writes_completed_ = 0;

@@ -13,6 +13,10 @@
 namespace dcg::workload {
 namespace {
 
+// Stock Level's threshold is drawn uniformly from [lo, hi].
+constexpr int64_t kStockLevelThresholdLo = 10;
+constexpr int64_t kStockLevelThresholdHi = 20;
+
 // Collection names.
 constexpr char kWarehouse[] = "warehouse";
 constexpr char kDistrict[] = "district";
@@ -268,8 +272,8 @@ void TpccWorkload::DoStockLevel(Done done) {
   ++stock_level_count_;
   const int w = RandomWarehouse();
   const int d = RandomDistrict();
-  const int64_t threshold = rng_.UniformInt(config_.stock_level_threshold_lo,
-                                            config_.stock_level_threshold_hi);
+  const int64_t threshold = rng_.UniformInt(kStockLevelThresholdLo,
+                                            kStockLevelThresholdHi);
   const driver::ReadPreference pref = policy_->ChooseReadPreference(&rng_);
   client_->Read(
       pref, server::OpClass::kTpccStockLevel,

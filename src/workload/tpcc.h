@@ -40,9 +40,6 @@ struct TpccConfig {
   /// (removes) the oldest one in the same transaction.
   int max_orders_per_district = 400;
   double new_order_abort_rate = 0.01;
-  /// Stock Level threshold is drawn uniformly from [lo, hi].
-  int stock_level_threshold_lo = 10;
-  int stock_level_threshold_hi = 20;
   /// Stock Level examines the most recent `stock_level_orders` orders.
   int stock_level_orders = 20;
   TpccMix mix;

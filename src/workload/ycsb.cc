@@ -8,6 +8,9 @@
 namespace dcg::workload {
 namespace {
 
+/// Bytes of filler text per YCSB field.
+constexpr int kFieldLength = 40;
+
 // Deterministic filler text: content doesn't matter, size does.
 std::string FieldValue(sim::Rng* rng, int length) {
   std::string s(static_cast<size_t>(length), 'x');
@@ -27,13 +30,13 @@ YcsbWorkload::YcsbWorkload(driver::MongoClient* client,
       config_(config),
       rng_(std::move(rng)),
       key_chooser_(config.record_count, config.zipfian_theta),
-      record_shape_(RecordShape(config)) {}
+      record_shape_(RecordShape()) {}
 
-doc::ShapeRef YcsbWorkload::RecordShape(const YcsbConfig& config) {
+doc::ShapeRef YcsbWorkload::RecordShape() {
   std::vector<std::string> names;
-  names.reserve(static_cast<size_t>(config.field_count) + 1);
+  names.reserve(kYcsbFieldCount + 1);
   names.emplace_back("_id");
-  for (int f = 0; f < config.field_count; ++f) {
+  for (int f = 0; f < kYcsbFieldCount; ++f) {
     names.push_back("field" + std::to_string(f));
   }
   return doc::ShapeRef(std::move(names));
@@ -47,13 +50,13 @@ void YcsbWorkload::Load(const YcsbConfig& config, store::Database* db,
   // field bytes they would in the unsharded snapshot.
   sim::Rng rng(0x5eed5eedULL);
   store::Collection& table = db->GetOrCreate(config.table);
-  const doc::ShapeRef shape = RecordShape(config);  // shared by every record
+  const doc::ShapeRef shape = RecordShape();  // shared by every record
   for (int64_t key = 0; key < config.record_count; ++key) {
     std::vector<doc::Value> values;
     values.reserve(shape->size());
     values.emplace_back(key);
-    for (int f = 0; f < config.field_count; ++f) {
-      values.emplace_back(FieldValue(&rng, config.field_length));
+    for (int f = 0; f < kYcsbFieldCount; ++f) {
+      values.emplace_back(FieldValue(&rng, kFieldLength));
     }
     if (keep != nullptr && !keep(key)) continue;
     const bool inserted =
@@ -101,12 +104,11 @@ void YcsbWorkload::IssueRead(Done done) {
 void YcsbWorkload::IssueUpdate(Done done) {
   ++updates_issued_;
   const int64_t key = key_chooser_.Next(&rng_);
-  const int field = static_cast<int>(
-      rng_.UniformInt(0, config_.field_count - 1));
+  const int field = static_cast<int>(rng_.UniformInt(0, kYcsbFieldCount - 1));
   doc::UpdateSpec spec;
   // Slot 0 is "_id"; field f is slot f + 1.
   spec.Set(record_shape_->name(static_cast<size_t>(field) + 1),
-           doc::Value(FieldValue(&rng_, config_.field_length)));
+           doc::Value(FieldValue(&rng_, kFieldLength)));
   driver::OpOptions opts;
   if (config_.stamp_route) {
     opts.route.collection = config_.table;

@@ -15,10 +15,11 @@ namespace dcg::workload {
 
 /// YCSB configuration. The paper uses YCSB-A (50 % reads / 50 % updates)
 /// and YCSB-B (95 % reads / 5 % updates), both with zipfian key choice.
+/// Fields per YCSB record besides "_id".
+inline constexpr int kYcsbFieldCount = 5;
+
 struct YcsbConfig {
   int64_t record_count = 20'000;
-  int field_count = 5;
-  int field_length = 40;
   double read_proportion = 0.5;  // A = 0.5, B = 0.95
   double zipfian_theta = 0.99;
   std::string table = "usertable";
@@ -69,10 +70,10 @@ class YcsbWorkload : public Workload {
   uint64_t missing_reads() const { return missing_reads_; }
 
  private:
-  /// A fresh record shape: "_id", then "field0" .. "field<field_count-1>".
-  /// Load's records share one; the workload keeps its own for the field
-  /// names its updates set.
-  static doc::ShapeRef RecordShape(const YcsbConfig& config);
+  /// A fresh record shape: "_id", then "field0" ..
+  /// "field<kYcsbFieldCount-1>". Load's records share one; the workload
+  /// keeps its own for the field names its updates set.
+  static doc::ShapeRef RecordShape();
 
   void IssueRead(Done done);
   void IssueUpdate(Done done);

@@ -33,12 +33,10 @@ constexpr auto kReasonSentinel =
 // Randomized-but-reproducible controller inputs spanning the whole signal
 // surface: valid and invalid ratios, empty and populated age vectors,
 // fractions at and between the bounds.
-ControlInputs RandomInputs(sim::Rng* rng, const BalancerConfig& config) {
+ControlInputs RandomInputs(sim::Rng* rng) {
   ControlInputs inputs;
-  inputs.latest_fraction =
-      config.low_bal +
-      (config.high_bal - config.low_bal) *
-          static_cast<double>(rng->UniformInt(0, 100)) / 100.0;
+  const auto percent = static_cast<double>(rng->UniformInt(0, 100));
+  inputs.latest_fraction = kLowBal + (kHighBal - kLowBal) * percent / 100.0;
   inputs.ratio_valid = rng->Bernoulli(0.8);
   inputs.ratio = inputs.ratio_valid
                      ? static_cast<double>(rng->UniformInt(1, 400)) / 100.0
@@ -85,11 +83,11 @@ TEST(ControllerConformanceTest, FractionStaysWithinBounds) {
     auto controller = MakeController(name);
     sim::Rng rng(11);
     for (int i = 0; i < 2000; ++i) {
-      const ControlInputs inputs = RandomInputs(&rng, config);
+      const ControlInputs inputs = RandomInputs(&rng);
       const double next = controller->NextFraction(inputs, config);
-      EXPECT_GE(next, config.low_bal - 1e-12)
+      EXPECT_GE(next, kLowBal - 1e-12)
           << name << " step " << i << " returned " << next;
-      EXPECT_LE(next, config.high_bal + 1e-12)
+      EXPECT_LE(next, kHighBal + 1e-12)
           << name << " step " << i << " returned " << next;
     }
   }
@@ -105,8 +103,8 @@ TEST(ControllerConformanceTest, DeterministicUnderSameInputSequence) {
     sim::Rng rng_a(23);
     sim::Rng rng_b(23);
     for (int i = 0; i < 500; ++i) {
-      const ControlInputs ia = RandomInputs(&rng_a, config);
-      const ControlInputs ib = RandomInputs(&rng_b, config);
+      const ControlInputs ia = RandomInputs(&rng_a);
+      const ControlInputs ib = RandomInputs(&rng_b);
       obs::BalanceReason ra = kReasonSentinel;
       obs::BalanceReason rb = kReasonSentinel;
       const double fa = a->NextFraction(ia, config, &ra);
@@ -124,7 +122,7 @@ TEST(ControllerConformanceTest, ReportsReasonEveryTick) {
     sim::Rng rng(37);
     for (int i = 0; i < 500; ++i) {
       obs::BalanceReason reason = kReasonSentinel;
-      controller->NextFraction(RandomInputs(&rng, config), config, &reason);
+      controller->NextFraction(RandomInputs(&rng), config, &reason);
       ASSERT_NE(reason, kReasonSentinel) << name << " step " << i;
       ASSERT_LT(static_cast<size_t>(reason), obs::kBalanceReasonCount)
           << name << " step " << i;
@@ -167,7 +165,7 @@ class ControllerGateTest : public ::testing::Test {
     client_ = std::make_unique<driver::MongoClient>(
         loop_.get(), sim::Rng(3), rs_->command_bus(), c,
         driver::ClientOptions{});
-    state_ = std::make_unique<SharedState>(config.low_bal);
+    state_ = std::make_unique<SharedState>(kLowBal);
     balancer_ = std::make_unique<ReadBalancer>(client_.get(), state_.get(),
                                                config, sim::Rng(4));
     auto strategy = MakeController(controller);
@@ -280,38 +278,37 @@ TEST(CpqControllerTest, SlaMetDriftsTowardPrimary) {
 }
 
 TEST(AoiControllerTest, AgeCapMatchesHandComputedOracle) {
-  const BalancerConfig config;  // low_bal 0.1, high_bal 0.9, bound 10 s
-  // budget = 0.5 * 10 s = 5 s.
+  // LOWBAL 0.1, HIGHBAL 0.9, bound 10 s: budget = 0.5 * 10 s = 5 s.
   ControlInputs inputs;
   inputs.stale_bound_s = 10;
 
   // Fresh secondaries (mean age 3 s): cap = 5/3 -> clamped to HIGHBAL.
   inputs.secondary_age_s = {2, 4};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.9);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.9);
 
   // Mean age 10 s: cap = 5/10 = 0.5 exactly.
   inputs.secondary_age_s = {8, 12};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.5);
 
   // Unknown ages (-1 entries are skipped): only the 20 s node counts,
   // cap = 5/20 = 0.25.
   inputs.secondary_age_s = {-1, 20};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.25);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.25);
 
   // Very stale (mean 100 s): 5/100 = 0.05 floors at LOWBAL.
   inputs.secondary_age_s = {100};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.1);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.1);
 
   // No age evidence at all: no cap.
   inputs.secondary_age_s = {-1, -1};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.9);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.9);
   inputs.secondary_age_s.clear();
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.9);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.9);
 
   // Zero bound: the hard gate owns this case; the cap stays out of the way.
   inputs.stale_bound_s = 0;
   inputs.secondary_age_s = {100};
-  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, config, 0.5), 0.9);
+  EXPECT_DOUBLE_EQ(AoiController::AgeCap(inputs, 0.5), 0.9);
 }
 
 TEST(AoiControllerTest, CapOverridesLatencyPressure) {
@@ -350,18 +347,18 @@ TEST(PidControllerTest, IntegralDecaysWithoutEvidenceAndStaysBounded) {
   // No evidence: the integral decays toward zero instead of persisting.
   const double before = std::abs(pid.integral());
   ControlInputs invalid;
-  invalid.latest_fraction = config.high_bal;
+  invalid.latest_fraction = kHighBal;
   invalid.ratio_valid = false;
   obs::BalanceReason reason = kReasonSentinel;
   const double held = pid.NextFraction(invalid, config, &reason);
-  EXPECT_DOUBLE_EQ(held, config.high_bal);  // holds the fraction
+  EXPECT_DOUBLE_EQ(held, kHighBal);  // holds the fraction
   EXPECT_EQ(reason, obs::BalanceReason::kNoEvidence);
   EXPECT_LT(std::abs(pid.integral()), before);
 
   // Pinned at HIGHBAL with the error still positive: anti-windup freezes
   // integration, so the integral never exceeds its clamp.
   for (int i = 0; i < 200; ++i) {
-    pid.NextFraction(ValidRatioInputs(config.high_bal, 4.0), config);
+    pid.NextFraction(ValidRatioInputs(kHighBal, 4.0), config);
   }
   EXPECT_LE(std::abs(pid.integral()), 2.0 + 1e-9);
 }

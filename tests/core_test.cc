@@ -128,7 +128,7 @@ TEST_F(ClientStackTest, BalancedStackForksClientThenBalancer) {
   ASSERT_NE(stack->balancer(), nullptr);
   ASSERT_NE(stack->state(), nullptr);
   EXPECT_EQ(stack->balancer()->controller().name(), "step");
-  EXPECT_DOUBLE_EQ(stack->balance_fraction(), BalancerConfig{}.low_bal);
+  EXPECT_DOUBLE_EQ(stack->balance_fraction(), kLowBal);
   stack->state()->set_balance_fraction(0.4);
   EXPECT_DOUBLE_EQ(stack->balance_fraction(), 0.4);
 }
@@ -195,7 +195,7 @@ class ReadBalancerTest : public ::testing::Test {
                                              server_params, hosts);
     client_ = std::make_unique<driver::MongoClient>(
         &loop_, sim::Rng(3), rs_->command_bus(), c, driver::ClientOptions{});
-    state_ = std::make_unique<SharedState>(config.low_bal);
+    state_ = std::make_unique<SharedState>(kLowBal);
     balancer_ = std::make_unique<ReadBalancer>(client_.get(), state_.get(),
                                                config, sim::Rng(4));
   }
@@ -240,7 +240,7 @@ TEST_F(ReadBalancerTest, CongestedPrimaryRampsFractionUp) {
   InjectLatencies(sim::Millis(50), sim::Millis(5));
   // 8 periods of +10 % from 10 % reaches the 90 % cap.
   loop_.RunUntil(sim::Seconds(85));
-  EXPECT_DOUBLE_EQ(state_->balance_fraction(), config_.high_bal);
+  EXPECT_DOUBLE_EQ(state_->balance_fraction(), kHighBal);
   EXPECT_GE(balancer_->periods_completed(), 8u);
 }
 
@@ -259,7 +259,7 @@ TEST_F(ReadBalancerTest, CongestedSecondariesRampFractionDown) {
   // clean, inject an overwhelming number of reversed samples.)
   InjectLatencies(sim::Millis(5), sim::Millis(50), 1000);
   loop_.RunUntil(sim::Seconds(175));
-  EXPECT_DOUBLE_EQ(state_->balance_fraction(), config_.low_bal);
+  EXPECT_DOUBLE_EQ(state_->balance_fraction(), kLowBal);
 }
 
 TEST_F(ReadBalancerTest, BalancedRatioWithFlatHistoryProbesDownward) {
@@ -269,7 +269,7 @@ TEST_F(ReadBalancerTest, BalancedRatioWithFlatHistoryProbesDownward) {
   InjectLatencies(sim::Millis(10), sim::Millis(10));
   loop_.RunUntil(sim::Seconds(95));
   // History flattens at LOWBAL and stays: downward probe can't go below.
-  EXPECT_DOUBLE_EQ(state_->balance_fraction(), config_.low_bal);
+  EXPECT_DOUBLE_EQ(state_->balance_fraction(), kLowBal);
 
   // Push the fraction up, then hold the ratio in the dead band: after the
   // history flattens, the balancer probes down by DELTA.
@@ -283,7 +283,7 @@ TEST_F(ReadBalancerTest, DownwardProbeTriggersAfterFlatHistory) {
   loop_.RunUntil(sim::Seconds(85));
   ASSERT_DOUBLE_EQ(state_->balance_fraction(), 0.9);
 
-  // Hold in dead band: needs recent_history periods to flatten, then
+  // Hold in dead band: needs kRecentHistory periods to flatten, then
   // probes down 10 %.
   InjectLatencies(sim::Millis(10), sim::Millis(10), 1000);
   double min_seen = 1.0;
@@ -319,7 +319,7 @@ TEST_F(ReadBalancerTest, EmptyLatencyListsKeepDecision) {
   Build();
   Start();
   loop_.RunUntil(sim::Seconds(45));  // several periods, no reads at all
-  EXPECT_DOUBLE_EQ(state_->balance_fraction(), config_.low_bal);
+  EXPECT_DOUBLE_EQ(state_->balance_fraction(), kLowBal);
   EXPECT_GE(balancer_->periods_completed(), 4u);
 }
 
@@ -384,8 +384,7 @@ TEST_F(ReadBalancerTest, FractionAlwaysInValidRange) {
   for (int t = 0; t < 200; ++t) {
     loop_.ScheduleAt(sim::Seconds(1) * t, [&] {
       const double f = state_->balance_fraction();
-      if (f != 0.0 && (f < config_.low_bal - 1e-9 ||
-                       f > config_.high_bal + 1e-9)) {
+      if (f != 0.0 && (f < kLowBal - 1e-9 || f > kHighBal + 1e-9)) {
         valid = false;
       }
     });

@@ -70,9 +70,7 @@ TEST_F(DriverTest, SecondaryPreferenceSpreadsOverSecondaries) {
 }
 
 TEST_F(DriverTest, LatencyWindowExcludesSlowSecondaries) {
-  ClientOptions options;
-  options.selection_latency_window = sim::Millis(15);
-  Build(options);
+  Build();
   // Make secondary 2 much slower than secondary 1 and re-probe.
   network_->SetLink(client_host_, rs_->node(2).host(), sim::Millis(40), 0);
   client_->Start();
@@ -377,13 +375,6 @@ TEST_F(DriverTest, MaxStalenessFiltersStaleSecondaries) {
   EXPECT_GE(client_->SelectNode(ReadPreference::kSecondary), 1);
 }
 
-TEST_F(DriverTest, EnforcedMongoMinimumStalenessAborts) {
-  ClientOptions options;
-  options.max_staleness_seconds = 10;  // < 90
-  options.enforce_mongodb_min_staleness = true;
-  EXPECT_DEATH(Build(options), "maxStalenessSeconds");
-}
-
 TEST_F(DriverTest, PrimaryPreferredFallsBackWhenPrimaryDies) {
   Build();
   client_->Start();
@@ -460,7 +451,7 @@ TEST_F(OpBookkeepingTest, PoolClearRetriesOpsInIdOrderAcrossTableGrowth) {
   CompleteSecondaryReads(1);                                // id 529
   Read(ReadPreference::kPrimary, 'C', NoRetries());  // id 530
   EXPECT_EQ(client_->pending_op_count(), 3u);
-  ASSERT_LT(loop_.Now(), options.hello_timeout);  // primary still believed up
+  ASSERT_LT(loop_.Now(), kHelloTimeout);  // primary still believed up
   // The hello loop declares the primary down and clears its pool: the held
   // ops' attempts are abandoned in op-id order, and with no retry budget
   // each fails on the spot.

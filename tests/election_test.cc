@@ -45,7 +45,6 @@ TopologyConfig UnitConfig() {
   TopologyConfig config;
   config.node_count = 3;
   config.election_timeout = sim::Seconds(5);
-  config.timeout_jitter_fraction = 0.15;
   return config;
 }
 
@@ -67,8 +66,7 @@ TEST(TopologyCoordinatorTest, DeadlineJitterStaysWithinConfiguredBounds) {
   TopologyCoordinator c = Follower(1);
   const TopologyConfig config = UnitConfig();
   const sim::Duration max_jitter = static_cast<sim::Duration>(
-      config.timeout_jitter_fraction *
-      static_cast<double>(config.election_timeout));
+      kElectionJitterFraction * static_cast<double>(config.election_timeout));
   std::set<sim::Duration> distinct;
   for (int i = 0; i < 200; ++i) {
     const sim::Time now = sim::Seconds(i);

@@ -336,6 +336,75 @@ TEST(ExperimentTest, PeriodsCsvCarriesEveryRegistrySeries) {
   }
 }
 
+/// The last registry sample of every `served_read_age_count` series, keyed
+/// by its labels ("node=1", "pref=secondary", ...).
+std::map<std::string, double> ServedAgeCounts(const Experiment& experiment,
+                                              const std::string& path) {
+  EXPECT_TRUE(experiment.metrics_registry().WriteCsv(path));
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);  // units comment
+  std::getline(in, line);  // header
+  std::map<std::string, double> counts;
+  while (std::getline(in, line)) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(cell);
+    }
+    // time_s,name,type,unit,labels,value; samples are in time order.
+    if (cells.size() == 6 && cells[1] == "served_read_age_count") {
+      counts[cells[4]] = std::stod(cells[5]);
+    }
+  }
+  return counts;
+}
+
+TEST(ExperimentTest, ServedAgeIsRecordedOncePerRead) {
+  ExperimentConfig config = YcsbBase(SystemType::kDecongestant, 10, 0.95);
+  // 10 report periods, inside the freshness SLO's longest (120 s) window,
+  // so its closed buckets hold every observation of the run.
+  config.duration = sim::Seconds(100);
+  config.warmup = sim::Seconds(20);
+  std::string error;
+  ASSERT_TRUE(obs::ParseSloSpecs("default", {}, &config.slos, &error));
+  Experiment experiment(config);
+  experiment.Run();
+  ASSERT_EQ(experiment.rows().size(), 10u);
+  ASSERT_EQ(experiment.replica_set().primary_index(), 0);
+
+  double rows = 0;
+  for (const PeriodRow& row : experiment.rows()) {
+    rows += static_cast<double>(row.served_age.count());
+  }
+  const std::string path = ::testing::TempDir() + "/dcg_served_age.csv";
+  const auto counts = ServedAgeCounts(experiment, path);
+  double prefs = 0;
+  double nodes = 0;
+  double secondaries = 0;
+  for (const auto& [labels, count] : counts) {
+    if (labels.rfind("pref=", 0) == 0) prefs += count;
+    if (labels.rfind("node=", 0) == 0) nodes += count;
+    if (labels == "node=1" || labels == "node=2") secondaries += count;
+  }
+  EXPECT_GT(rows, 0);
+  EXPECT_GT(secondaries, 0);
+  EXPECT_EQ(prefs, rows);
+  EXPECT_EQ(nodes, rows);
+
+  // The SLO engine observes the age of secondary-served reads only.
+  uint64_t observed = 0;
+  int freshness = 0;
+  for (const auto& tracker : experiment.slo_engine()->trackers()) {
+    if (tracker->spec().kind != obs::SloKind::kFreshness) continue;
+    ++freshness;
+    const auto sums = tracker->WindowSums(sim::Seconds(120));
+    observed += sums.good + sums.bad;
+  }
+  ASSERT_EQ(freshness, 1);
+  EXPECT_EQ(static_cast<double>(observed), secondaries);
+}
+
 TEST(ExperimentTest, SWorkloadCausesLittleInterference) {
   // Figure 11: running the S workload alongside the benchmark barely
   // moves throughput.

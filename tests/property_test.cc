@@ -162,14 +162,12 @@ TEST(HistogramLawsTest, MergeEqualsCombinedAdds) {
 
 // --- Balance Fraction controller laws (Algorithm 1 and its proportional
 // variant). The Read Balancer guarantees latest_fraction lies within
-// [low_bal, high_bal] on entry; the controllers must keep it there. ---
+// [LOWBAL, HIGHBAL] on entry; the controllers must keep it there. ---
 
-core::ControlInputs RandomInputs(sim::Rng* rng,
-                                 const core::BalancerConfig& config) {
+core::ControlInputs RandomInputs(sim::Rng* rng) {
   core::ControlInputs inputs;
   inputs.latest_fraction =
-      config.low_bal +
-      rng->NextDouble() * (config.high_bal - config.low_bal);
+      core::kLowBal + rng->NextDouble() * (core::kHighBal - core::kLowBal);
   inputs.ratio = rng->NextDouble() * 4.0;  // spans well past the dead band
   inputs.ratio_valid = rng->Bernoulli(0.8);
   inputs.history_flat = rng->Bernoulli(0.3);
@@ -184,13 +182,13 @@ TEST_P(ControllerLawsTest, OutputStaysWithinBounds) {
   core::StepController step;
   core::ProportionalController proportional;
   for (int i = 0; i < 5000; ++i) {
-    const core::ControlInputs inputs = RandomInputs(&rng, config);
+    const core::ControlInputs inputs = RandomInputs(&rng);
     for (core::FractionController* controller :
          {static_cast<core::FractionController*>(&step),
           static_cast<core::FractionController*>(&proportional)}) {
       const double next = controller->NextFraction(inputs, config);
-      EXPECT_GE(next, config.low_bal) << controller->name();
-      EXPECT_LE(next, config.high_bal) << controller->name();
+      EXPECT_GE(next, core::kLowBal) << controller->name();
+      EXPECT_LE(next, core::kHighBal) << controller->name();
     }
   }
 }
@@ -202,7 +200,7 @@ TEST_P(ControllerLawsTest, InvalidRatioAlwaysHolds) {
   core::StepController step;
   core::ProportionalController proportional;
   for (int i = 0; i < 2000; ++i) {
-    core::ControlInputs inputs = RandomInputs(&rng, config);
+    core::ControlInputs inputs = RandomInputs(&rng);
     inputs.ratio_valid = false;
     EXPECT_EQ(step.NextFraction(inputs, config), inputs.latest_fraction);
     EXPECT_EQ(proportional.NextFraction(inputs, config),
@@ -215,7 +213,7 @@ TEST_P(ControllerLawsTest, StepHoldsInsideDeadBandUnlessProbing) {
   core::BalancerConfig config;
   core::StepController step;
   for (int i = 0; i < 2000; ++i) {
-    core::ControlInputs inputs = RandomInputs(&rng, config);
+    core::ControlInputs inputs = RandomInputs(&rng);
     inputs.ratio_valid = true;
     inputs.ratio = config.low_ratio +
                    rng.NextDouble() * (config.high_ratio - config.low_ratio);
@@ -235,15 +233,15 @@ TEST_P(ControllerLawsTest, StepProbesDownOnlyWhenHistoryFlat) {
   core::BalancerConfig config;
   core::StepController step;
   for (int i = 0; i < 2000; ++i) {
-    core::ControlInputs inputs = RandomInputs(&rng, config);
+    core::ControlInputs inputs = RandomInputs(&rng);
     inputs.ratio_valid = true;
     inputs.ratio = config.low_ratio +
                    rng.NextDouble() * (config.high_ratio - config.low_ratio);
     inputs.history_flat = true;
     const double next = step.NextFraction(inputs, config);
     EXPECT_DOUBLE_EQ(
-        next, std::max(inputs.latest_fraction - config.delta, config.low_bal));
-    if (inputs.latest_fraction > config.low_bal) {
+        next, std::max(inputs.latest_fraction - core::kDelta, core::kLowBal));
+    if (inputs.latest_fraction > core::kLowBal) {
       EXPECT_LT(next, inputs.latest_fraction);
     }
   }
@@ -256,16 +254,16 @@ TEST(ControllerLawsTest, StepMovesByExactlyDeltaOutsideDeadBand) {
   inputs.ratio_valid = true;
   inputs.latest_fraction = 0.50;
   inputs.ratio = config.high_ratio + 0.5;  // primary congested
-  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), 0.50 + config.delta);
+  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), 0.50 + core::kDelta);
   inputs.ratio = config.low_ratio - 0.5;  // secondaries congested
-  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), 0.50 - config.delta);
+  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), 0.50 - core::kDelta);
   // Saturation at the rails.
-  inputs.latest_fraction = config.high_bal;
+  inputs.latest_fraction = core::kHighBal;
   inputs.ratio = config.high_ratio + 1.0;
-  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), config.high_bal);
-  inputs.latest_fraction = config.low_bal;
+  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), core::kHighBal);
+  inputs.latest_fraction = core::kLowBal;
   inputs.ratio = config.low_ratio - 0.5;
-  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), config.low_bal);
+  EXPECT_DOUBLE_EQ(step.NextFraction(inputs, config), core::kLowBal);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControllerLawsTest,

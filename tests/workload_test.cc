@@ -141,8 +141,8 @@ TEST(YcsbStoreTest, LoadedRecordsShareOneShape) {
   ASSERT_NE(last, nullptr);
   ASSERT_NE(first->as_object().shape(), nullptr);
   EXPECT_EQ(first->as_object().shape(), last->as_object().shape());
-  EXPECT_EQ(first->as_object().size(), 1u + config.field_count);
-  EXPECT_EQ(first->as_object().name(config.field_count), "field4");
+  EXPECT_EQ(first->as_object().size(), 1u + kYcsbFieldCount);
+  EXPECT_EQ(first->as_object().name(kYcsbFieldCount), "field4");
 }
 
 TEST_F(WorkloadClusterTest, YcsbMixMatchesReadProportion) {
@@ -477,10 +477,9 @@ TEST_F(WorkloadClusterTest, TpccPreservesMoneyInvariants) {
 
 TEST_F(WorkloadClusterTest, SWorkloadSeesZeroStalenessOnHealthyCluster) {
   Build();
-  SWorkloadConfig config;
-  for (int i = 0; i < 3; ++i) SWorkload::Load(config, &rs_->node(i).db());
+  for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return true; }, config, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return true; }, sim::Rng(5),
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
@@ -495,10 +494,9 @@ TEST_F(WorkloadClusterTest, SWorkloadSeesZeroStalenessOnHealthyCluster) {
 
 TEST_F(WorkloadClusterTest, SWorkloadDetectsStalledSecondary) {
   Build();
-  SWorkloadConfig config;
-  for (int i = 0; i < 3; ++i) SWorkload::Load(config, &rs_->node(i).db());
+  for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return true; }, config, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return true; }, sim::Rng(5),
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
@@ -512,10 +510,9 @@ TEST_F(WorkloadClusterTest, SWorkloadDetectsStalledSecondary) {
 
 TEST_F(WorkloadClusterTest, SWorkloadProbesPrimaryWhenSecondariesUnused) {
   Build();
-  SWorkloadConfig config;
-  for (int i = 0; i < 3; ++i) SWorkload::Load(config, &rs_->node(i).db());
+  for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return false; }, config, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return false; }, sim::Rng(5),
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
