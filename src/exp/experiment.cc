@@ -189,10 +189,12 @@ Experiment::Experiment(ExperimentConfig config)
       s_samples_.emplace_back(loop_.Now(), staleness_s);
     };
     for (core::ClientStack* stack : stacks_) {
+      // The S workload draws nothing; the fork only keeps the experiment's
+      // later RNG streams (and every golden) where they have always been.
+      rng_.Fork();
       s_workloads_.push_back(std::make_unique<workload::SWorkload>(
           &stack->client(),
-          [stack] { return stack->balance_fraction() > 0.0; }, rng_.Fork(),
-          on_sample));
+          [stack] { return stack->balance_fraction() > 0.0; }, on_sample));
     }
   }
 

@@ -24,7 +24,8 @@ void Oplog::Append(OplogEntry entry) {
 std::vector<OplogEntry> Oplog::ReadAfter(uint64_t after_seq,
                                          size_t max_batch) const {
   std::vector<OplogEntry> out;
-  if (entries_.empty() || after_seq >= last_seq()) return out;
+  if (after_seq >= last_seq()) return out;
+  // Also covers a log trimmed empty: a reader behind it missed entries.
   DCG_CHECK_MSG(after_seq + 1 >= first_seq_,
                 "reader fell off the capped oplog");
   const size_t start = static_cast<size_t>(after_seq + 1 - first_seq_);
@@ -35,29 +36,23 @@ std::vector<OplogEntry> Oplog::ReadAfter(uint64_t after_seq,
 }
 
 void Oplog::TruncateAfter(uint64_t seq) {
+  DCG_CHECK_MSG(seq + 1 >= first_seq_,
+                "rollback below the trimmed oplog prefix");
   while (!entries_.empty() && entries_.back().optime.seq > seq) {
     entries_.pop_back();
   }
-  // Entries appended after the truncation reuse the discarded sequence
-  // numbers and carry their documents.
-  released_through_ = std::min(released_through_, seq);
 }
 
-void Oplog::ReleaseDocsThrough(uint64_t seq) {
+void Oplog::TrimThrough(uint64_t seq) {
   seq = std::min(seq, last_seq());
-  for (uint64_t s = std::max(released_through_ + 1, first_seq_); s <= seq;
-       ++s) {
-    entries_[static_cast<size_t>(s - first_seq_)].doc.reset();
+  while (first_seq_ <= seq) {
+    entries_.pop_front();
+    ++first_seq_;
   }
-  released_through_ = std::max(released_through_, seq);
 }
 
 uint64_t Oplog::last_seq() const {
   return entries_.empty() ? first_seq_ - 1 : entries_.back().optime.seq;
-}
-
-OpTime Oplog::last_optime() const {
-  return entries_.empty() ? OpTime{} : entries_.back().optime;
 }
 
 }  // namespace dcg::repl

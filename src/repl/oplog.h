@@ -37,8 +37,7 @@ struct OplogEntry {
   OpKind kind = OpKind::kNoop;
   std::string collection;
   doc::Value id;
-  /// nullptr for removes and no-ops, and once the oplog has released it
-  /// (Oplog::ReleaseDocsThrough).
+  /// nullptr for removes and no-ops.
   store::DocPtr doc;
   /// Bytes the entry dirties on every member that applies it (the disk
   /// model's input): the document's size for inserts and updates, a small
@@ -46,8 +45,11 @@ struct OplogEntry {
   size_t approx_bytes = 0;
 };
 
-/// The primary's capped operation log. Secondaries read batches after
-/// their own last-applied sequence number.
+/// The primary's operation log. Secondaries read batches after their own
+/// last-applied sequence number. It holds only the suffix some live member
+/// still has to apply: the replica set trims every entry all live members
+/// have applied (TrimThrough), since members that restart or roll back
+/// clone a live member instead of replaying history.
 class Oplog {
  public:
   /// `capacity` caps retained entries; older entries fall off (a secondary
@@ -59,37 +61,33 @@ class Oplog {
   void Append(OplogEntry entry);
 
   /// Entries with seq in (after_seq, after_seq + max_batch]. CHECK-fails
-  /// when entries after `after_seq` have already been truncated.
+  /// when entries after `after_seq` have already been trimmed or capped.
   std::vector<OplogEntry> ReadAfter(uint64_t after_seq,
                                     size_t max_batch) const;
 
-  /// Sequence of the newest entry (0 when empty).
+  /// Sequence of the newest entry appended and not truncated (0 before
+  /// the first append). Trimming keeps it: the log may be empty with
+  /// last_seq() > 0, and the next append continues the sequence.
   uint64_t last_seq() const;
-  /// OpTime of the newest entry (zero OpTime when empty).
-  OpTime last_optime() const;
 
   /// Discards every entry with seq > `seq` (failover rollback of
-  /// un-replicated writes).
+  /// un-replicated writes). CHECK-fails when `seq` lies below the trimmed
+  /// prefix: a rollback never cuts history a live member no longer has.
   void TruncateAfter(uint64_t seq);
 
-  /// Drops the oplog's references to the documents of entries with
-  /// seq <= `seq`, which every member that will still read them has
-  /// applied; members that restart or roll back clone a live member
-  /// instead. Readers already holding those documents (applied replicas,
-  /// batches in flight) keep them. Ids, kinds and byte counts stay.
-  void ReleaseDocsThrough(uint64_t seq);
-
-  /// Highest seq whose document reference has been released (0: none).
-  uint64_t released_through() const { return released_through_; }
+  /// Pops every entry with seq <= min(`seq`, last_seq()): entries every
+  /// member that will still read the log has applied. Batches already read
+  /// keep their own copies. Monotonic: a lower `seq` is a no-op.
+  void TrimThrough(uint64_t seq);
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  /// Seq of the oldest retained entry (last_seq() + 1 when empty).
   uint64_t first_seq() const { return first_seq_; }
 
  private:
   size_t capacity_;
   uint64_t first_seq_ = 1;  // seq of entries_.front(), when non-empty
-  uint64_t released_through_ = 0;
   std::deque<OplogEntry> entries_;
 };
 

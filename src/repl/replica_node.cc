@@ -12,8 +12,7 @@ void ReplicaNode::ApplyEntry(const OplogEntry& entry) {
     case OpKind::kInsert:
     case OpKind::kUpdate: {
       DCG_CHECK_MSG(entry.doc != nullptr,
-                    "oplog entry %llu reached %s after its document was "
-                    "released",
+                    "oplog entry %llu reached %s without its document",
                     static_cast<unsigned long long>(entry.optime.seq),
                     name().c_str());
       // Both install the primary's committed document. Idempotent replay

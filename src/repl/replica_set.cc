@@ -30,6 +30,11 @@ constexpr size_t kOplogCapacity = 2'000'000;
 /// restarts the chain — the sync-source retry real MongoDB drives off
 /// its heartbeats. Without faults the deadline never expires.
 constexpr sim::Duration kPullRetryTimeout = sim::Seconds(2);
+/// How often each member heartbeats its peers; secondaries report their
+/// lastAppliedOpTime to the primary this way. This lag is why the
+/// primary's view of secondary progress — and hence Decongestant's
+/// staleness estimate — is conservative (§2.3).
+constexpr sim::Duration kHeartbeatInterval = sim::Millis(500);
 }  // namespace
 
 ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
@@ -73,8 +78,6 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
   TopologyConfig tc;
   tc.node_count = node_count();
   tc.election_timeout = params_.election_timeout;
-  tc.heartbeat_interval = params_.heartbeat_interval;
-  tc.priority_takeover_delay = params_.priority_takeover_delay;
   tc.priority_takeover_gap = params_.priority_takeover_gap;
   tc.priorities = params_.node_priorities;
   for (int i = 0; i < node_count(); ++i) {
@@ -144,6 +147,7 @@ void ReplicaSet::CloneFromPrimary(int idx) {
   node(idx).ResetForResync(primary().last_applied());
   members_[idx].known_last_applied = primary().last_applied();
   members_[idx].needs_resync = false;
+  TrimApplied();
 }
 
 void ReplicaSet::Start() {
@@ -177,6 +181,8 @@ void ReplicaSet::KillNode(int idx) {
   // Acknowledgements in flight are lost with the primary; their outcome
   // is uncertain to the client.
   if (idx == primary_index_) FailMajorityWaiters();
+  // The dead member no longer holds the trim point back.
+  TrimApplied();
 }
 
 void ReplicaSet::RestartNode(int idx) {
@@ -486,20 +492,20 @@ void ReplicaSet::HandleBatchAtSecondary(int secondary_idx,
         if (PullRetired(secondary_idx, epoch)) return;
         ReplicaNode& s = node(secondary_idx);
         for (const OplogEntry& entry : batch) s.ApplyEntry(entry);
-        ReleaseAppliedDocs();
+        TrimApplied();
         // More data may already be waiting: pull again immediately.
         SendGetMore(secondary_idx, epoch);
       });
 }
 
-void ReplicaSet::ReleaseAppliedDocs() {
+void ReplicaSet::TrimApplied() {
   uint64_t min_applied = UINT64_MAX;
   for (int i = 0; i < node_count(); ++i) {
     if (IsAlive(i)) {
       min_applied = std::min(min_applied, node(i).last_applied().seq);
     }
   }
-  if (min_applied != UINT64_MAX) oplog_.ReleaseDocsThrough(min_applied);
+  if (min_applied != UINT64_MAX) oplog_.TrimThrough(min_applied);
 }
 
 void ReplicaSet::CheckMajorityWaiters() {
@@ -660,7 +666,7 @@ void ReplicaSet::RaftHeartbeatLoop(int idx) {
     network_->Send(node(idx).host(), node(j).host(),
                    [this, j, hb] { HandleRaftHeartbeat(j, hb); });
   }
-  loop_->ScheduleAfter(params_.heartbeat_interval,
+  loop_->ScheduleAfter(kHeartbeatInterval,
                        [this, idx] { RaftHeartbeatLoop(idx); });
 }
 
@@ -729,7 +735,7 @@ void ReplicaSet::CatchUpStep(int winner, uint64_t new_term, uint64_t target,
           if (entry.optime.seq != w.last_applied().seq + 1) break;
           w.ApplyEntry(entry);
         }
-        ReleaseAppliedDocs();
+        TrimApplied();
         CatchUpStep(winner, new_term, target, deadline, epoch);
       });
 }

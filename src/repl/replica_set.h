@@ -27,11 +27,6 @@ namespace dcg::repl {
 struct ReplicaSetParams {
   int secondaries = 2;
 
-  /// How often secondaries report their lastAppliedOpTime to the primary.
-  /// This lag is why the primary's view of secondary progress — and hence
-  /// Decongestant's staleness estimate — is conservative (§2.3).
-  sim::Duration heartbeat_interval = sim::Millis(500);
-
   /// Flow control (§4.5): when the max lag known to the primary exceeds
   /// the target, write service times are stretched by a fixed throttle
   /// factor.
@@ -57,10 +52,8 @@ struct ReplicaSetParams {
   /// this much time passes, whichever is first.
   sim::Duration catchup_timeout = sim::Seconds(2);
 
-  /// Delay between spotting a lower-priority leader and attempting the
-  /// priority takeover, and how caught-up the taker must be (see
+  /// How caught-up a priority-takeover candidate must be (see
   /// TopologyConfig).
-  sim::Duration priority_takeover_delay = sim::Seconds(1);
   sim::Duration priority_takeover_gap = sim::Seconds(2);
 
   /// Election priority per node index (empty = all 1.0; 0 = never
@@ -322,15 +315,16 @@ class ReplicaSet : public server::CommandBackend {
   /// variance without a draw per entry), stretched by the apply throttle.
   sim::Duration ApplyCost(int idx, size_t entries);
   /// Initial sync: node `idx` clones the current primary's data and joins
-  /// the stream from the primary's position, consistent by construction.
+  /// the stream from the primary's position, consistent by construction,
+  /// then trims what the clone no longer needs.
   void CloneFromPrimary(int idx);
-  /// After a member applied a batch: releases the oplog's document
-  /// references up to the lowest last-applied optime among live members,
-  /// partitioned ones included. Dead members never read the oplog again:
-  /// RestartNode clones them. Every live member's last-applied optime
-  /// stays at or above the release point, since a member only moves back
-  /// by cloning the primary, which is live.
-  void ReleaseAppliedDocs();
+  /// Trims the oplog through the lowest last-applied optime among live
+  /// members, partitioned ones included, whenever that minimum may have
+  /// risen: a member applied a batch, died, or cloned the primary. Dead
+  /// members never read the oplog again: RestartNode clones them. Every
+  /// live member's last-applied optime stays at or above the trim point,
+  /// since a member only moves back by cloning the primary, which is live.
+  void TrimApplied();
 
   // --- election machinery ---
 

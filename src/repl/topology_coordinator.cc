@@ -173,7 +173,7 @@ TopologyAction TopologyCoordinator::OnHeartbeat(const HeartbeatView& hb,
         // A higher-priority member should lead. Wait a beat (the leader
         // may be about to yield anyway), then take over for real.
         takeover_pending_ = true;
-        action.takeover_at = now + config_.priority_takeover_delay;
+        action.takeover_at = now + kPriorityTakeoverDelay;
       }
     }
   }

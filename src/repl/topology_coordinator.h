@@ -44,6 +44,10 @@ std::string_view ToString(TopologyEvent event);
 /// election_timeout (de-synchronizes would-be candidates).
 inline constexpr double kElectionJitterFraction = 0.15;
 
+/// A secondary that spots a lower-priority leader waits this long
+/// (re-checking that the situation persists) before taking over.
+inline constexpr sim::Duration kPriorityTakeoverDelay = sim::Seconds(1);
+
 /// Per-member election configuration.
 struct TopologyConfig {
   int node_count = 3;
@@ -51,10 +55,6 @@ struct TopologyConfig {
   /// jitter in [0, kElectionJitterFraction * election_timeout] per reset,
   /// de-synchronizing candidates (MongoDB's electionTimeoutOffset).
   sim::Duration election_timeout = sim::Seconds(5);
-  sim::Duration heartbeat_interval = sim::Millis(500);
-  /// A secondary that spots a lower-priority leader waits this long
-  /// (re-checking that the situation persists) before taking over.
-  sim::Duration priority_takeover_delay = sim::Seconds(1);
   /// How caught-up a takeover candidate must be: within this much wall
   /// time of the leader's last reported optime (or at/above its seq).
   sim::Duration priority_takeover_gap = sim::Seconds(2);

@@ -18,11 +18,10 @@ constexpr sim::Duration kProbeInterval = sim::Millis(200);
 }  // namespace
 
 SWorkload::SWorkload(driver::MongoClient* client,
-                     std::function<bool()> secondary_in_use, sim::Rng rng,
+                     std::function<bool()> secondary_in_use,
                      std::function<void(double)> on_sample)
     : client_(client),
       secondary_in_use_(std::move(secondary_in_use)),
-      rng_(std::move(rng)),
       on_sample_(std::move(on_sample)) {}
 
 void SWorkload::Load(store::Database* db) {

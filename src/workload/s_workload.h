@@ -23,7 +23,7 @@ class SWorkload {
  public:
   /// `on_sample(staleness_seconds)` fires once per completed probe pair.
   SWorkload(driver::MongoClient* client,
-            std::function<bool()> secondary_in_use, sim::Rng rng,
+            std::function<bool()> secondary_in_use,
             std::function<void(double)> on_sample);
 
   /// Seeds the probe document; call on every node's database before the
@@ -43,7 +43,6 @@ class SWorkload {
 
   driver::MongoClient* client_;
   std::function<bool()> secondary_in_use_;
-  sim::Rng rng_;
   std::function<void(double)> on_sample_;
   uint64_t writes_completed_ = 0;
   uint64_t probes_completed_ = 0;

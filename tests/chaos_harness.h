@@ -2,6 +2,7 @@
 #define DCG_TESTS_CHAOS_HARNESS_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -171,6 +172,10 @@ struct ChaosReport {
 ///      driver-side coalescing buffer and none is pending at all — a
 ///      partition or pool clear that hit a buffered envelope must have
 ///      retried or failed every rider, never silently dropped one.
+///  11. Oplog retention: at every sample instant the oplog still holds
+///      every entry a live member (partitioned ones included) has yet to
+///      apply, and after quiesce, once every live member has caught up,
+///      it retains nothing — applied history is trimmed, not kept.
 inline ChaosReport RunChaos(const ChaosOptions& options) {
   ChaosReport report;
   auto violation = [&report](const std::string& v) {
@@ -261,6 +266,17 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
   uint64_t minority_election_violations = 0;
   bool prev_sample_minority = false;
   uint64_t prev_sample_elections = 0;
+  uint64_t oplog_retention_violations = 0;
+  // Lowest last-applied seq among live members (UINT64_MAX: none alive).
+  auto min_live_applied = [&rs] {
+    uint64_t lowest = UINT64_MAX;
+    for (int i = 0; i < rs.node_count(); ++i) {
+      if (rs.IsAlive(i)) {
+        lowest = std::min(lowest, rs.node(i).last_applied().seq);
+      }
+    }
+    return lowest;
+  };
   std::function<void()> sample = [&] {
     const double fraction = experiment.balance_fraction();
     const int64_t estimate =
@@ -321,6 +337,20 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     }
     prev_sample_minority = minority;
     prev_sample_elections = rs.elections();
+    // Invariant 11: no entry a live member still needs is gone.
+    const uint64_t needed_from = min_live_applied();
+    if (needed_from != UINT64_MAX &&
+        rs.oplog().first_seq() > needed_from + 1 &&
+        oplog_retention_violations++ == 0) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "oplog: first retained seq %llu but a live member "
+                    "has applied only through %llu at t=%.3fs",
+                    static_cast<unsigned long long>(rs.oplog().first_seq()),
+                    static_cast<unsigned long long>(needed_from),
+                    sim::ToSeconds(loop.Now()));
+      violation(buf);
+    }
     loop.ScheduleAfter(sim::Millis(250), sample);
   };
   loop.ScheduleAfter(sim::Millis(250), sample);
@@ -428,6 +458,14 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
     violation("batch: " +
               std::to_string(experiment.client().pending_op_count()) +
               " ops still pending after quiesce (dropped completion)");
+  }
+
+  // --- Invariant 11: caught-up members leave no retained history. ---
+  const uint64_t caught_up_to = min_live_applied();
+  if (caught_up_to != UINT64_MAX && caught_up_to >= rs.oplog().last_seq() &&
+      !rs.oplog().empty()) {
+    violation("oplog: " + std::to_string(rs.oplog().size()) +
+              " entries retained after every live member caught up");
   }
 
   bool all_alive = true;

@@ -297,7 +297,7 @@ TEST(TopologyCoordinatorTest, PriorityTakeoverSchedulesAndSkipsDryRun) {
   const TopologyAction seen = c.OnHeartbeat(hb, At(10), sim::Seconds(1));
   ASSERT_GE(seen.takeover_at, 0) << "takeover check must be scheduled";
   EXPECT_EQ(seen.takeover_at,
-            sim::Seconds(1) + config.priority_takeover_delay);
+            sim::Seconds(1) + kPriorityTakeoverDelay);
   // Caught up (same seq): the check campaigns for real, no dry run.
   const TopologyAction takeover =
       c.OnPriorityTakeoverCheck(At(10), seen.takeover_at);

@@ -64,42 +64,78 @@ TEST(OplogTest, CapEvictsOldEntries) {
   EXPECT_EQ(batch.front().optime.seq, 4u);
 }
 
-TEST(OplogTest, ReleaseDropsDocsButKeepsEntries) {
+OplogEntry InsertEntry(uint64_t seq) {
+  OplogEntry e = Entry(seq);
+  e.kind = OpKind::kInsert;
+  e.id = doc::Value(static_cast<int64_t>(seq));
+  e.doc = std::make_shared<const doc::Value>(
+      doc::Value::Doc({{"_id", static_cast<int64_t>(seq)}}));
+  return e;
+}
+
+TEST(OplogTest, TrimPopsAppliedEntries) {
   Oplog log;
-  for (uint64_t i = 1; i <= 6; ++i) {
-    OplogEntry e = Entry(i);
-    e.kind = OpKind::kInsert;
-    e.id = doc::Value(static_cast<int64_t>(i));
-    e.doc = std::make_shared<const doc::Value>(
-        doc::Value::Doc({{"_id", static_cast<int64_t>(i)}}));
-    log.Append(std::move(e));
-  }
+  for (uint64_t i = 1; i <= 6; ++i) log.Append(InsertEntry(i));
   const auto in_flight = log.ReadAfter(0, 10);
-  log.ReleaseDocsThrough(4);
-  EXPECT_EQ(log.released_through(), 4u);
-  auto batch = log.ReadAfter(0, 10);
-  ASSERT_EQ(batch.size(), 6u);
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(batch[i].doc == nullptr, i < 4) << i;
-    EXPECT_EQ(batch[i].id, doc::Value(static_cast<int64_t>(i + 1)));
+  log.TrimThrough(4);
+  EXPECT_EQ(log.first_seq(), 5u);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.last_seq(), 6u);
+  auto batch = log.ReadAfter(4, 10);
+  ASSERT_EQ(batch.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(batch[i].optime.seq, 5 + i);
+    EXPECT_NE(batch[i].doc, nullptr);
   }
-  // A batch read before the release keeps its documents.
-  EXPECT_NE(in_flight[0].doc, nullptr);
+  // A batch read before the trim keeps its entries and documents.
+  ASSERT_EQ(in_flight.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(in_flight[i].id, doc::Value(static_cast<int64_t>(i + 1)));
+    EXPECT_NE(in_flight[i].doc, nullptr) << i;
+  }
 
-  // Releasing is monotonic and bounded by the log's end.
-  log.ReleaseDocsThrough(2);
-  EXPECT_EQ(log.released_through(), 4u);
-  log.ReleaseDocsThrough(99);
-  EXPECT_EQ(log.released_through(), 6u);
+  // Trimming is monotonic and stops at the log's end.
+  log.TrimThrough(2);
+  EXPECT_EQ(log.first_seq(), 5u);
+  EXPECT_EQ(log.size(), 2u);
+  log.TrimThrough(99);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.first_seq(), 7u);
+  EXPECT_EQ(log.last_seq(), 6u);
+  EXPECT_TRUE(log.ReadAfter(6, 10).empty());
 
-  // A rollback clamps the watermark: entries appended at the discarded
-  // sequence numbers keep their documents.
-  log.TruncateAfter(3);
-  EXPECT_EQ(log.released_through(), 3u);
-  OplogEntry e = Entry(4);
-  e.doc = std::make_shared<const doc::Value>(doc::Value::Doc({{"_id", 4}}));
-  log.Append(std::move(e));
-  EXPECT_NE(log.ReadAfter(3, 1)[0].doc, nullptr);
+  // Appending after every entry was trimmed continues the sequence.
+  for (uint64_t i = 7; i <= 9; ++i) log.Append(InsertEntry(i));
+  EXPECT_EQ(log.first_seq(), 7u);
+  EXPECT_EQ(log.last_seq(), 9u);
+  batch = log.ReadAfter(6, 10);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch.front().optime.seq, 7u);
+
+  // A rollback after a trim may cut back to the trimmed point; entries
+  // appended at the discarded sequence numbers carry their documents.
+  log.TruncateAfter(7);
+  EXPECT_EQ(log.last_seq(), 7u);
+  log.TruncateAfter(6);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.last_seq(), 6u);
+  log.Append(InsertEntry(7));
+  batch = log.ReadAfter(6, 10);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_NE(batch[0].doc, nullptr);
+}
+
+TEST(OplogDeathTest, TrimmedEntriesCannotBeReadOrRolledBackInto) {
+  Oplog log;
+  for (uint64_t i = 1; i <= 6; ++i) log.Append(InsertEntry(i));
+  log.TrimThrough(3);
+  EXPECT_EQ(log.ReadAfter(3, 10).size(), 3u);
+  EXPECT_DEATH(log.ReadAfter(2, 10), "fell off");
+  EXPECT_DEATH(log.TruncateAfter(2), "below the trimmed");
+  // A reader behind a log trimmed empty missed entries too.
+  log.TrimThrough(6);
+  EXPECT_TRUE(log.ReadAfter(6, 10).empty());
+  EXPECT_DEATH(log.ReadAfter(5, 10), "fell off");
 }
 
 TEST(OplogTest, OpTimeOrdering) {
@@ -581,22 +617,21 @@ TEST_F(ReplicaSetTest, SecondariesShareThePrimarysDocuments) {
     EXPECT_TRUE(SharesPrimaryDocs(*rs_, i));
     rs_->node(i).db().Get("t")->CheckInvariants();
   }
-  // Every member has every entry, so the oplog holds no document.
-  EXPECT_EQ(rs_->oplog().released_through(), 46u);
-  for (const OplogEntry& e : rs_->oplog().ReadAfter(0, 100)) {
-    EXPECT_EQ(e.doc, nullptr) << e.optime.seq;
-  }
+  // Every member has every entry, so the oplog retains nothing.
+  EXPECT_TRUE(rs_->oplog().empty());
+  EXPECT_EQ(rs_->oplog().first_seq(), 47u);
 }
 
-TEST_F(ReplicaSetTest, PartitionedSecondaryPinsOplogDocsUntilCaughtUp) {
+TEST_F(ReplicaSetTest, PartitionedSecondaryPinsOplogEntriesUntilCaughtUp) {
   Build();
   rs_->Start();
   for (int64_t i = 0; i < 10; ++i) WriteDoc(i, i);
   loop_.RunUntil(sim::Seconds(1));
-  ASSERT_EQ(rs_->oplog().released_through(), 10u);
+  ASSERT_TRUE(rs_->oplog().empty());
+  ASSERT_EQ(rs_->oplog().first_seq(), 11u);
 
-  // Node 2 is cut off but alive: the entries it has not applied keep
-  // their documents, however far node 1 gets.
+  // Node 2 is cut off but alive: the entries it has not applied stay in
+  // the oplog with their documents, however far node 1 gets.
   Isolate(2);
   loop_.RunUntil(sim::Seconds(1) + sim::Millis(100));
   for (int64_t i = 10; i < 30; ++i) WriteDoc(i, i);
@@ -604,7 +639,8 @@ TEST_F(ReplicaSetTest, PartitionedSecondaryPinsOplogDocsUntilCaughtUp) {
   const uint64_t pinned = rs_->node(2).last_applied().seq;
   ASSERT_LT(pinned, 30u);
   EXPECT_EQ(rs_->node(1).last_applied().seq, 30u);
-  EXPECT_EQ(rs_->oplog().released_through(), pinned);
+  EXPECT_EQ(rs_->oplog().first_seq(), pinned + 1);
+  EXPECT_EQ(rs_->oplog().size(), 30u - pinned);
   const std::vector<OplogEntry> unapplied = rs_->oplog().ReadAfter(pinned, 100);
   ASSERT_EQ(unapplied.size(), 30u - pinned);
   for (const OplogEntry& e : unapplied) {
@@ -612,15 +648,27 @@ TEST_F(ReplicaSetTest, PartitionedSecondaryPinsOplogDocsUntilCaughtUp) {
   }
 
   // After the heal node 2 catches up from the pinned entries, and then
-  // nothing is pinned any more.
+  // the oplog retains nothing.
   Heal(2);
   loop_.RunUntil(sim::Seconds(10));
   EXPECT_EQ(rs_->node(2).last_applied().seq, 30u);
-  EXPECT_EQ(rs_->oplog().released_through(), 30u);
-  for (const OplogEntry& e : rs_->oplog().ReadAfter(0, 100)) {
-    EXPECT_EQ(e.doc, nullptr) << e.optime.seq;
-  }
+  EXPECT_TRUE(rs_->oplog().empty());
+  EXPECT_EQ(rs_->oplog().first_seq(), 31u);
   EXPECT_TRUE(SharesPrimaryDocs(*rs_, 2));
+}
+
+TEST_F(ReplicaSetTest, KillingThePinningMemberTrimsAtOnce) {
+  Build();
+  rs_->Start();
+  Isolate(2);
+  for (int64_t i = 0; i < 20; ++i) WriteDoc(i, i);
+  loop_.RunUntil(sim::Seconds(2));
+  ASSERT_EQ(rs_->node(1).last_applied().seq, 20u);
+  ASSERT_EQ(rs_->oplog().size(), 20u);  // node 2 applied none of them
+  // With no further write or batch, the kill alone lets the log go.
+  rs_->KillNode(2);
+  EXPECT_TRUE(rs_->oplog().empty());
+  EXPECT_EQ(rs_->oplog().first_seq(), 21u);
 }
 
 TEST_F(ReplicaSetTest, RestartedMemberSharesDocumentsFromInitialSync) {
@@ -632,8 +680,9 @@ TEST_F(ReplicaSetTest, RestartedMemberSharesDocumentsFromInitialSync) {
   for (int64_t i = 0; i < 20; i += 2) UpdateDoc(i, 1);
   for (int64_t i = 20; i < 30; ++i) WriteDoc(i, i);
   loop_.RunUntil(sim::Seconds(2));
-  // With node 2 down, releasing follows the live members only.
-  EXPECT_EQ(rs_->oplog().released_through(), rs_->oplog().last_seq());
+  // With node 2 down, trimming follows the live members only.
+  EXPECT_TRUE(rs_->oplog().empty());
+  EXPECT_EQ(rs_->oplog().first_seq(), rs_->oplog().last_seq() + 1);
 
   // Initial sync clones by sharing the primary's documents...
   rs_->RestartNode(2);
@@ -643,6 +692,29 @@ TEST_F(ReplicaSetTest, RestartedMemberSharesDocumentsFromInitialSync) {
   for (int64_t i = 1; i < 30; i += 2) UpdateDoc(i, 3);
   loop_.RunUntil(sim::Seconds(5));
   for (int i = 1; i <= 2; ++i) EXPECT_TRUE(SharesPrimaryDocs(*rs_, i));
+}
+
+TEST_F(ReplicaSetTest, HealthyLongRunRetainsOnlyRecentEntries) {
+  // Five simulated minutes of writes, one every 20 ms, with every member
+  // healthy: the oplog never holds more than the last few seconds of
+  // them, however long the run.
+  Build();
+  rs_->Start();
+  constexpr int64_t kWrites = 15'000;
+  for (int64_t i = 0; i < kWrites; ++i) {
+    loop_.ScheduleAt(sim::Millis(20) * i, [this, i] { WriteDoc(i, i); });
+  }
+  size_t most_retained = 0;
+  for (int t = 0; t < 3100; ++t) {
+    loop_.ScheduleAt(sim::Millis(100) * t + sim::Millis(7), [&] {
+      most_retained = std::max(most_retained, rs_->oplog().size());
+    });
+  }
+  loop_.RunUntil(sim::Seconds(310));
+  EXPECT_EQ(rs_->oplog().last_seq(), static_cast<uint64_t>(kWrites));
+  // Two seconds of writes.
+  EXPECT_LE(most_retained, 100u);
+  EXPECT_TRUE(rs_->oplog().empty());
 }
 
 TEST_F(ReplicaSetTest, RollbackResyncConvergesAndSharesDocuments) {
@@ -784,9 +856,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReplicationConvergenceTest,
                                            std::make_tuple(4, 300)));
 
 // The same random streams while members — the primary included — crash
-// and restart. Releasing oplog documents must never reach an entry a live
-// member still has to apply (ApplyEntry would abort), and once the faults
-// stop every member converges onto the primary's very documents.
+// and restart. Trimming the oplog must never drop an entry a live member
+// still has to apply (ReadAfter would abort), and once the faults stop
+// every member converges onto the primary's very documents and the oplog
+// retains nothing.
 class CrashConvergenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CrashConvergenceTest, LiveMembersConvergeAndShareDocuments) {
@@ -850,7 +923,7 @@ TEST_P(CrashConvergenceTest, LiveMembersConvergeAndShareDocuments) {
     }
     rs.node(i).db().Get("t")->CheckInvariants();
   }
-  EXPECT_EQ(rs.oplog().released_through(), rs.oplog().last_seq());
+  EXPECT_TRUE(rs.oplog().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashConvergenceTest,

@@ -479,7 +479,7 @@ TEST_F(WorkloadClusterTest, SWorkloadSeesZeroStalenessOnHealthyCluster) {
   Build();
   for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return true; }, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return true; },
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
@@ -496,7 +496,7 @@ TEST_F(WorkloadClusterTest, SWorkloadDetectsStalledSecondary) {
   Build();
   for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return true; }, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return true; },
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
@@ -512,7 +512,7 @@ TEST_F(WorkloadClusterTest, SWorkloadProbesPrimaryWhenSecondariesUnused) {
   Build();
   for (int i = 0; i < 3; ++i) SWorkload::Load(&rs_->node(i).db());
   double max_staleness = 0;
-  SWorkload s(client_.get(), [] { return false; }, sim::Rng(5),
+  SWorkload s(client_.get(), [] { return false; },
               [&](double staleness) {
                 max_staleness = std::max(max_staleness, staleness);
               });
