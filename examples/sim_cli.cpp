@@ -7,7 +7,7 @@
 //           primary|secondary] [--scenario=NAME] [--clients=N]
 //           [--duration=SECONDS] [--warmup=SECONDS] [--seed=N]
 //           [--stale-bound=SECONDS]
-//           [--controller=decongestant|proportional|cpq|aoi|pid]
+//           [--controller=decongestant|proportional|aoi|pid]
 //           [--no-s-workload]
 //           [--faults=SPEC] [--chaos-seed=N]
 //           [--hedged-reads] [--op-deadline=MS] [--max-pool-size=N]
@@ -37,8 +37,7 @@
 //   --scenario rescaling; anything else is a usage error (exit 2).
 // --controller picks the Balance Fraction strategy (the controller
 //   bake-off): "decongestant" is the paper's Algorithm 1 step law
-//   (default, alias "step"), "proportional" its §6 sketch, "cpq" a
-//   Continuous-Partial-Quorums-style SLA-feedback router, "aoi" the
+//   (default), "proportional" its §6 sketch, "aoi" the
 //   age-of-information-capped law, "pid" a PID on the latency ratio.
 //   Every strategy ticks through the same decision log, so
 //   --explain-balancer explains all of them.
@@ -76,7 +75,7 @@
 //   SRE-style multi-window burn-rate alerting (page + ticket severities,
 //   pending -> firing -> resolved). SPEC is "default" (freshness: served
 //   age <= stale bound for 99 % of secondary reads; latency: read p80 <=
-//   the 3 ms CPQ SLA target; success: 99.9 % of ops complete) or
+//   3 ms; success: 99.9 % of ops complete) or
 //   semicolon-separated objectives:
 //     kind[:key=value]*  with kind freshness | latency | success and keys
 //     objective=F bound=X name=S page=RATE ticket=RATE window=S short=S
@@ -134,6 +133,7 @@
 #include "obs/report.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "shard/sharded_cluster.h"
 
 namespace {
 
@@ -382,9 +382,9 @@ int main(int argc, char** argv) {
       config.shard_key.hashed = true;
     } else if (shard_key == "ranged") {
       // Contiguous id ranges, sliced evenly over the YCSB key space into
-      // shards * chunks_per_shard chunks (round-robin across shards).
+      // shards * kChunksPerShard chunks (round-robin across shards).
       config.shard_key.hashed = false;
-      const int chunks = config.shards * config.chunks_per_shard;
+      const int chunks = config.shards * shard::kChunksPerShard;
       for (int i = 1; i < chunks; ++i) {
         config.split_points.emplace_back(config.ycsb.record_count * i /
                                          chunks);
@@ -396,11 +396,9 @@ int main(int argc, char** argv) {
 
   if (!slo_spec.empty()) {
     // Defaults for the "default" bundle and unset bounds: the balancer's
-    // staleness bound and the CPQ controller's read-latency SLA target.
+    // staleness bound and the 3 ms read-latency target.
     obs::SloDefaults defaults;
     defaults.stale_bound_seconds = config.balancer.stale_bound_seconds;
-    defaults.latency_target_ms =
-        sim::ToMillis(core::CpqController().sla_target());
     std::string error;
     if (!obs::ParseSloSpecs(slo_spec, defaults, &config.slos, &error)) {
       Usage(error.c_str());

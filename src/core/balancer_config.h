@@ -28,7 +28,7 @@ inline constexpr int kRecentHistory = 4;
 struct BalancerConfig {
   /// Balance Fraction controller strategy, by registry name
   /// (MakeController): "decongestant" (the paper's Algorithm 1, default),
-  /// "proportional", "cpq", "aoi", or "pid".
+  /// "proportional", "aoi", or "pid".
   std::string controller = "decongestant";
 
   /// LOWRATIO: below this latency ratio, decrease the fraction

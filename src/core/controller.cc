@@ -6,6 +6,21 @@
 namespace dcg::core {
 
 namespace {
+
+// The rivals' tuning. Each law has one tuning, fixed here; the bake-off
+// in EXPERIMENTS.md measures exactly these values.
+constexpr double kProportionalGain = 0.25;
+constexpr double kProportionalMaxStep = 0.3;
+constexpr double kProportionalDrift = 0.02;
+// AoI: the age budget is this share of the staleness bound.
+constexpr double kAoiBudgetShare = 0.5;
+constexpr double kAoiMaxStep = 0.3;
+constexpr double kPidKp = 0.3;
+constexpr double kPidKi = 0.05;
+constexpr double kPidKd = 0.1;
+constexpr double kPidMaxStep = 0.25;
+constexpr double kPidIntegralLimit = 2.0;
+
 void SetReason(obs::BalanceReason* out, obs::BalanceReason value) {
   if (out != nullptr) *out = value;
 }
@@ -51,54 +66,25 @@ double ProportionalController::NextFraction(const ControlInputs& inputs,
   double step;
   if (inputs.ratio >= config.low_ratio && inputs.ratio <= config.high_ratio) {
     // Inside the dead band: drift gently toward the fresh primary.
-    step = config.downward_probe ? -drift_ : 0.0;
+    step = config.downward_probe ? -kProportionalDrift : 0.0;
     SetReason(reason, config.downward_probe ? obs::BalanceReason::kDownwardProbe
                                             : obs::BalanceReason::kHold);
   } else {
-    step = std::clamp(gain_ * (inputs.ratio - 1.0), -max_step_, max_step_);
+    step = std::clamp(kProportionalGain * (inputs.ratio - 1.0),
+                      -kProportionalMaxStep, kProportionalMaxStep);
     SetReason(reason, step > 0.0 ? obs::BalanceReason::kLatencyRatioUp
                                  : obs::BalanceReason::kLatencyRatioDown);
   }
   return std::clamp(latest + step, kLowBal, kHighBal);
 }
 
-double CpqController::NextFraction(const ControlInputs& inputs,
-                                   const BalancerConfig& /*config*/,
-                                   obs::BalanceReason* reason) {
-  const double latest = inputs.latest_fraction;
-  // SLA feedback needs both the latency sample and the ratio (which side
-  // is faster); without either this period, hold.
-  if (!inputs.ratio_valid || inputs.p50_read_latency <= 0) {
-    SetReason(reason, obs::BalanceReason::kNoEvidence);
-    return latest;
-  }
-  const double violation = static_cast<double>(inputs.p50_read_latency) /
-                               static_cast<double>(sla_target_) -
-                           1.0;
-  if (violation > tolerance_) {
-    // SLA missed: steer the Bernoulli probability toward the faster side,
-    // scaled by the size of the miss (capped per period).
-    const double step = std::min(max_step_, gain_ * violation);
-    if (inputs.ratio >= 1.0) {
-      SetReason(reason, obs::BalanceReason::kSlaShedToSecondary);
-      return std::min(latest + step, kHighBal);
-    }
-    SetReason(reason, obs::BalanceReason::kSlaShedToPrimary);
-    return std::max(latest - step, kLowBal);
-  }
-  // SLA met: spend the headroom on freshness by drifting toward the
-  // primary (CPQ's consistency-maximising direction).
-  SetReason(reason, obs::BalanceReason::kSlaHeadroomProbe);
-  return std::max(latest - drift_, kLowBal);
-}
-
-double AoiController::AgeCap(const ControlInputs& inputs, double budget_share) {
+double AoiController::AgeCap(const ControlInputs& inputs) {
   // Age budget: a share of the staleness bound (whole bound when the
   // client runs unbounded — stale_bound_s == 0 only happens when the
   // gate already forces the published fraction to zero).
   const double bound = static_cast<double>(inputs.stale_bound_s);
   if (bound <= 0) return kHighBal;
-  const double budget = budget_share * bound;
+  const double budget = kAoiBudgetShare * bound;
   double age_sum = 0;
   int age_count = 0;
   for (int64_t age : inputs.secondary_age_s) {
@@ -136,17 +122,17 @@ double AoiController::NextFraction(const ControlInputs& inputs,
     base_reason = obs::BalanceReason::kHold;
     base = latest;
   }
-  const double cap = AgeCap(inputs, budget_share_);
+  const double cap = AgeCap(inputs);
   if (base <= cap) {
     SetReason(reason, base_reason);
     return base;
   }
   // The age estimates bind: expected served age (fraction · mean age)
   // would overrun the budget, so the fraction descends toward the cap —
-  // at most max_step_ per period to avoid thrashing on a single slow
+  // at most kAoiMaxStep per period to avoid thrashing on a single slow
   // serverStatus sample.
   SetReason(reason, obs::BalanceReason::kAoiCapped);
-  return std::clamp(std::max(latest - max_step_, cap), kLowBal, kHighBal);
+  return std::clamp(std::max(latest - kAoiMaxStep, cap), kLowBal, kHighBal);
 }
 
 double PidController::NextFraction(const ControlInputs& inputs,
@@ -163,16 +149,17 @@ double PidController::NextFraction(const ControlInputs& inputs,
   }
   const double error = inputs.ratio - 1.0;
   const double derivative = have_last_error_ ? error - last_error_ : 0.0;
-  const double step = std::clamp(
-      kp_ * error + ki_ * integral_ + kd_ * derivative, -max_step_, max_step_);
+  const double step =
+      std::clamp(kPidKp * error + kPidKi * integral_ + kPidKd * derivative,
+                 -kPidMaxStep, kPidMaxStep);
   const double next = std::clamp(latest + step, kLowBal, kHighBal);
   // Anti-windup: integrate only while the output is not pinned at a bound
   // in the direction of the error.
   const bool saturated = (next >= kHighBal && error > 0) ||
                          (next <= kLowBal && error < 0);
   if (!saturated) {
-    integral_ =
-        std::clamp(integral_ + error, -integral_limit_, integral_limit_);
+    integral_ = std::clamp(integral_ + error, -kPidIntegralLimit,
+                           kPidIntegralLimit);
   }
   last_error_ = error;
   have_last_error_ = true;
@@ -193,7 +180,6 @@ std::unique_ptr<FractionController> MakeController(std::string_view name) {
   if (name == "proportional") {
     return std::make_unique<ProportionalController>();
   }
-  if (name == "cpq") return std::make_unique<CpqController>();
   if (name == "aoi") return std::make_unique<AoiController>();
   if (name == "pid") return std::make_unique<PidController>();
   return nullptr;
@@ -201,12 +187,12 @@ std::unique_ptr<FractionController> MakeController(std::string_view name) {
 
 const std::vector<std::string_view>& RegisteredControllers() {
   static const std::vector<std::string_view> names = {
-      "decongestant", "proportional", "cpq", "aoi", "pid"};
+      "decongestant", "proportional", "aoi", "pid"};
   return names;
 }
 
 bool IsDefaultController(std::string_view name) {
-  return name == "decongestant" || name == "step";
+  return name == "decongestant";
 }
 
 }  // namespace dcg::core

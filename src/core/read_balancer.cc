@@ -222,18 +222,9 @@ void ReadBalancer::OnPeriodEnd() {
   inputs.history_flat =
       std::all_of(recent_bal_.begin(), recent_bal_.end(),
                   [latest](double b) { return b == latest; });
-  // Signals beyond Algorithm 1's ratio, for the rival strategies: the
-  // pooled client-observed P50 (SLA feedback), the per-node staleness
-  // estimates (age of information), and the gate's current bound.
-  if (!primary_lat.empty() || !secondary_lat.empty()) {
-    std::vector<sim::Duration> pooled;
-    pooled.reserve(primary_lat.size() + secondary_lat.size());
-    pooled.insert(pooled.end(), primary_lat.begin(), primary_lat.end());
-    pooled.insert(pooled.end(), secondary_lat.begin(), secondary_lat.end());
-    inputs.p50_read_latency = Median(std::move(pooled));
-  }
+  // Signals beyond Algorithm 1's ratio, for the age-of-information law:
+  // the per-node staleness estimates and the gate's current bound.
   inputs.secondary_age_s = secondary_staleness_s_;
-  inputs.staleness_estimate_s = staleness_estimate_;
   inputs.stale_bound_s = effective_stale_bound_seconds();
 
   if (!primary_lat.empty() && !secondary_lat.empty()) {
@@ -248,8 +239,6 @@ void ReadBalancer::OnPeriodEnd() {
     inputs.ratio = static_cast<double>(lss_primary) /
                    static_cast<double>(lss_secondary);
     inputs.ratio_valid = true;
-    inputs.lss_primary = lss_primary;
-    inputs.lss_secondary = lss_secondary;
     stats.lss_primary = lss_primary;
     stats.lss_secondary = lss_secondary;
     stats.ratio = inputs.ratio;

@@ -70,7 +70,6 @@ Experiment::Experiment(ExperimentConfig config)
     shard::ShardedClusterConfig cluster_config;
     cluster_config.shards = config_.shards;
     cluster_config.shard_key = config_.shard_key;
-    cluster_config.chunks_per_shard = config_.chunks_per_shard;
     cluster_config.split_points = config_.split_points;
     cluster_config.repl = config_.repl;
     cluster_config.server = config_.server;
@@ -78,9 +77,6 @@ Experiment::Experiment(ExperimentConfig config)
     cluster_config.balancer = config_.balancer;
     cluster_config.routing = RoutingFor(config_.system);
     cluster_config.client_node_rtt = config_.client_node_rtt;
-    cluster_config.client_router_rtt = config_.client_router_rtt;
-    cluster_config.inter_node_rtt = config_.inter_node_rtt;
-    cluster_config.rtt_jitter = config_.rtt_jitter;
     cluster_ = std::make_unique<shard::ShardedCluster>(
         &loop_, rng_.Fork(), network_.get(), client_host, cluster_config);
     cluster_->SetTracer(&tracer_);
@@ -94,12 +90,12 @@ Experiment::Experiment(ExperimentConfig config)
     for (int i = 0; i < nodes; ++i) {
       node_hosts.push_back(network_->AddHost("db-node-" + std::to_string(i)));
       network_->SetLink(client_host, node_hosts[i],
-                        config_.client_node_rtt[i], config_.rtt_jitter);
+                        config_.client_node_rtt[i], shard::kRttJitter);
     }
     for (int i = 0; i < nodes; ++i) {
       for (int j = i + 1; j < nodes; ++j) {
         network_->SetLink(node_hosts[i], node_hosts[j],
-                          config_.inter_node_rtt, config_.rtt_jitter);
+                          shard::kInterNodeRtt, shard::kRttJitter);
       }
     }
 

@@ -80,10 +80,8 @@ struct ExperimentConfig {
   /// Sharded runs support YCSB only and no fault schedule.
   int shards = 1;
   shard::ShardKeyPattern shard_key;
-  int chunks_per_shard = 4;
   /// Ranged shard key only: strictly ascending chunk split points.
   std::vector<doc::Value> split_points;
-  sim::Duration client_router_rtt = sim::Millis(0.3);
 
   bool run_s_workload = true;
 
@@ -111,8 +109,6 @@ struct ExperimentConfig {
   /// shares AZ-a with node 0).
   std::vector<sim::Duration> client_node_rtt = {
       sim::Millis(0.4), sim::Millis(1.2), sim::Millis(1.6)};
-  sim::Duration inter_node_rtt = sim::Millis(1.0);
-  sim::Duration rtt_jitter = sim::Micros(40);
 };
 
 /// The TPC-C disk profile: checkpoint flush bandwidth in bytes/s (a tenth

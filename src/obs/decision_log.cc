@@ -22,12 +22,6 @@ std::string_view ToString(BalanceReason reason) {
       return "stale_gate_release";
     case BalanceReason::kPrimarySwapReset:
       return "primary_swap_reset";
-    case BalanceReason::kSlaShedToSecondary:
-      return "sla_shed_to_secondary";
-    case BalanceReason::kSlaShedToPrimary:
-      return "sla_shed_to_primary";
-    case BalanceReason::kSlaHeadroomProbe:
-      return "sla_headroom_probe";
     case BalanceReason::kAoiCapped:
       return "aoi_capped";
     case BalanceReason::kPidAdjust:

@@ -34,15 +34,6 @@ enum class BalanceReason : uint8_t {
   /// latency histories and staleness inputs described the *old* primary,
   /// so the balancer reset them and restarted from the floor fraction.
   kPrimarySwapReset,
-  /// CPQ policy: the read-latency SLA was missed while the primary was
-  /// the slow side — fraction stepped toward the secondaries.
-  kSlaShedToSecondary,
-  /// CPQ policy: the SLA was missed while the secondaries were the slow
-  /// side — fraction stepped back toward the primary.
-  kSlaShedToPrimary,
-  /// CPQ policy: the SLA was met with headroom — drift toward the fresh
-  /// primary (the freshness-seeking role of Algorithm 1's probe).
-  kSlaHeadroomProbe,
   /// AoI policy: per-secondary age estimates capped the fraction below
   /// what the latency signal alone would have chosen.
   kAoiCapped,

@@ -101,7 +101,7 @@ struct SloDefaults {
   /// The run's StaleBound (seconds) — the freshness objective's bound.
   int64_t stale_bound_seconds = 10;
   /// The read-latency SLA target (milliseconds) — the latency objective's
-  /// bound. Callers usually pass the CPQ controller's sla_target.
+  /// bound.
   double latency_target_ms = 3.0;
 };
 

@@ -211,7 +211,7 @@ void Router::ScatterFind(const std::shared_ptr<RoutedOp>& op) {
   // window a real mongos closes with per-shard versions; partial-results
   // semantics already accept weaker answers here.
   if (cmd.ctx.deadline != 0 && cmd.find_spec->allow_partial) {
-    const sim::Time fire_at = cmd.ctx.deadline - config_.partial_results_margin;
+    const sim::Time fire_at = cmd.ctx.deadline - kPartialResultsMargin;
     if (fire_at > loop_->Now()) {
       gather->partial_timer = loop_->ScheduleAt(fire_at, [this, gather] {
         gather->partial_timer = 0;

@@ -17,6 +17,11 @@
 
 namespace dcg::shard {
 
+/// allowPartialResults: a scatter find with a deadline answers this far
+/// *before* it with whatever shards have replied, so the partial reply
+/// still beats the client's maxTimeMS across the return wire.
+inline constexpr sim::Duration kPartialResultsMargin = sim::Millis(2);
+
 /// Router knobs (everything below the client→router wire).
 struct RouterConfig {
   /// Driver options for the per-shard sub-clients the router fans out
@@ -27,10 +32,6 @@ struct RouterConfig {
   /// Balanced: every shard gets its own Read Balancer joined to one
   /// shared StalenessBudget. Fixed: every sub-read uses that preference.
   core::Routing routing = core::kBalanced;
-  /// allowPartialResults: a scatter find with a deadline answers this
-  /// far *before* it with whatever shards have replied, so the partial
-  /// reply still beats the client's maxTimeMS across the return wire.
-  sim::Duration partial_results_margin = sim::Millis(2);
 };
 
 /// The mongos role as a first-class proto::CommandService peer: the

@@ -18,8 +18,7 @@ ShardedCluster::ShardedCluster(sim::EventLoop* loop, sim::Rng rng,
   // the shards. The client dials only the router; the router's per-shard
   // sub-clients dial the shard nodes.
   const net::HostId router_host = network->AddHost("mongos");
-  network->SetLink(client_host, router_host, config_.client_router_rtt,
-                   config_.rtt_jitter);
+  network->SetLink(client_host, router_host, kClientRouterRtt, kRttJitter);
   std::vector<proto::CommandBus*> buses;
   for (int s = 0; s < config_.shards; ++s) {
     std::vector<net::HostId> hosts;
@@ -27,12 +26,11 @@ ShardedCluster::ShardedCluster(sim::EventLoop* loop, sim::Rng rng,
       hosts.push_back(network->AddHost("shard" + std::to_string(s) + "-node" +
                                        std::to_string(i)));
       network->SetLink(router_host, hosts[i], config_.client_node_rtt[i],
-                       config_.rtt_jitter);
+                       kRttJitter);
     }
     for (int i = 0; i < nodes; ++i) {
       for (int j = i + 1; j < nodes; ++j) {
-        network->SetLink(hosts[i], hosts[j], config_.inter_node_rtt,
-                         config_.rtt_jitter);
+        network->SetLink(hosts[i], hosts[j], kInterNodeRtt, kRttJitter);
       }
     }
     shards_.push_back(std::make_unique<repl::ReplicaSet>(
@@ -41,8 +39,7 @@ ShardedCluster::ShardedCluster(sim::EventLoop* loop, sim::Rng rng,
   }
   ChunkMap initial =
       config_.shard_key.hashed
-          ? ChunkMap::Hashed(config_.shard_key, config_.shards,
-                             config_.chunks_per_shard)
+          ? ChunkMap::Hashed(config_.shard_key, config_.shards, kChunksPerShard)
           : ChunkMap::Ranged(config_.shard_key, config_.split_points,
                              config_.shards);
   config_shards_ = std::make_unique<ConfigShards>(std::move(initial));
@@ -59,7 +56,6 @@ ShardedCluster::ShardedCluster(sim::EventLoop* loop, sim::Rng rng,
   router_config.shard_client_options = config_.client_options;
   router_config.balancer = config_.balancer;
   router_config.routing = config_.routing;
-  router_config.partial_results_margin = config_.partial_results_margin;
   router_ = std::make_unique<Router>(loop_, rng_.Fork(), network, router_host,
                                      config_shards_.get(), std::move(buses),
                                      std::move(router_config));

@@ -16,6 +16,16 @@
 
 namespace dcg::shard {
 
+/// Hashed shard key: chunks pre-split per shard (MongoDB's initial
+/// chunks). Ranged keys take their split points from the config instead.
+inline constexpr int kChunksPerShard = 4;
+/// Application-client-to-router base RTT (the extra hop sharding buys).
+inline constexpr sim::Duration kClientRouterRtt = sim::Millis(0.3);
+/// Base RTT between the members of one replica set, and the jitter on
+/// every link. The single-replica-set topologies use the same values.
+inline constexpr sim::Duration kInterNodeRtt = sim::Millis(1.0);
+inline constexpr sim::Duration kRttJitter = sim::Micros(40);
+
 /// Configuration of a sharded deployment: N shards, each a replica set
 /// with the usual knobs, fronted by a bus-routed mongos (shard::Router)
 /// with a versioned chunk map and one shared staleness budget.
@@ -25,9 +35,6 @@ struct ShardedClusterConfig {
   /// shard_key.hashed = false and provide `split_points` for range
   /// sharding (locality-preserving — the hot-shard scenario).
   ShardKeyPattern shard_key;
-  /// Hashed pattern: chunks pre-split per shard (MongoDB's initial
-  /// chunks). More chunks = finer-grained MoveChunk rebalancing.
-  int chunks_per_shard = 4;
   /// Ranged pattern: strictly ascending split points cutting the key
   /// line into split_points.size() + 1 chunks, round-robin across shards.
   std::vector<doc::Value> split_points;
@@ -45,12 +52,6 @@ struct ShardedClusterConfig {
   /// mongos sits near the data, like a co-located mongos tier.
   std::vector<sim::Duration> client_node_rtt = {
       sim::Millis(0.4), sim::Millis(1.2), sim::Millis(1.6)};
-  /// Application-client-to-router base RTT (the extra hop sharding buys).
-  sim::Duration client_router_rtt = sim::Millis(0.3);
-  sim::Duration inter_node_rtt = sim::Millis(1.0);
-  sim::Duration rtt_jitter = sim::Micros(40);
-  /// allowPartialResults margin (see RouterConfig).
-  sim::Duration partial_results_margin = sim::Millis(2);
 };
 
 /// A MongoDB-style sharded cluster (§2.1), assembled from first-class

@@ -127,7 +127,7 @@ TEST_F(ClientStackTest, BalancedStackForksClientThenBalancer) {
   EXPECT_EQ(rng.NextU64(), reference.NextU64());
   ASSERT_NE(stack->balancer(), nullptr);
   ASSERT_NE(stack->state(), nullptr);
-  EXPECT_EQ(stack->balancer()->controller().name(), "step");
+  EXPECT_EQ(stack->balancer()->controller().name(), "decongestant");
   EXPECT_DOUBLE_EQ(stack->balance_fraction(), kLowBal);
   stack->state()->set_balance_fraction(0.4);
   EXPECT_DOUBLE_EQ(stack->balance_fraction(), 0.4);

@@ -209,8 +209,8 @@ TEST(ControllerTest, StepControllerMatchesAlgorithm1) {
 
 TEST(ControllerTest, ProportionalControllerScalesWithError) {
   core::BalancerConfig config;
-  core::ProportionalController prop(/*gain=*/0.25, /*max_step=*/0.3,
-                                    /*drift=*/0.02);
+  // Gain 0.25, max step 0.3, drift 0.02.
+  core::ProportionalController prop;
   core::ControlInputs inputs;
   inputs.latest_fraction = 0.5;
   inputs.ratio_valid = true;
