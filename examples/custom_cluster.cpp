@@ -3,6 +3,8 @@
 // Read Balancer), and an application loop — without the Experiment
 // harness. This is the surface a downstream user integrating Decongestant
 // into their own simulation (or adapting it to a real driver) would touch.
+// Exits 1 when the replicas' data differ after replication drains; ctest
+// runs it as `example_custom_cluster`.
 //
 //   ./build/examples/custom_cluster
 
@@ -124,16 +126,12 @@ int main() {
   std::printf("  replication: oplog seq %llu, max true staleness %.3f s\n",
               static_cast<unsigned long long>(rs.oplog().last_seq()),
               sim::ToSeconds(rs.MaxTrueStaleness()));
+  // Let replication drain, then compare fingerprints.
+  loop.RunUntil(sim::Seconds(125));
+  const bool identical =
+      rs.node(0).db().Fingerprint() == rs.node(1).db().Fingerprint() &&
+      rs.node(0).db().Fingerprint() == rs.node(2).db().Fingerprint();
   std::printf("  primary and secondary data identical after drain: %s\n",
-              [&] {
-                // Let replication drain, then compare fingerprints.
-                loop.RunUntil(sim::Seconds(125));
-                return rs.node(0).db().Fingerprint() ==
-                               rs.node(1).db().Fingerprint() &&
-                           rs.node(0).db().Fingerprint() ==
-                               rs.node(2).db().Fingerprint()
-                           ? "yes"
-                           : "no";
-              }());
-  return 0;
+              identical ? "yes" : "no");
+  return identical ? 0 : 1;
 }

@@ -481,7 +481,7 @@ int main(int argc, char** argv) {
 
   const exp::Summary summary = experiment.Summarize();
   std::printf(
-      "\nsummary: %.0f read txn/s, P80 %.2f ms, %.1f%% on secondaries, "
+      "\nsummary: %.2f read txn/s, P80 %.2f ms, %.1f%% on secondaries, "
       "P80 staleness %.2f s (max %.2f s)\n",
       summary.read_throughput, summary.p80_read_latency_ms,
       summary.secondary_percent, summary.p80_staleness_s,

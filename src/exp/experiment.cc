@@ -54,13 +54,17 @@ double PeriodRow::P80ReadLatencyMs() const {
 }
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)) {
   DCG_CHECK_MSG(!config_.phases.empty(), "need at least one phase");
   DCG_CHECK_MSG(config_.phases.front().at == 0, "first phase must start at 0");
 
+  // Every seeded component forks its stream from this one during
+  // construction; nothing draws from it afterwards.
+  sim::Rng rng(config_.seed);
+
   // --- Topology: client host, then either one replica set or a sharded
   // cluster (router + N replica-set shards) behind it. ---
-  network_ = std::make_unique<net::Network>(&loop_, rng_.Fork());
+  network_ = std::make_unique<net::Network>(&loop_, rng.Fork());
   const net::HostId client_host = network_->AddHost("client-host");
   if (config_.shards >= 2) {
     DCG_CHECK_MSG(config_.kind == WorkloadKind::kYcsb,
@@ -78,7 +82,7 @@ Experiment::Experiment(ExperimentConfig config)
     cluster_config.routing = RoutingFor(config_.system);
     cluster_config.client_node_rtt = config_.client_node_rtt;
     cluster_ = std::make_unique<shard::ShardedCluster>(
-        &loop_, rng_.Fork(), network_.get(), client_host, cluster_config);
+        &loop_, rng.Fork(), network_.get(), client_host, cluster_config);
     cluster_->SetTracer(&tracer_);
     for (int s = 0; s < cluster_->shard_count(); ++s) {
       stacks_.push_back(&cluster_->router().stack(s));
@@ -100,11 +104,11 @@ Experiment::Experiment(ExperimentConfig config)
     }
 
     // --- Replica set and the client system under test. ---
-    rs_ = std::make_unique<repl::ReplicaSet>(&loop_, rng_.Fork(),
+    rs_ = std::make_unique<repl::ReplicaSet>(&loop_, rng.Fork(),
                                              network_.get(), config_.repl,
                                              config_.server, node_hosts);
     stack_ = std::make_unique<core::ClientStack>(
-        &loop_, &rng_, rs_->command_bus(), client_host,
+        &loop_, &rng, rs_->command_bus(), client_host,
         config_.client_options, config_.balancer, RoutingFor(config_.system));
     stacks_.push_back(stack_.get());
 
@@ -152,12 +156,12 @@ Experiment::Experiment(ExperimentConfig config)
     ycsb_config.read_proportion = config_.phases.front().ycsb_read_proportion;
     ycsb_config.stamp_route = sharded();
     auto ycsb = std::make_unique<workload::YcsbWorkload>(
-        workload_client, policy, ycsb_config, rng_.Fork());
+        workload_client, policy, ycsb_config, rng.Fork());
     ycsb_ = ycsb.get();
     workload_ = std::move(ycsb);
   } else {
     auto tpcc = std::make_unique<workload::TpccWorkload>(
-        workload_client, policy, config_.tpcc, rng_.Fork());
+        workload_client, policy, config_.tpcc, rng.Fork());
     tpcc_ = tpcc.get();
     workload_ = std::move(tpcc);
   }
@@ -185,9 +189,6 @@ Experiment::Experiment(ExperimentConfig config)
       s_samples_.emplace_back(loop_.Now(), staleness_s);
     };
     for (core::ClientStack* stack : stacks_) {
-      // The S workload draws nothing; the fork only keeps the experiment's
-      // later RNG streams (and every golden) where they have always been.
-      rng_.Fork();
       s_workloads_.push_back(std::make_unique<workload::SWorkload>(
           &stack->client(),
           [stack] { return stack->balance_fraction() > 0.0; }, on_sample));

@@ -267,7 +267,6 @@ class Experiment {
 
   ExperimentConfig config_;
   sim::EventLoop loop_;
-  sim::Rng rng_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<repl::ReplicaSet> rs_;
   /// The client system of a single-replica-set run.

@@ -11,13 +11,27 @@ namespace {
 /// Bytes of filler text per YCSB field.
 constexpr int kFieldLength = 40;
 
-// Deterministic filler text: content doesn't matter, size does.
-std::string FieldValue(sim::Rng* rng, int length) {
-  std::string s(static_cast<size_t>(length), 'x');
-  for (char& c : s) {
-    c = static_cast<char>('a' + rng->UniformInt(0, 25));
+// Filler text: no metric reads the bytes, only their size, so a value just
+// has to stay distinct from the one it replaces. The 16 nibbles of `bits`,
+// one letter each, repeat over the field, so distinct bits give distinct
+// values.
+std::string FieldValue(uint64_t bits) {
+  std::string s(kFieldLength, 'x');
+  for (int i = 0; i < kFieldLength; ++i) {
+    s[static_cast<size_t>(i)] =
+        static_cast<char>('a' + ((bits >> (4 * (i % 16))) & 0xf));
   }
   return s;
+}
+
+// The loaded bits of one (key, field) slot: SplitMix64's finalizer, a
+// bijection, so every slot of the snapshot holds a distinct value.
+uint64_t SlotBits(int64_t key, int field) {
+  uint64_t z = static_cast<uint64_t>(key) * kYcsbFieldCount +
+               static_cast<uint64_t>(field);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -44,21 +58,18 @@ doc::ShapeRef YcsbWorkload::RecordShape() {
 
 void YcsbWorkload::Load(const YcsbConfig& config, store::Database* db,
                         const std::function<bool(int64_t)>& keep) {
-  // A fixed seed independent of the experiment seed: every node loads the
-  // byte-identical snapshot. The RNG is consumed for every record even
-  // when `keep` filters it out, so a shard's kept records carry the same
-  // field bytes they would in the unsharded snapshot.
-  sim::Rng rng(0x5eed5eedULL);
+  // Field values are a function of (key, field): every node loads the
+  // same snapshot, and a shard's kept records equal the unsharded ones.
   store::Collection& table = db->GetOrCreate(config.table);
   const doc::ShapeRef shape = RecordShape();  // shared by every record
   for (int64_t key = 0; key < config.record_count; ++key) {
+    if (keep != nullptr && !keep(key)) continue;
     std::vector<doc::Value> values;
     values.reserve(shape->size());
     values.emplace_back(key);
     for (int f = 0; f < kYcsbFieldCount; ++f) {
-      values.emplace_back(FieldValue(&rng, kFieldLength));
+      values.emplace_back(FieldValue(SlotBits(key, f)));
     }
-    if (keep != nullptr && !keep(key)) continue;
     const bool inserted =
         table.Insert(doc::Value(doc::Object(shape, std::move(values))));
     DCG_CHECK(inserted);
@@ -108,7 +119,7 @@ void YcsbWorkload::IssueUpdate(Done done) {
   doc::UpdateSpec spec;
   // Slot 0 is "_id"; field f is slot f + 1.
   spec.Set(record_shape_->name(static_cast<size_t>(field) + 1),
-           doc::Value(FieldValue(&rng_, kFieldLength)));
+           doc::Value(FieldValue(rng_.NextU64())));
   driver::OpOptions opts;
   if (config_.stamp_route) {
     opts.route.collection = config_.table;

@@ -51,8 +51,9 @@ class YcsbWorkload : public Workload {
   /// the run — the experiment starts from an already-replicated snapshot,
   /// like restoring all nodes from the same backup. `keep` filters the
   /// record ids loaded (sharded runs load each node with only the records
-  /// its shard owns); field content is generated identically either way,
-  /// so the union across shards equals the unsharded snapshot.
+  /// its shard owns) before any value is built. A field's value depends
+  /// only on its (key, field) slot and is distinct from every other
+  /// slot's, so the union across shards equals the unsharded snapshot.
   static void Load(const YcsbConfig& config, store::Database* db,
                    const std::function<bool(int64_t)>& keep = nullptr);
 

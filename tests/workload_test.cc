@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 #include "repl/replica_set.h"
+#include "shard/chunk_map.h"
 
 namespace dcg::workload {
 namespace {
@@ -143,6 +145,65 @@ TEST(YcsbStoreTest, LoadedRecordsShareOneShape) {
   EXPECT_EQ(first->as_object().shape(), last->as_object().shape());
   EXPECT_EQ(first->as_object().size(), 1u + kYcsbFieldCount);
   EXPECT_EQ(first->as_object().name(kYcsbFieldCount), "field4");
+}
+
+// A sharded run loads each shard with only the records it owns. Each kept
+// document must equal the unfiltered load's, and the shards together must
+// hold the whole snapshot, each record once.
+TEST(YcsbStoreTest, ShardFilteredLoadMatchesSnapshot) {
+  YcsbConfig config;
+  config.record_count = 500;
+  store::Database snapshot;
+  YcsbWorkload::Load(config, &snapshot);
+  const shard::ChunkMap map =
+      shard::ChunkMap::Hashed(shard::ShardKeyPattern{}, 2, 4);
+  store::Database shards[2];
+  for (int s = 0; s < 2; ++s) {
+    YcsbWorkload::Load(config, &shards[s], [&map, s](int64_t key) {
+      return map.ShardFor(doc::Value(key)) == s;
+    });
+  }
+  const store::Collection* all = snapshot.Get(config.table);
+  ASSERT_NE(all, nullptr);
+  size_t kept = 0;
+  for (int s = 0; s < 2; ++s) {
+    const store::Collection* table = shards[s].Get(config.table);
+    ASSERT_NE(table, nullptr);
+    EXPECT_GT(table->size(), 0u);
+    kept += table->size();
+    table->ForEach([&](const doc::Value& id, const store::DocPtr& document) {
+      EXPECT_EQ(map.ShardFor(id), s);
+      const store::DocPtr expected = all->FindById(id);
+      EXPECT_NE(expected, nullptr);
+      if (expected != nullptr) {
+        EXPECT_EQ(document->ToJson(), expected->ToJson());
+      }
+      return true;
+    });
+  }
+  EXPECT_EQ(kept, all->size());
+}
+
+// The filler must keep distinct inputs distinct: a filler that collapsed
+// values could have an update rewrite the bytes its slot already held, and
+// YcsbUpdatesReplicate's fingerprint check could not see that update go
+// missing. Every (key, field) value of a load is distinct.
+TEST(YcsbStoreTest, LoadedFieldValuesAreDistinct) {
+  YcsbConfig config;
+  config.record_count = 500;
+  store::Database db;
+  YcsbWorkload::Load(config, &db);
+  std::set<std::string> values;
+  db.Get(config.table)->ForEach(
+      [&values](const doc::Value&, const store::DocPtr& document) {
+        const doc::Object& record = document->as_object();
+        for (size_t f = 1; f < record.size(); ++f) {
+          values.insert(record.value(f).as_string());
+        }
+        return true;
+      });
+  EXPECT_EQ(values.size(),
+            static_cast<size_t>(config.record_count) * kYcsbFieldCount);
 }
 
 TEST_F(WorkloadClusterTest, YcsbMixMatchesReadProportion) {
