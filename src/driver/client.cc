@@ -40,7 +40,8 @@ MongoClient::MongoClient(sim::EventLoop* loop, sim::Rng rng,
       bus_(bus),
       network_(bus->network()),
       client_host_(client_host),
-      options_(options) {
+      options_(options),
+      session_(bus->StartSession()) {
   const std::vector<net::HostId>& hosts = bus_->server_hosts();
   DCG_CHECK_MSG(!hosts.empty(), "command bus has no registered servers");
   servers_.resize(hosts.size());
@@ -359,6 +360,8 @@ proto::Command MongoClient::MakeCommand(uint64_t op_id, const PendingOp& op,
                                         bool is_hedge, uint64_t conn_id) {
   proto::Command cmd = op.request;  // copies: the op outlives any one arm
   cmd.ctx.op_id = op_id;
+  cmd.ctx.session = session_;
+  cmd.ctx.answered_below = answered_below_;
   cmd.ctx.attempt = op.attempts_sent - 1;
   cmd.ctx.is_hedge = is_hedge;
   cmd.ctx.conn_id = conn_id;
@@ -830,6 +833,10 @@ void MongoClient::FinishOp(uint64_t op_id, const proto::Reply* reply,
                            bool timed_out, bool stale_config) {
   if (ops_.Find(op_id) == nullptr) return;
   PendingOp op = ops_.Take(op_id);
+  while (answered_below_ < next_op_id_ &&
+         ops_.Find(answered_below_) == nullptr) {
+    ++answered_below_;
+  }
   const bool ok = reply != nullptr;
   const uint64_t healthy_conn = ok ? reply->conn_id : 0;
   CancelOpTimers(&op);

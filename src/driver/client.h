@@ -515,6 +515,12 @@ class MongoClient {
   /// order, so a pool clear retries them deterministically.
   OpTable<PendingOp> ops_;
   uint64_t next_op_id_ = 1;
+  /// The answered mark every command carries (OpContext::answered_below):
+  /// the lowest op id not yet finished. FinishOp advances it past each
+  /// finished id once.
+  uint64_t answered_below_ = 1;
+  /// The logical session every command carries, taken from `bus_`.
+  const uint64_t session_;
 
   /// Attempt deadlines in arming order, live from `deadline_head_` on.
   /// attempt_timeout is fixed per client, so arming order is deadline

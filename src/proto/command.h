@@ -232,6 +232,11 @@ class CommandBus {
 
   net::Network* network() { return network_; }
 
+  /// A fresh logical session id for a client dialling this bus (1, 2, …).
+  /// Per bus, not per host: two clients may share a host.
+  uint64_t StartSession() { return ++sessions_started_; }
+  uint64_t sessions_started() const { return sessions_started_; }
+
   /// Ships `command` from the client host to a server host. Silently lost
   /// when the network drops it — callers enforce deadlines client-side.
   void Send(net::HostId from, net::HostId to, Command command);
@@ -246,6 +251,7 @@ class CommandBus {
   std::vector<net::HostId> server_hosts_;
   std::map<net::HostId, Handler> handlers_;
   std::map<net::HostId, EnvelopeHandler> envelope_handlers_;
+  uint64_t sessions_started_ = 0;
 };
 
 }  // namespace dcg::proto

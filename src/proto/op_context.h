@@ -18,6 +18,17 @@ struct OpContext {
   /// operation share it. 0 = unset (internal traffic).
   uint64_t op_id = 0;
 
+  /// Logical session of the issuing client (MongoDB's lsid): op ids are
+  /// unique only within it, so the retryable-write table is kept per
+  /// session. Handed out by the CommandBus the client dials.
+  uint64_t session = 0;
+
+  /// The issuing client's lowest op id not yet finished (its next op id
+  /// when none is live). Every op below it has been answered, so no
+  /// attempt of it will be retried: the server may forget those ops'
+  /// transaction records and refuse their late attempts.
+  uint64_t answered_below = 0;
+
   /// Absolute simulated time by which the client wants an answer; 0 = no
   /// deadline. Enforced client-side (a dropped message is silent — the
   /// server may never see the command), but shipped to the server so it

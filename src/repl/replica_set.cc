@@ -200,7 +200,7 @@ void ReplicaSet::RestartNode(int idx) {
 
 void ReplicaSet::CommitInternal(
     int node_idx, server::OpClass op_class, proto::TxnBody body,
-    uint64_t op_id, double cost_scale,
+    server::RetryKey retry, double cost_scale,
     std::function<void(const server::WriteOutcome&)> done,
     WriteConcern concern) {
   double throttle = 1.0;
@@ -222,7 +222,7 @@ void ReplicaSet::CommitInternal(
   const uint64_t expected_term = term_;
   node(node_idx).server().ExecuteScaled(
       op_class, throttle,
-      [this, body = std::move(body), done = std::move(done), concern, op_id,
+      [this, body = std::move(body), done = std::move(done), concern, retry,
        expected_primary, expected_term] {
         // The node lost the primary role (or crashed) while the operation
         // was queued: the write never commits (and is safe to retry).
@@ -241,9 +241,7 @@ void ReplicaSet::CommitInternal(
           outcome.operation_time = leader.last_applied();
           // Aborts are deterministic outcomes of the body; record them so
           // a retry is acknowledged identically instead of re-running.
-          if (op_id != 0) {
-            retry_records_[op_id] = {false, outcome.operation_time};
-          }
+          if (retry.retryable()) RecordOutcome(retry, outcome);
           if (done) done(outcome);
           return;
         }
@@ -264,9 +262,7 @@ void ReplicaSet::CommitInternal(
         // The transaction record is written at the commit instant — not at
         // ack time — so a retry after a lost w:majority ack replies from
         // the record iff the commit itself survived (election purge).
-        if (op_id != 0) {
-          retry_records_[op_id] = {true, outcome.operation_time};
-        }
+        if (retry.retryable()) RecordOutcome(retry, outcome);
         if (concern == WriteConcern::kMajority && done) {
           // Acknowledge once a majority of nodes are known to have
           // applied the commit point. The wait from the commit instant to
@@ -274,11 +270,11 @@ void ReplicaSet::CommitInternal(
           // commit_wait span when the op is traced.
           const sim::Time commit_at = loop_->Now();
           const bool traced =
-              tracer_ != nullptr && tracer_->enabled() && op_id != 0;
+              tracer_ != nullptr && tracer_->enabled() && retry.op_id != 0;
           majority_waiters_.push_back(
               {commit_seq,
                [this, done = std::move(done), outcome, commit_at, traced,
-                op_id](bool ok) {
+                op_id = retry.op_id](bool ok) {
                  if (traced) {
                    obs::SpanRecord span;
                    span.trace_id = op_id;
@@ -307,42 +303,134 @@ void ReplicaSet::CommitInternal(
 }
 
 void ReplicaSet::CommitWrite(
-    int node, server::OpClass op_class, proto::TxnBody body,
-    WriteConcern concern, uint64_t op_id, double cost_scale,
+    int node_idx, server::OpClass op_class, proto::TxnBody body,
+    WriteConcern concern, server::RetryKey retry, double cost_scale,
     std::function<void(const server::WriteOutcome&)> done) {
-  if (op_id != 0) {
-    if (auto it = retry_records_.find(op_id); it != retry_records_.end()) {
+  if (!retry.retryable()) {
+    CommitInternal(node_idx, op_class, std::move(body), retry, cost_scale,
+                   std::move(done), concern);
+    return;
+  }
+  RetrySession& session = RaiseMark(retry);
+  auto it = FindSlot(&session, retry.op_id);
+  if (it != session.slots.end() && it->op_id == retry.op_id) {
+    if (it->recorded) {
       // Retryable write replay: acknowledge from the transaction record
       // without executing the body a second time.
       server::WriteOutcome outcome;
       outcome.ok = true;
-      outcome.committed = it->second.committed;
-      outcome.operation_time = it->second.operation_time;
+      outcome.committed = it->committed;
+      outcome.operation_time = it->operation_time;
       done(outcome);
-      return;
-    }
-    if (auto it = retry_waiters_.find(op_id); it != retry_waiters_.end()) {
+    } else {
       // The first attempt is still in the CPU queue (a retry raced a slow
       // — not lost — original): attach to its outcome.
-      it->second.push_back(std::move(done));
-      return;
+      it->parked.push_back(std::move(done));
     }
-    retry_waiters_[op_id];  // mark in progress
-    CommitInternal(
-        node, op_class, std::move(body), op_id, cost_scale,
-        [this, op_id,
-         done = std::move(done)](const server::WriteOutcome& outcome) {
-          std::vector<std::function<void(const server::WriteOutcome&)>>
-              waiters = std::move(retry_waiters_[op_id]);
-          retry_waiters_.erase(op_id);
-          done(outcome);
-          for (auto& waiter : waiters) waiter(outcome);
-        },
-        concern);
     return;
   }
-  CommitInternal(node, op_class, std::move(body), /*op_id=*/0, cost_scale,
-                 std::move(done), concern);
+  if (retry.op_id < session.answered_below) {
+    // MongoDB's TransactionTooOld: the client has already finished this
+    // op, so this is a late attempt (a delayed duplicate of one it got an
+    // answer for) and its reply will be discarded. Running the body would
+    // apply the write a second time.
+    server::WriteOutcome outcome;
+    outcome.ok = true;
+    outcome.operation_time = node(node_idx).last_applied();
+    done(outcome);
+    return;
+  }
+  RetrySlot slot;
+  slot.op_id = retry.op_id;
+  session.slots.insert(it, std::move(slot));
+  CommitInternal(
+      node_idx, op_class, std::move(body), retry, cost_scale,
+      [this, retry,
+       done = std::move(done)](const server::WriteOutcome& outcome) {
+        FinishRetryable(retry, outcome, done);
+      },
+      concern);
+}
+
+ReplicaSet::RetrySession& ReplicaSet::RaiseMark(
+    const server::RetryKey& retry) {
+  DCG_CHECK_MSG(retry.session <= bus_.sessions_started(),
+                "write from a session this set's bus never started");
+  if (retry.session >= retry_sessions_.size()) {
+    retry_sessions_.resize(retry.session + 1);
+  }
+  RetrySession& session = retry_sessions_[retry.session];
+  if (retry.answered_below > session.answered_below) {
+    session.answered_below = retry.answered_below;
+    // Slots below the mark go unless their first attempt is still
+    // running; FinishRetryable drops those when it completes.
+    const auto below = FindSlot(&session, session.answered_below);
+    session.slots.erase(
+        std::remove_if(session.slots.begin(), below,
+                       [](const RetrySlot& slot) { return !slot.running; }),
+        below);
+  }
+  return session;
+}
+
+std::vector<ReplicaSet::RetrySlot>::iterator ReplicaSet::FindSlot(
+    RetrySession* session, uint64_t op_id) {
+  return std::lower_bound(
+      session->slots.begin(), session->slots.end(), op_id,
+      [](const RetrySlot& slot, uint64_t id) { return slot.op_id < id; });
+}
+
+ReplicaSet::RetrySlot& ReplicaSet::SlotOf(const server::RetryKey& retry) {
+  RetrySession& session = retry_sessions_[retry.session];
+  const auto it = FindSlot(&session, retry.op_id);
+  DCG_CHECK_MSG(it != session.slots.end() && it->op_id == retry.op_id,
+                "retryable write lost its slot while running");
+  return *it;
+}
+
+void ReplicaSet::RecordOutcome(const server::RetryKey& retry,
+                               const server::WriteOutcome& outcome) {
+  RetrySlot& slot = SlotOf(retry);
+  slot.recorded = true;
+  slot.committed = outcome.committed;
+  slot.operation_time = outcome.operation_time;
+}
+
+void ReplicaSet::FinishRetryable(
+    const server::RetryKey& retry, const server::WriteOutcome& outcome,
+    const std::function<void(const server::WriteOutcome&)>& done) {
+  RetrySlot& slot = SlotOf(retry);
+  std::vector<std::function<void(const server::WriteOutcome&)>> parked =
+      std::move(slot.parked);
+  slot.running = false;
+  // Without a record (the role was lost before the body ran, or an
+  // election rolled the commit back) a retry must run the body again; a
+  // slot below the mark will never be asked for again.
+  if (!slot.recorded ||
+      slot.op_id < retry_sessions_[retry.session].answered_below) {
+    std::vector<RetrySlot>& slots = retry_sessions_[retry.session].slots;
+    slots.erase(slots.begin() + (&slot - slots.data()));
+  }
+  done(outcome);
+  for (auto& waiter : parked) waiter(outcome);
+}
+
+size_t ReplicaSet::retry_slot_count() const {
+  size_t n = 0;
+  for (const RetrySession& session : retry_sessions_) {
+    n += session.slots.size();
+  }
+  return n;
+}
+
+size_t ReplicaSet::retry_slots_below_mark() const {
+  size_t n = 0;
+  for (const RetrySession& session : retry_sessions_) {
+    for (const RetrySlot& slot : session.slots) {
+      if (slot.op_id < session.answered_below) ++n;
+    }
+  }
+  return n;
 }
 
 proto::ServerStatusReply ReplicaSet::ServerStatusSnapshot() {
@@ -756,13 +844,18 @@ void ReplicaSet::FinishStepUp(int winner, uint64_t new_term) {
   next_seq_ = survived_seq + 1;
   // The retryable-write transaction table is replicated with the data it
   // describes: records for writes rolled back here vanish with them, so a
-  // client retry re-executes the write instead of trusting a stale ack.
-  for (auto it = retry_records_.begin(); it != retry_records_.end();) {
-    if (it->second.committed && it->second.operation_time.seq > survived_seq) {
-      it = retry_records_.erase(it);
-    } else {
-      ++it;
+  // client retry re-executes the write instead of trusting a stale ack. A
+  // slot whose first attempt is still running keeps its parked attempts.
+  for (RetrySession& session : retry_sessions_) {
+    for (RetrySlot& slot : session.slots) {
+      if (slot.recorded && slot.committed &&
+          slot.operation_time.seq > survived_seq) {
+        slot.recorded = false;
+      }
     }
+    std::erase_if(session.slots, [](const RetrySlot& slot) {
+      return !slot.recorded && !slot.running;
+    });
   }
   primary_index_ = winner;
   term_ = new_term;

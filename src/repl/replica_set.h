@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
@@ -122,7 +121,8 @@ class ReplicaSet : public server::CommandBackend {
     return node(idx).server();
   }
   void CommitWrite(int node, server::OpClass op_class, proto::TxnBody body,
-                   WriteConcern concern, uint64_t op_id, double cost_scale,
+                   WriteConcern concern, server::RetryKey retry,
+                   double cost_scale,
                    std::function<void(const server::WriteOutcome&)> done)
       override;
   proto::ServerStatusReply ServerStatusSnapshot() override;
@@ -233,6 +233,13 @@ class ReplicaSet : public server::CommandBackend {
 
   uint64_t majority_writes_acked() const { return majority_writes_acked_; }
 
+  /// Live retryable-write slots, over all sessions. A client that has
+  /// finished all but its last write leaves at most one slot.
+  size_t retry_slot_count() const;
+  /// Slots below their session's answered mark. Only a write still
+  /// executing keeps one, so none remain once every write has completed.
+  size_t retry_slots_below_mark() const;
+
  private:
   /// Everything the set keeps for one member. The member owns its data
   /// node, its election state machine and its wire-protocol front end;
@@ -269,17 +276,56 @@ class ReplicaSet : public server::CommandBackend {
     bool needs_resync = false;
   };
 
+  /// One retryable write's slot in its session's transaction table. It
+  /// is `running` until the first attempt's completion has run; attempts
+  /// arriving meanwhile park in `parked` and get that attempt's outcome.
+  /// Once `recorded` (at the commit instant) later attempts are answered
+  /// from the record at once.
+  struct RetrySlot {
+    uint64_t op_id = 0;
+    bool running = true;
+    bool recorded = false;
+    bool committed = false;
+    OpTime operation_time;
+    std::vector<std::function<void(const server::WriteOutcome&)>> parked;
+  };
+  /// One client session's transaction table (MongoDB keeps one record per
+  /// logical session). Slots are sorted by op id; none below
+  /// `answered_below` outlives its first attempt's completion, since the
+  /// client will never retry those ops.
+  struct RetrySession {
+    uint64_t answered_below = 0;
+    std::vector<RetrySlot> slots;
+  };
+
   /// Implementation behind CommitWrite: runs the transaction on node
   /// `node`'s CPU (flow control applied) — the member that believes itself
   /// primary — commits or aborts at completion iff that member still leads
-  /// the data plane at the commit instant, and — when `op_id != 0` —
-  /// records the outcome in the retryable-write transaction table at the
-  /// commit instant (the record is logically replicated with the write, so
-  /// an election that rolls the write back also drops the record).
+  /// the data plane at the commit instant, and — when `retry` is
+  /// retryable — records the outcome in its slot at the commit instant
+  /// (the record is logically replicated with the write, so an election
+  /// that rolls the write back also drops the record).
   void CommitInternal(int node, server::OpClass op_class, proto::TxnBody body,
-                      uint64_t op_id, double cost_scale,
+                      server::RetryKey retry, double cost_scale,
                       std::function<void(const server::WriteOutcome&)> done,
                       WriteConcern concern);
+  /// The session `retry` names, its mark raised to the command's and the
+  /// finished slots below the mark dropped.
+  RetrySession& RaiseMark(const server::RetryKey& retry);
+  /// First slot of `session` whose op id is not below `op_id`.
+  static std::vector<RetrySlot>::iterator FindSlot(RetrySession* session,
+                                                   uint64_t op_id);
+  /// The live slot of `retry`, which must exist.
+  RetrySlot& SlotOf(const server::RetryKey& retry);
+  /// Records a retryable write's outcome at its commit (or abort) instant.
+  void RecordOutcome(const server::RetryKey& retry,
+                     const server::WriteOutcome& outcome);
+  /// The first attempt's completion: answers it and every parked
+  /// duplicate, and drops the slot unless it holds a record a retry may
+  /// still need.
+  void FinishRetryable(
+      const server::RetryKey& retry, const server::WriteOutcome& outcome,
+      const std::function<void(const server::WriteOutcome&)>& done);
   /// Resolves w:majority waiters whose sequence has reached a majority.
   void CheckMajorityWaiters();
   /// Fails all outstanding w:majority waiters (primary crash: outcome
@@ -400,20 +446,11 @@ class ReplicaSet : public server::CommandBackend {
 
   proto::CommandBus bus_;
 
-  /// Retryable-write transaction table, keyed by op id. Modeled as
-  /// perfectly replicated alongside the data it describes: records for
-  /// writes rolled back by an election are purged with them.
-  struct RetryRecord {
-    bool committed = false;
-    OpTime operation_time;
-  };
-  std::unordered_map<uint64_t, RetryRecord> retry_records_;
-  /// Attempts that arrived while the same op id was still committing
-  /// (e.g. a client retry racing a slow first attempt) park here and are
-  /// acknowledged with the original's outcome instead of re-executing.
-  std::unordered_map<
-      uint64_t, std::vector<std::function<void(const server::WriteOutcome&)>>>
-      retry_waiters_;
+  /// Retryable-write transaction table, indexed by session id (ids come
+  /// from `bus_`, so they are dense). Modeled as perfectly replicated
+  /// alongside the data it describes: records for writes rolled back by
+  /// an election are purged with them.
+  std::vector<RetrySession> retry_sessions_;
 };
 
 }  // namespace dcg::repl

@@ -190,7 +190,9 @@ void CommandService::HandleWrite(proto::Command command) {
   const sim::Time arrived_at = loop_->Now();
   backend_->CommitWrite(
       node_, command.op_class, std::move(body), command.concern,
-      command.ctx.op_id, command.cost_scale,
+      RetryKey{command.ctx.session, command.ctx.op_id,
+               command.ctx.answered_below},
+      command.cost_scale,
       [this, command = std::move(command),
        arrived_at](const WriteOutcome& outcome) {
         if (Traced(command.ctx)) {

@@ -25,6 +25,19 @@ struct WriteOutcome {
   repl::OpTime operation_time;
 };
 
+/// Identity of a retryable write: the issuing client's session, the op id
+/// and the client's answered mark, as the command carried them. The
+/// default (op id 0) is not retryable: the body runs on every call and
+/// leaves no transaction record.
+struct RetryKey {
+  uint64_t session = 0;
+  uint64_t op_id = 0;
+  /// The client's lowest op id not yet finished (OpContext::answered_below).
+  uint64_t answered_below = 0;
+
+  bool retryable() const { return op_id != 0; }
+};
+
 /// The replication-layer surface a CommandService dispatches into.
 /// Implemented by repl::ReplicaSet; kept narrow so server/ does not
 /// depend on replica-set internals.
@@ -49,14 +62,15 @@ class CommandBackend {
   /// arrived at, which believes itself primary. The commit executes on
   /// that node's CPU and fails (ok=false) if it no longer leads the data
   /// plane at the commit instant, so at most one node can commit per
-  /// term. `op_id != 0` enables retryable-write dedup: a re-sent op_id
-  /// whose first attempt already committed is acknowledged from the
-  /// transaction record instead of being applied twice.
-  /// `cost_scale` multiplies the transaction's CPU service sample — 1.0
-  /// for singleton commands, the envelope_op_fraction discount for
-  /// members of a batched envelope.
+  /// term. A retryable `retry` enables retryable-write dedup: a re-sent
+  /// op id whose first attempt already committed is acknowledged from the
+  /// session's transaction record instead of being applied twice, and an
+  /// attempt below the session's answered mark is acknowledged without
+  /// running. `cost_scale` multiplies the transaction's CPU service
+  /// sample — 1.0 for singleton commands, the envelope_op_fraction
+  /// discount for members of a batched envelope.
   virtual void CommitWrite(int node, OpClass op_class, proto::TxnBody body,
-                           repl::WriteConcern concern, uint64_t op_id,
+                           repl::WriteConcern concern, RetryKey retry,
                            double cost_scale,
                            std::function<void(const WriteOutcome&)> done) = 0;
 

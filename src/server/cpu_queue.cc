@@ -24,20 +24,30 @@ void CpuQueue::Submit(sim::Duration service_time, std::function<void()> done) {
 void CpuQueue::StartJob(Job job) {
   ++busy_;
   total_busy_time_ += job.service_time;
-  loop_->ScheduleAfter(job.service_time,
-                       [this, done = std::move(job.done)]() mutable {
-                         OnJobDone();
-                         done();
-                       });
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(running_.size());
+    running_.push_back(std::move(job.done));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    running_[slot] = std::move(job.done);
+  }
+  loop_->ScheduleAfter(job.service_time, [this, slot] { FinishJob(slot); });
 }
 
-void CpuQueue::OnJobDone() {
+void CpuQueue::FinishJob(uint32_t slot) {
+  // Take the callback out first: the next job may start in this very slot.
+  std::function<void()> done = std::move(running_[slot]);
+  running_[slot] = nullptr;
+  free_slots_.push_back(slot);
   --busy_;
   if (!waiting_.empty()) {
     Job next = std::move(waiting_.front());
     waiting_.pop_front();
     StartJob(std::move(next));
   }
+  done();
 }
 
 double CpuQueue::WindowUtilization() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "sim/event_loop.h"
 #include "sim/time.h"
@@ -47,12 +48,20 @@ class CpuQueue {
   };
 
   void StartJob(Job job);
-  void OnJobDone();
+  /// Completion event of the job running in `slot`: frees the core and
+  /// starts the next waiting job on it, then runs the finished job's
+  /// callback.
+  void FinishJob(uint32_t slot);
 
   sim::EventLoop* loop_;
   int cores_;
   int busy_ = 0;
   std::deque<Job> waiting_;
+  /// Callbacks of the running jobs, one slot per busy core, recycled
+  /// through `free_slots_`: the completion event captures only the slot
+  /// index, small enough for std::function to store without allocating.
+  std::vector<std::function<void()>> running_;
+  std::vector<uint32_t> free_slots_;
   sim::Duration total_busy_time_ = 0;
   sim::Time window_start_ = 0;
   sim::Duration window_busy_start_ = 0;

@@ -176,6 +176,10 @@ struct ChaosReport {
 ///      every entry a live member (partitioned ones included) has yet to
 ///      apply, and after quiesce, once every live member has caught up,
 ///      it retains nothing — applied history is trimmed, not kept.
+///  12. Retry-table pruning: after quiesce no client session holds a
+///      retryable-write slot below its answered mark — elections'
+///      rollback purges included, the table keeps only what a client can
+///      still retry.
 inline ChaosReport RunChaos(const ChaosOptions& options) {
   ChaosReport report;
   auto violation = [&report](const std::string& v) {
@@ -466,6 +470,12 @@ inline ChaosReport RunChaos(const ChaosOptions& options) {
       !rs.oplog().empty()) {
     violation("oplog: " + std::to_string(rs.oplog().size()) +
               " entries retained after every live member caught up");
+  }
+
+  // --- Invariant 12: no retry-table slot below its session's mark. ---
+  if (rs.retry_slots_below_mark() != 0) {
+    violation("retry table: " + std::to_string(rs.retry_slots_below_mark()) +
+              " slots below their session's answered mark after quiesce");
   }
 
   bool all_alive = true;

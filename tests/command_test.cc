@@ -202,6 +202,89 @@ TEST_F(CommandTest, RetryableWriteIsNotReappliedAcrossLostAck) {
             1);
 }
 
+TEST_F(CommandTest, SequentialRetryableWritesKeepOneRecordLive) {
+  // Each write carries the client's answered mark; the primary drops the
+  // records below it, so a client with one write in flight at a time
+  // leaves one record, not one per write.
+  Build();
+  for (int i = 0; i < 3; ++i) {
+    rs_->node(i).db().GetOrCreate("t").Insert(
+        doc::Value::Doc({{"_id", 1}, {"v", 0}}));
+  }
+  int finished = 0;
+  size_t most_live = 0;
+  std::function<void()> write_next = [&] {
+    client_->Write(
+        server::OpClass::kUpdate,
+        [](repl::TxnContext* ctx) {
+          doc::UpdateSpec spec;
+          spec.Inc("v", doc::Value(int64_t{1}));
+          ctx->Update("t", doc::Value(1), spec);
+        },
+        [&](const OpResult& r) {
+          EXPECT_TRUE(r.committed);
+          most_live = std::max(most_live, rs_->retry_slot_count());
+          if (++finished < 1000) write_next();
+        });
+  };
+  write_next();
+  loop_.RunAll();
+  EXPECT_EQ(finished, 1000);
+  EXPECT_EQ(rs_->committed_writes(), 1000u);
+  EXPECT_EQ(most_live, 1u);
+  EXPECT_EQ(rs_->retry_slot_count(), 1u);
+  EXPECT_EQ(rs_->retry_slots_below_mark(), 0u);
+}
+
+TEST_F(CommandTest, AttemptBelowTheSessionMarkIsAcknowledgedNotReapplied) {
+  // MongoDB's TransactionTooOld: once the client has reported an op
+  // answered, a late attempt of it (a delayed duplicate) finds no record
+  // and must not run the body again.
+  Build();
+  for (int i = 0; i < 3; ++i) {
+    rs_->node(i).db().GetOrCreate("t").Insert(
+        doc::Value::Doc({{"_id", 1}, {"v", 0}}));
+  }
+  const uint64_t session = rs_->command_bus()->StartSession();
+  int acknowledged = 0;
+  auto send_increment = [&](uint64_t op_id, uint64_t answered_below) {
+    proto::Command command;
+    command.kind = proto::CommandKind::kWrite;
+    command.ctx.session = session;
+    command.ctx.op_id = op_id;
+    command.ctx.answered_below = answered_below;
+    command.op_class = server::OpClass::kUpdate;
+    command.txn_body = [](repl::TxnContext* ctx) {
+      doc::UpdateSpec spec;
+      spec.Inc("v", doc::Value(int64_t{1}));
+      ctx->Update("t", doc::Value(1), spec);
+    };
+    command.reply_to = client_host_;
+    command.on_reply = [&](const proto::Reply& reply) {
+      EXPECT_EQ(reply.status, proto::ReplyStatus::kOk);
+      ++acknowledged;
+    };
+    rs_->command_bus()->Send(client_host_, hosts_[0], command);
+    loop_.RunAll();
+  };
+  send_increment(/*op_id=*/1, /*answered_below=*/1);
+  // Op 2 reports op 1 answered: op 1's record goes.
+  send_increment(/*op_id=*/2, /*answered_below=*/2);
+  EXPECT_EQ(rs_->retry_slot_count(), 1u);
+  // A late attempt of op 1 carries the mark it was sent under.
+  send_increment(/*op_id=*/1, /*answered_below=*/1);
+  EXPECT_EQ(acknowledged, 3);
+  EXPECT_EQ(rs_->committed_writes(), 2u);
+  EXPECT_EQ(rs_->primary()
+                .db()
+                .Get("t")
+                ->FindById(doc::Value(1))
+                ->Find("v")
+                ->as_int64(),
+            2);
+  EXPECT_EQ(rs_->retry_slots_below_mark(), 0u);
+}
+
 TEST_F(CommandTest, ServiceRejectsWriteAtSecondaryWithNotPrimary) {
   // The primary contract is server-checked: a write addressed to a
   // secondary is refused with kNotPrimary, and the reply's hello

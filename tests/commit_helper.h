@@ -11,7 +11,7 @@ namespace dcg::test {
 /// Adapts a `done(committed)` callback (null = none) to the WriteOutcome
 /// callback `ReplicaSet::CommitWrite` takes. Tests that drive a bare
 /// replica set commit straight on its primary with
-/// `rs->CommitWrite(rs->primary_index(), c, body, concern, /*op_id=*/0,
+/// `rs->CommitWrite(rs->primary_index(), c, body, concern, /*retry=*/{},
 /// /*cost_scale=*/1.0, OnCommitted(done))` — no client, no network hop.
 /// The adapter is never null, so a w:majority write always registers its
 /// majority waiter.

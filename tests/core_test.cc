@@ -356,7 +356,7 @@ TEST_F(ReadBalancerTest, StalenessAboveBoundZeroesFractionAndRecovers) {
           [i](repl::TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          repl::WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted());
     });
   }
@@ -451,7 +451,7 @@ TEST_F(ReadBalancerTest, PeriodsKeepRunningWithoutAPrimary) {
           [i](repl::TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          repl::WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted());
     });
   }

@@ -359,7 +359,7 @@ TEST_F(DriverTest, MaxStalenessFiltersStaleSecondaries) {
           [i](repl::TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          repl::WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          repl::WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted());
     });
   }

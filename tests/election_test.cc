@@ -412,7 +412,7 @@ class RaftSetTest : public ::testing::Test {
         [id](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", id}}));
         },
-        concern, /*op_id=*/0, /*cost_scale=*/1.0,
+        concern, /*retry=*/{}, /*cost_scale=*/1.0,
         test::OnCommitted(std::move(done)));
   }
 
@@ -587,7 +587,7 @@ TEST_P(ElectionPropertyTest, SafetyAndBoundedUnavailability) {
           [i](TxnContext* ctx) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
-          WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted());
     });
   }

@@ -46,7 +46,7 @@ class FailoverTest : public ::testing::Test {
         [id](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", id}}));
         },
-        concern, /*op_id=*/0, /*cost_scale=*/1.0,
+        concern, /*retry=*/{}, /*cost_scale=*/1.0,
         test::OnCommitted(std::move(done)));
   }
 
@@ -132,6 +132,51 @@ TEST_F(FailoverTest, MajorityAckedWritesSurviveFailover) {
   for (int64_t id : acked) {
     EXPECT_NE(t->FindById(doc::Value(id)), nullptr) << "lost w:majority " << id;
   }
+}
+
+TEST_F(FailoverTest, RetryOfARolledBackRetryableWriteRunsAgain) {
+  // The transaction record is replicated with the write it describes: an
+  // election that rolls the write back must drop the record too, or a
+  // retry after the lost ack would be answered "committed" from it and
+  // the write would be gone from the new primary.
+  ReplicaSetParams params;
+  params.getmore_block_threshold = sim::Seconds(1);
+  Build(params);
+  const uint64_t session = rs_->command_bus()->StartSession();
+  const server::RetryKey retry{session, /*op_id=*/1, /*answered_below=*/1};
+  auto commit = [&](bool* committed) {
+    rs_->CommitWrite(
+        rs_->primary_index(), server::OpClass::kInsert,
+        [](TxnContext* ctx) {
+          ctx->Insert("t", doc::Value::Doc({{"_id", 7}, {"v", 7}}));
+        },
+        WriteConcern::kW1, retry, /*cost_scale=*/1.0,
+        test::OnCommitted([committed](bool c) { *committed = c; }));
+  };
+  // Replication stalls behind a never-ending checkpoint, so the write
+  // commits on the primary alone.
+  rs_->primary().server().AddDirtyBytes(100'000'000'000ULL);
+  loop_.RunUntil(sim::Seconds(61));
+  bool first = false;
+  commit(&first);
+  loop_.RunUntil(sim::Seconds(62));
+  ASSERT_TRUE(first);
+  ASSERT_EQ(rs_->committed_writes(), 1u);
+
+  const int old_primary = rs_->primary_index();
+  rs_->KillNode(old_primary);
+  loop_.RunUntil(sim::Seconds(70));
+  ASSERT_NE(rs_->primary_index(), old_primary);
+  ASSERT_EQ(rs_->primary().db().Get("t"), nullptr);  // rolled back
+  EXPECT_EQ(rs_->retry_slot_count(), 0u);
+
+  bool retried = false;
+  commit(&retried);
+  loop_.RunUntil(sim::Seconds(72));
+  EXPECT_TRUE(retried);
+  EXPECT_EQ(rs_->committed_writes(), 2u);
+  ASSERT_NE(rs_->primary().db().Get("t"), nullptr);
+  EXPECT_NE(rs_->primary().db().Get("t")->FindById(doc::Value(7)), nullptr);
 }
 
 TEST_F(FailoverTest, UnreplicatedW1WritesRollBack) {
@@ -329,7 +374,7 @@ TEST_P(FaultInjectionTest, MajorityDurabilityAndConvergence) {
             ctx->Insert("t", doc::Value::Doc({{"_id", i}}));
           },
           majority ? WriteConcern::kMajority : WriteConcern::kW1,
-          /*op_id=*/0, /*cost_scale=*/1.0,
+          /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted(
               majority ? std::function<void(bool)>(
                              [i, acked_majority](bool ok) {

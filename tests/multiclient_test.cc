@@ -77,6 +77,29 @@ TEST_F(MultiClientTest, IndependentBalancersConvergeUnderSharedLoad) {
   EXPECT_LE(spread, 0.4);
 }
 
+TEST_F(MultiClientTest, EveryAcknowledgedWriteExecutesExactlyOnce) {
+  // Every client numbers its ops from 1, so only the session keeps one
+  // client's retryable-write record from answering another client's write
+  // with the same op id.
+  Build(3, workload::YcsbConfig::WorkloadA());
+  uint64_t acknowledged = 0;
+  for (auto& system : systems_) {
+    system->client().AddOpObserver([&acknowledged](const driver::OpResult& r) {
+      if (!r.is_read && r.ok && r.committed) ++acknowledged;
+    });
+    system->Start(15);
+  }
+  loop_.RunUntil(sim::Seconds(60));
+  for (auto& system : systems_) system->pool().SetTarget(0);
+  loop_.RunUntil(sim::Seconds(90));
+  for (auto& system : systems_) {
+    ASSERT_EQ(system->pool().running(), 0);
+    ASSERT_EQ(system->client().pending_op_count(), 0u);
+  }
+  EXPECT_GT(acknowledged, 10'000u);
+  EXPECT_EQ(rs_->committed_writes(), acknowledged);
+}
+
 TEST_F(MultiClientTest, AsymmetricLoadStillBalances) {
   // One heavy system + one light system: the heavy one dominates the
   // signal, but both see the same congested primary and shift load.

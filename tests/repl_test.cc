@@ -267,7 +267,7 @@ class ReplicaSetTest : public ::testing::Test {
           spec.Inc("v", doc::Value(inc));
           ctx->Update("t", doc::Value(id), spec);
         },
-        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
         test::OnCommitted());
   }
 
@@ -277,7 +277,7 @@ class ReplicaSetTest : public ::testing::Test {
         [id, v](TxnContext* ctx) {
           ctx->Insert("t", doc::Value::Doc({{"_id", id}, {"v", v}}));
         },
-        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
         test::OnCommitted());
   }
 
@@ -557,7 +557,7 @@ TEST_F(ReplicaSetTest, AbortedTransactionsLeaveNoTrace) {
         ctx->Insert("t", doc::Value::Doc({{"_id", 99}, {"v", 0}}));
         ctx->Abort();
       },
-      WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+      WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
       test::OnCommitted([&](bool c) { committed = c; }));
   loop_.RunUntil(sim::Seconds(2));
   EXPECT_FALSE(committed);
@@ -606,7 +606,7 @@ TEST_F(ReplicaSetTest, SecondariesShareThePrimarysDocuments) {
     rs_->CommitWrite(
         rs_->primary_index(), server::OpClass::kUpdate,
         [i](TxnContext* ctx) { ctx->Remove("t", doc::Value(i)); },
-        WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+        WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
         test::OnCommitted());
   }
   loop_.RunUntil(sim::Seconds(5));
@@ -807,7 +807,7 @@ void ScheduleRandomWrites(sim::EventLoop* loop, ReplicaSet* rs, sim::Rng* rng,
               ctx->Abort();
             }
           },
-          WriteConcern::kW1, /*op_id=*/0, /*cost_scale=*/1.0,
+          WriteConcern::kW1, /*retry=*/{}, /*cost_scale=*/1.0,
           test::OnCommitted());
     });
   }
