@@ -112,10 +112,10 @@ void MongoClient::HelloLoop() {
       sd.reachable = false;
       AbortAttemptsOn(i);
     }
-    proto::Command cmd;
-    cmd.kind = proto::CommandKind::kHello;
-    cmd.reply_to = client_host_;
-    cmd.on_reply = [this](const proto::Reply& reply) {
+    auto cmd = std::make_unique<proto::Command>();
+    cmd->kind = proto::CommandKind::kHello;
+    cmd->reply_to = client_host_;
+    cmd->on_reply = [this](const proto::Reply& reply) {
       MarkHeard(reply.node_index);
       AdoptTopology(reply.hello);
     };
@@ -356,20 +356,23 @@ void MongoClient::SendAttempt(uint64_t op_id, PendingOp* op) {
   ArmAttemptTimers(op_id, op);
 }
 
-proto::Command MongoClient::MakeCommand(uint64_t op_id, const PendingOp& op,
-                                        bool is_hedge, uint64_t conn_id) {
-  proto::Command cmd = op.request;  // copies: the op outlives any one arm
-  cmd.ctx.op_id = op_id;
-  cmd.ctx.session = session_;
-  cmd.ctx.answered_below = answered_below_;
-  cmd.ctx.attempt = op.attempts_sent - 1;
-  cmd.ctx.is_hedge = is_hedge;
-  cmd.ctx.conn_id = conn_id;
+proto::CommandPtr MongoClient::MakeCommand(uint64_t op_id,
+                                           const PendingOp& op, bool is_hedge,
+                                           uint64_t conn_id) {
+  // Copies: the op outlives any one arm.
+  auto cmd = std::make_unique<proto::Command>(op.request);
+  proto::OpContext& ctx = cmd->ctx;
+  ctx.op_id = op_id;
+  ctx.session = session_;
+  ctx.answered_below = answered_below_;
+  ctx.attempt = op.attempts_sent - 1;
+  ctx.is_hedge = is_hedge;
+  ctx.conn_id = conn_id;
   if (tracing()) {
-    cmd.ctx.parent_span = is_hedge ? op.hedge.span : op.main.span;
-    cmd.ctx.sent_at = loop_->Now();
+    ctx.parent_span = is_hedge ? op.hedge.span : op.main.span;
+    ctx.sent_at = loop_->Now();
   }
-  cmd.on_reply = [this, op_id](const proto::Reply& r) { OnReply(op_id, r); };
+  cmd->on_reply = [this, op_id](const proto::Reply& r) { OnReply(op_id, r); };
   return cmd;
 }
 
@@ -996,12 +999,12 @@ void MongoClient::ServerStatus(
                          });
     return;
   }
-  proto::Command cmd;
-  cmd.kind = proto::CommandKind::kServerStatus;
-  cmd.op_class = server::OpClass::kServerStatus;
-  cmd.require_primary = true;
-  cmd.reply_to = client_host_;
-  cmd.on_reply = [this, done](const proto::Reply& reply) {
+  auto cmd = std::make_unique<proto::Command>();
+  cmd->kind = proto::CommandKind::kServerStatus;
+  cmd->op_class = server::OpClass::kServerStatus;
+  cmd->require_primary = true;
+  cmd->reply_to = client_host_;
+  cmd->on_reply = [this, done](const proto::Reply& reply) {
     MarkHeard(reply.node_index);
     AdoptTopology(reply.hello);
     if (reply.status == proto::ReplyStatus::kNotPrimary) {
@@ -1036,10 +1039,10 @@ void MongoClient::PingNode(int node,
     probe->settled = true;
     probe->done(false, 0);
   });
-  proto::Command cmd;
-  cmd.kind = proto::CommandKind::kPing;
-  cmd.reply_to = client_host_;
-  cmd.on_reply = [this, probe](const proto::Reply&) {
+  auto cmd = std::make_unique<proto::Command>();
+  cmd->kind = proto::CommandKind::kPing;
+  cmd->reply_to = client_host_;
+  cmd->on_reply = [this, probe](const proto::Reply&) {
     if (probe->settled) return;
     probe->settled = true;
     loop_->Cancel(probe->timer);

@@ -401,11 +401,12 @@ class MongoClient {
   /// Ships the attempt's command over its checked-out connection and arms
   /// its attempt deadline and hedge timer.
   void SendAttempt(uint64_t op_id, PendingOp* op);
-  /// The wire command for one arm of the op: a copy of its request stamped
-  /// with the op id, attempt number, arm, connection and (tracing on) the
-  /// arm's span and send instant.
-  proto::Command MakeCommand(uint64_t op_id, const PendingOp& op,
-                             bool is_hedge, uint64_t conn_id);
+  /// The wire command for one arm of the op: a heap copy of its request
+  /// stamped with the op id, attempt number, arm, connection and (tracing
+  /// on) the arm's span and send instant. The only copy the attempt makes:
+  /// every later hop passes the pointer.
+  proto::CommandPtr MakeCommand(uint64_t op_id, const PendingOp& op,
+                                bool is_hedge, uint64_t conn_id);
   /// Arms a just-sent attempt's deadline and, on the first attempt of a
   /// hedgeable read, its hedge timer.
   void ArmAttemptTimers(uint64_t op_id, PendingOp* op);

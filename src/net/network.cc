@@ -84,7 +84,7 @@ sim::Duration Network::SampleOneWay(HostId a, HostId b) {
   return delay;
 }
 
-void Network::Send(HostId from, HostId to, std::function<void()> fn) {
+void Network::Send(HostId from, HostId to, sim::Callback fn) {
   if (ShouldDrop(from, to)) {
     ++messages_dropped_;
     return;

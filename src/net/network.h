@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 #include "sim/random.h"
 #include "sim/time.h"
@@ -58,7 +59,7 @@ class Network {
   /// Delivers `fn` at the destination after a sampled one-way delay, or
   /// drops the message (never delivering `fn`) when the directed link is
   /// blocked or its fault's drop probability fires.
-  void Send(HostId from, HostId to, std::function<void()> fn);
+  void Send(HostId from, HostId to, sim::Callback fn);
 
   /// Simulates an application-level ping: calls `done(rtt)` after a full
   /// round trip (two sampled one-way delays). If either direction drops,

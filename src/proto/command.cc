@@ -37,38 +37,57 @@ std::string_view ToString(CommandKind kind) {
   return "unknown";
 }
 
+namespace {
+/// The handler registered for `host`, or nullptr.
+template <typename H>
+H* HandlerAt(std::vector<H>& handlers, net::HostId host) {
+  if (host < 0 || static_cast<size_t>(host) >= handlers.size()) return nullptr;
+  H& handler = handlers[static_cast<size_t>(host)];
+  return handler ? &handler : nullptr;
+}
+
+template <typename H>
+void Register(std::vector<H>* handlers, net::HostId host, H handler) {
+  DCG_CHECK(host >= 0);
+  if (static_cast<size_t>(host) >= handlers->size()) {
+    handlers->resize(static_cast<size_t>(host) + 1);
+  }
+  (*handlers)[static_cast<size_t>(host)] = std::move(handler);
+}
+}  // namespace
+
 void CommandBus::RegisterService(net::HostId host, Handler handler) {
-  DCG_CHECK_MSG(handlers_.find(host) == handlers_.end(),
+  DCG_CHECK_MSG(HandlerAt(handlers_, host) == nullptr,
                 "host already has a command service");
   server_hosts_.push_back(host);
-  handlers_[host] = std::move(handler);
+  Register(&handlers_, host, std::move(handler));
 }
 
 void CommandBus::RegisterEnvelopeService(net::HostId host,
                                          EnvelopeHandler handler) {
-  DCG_CHECK_MSG(envelope_handlers_.find(host) == envelope_handlers_.end(),
+  DCG_CHECK_MSG(HandlerAt(envelope_handlers_, host) == nullptr,
                 "host already has an envelope service");
-  envelope_handlers_[host] = std::move(handler);
+  Register(&envelope_handlers_, host, std::move(handler));
 }
 
-void CommandBus::Send(net::HostId from, net::HostId to, Command command) {
-  auto it = handlers_.find(to);
-  DCG_CHECK_MSG(it != handlers_.end(), "no command service at destination");
-  Handler* handler = &it->second;
-  network_->Send(from, to, [handler, command = std::move(command)]() mutable {
-    (*handler)(std::move(command));
+void CommandBus::Send(net::HostId from, net::HostId to, CommandPtr command) {
+  DCG_CHECK_MSG(HandlerAt(handlers_, to) != nullptr,
+                "no command service at destination");
+  // The handler is found again at delivery by index: a registration while
+  // the message is in flight may grow the vector.
+  network_->Send(from, to, [this, to, command = std::move(command)]() mutable {
+    handlers_[static_cast<size_t>(to)](std::move(command));
   });
 }
 
 void CommandBus::SendEnvelope(net::HostId from, net::HostId to,
                               Envelope envelope) {
-  auto it = envelope_handlers_.find(to);
-  DCG_CHECK_MSG(it != envelope_handlers_.end(),
+  DCG_CHECK_MSG(HandlerAt(envelope_handlers_, to) != nullptr,
                 "no envelope service at destination");
-  EnvelopeHandler* handler = &it->second;
   network_->Send(from, to,
-                 [handler, envelope = std::move(envelope)]() mutable {
-                   (*handler)(std::move(envelope));
+                 [this, to, envelope = std::move(envelope)]() mutable {
+                   envelope_handlers_[static_cast<size_t>(to)](
+                       std::move(envelope));
                  });
 }
 

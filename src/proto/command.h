@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -163,6 +162,8 @@ struct Reply {
 /// One typed wire command. In a real driver this is a BSON message; here
 /// the payload is the operation body itself, but the envelope — kind,
 /// OpContext, reply address — is what the protocol layer dispatches on.
+/// Built once per attempt on the heap and passed by CommandPtr through
+/// every hop (bus, CPU queue, parking, commit), so no hop moves it.
 struct Command {
   CommandKind kind = CommandKind::kPing;
   OpContext ctx;
@@ -190,6 +191,10 @@ struct Command {
   std::function<void(const Reply&)> on_reply;
 };
 
+/// How a Command travels: one heap object per attempt, owned by whichever
+/// hop holds it now.
+using CommandPtr = std::unique_ptr<Command>;
+
 /// A batch of same-target commands shipped as ONE network message (the
 /// wire analogue of a driver bulk op / OP_MSG with multiple sections).
 /// The whole envelope shares one fate on the wire — dropped together,
@@ -198,7 +203,7 @@ struct Command {
 /// the server charges one envelope base cost plus a discounted per-op
 /// increment (ServiceModel envelope cost table).
 struct Envelope {
-  std::vector<Command> commands;
+  std::vector<CommandPtr> commands;
 };
 
 /// The wire between drivers and per-node CommandServices: commands travel
@@ -212,7 +217,7 @@ class CommandBus {
   CommandBus(const CommandBus&) = delete;
   CommandBus& operator=(const CommandBus&) = delete;
 
-  using Handler = std::function<void(Command)>;
+  using Handler = std::function<void(CommandPtr)>;
   using EnvelopeHandler = std::function<void(Envelope)>;
 
   /// Registers the service handling commands addressed to `host`.
@@ -239,7 +244,8 @@ class CommandBus {
 
   /// Ships `command` from the client host to a server host. Silently lost
   /// when the network drops it — callers enforce deadlines client-side.
-  void Send(net::HostId from, net::HostId to, Command command);
+  /// Only the pointer travels: the wire message is {bus, host, pointer}.
+  void Send(net::HostId from, net::HostId to, CommandPtr command);
 
   /// Ships a whole envelope as one network message: one send, one
   /// delivery, one drop decision for every member command. Callers
@@ -249,8 +255,10 @@ class CommandBus {
  private:
   net::Network* network_;
   std::vector<net::HostId> server_hosts_;
-  std::map<net::HostId, Handler> handlers_;
-  std::map<net::HostId, EnvelopeHandler> envelope_handlers_;
+  /// Indexed by host id (Network::AddHost hands out dense ids); an empty
+  /// handler marks a host with no service.
+  std::vector<Handler> handlers_;
+  std::vector<EnvelopeHandler> envelope_handlers_;
   uint64_t sessions_started_ = 0;
 };
 

@@ -63,7 +63,7 @@ ReplicaSet::ReplicaSet(sim::EventLoop* loop, sim::Rng rng,
     members_[i].service = std::make_unique<server::CommandService>(
         loop_, network_, this, i, hosts[i]);
     server::CommandService* service = members_[i].service.get();
-    bus_.RegisterService(hosts[i], [service](proto::Command command) {
+    bus_.RegisterService(hosts[i], [service](proto::CommandPtr command) {
       service->Handle(std::move(command));
     });
     bus_.RegisterEnvelopeService(hosts[i],
@@ -200,8 +200,7 @@ void ReplicaSet::RestartNode(int idx) {
 
 void ReplicaSet::CommitInternal(
     int node_idx, server::OpClass op_class, proto::TxnBody body,
-    server::RetryKey retry, double cost_scale,
-    std::function<void(const server::WriteOutcome&)> done,
+    server::RetryKey retry, double cost_scale, server::WriteDone done,
     WriteConcern concern) {
   double throttle = 1.0;
   if (params_.flow_control_enabled &&
@@ -223,12 +222,12 @@ void ReplicaSet::CommitInternal(
   node(node_idx).server().ExecuteScaled(
       op_class, throttle,
       [this, body = std::move(body), done = std::move(done), concern, retry,
-       expected_primary, expected_term] {
+       expected_primary, expected_term]() mutable {
         // The node lost the primary role (or crashed) while the operation
         // was queued: the write never commits (and is safe to retry).
         if (!IsAlive(expected_primary) || term_ != expected_term ||
             primary_index_ != expected_primary) {
-          if (done) done(server::WriteOutcome{});
+          FinishWrite(retry, server::WriteOutcome{}, done);
           return;
         }
         ReplicaNode& leader = node(expected_primary);
@@ -242,7 +241,7 @@ void ReplicaSet::CommitInternal(
           // Aborts are deterministic outcomes of the body; record them so
           // a retry is acknowledged identically instead of re-running.
           if (retry.retryable()) RecordOutcome(retry, outcome);
-          if (done) done(outcome);
+          FinishWrite(retry, outcome, done);
           return;
         }
         uint64_t commit_seq = leader.last_applied().seq;
@@ -263,7 +262,8 @@ void ReplicaSet::CommitInternal(
         // ack time — so a retry after a lost w:majority ack replies from
         // the record iff the commit itself survived (election purge).
         if (retry.retryable()) RecordOutcome(retry, outcome);
-        if (concern == WriteConcern::kMajority && done) {
+        if (concern == WriteConcern::kMajority &&
+            (done || retry.retryable())) {
           // Acknowledge once a majority of nodes are known to have
           // applied the commit point. The wait from the commit instant to
           // the ack is the write's replication slice — recorded as a
@@ -274,10 +274,10 @@ void ReplicaSet::CommitInternal(
           majority_waiters_.push_back(
               {commit_seq,
                [this, done = std::move(done), outcome, commit_at, traced,
-                op_id = retry.op_id](bool ok) {
+                retry](bool ok) mutable {
                  if (traced) {
                    obs::SpanRecord span;
-                   span.trace_id = op_id;
+                   span.trace_id = retry.op_id;
                    span.span_id = tracer_->NewSpanId();
                    span.kind = obs::SpanKind::kCommitWait;
                    span.start = commit_at;
@@ -288,68 +288,70 @@ void ReplicaSet::CommitInternal(
                  }
                  if (ok) {
                    ++majority_writes_acked_;
-                   done(outcome);
+                   FinishWrite(retry, outcome, done);
                  } else {
                    // Primary crashed before the ack: uncertain outcome,
                    // surfaced like an infrastructure failure.
-                   done(server::WriteOutcome{});
+                   FinishWrite(retry, server::WriteOutcome{}, done);
                  }
                }});
           CheckMajorityWaiters();
           return;
         }
-        if (done) done(outcome);
+        FinishWrite(retry, outcome, done);
       });
 }
 
 void ReplicaSet::CommitWrite(
     int node_idx, server::OpClass op_class, proto::TxnBody body,
     WriteConcern concern, server::RetryKey retry, double cost_scale,
-    std::function<void(const server::WriteOutcome&)> done) {
-  if (!retry.retryable()) {
-    CommitInternal(node_idx, op_class, std::move(body), retry, cost_scale,
-                   std::move(done), concern);
-    return;
-  }
-  RetrySession& session = RaiseMark(retry);
-  auto it = FindSlot(&session, retry.op_id);
-  if (it != session.slots.end() && it->op_id == retry.op_id) {
-    if (it->recorded) {
-      // Retryable write replay: acknowledge from the transaction record
-      // without executing the body a second time.
+    server::WriteDone done) {
+  if (retry.retryable()) {
+    RetrySession& session = RaiseMark(retry);
+    auto it = FindSlot(&session, retry.op_id);
+    if (it != session.slots.end() && it->op_id == retry.op_id) {
+      if (it->recorded) {
+        // Retryable write replay: acknowledge from the transaction record
+        // without executing the body a second time.
+        server::WriteOutcome outcome;
+        outcome.ok = true;
+        outcome.committed = it->committed;
+        outcome.operation_time = it->operation_time;
+        done(outcome);
+      } else {
+        // The first attempt is still in the CPU queue (a retry raced a
+        // slow — not lost — original): attach to its outcome.
+        it->parked.push_back(std::move(done));
+      }
+      return;
+    }
+    if (retry.op_id < session.answered_below) {
+      // MongoDB's TransactionTooOld: the client has already finished this
+      // op, so this is a late attempt (a delayed duplicate of one it got
+      // an answer for) and its reply will be discarded. Running the body
+      // would apply the write a second time.
       server::WriteOutcome outcome;
       outcome.ok = true;
-      outcome.committed = it->committed;
-      outcome.operation_time = it->operation_time;
+      outcome.operation_time = node(node_idx).last_applied();
       done(outcome);
-    } else {
-      // The first attempt is still in the CPU queue (a retry raced a slow
-      // — not lost — original): attach to its outcome.
-      it->parked.push_back(std::move(done));
+      return;
     }
-    return;
+    RetrySlot slot;
+    slot.op_id = retry.op_id;
+    session.slots.insert(it, std::move(slot));
   }
-  if (retry.op_id < session.answered_below) {
-    // MongoDB's TransactionTooOld: the client has already finished this
-    // op, so this is a late attempt (a delayed duplicate of one it got an
-    // answer for) and its reply will be discarded. Running the body would
-    // apply the write a second time.
-    server::WriteOutcome outcome;
-    outcome.ok = true;
-    outcome.operation_time = node(node_idx).last_applied();
+  CommitInternal(node_idx, op_class, std::move(body), retry, cost_scale,
+                 std::move(done), concern);
+}
+
+void ReplicaSet::FinishWrite(const server::RetryKey& retry,
+                             const server::WriteOutcome& outcome,
+                             server::WriteDone& done) {
+  if (retry.retryable()) {
+    FinishRetryable(retry, outcome, done);
+  } else if (done) {
     done(outcome);
-    return;
   }
-  RetrySlot slot;
-  slot.op_id = retry.op_id;
-  session.slots.insert(it, std::move(slot));
-  CommitInternal(
-      node_idx, op_class, std::move(body), retry, cost_scale,
-      [this, retry,
-       done = std::move(done)](const server::WriteOutcome& outcome) {
-        FinishRetryable(retry, outcome, done);
-      },
-      concern);
 }
 
 ReplicaSet::RetrySession& ReplicaSet::RaiseMark(
@@ -396,12 +398,11 @@ void ReplicaSet::RecordOutcome(const server::RetryKey& retry,
   slot.operation_time = outcome.operation_time;
 }
 
-void ReplicaSet::FinishRetryable(
-    const server::RetryKey& retry, const server::WriteOutcome& outcome,
-    const std::function<void(const server::WriteOutcome&)>& done) {
+void ReplicaSet::FinishRetryable(const server::RetryKey& retry,
+                                 const server::WriteOutcome& outcome,
+                                 server::WriteDone& done) {
   RetrySlot& slot = SlotOf(retry);
-  std::vector<std::function<void(const server::WriteOutcome&)>> parked =
-      std::move(slot.parked);
+  std::vector<server::WriteDone> parked = std::move(slot.parked);
   slot.running = false;
   // Without a record (the role was lost before the body ran, or an
   // election rolled the commit back) a retry must run the body again; a
@@ -600,7 +601,8 @@ void ReplicaSet::CheckMajorityWaiters() {
   const int majority = node_count() / 2 + 1;
   for (size_t i = 0; i < majority_waiters_.size();) {
     if (KnownReplicationCount(majority_waiters_[i].seq) >= majority) {
-      std::function<void(bool)> ack = std::move(majority_waiters_[i].ack);
+      sim::UniqueFunction<void(bool)> ack =
+          std::move(majority_waiters_[i].ack);
       majority_waiters_.erase(majority_waiters_.begin() +
                               static_cast<ptrdiff_t>(i));
       ack(true);

@@ -122,9 +122,7 @@ class ReplicaSet : public server::CommandBackend {
   }
   void CommitWrite(int node, server::OpClass op_class, proto::TxnBody body,
                    WriteConcern concern, server::RetryKey retry,
-                   double cost_scale,
-                   std::function<void(const server::WriteOutcome&)> done)
-      override;
+                   double cost_scale, server::WriteDone done) override;
   proto::ServerStatusReply ServerStatusSnapshot() override;
 
   int node_count() const { return static_cast<int>(members_.size()); }
@@ -287,7 +285,7 @@ class ReplicaSet : public server::CommandBackend {
     bool recorded = false;
     bool committed = false;
     OpTime operation_time;
-    std::vector<std::function<void(const server::WriteOutcome&)>> parked;
+    std::vector<server::WriteDone> parked;
   };
   /// One client session's transaction table (MongoDB keeps one record per
   /// logical session). Slots are sorted by op id; none below
@@ -307,8 +305,7 @@ class ReplicaSet : public server::CommandBackend {
   /// that rolls the write back also drops the record).
   void CommitInternal(int node, server::OpClass op_class, proto::TxnBody body,
                       server::RetryKey retry, double cost_scale,
-                      std::function<void(const server::WriteOutcome&)> done,
-                      WriteConcern concern);
+                      server::WriteDone done, WriteConcern concern);
   /// The session `retry` names, its mark raised to the command's and the
   /// finished slots below the mark dropped.
   RetrySession& RaiseMark(const server::RetryKey& retry);
@@ -320,12 +317,17 @@ class ReplicaSet : public server::CommandBackend {
   /// Records a retryable write's outcome at its commit (or abort) instant.
   void RecordOutcome(const server::RetryKey& retry,
                      const server::WriteOutcome& outcome);
+  /// A write's completion: FinishRetryable for a retryable one (it holds
+  /// a slot), else `done` (when set).
+  void FinishWrite(const server::RetryKey& retry,
+                   const server::WriteOutcome& outcome,
+                   server::WriteDone& done);
   /// The first attempt's completion: answers it and every parked
   /// duplicate, and drops the slot unless it holds a record a retry may
   /// still need.
-  void FinishRetryable(
-      const server::RetryKey& retry, const server::WriteOutcome& outcome,
-      const std::function<void(const server::WriteOutcome&)>& done);
+  void FinishRetryable(const server::RetryKey& retry,
+                       const server::WriteOutcome& outcome,
+                       server::WriteDone& done);
   /// Resolves w:majority waiters whose sequence has reached a majority.
   void CheckMajorityWaiters();
   /// Fails all outstanding w:majority waiters (primary crash: outcome
@@ -438,7 +440,7 @@ class ReplicaSet : public server::CommandBackend {
 
   struct MajorityWaiter {
     uint64_t seq;
-    std::function<void(bool)> ack;
+    sim::UniqueFunction<void(bool)> ack;
   };
   std::vector<MajorityWaiter> majority_waiters_;
 

@@ -55,36 +55,36 @@ void CommandService::RecordSpan(const proto::OpContext& ctx,
   tracer_->Record(span);
 }
 
-void CommandService::Handle(proto::Command command) {
+void CommandService::Handle(proto::CommandPtr command) {
   // A dead node is silent: commands arriving after the crash vanish, like
   // connections reset by a downed mongod. Clients notice via timeouts.
   if (!backend_->NodeAlive(node_)) return;
   ++commands_served_;
   // Traced() implies the client stamped sent_at (both happen together in
   // SendAttempt), so a sim-start send at t=0 still gets its wire span.
-  if (Traced(command.ctx)) {
-    RecordSpan(command.ctx, obs::SpanKind::kWire, command.ctx.sent_at,
+  if (Traced(command->ctx)) {
+    RecordSpan(command->ctx, obs::SpanKind::kWire, command->ctx.sent_at,
                loop_->Now());
   }
-  switch (command.kind) {
+  switch (command->kind) {
     case proto::CommandKind::kPing:
     case proto::CommandKind::kHello:
       // Answered off the heartbeat executor — no CPU queueing, so
       // topology monitoring stays responsive on a congested node.
-      SendReply(command, proto::Reply{});
+      SendReply(*command, proto::Reply{});
       return;
     case proto::CommandKind::kFind:
     case proto::CommandKind::kWrite:
       // Sharding admission: a versioned command naming a chunk this shard
       // no longer owns is rejected here, before any body runs — a stale
       // write applies nothing, so the router's re-route cannot duplicate.
-      if (admission_check_ && !admission_check_(command)) {
+      if (admission_check_ && !admission_check_(*command)) {
         proto::Reply reply;
         reply.status = proto::ReplyStatus::kStaleConfig;
-        SendReply(command, reply);
+        SendReply(*command, std::move(reply));
         return;
       }
-      if (command.kind == proto::CommandKind::kFind) {
+      if (command->kind == proto::CommandKind::kFind) {
         HandleFind(std::move(command));
       } else {
         HandleWrite(std::move(command));
@@ -108,30 +108,30 @@ void CommandService::HandleEnvelope(proto::Envelope envelope) {
   server.ExecuteWithCost(
       server.params().service.envelope_base,
       [this, envelope = std::move(envelope), fraction]() mutable {
-        for (proto::Command& command : envelope.commands) {
-          command.cost_scale = fraction;
+        for (proto::CommandPtr& command : envelope.commands) {
+          command->cost_scale = fraction;
           Handle(std::move(command));
         }
       });
 }
 
-void CommandService::HandleFind(proto::Command command) {
-  if (command.require_primary && !IsPrimaryHere()) {
+void CommandService::HandleFind(proto::CommandPtr command) {
+  if (command->require_primary && !IsPrimaryHere()) {
     proto::Reply reply;
     reply.status = proto::ReplyStatus::kNotPrimary;
-    SendReply(command, reply);
+    SendReply(*command, std::move(reply));
     return;
   }
   WaitForClusterTime(std::move(command), loop_->Now());
 }
 
-void CommandService::WaitForClusterTime(proto::Command command,
+void CommandService::WaitForClusterTime(proto::CommandPtr command,
                                         sim::Time parked_at) {
   // Node died while the read was parked: abandon it silently (the client
   // attempt timeout takes over).
   if (!backend_->NodeAlive(node_)) return;
   if (backend_->NodeLastApplied(node_).seq <
-      command.ctx.after_cluster_time.seq) {
+      command->ctx.after_cluster_time.seq) {
     loop_->ScheduleAfter(
         kClusterTimePoll,
         [this, command = std::move(command), parked_at]() mutable {
@@ -141,17 +141,17 @@ void CommandService::WaitForClusterTime(proto::Command command,
   }
   // Only an actual wait earns a parking span (most reads pass straight
   // through; a zero-length span per read would be noise).
-  if (Traced(command.ctx) && loop_->Now() > parked_at) {
-    RecordSpan(command.ctx, obs::SpanKind::kServerParking, parked_at,
+  if (Traced(command->ctx) && loop_->Now() > parked_at) {
+    RecordSpan(command->ctx, obs::SpanKind::kServerParking, parked_at,
                loop_->Now());
   }
   ExecuteFind(std::move(command));
 }
 
-void CommandService::ExecuteFind(proto::Command command) {
+void CommandService::ExecuteFind(proto::CommandPtr command) {
   ServerNode& server = backend_->NodeServer(node_);
-  const OpClass op_class = command.op_class;
-  const double cost_scale = command.cost_scale;
+  const OpClass op_class = command->op_class;
+  const double cost_scale = command->cost_scale;
   const sim::Time enqueued_at = loop_->Now();
   server.ExecuteScaled(op_class, cost_scale,
                        [this, command = std::move(command),
@@ -159,47 +159,46 @@ void CommandService::ExecuteFind(proto::Command command) {
     // Ops already in service when a node dies still complete — their
     // replies race the failure, exactly like in-flight responses do.
     std::shared_ptr<const proto::FindResult> find_result;
-    if (command.find_spec != nullptr) {
-      find_result = ExecuteFindSpec(*command.find_spec,
+    if (command->find_spec != nullptr) {
+      find_result = ExecuteFindSpec(*command->find_spec,
                                     backend_->NodeData(node_));
     } else {
-      command.read_body(backend_->NodeData(node_));
+      command->read_body(backend_->NodeData(node_));
     }
-    if (Traced(command.ctx)) {
+    if (Traced(command->ctx)) {
       // CPU queueing + service, together: the client-observable server
       // time the Balancer's Lss estimate is trying to recover.
-      RecordSpan(command.ctx, obs::SpanKind::kServerService, enqueued_at,
+      RecordSpan(command->ctx, obs::SpanKind::kServerService, enqueued_at,
                  loop_->Now());
     }
     proto::Reply reply;
     reply.find_result = std::move(find_result);
     reply.operation_time = backend_->NodeLastApplied(node_);
     reply.from_primary = IsPrimaryHere();
-    SendReply(command, reply);
+    SendReply(*command, std::move(reply));
   });
 }
 
-void CommandService::HandleWrite(proto::Command command) {
+void CommandService::HandleWrite(proto::CommandPtr command) {
   if (!IsPrimaryHere()) {
     proto::Reply reply;
     reply.status = proto::ReplyStatus::kNotPrimary;
-    SendReply(command, reply);
+    SendReply(*command, std::move(reply));
     return;
   }
-  proto::TxnBody body = std::move(command.txn_body);
+  proto::Command& cmd = *command;
   const sim::Time arrived_at = loop_->Now();
   backend_->CommitWrite(
-      node_, command.op_class, std::move(body), command.concern,
-      RetryKey{command.ctx.session, command.ctx.op_id,
-               command.ctx.answered_below},
-      command.cost_scale,
+      node_, cmd.op_class, std::move(cmd.txn_body), cmd.concern,
+      RetryKey{cmd.ctx.session, cmd.ctx.op_id, cmd.ctx.answered_below},
+      cmd.cost_scale,
       [this, command = std::move(command),
        arrived_at](const WriteOutcome& outcome) {
-        if (Traced(command.ctx)) {
+        if (Traced(command->ctx)) {
           // Queue + transaction execution (+ majority wait — the repl
           // layer records that slice separately as commit_wait).
-          RecordSpan(command.ctx, obs::SpanKind::kServerService, arrived_at,
-                     loop_->Now());
+          RecordSpan(command->ctx, obs::SpanKind::kServerService,
+                     arrived_at, loop_->Now());
         }
         proto::Reply reply;
         if (!outcome.ok) {
@@ -211,15 +210,15 @@ void CommandService::HandleWrite(proto::Command command) {
           reply.operation_time = outcome.operation_time;
         }
         reply.from_primary = IsPrimaryHere();
-        SendReply(command, reply);
+        SendReply(*command, std::move(reply));
       });
 }
 
-void CommandService::HandleServerStatus(proto::Command command) {
+void CommandService::HandleServerStatus(proto::CommandPtr command) {
   if (!IsPrimaryHere()) {
     proto::Reply reply;
     reply.status = proto::ReplyStatus::kNotPrimary;
-    SendReply(command, reply);
+    SendReply(*command, std::move(reply));
     return;
   }
   ServerNode& server = backend_->NodeServer(node_);
@@ -229,7 +228,7 @@ void CommandService::HandleServerStatus(proto::Command command) {
                    reply.server_status = backend_->ServerStatusSnapshot();
                    reply.operation_time = backend_->NodeLastApplied(node_);
                    reply.from_primary = IsPrimaryHere();
-                   SendReply(command, reply);
+                   SendReply(*command, std::move(reply));
                  });
 }
 
@@ -247,7 +246,7 @@ proto::HelloReply CommandService::MakeHello() const {
   return hello;
 }
 
-void CommandService::SendReply(const proto::Command& command,
+void CommandService::SendReply(proto::Command& command,
                                proto::Reply reply) {
   reply.op_id = command.ctx.op_id;
   reply.kind = command.kind;
@@ -261,10 +260,10 @@ void CommandService::SendReply(const proto::Command& command,
   // topology view from whatever traffic flows (a kNotPrimary reply names
   // the real primary, accelerating failover recovery).
   reply.hello = MakeHello();
-  auto on_reply = command.on_reply;
   network_->Send(host_, command.reply_to,
-                 [on_reply = std::move(on_reply), reply = std::move(reply)] {
-                   if (on_reply) on_reply(reply);
+                 [on_reply = std::move(command.on_reply),
+                  reply = std::make_unique<proto::Reply>(std::move(reply))] {
+                   if (on_reply) on_reply(*reply);
                  });
 }
 

@@ -10,6 +10,7 @@
 #include "repl/oplog.h"
 #include "repl/txn.h"
 #include "server/server_node.h"
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 
 namespace dcg::server {
@@ -37,6 +38,10 @@ struct RetryKey {
 
   bool retryable() const { return op_id != 0; }
 };
+
+/// Continuation of a write commit. Move-only, so it may own the command
+/// it answers (a CommandPtr) without a shared control block.
+using WriteDone = sim::UniqueFunction<void(const WriteOutcome&)>;
 
 /// The replication-layer surface a CommandService dispatches into.
 /// Implemented by repl::ReplicaSet; kept narrow so server/ does not
@@ -71,8 +76,7 @@ class CommandBackend {
   /// discount for members of a batched envelope.
   virtual void CommitWrite(int node, OpClass op_class, proto::TxnBody body,
                            repl::WriteConcern concern, RetryKey retry,
-                           double cost_scale,
-                           std::function<void(const WriteOutcome&)> done) = 0;
+                           double cost_scale, WriteDone done) = 0;
 
   /// Primary-side replication-progress snapshot (serverStatus payload).
   virtual proto::ServerStatusReply ServerStatusSnapshot() = 0;
@@ -104,8 +108,10 @@ class CommandService {
   CommandService(const CommandService&) = delete;
   CommandService& operator=(const CommandService&) = delete;
 
-  /// Entry point the CommandBus dispatches into at message delivery.
-  void Handle(proto::Command command);
+  /// Entry point the CommandBus dispatches into at message delivery. The
+  /// command is passed by pointer through every later hop (parking, CPU
+  /// queue, commit) until its reply is sent.
+  void Handle(proto::CommandPtr command);
 
   /// Entry point for batched envelopes: charges one envelope_base CPU cost
   /// up front, then dispatches each member through Handle with the
@@ -131,14 +137,14 @@ class CommandService {
   uint64_t commands_served() const { return commands_served_; }
 
  private:
-  void HandleFind(proto::Command command);
+  void HandleFind(proto::CommandPtr command);
   /// Parks a causal read (afterClusterTime) until the local lastApplied
   /// catches up, polling like a real server's read-concern wait.
   /// `parked_at` is the instant the wait began (for the parking span).
-  void WaitForClusterTime(proto::Command command, sim::Time parked_at);
-  void ExecuteFind(proto::Command command);
-  void HandleWrite(proto::Command command);
-  void HandleServerStatus(proto::Command command);
+  void WaitForClusterTime(proto::CommandPtr command, sim::Time parked_at);
+  void ExecuteFind(proto::CommandPtr command);
+  void HandleWrite(proto::CommandPtr command);
+  void HandleServerStatus(proto::CommandPtr command);
 
   /// True when this command belongs to a traced client op.
   bool Traced(const proto::OpContext& ctx) const {
@@ -151,8 +157,9 @@ class CommandService {
   bool IsPrimaryHere() const;
   proto::HelloReply MakeHello() const;
   /// Fills the envelope (op id, kind, node, hello piggyback) and ships
-  /// the reply over the network to the command's reply_to host.
-  void SendReply(const proto::Command& command, proto::Reply reply);
+  /// the reply, by pointer, over the network to the command's reply_to
+  /// host. Takes the command's `on_reply`: the command is finished.
+  void SendReply(proto::Command& command, proto::Reply reply);
 
   sim::EventLoop* loop_;
   net::Network* network_;

@@ -11,41 +11,39 @@ CpuQueue::CpuQueue(sim::EventLoop* loop, int cores)
   DCG_CHECK(cores >= 1);
 }
 
-void CpuQueue::Submit(sim::Duration service_time, std::function<void()> done) {
+void CpuQueue::Submit(sim::Duration service_time, sim::Callback done) {
   if (service_time < 0) service_time = 0;
-  Job job{service_time, std::move(done)};
   if (busy_ < cores_) {
-    StartJob(std::move(job));
+    StartJob(service_time, std::move(done));
   } else {
-    waiting_.push_back(std::move(job));
+    waiting_.push_back(Job{service_time, std::move(done)});
   }
 }
 
-void CpuQueue::StartJob(Job job) {
+void CpuQueue::StartJob(sim::Duration service_time, sim::Callback&& done) {
   ++busy_;
-  total_busy_time_ += job.service_time;
+  total_busy_time_ += service_time;
   uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(running_.size());
-    running_.push_back(std::move(job.done));
+    running_.push_back(std::move(done));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    running_[slot] = std::move(job.done);
+    running_[slot] = std::move(done);
   }
-  loop_->ScheduleAfter(job.service_time, [this, slot] { FinishJob(slot); });
+  loop_->ScheduleAfter(service_time, [this, slot] { FinishJob(slot); });
 }
 
 void CpuQueue::FinishJob(uint32_t slot) {
   // Take the callback out first: the next job may start in this very slot.
-  std::function<void()> done = std::move(running_[slot]);
-  running_[slot] = nullptr;
+  sim::Callback done = std::move(running_[slot]);
   free_slots_.push_back(slot);
   --busy_;
   if (!waiting_.empty()) {
-    Job next = std::move(waiting_.front());
+    Job& next = waiting_.front();
+    StartJob(next.service_time, std::move(next.done));
     waiting_.pop_front();
-    StartJob(std::move(next));
   }
   done();
 }

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 #include "sim/time.h"
 
@@ -27,7 +27,7 @@ class CpuQueue {
   CpuQueue& operator=(const CpuQueue&) = delete;
 
   /// Enqueues a job; `done` runs when its service completes.
-  void Submit(sim::Duration service_time, std::function<void()> done);
+  void Submit(sim::Duration service_time, sim::Callback done);
 
   int cores() const { return cores_; }
   int busy_cores() const { return busy_; }
@@ -44,10 +44,10 @@ class CpuQueue {
  private:
   struct Job {
     sim::Duration service_time;
-    std::function<void()> done;
+    sim::Callback done;
   };
 
-  void StartJob(Job job);
+  void StartJob(sim::Duration service_time, sim::Callback&& done);
   /// Completion event of the job running in `slot`: frees the core and
   /// starts the next waiting job on it, then runs the finished job's
   /// callback.
@@ -59,8 +59,8 @@ class CpuQueue {
   std::deque<Job> waiting_;
   /// Callbacks of the running jobs, one slot per busy core, recycled
   /// through `free_slots_`: the completion event captures only the slot
-  /// index, small enough for std::function to store without allocating.
-  std::vector<std::function<void()>> running_;
+  /// index.
+  std::vector<sim::Callback> running_;
   std::vector<uint32_t> free_slots_;
   sim::Duration total_busy_time_ = 0;
   sim::Time window_start_ = 0;

@@ -29,12 +29,12 @@ bool ServerNode::checkpointing() const {
   return checkpoint_end_ > loop_->Now();
 }
 
-void ServerNode::Execute(OpClass c, std::function<void()> done) {
+void ServerNode::Execute(OpClass c, sim::Callback done) {
   ExecuteScaled(c, 1.0, std::move(done));
 }
 
 void ServerNode::ExecuteScaled(OpClass c, double multiplier,
-                               std::function<void()> done) {
+                               sim::Callback done) {
   ops_executed_[static_cast<int>(c)]++;
   const auto service = static_cast<sim::Duration>(
       static_cast<double>(SampleService(c)) * multiplier);
@@ -46,7 +46,7 @@ sim::Duration ServerNode::SampleService(OpClass c) {
 }
 
 void ServerNode::ExecuteWithCost(sim::Duration base_service,
-                                 std::function<void()> done) {
+                                 sim::Callback done) {
   sim::Duration service = base_service;
   if (checkpointing()) {
     service = static_cast<sim::Duration>(static_cast<double>(service) *

@@ -2,12 +2,12 @@
 #define DCG_SERVER_SERVER_NODE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "net/network.h"
 #include "server/cpu_queue.h"
 #include "server/service_model.h"
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 #include "sim/random.h"
 #include "store/database.h"
@@ -56,16 +56,16 @@ class ServerNode {
   /// Queues one operation of class `c`; `done` fires when its CPU service
   /// completes. The sampled service time is stretched while a checkpoint
   /// is running.
-  void Execute(OpClass c, std::function<void()> done);
+  void Execute(OpClass c, sim::Callback done);
 
   /// Like Execute, with the sampled service time multiplied by
   /// `multiplier` (used by replication flow control to throttle writes).
-  void ExecuteScaled(OpClass c, double multiplier, std::function<void()> done);
+  void ExecuteScaled(OpClass c, double multiplier, sim::Callback done);
 
   /// Queues work with an explicit pre-scaled service time (used for
   /// batched oplog application, where cost is per entry). Not counted in
   /// per-class op stats.
-  void ExecuteWithCost(sim::Duration base_service, std::function<void()> done);
+  void ExecuteWithCost(sim::Duration base_service, sim::Callback done);
 
   /// Samples a service time for `c` from this node's service model.
   sim::Duration SampleService(OpClass c);

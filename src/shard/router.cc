@@ -24,7 +24,7 @@ Router::Router(sim::EventLoop* loop, sim::Rng rng, net::Network* network,
   // driver dialing this bus sees a 1-node topology whose "primary" is the
   // router. Registration order defines node index 0.
   bus_.RegisterService(host_,
-                       [this](proto::Command c) { Handle(std::move(c)); });
+                       [this](proto::CommandPtr c) { Handle(std::move(c)); });
   bus_.RegisterEnvelopeService(
       host_, [this](proto::Envelope e) { HandleEnvelope(std::move(e)); });
   budget_ = std::make_unique<core::StalenessBudget>(
@@ -58,9 +58,9 @@ void Router::SetTracer(obs::Tracer* tracer) {
   for (auto& stack : stacks_) stack->client().SetTracer(tracer);
 }
 
-void Router::Handle(proto::Command command) {
+void Router::Handle(proto::CommandPtr command) {
   ++commands_served_;
-  switch (command.kind) {
+  switch (command->kind) {
     case proto::CommandKind::kPing:
     case proto::CommandKind::kHello: {
       RoutedOp op;
@@ -86,19 +86,19 @@ void Router::Handle(proto::Command command) {
       auto op = std::make_shared<RoutedOp>();
       op->cmd = std::move(command);
       op->arrived = loop_->Now();
-      if (tracing() && op->cmd.ctx.op_id != 0) {
+      if (tracing() && op->cmd->ctx.op_id != 0) {
         op->router_span = tracer_->NewSpanId();
       }
-      if (op->cmd.kind == proto::CommandKind::kWrite) {
-        DCG_CHECK_MSG(op->cmd.route.has_key,
+      if (op->cmd->kind == proto::CommandKind::kWrite) {
+        DCG_CHECK_MSG(op->cmd->route.has_key,
                       "router write needs a shard-key value in RouteInfo");
         ++routed_writes_;
         DispatchPoint(op);
-      } else if (op->cmd.route.has_key) {
+      } else if (op->cmd->route.has_key) {
         ++routed_reads_;
         DispatchPoint(op);
       } else {
-        DCG_CHECK_MSG(op->cmd.find_spec != nullptr,
+        DCG_CHECK_MSG(op->cmd->find_spec != nullptr,
                       "router cannot scatter an opaque ReadBody — "
                       "ship a FindSpec or a shard-key value");
         ++scatter_finds_;
@@ -113,14 +113,14 @@ void Router::HandleEnvelope(proto::Envelope envelope) {
   // No CPU model on the router: an envelope just unbundles. The batching
   // amortisation it bought lives on the client→router wire (one message)
   // and in the shards' envelope cost tables when sub-ops re-batch.
-  for (proto::Command& command : envelope.commands) {
+  for (proto::CommandPtr& command : envelope.commands) {
     Handle(std::move(command));
   }
 }
 
 bool Router::MakeSubOptions(const RoutedOp& op,
                             driver::OpOptions* opts) const {
-  const proto::OpContext& ctx = op.cmd.ctx;
+  const proto::OpContext& ctx = op.cmd->ctx;
   if (ctx.deadline == 0) {
     opts->deadline = 0;  // explicitly none (-1 would mean "client default")
   } else {
@@ -143,7 +143,7 @@ void Router::DispatchPoint(const std::shared_ptr<RoutedOp>& op) {
   ++op->route_attempts;
   DCG_CHECK_MSG(op->route_attempts <= 16,
                 "router re-route loop: chunk moves outpace refreshes");
-  const proto::Command& cmd = op->cmd;
+  const proto::Command& cmd = *op->cmd;
   const int64_t chunk = cache_->ChunkIdFor(cmd.route.key);
   const int shard = cache_->chunk(chunk).shard;
   driver::OpOptions opts;
@@ -198,7 +198,7 @@ void Router::OnPointResult(const std::shared_ptr<RoutedOp>& op,
 }
 
 void Router::ScatterFind(const std::shared_ptr<RoutedOp>& op) {
-  const proto::Command& cmd = op->cmd;
+  const proto::Command& cmd = *op->cmd;
   auto gather = std::make_shared<Gather>();
   gather->op = op;
   gather->parts.resize(stacks_.size());
@@ -249,7 +249,7 @@ void Router::FinishScatter(const std::shared_ptr<Gather>& gather,
     gather->partial_timer = 0;
   }
   if (partial) ++partial_replies_;
-  const proto::FindSpec& spec = *gather->op->cmd.find_spec;
+  const proto::FindSpec& spec = *gather->op->cmd->find_spec;
   auto merged = std::make_shared<proto::FindResult>();
   merged->partial = partial;
   merged->shards_answered = gather->answered;
@@ -319,8 +319,8 @@ proto::HelloReply Router::MakeHello() const {
   return hello;
 }
 
-void Router::Reply(const RoutedOp& op, proto::Reply reply) {
-  const proto::Command& cmd = op.cmd;
+void Router::Reply(RoutedOp& op, proto::Reply reply) {
+  proto::Command& cmd = *op.cmd;
   reply.op_id = cmd.ctx.op_id;
   reply.kind = cmd.kind;
   reply.node_index = 0;
@@ -348,10 +348,10 @@ void Router::Reply(const RoutedOp& op, proto::Reply reply) {
   // Hello piggyback on every reply, like any CommandService — the driver
   // refreshes its (1-node) topology view from whatever traffic flows.
   reply.hello = MakeHello();
-  auto on_reply = cmd.on_reply;
   network_->Send(host_, cmd.reply_to,
-                 [on_reply = std::move(on_reply), reply = std::move(reply)] {
-                   if (on_reply) on_reply(reply);
+                 [on_reply = std::move(cmd.on_reply),
+                  reply = std::make_unique<proto::Reply>(std::move(reply))] {
+                   if (on_reply) on_reply(*reply);
                  });
 }
 

@@ -115,7 +115,7 @@ class Router {
   /// merged reply is sent (or the client's deadline makes silence the
   /// right answer).
   struct RoutedOp {
-    proto::Command cmd;
+    proto::CommandPtr cmd;
     sim::Time arrived = 0;
     uint64_t router_span = 0;
     /// Routing attempts consumed (first dispatch + stale re-routes).
@@ -131,7 +131,7 @@ class Router {
     sim::EventId partial_timer = 0;
   };
 
-  void Handle(proto::Command command);
+  void Handle(proto::CommandPtr command);
   void HandleEnvelope(proto::Envelope envelope);
   /// Single-shard dispatch for keyed ops; re-entered after a stale-config
   /// refresh with the same RoutedOp (same router span, same client op).
@@ -151,8 +151,8 @@ class Router {
   driver::ReadPreference ChoosePreference(int shard);
   /// Sends the reply wire message back to the issuing client, with the
   /// router's hello piggybacked like any CommandService, and closes the
-  /// op's kRouter span.
-  void Reply(const RoutedOp& op, proto::Reply reply);
+  /// op's kRouter span. Takes the command's `on_reply`: an op replies once.
+  void Reply(RoutedOp& op, proto::Reply reply);
   proto::HelloReply MakeHello() const;
   bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
 

@@ -89,47 +89,46 @@ void EventLoop::CompactIfWorthwhile() {
   }
 }
 
-EventId EventLoop::ScheduleAt(Time at, std::function<void()> fn) {
-  if (at < now_) at = now_;
-  uint32_t slot_idx;
+uint32_t EventLoop::AcquireSlot() {
   if (!free_slots_.empty()) {
-    slot_idx = free_slots_.back();
+    const uint32_t slot_idx = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    if ((slot_count_ & (kSlabChunkSize - 1)) == 0) {
-      slabs_.emplace_back(std::make_unique<Slot[]>(kSlabChunkSize));
-    }
-    slot_idx = slot_count_++;
+    return slot_idx;
   }
+  if ((slot_count_ & (kSlabChunkSize - 1)) == 0) {
+    slabs_.emplace_back(std::make_unique<Slot[]>(kSlabChunkSize));
+  }
+  return slot_count_++;
+}
+
+EventId EventLoop::Enqueue(Time at, uint32_t slot_idx) {
+  if (at < now_) at = now_;
   Slot& slot = SlotAt(slot_idx);
-  slot.fn = std::move(fn);
   slot.live = true;
   HeapPush(Event{at, next_seq_++, slot_idx, slot.gen});
   ++pending_;
   return MakeId(slot_idx, slot.gen);
 }
 
-EventId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  return ScheduleAt(now_ + delay, std::move(fn));
+void EventLoop::Invalidate(Slot* slot) {
+  slot->live = false;
+  if (++slot->gen == 0) slot->gen = 1;  // 0 stays reserved across wraparound
+  --pending_;
 }
 
-void EventLoop::ReleaseSlot(uint32_t slot_idx) {
-  Slot& slot = SlotAt(slot_idx);
-  slot.fn = nullptr;
-  slot.live = false;
-  if (++slot.gen == 0) slot.gen = 1;  // 0 stays reserved across wraparound
+void EventLoop::Recycle(uint32_t slot_idx) {
+  SlotAt(slot_idx).fn.Reset();
   free_slots_.push_back(slot_idx);
-  --pending_;
 }
 
 bool EventLoop::Cancel(EventId id) {
   const uint32_t slot_idx = static_cast<uint32_t>(id >> 32);
   const uint32_t gen = static_cast<uint32_t>(id);
   if (slot_idx >= slot_count_) return false;
-  const Slot& slot = SlotAt(slot_idx);
+  Slot& slot = SlotAt(slot_idx);
   if (!slot.live || slot.gen != gen) return false;
-  ReleaseSlot(slot_idx);
+  Invalidate(&slot);
+  Recycle(slot_idx);
   ++stale_in_heap_;  // the heap entry is now a tombstone
   CompactIfWorthwhile();
   return true;
@@ -146,13 +145,14 @@ const EventLoop::Event* EventLoop::PeekLive() {
 }
 
 void EventLoop::Fire(const Event& ev) {
-  std::function<void()> fn = std::move(SlotAt(ev.slot).fn);
   const Time at = ev.at;
   const uint32_t slot_idx = ev.slot;
   HeapPop();  // invalidates `ev`
-  ReleaseSlot(slot_idx);
+  Slot& slot = SlotAt(slot_idx);
+  Invalidate(&slot);
   now_ = at;
-  fn();
+  slot.fn();
+  Recycle(slot_idx);
 }
 
 bool EventLoop::Step() {

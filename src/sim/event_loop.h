@@ -2,10 +2,11 @@
 #define DCG_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace dcg::sim {
@@ -23,7 +24,9 @@ using EventId = uint64_t;
 /// fire in the order they were scheduled, which keeps runs deterministic.
 ///
 /// Callbacks live inline in a slab of slots recycled through a free list —
-/// no per-event hash-map lookup, insert, or erase on the hot path. The
+/// no per-event hash-map lookup, insert, or erase on the hot path, and no
+/// allocation for a callable that fits sim::Callback's inline storage: it
+/// is constructed straight in its slot and invoked there. The
 /// priority queue is a 4-ary min-heap of POD entries carrying the slot and
 /// the generation the id was issued under; cancellation just bumps the
 /// slot's generation, and the stale queue entry is discarded when it
@@ -46,11 +49,20 @@ class EventLoop {
   Time Now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `at`. Scheduling in the past
-  /// (before `Now()`) clamps to `Now()`; the event still runs.
-  EventId ScheduleAt(Time at, std::function<void()> fn);
+  /// (before `Now()`) clamps to `Now()`; the event still runs. `fn` is any
+  /// `void()` callable (or a Callback); it is built directly in its slot.
+  template <typename F>
+  EventId ScheduleAt(Time at, F&& fn) {
+    const uint32_t slot_idx = AcquireSlot();
+    SlotAt(slot_idx).fn = std::forward<F>(fn);
+    return Enqueue(at, slot_idx);
+  }
 
   /// Schedules `fn` to run `delay` from now. Negative delays clamp to 0.
-  EventId ScheduleAfter(Duration delay, std::function<void()> fn);
+  template <typename F>
+  EventId ScheduleAfter(Duration delay, F&& fn) {
+    return ScheduleAt(delay < 0 ? now_ : now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancels a pending event. Returns true if the event existed and had not
   /// yet fired. Cancelling an already-fired or unknown id is a no-op.
@@ -84,7 +96,7 @@ class EventLoop {
   /// One slab slot. `gen` advances on fire/cancel, which simultaneously
   /// invalidates the outstanding EventId and any queue entry pointing here.
   struct Slot {
-    std::function<void()> fn;
+    Callback fn;
     uint32_t gen = 1;  // 0 is reserved so EventId 0 is never valid
     bool live = false;
   };
@@ -93,9 +105,16 @@ class EventLoop {
     return (static_cast<uint64_t>(slot) << 32) | gen;
   }
 
-  // Frees a slot after fire/cancel: drops the callback's captured state,
-  // advances the generation, and recycles the index.
-  void ReleaseSlot(uint32_t slot_idx);
+  // A free slot (recycled, or a fresh one at the end of the slab).
+  uint32_t AcquireSlot();
+  // Marks the slot holding a freshly built callback live and queues it.
+  EventId Enqueue(Time at, uint32_t slot_idx);
+
+  // Invalidates a slot on fire/cancel: marks it dead and advances the
+  // generation, so its id and queue entry go stale.
+  void Invalidate(Slot* slot);
+  // Drops the callback's captured state and recycles the index.
+  void Recycle(uint32_t slot_idx);
 
   // Slots live in fixed-size chunks so slab growth never moves (and never
   // re-constructs) existing callbacks; a slot's address is stable for life.
@@ -131,7 +150,10 @@ class EventLoop {
   // next live event, or nullptr if the queue drained.
   const Event* PeekLive();
 
-  // Pops `ev` (the current queue head) and runs its callback.
+  // Pops `ev` (the current queue head) and runs its callback in its slot.
+  // The slot is invalidated before the call (a self-Cancel returns false)
+  // and recycled after it; slot addresses are stable, so the callback may
+  // schedule freely while it runs.
   void Fire(const Event& ev);
 
   Time now_ = 0;

@@ -5,8 +5,11 @@
 // hedged reads.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,26 @@
 #include "driver/client.h"
 #include "proto/command.h"
 #include "repl/replica_set.h"
+
+namespace {
+/// Heap allocations counted while armed (the binary is single-threaded).
+bool g_count_allocs = false;
+uint64_t g_allocs = 0;
+}  // namespace
+
+// Pass-through global allocator that counts calls only while armed, so a
+// test can bound the allocations of one code path whatever the code
+// layout or the allocator underneath. Kept out of line so the compiler
+// pairs each new with its delete, not with the malloc/free inside.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dcg::driver {
 namespace {
@@ -264,7 +287,9 @@ TEST_F(CommandTest, AttemptBelowTheSessionMarkIsAcknowledgedNotReapplied) {
       EXPECT_EQ(reply.status, proto::ReplyStatus::kOk);
       ++acknowledged;
     };
-    rs_->command_bus()->Send(client_host_, hosts_[0], command);
+    rs_->command_bus()->Send(
+        client_host_, hosts_[0],
+        std::make_unique<proto::Command>(std::move(command)));
     loop_.RunAll();
   };
   send_increment(/*op_id=*/1, /*answered_below=*/1);
@@ -307,7 +332,9 @@ TEST_F(CommandTest, ServiceRejectsWriteAtSecondaryWithNotPrimary) {
     EXPECT_FALSE(reply.from_primary);
     EXPECT_EQ(reply.hello.primary_index, 0);
   };
-  rs_->command_bus()->Send(client_host_, hosts_[1], command);
+  rs_->command_bus()->Send(
+      client_host_, hosts_[1],
+      std::make_unique<proto::Command>(std::move(command)));
   loop_.RunAll();
   EXPECT_TRUE(got);
   EXPECT_EQ(rs_->committed_writes(), 0u);
@@ -327,7 +354,9 @@ TEST_F(CommandTest, FindWithRequirePrimaryRefusedAtSecondary) {
     got = true;
     EXPECT_EQ(reply.status, proto::ReplyStatus::kNotPrimary);
   };
-  rs_->command_bus()->Send(client_host_, hosts_[2], command);
+  rs_->command_bus()->Send(
+      client_host_, hosts_[2],
+      std::make_unique<proto::Command>(std::move(command)));
   loop_.RunAll();
   EXPECT_TRUE(got);
 }
@@ -554,6 +583,34 @@ TEST_F(CommandTest, PerOpCountersAccumulateOnTheUnifiedPath) {
   EXPECT_EQ(client_->op_counters().ok, 6u);
   EXPECT_EQ(client_->op_counters().timed_out, 0u);
   EXPECT_EQ(client_->op_counters().retried, 0u);
+}
+
+TEST_F(CommandTest, SingletonReadAllocatesOnlyItsCommandAndReply) {
+  // A command travels by pointer and every hop's closure (bus message,
+  // CPU job, reply message) fits its callback's inline storage, so a read
+  // allocates its Command and its Reply and nothing else.
+  Build();
+  int left = 0;
+  std::function<void()> read_next = [&] {
+    if (left == 0) return;
+    --left;
+    client_->Read(ReadPreference::kPrimary, server::OpClass::kPointRead,
+                  [](const store::Database&) {},
+                  [&](const OpResult&) { read_next(); });
+  };
+  left = 1000;  // warm-up: slabs, op table, pools and queues reach size
+  read_next();
+  loop_.RunAll();
+  constexpr int kReads = 1000;
+  left = kReads;
+  g_allocs = 0;
+  g_count_allocs = true;
+  read_next();
+  loop_.RunAll();
+  g_count_allocs = false;
+  EXPECT_EQ(left, 0);
+  EXPECT_EQ(client_->op_counters().ok, 1000u + kReads);
+  EXPECT_LE(static_cast<double>(g_allocs) / kReads, 2.0);
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
-// Tests for the discrete-event kernel and the deterministic RNG.
+// Tests for the discrete-event kernel, its inline callback type and the
+// deterministic RNG.
 
+#include <array>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 #include "sim/random.h"
 #include "sim/time.h"
@@ -102,6 +108,158 @@ TEST(EventLoopTest, EventsScheduledDuringRunAreExecuted) {
   loop.ScheduleAfter(0, recurse);
   loop.RunAll();
   EXPECT_EQ(depth, 100);
+}
+
+// --- sim::Callback and in-place firing ------------------------------------
+
+/// Live-instance and call counts shared by every copy of a Counted.
+struct Counters {
+  int live = 0;
+  int calls = 0;
+};
+
+/// A callable that counts its live instances (moves included), so a
+/// callable destroyed twice drives `live` below zero and one leaked keeps
+/// it above. `kPad` picks inline or heap storage.
+template <size_t kPad>
+struct Counted {
+  explicit Counted(Counters* counters) : c(counters) { ++c->live; }
+  Counted(const Counted& other) : c(other.c) { ++c->live; }
+  Counted(Counted&& other) noexcept : c(other.c) { ++c->live; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --c->live; }
+  void operator()() { ++c->calls; }
+
+  Counters* c;
+  std::array<unsigned char, kPad> pad{};
+};
+using InlineCounted = Counted<8>;
+using HeapCounted = Counted<96>;
+static_assert(Callback::StoresInline<InlineCounted>());
+static_assert(!Callback::StoresInline<HeapCounted>());
+
+template <typename T>
+class CallbackLifetimeTest : public ::testing::Test {};
+using CallableSizes = ::testing::Types<InlineCounted, HeapCounted>;
+TYPED_TEST_SUITE(CallbackLifetimeTest, CallableSizes);
+
+TYPED_TEST(CallbackLifetimeTest, FiredCallbackRunsOnceAndIsDestroyedOnce) {
+  Counters c;
+  {
+    EventLoop loop;
+    loop.ScheduleAt(Millis(1), TypeParam(&c));  // built in its slot
+    Callback wrapped = TypeParam(&c);           // moved into its slot
+    loop.ScheduleAt(Millis(2), std::move(wrapped));
+    EXPECT_EQ(c.live, 2);
+    loop.RunAll();
+    EXPECT_EQ(c.calls, 2);
+    EXPECT_EQ(c.live, 0);  // dropped as each fired, not at loop teardown
+  }
+  EXPECT_EQ(c.live, 0);
+}
+
+TYPED_TEST(CallbackLifetimeTest, CancelledCallbackNeverRunsAndIsDestroyedOnce) {
+  Counters c;
+  {
+    EventLoop loop;
+    const EventId id = loop.ScheduleAt(Millis(1), TypeParam(&c));
+    EXPECT_EQ(c.live, 1);
+    EXPECT_TRUE(loop.Cancel(id));
+    EXPECT_EQ(c.live, 0);  // captured state goes at the cancel
+    loop.RunAll();
+    EXPECT_EQ(c.calls, 0);
+  }
+  EXPECT_EQ(c.live, 0);
+}
+
+TYPED_TEST(CallbackLifetimeTest, PendingCallbackIsDestroyedWithTheLoop) {
+  Counters c;
+  {
+    EventLoop loop;
+    for (int i = 0; i < 300; ++i) loop.ScheduleAt(Millis(1), TypeParam(&c));
+    loop.ScheduleAt(0, TypeParam(&c));
+    EXPECT_EQ(loop.RunUntil(0), 1u);
+    EXPECT_EQ(c.live, 300);
+  }
+  EXPECT_EQ(c.calls, 1);
+  EXPECT_EQ(c.live, 0);
+}
+
+TYPED_TEST(CallbackLifetimeTest, MovesAndResetKeepExactlyOneInstance) {
+  Counters c;
+  Callback empty = nullptr;
+  EXPECT_FALSE(empty);
+  Callback a = TypeParam(&c);
+  Callback b = std::move(a);
+  EXPECT_FALSE(a);
+  EXPECT_EQ(c.live, 1);
+  b();
+  a = std::move(b);
+  EXPECT_FALSE(b);
+  a();
+  EXPECT_EQ(c.live, 1);
+  a.Reset();
+  EXPECT_FALSE(a);
+  EXPECT_EQ(c.live, 0);
+  EXPECT_EQ(c.calls, 2);
+}
+
+TEST(CallbackTest, MoveOnlyCapturesWork) {
+  EventLoop loop;
+  int seen = 0;
+  auto small = std::make_unique<int>(7);
+  loop.ScheduleAfter(1, [p = std::move(small), &seen] { seen += *p; });
+  // A move-only capture in a closure too large to store inline.
+  auto large = std::make_unique<int>(9);
+  std::array<int, 32> padding{};
+  padding[0] = 100;
+  loop.ScheduleAfter(2, [p = std::move(large), padding, &seen] {
+    seen += *p + padding[0];
+  });
+  loop.RunAll();
+  EXPECT_EQ(seen, 116);
+
+  UniqueFunction<int(std::unique_ptr<int>)> take =
+      [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(take(std::make_unique<int>(3)), 3);
+}
+
+TEST(EventLoopTest, CallbackCancellingItsOwnIdGetsFalse) {
+  EventLoop loop;
+  EventId self = 0;
+  bool cancelled = true;
+  self = loop.ScheduleAt(Millis(1), [&] { cancelled = loop.Cancel(self); });
+  loop.RunAll();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(loop.PendingEvents(), 0u);
+}
+
+TEST(EventLoopTest, CallbackSchedulingDuringItsRunGetsAWorkingSlot) {
+  // The running callback stays in its slot while it schedules enough new
+  // events to grow the slab; its own captures must survive that, and the
+  // new events fire in (time, seq) order after those already queued.
+  EventLoop loop;
+  std::vector<int> order;
+  int fan_out = 0;
+  loop.ScheduleAt(Millis(1), [&loop, &order, &fan_out,
+                              tag = std::vector<int>{10, 11, 12}] {
+    order.push_back(0);
+    loop.ScheduleAt(Millis(1), [&order] { order.push_back(2); });
+    const EventId dropped =
+        loop.ScheduleAt(Millis(1), [&order] { order.push_back(-1); });
+    loop.ScheduleAt(Millis(1), [&order] { order.push_back(3); });
+    EXPECT_TRUE(loop.Cancel(dropped));
+    for (int i = 0; i < 1000; ++i) {
+      loop.ScheduleAt(Millis(3), [&fan_out] { ++fan_out; });
+    }
+    order.push_back(tag[2]);
+  });
+  loop.ScheduleAt(Millis(1), [&order] { order.push_back(1); });
+  loop.ScheduleAt(Millis(2), [&order] { order.push_back(4); });
+  loop.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 12, 1, 2, 3, 4}));
+  EXPECT_EQ(fan_out, 1000);
+  EXPECT_EQ(loop.PendingEvents(), 0u);
 }
 
 TEST(TimeTest, Conversions) {
