@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
+#include "doc/json.h"
 #include "util/check.h"
 
 namespace dcg::doc {
@@ -24,79 +26,6 @@ bool ParseIndex(std::string_view s, size_t* out) {
   if (ec != std::errc() || ptr != s.data() + s.size()) return false;
   *out = v;
   return true;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendJson(const Value& v, std::string* out);
-
-void AppendJsonObject(const Object& o, std::string* out) {
-  out->push_back('{');
-  for (size_t i = 0; i < o.size(); ++i) {
-    if (i != 0) out->push_back(',');
-    AppendJsonString(o.name(i), out);
-    out->push_back(':');
-    AppendJson(o.value(i), out);
-  }
-  out->push_back('}');
-}
-
-void AppendJson(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case Value::Type::kNull:
-      *out += "null";
-      break;
-    case Value::Type::kBool:
-      *out += v.as_bool() ? "true" : "false";
-      break;
-    case Value::Type::kInt64:
-      *out += std::to_string(v.as_int64());
-      break;
-    case Value::Type::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.12g", v.as_double());
-      *out += buf;
-      break;
-    }
-    case Value::Type::kString:
-      AppendJsonString(v.as_string(), out);
-      break;
-    case Value::Type::kTimestamp:
-      *out += "{\"$ts\":" + std::to_string(v.as_timestamp()) + "}";
-      break;
-    case Value::Type::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const auto& item : v.as_array()) {
-        if (!first) out->push_back(',');
-        first = false;
-        AppendJson(item, out);
-      }
-      out->push_back(']');
-      break;
-    }
-    case Value::Type::kObject:
-      AppendJsonObject(v.as_object(), out);
-      break;
-  }
 }
 
 // NaN equals only NaN and sorts below every other number, as in MongoDB;
@@ -121,11 +50,73 @@ int CompareIntDouble(int64_t i, double d) {
 
 }  // namespace
 
-Object::Object(ShapeRef shape, std::vector<Value> values)
-    : shape_(std::move(shape)), values_(std::move(values)) {
-  const size_t names = shape_.get() == nullptr ? 0 : shape_->size();
-  DCG_CHECK_MSG(values_.size() == names, "%zu values for a shape of %zu names",
-                values_.size(), names);
+Array::Array(const Array& o) {
+  if (o.empty()) return;
+  Reallocate(o.size());
+  for (const Value& v : o) new (Elements(b_) + b_->size++) Value(v);
+}
+
+void Array::Reallocate(size_t capacity) {
+  DCG_CHECK_MSG(capacity <= UINT32_MAX, "array of %zu elements", capacity);
+  auto* b = static_cast<Header*>(
+      ::operator new(sizeof(Header) + capacity * sizeof(Value)));
+  b->size = static_cast<uint32_t>(size());
+  b->capacity = static_cast<uint32_t>(capacity);
+  if (b_ != nullptr) {
+    // A Value relocates by its bytes (see the class comment).
+    std::memcpy(static_cast<void*>(Elements(b)), Elements(b_),
+                b_->size * sizeof(Value));
+    ::operator delete(b_);
+  }
+  b_ = b;
+}
+
+void Array::ShrinkToFit() {
+  if (size() == capacity()) return;
+  if (empty()) {
+    ::operator delete(std::exchange(b_, nullptr));
+    return;
+  }
+  Reallocate(size());
+}
+
+void Array::Free() {
+  Value* elems = Elements(b_);
+  for (uint32_t i = 0; i < b_->size; ++i) elems[i].~Value();
+  ::operator delete(b_);
+}
+
+Object::Header* Object::Allocate(size_t n) {
+  return static_cast<Header*>(
+      ::operator new(sizeof(Header) + n * sizeof(Value)));
+}
+
+Object::Object(ShapeRef shape, Array values) {
+  const size_t names = shape.get() == nullptr ? 0 : shape->size();
+  DCG_CHECK_MSG(values.size() == names, "%zu values for a shape of %zu names",
+                values.size(), names);
+  if (shape.get() == nullptr) return;  // the empty object has no block
+  if (values.b_ == nullptr || values.capacity() != names) {
+    values.Reallocate(names);
+  }
+  // The array's 8-byte header becomes the ShapeRef; the values stay.
+  b_ = new (std::exchange(values.b_, nullptr)) Header{std::move(shape)};
+}
+
+Object::Object(const Object& o) {
+  if (o.b_ == nullptr) return;
+  const size_t n = o.size();
+  Header* b = Allocate(n);
+  new (b) Header{o.b_->shape};
+  for (size_t i = 0; i < n; ++i) new (Values(b) + i) Value(o.value(i));
+  b_ = b;
+}
+
+void Object::Free() {
+  const size_t n = size();
+  for (size_t i = 0; i < n; ++i) Values(b_)[i].~Value();
+  b_->~Header();
+  ::operator delete(b_);
 }
 
 void Object::Set(std::string_view field, Value v) {
@@ -133,37 +124,108 @@ void Object::Set(std::string_view field, Value v) {
     *existing = std::move(v);
     return;
   }
+  const size_t n = size();
   std::vector<std::string> names;
-  names.reserve(size() + 1);
-  for (size_t i = 0; i < size(); ++i) names.push_back(name(i));
+  names.reserve(n + 1);
+  for (size_t i = 0; i < n; ++i) names.push_back(name(i));
   names.emplace_back(field);
-  shape_ = ShapeRef(std::move(names));
-  values_.push_back(std::move(v));
+  Header* b = Allocate(n + 1);
+  if (n != 0) {
+    std::memcpy(static_cast<void*>(Values(b)), Values(b_), n * sizeof(Value));
+  }
+  new (Values(b) + n) Value(std::move(v));
+  new (b) Header{ShapeRef(std::move(names))};
+  if (b_ != nullptr) {  // its values now live in `b`
+    b_->~Header();
+    ::operator delete(b_);
+  }
+  b_ = b;
 }
 
 bool Object::Erase(std::string_view field) {
-  if (shape_.get() == nullptr) return false;
-  const size_t slot = shape_->Find(field);
+  if (b_ == nullptr) return false;
+  const size_t slot = b_->shape->Find(field);
   if (slot == Shape::npos) return false;
+  const size_t n = size();
   std::vector<std::string> names;
-  names.reserve(size() - 1);
-  for (size_t i = 0; i < size(); ++i) {
+  names.reserve(n - 1);
+  for (size_t i = 0; i < n; ++i) {
     if (i != slot) names.push_back(name(i));
   }
-  shape_ = ShapeRef(std::move(names));
-  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(slot));
+  Header* b = Allocate(n - 1);
+  Value* from = Values(b_);
+  from[slot].~Value();
+  std::memcpy(static_cast<void*>(Values(b)), from, slot * sizeof(Value));
+  std::memcpy(static_cast<void*>(Values(b) + slot), from + slot + 1,
+              (n - 1 - slot) * sizeof(Value));
+  new (b) Header{ShapeRef(std::move(names))};
+  b_->~Header();
+  ::operator delete(b_);
+  b_ = b;
   return true;
 }
 
-Value Value::Timestamp(int64_t ns) {
-  Value v;
-  v.v_ = Ts{ns};
-  return v;
+void Value::InitString(std::string_view s) {
+  if (s.size() <= kInlineString) {
+    Init(kStringTag);
+    // An empty view's data() may be null, which memcpy must not get.
+    if (!s.empty()) std::memcpy(rep_, s.data(), s.size());
+    rep_[kLengthByte] = static_cast<uint8_t>(s.size());
+    return;
+  }
+  DCG_CHECK_MSG(s.size() <= UINT32_MAX, "string of %zu bytes", s.size());
+  char* chars = static_cast<char*>(::operator new(s.size()));
+  std::memcpy(chars, s.data(), s.size());
+  Init(kHeapStringTag, chars);
+  const auto size = static_cast<uint32_t>(s.size());
+  std::memcpy(rep_ + sizeof(char*), &size, sizeof(size));
+}
+
+Value::Value(Array a) {
+  a.ShrinkToFit();
+  Init(kArrayTag);
+  new (rep_) Array(std::move(a));
+}
+
+void Value::CopyBlock(const Value& o) {
+  switch (o.tag()) {
+    case kArrayTag:
+      Init(kArrayTag);
+      new (rep_) Array(o.array());
+      return;
+    case kObjectTag:
+      Init(kObjectTag);
+      new (rep_) Object(o.object());
+      return;
+    default:
+      InitString(o.string_bytes());
+  }
+}
+
+void Value::ReleaseBlock() {
+  switch (tag()) {
+    case kArrayTag:
+      array().~Array();
+      return;
+    case kObjectTag:
+      object().~Object();
+      return;
+    default:
+      ::operator delete(const_cast<char*>(Load<const char*>(0)));
+  }
+}
+
+void Value::WrongType(Type want) const {
+  const std::string_view held = TypeName(type()), wanted = TypeName(want);
+  std::fprintf(stderr, "doc::Value holds %.*s, not %.*s\n",
+               static_cast<int>(held.size()), held.data(),
+               static_cast<int>(wanted.size()), wanted.data());
+  std::abort();
 }
 
 Value Value::Doc(std::initializer_list<std::pair<std::string, Value>> f) {
   std::vector<std::string> names;
-  std::vector<Value> values;
+  Array values;
   names.reserve(f.size());
   values.reserve(f.size());
   for (const auto& [name, value] : f) {
@@ -174,7 +236,7 @@ Value Value::Doc(std::initializer_list<std::pair<std::string, Value>> f) {
 }
 
 Value Value::Doc(const ShapeRef& shape, std::initializer_list<Value> values) {
-  return Value(Object(shape, std::vector<Value>(values)));
+  return Value(Object(shape, Array(values)));
 }
 
 Value Value::List(std::initializer_list<Value> items) {
@@ -193,10 +255,10 @@ const Value* Value::FindPath(std::string_view path) const {
     auto [head, rest] = SplitPath(path);
     if (cur->is_array()) {
       size_t idx;
-      if (!ParseIndex(head, &idx) || idx >= cur->as_array().size()) {
+      if (!ParseIndex(head, &idx) || idx >= cur->array().size()) {
         return nullptr;
       }
-      cur = &cur->as_array()[idx];
+      cur = &cur->array()[idx];
     } else {
       cur = cur->Find(head);
     }
@@ -211,8 +273,8 @@ const Value* Value::FindPath(const Path& path) const {
   for (size_t i = 0; i < n && cur != nullptr; ++i) {
     const Path::Segment& seg = path.segment(i);
     if (cur->is_array()) {
-      if (!seg.is_index || seg.index >= cur->as_array().size()) return nullptr;
-      cur = &cur->as_array()[seg.index];
+      if (!seg.is_index || seg.index >= cur->array().size()) return nullptr;
+      cur = &cur->array()[seg.index];
     } else {
       cur = cur->Find(path.segment_name(i));
     }
@@ -239,7 +301,7 @@ void Value::SetPath(std::string_view path, Value v) {
 }
 
 bool Value::Erase(std::string_view field) {
-  return is_object() && as_object().Erase(field);
+  return is_object() && object().Erase(field);
 }
 
 int Value::Compare(const Value& other) const {
@@ -267,35 +329,34 @@ int Value::Compare(const Value& other) const {
   };
   const int ra = rank(type()), rb = rank(other.type());
   if (ra != rb) return ra < rb ? -1 : 1;
+  // Both types are known from here on: read the cells unchecked.
   switch (type()) {
     case Type::kNull:
       return 0;
-    case Type::kBool: {
-      const int a = as_bool() ? 1 : 0, b = other.as_bool() ? 1 : 0;
-      return a - b;
-    }
+    case Type::kBool:
+      return rep_[0] - other.rep_[0];
     case Type::kInt64:
       if (other.is_int64()) {
-        const int64_t a = as_int64(), b = other.as_int64();
+        const auto a = Load<int64_t>(0), b = other.Load<int64_t>(0);
         return a < b ? -1 : (a > b ? 1 : 0);
       }
-      return CompareIntDouble(as_int64(), other.as_double());
+      return CompareIntDouble(Load<int64_t>(0), other.Load<double>(0));
     case Type::kDouble:
       if (other.is_int64()) {
-        return -CompareIntDouble(other.as_int64(), as_double());
+        return -CompareIntDouble(other.Load<int64_t>(0), Load<double>(0));
       }
-      return CompareDoubles(as_double(), other.as_double());
+      return CompareDoubles(Load<double>(0), other.Load<double>(0));
     case Type::kString: {
-      const int c = as_string().compare(other.as_string());
+      const int c = string_bytes().compare(other.string_bytes());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case Type::kTimestamp: {
-      const int64_t a = as_timestamp(), b = other.as_timestamp();
+      const auto a = Load<int64_t>(0), b = other.Load<int64_t>(0);
       return a < b ? -1 : (a > b ? 1 : 0);
     }
     case Type::kArray: {
-      const Array& a = as_array();
-      const Array& b = other.as_array();
+      const Array& a = array();
+      const Array& b = other.array();
       const size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         const int c = a[i].Compare(b[i]);
@@ -304,8 +365,8 @@ int Value::Compare(const Value& other) const {
       return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
     }
     case Type::kObject: {
-      const Object& a = as_object();
-      const Object& b = other.as_object();
+      const Object& a = object();
+      const Object& b = other.object();
       const size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         const int kc = a.name(i).compare(b.name(i));
@@ -320,9 +381,13 @@ int Value::Compare(const Value& other) const {
 }
 
 std::string Value::ToJson() const {
-  std::string out;
-  AppendJson(*this, &out);
-  return out;
+  struct Appender {
+    void Put(char c) { out.push_back(c); }
+    void Put(std::string_view s) { out.append(s); }
+    std::string out;
+  } sink;
+  WriteJson(*this, &sink);
+  return std::move(sink.out);
 }
 
 size_t Value::ApproxSize() const {

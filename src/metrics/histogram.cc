@@ -7,8 +7,6 @@
 
 namespace dcg::metrics {
 
-Histogram::Histogram() : buckets_(kBuckets, 0) {}
-
 int Histogram::BucketFor(double value) {
   if (value < 1.0) return 0;
   const int bucket =
@@ -31,6 +29,7 @@ void Histogram::Add(double value) {
   }
   ++count_;
   sum_ += value;
+  if (buckets_.empty()) buckets_.resize(kBuckets);
   ++buckets_[BucketFor(value)];
 }
 
@@ -71,6 +70,7 @@ void Histogram::Merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
+  if (buckets_.empty()) buckets_.resize(kBuckets);
   for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 

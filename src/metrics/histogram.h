@@ -9,10 +9,12 @@ namespace dcg::metrics {
 /// Fixed-footprint log-bucketed histogram (HDR-style, ~2.5 % relative
 /// bucket width). Used for latencies (nanoseconds) and staleness samples.
 /// Memory is constant regardless of sample count, so experiments can
-/// record tens of millions of operations.
+/// record tens of millions of operations. The buckets are allocated by the
+/// first Add or non-empty Merge: a histogram that never records costs no
+/// heap.
 class Histogram {
  public:
-  Histogram();
+  Histogram() = default;
 
   /// Records a sample (negative values are clamped to 0).
   void Add(double value);
@@ -37,7 +39,7 @@ class Histogram {
   static int BucketFor(double value);
   static double BucketUpper(int bucket);
 
-  std::vector<uint64_t> buckets_;
+  std::vector<uint64_t> buckets_;  // kBuckets counts, or empty until used
   uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;

@@ -1,19 +1,28 @@
 #include "shard/chunk_map.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
+#include "doc/json.h"
 #include "util/check.h"
 
 namespace dcg::shard {
 
 uint64_t ChunkMap::HashKey(const doc::Value& key) {
-  const std::string encoded = key.ToJson();
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : encoded) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  // FNV-1a over the key's JSON text, streamed: no string is built.
+  struct Fnv {
+    void Put(char c) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    void Put(std::string_view s) {
+      for (const char c : s) Put(c);
+    }
+    uint64_t h = 0xcbf29ce484222325ULL;
+  } fnv;
+  doc::WriteJson(key, &fnv);
+  uint64_t h = fnv.h;
   // Chunk ranges slice the *high* bits of the hash line, and raw FNV-1a
   // barely stirs them for short keys (the final byte only reaches ~40
   // bits up) — finalize with a full-avalanche mix so consecutive ids

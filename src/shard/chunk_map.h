@@ -47,9 +47,10 @@ struct Chunk {
 /// stamped (kStaleConfig) — MongoDB's lazy routing-table refresh.
 class ChunkMap {
  public:
-  /// The key hash routing uses for hashed patterns. FNV-1a over the
-  /// value's canonical encoding — stable across runs, so hashed placement
-  /// is deterministic.
+  /// The key hash routing uses for hashed patterns: FNV-1a over the
+  /// value's ToJson text, streamed through doc::WriteJson, then a
+  /// full-avalanche mix — stable across runs, so hashed placement is
+  /// deterministic.
   static uint64_t HashKey(const doc::Value& key);
 
   /// Hashed pre-split (MongoDB's initial chunks for a hashed key): the

@@ -75,7 +75,7 @@ doc::ShapeRef HistoryShape() {
 doc::Value MakeOrderDoc(const doc::ShapeRef& shape, int w, int d, int64_t o,
                         int c, sim::Time entry, doc::Array lines,
                         bool delivered, int carrier) {
-  std::vector<doc::Value> values;
+  doc::Array values;
   values.reserve(shape->size());
   values.push_back(OrderId(w, d, o));
   values.emplace_back(int64_t{w});
@@ -230,6 +230,7 @@ void TpccWorkload::Load(const TpccConfig& config, store::Database* db) {
             (o - 1) % config.customers_per_district + 1);
         const int64_t ol_cnt = rng.UniformInt(5, 15);
         doc::Array lines;
+        lines.reserve(static_cast<size_t>(ol_cnt));
         for (int64_t l = 0; l < ol_cnt; ++l) {
           lines.push_back(MakeLine(line_shape, rng.UniformInt(1, config.items),
                                    rng.UniformInt(1, 10),
@@ -325,6 +326,7 @@ void TpccWorkload::DoNewOrder(Done done) {
         const store::Collection* items = ctx->db().Get(kItem);
         const store::Collection* stock = ctx->db().Get(kStock);
         doc::Array lines;
+        lines.reserve(reqs.size());
         for (const LineReq& req : reqs) {
           store::DocPtr item = items->FindById(doc::Value(req.item));
           DCG_CHECK(item != nullptr);

@@ -1,5 +1,6 @@
 #include "workload/ycsb.h"
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,14 +15,13 @@ constexpr int kFieldLength = 40;
 // Filler text: no metric reads the bytes, only their size, so a value just
 // has to stay distinct from the one it replaces. The 16 nibbles of `bits`,
 // one letter each, repeat over the field, so distinct bits give distinct
-// values.
-std::string FieldValue(uint64_t bits) {
-  std::string s(kFieldLength, 'x');
+// values. Written on the stack, so the value's block is the one allocation.
+doc::Value FieldValue(uint64_t bits) {
+  char s[kFieldLength];
   for (int i = 0; i < kFieldLength; ++i) {
-    s[static_cast<size_t>(i)] =
-        static_cast<char>('a' + ((bits >> (4 * (i % 16))) & 0xf));
+    s[i] = static_cast<char>('a' + ((bits >> (4 * (i % 16))) & 0xf));
   }
-  return s;
+  return doc::Value(std::string_view(s, kFieldLength));
 }
 
 // The loaded bits of one (key, field) slot: SplitMix64's finalizer, a
@@ -64,11 +64,11 @@ void YcsbWorkload::Load(const YcsbConfig& config, store::Database* db,
   const doc::ShapeRef shape = RecordShape();  // shared by every record
   for (int64_t key = 0; key < config.record_count; ++key) {
     if (keep != nullptr && !keep(key)) continue;
-    std::vector<doc::Value> values;
+    doc::Array values;
     values.reserve(shape->size());
     values.emplace_back(key);
     for (int f = 0; f < kYcsbFieldCount; ++f) {
-      values.emplace_back(FieldValue(SlotBits(key, f)));
+      values.push_back(FieldValue(SlotBits(key, f)));
     }
     const bool inserted =
         table.Insert(doc::Value(doc::Object(shape, std::move(values))));
@@ -119,7 +119,7 @@ void YcsbWorkload::IssueUpdate(Done done) {
   doc::UpdateSpec spec;
   // Slot 0 is "_id"; field f is slot f + 1.
   spec.Set(record_shape_->name(static_cast<size_t>(field) + 1),
-           doc::Value(FieldValue(rng_.NextU64())));
+           FieldValue(rng_.NextU64()));
   driver::OpOptions opts;
   if (config_.stamp_route) {
     opts.route.collection = config_.table;

@@ -43,6 +43,42 @@ TEST(ChunkMapTest, ChunkIdForAgreesWithChunkRanges) {
   }
 }
 
+// HashKey streams the key's JSON text into FNV-1a: the same hash as
+// FNV-1a plus the finalizing mix over the ToJson string.
+TEST(ChunkMapTest, HashKeyIsFnvAndMixOverToJson) {
+  const auto reference = [](const doc::Value& key) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : key.ToJson()) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+  };
+  const doc::Value keys[] = {
+      doc::Value(int64_t{0}),
+      doc::Value(int64_t{-9223372036854775807LL - 1}),
+      doc::Value(int64_t{123456789}),
+      doc::Value("user\"quoted\\back\nline"),
+      doc::Value(std::string(40, 'k')),
+      doc::Value::List({int64_t{1}, int64_t{2}, "three", 4.5}),
+      doc::Value(0.1),
+      doc::Value(-2.5e300),
+      doc::Value::Timestamp(77),
+      doc::Value::Doc({{"a\"b", doc::Value()}, {"t", true}}),
+  };
+  for (const doc::Value& key : keys) {
+    EXPECT_EQ(ChunkMap::HashKey(key), reference(key)) << key.ToJson();
+  }
+  // Pinned: every hashed run's placement depends on these bits.
+  EXPECT_EQ(ChunkMap::HashKey(doc::Value(int64_t{42})), 0x810b196a56ee3cecULL);
+  EXPECT_EQ(ChunkMap::HashKey(doc::Value::List({1, 2})), 0xba98488ca303d84bULL);
+}
+
 TEST(ChunkMapTest, HashedSpreadsConsecutiveIdsAcrossShards) {
   // The finalized hash must mix the *high* bits (the chunk ranges slice
   // them): 100 consecutive ids should land near 50/50 on two shards.

@@ -109,7 +109,7 @@ Value RandomValue(sim::Rng* rng, int depth) {
     default: {
       // Names may repeat; an Object keeps both fields, as BSON does.
       std::vector<std::string> names;
-      std::vector<Value> values;
+      Array values;
       const int64_t n = rng->UniformInt(0, 2);
       for (int64_t i = 0; i < n; ++i) {
         names.push_back(RandomString(rng));

@@ -1,6 +1,10 @@
 // Tests for the document value model.
 
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,8 +12,43 @@
 #include "doc/key_string.h"
 #include "doc/value.h"
 
+namespace {
+/// Heap allocations and bytes counted while armed (the binary is
+/// single-threaded).
+bool g_count_allocs = false;
+uint64_t g_allocs = 0;
+uint64_t g_alloc_bytes = 0;
+}  // namespace
+
+// Pass-through global allocator that counts calls only while armed, so a
+// test can pin the blocks a value owns. Kept out of line so the compiler
+// pairs each new with its delete, not with the malloc/free inside.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocs) {
+    ++g_allocs;
+    g_alloc_bytes += size;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace dcg::doc {
 namespace {
+
+/// Counts the heap blocks, and their bytes, that `fn` allocates.
+template <typename Fn>
+std::pair<uint64_t, uint64_t> Allocations(Fn&& fn) {
+  g_allocs = 0;
+  g_alloc_bytes = 0;
+  g_count_allocs = true;
+  fn();
+  g_count_allocs = false;
+  return {g_allocs, g_alloc_bytes};
+}
 
 TEST(ValueTest, TypesAreRecognized) {
   EXPECT_TRUE(Value().is_null());
@@ -297,6 +336,157 @@ TEST(ShapeTest, DocWithTheWrongValueCountAborts) {
   EXPECT_DEATH(Value::Doc(shape, {1}), "1 values for a shape of 2 names");
   EXPECT_DEATH(Value::Doc(shape, {1, 2, 3}), "3 values for a shape of 2");
   EXPECT_DEATH(Value::Doc(ShapeRef(), {1}), "1 values for a shape of 0");
+}
+
+// A TPC-C order as the workload builds it: _id [w, d, o], eight scalars
+// and ten order lines, each line an object on a shared shape.
+Value TenLineOrder(const ShapeRef& order_shape, const ShapeRef& line_shape) {
+  Array lines;
+  lines.reserve(10);
+  for (int64_t l = 1; l <= 10; ++l) {
+    lines.push_back(Value::Doc(line_shape, {l * 7, int64_t{5}, 12.5 * l}));
+  }
+  Array values;
+  values.reserve(order_shape->size());
+  values.push_back(Value::List({int64_t{1}, int64_t{2}, int64_t{3001}}));
+  values.emplace_back(int64_t{1});
+  values.emplace_back(int64_t{2});
+  values.emplace_back(int64_t{42});
+  values.push_back(Value::Timestamp(9));
+  values.emplace_back(int64_t{10});
+  values.emplace_back();
+  values.emplace_back();
+  values.emplace_back(std::move(lines));
+  return Value(Object(order_shape, std::move(values)));
+}
+
+// One block per object and per array, each a header word plus 16 bytes a
+// field: the order's own 9 fields, its _id, its lines array and 10 lines.
+TEST(ValueLayoutTest, TenLineOrderIsThirteenExactBlocks) {
+  const ShapeRef order_shape(
+      {"_id", "o_w_id", "o_d_id", "o_c_id", "o_entry_d", "o_ol_cnt",
+       "o_carrier_id", "o_delivery_d", "o_lines"});
+  const ShapeRef line_shape({"ol_i_id", "ol_quantity", "ol_amount"});
+  Value order;
+  const auto [blocks, bytes] =
+      Allocations([&] { order = TenLineOrder(order_shape, line_shape); });
+  EXPECT_EQ(blocks, 13u);
+  EXPECT_EQ(bytes, (8 + 9 * 16) + (8 + 3 * 16) + (8 + 10 * 16) +
+                       10 * (8 + 3 * 16));
+  EXPECT_EQ(order.FindPath("o_lines.9.ol_i_id")->as_int64(), 70);
+
+  // A copy is deep and allocates what the build did; a move allocates
+  // nothing and leaves the source null.
+  Value copy;
+  EXPECT_EQ(Allocations([&] { copy = order; }),
+            std::make_pair(blocks, bytes));
+  EXPECT_EQ(copy, order);
+  Value moved;
+  EXPECT_EQ(Allocations([&] { moved = std::move(copy); }),
+            std::make_pair(uint64_t{0}, uint64_t{0}));
+  EXPECT_EQ(moved, order);
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(ValueLayoutTest, StringsUpToFourteenBytesStayInTheCell) {
+  const std::string fourteen(14, 'a'), fifteen(15, 'b');
+  ASSERT_EQ(Value::kInlineString, 14u);
+  Value v;
+  EXPECT_EQ(Allocations([&] { v = Value(fourteen); }).first, 0u);
+  EXPECT_EQ(v.as_string(), fourteen);
+  EXPECT_EQ(Allocations([&] { v = Value(fifteen); }),
+            std::make_pair(uint64_t{1}, uint64_t{15}));
+  EXPECT_EQ(v.as_string(), fifteen);
+  Value copy;
+  EXPECT_EQ(Allocations([&] { copy = v; }).first, 1u);
+  EXPECT_EQ(copy.as_string(), fifteen);
+  EXPECT_NE(copy.as_string().data(), v.as_string().data());
+  EXPECT_EQ(Allocations([&] { copy = Value(std::string_view()); }).first, 0u);
+  EXPECT_EQ(copy.as_string(), "");
+  // Embedded NULs are bytes like any other.
+  const std::string nuls("a\0b\0", 4);
+  EXPECT_EQ(Value(nuls).as_string(), nuls);
+  EXPECT_EQ(Value(nuls + std::string(20, '\0')).as_string().size(), 24u);
+}
+
+TEST(ValueLayoutTest, ScalarsAndEmptyContainersAllocateNothing) {
+  bool copies_equal = false;
+  const auto [blocks, bytes] = Allocations([&] {
+    const Value a(true), b(int64_t{-3}), c(2.5), d = Value::Timestamp(7);
+    const Value e{Array{}}, f{Object{}}, g("short");
+    const Value copies[] = {a, b, c, d, e, f, g};
+    copies_equal = copies[0] == a && copies[3] == d && copies[6] == g;
+    Array one;
+    one.push_back(Value(1));
+  });
+  EXPECT_TRUE(copies_equal);
+  EXPECT_EQ(blocks, 1u);  // the one push_back
+  EXPECT_EQ(bytes, 8u + 16u);
+}
+
+// A Value built from an Array trims its spare capacity, so a document
+// holds exactly its elements.
+TEST(ValueLayoutTest, ValueFromAnArrayIsExactSize) {
+  Array a;
+  for (int i = 0; i < 5; ++i) a.push_back(Value(i));
+  EXPECT_EQ(a.capacity(), 8u);
+  const Value v(std::move(a));
+  EXPECT_EQ(v.as_array().size(), 5u);
+  EXPECT_EQ(v.as_array().capacity(), 5u);
+  Array reserved;
+  reserved.reserve(4);
+  EXPECT_EQ(Value(std::move(reserved)).as_array().capacity(), 0u);
+}
+
+// The dirty-byte model reads ApproxSize; its formula is the one from
+// before the cell layout, pinned here type by type.
+TEST(ValueLayoutTest, ApproxSizeOfEachType) {
+  EXPECT_EQ(Value().ApproxSize(), 8u);
+  EXPECT_EQ(Value(false).ApproxSize(), 8u);
+  EXPECT_EQ(Value(int64_t{1}).ApproxSize(), 16u);
+  EXPECT_EQ(Value(1.5).ApproxSize(), 16u);
+  EXPECT_EQ(Value::Timestamp(1).ApproxSize(), 16u);
+  EXPECT_EQ(Value("abc").ApproxSize(), 24u + 3);
+  EXPECT_EQ(Value(std::string(40, 'x')).ApproxSize(), 24u + 40);
+  EXPECT_EQ(Value(Array{}).ApproxSize(), 24u);
+  EXPECT_EQ(Value::List({1, "ab"}).ApproxSize(), 24u + 16 + (24 + 2));
+  EXPECT_EQ(Value(Object{}).ApproxSize(), 24u);
+  EXPECT_EQ(Value::Doc({{"a", 1}, {"bc", "x"}}).ApproxSize(),
+            24u + (24 + 1 + 16) + (24 + 2 + (24 + 1)));
+  EXPECT_EQ(Value::Doc({{"o", Value::Doc({{"n", Value()}})}}).ApproxSize(),
+            24u + (24 + 1 + (24 + (24 + 1 + 8))));
+}
+
+// Self-assignment, and assignment from inside the value's own subtree,
+// keep the value: the source is taken before the target is released.
+TEST(ValueLayoutTest, AssignmentFromItselfOrItsSubtree) {
+  const Value original = Value::Doc(
+      {{"s", std::string(30, 's')}, {"a", Value::List({1, "two", 3.5})}});
+  Value v = original;
+  const Value& alias = v;
+  v = alias;
+  EXPECT_EQ(v, original);
+  Value& same = v;
+  v = std::move(same);
+  EXPECT_EQ(v, original);
+  v = v.as_object().value(1);  // copy of a child
+  EXPECT_EQ(v, Value::List({1, "two", 3.5}));
+  v = std::move(v.as_array()[1]);  // move of a child
+  EXPECT_EQ(v, Value("two"));
+}
+
+// push_back of one of the array's own elements survives the growth that
+// moves them.
+TEST(ValueLayoutTest, PushBackOfAnOwnElementSurvivesGrowth) {
+  const std::string z(20, 'z');
+  Array a = {Value(z), Value(2)};
+  a.push_back(a[0]);  // grows 2 -> 4 while copying a[0]
+  a.push_back(Value(3));
+  ASSERT_EQ(a.size(), a.capacity());
+  a.push_back(std::move(a[1]));  // grows 4 -> 8 while moving a[1]
+  ASSERT_EQ(a.size(), 5u);
+  EXPECT_TRUE(a[1].is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(Value(Array(a.begin() + 2, a.end())), Value::List({z, 3, 2}));
 }
 
 TEST(ValueTest, TypeNames) {

@@ -1,15 +1,89 @@
 // Regression tests for Histogram::Percentile at the extremes (p=0 must
 // return the minimum, p=100 the maximum — exactly, not a bucket bound)
-// and for merge behaviour across buckets.
+// and for merge behaviour across buckets, and the lazy bucket array.
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "metrics/histogram.h"
 
+namespace {
+/// Heap allocations counted while armed (the binary is single-threaded).
+bool g_count_allocs = false;
+uint64_t g_allocs = 0;
+}  // namespace
+
+// Pass-through global allocator that counts calls only while armed. Kept
+// out of line so the compiler pairs each new with its delete, not with
+// the malloc/free inside.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace dcg::metrics {
 namespace {
+
+/// Counts the heap blocks `fn` allocates.
+template <typename Fn>
+uint64_t Allocations(Fn&& fn) {
+  g_allocs = 0;
+  g_count_allocs = true;
+  fn();
+  g_count_allocs = false;
+  return g_allocs;
+}
+
+// The 704 buckets are allocated by the first Add or non-empty Merge: a
+// histogram nothing records into (a YCSB period row's Stock Level latency)
+// costs no heap, and answers as an empty one always did.
+TEST(HistogramLazyTest, UntouchedHistogramAllocatesNothing) {
+  double answers = -1;
+  const uint64_t allocs = Allocations([&] {
+    Histogram h, other;
+    h.Merge(other);  // empty into empty
+    h.Clear();
+    Histogram copy = h;
+    answers = h.Percentile(0) + h.Percentile(50) + h.Percentile(100) +
+              copy.Percentile(99) + h.mean() + h.min() + h.max();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(answers, 0.0);
+  EXPECT_EQ(Allocations([] {
+              Histogram h;
+              h.Add(3.0);
+            }),
+            1u);
+}
+
+TEST(HistogramLazyTest, MergeIntoUntouchedAndClearBehaveAsBefore) {
+  Histogram source;
+  for (double v : {0.5, 3.0, 40.0, 900.0, 70000.0}) source.Add(v);
+  Histogram merged;
+  merged.Merge(source);
+  EXPECT_EQ(merged.count(), source.count());
+  for (double p : {0.0, 20.0, 50.0, 80.0, 99.0, 100.0}) {
+    EXPECT_EQ(merged.Percentile(p), source.Percentile(p)) << p;
+  }
+  merged.Clear();
+  EXPECT_EQ(merged.count(), 0u);
+  EXPECT_EQ(merged.Percentile(50), 0.0);
+  merged.Add(7.0);  // the cleared buckets are zero again
+  EXPECT_EQ(merged.Percentile(50), 7.0);
+  EXPECT_EQ(merged.Percentile(100), 7.0);
+  // An empty merge leaves a used histogram as it was.
+  merged.Merge(Histogram());
+  EXPECT_EQ(merged.count(), 1u);
+}
 
 TEST(HistogramPercentileTest, EmptyReturnsZeroAtExtremes) {
   Histogram h;

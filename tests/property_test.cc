@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/controller.h"
+#include "doc/key_string.h"
 #include "doc/update.h"
 #include "metrics/histogram.h"
 #include "sim/random.h"
@@ -17,8 +18,10 @@ namespace dcg {
 namespace {
 
 // Random value generator covering every type, with bounded nesting.
+// Strings run from 0 to 40 bytes and often sit at the 14-byte edge of the
+// inline string cell.
 doc::Value RandomValue(sim::Rng* rng, int depth = 0) {
-  const int64_t kind = rng->UniformInt(0, depth >= 2 ? 5 : 7);
+  const int64_t kind = rng->UniformInt(0, depth >= 3 ? 5 : 7);
   switch (kind) {
     case 0:
       return doc::Value();
@@ -31,7 +34,8 @@ doc::Value RandomValue(sim::Rng* rng, int depth = 0) {
                         8.0);
     case 4: {
       std::string s;
-      const int64_t len = rng->UniformInt(0, 6);
+      const int64_t len = rng->Bernoulli(0.3) ? rng->UniformInt(13, 15)
+                                              : rng->UniformInt(0, 40);
       for (int64_t i = 0; i < len; ++i) {
         s.push_back(static_cast<char>('a' + rng->UniformInt(0, 3)));
       }
@@ -88,6 +92,43 @@ TEST_P(ValueOrderTest, CompareIsATotalOrder) {
     EXPECT_LE(sorted[0]->Compare(*sorted[1]), 0);
     EXPECT_LE(sorted[1]->Compare(*sorted[2]), 0);
     EXPECT_LE(sorted[0]->Compare(*sorted[2]), 0);
+  }
+}
+
+// Copies are deep and equal to their source in every output the store
+// reads; moves and self-assignment keep the value.
+TEST_P(ValueOrderTest, CopiesAndMovesKeepTheValue) {
+  sim::Rng rng(GetParam() + 100);
+  for (int i = 0; i < 2000; ++i) {
+    const doc::Value original = RandomValue(&rng);
+    const std::string json = original.ToJson();
+    const doc::KeyString key = doc::KeyString::Encode(original);
+
+    doc::Value copy = original;
+    EXPECT_EQ(copy.Compare(original), 0) << json;
+    EXPECT_EQ(doc::KeyString::Encode(copy), key) << json;
+    EXPECT_EQ(copy.ToJson(), json);
+    EXPECT_EQ(copy.ApproxSize(), original.ApproxSize()) << json;
+    // A copy is deep: growing it leaves the original as it was.
+    if (copy.is_array()) copy.as_array().push_back(doc::Value(json));
+    if (copy.is_object()) copy.Set("grown", doc::Value(json));
+    EXPECT_EQ(original.ToJson(), json);
+
+    copy = original;
+    doc::Value moved = std::move(copy);
+    EXPECT_EQ(moved.ToJson(), json);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+    doc::Value assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.ToJson(), json);
+
+    const doc::Value& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(assigned.ToJson(), json);
+    doc::Value& same = assigned;
+    assigned = std::move(same);
+    EXPECT_EQ(assigned.ToJson(), json);
+    EXPECT_EQ(doc::KeyString::Encode(assigned), key) << json;
   }
 }
 

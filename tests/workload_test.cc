@@ -198,7 +198,7 @@ TEST(YcsbStoreTest, LoadedFieldValuesAreDistinct) {
       [&values](const doc::Value&, const store::DocPtr& document) {
         const doc::Object& record = document->as_object();
         for (size_t f = 1; f < record.size(); ++f) {
-          values.insert(record.value(f).as_string());
+          values.insert(std::string(record.value(f).as_string()));
         }
         return true;
       });
