@@ -1,6 +1,8 @@
 #include "doc/key_string.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -34,31 +36,20 @@ constexpr double kTwoTo63 = 9223372036854775808.0;  // 2^63
 constexpr uint64_t kSignBit = uint64_t{1} << 63;
 constexpr int kFractionBytes = 7;  // x >= 1 has at most 52 fraction bits
 
-// Collects a probe's encoding on the stack: only encodings longer than the
-// buffer reach the heap.
-class StackBytes {
- public:
-  void push_back(char c) {
-    if (size_ < sizeof(buf_)) {
-      buf_[size_++] = c;
-      return;
-    }
-    if (size_ == sizeof(buf_)) spill_.assign(buf_, size_);
-    spill_.push_back(c);
-    ++size_;
-  }
-  std::string_view view() const {
-    return size_ <= sizeof(buf_) ? std::string_view(buf_, size_)
-                                 : std::string_view(spill_);
-  }
+// The most bytes one number or timestamp encodes to: a tag, an integer
+// part of up to 8 bytes and a 7-byte fraction.
+constexpr size_t kMaxScalarBytes = 16;
 
- private:
-  char buf_[64];
-  size_t size_ = 0;
-  std::string spill_;
+// Appends to a std::string, which makes its own room.
+struct StringWriter {
+  std::string* out;
+  void Reserve(size_t /*n*/) {}
+  void push_back(char c) { out->push_back(c); }
 };
 
-// The encoders below write to `Out`: std::string or StackBytes.
+// The encoders below write to `Out`: StringWriter or
+// KeyStringBuilder::Writer. Each value's encoding first reserves its
+// largest size (Out::Reserve), so the bytes themselves go out unchecked.
 template <typename Out>
 void PutByte(uint8_t b, Out* out) {
   out->push_back(static_cast<char>(b));
@@ -162,43 +153,58 @@ void PutEscaped(std::string_view s, Out* out) {
   PutByte(0, out);
 }
 
+// Room for a string's tag or a field's marker, its escaped bytes (at most
+// two per byte) and its terminator.
+size_t MaxStringBytes(std::string_view s) { return 2 + 2 * s.size(); }
+
 template <typename Out>
 void PutValue(const Value& v, Out* out) {
   switch (v.type()) {
     case Value::Type::kNull:
+      out->Reserve(1);
       PutByte(kNull, out);
       return;
     case Value::Type::kBool:
+      out->Reserve(1);
       PutByte(v.as_bool() ? kTrue : kFalse, out);
       return;
     case Value::Type::kInt64:
+      out->Reserve(kMaxScalarBytes);
       PutInt64(v.as_int64(), out);
       return;
     case Value::Type::kDouble:
+      out->Reserve(kMaxScalarBytes);
       PutDouble(v.as_double(), out);
       return;
     case Value::Type::kString:
+      out->Reserve(MaxStringBytes(v.as_string()));
       PutByte(kString, out);
       PutEscaped(v.as_string(), out);
       return;
     case Value::Type::kTimestamp:
+      out->Reserve(kMaxScalarBytes);
       PutByte(kTimestamp, out);  // sign bit flipped: two's complement order
       PutBigEndian(static_cast<uint64_t>(v.as_timestamp()) ^ kSignBit, 8,
                    /*complement=*/false, out);
       return;
     case Value::Type::kArray:
+      out->Reserve(1);
       PutByte(kArray, out);
       for (const Value& item : v.as_array()) PutValue(item, out);
+      out->Reserve(1);
       PutByte(kEnd, out);
       return;
     case Value::Type::kObject: {
       const Object& o = v.as_object();
+      out->Reserve(1);
       PutByte(kObject, out);
       for (size_t i = 0; i < o.size(); ++i) {
+        out->Reserve(MaxStringBytes(o.name(i)));
         PutByte(kField, out);
         PutEscaped(o.name(i), out);
         PutValue(o.value(i), out);
       }
+      out->Reserve(1);
       PutByte(kEnd, out);
       return;
     }
@@ -228,14 +234,58 @@ void KeyString::InitHeap(std::string_view bytes) {
   rep_[kTagByte] = kOnHeap;
 }
 
+KeyString::KeyString(const Value& v) : KeyString(Encode(v)) {}
+
 KeyString KeyString::Encode(const Value& v) {
-  StackBytes bytes;
-  PutValue(v, &bytes);
-  return KeyString(bytes.view());
+  KeyStringBuilder builder;
+  builder.Append(v);
+  return builder.key();
 }
 
-void AppendKeyString(const Value& v, std::string* out) { PutValue(v, out); }
+struct KeyStringBuilder::Writer {
+  KeyStringBuilder* builder;
+  void Reserve(size_t n) { builder->Reserve(n); }
+  void push_back(char c) { builder->bytes_[builder->size_++] = c; }
+};
 
-void AppendKeyStringArrayStart(std::string* out) { PutByte(kArray, out); }
+KeyStringBuilder& KeyStringBuilder::Append(const Value& v) {
+  Writer out{this};
+  PutValue(v, &out);
+  return *this;
+}
+
+KeyStringBuilder& KeyStringBuilder::AppendInt(int64_t i) {
+  Writer out{this};
+  out.Reserve(kMaxScalarBytes);
+  PutInt64(i, &out);
+  return *this;
+}
+
+KeyStringBuilder& KeyStringBuilder::OpenArray() {
+  Writer out{this};
+  out.Reserve(1);
+  PutByte(kArray, &out);
+  return *this;
+}
+
+KeyStringBuilder& KeyStringBuilder::CloseArray() {
+  Writer out{this};
+  out.Reserve(1);
+  PutByte(kEnd, &out);
+  return *this;
+}
+
+void KeyStringBuilder::Grow(size_t n) {
+  const size_t capacity = std::max(2 * bytes_.size(), size_ + n);
+  std::unique_ptr<char[]> grown(new char[capacity]);
+  std::memcpy(grown.get(), bytes_.data(), size_);
+  heap_ = std::move(grown);
+  bytes_ = std::span<char>(heap_.get(), capacity);
+}
+
+void AppendKeyString(const Value& v, std::string* out) {
+  StringWriter writer{out};
+  PutValue(v, &writer);
+}
 
 }  // namespace dcg::doc

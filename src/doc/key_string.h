@@ -5,10 +5,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "doc/value.h"
+#include "util/check.h"
 
 namespace dcg::doc {
 
@@ -30,12 +33,17 @@ namespace dcg::doc {
 ///    encoding, then the end byte.
 /// No encoding is a proper byte prefix of another, so an Array's encoding
 /// without its end byte is a byte prefix of exactly the arrays that extend
-/// it (see AppendKeyStringArrayStart).
+/// it (see KeyStringBuilder::OpenArray).
 ///
 /// A KeyString stores an encoding in 16 bytes: up to kInlineCapacity bytes
 /// inline, zero-padded, with the length in the last byte; longer encodings
 /// live on the heap. Every int64 key and every short composite key of
 /// small integers fits inline.
+///
+/// Keys are encoded once, where they are built: KeyStringBuilder spells a
+/// composite key straight from its components, and the store, the oplog and
+/// the undo log pass the encoding on. A Value converts implicitly (one
+/// encode), so code that holds a key as a Value passes it unchanged.
 class KeyString {
  public:
   static constexpr size_t kInlineCapacity = 15;
@@ -43,6 +51,9 @@ class KeyString {
   /// The empty encoding (sorts before every value's encoding).
   KeyString() { std::memset(rep_, 0, sizeof(rep_)); }
   explicit KeyString(std::string_view bytes);
+  /// Encodes `v` (as Encode does): a Value converts wherever a key is
+  /// expected.
+  KeyString(const Value& v);  // NOLINT(google-explicit-constructor)
   KeyString(const KeyString& other) {
     if (other.is_inline()) {
       std::memcpy(rep_, other.rep_, sizeof(rep_));
@@ -164,16 +175,64 @@ class KeyString {
   alignas(8) uint8_t rep_[16];
 };
 
-/// Appends the encoding of `v` to `out`.
-void AppendKeyString(const Value& v, std::string* out);
-
-/// Appends the tag that opens an Array's encoding. Followed by the
-/// encodings of e0..en-1 (AppendKeyString) it spells [e0, ..., en-1]
+/// Builds an encoding piece by piece: values, integers, and the brackets of
+/// arrays, in a stack buffer that only encodings longer than
+/// kStackCapacity leave for the heap. Each scalar, string and bracket makes
+/// room for its largest encoding once, then writes its bytes unchecked.
+///
+/// OpenArray() followed by the encodings of e0..en-1 spells [e0, ..., en-1]
 /// without its end byte: a byte prefix of the encoding of every Array whose
 /// first n elements equal e0..en-1, and of no other value. Every such
 /// encoding sorts at or after the prefix, so index probes seek to it and
-/// scan while the prefix matches.
-void AppendKeyStringArrayStart(std::string* out);
+/// scan while the prefix matches; Truncate() returns to a prefix so a run
+/// of keys that share one (Stock Level's [w, i] probes) encodes it once.
+class KeyStringBuilder {
+ public:
+  static constexpr size_t kStackCapacity = 64;
+
+  KeyStringBuilder() = default;
+  KeyStringBuilder(const KeyStringBuilder&) = delete;
+  KeyStringBuilder& operator=(const KeyStringBuilder&) = delete;
+
+  /// Appends the encoding of `v`.
+  KeyStringBuilder& Append(const Value& v);
+  /// Appends the encoding of Value(i), without building the Value.
+  KeyStringBuilder& AppendInt(int64_t i);
+  /// Appends the tag that opens an Array.
+  KeyStringBuilder& OpenArray();
+  /// Appends the end byte that closes an Array.
+  KeyStringBuilder& CloseArray();
+
+  /// Drops every byte past the first `size` (at most size()).
+  void Truncate(size_t size) {
+    DCG_CHECK(size <= size_);
+    size_ = size;
+  }
+  size_t size() const { return size_; }
+  std::string_view view() const {
+    return std::string_view(bytes_.data(), size_);
+  }
+  /// The bytes written so far, as a KeyString.
+  KeyString key() const { return KeyString(view()); }
+
+ private:
+  struct Writer;  // the encoders' output: writes into bytes_ (key_string.cc)
+
+  // Makes room for `n` more bytes.
+  void Reserve(size_t n) {
+    if (n > bytes_.size() - size_) Grow(n);
+  }
+  void Grow(size_t n);
+
+  char stack_[kStackCapacity];
+  std::span<char> bytes_{stack_};  // stack_, or heap_ once it outgrew it
+  size_t size_ = 0;
+  std::unique_ptr<char[]> heap_;
+};
+
+/// Appends the encoding of `v` to `out`: the same bytes as
+/// KeyStringBuilder::Append.
+void AppendKeyString(const Value& v, std::string* out);
 
 }  // namespace dcg::doc
 

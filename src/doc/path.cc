@@ -26,7 +26,11 @@ Path::Path(std::string path) : str_(std::move(path)) {
       seg.index = index;
       seg.is_index = true;
     }
-    segments_.push_back(seg);
+    if (count_++ == 0) {
+      first_ = seg;
+    } else {
+      rest_.push_back(seg);
+    }
     if (dot == std::string_view::npos) break;
     rest = rest.substr(dot + 1);
     pos += static_cast<uint32_t>(head.size()) + 1;

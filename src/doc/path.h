@@ -38,10 +38,12 @@ class Path {
   const std::string& str() const { return str_; }
   bool empty() const { return str_.empty(); }
 
-  size_t segment_count() const { return segments_.size(); }
-  const Segment& segment(size_t i) const { return segments_[i]; }
+  size_t segment_count() const { return count_; }
+  const Segment& segment(size_t i) const {
+    return i == 0 ? first_ : rest_[i - 1];
+  }
   std::string_view segment_name(size_t i) const {
-    const Segment& s = segments_[i];
+    const Segment& s = segment(i);
     return std::string_view(str_).substr(s.pos, s.len);
   }
 
@@ -51,8 +53,12 @@ class Path {
  private:
   std::string str_;
   // Offsets into str_ rather than string_views: offsets survive moves and
-  // copies of the owning string (SSO would dangle views).
-  std::vector<Segment> segments_;
+  // copies of the owning string (SSO would dangle views). The first
+  // segment is held inline, so a one-segment path (most update and filter
+  // fields) allocates nothing beyond a string too long for SSO.
+  uint32_t count_ = 0;
+  Segment first_;
+  std::vector<Segment> rest_;  // segments 1..count_-1
 };
 
 }  // namespace dcg::doc

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "doc/value.h"
+#include "doc/key_string.h"
 #include "sim/time.h"
 #include "store/collection.h"
 
@@ -31,17 +31,20 @@ enum class OpKind { kInsert, kUpdate, kRemove, kNoop };
 /// document exactly as the primary committed it (an update's post-image):
 /// documents are immutable, so the oplog and every member that applies the
 /// entry share that one object instead of replaying the update operators.
-/// Removes carry only the id.
+/// Removes carry only the key. The key is the primary's encoding of the
+/// document's _id, so a secondary applies the entry without encoding it
+/// again, and copying an entry allocates nothing for keys of up to
+/// doc::KeyString::kInlineCapacity bytes (every YCSB and TPC-C id).
 struct OplogEntry {
   OpTime optime;
   OpKind kind = OpKind::kNoop;
   std::string collection;
-  doc::Value id;
+  doc::KeyString key;
   /// nullptr for removes and no-ops.
   store::DocPtr doc;
   /// Bytes the entry dirties on every member that applies it (the disk
   /// model's input): the document's size for inserts and updates, a small
-  /// constant plus the id's for removes.
+  /// constant plus the removed document's _id's for removes.
   size_t approx_bytes = 0;
 };
 

@@ -18,14 +18,14 @@ void ReplicaNode::ApplyEntry(const OplogEntry& entry) {
       // Both install the primary's committed document. Idempotent replay
       // semantics: an insert overwrites any stale copy, while an update
       // must replace a document this member already holds.
-      const bool is_new = coll.Put(entry.id, entry.doc);
+      const bool is_new = coll.Put(entry.key, entry.doc);
       DCG_CHECK_MSG(entry.kind == OpKind::kInsert || !is_new,
                     "replayed update of missing doc in %s",
                     entry.collection.c_str());
       break;
     }
     case OpKind::kRemove:
-      coll.Remove(entry.id);
+      coll.Remove(entry.key);
       break;
     case OpKind::kNoop:
       break;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "doc/key_string.h"
 #include "doc/update.h"
 #include "doc/value.h"
 #include "repl/oplog.h"
@@ -41,12 +42,13 @@ class TxnContext {
   /// Inserts a new document. CHECK-fails on duplicate _id (workload bug).
   void Insert(const std::string& collection, doc::Value document);
 
-  /// Applies an update spec. Returns false when the document is missing.
-  bool Update(const std::string& collection, const doc::Value& id,
+  /// Applies an update spec to the document whose _id encodes to `id`.
+  /// Returns false when the document is missing.
+  bool Update(const std::string& collection, const doc::KeyString& id,
               const doc::UpdateSpec& spec);
 
   /// Removes a document. Returns true if it existed.
-  bool Remove(const std::string& collection, const doc::Value& id);
+  bool Remove(const std::string& collection, const doc::KeyString& id);
 
   /// Rolls back every write of this transaction and marks it aborted.
   void Abort();
@@ -60,7 +62,7 @@ class TxnContext {
  private:
   struct Undo {
     std::string collection;
-    doc::Value id;
+    doc::KeyString key;
     store::DocPtr pre_image;  // nullptr => document did not exist
   };
 

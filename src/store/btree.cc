@@ -287,10 +287,9 @@ BTree::InsertResult BTree::InsertRec(Node* node, KeyString& encoded,
   return result;
 }
 
-bool BTree::InsertImpl(const Key& key, Payload payload, Payload* replaced) {
-  KeyString encoded = KeyString::Encode(key);
-  const uint64_t head = encoded.head();
-  InsertResult r = InsertRec(root_.get(), encoded, head, payload, replaced,
+bool BTree::InsertImpl(Key key, Payload payload, Payload* replaced) {
+  const uint64_t head = key.head();
+  InsertResult r = InsertRec(root_.get(), key, head, payload, replaced,
                              /*on_spine=*/true);
   if (r.split) {
     auto* new_root = new Inner;
@@ -307,22 +306,21 @@ bool BTree::InsertImpl(const Key& key, Payload payload, Payload* replaced) {
   return false;
 }
 
-bool BTree::Upsert(const Key& key, Payload payload, Payload* replaced) {
+bool BTree::Upsert(Key key, Payload payload, Payload* replaced) {
   Payload discarded;
-  return InsertImpl(key, std::move(payload),
+  return InsertImpl(std::move(key), std::move(payload),
                     replaced != nullptr ? replaced : &discarded);
 }
 
-bool BTree::Insert(const Key& key, Payload payload) {
-  return InsertImpl(key, std::move(payload), /*replaced=*/nullptr);
+bool BTree::Insert(Key key, Payload payload) {
+  return InsertImpl(std::move(key), std::move(payload), /*replaced=*/nullptr);
 }
 
 const BTree::Payload* BTree::Lookup(const Key& key) const {
-  const KeyString encoded = KeyString::Encode(key);
-  const uint64_t head = encoded.head();
-  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded, head);
-  const size_t pos = LowerIndex(leaf, encoded, head);
-  if (pos < leaf->size && leaf->keys[pos] == encoded) {
+  const uint64_t head = key.head();
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), key, head);
+  const size_t pos = LowerIndex(leaf, key, head);
+  if (pos < leaf->size && leaf->keys[pos] == key) {
     return &leaf->payloads[pos];
   }
   return nullptr;
@@ -483,8 +481,7 @@ bool BTree::EraseRec(Node* node, const KeyString& encoded, uint64_t head,
 }
 
 bool BTree::Erase(const Key& key, Payload* erased) {
-  const KeyString encoded = KeyString::Encode(key);
-  if (!EraseRec(root_.get(), encoded, encoded.head(), erased)) return false;
+  if (!EraseRec(root_.get(), key, key.head(), erased)) return false;
   --size_;
   if (!root_->leaf && root_->size == 0) {
     NodePtr only_child = std::move(root_->AsInner()->children[0]);
@@ -549,10 +546,10 @@ BTree::Iterator BTree::Begin() const {
   return Iterator(node->AsLeaf(), 0);
 }
 
-BTree::Iterator BTree::LowerBoundEncoded(const KeyString& encoded) const {
-  const uint64_t head = encoded.head();
-  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), encoded, head);
-  Iterator it(leaf, LowerIndex(leaf, encoded, head));
+BTree::Iterator BTree::LowerBound(const Key& key) const {
+  const uint64_t head = key.head();
+  const Leaf* leaf = DescendToLeaf<const Node>(root_.get(), key, head);
+  Iterator it(leaf, LowerIndex(leaf, key, head));
   if (it.pos_ == leaf->size) {
     // Past this leaf's last key: the next leaf's first, if any.
     it.leaf_ = leaf->next;
@@ -561,18 +558,13 @@ BTree::Iterator BTree::LowerBoundEncoded(const KeyString& encoded) const {
   return it;
 }
 
-BTree::Iterator BTree::LowerBound(const Key& key) const {
-  return LowerBoundEncoded(KeyString::Encode(key));
-}
-
 BTree::Iterator BTree::LowerBoundPrefix(std::string_view prefix) const {
-  return LowerBoundEncoded(KeyString(prefix));
+  return LowerBound(KeyString(prefix));
 }
 
 BTree::Iterator BTree::UpperBound(const Key& key) const {
-  const KeyString encoded = KeyString::Encode(key);
-  Iterator it = LowerBoundEncoded(encoded);
-  if (it.Valid() && it.encoded_key() == encoded) it.Next();
+  Iterator it = LowerBound(key);
+  if (it.Valid() && it.encoded_key() == key) it.Next();
   return it;
 }
 

@@ -18,9 +18,10 @@ namespace dcg::store {
 /// structure behind every collection and secondary index in mongolite.
 ///
 /// Design notes:
-///  * The tree stores and searches encodings only: every operation encodes
-///    its probe once. The key values themselves are not kept; a caller that
-///    needs one reads it from the payload document (a collection's "_id").
+///  * The tree stores and searches encodings only: every operation takes
+///    its key encoded (a doc::Value converts implicitly, encoding once).
+///    The key values themselves are not kept; a caller that needs one reads
+///    it from the payload document (a collection's "_id").
 ///  * Nodes hold up to 32 keys (leaves) or 32 children (internal nodes).
 ///    Each node is one allocation: fixed-capacity arrays of head words, of
 ///    encodings, then of payloads (leaves) or children, so a descent
@@ -48,7 +49,7 @@ namespace dcg::store {
 ///  * CopyFrom clones the structure node for node and shares the payloads.
 class BTree {
  public:
-  using Key = doc::Value;
+  using Key = doc::KeyString;
   using Payload = std::shared_ptr<const doc::Value>;
 
   BTree();
@@ -61,11 +62,12 @@ class BTree {
 
   /// Inserts or replaces. Returns true if the key was newly inserted,
   /// false if an existing payload was replaced; that payload is moved to
-  /// `replaced` when given.
-  bool Upsert(const Key& key, Payload payload, Payload* replaced = nullptr);
+  /// `replaced` when given. Both inserting operations take the key by
+  /// value: a new entry keeps it, so a caller's temporary moves in.
+  bool Upsert(Key key, Payload payload, Payload* replaced = nullptr);
 
   /// Inserts only if absent. Returns false (no change) when present.
-  bool Insert(const Key& key, Payload payload);
+  bool Insert(Key key, Payload payload);
 
   /// Returns the payload for `key`, or nullptr.
   Payload Find(const Key& key) const;
@@ -132,7 +134,7 @@ class BTree {
 
   /// Cursor positioned at the first key whose encoding is >= the bytes
   /// `prefix`. For an encoded composite prefix
-  /// (doc::AppendKeyStringArrayStart plus the pinned components) that is
+  /// (doc::KeyStringBuilder::OpenArray plus the pinned components) that is
   /// the first tuple extending the prefix, if any: the matching tuples
   /// follow while encoded_key() starts with `prefix`.
   Iterator LowerBoundPrefix(std::string_view prefix) const;
@@ -158,8 +160,8 @@ class BTree {
   const Payload* Lookup(const Key& key) const;
   struct CheckState;
   // `replaced` null forbids replacing (Insert); otherwise it receives the
-  // replaced payload. A new entry takes `encoded` and `payload` by move.
-  bool InsertImpl(const Key& key, Payload payload, Payload* replaced);
+  // replaced payload. A new entry takes `key` and `payload` by move.
+  bool InsertImpl(Key key, Payload payload, Payload* replaced);
   // `head` is encoded.head(); `on_spine` whether `node` is on the right
   // spine, where an append splits off a nearly empty right node.
   InsertResult InsertRec(Node* node, doc::KeyString& encoded, uint64_t head,
@@ -167,7 +169,6 @@ class BTree {
   bool EraseRec(Node* node, const doc::KeyString& encoded, uint64_t head,
                 Payload* erased);
   void FixUnderflow(Inner* parent, size_t child_idx);
-  Iterator LowerBoundEncoded(const doc::KeyString& encoded) const;
   static NodePtr CloneNode(const Node* node, Leaf** prev_leaf);
   static void CheckNode(const Node* node, const doc::KeyString* lo,
                         const doc::KeyString* hi, int depth, bool on_spine,

@@ -17,82 +17,103 @@ const doc::Value& RequireId(const doc::Value& document) {
   return *id;
 }
 
+// Whether `id` encodes to `key`, without allocating for a long encoding.
+bool EncodesTo(const doc::Value& id, const doc::KeyString& key) {
+  doc::KeyStringBuilder encoded;
+  encoded.Append(id);
+  return encoded.view() == key.view();
+}
+
 }  // namespace
 
 Collection::Collection(std::string name) : name_(std::move(name)) {}
 
-doc::Value Collection::IndexKey(const Index& index, const doc::Value& id,
-                                const doc::Value& document) {
-  doc::Array key;
-  key.reserve(index.paths.size() + 1);
+void Collection::AppendIndexKey(const Index& index, const doc::Value& document,
+                                doc::KeyStringBuilder* out) {
+  static const doc::Value kNull;
+  out->OpenArray();
   for (const auto& path : index.paths) {
     const doc::Value* v = document.FindPath(path);
-    key.push_back(v != nullptr ? *v : doc::Value());
+    out->Append(v != nullptr ? *v : kNull);
   }
-  key.push_back(id);
-  return doc::Value(std::move(key));
+  out->Append(RequireId(document));
+  out->CloseArray();
 }
 
-void Collection::IndexDocument(Index* index, const doc::Value& id,
-                               const DocPtr& d) {
-  const bool inserted = index->tree.Insert(IndexKey(*index, id, *d), d);
+void Collection::IndexDocument(Index* index, const DocPtr& d) {
+  doc::KeyStringBuilder key;
+  AppendIndexKey(*index, *d, &key);
+  const bool inserted = index->tree.Insert(key.key(), d);
   DCG_CHECK_MSG(inserted, "duplicate index entry in %s", index->name.c_str());
 }
 
-void Collection::UnindexDocument(Index* index, const doc::Value& id,
-                                 const doc::Value& document) {
-  const bool erased = index->tree.Erase(IndexKey(*index, id, document));
+void Collection::UnindexDocument(Index* index, const doc::Value& document) {
+  doc::KeyStringBuilder key;
+  AppendIndexKey(*index, document, &key);
+  const bool erased = index->tree.Erase(key.key());
   DCG_CHECK_MSG(erased, "missing index entry in %s", index->name.c_str());
 }
 
-void Collection::OnInstalled(const doc::Value& id, const DocPtr& old,
-                             const DocPtr& d) {
+void Collection::OnInstalled(const DocPtr& old, const DocPtr& d) {
   if (old == nullptr) {
-    for (auto& index : indexes_) IndexDocument(index.get(), id, d);
+    for (auto& index : indexes_) IndexDocument(index.get(), d);
     return;
   }
   for (auto& index : indexes_) {
     // Re-index only when the indexed tuple changed.
-    doc::Value old_key = IndexKey(*index, id, *old);
-    doc::Value new_key = IndexKey(*index, id, *d);
-    if (old_key != new_key) {
-      const bool erased = index->tree.Erase(old_key);
+    doc::KeyStringBuilder old_key, new_key;
+    AppendIndexKey(*index, *old, &old_key);
+    AppendIndexKey(*index, *d, &new_key);
+    if (old_key.view() != new_key.view()) {
+      const bool erased = index->tree.Erase(old_key.key());
       DCG_CHECK(erased);
-      const bool inserted = index->tree.Insert(std::move(new_key), d);
+      const bool inserted = index->tree.Insert(new_key.key(), d);
       DCG_CHECK(inserted);
     } else {
-      index->tree.Upsert(std::move(new_key), d);
+      DocPtr* slot = index->tree.FindSlot(new_key.key());
+      DCG_CHECK_MSG(slot != nullptr, "missing index entry in %s",
+                    index->name.c_str());
+      *slot = d;
     }
   }
 }
 
+bool Collection::Install(doc::KeyString id, const DocPtr& d,
+                         DocPtr* replaced) {
+  DocPtr old;
+  const bool is_new = primary_.Upsert(std::move(id), d, &old);
+  OnInstalled(old, d);
+  if (replaced != nullptr) *replaced = std::move(old);
+  return is_new;
+}
+
 bool Collection::Insert(doc::Value document, DocPtr* inserted) {
-  const doc::Value id = RequireId(document);
+  doc::KeyString id = RequireId(document);
   auto d = std::make_shared<const doc::Value>(std::move(document));
-  if (!primary_.Insert(id, d)) return false;
-  OnInstalled(id, nullptr, d);
+  if (!primary_.Insert(std::move(id), d)) return false;
+  OnInstalled(nullptr, d);
   if (inserted != nullptr) *inserted = std::move(d);
   return true;
 }
 
 void Collection::Upsert(doc::Value document) {
-  const doc::Value id = RequireId(document);
-  Put(id, std::make_shared<const doc::Value>(std::move(document)));
+  doc::KeyString id = RequireId(document);
+  auto d = std::make_shared<const doc::Value>(std::move(document));
+  Install(std::move(id), d, /*replaced=*/nullptr);
 }
 
-bool Collection::Put(const doc::Value& id, const DocPtr& document,
+bool Collection::Put(const doc::KeyString& id, const DocPtr& document,
                      DocPtr* replaced) {
-  DCG_CHECK_MSG(document != nullptr && RequireId(*document) == id,
-                "Put needs a document whose _id is the key");
+  DCG_CHECK_MSG(document != nullptr, "Put needs a document");
   DocPtr old;
-  const bool is_new = primary_.Upsert(id, document, &old);
-  OnInstalled(id, old, document);
+  const bool is_new = Install(id, document, &old);
+  // A replaced document sat under its own _id, so comparing with it checks
+  // the key without encoding; only a new key is encoded again.
+  const doc::Value& doc_id = RequireId(*document);
+  DCG_CHECK_MSG(is_new ? EncodesTo(doc_id, id) : doc_id == RequireId(*old),
+                "Put needs a document whose _id is the key");
   if (replaced != nullptr) *replaced = std::move(old);
   return is_new;
-}
-
-DocPtr Collection::FindById(const doc::Value& id) const {
-  return primary_.Find(id);
 }
 
 std::vector<DocPtr> Collection::FindManyById(
@@ -102,7 +123,7 @@ std::vector<DocPtr> Collection::FindManyById(
   return out;
 }
 
-bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
+bool Collection::Update(const doc::KeyString& id, const doc::UpdateSpec& spec,
                         DocPtr* pre_image, DocPtr* post_image) {
   // One descent: the payload is swapped in place. Index maintenance in
   // OnInstalled touches other trees, so the slot stays valid.
@@ -110,21 +131,23 @@ bool Collection::Update(const doc::Value& id, const doc::UpdateSpec& spec,
   if (slot == nullptr) return false;
   doc::Value updated = **slot;  // copy-on-write
   const bool ok = spec.Apply(&updated);
+  const doc::Value& stored_id = RequireId(**slot);
   DCG_CHECK_MSG(ok, "update spec failed on %s._id=%s", name_.c_str(),
-                id.ToJson().c_str());
-  DCG_CHECK_MSG(RequireId(updated) == id, "updates must not change _id");
+                stored_id.ToJson().c_str());
+  DCG_CHECK_MSG(RequireId(updated) == stored_id,
+                "updates must not change _id");
   DocPtr previous = std::exchange(
       *slot, std::make_shared<const doc::Value>(std::move(updated)));
-  OnInstalled(id, previous, *slot);
+  OnInstalled(previous, *slot);
   if (post_image != nullptr) *post_image = *slot;
   if (pre_image != nullptr) *pre_image = std::move(previous);
   return true;
 }
 
-bool Collection::Remove(const doc::Value& id, DocPtr* removed) {
+bool Collection::Remove(const doc::KeyString& id, DocPtr* removed) {
   DocPtr old;
   if (!primary_.Erase(id, &old)) return false;
-  for (auto& index : indexes_) UnindexDocument(index.get(), id, *old);
+  for (auto& index : indexes_) UnindexDocument(index.get(), *old);
   if (removed != nullptr) *removed = std::move(old);
   return true;
 }
@@ -137,7 +160,7 @@ void Collection::CreateIndex(std::string index_name,
   index->name = std::move(index_name);
   index->paths.assign(paths.begin(), paths.end());
   for (auto it = primary_.Begin(); it.Valid(); it.Next()) {
-    IndexDocument(index.get(), RequireId(*it.payload()), it.payload());
+    IndexDocument(index.get(), it.payload());
   }
   indexes_.push_back(std::move(index));
 }
@@ -161,16 +184,17 @@ void Collection::VisitMatches(const doc::Filter& filter, Visit&& visit) const {
   // Equality over a full secondary-index prefix: the matching tuples are
   // exactly the keys whose encoding starts with the encoded prefix.
   for (const auto& index : indexes_) {
-    std::string prefix;
-    doc::AppendKeyStringArrayStart(&prefix);
+    doc::KeyStringBuilder builder;
+    builder.OpenArray();
     size_t pinned = 0;
     for (const auto& path : index->paths) {
       const doc::Value* v = filter.EqualityValue(path.str());
       if (v == nullptr) break;
-      doc::AppendKeyString(*v, &prefix);
+      builder.Append(*v);
       ++pinned;
     }
     if (pinned == index->paths.size()) {
+      const std::string_view prefix = builder.view();
       for (auto it = index->tree.LowerBoundPrefix(prefix); it.Valid();
            it.Next()) {
         if (!it.encoded_key().view().starts_with(prefix)) {
@@ -275,14 +299,13 @@ std::vector<doc::Value> Collection::FindWith(const doc::Filter& filter,
   return out;
 }
 
-std::vector<DocPtr> Collection::RangeById(const doc::Value& low,
-                                          const doc::Value& high,
+std::vector<DocPtr> Collection::RangeById(const doc::KeyString& low,
+                                          const doc::KeyString& high,
                                           size_t limit) const {
   std::vector<DocPtr> out;
-  const doc::KeyString high_key = doc::KeyString::Encode(high);
   for (auto it = primary_.LowerBound(low); it.Valid() && out.size() < limit;
        it.Next()) {
-    if (high_key < it.encoded_key()) break;
+    if (high < it.encoded_key()) break;
     out.push_back(it.payload());
   }
   return out;
@@ -306,18 +329,16 @@ std::vector<DocPtr> Collection::IndexScan(
   // The encoded prefixes are byte prefixes of the tuples extending them, so
   // the low one is an inclusive lower bound and the scan ends at the first
   // tuple whose leading bytes exceed the high one.
-  auto encode_prefix = [](const std::vector<doc::Value>& components) {
-    std::string prefix;
-    doc::AppendKeyStringArrayStart(&prefix);
-    for (const auto& v : components) doc::AppendKeyString(v, &prefix);
-    return prefix;
-  };
-  const std::string low = encode_prefix(low_prefix);
-  const std::string high = encode_prefix(high_prefix);
+  doc::KeyStringBuilder low, high;
+  low.OpenArray();
+  for (const doc::Value& v : low_prefix) low.Append(v);
+  high.OpenArray();
+  for (const doc::Value& v : high_prefix) high.Append(v);
   std::vector<DocPtr> out;
-  for (auto it = index->tree.LowerBoundPrefix(low);
+  for (auto it = index->tree.LowerBoundPrefix(low.view());
        it.Valid() && out.size() < limit; it.Next()) {
-    if (doc::KeyString::ComparePrefix(high, it.encoded_key().view()) < 0) {
+    if (doc::KeyString::ComparePrefix(high.view(), it.encoded_key().view()) <
+        0) {
       break;
     }
     out.push_back(it.payload());
@@ -350,8 +371,7 @@ void Collection::CheckInvariants() const {
   primary_.CheckInvariants();
   // Every document sits under the encoding of its own _id.
   for (auto it = primary_.Begin(); it.Valid(); it.Next()) {
-    DCG_CHECK(doc::KeyString::Encode(RequireId(*it.payload())) ==
-              it.encoded_key());
+    DCG_CHECK(doc::KeyString(RequireId(*it.payload())) == it.encoded_key());
   }
   for (const auto& index : indexes_) {
     index->tree.CheckInvariants();
@@ -364,8 +384,9 @@ void Collection::CheckInvariants() const {
       DocPtr live = primary_.Find(id);
       DCG_CHECK(live != nullptr);
       DCG_CHECK(live.get() == it.payload().get());
-      DCG_CHECK(doc::KeyString::Encode(IndexKey(*index, id, *live)) ==
-                it.encoded_key());
+      doc::KeyStringBuilder key;
+      AppendIndexKey(*index, *live, &key);
+      DCG_CHECK(key.view() == it.encoded_key().view());
     }
   }
 }

@@ -39,6 +39,11 @@ struct FindOptions {
 /// A named document collection: a primary B+-tree keyed by the required
 /// "_id" field, plus optional secondary indexes over dotted field paths.
 ///
+/// Every operation by _id takes the id encoded, as a doc::KeyString: a
+/// caller that reuses one key (a TPC-C body, the oplog, a secondary apply)
+/// encodes it once, and one that holds a doc::Value passes it unchanged
+/// (it converts, encoding once).
+///
 /// Writes are copy-on-write: Update clones the stored document, applies the
 /// UpdateSpec, and swaps the pointer, so concurrent readers (in simulated
 /// time) keep consistent snapshots. Stored documents are never mutated, so
@@ -63,20 +68,23 @@ class Collection {
   /// Inserts or fully replaces by _id.
   void Upsert(doc::Value document);
 
-  /// Installs an existing immutable document under `id` (its "_id"),
-  /// inserting or replacing, with one descent of the primary tree: the
-  /// object is shared, not copied, so replicas and the oplog can all hold
-  /// the document the primary committed. Returns true when `id` was new;
-  /// otherwise the replaced document goes to `replaced` when given.
-  bool Put(const doc::Value& id, const DocPtr& document,
+  /// Installs an existing immutable document under `id` (the encoding of
+  /// its "_id"), inserting or replacing, with one descent of the primary
+  /// tree: the object is shared, not copied, so replicas and the oplog can
+  /// all hold the document the primary committed. Returns true when `id`
+  /// was new; otherwise the replaced document goes to `replaced` when
+  /// given.
+  bool Put(const doc::KeyString& id, const DocPtr& document,
            DocPtr* replaced = nullptr);
 
   /// Point lookup by _id. Returns nullptr when absent.
-  DocPtr FindById(const doc::Value& id) const;
+  DocPtr FindById(const doc::KeyString& id) const { return primary_.Find(id); }
 
   /// Whether a document with this _id exists; no document reference is
   /// taken.
-  bool ContainsId(const doc::Value& id) const { return primary_.Contains(id); }
+  bool ContainsId(const doc::KeyString& id) const {
+    return primary_.Contains(id);
+  }
 
   /// Point lookups of ascending _ids, given as their doc::KeyString
   /// encodings (equal neighbours allowed), in one pass over the primary
@@ -88,12 +96,12 @@ class Collection {
   /// descent of the primary tree. Returns false when the document does not
   /// exist. Otherwise the document as it was before and after the update
   /// goes to `pre_image` and `post_image` when given.
-  bool Update(const doc::Value& id, const doc::UpdateSpec& spec,
+  bool Update(const doc::KeyString& id, const doc::UpdateSpec& spec,
               DocPtr* pre_image = nullptr, DocPtr* post_image = nullptr);
 
   /// Removes by _id. Returns true if it existed; the removed document goes
   /// to `removed` when given.
-  bool Remove(const doc::Value& id, DocPtr* removed = nullptr);
+  bool Remove(const doc::KeyString& id, DocPtr* removed = nullptr);
 
   /// Declares a secondary index over the given dotted paths. Existing
   /// documents are indexed immediately. Documents missing an indexed path
@@ -119,7 +127,8 @@ class Collection {
 
   /// Range scan over the primary key: documents with low <= _id <= high,
   /// in _id order, up to `limit`.
-  std::vector<DocPtr> RangeById(const doc::Value& low, const doc::Value& high,
+  std::vector<DocPtr> RangeById(const doc::KeyString& low,
+                                const doc::KeyString& high,
                                 size_t limit = SIZE_MAX) const;
 
   /// Range scan over a secondary index: documents whose indexed tuple is
@@ -150,8 +159,10 @@ class Collection {
     BTree tree;  // key: Array[path values..., _id]; payload: document
   };
 
-  static doc::Value IndexKey(const Index& index, const doc::Value& id,
-                             const doc::Value& document);
+  /// Appends the encoding of `document`'s entry in `index`, the Array
+  /// [path values..., _id], straight from the document's fields.
+  static void AppendIndexKey(const Index& index, const doc::Value& document,
+                             doc::KeyStringBuilder* out);
 
   /// Enumerates matching documents in the same order Find returns them,
   /// choosing the primary key or a secondary index when the filter pins
@@ -160,13 +171,17 @@ class Collection {
   template <typename Visit>
   void VisitMatches(const doc::Filter& filter, Visit&& visit) const;
 
-  /// Index maintenance after `d` was installed in the primary tree in place
-  /// of `old` (nullptr: `id` was new). Every write path ends here.
-  void OnInstalled(const doc::Value& id, const DocPtr& old, const DocPtr& d);
+  /// Installs `d` under `id` in the primary tree and maintains the
+  /// indexes: Put without the check that `id` encodes d's _id, for callers
+  /// that took `id` from d.
+  bool Install(doc::KeyString id, const DocPtr& d, DocPtr* replaced);
 
-  void IndexDocument(Index* index, const doc::Value& id, const DocPtr& d);
-  void UnindexDocument(Index* index, const doc::Value& id,
-                       const doc::Value& document);
+  /// Index maintenance after `d` was installed in the primary tree in place
+  /// of `old` (nullptr: d's _id was new). Every write path ends here.
+  void OnInstalled(const DocPtr& old, const DocPtr& d);
+
+  void IndexDocument(Index* index, const DocPtr& d);
+  void UnindexDocument(Index* index, const doc::Value& document);
 
   std::string name_;
   BTree primary_;

@@ -41,6 +41,30 @@ doc::Value StockId(int w, int64_t i) {
   return doc::Value::List({int64_t{w}, i});
 }
 
+// The encodings of those ids, spelled from their components: a
+// transaction body builds each key once and passes it to every read and
+// write of that document.
+doc::KeyString DistrictKey(int w, int d) {
+  doc::KeyStringBuilder key;
+  key.OpenArray().AppendInt(w).AppendInt(d).CloseArray();
+  return key.key();
+}
+doc::KeyString CustomerKey(int w, int d, int c) {
+  doc::KeyStringBuilder key;
+  key.OpenArray().AppendInt(w).AppendInt(d).AppendInt(c).CloseArray();
+  return key.key();
+}
+doc::KeyString OrderKey(int w, int d, int64_t o) {
+  doc::KeyStringBuilder key;
+  key.OpenArray().AppendInt(w).AppendInt(d).AppendInt(o).CloseArray();
+  return key.key();
+}
+doc::KeyString StockKey(int w, int64_t i) {
+  doc::KeyStringBuilder key;
+  key.OpenArray().AppendInt(w).AppendInt(i).CloseArray();
+  return key.key();
+}
+
 int64_t GetInt(const doc::Value& d, std::string_view field) {
   const doc::Value* v = d.Find(field);
   DCG_CHECK(v != nullptr && v->is_int64());
@@ -107,12 +131,12 @@ std::span<const doc::KeyString> StockLevelProbes::Build(
   const store::Collection* districts = db.Get(kDistrict);
   const store::Collection* orders = db.Get(kOrders);
   if (districts == nullptr || orders == nullptr) return probes_;
-  store::DocPtr district = districts->FindById(DistrictId(w, d));
+  store::DocPtr district = districts->FindById(DistrictKey(w, d));
   if (district == nullptr) return probes_;
   const int64_t next_o = GetInt(*district, "d_next_o_id");
   const int64_t lo = std::max<int64_t>(1, next_o - recent_);
   for (const store::DocPtr& order :
-       orders->RangeById(OrderId(w, d, lo), OrderId(w, d, next_o - 1))) {
+       orders->RangeById(OrderKey(w, d, lo), OrderKey(w, d, next_o - 1))) {
     const doc::Value* lines = order->Find("o_lines");
     if (lines == nullptr) continue;
     for (const doc::Value& line : lines->as_array()) {
@@ -125,14 +149,18 @@ std::span<const doc::KeyString> StockLevelProbes::Build(
     }
   }
   // The set bits, lowest first, are the distinct items in ascending order;
-  // walking them also clears the bitmap for the next call.
-  doc::Value id = StockId(w, 0);
-  doc::Value& item = id.as_array()[1];
+  // walking them also clears the bitmap for the next call. Every probe
+  // [w, item] extends the one encoded prefix [w,.
+  doc::KeyStringBuilder id;
+  id.OpenArray().AppendInt(w);
+  const size_t prefix = id.size();
   for (size_t word = 0; word < marked_.size(); ++word) {
     for (uint64_t bits = std::exchange(marked_[word], 0); bits != 0;
          bits &= bits - 1) {
-      item = static_cast<int64_t>(word * 64 + std::countr_zero(bits));
-      probes_.push_back(doc::KeyString::Encode(id));
+      id.Truncate(prefix);
+      id.AppendInt(static_cast<int64_t>(word * 64 + std::countr_zero(bits)))
+          .CloseArray();
+      probes_.push_back(id.key());
     }
   }
   return probes_;
@@ -316,12 +344,13 @@ void TpccWorkload::DoNewOrder(Done done) {
       server::OpClass::kTpccNewOrder,
       [this, w, d, c, reqs = std::move(reqs), abort](repl::TxnContext* ctx) {
         const store::Collection* districts = ctx->db().Get(kDistrict);
-        store::DocPtr district = districts->FindById(DistrictId(w, d));
+        const doc::KeyString district_key = DistrictKey(w, d);
+        store::DocPtr district = districts->FindById(district_key);
         DCG_CHECK(district != nullptr);
         const int64_t o = GetInt(*district, "d_next_o_id");
         doc::UpdateSpec bump;
         bump.Inc("d_next_o_id", int64_t{1});
-        ctx->Update(kDistrict, DistrictId(w, d), bump);
+        ctx->Update(kDistrict, district_key, bump);
 
         const store::Collection* items = ctx->db().Get(kItem);
         const store::Collection* stock = ctx->db().Get(kStock);
@@ -332,8 +361,8 @@ void TpccWorkload::DoNewOrder(Done done) {
           DCG_CHECK(item != nullptr);
           const double amount =
               GetNumber(*item, "i_price") * static_cast<double>(req.qty);
-          const doc::Value stock_id = StockId(w, req.item);
-          store::DocPtr s = stock->FindById(stock_id);
+          const doc::KeyString stock_key = StockKey(w, req.item);
+          store::DocPtr s = stock->FindById(stock_key);
           DCG_CHECK(s != nullptr);
           int64_t new_q = GetInt(*s, "s_quantity") - req.qty;
           if (new_q < 10) new_q += 91;
@@ -341,7 +370,7 @@ void TpccWorkload::DoNewOrder(Done done) {
           stock_update.Set("s_quantity", new_q)
               .Inc("s_ytd", req.qty)
               .Inc("s_order_cnt", int64_t{1});
-          ctx->Update(kStock, stock_id, stock_update);
+          ctx->Update(kStock, stock_key, stock_update);
           lines.push_back(MakeLine(line_shape_, req.item, req.qty, amount));
         }
 
@@ -357,11 +386,12 @@ void TpccWorkload::DoNewOrder(Done done) {
         // see DESIGN.md).
         const int64_t oldest = GetInt(*district, "d_oldest_o_id");
         if (o - oldest >= config_.max_orders_per_district) {
-          ctx->Remove(kOrders, OrderId(w, d, oldest));
-          ctx->Remove(kNewOrder, OrderId(w, d, oldest));  // may be absent
+          const doc::KeyString oldest_key = OrderKey(w, d, oldest);
+          ctx->Remove(kOrders, oldest_key);
+          ctx->Remove(kNewOrder, oldest_key);  // may be absent
           doc::UpdateSpec adv;
           adv.Inc("d_oldest_o_id", int64_t{1});
-          ctx->Update(kDistrict, DistrictId(w, d), adv);
+          ctx->Update(kDistrict, district_key, adv);
         }
 
         if (abort) {
@@ -392,12 +422,12 @@ void TpccWorkload::DoPayment(Done done) {
         ctx->Update(kWarehouse, doc::Value(int64_t{w}), w_up);
         doc::UpdateSpec d_up;
         d_up.Inc("d_ytd", amount);
-        ctx->Update(kDistrict, DistrictId(w, d), d_up);
+        ctx->Update(kDistrict, DistrictKey(w, d), d_up);
         doc::UpdateSpec c_up;
         c_up.Inc("c_balance", -amount)
             .Inc("c_ytd_payment", amount)
             .Inc("c_payment_cnt", int64_t{1});
-        const bool ok = ctx->Update(kCustomer, CustomerId(w, d, c), c_up);
+        const bool ok = ctx->Update(kCustomer, CustomerKey(w, d, c), c_up);
         DCG_CHECK(ok);
         ctx->Insert(kHistory,
                     doc::Value::Doc(history_shape_,
@@ -424,7 +454,7 @@ void TpccWorkload::DoOrderStatus(Done done) {
         const store::Collection* customers = db.Get(kCustomer);
         const store::Collection* orders = db.Get(kOrders);
         if (customers == nullptr || orders == nullptr) return;
-        store::DocPtr customer = customers->FindById(CustomerId(w, d, c));
+        store::DocPtr customer = customers->FindById(CustomerKey(w, d, c));
         if (customer == nullptr) return;
         std::vector<doc::Value> prefix = {doc::Value(int64_t{w}),
                                           doc::Value(int64_t{d}),
@@ -450,7 +480,8 @@ void TpccWorkload::DoDelivery(Done done) {
       [this, w, carrier](repl::TxnContext* ctx) {
         for (int d = 1; d <= config_.districts_per_warehouse; ++d) {
           const store::Collection* districts = ctx->db().Get(kDistrict);
-          store::DocPtr district = districts->FindById(DistrictId(w, d));
+          const doc::KeyString district_key = DistrictKey(w, d);
+          store::DocPtr district = districts->FindById(district_key);
           DCG_CHECK(district != nullptr);
           int64_t o = GetInt(*district, "d_next_del_o_id");
           const int64_t next_o = GetInt(*district, "d_next_o_id");
@@ -458,18 +489,17 @@ void TpccWorkload::DoDelivery(Done done) {
           // Skip archival gaps (bounded walk).
           int walked = 0;
           while (o < next_o && walked < 25 &&
-                 new_orders->FindById(OrderId(w, d, o)) == nullptr) {
+                 !new_orders->ContainsId(OrderKey(w, d, o))) {
             ++o;
             ++walked;
           }
-          if (o >= next_o ||
-              new_orders->FindById(OrderId(w, d, o)) == nullptr) {
-            continue;  // nothing deliverable in this district right now
-          }
+          if (o >= next_o) continue;  // nothing deliverable right now
+          const doc::KeyString order_key = OrderKey(w, d, o);
+          if (!new_orders->ContainsId(order_key)) continue;
 
-          ctx->Remove(kNewOrder, OrderId(w, d, o));
+          ctx->Remove(kNewOrder, order_key);
           const store::Collection* orders = ctx->db().Get(kOrders);
-          store::DocPtr order = orders->FindById(OrderId(w, d, o));
+          store::DocPtr order = orders->FindById(order_key);
           DCG_CHECK(order != nullptr);
           double total = 0.0;
           for (const doc::Value& line : order->Find("o_lines")->as_array()) {
@@ -481,17 +511,17 @@ void TpccWorkload::DoDelivery(Done done) {
           order_up.Set("o_carrier_id", carrier)
               .Set("o_delivery_d",
                    doc::Value::Timestamp(client_->loop().Now()));
-          ctx->Update(kOrders, OrderId(w, d, o), order_up);
+          ctx->Update(kOrders, order_key, order_up);
 
           doc::UpdateSpec cust_up;
           cust_up.Inc("c_balance", total).Inc("c_delivery_cnt", int64_t{1});
           const bool ok = ctx->Update(
-              kCustomer, CustomerId(w, d, static_cast<int>(o_c_id)), cust_up);
+              kCustomer, CustomerKey(w, d, static_cast<int>(o_c_id)), cust_up);
           DCG_CHECK(ok);
 
           doc::UpdateSpec dist_up;
           dist_up.Set("d_next_del_o_id", o + 1);
-          ctx->Update(kDistrict, DistrictId(w, d), dist_up);
+          ctx->Update(kDistrict, district_key, dist_up);
         }
       },
       [done = std::move(done)](const driver::OpResult& r) {

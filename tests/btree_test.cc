@@ -595,10 +595,10 @@ doc::Value RandomMixedKey(sim::Rng* rng, int64_t key_space) {
 }
 
 std::string EncodedPrefix(const doc::Array& components) {
-  std::string prefix;
-  doc::AppendKeyStringArrayStart(&prefix);
-  for (const doc::Value& v : components) doc::AppendKeyString(v, &prefix);
-  return prefix;
+  doc::KeyStringBuilder prefix;
+  prefix.OpenArray();
+  for (const doc::Value& v : components) prefix.Append(v);
+  return std::string(prefix.view());
 }
 
 // Compares `prefix` with the first prefix.size() components of `key` (a

@@ -1,6 +1,7 @@
 // Property tests for doc::KeyString: byte order equals Value::Compare order
-// over a seeded corpus of every value type, and an array's encoding without
-// its end byte is a byte prefix of exactly the arrays that extend it.
+// over a seeded corpus of every value type, an array's encoding without
+// its end byte is a byte prefix of exactly the arrays that extend it, and
+// KeyStringBuilder writes the bytes AppendKeyString does.
 
 #include <algorithm>
 #include <cstdint>
@@ -279,9 +280,10 @@ TEST(KeyStringTest, ArrayPrefixIsBytePrefix) {
   for (const Value& source : arrays) {
     const Array& components = source.as_array();
     for (size_t k = 0; k <= components.size(); ++k) {
-      std::string prefix;
-      AppendKeyStringArrayStart(&prefix);
-      for (size_t i = 0; i < k; ++i) AppendKeyString(components[i], &prefix);
+      KeyStringBuilder builder;
+      builder.OpenArray();
+      for (size_t i = 0; i < k; ++i) builder.Append(components[i]);
+      const std::string prefix(builder.view());
       for (const Value& other : arrays) {
         const Array& elems = other.as_array();
         bool extends = elems.size() >= k;
@@ -310,6 +312,78 @@ TEST(KeyStringTest, ArrayPrefixIsBytePrefix) {
         }
       }
     }
+  }
+}
+
+// The builder writes AppendKeyString's bytes for every value: whole, element
+// by element inside an array it opens and closes, and after truncating back
+// to a prefix it reuses. The corpus holds the edge numbers (0, +-1,
+// INT64_MIN and INT64_MAX, integral and fractional doubles, -0.0), strings
+// with 0x00 and 0x01 bytes, and nested arrays and objects; encodings of 15
+// and 16 bytes, on either side of KeyString's inline capacity, and ones past
+// the builder's stack buffer are all drawn.
+TEST(KeyStringBuilderTest, WritesTheBytesOfAppendKeyString) {
+  sim::Rng rng(31);
+  std::vector<Value> values = Corpus(/*seed=*/32, 2000);
+  for (const size_t len : {13, 14, 40, 200}) {  // 15, 16, 42, 202 bytes
+    values.emplace_back(std::string(len, 'k'));
+  }
+  values.emplace_back(std::string(40, '\0'));  // 82 bytes once escaped
+  values.push_back(Value::List({int64_t{1} << 62, int64_t{1} << 62}));
+  size_t at_capacity = 0, past_capacity = 0, past_stack = 0;
+  for (const Value& v : values) {
+    const std::string bytes = Bytes(v);
+    at_capacity += bytes.size() == KeyString::kInlineCapacity;
+    past_capacity += bytes.size() == KeyString::kInlineCapacity + 1;
+    past_stack += bytes.size() > KeyStringBuilder::kStackCapacity;
+
+    KeyStringBuilder whole;
+    whole.Append(v);
+    ASSERT_EQ(whole.view(), bytes) << v.ToJson();
+    const KeyString key = whole.key();
+    EXPECT_EQ(key.view(), bytes) << v.ToJson();
+    EXPECT_EQ(key.is_inline(), bytes.size() <= KeyString::kInlineCapacity);
+    EXPECT_EQ(KeyString(v), key) << v.ToJson();
+    if (v.is_int64()) {
+      KeyStringBuilder integer;
+      integer.AppendInt(v.as_int64());
+      EXPECT_EQ(integer.view(), bytes) << v.ToJson();
+    }
+
+    // Element by element, behind a prefix that is reused: [p, v] and
+    // [p, v, w] both extend the one encoded [p,.
+    const Value& p = values[rng.UniformInt(0, values.size() - 1)];
+    const Value& w = values[rng.UniformInt(0, values.size() - 1)];
+    KeyStringBuilder pair;
+    pair.OpenArray().Append(p);
+    const size_t prefix = pair.size();
+    pair.Append(v).CloseArray();
+    ASSERT_EQ(pair.view(), Bytes(Value::List({p, v})))
+        << p.ToJson() << ", " << v.ToJson();
+    pair.Truncate(prefix);
+    ASSERT_EQ(pair.view(), Bytes(Value::List({p})).substr(0, prefix));
+    pair.Append(v).Append(w).CloseArray();
+    ASSERT_EQ(pair.view(), Bytes(Value::List({p, v, w})))
+        << p.ToJson() << ", " << v.ToJson() << ", " << w.ToJson();
+    EXPECT_EQ(pair.key(), KeyString(Value::List({p, v, w})));
+  }
+  EXPECT_GT(at_capacity, 0u);
+  EXPECT_GT(past_capacity, 0u);
+  EXPECT_GT(past_stack, 0u);
+}
+
+// Stock Level's probes: one [w, prefix, then each item's integer bytes.
+TEST(KeyStringBuilderTest, ProbesFromOnePrefixMatchEncodedIds) {
+  KeyStringBuilder probe;
+  probe.OpenArray().AppendInt(7);
+  const size_t prefix = probe.size();
+  for (const int64_t item : {int64_t{0}, int64_t{1}, int64_t{255},
+                             int64_t{256}, int64_t{100000},
+                             std::numeric_limits<int64_t>::max(),
+                             std::numeric_limits<int64_t>::min()}) {
+    probe.Truncate(prefix);
+    probe.AppendInt(item).CloseArray();
+    EXPECT_EQ(probe.key(), KeyString(Value::List({7, item}))) << item;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "doc/key_string.h"
+#include "doc/path.h"
 #include "doc/value.h"
 
 namespace {
@@ -493,6 +494,41 @@ TEST(ValueTest, TypeNames) {
   EXPECT_EQ(TypeName(Value::Type::kNull), "null");
   EXPECT_EQ(TypeName(Value::Type::kObject), "object");
   EXPECT_EQ(TypeName(Value::Type::kTimestamp), "timestamp");
+}
+
+// A one-segment path keeps its segment inline: compiling an update or
+// filter field allocates nothing. Longer paths split as they always did.
+TEST(PathTest, OneSegmentPathAllocatesNothing) {
+  EXPECT_EQ(Allocations([] {
+              const Path path("s_quantity");
+              EXPECT_EQ(path.segment_count(), 1u);
+              EXPECT_EQ(path.segment_name(0), "s_quantity");
+              EXPECT_FALSE(path.segment(0).is_index);
+            }).first,
+            0u);
+
+  const Path dotted("a.0.b");
+  ASSERT_EQ(dotted.segment_count(), 3u);
+  EXPECT_EQ(dotted.segment_name(0), "a");
+  EXPECT_FALSE(dotted.segment(0).is_index);
+  EXPECT_EQ(dotted.segment_name(1), "0");
+  EXPECT_TRUE(dotted.segment(1).is_index);
+  EXPECT_EQ(dotted.segment(1).index, 0u);
+  EXPECT_EQ(dotted.segment_name(2), "b");
+  EXPECT_FALSE(dotted.segment(2).is_index);
+
+  const Path trailing("a.");  // the empty tail yields no segment
+  ASSERT_EQ(trailing.segment_count(), 1u);
+  EXPECT_EQ(trailing.segment_name(0), "a");
+  EXPECT_EQ(Path("").segment_count(), 0u);
+  EXPECT_TRUE(Path("").empty());
+
+  // Copies keep every segment; equality is the dotted string's.
+  const Path copy = dotted;
+  ASSERT_EQ(copy.segment_count(), 3u);
+  EXPECT_EQ(copy.segment_name(2), "b");
+  EXPECT_EQ(copy, dotted);
+  EXPECT_NE(copy, trailing);
 }
 
 }  // namespace

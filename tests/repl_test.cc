@@ -1,7 +1,10 @@
 // Tests for replication: Oplog, TxnContext, ReplicaSet log shipping,
 // staleness estimation, flow control, and convergence properties.
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,25 @@
 #include "repl/oplog.h"
 #include "repl/replica_set.h"
 #include "repl/txn.h"
+
+namespace {
+/// Heap allocations counted while armed (the binary is single-threaded).
+bool g_count_allocs = false;
+uint64_t g_allocs = 0;
+}  // namespace
+
+// Pass-through global allocator that counts calls only while armed, so a
+// test can bound the allocations of one code path. Kept out of line so the
+// compiler pairs each new with its delete, not with the malloc/free inside.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dcg::repl {
 namespace {
@@ -67,10 +89,34 @@ TEST(OplogTest, CapEvictsOldEntries) {
 OplogEntry InsertEntry(uint64_t seq) {
   OplogEntry e = Entry(seq);
   e.kind = OpKind::kInsert;
-  e.id = doc::Value(static_cast<int64_t>(seq));
+  e.key = doc::Value(static_cast<int64_t>(seq));
   e.doc = std::make_shared<const doc::Value>(
       doc::Value::Doc({{"_id", static_cast<int64_t>(seq)}}));
   return e;
+}
+
+// A batch copies each entry's key inline and shares its document: reading
+// 100 entries keyed like TPC-C orders allocates the batch vector alone.
+TEST(OplogTest, ReadAfterAllocatesOnlyItsBatch) {
+  Oplog log;
+  for (uint64_t seq = 1; seq <= 100; ++seq) {
+    const doc::Value id =
+        doc::Value::List({10, 10, static_cast<int64_t>(2900 + seq)});
+    OplogEntry e = Entry(seq);
+    e.kind = OpKind::kInsert;
+    e.collection = "orders";
+    e.key = id;
+    e.doc = std::make_shared<const doc::Value>(doc::Value::Doc({{"_id", id}}));
+    log.Append(std::move(e));
+  }
+  g_allocs = 0;
+  g_count_allocs = true;
+  const std::vector<OplogEntry> batch = log.ReadAfter(0, 100);
+  g_count_allocs = false;
+  ASSERT_EQ(batch.size(), 100u);
+  EXPECT_EQ(batch.back().key,
+            doc::KeyString(doc::Value::List({10, 10, 3000})));
+  EXPECT_EQ(g_allocs, 1u);
 }
 
 TEST(OplogTest, TrimPopsAppliedEntries) {
@@ -90,7 +136,8 @@ TEST(OplogTest, TrimPopsAppliedEntries) {
   // A batch read before the trim keeps its entries and documents.
   ASSERT_EQ(in_flight.size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(in_flight[i].id, doc::Value(static_cast<int64_t>(i + 1)));
+    EXPECT_EQ(in_flight[i].key,
+              doc::KeyString(doc::Value(static_cast<int64_t>(i + 1))));
     EXPECT_NE(in_flight[i].doc, nullptr) << i;
   }
 

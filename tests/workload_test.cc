@@ -415,6 +415,71 @@ TEST_F(WorkloadClusterTest, StockLevelProbesMatchSortedDistinctItems) {
                   .empty());
 }
 
+// The orders_by_customer index, kept on encodings, after New Orders insert
+// and archive orders and Deliveries update them: on every member, every
+// customer's scan and the whole-index scan equal the brute-force answer
+// (the orders whose [o_w_id, o_d_id, o_c_id, _id] tuple matches, in tuple
+// order).
+TEST_F(WorkloadClusterTest, TpccOrdersByCustomerMatchesBruteForce) {
+  Build();
+  TpccConfig config = SmallTpcc();
+  config.mix = TpccMix{0.0, 0.1, 0.0, 0.0, 0.9};
+  for (int i = 0; i < 3; ++i) TpccWorkload::Load(config, &rs_->node(i).db());
+  TpccWorkload tpcc(client_.get(), policy_.get(), config, sim::Rng(14));
+  rs_->Start();
+  exp::ClientPool pool(&loop_, &tpcc, nullptr);
+  pool.SetTarget(4);
+  while (tpcc.new_order_count() < 500 || tpcc.delivery_count() < 50) {
+    ASSERT_LT(loop_.Now(), sim::Seconds(3600));
+    loop_.RunUntil(loop_.Now() + sim::Seconds(1));
+  }
+  pool.SetTarget(0);
+  loop_.RunUntil(loop_.Now() + sim::Seconds(10));  // drain and replicate
+
+  for (int n = 0; n < 3; ++n) {
+    SCOPED_TRACE(n);
+    const store::Collection* orders = rs_->node(n).db().Get("orders");
+    orders->CheckInvariants();
+    std::vector<std::pair<doc::Value, store::DocPtr>> all;
+    for (const store::DocPtr& o : orders->Find(doc::Filter::True())) {
+      all.emplace_back(doc::Value::List({*o->Find("o_w_id"), *o->Find("o_d_id"),
+                                         *o->Find("o_c_id"), *o->Find("_id")}),
+                       o);
+    }
+    std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+      return x.first.Compare(y.first) < 0;
+    });
+    auto brute_force = [&all](const std::vector<doc::Value>& prefix) {
+      std::vector<store::DocPtr> out;
+      for (const auto& [tuple, o] : all) {
+        bool match = true;
+        for (size_t i = 0; i < prefix.size(); ++i) {
+          match = match && tuple.as_array()[i] == prefix[i];
+        }
+        if (match) out.push_back(o);
+      }
+      return out;
+    };
+    EXPECT_EQ(orders->IndexScan("orders_by_customer", {}, {}), brute_force({}));
+    for (int w = 1; w <= config.warehouses; ++w) {
+      for (int d = 1; d <= config.districts_per_warehouse; ++d) {
+        for (int c = 1; c <= config.customers_per_district; ++c) {
+          const std::vector<doc::Value> prefix = {
+              doc::Value(w), doc::Value(d), doc::Value(c)};
+          EXPECT_EQ(orders->IndexScan("orders_by_customer", prefix, prefix),
+                    brute_force(prefix))
+              << w << "," << d << "," << c;
+        }
+      }
+    }
+  }
+  // New Orders archived the oldest orders: removes reached the index too.
+  const store::DocPtr district =
+      rs_->primary().db().Get("district")->FindById(doc::Value::List({1, 1}));
+  ASSERT_NE(district, nullptr);
+  EXPECT_GT(district->Find("d_oldest_o_id")->as_int64(), 1);
+}
+
 // An order line naming an item outside [1, items] cannot be marked in the
 // bitmap: the probe builder aborts rather than read a wrong stock set.
 TEST(TpccStoreTest, StockLevelProbesRejectAnItemOutsideTheCatalogue) {
