@@ -319,6 +319,11 @@ int BenchMain(int argc, char** argv) {
 #else
   constexpr bool kOptimized = false;
 #endif
+#if defined(DCG_BUILD_LTO) && DCG_BUILD_LTO
+  constexpr bool kLto = true;
+#else
+  constexpr bool kLto = false;
+#endif
   if (!kOptimized && !allow_debug) {
     std::fprintf(stderr,
                  "bench_baseline: refusing to record/compare numbers from a "
@@ -706,6 +711,7 @@ int BenchMain(int argc, char** argv) {
 #ifdef DCG_BUILD_TYPE
     json << "  \"build_type\": \"" << DCG_BUILD_TYPE << "\",\n";
 #endif
+    json << "  \"lto\": " << (kLto ? "true" : "false") << ",\n";
     json << "  \"compiler\": \"" << __VERSION__ << "\",\n";
     json << "  \"min_time_s\": " << min_time << ",\n";
     json << "  \"benchmarks\": [\n";
@@ -735,6 +741,22 @@ int BenchMain(int argc, char** argv) {
     std::stringstream buf;
     buf << f.rdbuf();
     const std::string text = buf.str();
+
+    // Rows measured with and without link-time optimisation differ by
+    // the LTO gain, not by a change to the code; say so beside the rows.
+    // A file without the field predates it, when builds were not LTO'd.
+    const size_t lto_pos = text.find("\"lto\": ");
+    const bool baseline_lto =
+        lto_pos != std::string::npos &&
+        text.compare(lto_pos + std::strlen("\"lto\": "), 4, "true") == 0;
+    if (lto_pos == std::string::npos || baseline_lto != kLto) {
+      std::printf("note: %s was recorded %s; this run was built %s LTO\n",
+                  compare_path.c_str(),
+                  lto_pos == std::string::npos
+                      ? "without LTO (it has no \"lto\" field)"
+                      : (baseline_lto ? "with LTO" : "without LTO"),
+                  kLto ? "with" : "without");
+    }
 
     // Minimal parse of this tool's own output format: pairs of
     // "name": "<bench>" ... "items_per_sec": <number>. The committed file
