@@ -82,7 +82,7 @@ BenchResult Measure(const std::string& name, double min_time, Body&& body) {
 // --- Workload setup helpers -------------------------------------------------
 
 store::BTree::Payload MakeDoc(int64_t i) {
-  return std::make_shared<const doc::Value>(
+  return doc::DocPtr::Make(
       doc::Value::Doc({{"_id", i}, {"v", i * 3}, {"s", "payload"}}));
 }
 

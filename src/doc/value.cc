@@ -418,6 +418,40 @@ size_t Value::ApproxSize() const {
   return 8;
 }
 
+DocPtr DocPtr::Make(Value v) {
+  DocPtr out;
+  if (!v.is_object() || v.object().b_ == nullptr) {
+    out.b_ = new (::operator new(sizeof(Block))) Block{1, std::move(v)};
+    return out;
+  }
+  Object& o = v.object();
+  const size_t n = o.size();
+  void* mem = ::operator new(sizeof(Block) + sizeof(Object::Header) +
+                             n * sizeof(Value));
+  Object::Header* h = Embedded(static_cast<Block*>(mem));
+  new (h) Object::Header{std::move(o.b_->shape)};
+  std::memcpy(static_cast<void*>(Object::Values(h)), Object::Values(o.b_),
+              n * sizeof(Value));
+  o.b_->~Header();
+  ::operator delete(std::exchange(o.b_, h));
+  out.b_ = new (mem) Block{1, std::move(v)};
+  return out;
+}
+
+void DocPtr::Release(Block* b) {
+  Object::Header* h = Embedded(b);
+  if (b->root.tag() == Value::kObjectTag && b->root.object().b_ == h) {
+    // The fields live in this block: destroy them and the shape, but not
+    // the root cell, which would free the header as a block of its own.
+    const size_t n = h->shape->size();
+    for (size_t i = 0; i < n; ++i) Object::Values(h)[i].~Value();
+    h->~Header();
+  } else {
+    b->root.~Value();
+  }
+  ::operator delete(b);
+}
+
 std::string_view TypeName(Value::Type t) {
   switch (t) {
     case Value::Type::kNull:

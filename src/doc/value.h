@@ -16,6 +16,7 @@
 
 namespace dcg::doc {
 
+class DocPtr;
 class Value;
 
 /// The ordered field names of an object: its shape. A Shape is immutable,
@@ -192,6 +193,8 @@ class Object {
   bool Erase(std::string_view field);
 
  private:
+  friend class DocPtr;
+
   // The block's first 8 bytes; size() values follow.
   struct Header {
     ShapeRef shape;
@@ -426,6 +429,8 @@ class Value {
   size_t ApproxSize() const;
 
  private:
+  friend class DocPtr;
+
   static constexpr size_t kLengthByte = 14;  // inline string length
   static constexpr size_t kTagByte = 15;
   static constexpr uint8_t kTypeMask = 0x7;
@@ -554,6 +559,73 @@ inline const Value* Object::Find(std::string_view field) const {
 inline Value* Object::Find(std::string_view field) {
   return const_cast<Value*>(std::as_const(*this).Find(field));
 }
+
+/// A shared immutable document, as a store keeps each version: an 8-byte
+/// handle to one block that holds a count, the root cell and, when the root
+/// is an object with fields, that object's header and fields. So reading a
+/// stored document starts with one miss, on the block, where a
+/// std::shared_ptr<const Value> took two (its count's block, then the
+/// object's). Nested arrays, objects and heap strings keep their own
+/// blocks. The count is not atomic, as ShapeRef's is not: a document never
+/// leaves the Experiment that built it, and an Experiment runs on one
+/// thread.
+class DocPtr {
+ public:
+  DocPtr() = default;
+  DocPtr(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  /// Takes `v` into a fresh block. A root object's shape and fields move
+  /// into the block (a field relocates by its bytes, as Value's comment
+  /// says), and the object's own block is freed.
+  static DocPtr Make(Value v);
+
+  DocPtr(const DocPtr& o) noexcept : b_(o.b_) {
+    if (b_ != nullptr) ++b_->refs;
+  }
+  DocPtr(DocPtr&& o) noexcept : b_(std::exchange(o.b_, nullptr)) {}
+  DocPtr& operator=(DocPtr o) noexcept {
+    std::swap(b_, o.b_);
+    return *this;
+  }
+  ~DocPtr() {
+    if (b_ != nullptr && --b_->refs == 0) Release(b_);
+  }
+
+  /// The document, or null.
+  const Value* get() const { return b_ == nullptr ? nullptr : &b_->root; }
+  const Value& operator*() const { return b_->root; }
+  const Value* operator->() const { return &b_->root; }
+  explicit operator bool() const { return b_ != nullptr; }
+  /// The handles that hold the document; 0 for null. A `long`, as
+  /// std::shared_ptr's is.
+  long use_count() const {  // NOLINT(google-runtime-int)
+    return b_ == nullptr ? 0 : static_cast<long>(b_->refs);  // NOLINT
+  }
+
+  friend bool operator==(const DocPtr& a, const DocPtr& b) {
+    return a.b_ == b.b_;
+  }
+  friend bool operator==(const DocPtr& a, std::nullptr_t) {
+    return a.b_ == nullptr;
+  }
+
+ private:
+  // The block's first 24 bytes. A root object's header follows, then its
+  // fields, and the root cell's handle points at that header.
+  struct Block {
+    uint64_t refs;
+    Value root;
+  };
+  static_assert(sizeof(Block) == 24);
+  static Object::Header* Embedded(Block* b) {
+    return reinterpret_cast<Object::Header*>(b + 1);
+  }
+  // Destroys the document and frees its block; the count is 0.
+  static void Release(Block* b);
+
+  Block* b_ = nullptr;
+};
+
+static_assert(sizeof(DocPtr) == 8, "a DocPtr is one pointer");
 
 /// Name of a value type, for error messages and debugging.
 std::string_view TypeName(Value::Type t);

@@ -36,9 +36,10 @@ namespace dcg::store {
 ///    the new key alone (a leaf) or the last two children (an internal
 ///    node), as SQLite's balance_quick does. Ascending loads fill every
 ///    node; only spine nodes may be less than half full.
-///  * Payloads are `shared_ptr<const doc::Value>`: reads hand out a stable
-///    snapshot of the document; updates install a fresh copy (copy-on-write),
-///    so a reader holding a document is never affected by later writes.
+///  * Payloads are doc::DocPtr, one 8-byte handle per stored document:
+///    reads hand out a stable snapshot of the document; updates install a
+///    fresh copy (copy-on-write), so a reader holding a document is never
+///    affected by later writes.
 ///  * Leaves are doubly linked for ordered range scans (TPC-C Stock Level
 ///    walks order lines via such scans) and for FindSorted, which serves a
 ///    run of ascending probes without returning to the root while they stay
@@ -50,7 +51,7 @@ namespace dcg::store {
 class BTree {
  public:
   using Key = doc::KeyString;
-  using Payload = std::shared_ptr<const doc::Value>;
+  using Payload = doc::DocPtr;
 
   BTree();
   ~BTree();

@@ -89,7 +89,7 @@ bool Collection::Install(doc::KeyString id, const DocPtr& d,
 
 bool Collection::Insert(doc::Value document, DocPtr* inserted) {
   doc::KeyString id = RequireId(document);
-  auto d = std::make_shared<const doc::Value>(std::move(document));
+  auto d = DocPtr::Make(std::move(document));
   if (!primary_.Insert(std::move(id), d)) return false;
   OnInstalled(nullptr, d);
   if (inserted != nullptr) *inserted = std::move(d);
@@ -98,7 +98,7 @@ bool Collection::Insert(doc::Value document, DocPtr* inserted) {
 
 void Collection::Upsert(doc::Value document) {
   doc::KeyString id = RequireId(document);
-  auto d = std::make_shared<const doc::Value>(std::move(document));
+  auto d = DocPtr::Make(std::move(document));
   Install(std::move(id), d, /*replaced=*/nullptr);
 }
 
@@ -136,8 +136,7 @@ bool Collection::Update(const doc::KeyString& id, const doc::UpdateSpec& spec,
                 stored_id.ToJson().c_str());
   DCG_CHECK_MSG(RequireId(updated) == stored_id,
                 "updates must not change _id");
-  DocPtr previous = std::exchange(
-      *slot, std::make_shared<const doc::Value>(std::move(updated)));
+  DocPtr previous = std::exchange(*slot, DocPtr::Make(std::move(updated)));
   OnInstalled(previous, *slot);
   if (post_image != nullptr) *post_image = *slot;
   if (pre_image != nullptr) *pre_image = std::move(previous);

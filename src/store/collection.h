@@ -18,7 +18,7 @@
 namespace dcg::store {
 
 /// A shared immutable document snapshot, as handed out by reads.
-using DocPtr = std::shared_ptr<const doc::Value>;
+using DocPtr = doc::DocPtr;
 
 /// Options for FindWith: ordering, limit, and field projection (the
 /// find() modifiers the TPC-C adaptation and ad-hoc queries use).

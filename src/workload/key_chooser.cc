@@ -12,6 +12,7 @@ ZipfianGenerator::ZipfianGenerator(int64_t n, double theta)
   DCG_CHECK(theta > 0.0 && theta < 1.0);
   zetan_ = ZetaStatic(n, theta);
   zeta2theta_ = ZetaStatic(2, theta);
+  half_pow_theta_ = std::pow(0.5, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta2theta_ / zetan_);
@@ -29,7 +30,7 @@ int64_t ZipfianGenerator::Next(sim::Rng* rng) {
   const double u = rng->NextDouble();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < 1.0 + half_pow_theta_) return 1;
   const auto result = static_cast<int64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return result >= n_ ? n_ - 1 : result;

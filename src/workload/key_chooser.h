@@ -23,6 +23,7 @@ class ZipfianGenerator {
 
   int64_t n_;
   double theta_;
+  double half_pow_theta_;  // 0.5^theta, the rank-1 band's width over zetan
   double alpha_;
   double zetan_;
   double eta_;

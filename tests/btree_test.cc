@@ -20,8 +20,7 @@ namespace {
 using doc::KeyString;
 
 BTree::Payload Doc(int64_t v) {
-  return std::make_shared<const doc::Value>(
-      doc::Value::Doc({{"_id", v}, {"v", v}}));
+  return doc::DocPtr::Make(doc::Value::Doc({{"_id", v}, {"v", v}}));
 }
 
 KeyString Enc(const doc::Value& v) { return KeyString::Encode(v); }

@@ -14,11 +14,12 @@
 #include "doc/value.h"
 
 namespace {
-/// Heap allocations and bytes counted while armed (the binary is
-/// single-threaded).
+/// Heap allocations, their bytes, and frees counted while armed (the
+/// binary is single-threaded).
 bool g_count_allocs = false;
 uint64_t g_allocs = 0;
 uint64_t g_alloc_bytes = 0;
+uint64_t g_frees = 0;
 }  // namespace
 
 // Pass-through global allocator that counts calls only while armed, so a
@@ -32,8 +33,12 @@ uint64_t g_alloc_bytes = 0;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (g_count_allocs && p != nullptr) ++g_frees;
+  std::free(p);
+}
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  if (g_count_allocs && p != nullptr) ++g_frees;
   std::free(p);
 }
 
@@ -45,6 +50,7 @@ template <typename Fn>
 std::pair<uint64_t, uint64_t> Allocations(Fn&& fn) {
   g_allocs = 0;
   g_alloc_bytes = 0;
+  g_frees = 0;
   g_count_allocs = true;
   fn();
   g_count_allocs = false;
@@ -387,6 +393,144 @@ TEST(ValueLayoutTest, TenLineOrderIsThirteenExactBlocks) {
             std::make_pair(uint64_t{0}, uint64_t{0}));
   EXPECT_EQ(moved, order);
   EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+}
+
+// A TPC-C stock row as the workload loads it: _id [w, i] and four counts.
+Value StockDocument(const ShapeRef& stock_shape) {
+  return Value::Doc(stock_shape, {Value::List({1, 42}), int64_t{57},
+                                  int64_t{0}, int64_t{0}, int64_t{0}});
+}
+
+/// Blocks that `fn` allocates and does not free.
+template <typename Fn>
+int64_t LiveBlocks(Fn&& fn) {
+  const uint64_t allocs = Allocations(std::forward<Fn>(fn)).first;
+  return static_cast<int64_t>(allocs) - static_cast<int64_t>(g_frees);
+}
+
+// The count, the root cell, and the root object's shape and fields share
+// one block; only the _id array keeps its own. A shared_ptr made three.
+TEST(DocPtrTest, StockDocumentIsTwoBlocks) {
+  const ShapeRef stock_shape(
+      {"_id", "s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt"});
+  DocPtr d;
+  EXPECT_EQ(LiveBlocks([&] { d = DocPtr::Make(StockDocument(stock_shape)); }),
+            2);
+  // Make allocated the document block and freed the builder's object
+  // block: 8 + 16 for the count and root cell, 8 + 5 * 16 for the object.
+  Value built = StockDocument(stock_shape);
+  DocPtr e;
+  EXPECT_EQ(Allocations([&] { e = DocPtr::Make(std::move(built)); }),
+            std::make_pair(uint64_t{1}, uint64_t{24 + 8 + 5 * 16}));
+  EXPECT_EQ(g_frees, 1u);
+  EXPECT_EQ(*e, *d);
+  EXPECT_EQ(*d, StockDocument(stock_shape));
+  EXPECT_EQ(d->Find("s_quantity")->as_int64(), 57);
+  EXPECT_EQ(d->as_object().shape(), stock_shape.get());
+}
+
+TEST(DocPtrTest, TenLineOrderIsThirteenBlocks) {
+  const ShapeRef order_shape(
+      {"_id", "o_w_id", "o_d_id", "o_c_id", "o_entry_d", "o_ol_cnt",
+       "o_carrier_id", "o_delivery_d", "o_lines"});
+  const ShapeRef line_shape({"ol_i_id", "ol_quantity", "ol_amount"});
+  DocPtr d;
+  EXPECT_EQ(LiveBlocks([&] {
+              d = DocPtr::Make(TenLineOrder(order_shape, line_shape));
+            }),
+            13);
+  EXPECT_EQ(*d, TenLineOrder(order_shape, line_shape));
+  EXPECT_EQ(d->FindPath("o_lines.9.ol_i_id")->as_int64(), 70);
+}
+
+// Handles share the one document: no copy, move or assignment allocates,
+// and every holder reads the same cell.
+TEST(DocPtrTest, CopiesMovesAndAssignmentsShareTheDocument) {
+  const DocPtr d = DocPtr::Make(Value::Doc({{"_id", 1}, {"v", "x"}}));
+  const Value* doc = d.get();
+  DocPtr copy, moved, assigned;
+  EXPECT_EQ(Allocations([&] {
+              DocPtr constructed(d);
+              copy = constructed;
+              moved = std::move(constructed);
+              assigned = d;
+              assigned = copy;
+            }),
+            std::make_pair(uint64_t{0}, uint64_t{0}));
+  EXPECT_EQ(g_frees, 0u);
+  EXPECT_EQ(copy.get(), doc);
+  EXPECT_EQ(moved.get(), doc);
+  EXPECT_EQ(assigned.get(), doc);
+  EXPECT_EQ(copy, d);
+  EXPECT_EQ(d.use_count(), 4);
+}
+
+TEST(DocPtrTest, UseCountCountsHolders) {
+  DocPtr none;
+  EXPECT_EQ(none, nullptr);
+  EXPECT_FALSE(none);
+  EXPECT_EQ(none.get(), nullptr);
+  EXPECT_EQ(none.use_count(), 0);
+  DocPtr d = DocPtr::Make(Value::Doc({{"_id", 1}}));
+  EXPECT_TRUE(d);
+  EXPECT_NE(d, nullptr);
+  EXPECT_EQ(d.use_count(), 1);
+  {
+    const DocPtr a = d, b = d;
+    EXPECT_EQ(d.use_count(), 3);
+    EXPECT_EQ(a.use_count(), 3);
+  }
+  EXPECT_EQ(d.use_count(), 1);
+  DocPtr other = DocPtr::Make(Value::Doc({{"_id", 1}}));
+  EXPECT_NE(other, d);  // equal documents, different handles
+  EXPECT_EQ(*other, *d);
+  d = nullptr;
+  EXPECT_EQ(d, nullptr);
+  EXPECT_EQ(other.use_count(), 1);
+}
+
+// The last holder frees every block: the document's, the shape's, and the
+// nested arrays, objects and strings.
+TEST(DocPtrTest, LastReleaseFreesEveryBlock) {
+  const ShapeRef line_shape({"ol_i_id", "ol_quantity", "ol_amount"});
+  EXPECT_EQ(LiveBlocks([&] {
+              const ShapeRef order_shape(
+                  {"_id", "o_w_id", "o_d_id", "o_c_id", "o_entry_d",
+                   "o_ol_cnt", "o_carrier_id", "o_delivery_d", "o_lines"});
+              DocPtr d = DocPtr::Make(TenLineOrder(order_shape, line_shape));
+              DocPtr held = d;
+              d = nullptr;
+              EXPECT_EQ(held.use_count(), 1);
+              EXPECT_EQ(held->FindPath("o_lines.0.ol_i_id")->as_int64(), 7);
+            }),
+            0);
+  EXPECT_EQ(LiveBlocks([] {
+              Value tags = Value::List({"a", std::string(30, 'b')});
+              const DocPtr d = DocPtr::Make(
+                  Value::Doc({{"_id", std::string(20, 'k')},
+                              {"tags", std::move(tags)},
+                              {"empty", Value(Object{})}}));
+            }),
+            0);
+}
+
+// A root that is not an object with fields stays a cell in the block and
+// keeps its own blocks.
+TEST(DocPtrTest, NonObjectRoots) {
+  DocPtr d;
+  EXPECT_EQ(Allocations([&] { d = DocPtr::Make(Value(int64_t{5})); }),
+            std::make_pair(uint64_t{1}, uint64_t{24}));
+  EXPECT_EQ(*d, Value(5));
+  const Value list = Value::List({1, std::string(20, 's')});
+  // The copy's array and string, and the block; the old block is freed.
+  EXPECT_EQ(LiveBlocks([&] { d = DocPtr::Make(list); }), 2);
+  EXPECT_EQ(*d, list);
+  d = DocPtr::Make(Value(Object{}));
+  EXPECT_TRUE(d->is_object());
+  EXPECT_EQ(d->as_object().size(), 0u);
+  d = DocPtr::Make(Value(std::string(40, 'z')));
+  EXPECT_EQ(d->as_string(), std::string(40, 'z'));
+  EXPECT_EQ(LiveBlocks([&] { d = nullptr; }), -2);  // the block, the string
 }
 
 TEST(ValueLayoutTest, StringsUpToFourteenBytesStayInTheCell) {

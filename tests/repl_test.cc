@@ -90,7 +90,7 @@ OplogEntry InsertEntry(uint64_t seq) {
   OplogEntry e = Entry(seq);
   e.kind = OpKind::kInsert;
   e.key = doc::Value(static_cast<int64_t>(seq));
-  e.doc = std::make_shared<const doc::Value>(
+  e.doc = doc::DocPtr::Make(
       doc::Value::Doc({{"_id", static_cast<int64_t>(seq)}}));
   return e;
 }
@@ -106,7 +106,7 @@ TEST(OplogTest, ReadAfterAllocatesOnlyItsBatch) {
     e.kind = OpKind::kInsert;
     e.collection = "orders";
     e.key = id;
-    e.doc = std::make_shared<const doc::Value>(doc::Value::Doc({{"_id", id}}));
+    e.doc = doc::DocPtr::Make(doc::Value::Doc({{"_id", id}}));
     log.Append(std::move(e));
   }
   g_allocs = 0;

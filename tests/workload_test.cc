@@ -2,6 +2,7 @@
 // S workload — each exercised over a real mini-cluster.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,6 +47,46 @@ TEST(ZipfianTest, RankZeroIsMostFrequent) {
   EXPECT_GT(counts[1], counts[10]);
   // Head concentration: top item gets several percent of all draws.
   EXPECT_GT(counts[0], 5000);
+}
+
+// Gray et al.'s draw as YCSB writes it, every constant computed per call.
+int64_t ReferenceZipfian(int64_t n, double theta, sim::Rng* rng) {
+  double zetan = 0.0, zeta2 = 0.0;
+  for (int64_t i = 1; i <= n; ++i) {
+    zetan += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  for (int64_t i = 1; i <= 2; ++i) {
+    zeta2 += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  const double alpha = 1.0 / (1.0 - theta);
+  const double eta =
+      (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+      (1.0 - zeta2 / zetan);
+  const double u = rng->NextDouble();
+  const double uz = u * zetan;
+  if (uz < 1.0) return 0;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  const auto result = static_cast<int64_t>(
+      static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+  return result >= n ? n - 1 : result;
+}
+
+// The generator computes its constants once; its ranks stay the formula's.
+TEST(ZipfianTest, RanksMatchThePerDrawFormula) {
+  constexpr int64_t kN = 1000;
+  constexpr double kTheta = 0.99;
+  ZipfianGenerator gen(kN, kTheta);
+  sim::Rng rng(7), reference_rng(7);
+  std::set<int64_t> ranks;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t rank = gen.Next(&rng);
+    ASSERT_EQ(rank, ReferenceZipfian(kN, kTheta, &reference_rng)) << i;
+    ranks.insert(rank);
+  }
+  // Both early-outs and the general branch were taken.
+  EXPECT_TRUE(ranks.contains(0));
+  EXPECT_TRUE(ranks.contains(1));
+  EXPECT_GT(ranks.size(), 100u);
 }
 
 TEST(ScrambledZipfianTest, SpreadsHotKeys) {
